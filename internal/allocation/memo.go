@@ -1,9 +1,11 @@
 package allocation
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -206,21 +208,21 @@ func memoKey(s *memoScratch, pool Pool, reqs []Request) bool {
 	for i := range perm {
 		perm[i] = i
 	}
-	classLess := func(a, b Class) bool {
-		if a.Capacity != b.Capacity {
-			return a.Capacity < b.Capacity
+	// A stable sort leaves equal classes in caller order, which the identity
+	// flag and the stored class order rely on; pools of thousands of
+	// facilities (member-list V(N)) sort in O(n log n).
+	slices.SortStableFunc(perm, func(a, b int) int {
+		ca, cb := &pool.Classes[a], &pool.Classes[b]
+		if c := cmp.Compare(ca.Capacity, cb.Capacity); c != 0 {
+			return c
 		}
-		return a.Count < b.Count
-	}
-	// Insertion sort: class counts are small (one per facility) and this
-	// avoids sort.Slice's closure allocation on the hot path.
+		return cmp.Compare(ca.Count, cb.Count)
+	})
 	identity := true
-	for i := 1; i < nc; i++ {
-		j := i
-		for j > 0 && classLess(pool.Classes[perm[j]], pool.Classes[perm[j-1]]) {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-			j--
+	for k, i := range perm {
+		if k != i {
 			identity = false
+			break
 		}
 	}
 	buf := s.buf[:0]

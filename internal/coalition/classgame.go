@@ -37,7 +37,8 @@ type ClassStructure struct {
 	// Value returns V for the coalition containing counts[j] members of
 	// class j (any counts[j] members — the classes are interchangeable).
 	// It must be safe for concurrent calls, return 0 for the zero vector,
-	// and must not retain the slice.
+	// and must not retain the slice. MemberGame caches it per count
+	// vector, so it need not cache itself.
 	Value func(counts []int) float64
 }
 
@@ -209,7 +210,10 @@ const classMemoStripes = 64
 // vectors are solved once through a striped concurrent memo. A sampled
 // ordering of a 200-player game visits 200 prefixes, but across thousands
 // of orderings those prefixes share a vastly smaller count-vector space,
-// so most ValueMembers calls are O(k) lookups rather than solves.
+// so most ValueMembers calls are O(k) lookups rather than solves. This memo
+// is the only cache on the collapsed path (core.Model's ClassStructure.Value
+// solves directly), so memory is bounded by the count vectors one
+// computation visits.
 type classMemberGame struct {
 	cs     *ClassStructure
 	seed   maphash.Seed

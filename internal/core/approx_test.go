@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"fedshare/internal/allocation"
 	"fedshare/internal/coalition"
 	"fedshare/internal/combin"
 	"fedshare/internal/economics"
@@ -89,6 +92,119 @@ func TestClassStructureDetection(t *testing.T) {
 	if got, want := cs.Value(counts), m.ValueMembers(members); got != want {
 		t.Errorf("collapsed V(%v) = %.12f, direct %.12f", counts, got, want)
 	}
+}
+
+// TestClassStructureValueMatchesDirect is the differential test of the
+// collapsed characteristic function: it solves one aggregated class per
+// template, the direct one a class per facility in facility order, where
+// the templates interleave. With the allocation memo off (both sides solve)
+// the two must agree bit-for-bit on random coalitions, under demand mixes
+// that reach the analytic, fast and greedy engines.
+func TestClassStructureValueMatchesDirect(t *testing.T) {
+	was := allocation.DefaultMemo.SetEnabled(false)
+	defer allocation.DefaultMemo.SetEnabled(was)
+
+	rng := rand.New(rand.NewSource(12))
+	shapes := []float64{0.5, 0.7, 1, 1.3, 2}
+	engines := map[string]int{}
+	checked := 0
+	for trial := 0; trial < 120; trial++ {
+		tpls := make([]Facility, 2+rng.Intn(4))
+		for j := range tpls {
+			tpls[j] = Facility{
+				Locations:    rng.Intn(9),
+				Resources:    float64(1 + rng.Intn(4)),
+				Availability: []float64{0, 0.5, 0.75, 1}[rng.Intn(4)],
+			}
+		}
+		fs := make([]Facility, 6+rng.Intn(24))
+		for i := range fs {
+			fs[i] = tpls[rng.Intn(len(tpls))]
+			fs[i].Name = fsName(i, i%3)
+		}
+		wl, err := economics.NewWorkload(randomDemand(rng, trial%3, shapes)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewModel(fs, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := m.ClassStructure()
+		if err := cs.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int, cs.K())
+		var members []int
+		for c := 0; c < 60; c++ {
+			members = members[:0]
+			for j := range counts {
+				counts[j] = 0
+			}
+			p := rng.Float64()
+			for i := range fs {
+				if rng.Float64() < p {
+					members = append(members, i)
+					counts[cs.ClassOf[i]]++
+				}
+			}
+			if got, want := cs.Value(counts), m.ValueMembers(members); got != want {
+				t.Fatalf("trial %d: collapsed V(%v) = %v, direct V(%v) = %v", trial, counts, got, members, want)
+			}
+			engines[solverFor(m, members)]++
+			checked++
+		}
+	}
+	for _, e := range []string{"analytic", "fast", "greedy"} {
+		if engines[e] < 100 {
+			t.Errorf("engine %s reached on %d coalitions, want at least 100 (%v)", e, engines[e], engines)
+		}
+	}
+	t.Logf("%d coalitions agree bit-for-bit; engines %v", checked, engines)
+}
+
+// randomDemand draws a demand mix for one of the allocation engines:
+// mode 0 is one homogeneous linear batch (analytic), mode 1 linear batches
+// with mixed minima (fast), mode 2 mixed shapes and resources (greedy).
+func randomDemand(rng *rand.Rand, mode int, shapes []float64) []economics.DemandClass {
+	res := float64(1 + rng.Intn(3))
+	n := 1
+	if mode > 0 {
+		n = 2 + rng.Intn(2)
+	}
+	out := make([]economics.DemandClass, n)
+	for c := range out {
+		typ := economics.ExperimentType{
+			Name: fmt.Sprintf("e%d", c), MinLocations: float64(rng.Intn(12)),
+			MaxLocations: math.Inf(1), Resources: res, HoldingTime: 1, Shape: 1,
+		}
+		if mode == 2 {
+			typ.Resources = float64(1 + rng.Intn(3))
+			typ.Shape = shapes[rng.Intn(len(shapes))]
+		}
+		out[c] = economics.DemandClass{Type: typ, Count: 1 + rng.Intn(4)}
+	}
+	return out
+}
+
+// solverFor names the allocation engine Solve dispatches to for the
+// coalition's direct pool.
+func solverFor(m *Model, members []int) string {
+	var pool allocation.Pool
+	for _, i := range members {
+		f := m.Facilities[i]
+		pool.Classes = append(pool.Classes, allocation.Class{Count: f.Locations, Capacity: f.EffectiveCapacity()})
+	}
+	reqs := m.requests()
+	if allocation.AnalyticApplies(pool, reqs) {
+		return "analytic"
+	}
+	for _, r := range reqs {
+		if r.Shape != 1 || r.Resources != reqs[0].Resources {
+			return "greedy"
+		}
+	}
+	return "fast"
 }
 
 func TestClassStructureNilForOverlapModels(t *testing.T) {

@@ -44,8 +44,9 @@ func benchFederation(tb testing.TB, n, k int) *Model {
 // facility templates, then stratified antithetic permutation sampling
 // adaptive to a 1% relative CI target. These are the BENCH_6.json
 // wall-clock points (n = 50, 100, 200, 500). Each iteration builds a
-// fresh model so the allocation memo, not a per-model cache, carries
-// cross-iteration state — matching how a scenario sweep behaves.
+// fresh model and a fresh count-vector memo, and the collapsed game never
+// reads the allocation memo, so every iteration solves its count vectors
+// cold — matching how a scenario sweep behaves.
 func BenchmarkApproxShapley(b *testing.B) {
 	for _, n := range []int{50, 100, 200, 500} {
 		b.Run(benchName(n), func(b *testing.B) {

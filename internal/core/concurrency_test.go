@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fedshare/internal/allocation"
+	"fedshare/internal/coalition"
 	"fedshare/internal/combin"
 	"fedshare/internal/economics"
 	"fedshare/internal/sweep"
@@ -116,6 +117,31 @@ func TestOverlapModelsBypassMemo(t *testing.T) {
 	after = allocation.DefaultMemo.Stats()
 	if after.Hits+after.Misses == before.Hits+before.Misses {
 		t.Fatal("no-overlap model did not use the memo")
+	}
+}
+
+// TestCollapsedGameBypassesMemo is the memo-isolation regression test: the
+// collapsed class game caches each count vector in its own memo, so a
+// sampled share computation on a templated federation past the bitmask
+// bound may touch the process-wide allocation memo only for its direct
+// V(N) evaluations, never once per count vector.
+func TestCollapsedGameBypassesMemo(t *testing.T) {
+	m := heteroModel(t, 120, 4)
+	before := allocation.DefaultMemo.Stats()
+	res, err := ApproxShapleyPolicy{Samples: 64, Seed: 5, Method: coalition.MethodApprox}.Result(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Method != coalition.EngineApproxCollapsed {
+		t.Fatalf("engine %q, want %q", res.Method, coalition.EngineApproxCollapsed)
+	}
+	normalizeByGrand(m, res.Phi)
+	after := allocation.DefaultMemo.Stats()
+	if lookups := after.Hits + after.Misses - before.Hits - before.Misses; lookups > 2 {
+		t.Errorf("collapsed game made %d allocation-memo lookups, want at most 2 (direct V(N))", lookups)
+	}
+	if grown := after.Entries - before.Entries; grown > 2 {
+		t.Errorf("allocation memo grew by %d entries, want at most 2 (direct V(N))", grown)
 	}
 }
 

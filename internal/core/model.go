@@ -360,10 +360,17 @@ type classSignature struct {
 // ClassStructure detects the model's interchangeable-facility structure for
 // the symmetry-collapsing Shapley engines (coalition.ClassStructured). It
 // returns nil for overlap models: there, facilities with equal parameters
-// still cover different concrete locations, so they are not symmetric. The
-// collapsed characteristic function builds one pool class per facility
-// replica — the same classes Value builds — so collapsed and direct solves
-// share the allocation memo's canonical entries bit-for-bit.
+// still cover different concrete locations, so they are not symmetric.
+//
+// The collapsed characteristic function solves one aggregated pool class
+// per template j — Count = c_j·L_j locations of capacity R_j·T_j — straight
+// through allocation.Solve. Merging is exact: a template's replicas would
+// sit next to each other in a per-replica pool, so the greedy engine sees
+// the same location sequence with the same capacities, and the fast and
+// analytic engines see the same integer slot sums; only Utility is read.
+// The count-vector memo of coalition.ClassStructure.MemberGame is the one
+// cache on this path, so the process-wide allocation memo holds only
+// direct evaluations (Value, ValueMembers).
 func (m *Model) ClassStructure() *coalition.ClassStructure {
 	if m.Overlap != nil {
 		return nil
@@ -393,24 +400,19 @@ func (m *Model) ClassStructure() *coalition.ClassStructure {
 		Mult:    mult,
 		ClassOf: classOf,
 		Value: func(counts []int) float64 {
-			scratch := classScratchPool.Get().(*[]allocation.Class)
-			classes := (*scratch)[:0]
+			classes := make([]allocation.Class, 0, len(counts))
 			for j, c := range counts {
 				f := &m.Facilities[reps[j]]
-				if f.Locations == 0 {
+				if c == 0 || f.Locations == 0 {
 					continue
 				}
-				for r := 0; r < c; r++ {
-					classes = append(classes, allocation.Class{
-						Label:    f.Name,
-						Count:    f.Locations,
-						Capacity: f.EffectiveCapacity(),
-					})
-				}
+				classes = append(classes, allocation.Class{
+					Label:    f.Name,
+					Count:    c * f.Locations,
+					Capacity: f.EffectiveCapacity(),
+				})
 			}
-			res := allocation.SolveCached(allocation.Pool{Classes: classes}, m.requests())
-			*scratch = classes
-			classScratchPool.Put(scratch)
+			res := allocation.Solve(allocation.Pool{Classes: classes}, m.requests())
 			return m.muFactor() * res.Utility
 		},
 	}
