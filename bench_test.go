@@ -324,7 +324,8 @@ func BenchmarkFigMarket(b *testing.B) {
 }
 
 // shapleyBenchTable builds the n-player random Table game shared by the
-// kernel-vs-legacy Shapley benchmarks.
+// kernel Shapley benchmarks; the per-player oracle's counterpart,
+// BenchmarkShapleyLegacy, lives in internal/coalition.
 func shapleyBenchTable(b *testing.B, n int) *coalition.Table {
 	b.Helper()
 	rng := stats.NewRand(2024)
@@ -337,16 +338,6 @@ func shapleyBenchTable(b *testing.B, n int) *coalition.Table {
 		b.Fatal(err)
 	}
 	return g
-}
-
-// BenchmarkShapleyLegacy measures the pre-kernel path: n independent
-// per-player subset enumerations through the Game interface.
-func BenchmarkShapleyLegacy(b *testing.B) {
-	g := shapleyBenchTable(b, 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coalition.ShapleyLegacy(g)
-	}
 }
 
 // BenchmarkShapleyKernel measures the batched coalition-lattice kernel:
@@ -395,9 +386,13 @@ func BenchmarkLossNetworkShapley(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		phi := coalition.Shapley(coalition.NewCache(g))
+		tab, err := coalition.Snapshot(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		phi := coalition.BatchedValues(tab).Shapley
 		if i == 0 {
-			if err := coalition.CheckEfficiency(coalition.NewCache(g), phi, 1e-9); err != nil {
+			if err := coalition.CheckEfficiency(tab, phi, 1e-9); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -40,7 +40,6 @@ import (
 
 	"fedshare/internal/allocation"
 	"fedshare/internal/asciichart"
-	"fedshare/internal/coalition"
 	"fedshare/internal/core"
 	"fedshare/internal/figures"
 	"fedshare/internal/obs"
@@ -85,7 +84,6 @@ func main() {
 	samples := flag.Int("samples", 0, "permutation-sample budget for the approximate Shapley engine (0 = spec/default)")
 	ciTarget := flag.Float64("ci-target", 0, "adaptive sampling target: 95% CI half-width as a fraction of V(N), e.g. 0.01 (0 = spec/default)")
 	seed := flag.Uint64("seed", 0, "seed for the approximate Shapley engine's deterministic sample stream (0 = spec/default)")
-	noIncremental := flag.Bool("no-incremental", false, "disable the incremental prefix-allocation path in the sampling Shapley engines (results are bit-identical; for verification and measurement)")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintln(out, "usage: fedsim [flags]")
@@ -107,9 +105,6 @@ func main() {
 	// policy.BuildWeightTable) is bounded independently.
 	if *sweepWorkers > 0 {
 		sweep.SetDefaultWorkers(*sweepWorkers)
-	}
-	if *noIncremental {
-		coalition.SetIncrementalEnabled(false)
 	}
 
 	if *cpuProfile != "" {

@@ -191,7 +191,7 @@ func TestFastMatchesBruteForceSmall(t *testing.T) {
 			reqs[i] = Request{Min: rng.Intn(4), Shape: 1, Resources: 1}
 		}
 		got := Solve(p, reqs)
-		want := BruteForce(p, reqs)
+		want := bruteForce(p, reqs)
 		if math.Abs(got.Utility-want.Utility) > 1e-9 {
 			t.Fatalf("trial %d: fast %g != oracle %g (pool %+v reqs %+v, X=%v oracleX=%v)",
 				trial, got.Utility, want.Utility, p, reqs, got.X, want.X)
@@ -213,7 +213,7 @@ func TestGreedyMatchesBruteForceConcave(t *testing.T) {
 			reqs[i] = Request{Min: rng.Intn(3), Shape: 0.8, Resources: 1}
 		}
 		got := Solve(p, reqs)
-		want := BruteForce(p, reqs)
+		want := bruteForce(p, reqs)
 		if got.Utility > want.Utility+1e-9 {
 			t.Fatalf("trial %d: greedy %g exceeds oracle %g — infeasible allocation",
 				trial, got.Utility, want.Utility)

@@ -12,11 +12,12 @@ package allocation
 // found by binary search. The value follows as V = totalSlots(m*)
 // ("serve min(capacity, demand) iff ΣL_i ≥ l").
 //
-// SolveAnalytic shares distributeBalanced with solveFast, so the two
+// solveAnalytic shares distributeBalanced with solveFast, so the two
 // engines agree bit-for-bit (X, Utility, ConsumedByClass, SlotsByClass) on
-// the analytic domain; solveFast remains the test oracle.
+// the analytic domain; solveFast remains the test oracle. Solve is the only
+// entry point: it dispatches here when AnalyticApplies.
 
-// AnalyticApplies reports whether SolveAnalytic handles (pool, reqs): a
+// AnalyticApplies reports whether the closed form handles (pool, reqs): a
 // non-empty batch of identical requests with linear utility (Shape == 1),
 // uniform Resources, identical Min, and no Max below the pool size.
 func AnalyticApplies(pool Pool, reqs []Request) bool {
@@ -38,21 +39,8 @@ func analyticEligible(pool Pool, reqs []Request) bool {
 	return true
 }
 
-// SolveAnalytic solves a homogeneous linear-demand instance in closed form.
-// It panics when the instance is invalid or outside the analytic domain
-// (check with AnalyticApplies); Solve dispatches here automatically.
-func SolveAnalytic(pool Pool, reqs []Request) *Result {
-	if err := pool.Validate(); err != nil {
-		panic(err)
-	}
-	if !AnalyticApplies(pool, reqs) {
-		panic("allocation: SolveAnalytic called outside the analytic domain")
-	}
-	return solveAnalytic(pool, reqs)
-}
-
-// solveAnalytic is the dispatch target: admission in closed form, then the
-// same balanced distribution as solveFast.
+// solveAnalytic solves a homogeneous linear-demand instance: admission in
+// closed form, then the same balanced distribution as solveFast.
 func solveAnalytic(pool Pool, reqs []Request) *Result {
 	res := emptyResult(pool, reqs)
 	k := len(reqs)

@@ -64,7 +64,7 @@ func TestSolveAnalyticMatchesFastOracle(t *testing.T) {
 
 // TestSolveDispatchesAnalytic checks that the public Solve entry point
 // routes analytic-domain instances to the closed form (same results as the
-// exported SolveAnalytic) and that heterogeneous instances stay out.
+// exported solveAnalytic) and that heterogeneous instances stay out.
 func TestSolveDispatchesAnalytic(t *testing.T) {
 	pool := Pool{Classes: []Class{
 		{Label: "a", Count: 10, Capacity: 2},
@@ -78,9 +78,9 @@ func TestSolveDispatchesAnalytic(t *testing.T) {
 		t.Fatal("homogeneous batch should be analytic-eligible")
 	}
 	got := Solve(pool, reqs)
-	want := SolveAnalytic(pool, reqs)
+	want := solveAnalytic(pool, reqs)
 	if got.Utility != want.Utility || !reflect.DeepEqual(got.X, want.X) {
-		t.Fatalf("Solve %+v != SolveAnalytic %+v", got, want)
+		t.Fatalf("Solve %+v != solveAnalytic %+v", got, want)
 	}
 
 	// Heterogeneous minima: eligible for solveFast, not for the closed form.
@@ -109,20 +109,20 @@ func TestSolveAnalyticEdgeCases(t *testing.T) {
 		return reqs
 	}
 	// Threshold beyond the pool: everything rejected.
-	if got := SolveAnalytic(pool, mk(3, 5)); got.Utility != 0 {
+	if got := solveAnalytic(pool, mk(3, 5)); got.Utility != 0 {
 		t.Fatalf("l > L must yield 0, got %g", got.Utility)
 	}
 	// Zero threshold: admission limited by per-location capacity n = 2.
-	if got := SolveAnalytic(pool, mk(10, 0)); got.Utility != solveFast(pool, mk(10, 0)).Utility {
+	if got := solveAnalytic(pool, mk(10, 0)); got.Utility != solveFast(pool, mk(10, 0)).Utility {
 		t.Fatalf("l = 0 mismatch: %g", got.Utility)
 	}
 	// Saturating threshold: m·l ≤ totalSlots(m) binds.
-	if got, want := SolveAnalytic(pool, mk(10, 4)), solveFast(pool, mk(10, 4)); got.Utility != want.Utility {
+	if got, want := solveAnalytic(pool, mk(10, 4)), solveFast(pool, mk(10, 4)); got.Utility != want.Utility {
 		t.Fatalf("binding l mismatch: %g != %g", got.Utility, want.Utility)
 	}
 	// Empty pool.
 	empty := Pool{}
-	if got := SolveAnalytic(empty, mk(2, 0)); got.Utility != 0 {
+	if got := solveAnalytic(empty, mk(2, 0)); got.Utility != 0 {
 		t.Fatalf("empty pool must yield 0, got %g", got.Utility)
 	}
 }

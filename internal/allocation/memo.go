@@ -138,7 +138,7 @@ func (m *Memo) Solve(pool Pool, reqs []Request) *Result {
 		}
 		return remapResult(canon, s.perm)
 	}
-	// Compute while holding the stripe lock (as SafeCache does) so
+	// Compute while holding the stripe lock so
 	// concurrent sweep workers never duplicate an expensive solve; only
 	// same-stripe keys serialize behind it.
 	res := Solve(pool, reqs)

@@ -2,11 +2,11 @@ package allocation
 
 import "fmt"
 
-// BruteForce exhaustively maximizes total utility by enumerating, for every
+// bruteForce exhaustively maximizes total utility by enumerating, for every
 // request, each feasible count of locations taken from each class. It is a
 // test oracle: cost grows as Π_j Π_c (Count_c+1); it panics when the search
 // space exceeds ~10^7 states.
-func BruteForce(pool Pool, reqs []Request) *Result {
+func bruteForce(pool Pool, reqs []Request) *Result {
 	nc := len(pool.Classes)
 	if bitsNeeded := pool.TotalLocations() * len(reqs); bitsNeeded > 22 {
 		panic(fmt.Sprintf("allocation: brute-force space 2^%d too large", bitsNeeded))

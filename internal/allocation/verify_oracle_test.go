@@ -7,7 +7,7 @@ import (
 	"fedshare/internal/maxflow"
 )
 
-// VerifyAssignment checks, with an independent max-flow computation, that
+// verifyAssignment checks, with an independent max-flow computation, that
 // the location counts X are simultaneously realizable on the pool: there
 // exists an assignment of distinct locations giving request j exactly X[j]
 // locations without exceeding any location's capacity. It requires uniform
@@ -15,7 +15,7 @@ import (
 //
 // This is the structural soundness oracle for the allocation engines: any
 // Result they return must pass.
-func VerifyAssignment(pool Pool, reqs []Request, X []int) error {
+func verifyAssignment(pool Pool, reqs []Request, X []int) error {
 	if len(X) != len(reqs) {
 		return fmt.Errorf("allocation: %d counts for %d requests", len(X), len(reqs))
 	}
@@ -25,7 +25,7 @@ func VerifyAssignment(pool Pool, reqs []Request, X []int) error {
 	r0 := reqs[0].Resources
 	for j, r := range reqs {
 		if r.Resources != r0 {
-			return fmt.Errorf("allocation: VerifyAssignment needs uniform resources (request %d differs)", j)
+			return fmt.Errorf("allocation: verifyAssignment needs uniform resources (request %d differs)", j)
 		}
 	}
 	L := pool.TotalLocations()
@@ -62,19 +62,19 @@ func VerifyAssignment(pool Pool, reqs []Request, X []int) error {
 	return nil
 }
 
-// SolveFlow is an exact engine for linear utility (d = 1) with uniform
+// solveFlow is an exact engine for linear utility (d = 1) with uniform
 // resources that, unlike the closed-form fast path, also honors Max caps
 // exactly: it fixes an admission set (ascending Min, while feasible) and
 // computes the maximum total assignment by max flow with per-request degree
 // bounds in [Min, Max]. Lower bounds are enforced by allocating minima
 // first (Gale–Ryser-checked) and topping up on the residual network.
-func SolveFlow(pool Pool, reqs []Request) (*Result, error) {
+func solveFlow(pool Pool, reqs []Request) (*Result, error) {
 	for j, r := range reqs {
 		if r.Shape != 1 {
-			return nil, fmt.Errorf("allocation: SolveFlow handles d = 1 only (request %d)", j)
+			return nil, fmt.Errorf("allocation: solveFlow handles d = 1 only (request %d)", j)
 		}
 		if j > 0 && r.Resources != reqs[0].Resources {
-			return nil, fmt.Errorf("allocation: SolveFlow needs uniform resources")
+			return nil, fmt.Errorf("allocation: solveFlow needs uniform resources")
 		}
 	}
 	nc := len(pool.Classes)

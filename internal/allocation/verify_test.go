@@ -32,7 +32,7 @@ func TestVerifyAssignmentAcceptsSolveOutput(t *testing.T) {
 			}
 		}
 		res := Solve(p, reqs)
-		if err := VerifyAssignment(p, reqs, res.X); err != nil {
+		if err := verifyAssignment(p, reqs, res.X); err != nil {
 			t.Fatalf("trial %d: Solve produced unrealizable counts: %v\npool %+v\nreqs %+v\nX %v",
 				trial, err, p, reqs, res.X)
 		}
@@ -43,27 +43,27 @@ func TestVerifyAssignmentRejectsBadCounts(t *testing.T) {
 	p := Pool{Classes: []Class{{Count: 3, Capacity: 1}}}
 	reqs := identical(2, 1, 1)
 	// 2 experiments × 3 locations needs 6 pairs; only 3 slots exist.
-	if err := VerifyAssignment(p, reqs, []int{3, 3}); err == nil {
+	if err := verifyAssignment(p, reqs, []int{3, 3}); err == nil {
 		t.Error("overcommitted counts must be rejected")
 	}
 	// Below-minimum count.
 	reqs2 := identical(1, 2, 1)
-	if err := VerifyAssignment(p, reqs2, []int{1}); err == nil {
+	if err := verifyAssignment(p, reqs2, []int{1}); err == nil {
 		t.Error("count below Min must be rejected")
 	}
 	// Length mismatch and negatives.
-	if err := VerifyAssignment(p, reqs, []int{1}); err == nil {
+	if err := verifyAssignment(p, reqs, []int{1}); err == nil {
 		t.Error("length mismatch must be rejected")
 	}
-	if err := VerifyAssignment(p, reqs, []int{-1, 0}); err == nil {
+	if err := verifyAssignment(p, reqs, []int{-1, 0}); err == nil {
 		t.Error("negative count must be rejected")
 	}
 	// Valid assignment passes.
-	if err := VerifyAssignment(p, reqs, []int{2, 1}); err != nil {
+	if err := verifyAssignment(p, reqs, []int{2, 1}); err != nil {
 		t.Errorf("valid counts rejected: %v", err)
 	}
 	// Zero (rejected request) is always fine.
-	if err := VerifyAssignment(p, reqs2, []int{0}); err != nil {
+	if err := verifyAssignment(p, reqs2, []int{0}); err != nil {
 		t.Errorf("zero count rejected: %v", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestSolveFlowMatchesFastPath(t *testing.T) {
 			reqs[i] = Request{Min: rng.Intn(5), Shape: 1, Resources: 1}
 		}
 		fast := Solve(p, reqs) // no caps, d=1 -> fast path
-		flow, err := SolveFlow(p, reqs)
+		flow, err := solveFlow(p, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,18 +110,18 @@ func TestSolveFlowMatchesBruteForceWithCaps(t *testing.T) {
 				}
 			}
 		}
-		flow, err := SolveFlow(p, reqs)
+		flow, err := solveFlow(p, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := BruteForce(p, reqs)
+		oracle := bruteForce(p, reqs)
 		// The flow engine fixes admission by ascending Min, which is
 		// optimal for d=1: totals must agree.
 		if math.Abs(flow.Utility-oracle.Utility) > 1e-9 {
 			t.Fatalf("trial %d: flow %g != oracle %g (pool %+v reqs %+v flowX=%v oracleX=%v)",
 				trial, flow.Utility, oracle.Utility, p, reqs, flow.X, oracle.X)
 		}
-		if err := VerifyAssignment(p, reqs, flow.X); err != nil {
+		if err := verifyAssignment(p, reqs, flow.X); err != nil {
 			t.Fatalf("trial %d: flow result unrealizable: %v", trial, err)
 		}
 	}
@@ -129,10 +129,10 @@ func TestSolveFlowMatchesBruteForceWithCaps(t *testing.T) {
 
 func TestSolveFlowRejectsUnsupported(t *testing.T) {
 	p := pool3(1, 1, 1, 1, 1, 1)
-	if _, err := SolveFlow(p, []Request{{Min: 0, Shape: 0.8, Resources: 1}}); err == nil {
+	if _, err := solveFlow(p, []Request{{Min: 0, Shape: 0.8, Resources: 1}}); err == nil {
 		t.Error("d != 1 must be rejected")
 	}
-	if _, err := SolveFlow(p, []Request{
+	if _, err := solveFlow(p, []Request{
 		{Min: 0, Shape: 1, Resources: 1},
 		{Min: 0, Shape: 1, Resources: 2},
 	}); err == nil {
@@ -141,13 +141,13 @@ func TestSolveFlowRejectsUnsupported(t *testing.T) {
 }
 
 func TestSolveFlowEmpty(t *testing.T) {
-	res, err := SolveFlow(Pool{}, nil)
+	res, err := solveFlow(Pool{}, nil)
 	if err != nil || res.Utility != 0 {
-		t.Errorf("empty SolveFlow: %v, %g", err, res.Utility)
+		t.Errorf("empty solveFlow: %v, %g", err, res.Utility)
 	}
-	res, err = SolveFlow(pool3(2, 2, 2, 1, 1, 1), identical(2, 100, 1))
+	res, err = solveFlow(pool3(2, 2, 2, 1, 1, 1), identical(2, 100, 1))
 	if err != nil || res.Utility != 0 {
-		t.Errorf("infeasible SolveFlow: %v, %g", err, res.Utility)
+		t.Errorf("infeasible solveFlow: %v, %g", err, res.Utility)
 	}
 }
 
@@ -159,7 +159,7 @@ func BenchmarkSolveFlow(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveFlow(p, reqs); err != nil {
+		if _, err := solveFlow(p, reqs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -71,11 +71,6 @@ type ApproxOptions struct {
 	// NoAntithetic disables antithetic pairing (each sample unit is a
 	// single ordering). Used by estimator-quality tests and benchmarks.
 	NoAntithetic bool
-	// NoIncremental disables the incremental prefix-evaluation path for
-	// this run (see SetIncrementalEnabled for the process-wide switch):
-	// every prefix is evaluated through ValueMembers. The result is
-	// bit-identical either way.
-	NoIncremental bool
 }
 
 // ApproxResult is a sampled Shapley estimate with per-player uncertainty.
@@ -149,9 +144,8 @@ func ApproxShapley(g MemberGame, opt ApproxOptions) (*ApproxResult, error) {
 	eng := &approxEngine{
 		g: g, n: n, seed: opt.Seed,
 		groups: groups, groupOf: groupOf,
-		antithetic:    !opt.NoAntithetic,
-		noIncremental: opt.NoIncremental,
-		sums:          make([][]stats.Summary, approxStrata),
+		antithetic: !opt.NoAntithetic,
+		sums:       make([][]stats.Summary, approxStrata),
 	}
 	for s := range eng.sums {
 		eng.sums[s] = make([]stats.Summary, len(groups))
@@ -243,13 +237,12 @@ func normalizeGroups(n int, groups [][]int) ([][]int, []int, error) {
 
 // approxEngine carries the sampler state shared across rounds.
 type approxEngine struct {
-	g             MemberGame
-	n             int
-	seed          uint64
-	groups        [][]int
-	groupOf       []int
-	antithetic    bool
-	noIncremental bool
+	g          MemberGame
+	n          int
+	seed       uint64
+	groups     [][]int
+	groupOf    []int
+	antithetic bool
 	// sums[s][g] accumulates stratum s's observations for group g. Strata
 	// are keyed by unit index (u mod approxStrata), so their contents are
 	// independent of how units are scheduled onto workers.
@@ -310,7 +303,7 @@ func (e *approxEngine) newScratch() *approxScratch {
 		perm: make([]int, e.n),
 		marg: make([]float64, e.n),
 		obs:  make([]float64, len(e.groups)),
-		w:    newPrefixWalker(e.g, e.noIncremental),
+		w:    newPrefixWalker(e.g),
 	}
 	sc.set = func(p int, d float64) { sc.marg[p] = d }
 	sc.add = func(p int, d float64) { sc.marg[p] += d }

@@ -3,6 +3,7 @@ package coalition
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"fedshare/internal/stats"
@@ -243,8 +244,12 @@ func TestApproxShapleyEmptyGame(t *testing.T) {
 // test.
 func TestApproxShapleyConcurrentValueCalls(t *testing.T) {
 	tab := randomMonotoneTable(t, 10, 77)
-	safe := NewSafeCache(tab) // concurrent memoization layer under the sampler
-	res, err := ApproxShapley(AsMemberGame(safe), ApproxOptions{Samples: 2000, Seed: 1, Workers: 8})
+	var calls atomic.Int64 // shared mutable state under the sampler
+	g := MemberFunc{Players: 10, V: func(members []int) float64 {
+		calls.Add(1)
+		return tab.Value(setOf(members))
+	}}
+	res, err := ApproxShapley(g, ApproxOptions{Samples: 2000, Seed: 1, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +257,26 @@ func TestApproxShapleyConcurrentValueCalls(t *testing.T) {
 	for i := range exact {
 		if diff := math.Abs(res.Phi[i] - exact[i]); diff > 5*res.CIHalf[i]+1e-9 {
 			t.Errorf("player %d: %g vs exact %g", i, res.Phi[i], exact[i])
+		}
+	}
+}
+
+// TestApproxShapleyAgreesWithSequentialOracle cross-checks the parallel
+// sampler, run as the plain estimator (no antithetic pairing), against the
+// independently coded sequential loop: the two independent sample streams
+// must agree within their combined sampling error on every player.
+func TestApproxShapleyAgreesWithSequentialOracle(t *testing.T) {
+	tab := randomMonotoneTable(t, 9, 4)
+	par, err := ApproxShapley(AsMemberGame(tab), ApproxOptions{Samples: 20000, Seed: 7, Workers: 4, NoAntithetic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, seqErr := monteCarloShapley(tab, 20000, stats.NewRand(8))
+	for i := range par.Phi {
+		tol := 6*(par.StdErr[i]+seqErr[i]) + 1e-9
+		if diff := math.Abs(par.Phi[i] - seq[i]); diff > tol {
+			t.Errorf("player %d: parallel %.6f vs sequential %.6f (diff %.2g > tol %.2g)",
+				i, par.Phi[i], seq[i], diff, tol)
 		}
 	}
 }

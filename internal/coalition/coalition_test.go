@@ -79,19 +79,19 @@ func almostEqualVec(t *testing.T, got, want []float64, tol float64, label string
 }
 
 func TestShapleyGloveGame(t *testing.T) {
-	phi := Shapley(gloveGame())
+	phi := shapley(t, gloveGame())
 	almostEqualVec(t, phi, []float64{1.0 / 6, 1.0 / 6, 2.0 / 3}, 1e-12, "glove Shapley")
 }
 
 func TestShapleyAdditiveGame(t *testing.T) {
 	w := []float64{3, 1, 4, 1, 5}
-	phi := Shapley(additiveGame(w))
+	phi := shapley(t, additiveGame(w))
 	almostEqualVec(t, phi, w, 1e-9, "additive Shapley")
 }
 
 func TestShapleyMajorityGame(t *testing.T) {
 	// [3; 2,1,1]: player 0 pivotal in 4 of 6 orderings.
-	phi := Shapley(majorityGame(3, []float64{2, 1, 1}))
+	phi := shapley(t, majorityGame(3, []float64{2, 1, 1}))
 	almostEqualVec(t, phi, []float64{2.0 / 3, 1.0 / 6, 1.0 / 6}, 1e-12, "majority Shapley")
 }
 
@@ -107,7 +107,7 @@ func TestShapleyMatchesPermutationOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		almostEqualVec(t, Shapley(g), ShapleyByPermutation(g), 1e-9, "subset vs permutation")
+		almostEqualVec(t, shapley(t, g), shapleyByPermutation(g), 1e-9, "kernel vs permutation")
 	}
 }
 
@@ -120,7 +120,7 @@ func TestShapleyEfficiencyProperty(t *testing.T) {
 			vals[i] = rng.Float64()*20 - 5
 		}
 		g, _ := NewTable(n, vals)
-		phi := Shapley(g)
+		phi := shapley(t, g)
 		if err := CheckEfficiency(g, phi, 1e-7); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -133,7 +133,7 @@ func TestShapleySymmetryProperty(t *testing.T) {
 		c := float64(s.Card())
 		return c * c
 	}}
-	phi := Shapley(g)
+	phi := shapley(t, g)
 	for i := 1; i < len(phi); i++ {
 		if math.Abs(phi[i]-phi[0]) > 1e-9 {
 			t.Fatalf("symmetric game has asymmetric Shapley: %v", phi)
@@ -153,17 +153,18 @@ func TestShapleyDummyProperty(t *testing.T) {
 		}
 		return base
 	}}
-	phi := Shapley(g)
+	phi := shapley(t, g)
 	if math.Abs(phi[2]-7) > 1e-9 {
 		t.Errorf("dummy player got %g, want 7", phi[2])
 	}
 }
 
+// TestMonteCarloShapleyConverges validates the sequential sampling oracle
+// the sampler is cross-checked against.
 func TestMonteCarloShapleyConverges(t *testing.T) {
-	g := gloveGame()
-	res := MonteCarloShapley(g, 20000, stats.NewRand(8))
-	almostEqualVec(t, res.Phi, []float64{1.0 / 6, 1.0 / 6, 2.0 / 3}, 0.02, "MC Shapley")
-	for i, se := range res.StdErr {
+	phi, stdErr := monteCarloShapley(gloveGame(), 20000, stats.NewRand(8))
+	almostEqualVec(t, phi, []float64{1.0 / 6, 1.0 / 6, 2.0 / 3}, 0.02, "MC Shapley")
+	for i, se := range stdErr {
 		if se <= 0 || se > 0.02 {
 			t.Errorf("stderr[%d] = %g out of expected band", i, se)
 		}
@@ -173,28 +174,8 @@ func TestMonteCarloShapleyConverges(t *testing.T) {
 func TestBanzhafGlove(t *testing.T) {
 	// Marginals of player 2 (right glove): adds min(L,1) when joining.
 	// β_2 = (0 + 1 + 1 + 1)/4 = 3/4; β_0 = β_1 = (V gains)/4 = 1/4.
-	beta := Banzhaf(gloveGame())
+	beta := banzhaf(t, gloveGame())
 	almostEqualVec(t, beta, []float64{1.0 / 4, 1.0 / 4, 3.0 / 4}, 1e-12, "glove Banzhaf")
-}
-
-func TestCacheCounts(t *testing.T) {
-	calls := 0
-	g := Func{Players: 4, V: func(s combin.Set) float64 {
-		calls++
-		return float64(s.Card())
-	}}
-	c := NewCache(g)
-	Shapley(c)
-	if calls != 16 {
-		t.Errorf("cache allowed %d evaluations, want 16", calls)
-	}
-	if c.Evaluations() != 16 {
-		t.Errorf("Evaluations() = %d", c.Evaluations())
-	}
-	Shapley(c)
-	if calls != 16 {
-		t.Errorf("second run re-evaluated: %d calls", calls)
-	}
 }
 
 func TestProperties(t *testing.T) {
@@ -387,7 +368,7 @@ func TestNucleolusInCoreProperty(t *testing.T) {
 		if !IsConvex(g) {
 			t.Fatal("construction should be convex")
 		}
-		nuc, err := Nucleolus(NewCache(g))
+		nuc, err := Nucleolus(g)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -404,7 +385,7 @@ func TestEqualSplit(t *testing.T) {
 
 func TestNormalize(t *testing.T) {
 	g := gloveGame()
-	phi := Shapley(g)
+	phi := shapley(t, g)
 	norm := Normalize(g, phi)
 	sum := 0.0
 	for _, v := range norm {
@@ -430,33 +411,28 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkShapley10 measures Values end to end on a 10-player bitmask
+// game: snapshot, then one kernel sweep.
 func BenchmarkShapley10(b *testing.B) {
-	g := NewCache(Func{Players: 10, V: func(s combin.Set) float64 {
+	g := AsMemberGame(Func{Players: 10, V: func(s combin.Set) float64 {
 		c := float64(s.Card())
 		return c * c
 	}})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Shapley(g)
-	}
-}
-
-func BenchmarkMonteCarloShapley20(b *testing.B) {
-	g := Func{Players: 20, V: func(s combin.Set) float64 {
-		c := float64(s.Card())
-		return c * c
-	}}
-	rng := stats.NewRand(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MonteCarloShapley(g, 100, rng)
+		if _, err := Values(g, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkNucleolus5(b *testing.B) {
-	g := bankruptcyGame(300, []float64{50, 100, 150, 200, 250})
+	g, err := Snapshot(bankruptcyGame(300, []float64{50, 100, 150, 200, 250}))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := Nucleolus(NewCache(g)); err != nil {
+		if _, err := Nucleolus(g); err != nil {
 			b.Fatal(err)
 		}
 	}

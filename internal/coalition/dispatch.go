@@ -51,10 +51,6 @@ type Options struct {
 	// partition; otherwise Values asks the game itself via the
 	// ClassStructured interface.
 	Structure *ClassStructure
-	// NoIncremental disables the incremental prefix-evaluation path in
-	// the sampling engines (bit-identical results either way; see
-	// ApproxOptions.NoIncremental).
-	NoIncremental bool
 }
 
 // ClassStructured is implemented by games that can expose their
@@ -105,12 +101,12 @@ func Values(g MemberGame, opt Options) (*ValueResult, error) {
 	}
 
 	// Exact lattice kernel: the fastest engine whenever the 2^n table
-	// fits. The game must additionally implement the bitmask interface.
+	// fits. The game must keep its own table or implement the bitmask
+	// interface.
 	if method != MethodApprox && n <= snapshotMaxPlayers {
-		if bg, ok := g.(Game); ok {
-			if b, err := ParallelBatched(bg, workers); err == nil {
-				return &ValueResult{Phi: b.Shapley, Method: EngineKernel, Converged: true}, nil
-			}
+		if t, ok := denseTable(g, workers); ok {
+			phi := BatchedValuesParallel(t, workers).Shapley
+			return &ValueResult{Phi: phi, Method: EngineKernel, Converged: true}, nil
 		}
 	}
 
@@ -144,7 +140,6 @@ func Values(g MemberGame, opt Options) (*ValueResult, error) {
 	aopt := ApproxOptions{
 		Samples: opt.Samples, CITarget: opt.CITarget,
 		Workers: opt.Workers, Seed: opt.Seed,
-		NoIncremental: opt.NoIncremental,
 	}
 	if aopt.Samples == 0 && aopt.CITarget == 0 {
 		aopt.Samples = DefaultApproxSamples

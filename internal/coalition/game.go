@@ -1,6 +1,6 @@
 // Package coalition implements transferable-utility coalitional games and
 // the solution concepts the paper builds on: the Shapley value (exact and
-// Monte-Carlo), the Banzhaf value, the core and least core, and the
+// sampled, both through Values), the Banzhaf value, the core and least core, and the
 // nucleolus. It also provides the structural property checks
 // (superadditivity, convexity, monotonicity) that Sec. 3.2.1 of the paper
 // uses to reason about when the core exists.
@@ -15,9 +15,9 @@ import (
 
 // Game is a transferable-utility coalitional game: a player count and a
 // characteristic function over coalitions. Implementations must return
-// Value(Empty) == 0 and be deterministic; the engines may evaluate Value
-// many times, so expensive characteristic functions should be wrapped with
-// Cache.
+// Value(Empty) == 0 and be deterministic. Snapshot evaluates each coalition
+// once into a Table, which is how expensive characteristic functions should
+// be handed to the solution concepts that revisit coalitions.
 type Game interface {
 	// N returns the number of players.
 	N() int
@@ -63,58 +63,6 @@ func (t *Table) N() int { return t.Players }
 
 // Value implements Game.
 func (t *Table) Value(s combin.Set) float64 { return t.Values[s] }
-
-// Cache memoizes a Game's characteristic function. For up to 24 players it
-// materializes values lazily into a dense array; beyond that it uses a map.
-// Cache is not safe for concurrent use; use SafeCache when the game must
-// serve concurrent Value calls.
-type Cache struct {
-	inner Game
-	dense []float64
-	seen  []bool
-	m     map[combin.Set]float64
-	evals int
-}
-
-// NewCache wraps g with memoization.
-func NewCache(g Game) *Cache {
-	c := &Cache{inner: g}
-	if g.N() <= snapshotMaxPlayers {
-		size := 1 << uint(g.N())
-		c.dense = make([]float64, size)
-		c.seen = make([]bool, size)
-	} else {
-		c.m = make(map[combin.Set]float64)
-	}
-	return c
-}
-
-// N implements Game.
-func (c *Cache) N() int { return c.inner.N() }
-
-// Value implements Game with memoization.
-func (c *Cache) Value(s combin.Set) float64 {
-	if c.dense != nil {
-		if !c.seen[s] {
-			c.dense[s] = c.inner.Value(s)
-			c.seen[s] = true
-			c.evals++
-		}
-		return c.dense[s]
-	}
-	if v, ok := c.m[s]; ok {
-		return v
-	}
-	v := c.inner.Value(s)
-	c.m[s] = v
-	c.evals++
-	return v
-}
-
-// Evaluations reports how many distinct coalitions have been evaluated.
-// It is O(1): a counter maintained on each miss, rather than a scan of the
-// 2^n seen-bitmap.
-func (c *Cache) Evaluations() int { return c.evals }
 
 // Grand returns the grand coalition of g.
 func Grand(g Game) combin.Set { return combin.Full(g.N()) }
@@ -191,6 +139,20 @@ func IsEssential(g Game) bool {
 		sum += g.Value(combin.Singleton(i))
 	}
 	return g.Value(Grand(g)) > sum+1e-9
+}
+
+// CheckEfficiency verifies Σφ_i == V(N) within tol, returning a descriptive
+// error when violated. Useful as a guard after sampled estimation.
+func CheckEfficiency(g Game, phi []float64, tol float64) error {
+	sum := 0.0
+	for _, p := range phi {
+		sum += p
+	}
+	vn := g.Value(Grand(g))
+	if math.Abs(sum-vn) > tol {
+		return fmt.Errorf("coalition: allocation sums to %g, V(N) = %g", sum, vn)
+	}
+	return nil
 }
 
 // Normalize divides an allocation by V(N), yielding shares that sum to 1

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"fedshare/internal/combin"
 )
 
 // snapshotMaxPlayers bounds the games whose characteristic function can be
@@ -142,23 +144,39 @@ func scaleBanzhaf(banz []float64, n int) {
 	}
 }
 
-// tableFor returns the dense value table of g, materializing one when g is
-// small enough. workers > 1 requires g to be safe for concurrent Value
-// calls. The second return is false when g cannot be snapshotted (too many
-// players, or a characteristic function violating V(∅) = 0).
-func tableFor(g Game, workers int) (*Table, bool) {
-	if t, ok := g.(*Table); ok {
-		return t, true
+// shapleyWeights returns w[s] = s!·(n−s−1)!/n! for s = 0..n−1 — the
+// probability that a uniformly random ordering places a given player
+// immediately after a particular s-subset of the others — using the closed
+// binomial form 1/(n·C(n−1,s)).
+func shapleyWeights(n int) []float64 {
+	w := make([]float64, n)
+	for s := 0; s < n; s++ {
+		w[s] = 1 / (float64(n) * combin.Binomial(n-1, s))
 	}
-	if g.N() > snapshotMaxPlayers {
-		return nil, false
-	}
-	var t *Table
+	return w
+}
+
+// tabled is implemented by games that keep their own dense value table
+// (core.Model.Table), so the kernel reads it instead of re-evaluating every
+// coalition.
+type tabled interface {
+	Table() (*Table, error)
+}
+
+// denseTable returns the value table the kernel sweeps: the game's own when
+// it keeps one, otherwise a snapshot of a bitmask game sharded over workers
+// (which requires concurrency-safe Value calls). ok is false when there is
+// no table to be had: too many players, no bitmask interface, or a
+// characteristic function violating V(∅) = 0.
+func denseTable(g MemberGame, workers int) (t *Table, ok bool) {
 	var err error
-	if workers > 1 {
+	switch g := g.(type) {
+	case tabled:
+		t, err = g.Table()
+	case Game:
 		t, err = SnapshotParallel(g, workers)
-	} else {
-		t, err = Snapshot(g)
+	default:
+		return nil, false
 	}
 	return t, err == nil
 }

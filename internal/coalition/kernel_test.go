@@ -29,19 +29,41 @@ func TestBatchedValuesMatchesOracles(t *testing.T) {
 		n := 1 + rng.Intn(8)
 		g := randomTable(t, n, rng)
 		res := BatchedValues(g)
-		almostEqualVec(t, res.Shapley, ShapleyLegacy(g), 1e-9, "kernel vs legacy Shapley")
-		almostEqualVec(t, res.Shapley, ShapleyByPermutation(g), 1e-9, "kernel vs permutation oracle")
-		almostEqualVec(t, res.Banzhaf, BanzhafLegacy(g), 1e-9, "kernel vs legacy Banzhaf")
+		almostEqualVec(t, res.Shapley, shapleyLegacy(g), 1e-9, "kernel vs legacy Shapley")
+		almostEqualVec(t, res.Shapley, shapleyByPermutation(g), 1e-9, "kernel vs permutation oracle")
+		almostEqualVec(t, res.Banzhaf, banzhafLegacy(g), 1e-9, "kernel vs legacy Banzhaf")
 	}
 }
 
+// ownTableGame keeps its own dense table, as core.Model does. It has no
+// bitmask Value and its ValueMembers must never run: the kernel is
+// required to sweep the kept table.
+type ownTableGame struct{ tab *Table }
+
+func (g ownTableGame) N() int                     { return g.tab.N() }
+func (g ownTableGame) Table() (*Table, error)     { return g.tab, nil }
+func (g ownTableGame) ValueMembers([]int) float64 { panic("kernel re-evaluated a kept table") }
+
 func TestBatchedValuesDispatch(t *testing.T) {
-	// The public Shapley/Banzhaf entry points must route Table games
-	// through the kernel and still agree with the oracles.
+	// Values must route bitmask games (snapshotted at any worker count)
+	// and games keeping their own table through the kernel, and still
+	// agree with the oracles.
 	rng := stats.NewRand(99)
 	g := randomTable(t, 6, rng)
-	almostEqualVec(t, Shapley(g), ShapleyByPermutation(g), 1e-9, "dispatched Shapley")
-	almostEqualVec(t, Banzhaf(g), BanzhafLegacy(g), 1e-9, "dispatched Banzhaf")
+	want := shapleyByPermutation(g)
+	for _, workers := range []int{1, 4} {
+		for _, mg := range []MemberGame{AsMemberGame(g), ownTableGame{g}} {
+			res, err := Values(mg, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Method != EngineKernel {
+				t.Fatalf("%T: method %q, want %q", mg, res.Method, EngineKernel)
+			}
+			almostEqualVec(t, res.Phi, want, 1e-9, "dispatched Shapley")
+		}
+	}
+	almostEqualVec(t, banzhaf(t, g), banzhafLegacy(g), 1e-9, "kernel Banzhaf")
 }
 
 func TestBatchedValuesEdgeCases(t *testing.T) {
@@ -54,8 +76,8 @@ func TestBatchedValuesEdgeCases(t *testing.T) {
 	if len(res.Shapley) != 0 || len(res.Banzhaf) != 0 {
 		t.Errorf("n=0 kernel returned %v", res)
 	}
-	if got := Shapley(empty); got != nil {
-		t.Errorf("Shapley(n=0) = %v, want nil", got)
+	if got, err := Values(AsMemberGame(empty), Options{}); err != nil || got.Phi != nil {
+		t.Errorf("Values(n=0) = %+v, %v; want nil shares", got, err)
 	}
 
 	// n = 1: the lone player gets V({0}) under both indices.
@@ -74,11 +96,11 @@ func TestBatchedValuesEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	res = BatchedValues(nonMono)
-	almostEqualVec(t, res.Shapley, ShapleyByPermutation(nonMono), 1e-12, "non-monotone Shapley")
+	almostEqualVec(t, res.Shapley, shapleyByPermutation(nonMono), 1e-12, "non-monotone Shapley")
 	if res.Shapley[1] >= 0 {
 		t.Errorf("player 1 destroys value, φ_1 = %g should be negative", res.Shapley[1])
 	}
-	almostEqualVec(t, res.Banzhaf, BanzhafLegacy(nonMono), 1e-12, "non-monotone Banzhaf")
+	almostEqualVec(t, res.Banzhaf, banzhafLegacy(nonMono), 1e-12, "non-monotone Banzhaf")
 }
 
 func TestBatchedValuesParallelMatchesSequential(t *testing.T) {
@@ -124,14 +146,29 @@ func TestShapleyWeights(t *testing.T) {
 }
 
 func TestShapleyFallbackForNonSnapshotGames(t *testing.T) {
-	// A game violating the V(∅) = 0 contract cannot be snapshotted; the
-	// dispatcher must fall back to the per-player enumeration rather than
-	// fail.
-	bad := Func{Players: 3, V: func(s combin.Set) float64 {
+	// A game violating the V(∅) = 0 contract cannot be snapshotted. Values
+	// must fall back to the sampler, whose marginals telescope to V(N),
+	// rather than fail, and must refuse an exact request.
+	bad := AsMemberGame(Func{Players: 3, V: func(s combin.Set) float64 {
 		return float64(s.Card()) + 1 // V(∅) = 1
-	}}
-	almostEqualVec(t, Shapley(bad), ShapleyLegacy(bad), 1e-12, "fallback Shapley")
-	almostEqualVec(t, Banzhaf(bad), BanzhafLegacy(bad), 1e-12, "fallback Banzhaf")
+	}})
+	res, err := Values(bad, Options{Samples: 60, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Method != EngineApprox {
+		t.Fatalf("method %q, want %q", res.Method, EngineApprox)
+	}
+	sum := 0.0
+	for _, p := range res.Phi {
+		sum += p
+	}
+	if math.Abs(sum-4) > 1e-9 {
+		t.Errorf("sampled shares sum to %g, want V(N) = 4", sum)
+	}
+	if _, err := Values(bad, Options{Method: MethodExact}); err == nil {
+		t.Error("exact request on a non-snapshot game must fail")
+	}
 }
 
 func TestSnapshotParallel(t *testing.T) {
@@ -141,7 +178,7 @@ func TestSnapshotParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 5, 100} {
-		par, err := SnapshotParallel(NewSafeCache(g), workers)
+		par, err := SnapshotParallel(g, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,17 +200,21 @@ func TestSnapshotParallel(t *testing.T) {
 
 func TestParallelBatched(t *testing.T) {
 	rng := stats.NewRand(3)
+	// The sharded kernel over a parallel snapshot agrees with the oracles;
+	// beyond the 24-player table bound an unstructured bitmask game has no
+	// exact engine.
 	g := randomTable(t, 7, rng)
-	res, err := ParallelBatched(g, 4)
+	snap, err := SnapshotParallel(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	almostEqualVec(t, res.Shapley, ShapleyByPermutation(g), 1e-9, "ParallelBatched Shapley")
-	almostEqualVec(t, res.Banzhaf, BanzhafLegacy(g), 1e-9, "ParallelBatched Banzhaf")
+	res := BatchedValuesParallel(snap, 4)
+	almostEqualVec(t, res.Shapley, shapleyByPermutation(g), 1e-9, "parallel batched Shapley")
+	almostEqualVec(t, res.Banzhaf, banzhafLegacy(g), 1e-9, "parallel batched Banzhaf")
 
-	big := Func{Players: 30, V: func(combin.Set) float64 { return 0 }}
-	if _, err := ParallelBatched(big, 4); err == nil {
-		t.Error("ParallelBatched beyond 24 players must fail")
+	big := AsMemberGame(Func{Players: 30, V: func(combin.Set) float64 { return 0 }})
+	if _, err := Values(big, Options{Method: MethodExact, Workers: 4}); err == nil {
+		t.Error("exact Values beyond 24 players must fail")
 	}
 }
 
@@ -190,14 +231,6 @@ func BenchmarkShapleyKernelParallel16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BatchedValuesParallel(g, 0)
-	}
-}
-
-func BenchmarkShapleyLegacyTable16(b *testing.B) {
-	g := benchTable(b, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ShapleyLegacy(g)
 	}
 }
 

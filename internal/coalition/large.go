@@ -33,10 +33,10 @@ func (f MemberFunc) N() int { return f.Players }
 // ValueMembers implements MemberGame.
 func (f MemberFunc) ValueMembers(members []int) float64 { return f.V(members) }
 
-// memberAdapter lifts a bitmask Game to the MemberGame interface, for
-// running the sampling estimators on games defined over combin.Set
-// (valid only up to combin.MaxPlayers players).
-type memberAdapter struct{ g Game }
+// memberAdapter lifts a bitmask Game to the MemberGame interface while
+// keeping the Game methods, so Values can still hand small games to the
+// exact kernel (valid only up to combin.MaxPlayers players).
+type memberAdapter struct{ Game }
 
 // AsMemberGame returns g as a MemberGame, unwrapping games that already
 // implement the interface. The adapter requires n ≤ combin.MaxPlayers.
@@ -44,11 +44,8 @@ func AsMemberGame(g Game) MemberGame {
 	if mg, ok := g.(MemberGame); ok {
 		return mg
 	}
-	return memberAdapter{g: g}
+	return memberAdapter{g}
 }
-
-// N implements MemberGame.
-func (a memberAdapter) N() int { return a.g.N() }
 
 // ValueMembers implements MemberGame.
 func (a memberAdapter) ValueMembers(members []int) float64 {
@@ -56,5 +53,5 @@ func (a memberAdapter) ValueMembers(members []int) float64 {
 	for _, p := range members {
 		s = s.With(p)
 	}
-	return a.g.Value(s)
+	return a.Value(s)
 }

@@ -2,24 +2,19 @@ package coalition
 
 import "fedshare/internal/obs"
 
-// Process-wide instrumentation for the coalition engine. SafeCache
-// evaluations are counted with one extra atomic add per *distinct*
-// coalition evaluation — each of which runs a full characteristic-function
-// solve, so the add is noise. Batch sweeps are always counted; durations
-// are recorded only for lattices of at least batchTimingMinCoalitions
-// entries, because on smaller games the two clock reads would cost more
-// than the sweep they time and the histogram would measure the clock, not
-// the kernel.
+// Process-wide instrumentation for the coalition engine. Batch sweeps are
+// always counted; durations are recorded only for lattices of at least
+// batchTimingMinCoalitions entries, because on smaller games the two clock
+// reads would cost more than the sweep they time and the histogram would
+// measure the clock, not the kernel.
 var (
-	cacheEvaluations = obs.Default.Counter("fedshare_coalition_cache_evaluations_total",
-		"Distinct coalition values computed through SafeCache instances.")
 	batchesTotal = obs.Default.Counter("fedshare_coalition_batches_total",
 		"Batched coalition-lattice sweeps (BatchedValues and BatchedValuesParallel).")
 	batchSeconds = obs.Default.Histogram("fedshare_coalition_batch_seconds",
 		"Durations of batched coalition-lattice sweeps over at least 2^8 coalitions.",
 		nil)
 	shapleySamplesTotal = obs.Default.Counter("fedshare_shapley_samples_total",
-		"Permutations evaluated by the sampling Shapley estimators (ApproxShapley and the parallel Monte-Carlo engine).")
+		"Permutations evaluated by the sampling Shapley estimator (ApproxShapley).")
 	shapleyCIHalfWidth = obs.Default.Gauge("fedshare_shapley_ci_halfwidth",
 		"Largest per-player 95% confidence half-width after the most recent ApproxShapley aggregation round.")
 )

@@ -1,0 +1,151 @@
+package coalition
+
+import (
+	"math"
+	"testing"
+
+	"fedshare/internal/combin"
+	"fedshare/internal/stats"
+)
+
+// Independently coded reference implementations. Production computes
+// every Shapley value through Values; these oracles exist to check it.
+
+// shapleyLegacy is the classic per-player subset enumeration
+//
+//	φ_i = Σ_{S ⊆ N\{i}}  |S|!·(n−|S|−1)!/n! · (V(S∪{i}) − V(S)),
+//
+// costing O(n·2^n) characteristic-function evaluations.
+func shapleyLegacy(g Game) []float64 {
+	n := g.N()
+	if n == 0 {
+		return nil
+	}
+	weight := shapleyWeights(n)
+	phi := make([]float64, n)
+	full := combin.Full(n)
+	for i := 0; i < n; i++ {
+		rest := full.Without(i)
+		combin.Subsets(rest, func(s combin.Set) bool {
+			phi[i] += weight[s.Card()] * (g.Value(s.With(i)) - g.Value(s))
+			return true
+		})
+	}
+	return phi
+}
+
+// shapleyByPermutation computes the Shapley value by full enumeration of
+// all n! orderings (equation (4) of the paper); it panics beyond 10
+// players.
+func shapleyByPermutation(g Game) []float64 {
+	n := g.N()
+	if n > 10 {
+		panic("coalition: shapleyByPermutation limited to 10 players")
+	}
+	phi := make([]float64, n)
+	count := 0
+	combin.Permutations(n, func(perm []int) bool {
+		var s combin.Set
+		prev := 0.0
+		for _, p := range perm {
+			s = s.With(p)
+			v := g.Value(s)
+			phi[p] += v - prev
+			prev = v
+		}
+		count++
+		return true
+	})
+	for i := range phi {
+		phi[i] /= float64(count)
+	}
+	return phi
+}
+
+// banzhafLegacy is the per-player subset enumeration of the Banzhaf value
+// β_i = 2^{-(n-1)} Σ_{S ⊆ N\{i}} (V(S∪{i}) − V(S)).
+func banzhafLegacy(g Game) []float64 {
+	n := g.N()
+	beta := make([]float64, n)
+	if n == 0 {
+		return beta
+	}
+	norm := math.Exp2(-float64(n - 1))
+	full := combin.Full(n)
+	for i := 0; i < n; i++ {
+		rest := full.Without(i)
+		combin.Subsets(rest, func(s combin.Set) bool {
+			beta[i] += g.Value(s.With(i)) - g.Value(s)
+			return true
+		})
+		beta[i] *= norm
+	}
+	return beta
+}
+
+// monteCarloShapley is the plain sequential sampling loop: uniform random
+// orderings, one marginal per player per ordering. It returns the
+// estimates and their standard errors.
+func monteCarloShapley(g Game, samples int, rng *stats.Rand) (phi, stdErr []float64) {
+	n := g.N()
+	sums := make([]stats.Summary, n)
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for it := 0; it < samples; it++ {
+		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		var s combin.Set
+		prev := 0.0
+		for _, p := range perm {
+			s = s.With(p)
+			v := g.Value(s)
+			sums[p].Add(v - prev)
+			prev = v
+		}
+	}
+	phi = make([]float64, n)
+	stdErr = make([]float64, n)
+	for i := range sums {
+		phi[i] = sums[i].Mean()
+		if samples > 1 {
+			stdErr[i] = sums[i].Stddev() / math.Sqrt(float64(samples))
+		}
+	}
+	return phi, stdErr
+}
+
+// shapley is the exact Shapley value of a bitmask game through the
+// production path: Values, answered by the lattice kernel.
+func shapley(t testing.TB, g Game) []float64 {
+	t.Helper()
+	res, err := Values(AsMemberGame(g), Options{Method: MethodExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Method != EngineKernel {
+		t.Fatalf("Values answered with %q, want %q", res.Method, EngineKernel)
+	}
+	return res.Phi
+}
+
+// banzhaf is the kernel's Banzhaf value of a bitmask game.
+func banzhaf(t testing.TB, g Game) []float64 {
+	t.Helper()
+	tab, err := Snapshot(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return BatchedValues(tab).Banzhaf
+}
+
+// BenchmarkShapleyLegacy measures the pre-kernel path on an n=20 Table: n
+// independent per-player subset enumerations through the Game interface.
+// Compare with BenchmarkShapleyKernel in the repository root.
+func BenchmarkShapleyLegacy(b *testing.B) {
+	g := benchTable(b, 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shapleyLegacy(g)
+	}
+}

@@ -31,7 +31,7 @@ func TestOwenSingletonsEqualsShapley(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almostEqualVec(t, owen, Shapley(g), 1e-9, "Owen with singleton blocks")
+	almostEqualVec(t, owen, shapley(t, g), 1e-9, "Owen with singleton blocks")
 }
 
 func TestOwenOneBlockEqualsShapley(t *testing.T) {
@@ -40,7 +40,7 @@ func TestOwenOneBlockEqualsShapley(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almostEqualVec(t, owen, Shapley(g), 1e-9, "Owen with one block")
+	almostEqualVec(t, owen, shapley(t, g), 1e-9, "Owen with one block")
 }
 
 func TestOwenEfficiency(t *testing.T) {
@@ -96,7 +96,7 @@ func TestOwenQuotientConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qShapley := Shapley(NewCache(q))
+	qShapley := shapley(t, q)
 	blockTotals := BlockShares(st, owen)
 	almostEqualVec(t, blockTotals, qShapley, 1e-9, "Owen quotient consistency")
 }
@@ -110,10 +110,10 @@ func TestOwenDiffersFromShapleyUnderStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shapley := Shapley(g)
+	phi := shapley(t, g)
 	diff := 0.0
 	for i := range owen {
-		diff += math.Abs(owen[i] - shapley[i])
+		diff += math.Abs(owen[i] - phi[i])
 	}
 	if diff < 1e-6 {
 		t.Error("structure should change the value division in the glove game")
@@ -194,7 +194,7 @@ func BenchmarkOwen3x3(b *testing.B) {
 	st := Structure{Blocks: [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Owen(NewCache(g), st); err != nil {
+		if _, err := Owen(g, st); err != nil {
 			b.Fatal(err)
 		}
 	}

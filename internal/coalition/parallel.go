@@ -9,83 +9,6 @@ import (
 	"fedshare/internal/combin"
 )
 
-// ParallelShapley computes the exact Shapley value with the given number of
-// workers (0 means GOMAXPROCS). The game must be safe for concurrent Value
-// calls; wrap expensive games with SafeCache or Snapshot first (a Cache is
-// NOT safe for concurrent use).
-//
-// For *Table games — and for any game with n ≤ 24 players, which is first
-// materialized via SnapshotParallel — the work is sharded over the 2^n
-// coalition range and processed by the batched lattice kernel, so the
-// useful worker count scales with the coalition range and is NOT capped at
-// n players; load stays balanced regardless of player count. Only games
-// beyond 24 players (or with V(∅) ≠ 0) fall back to the per-player
-// decomposition, whose parallelism is limited to n workers.
-func ParallelShapley(g Game, workers int) []float64 {
-	n := g.N()
-	if n == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if t, ok := tableFor(g, workers); ok {
-		return BatchedValuesParallel(t, workers).Shapley
-	}
-	return parallelShapleyPerPlayer(g, workers)
-}
-
-// ParallelBatched computes Shapley and Banzhaf together with the batched
-// lattice kernel, sharded across workers (0 means GOMAXPROCS). The game
-// must be safe for concurrent Value calls when it is not already a *Table.
-// It errors for games that cannot be snapshotted (n > 24 or V(∅) ≠ 0).
-func ParallelBatched(g Game, workers int) (Batched, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t, ok := tableFor(g, workers)
-	if !ok {
-		return Batched{}, fmt.Errorf("coalition: game with %d players is not snapshot-eligible", g.N())
-	}
-	return BatchedValuesParallel(t, workers), nil
-}
-
-// parallelShapleyPerPlayer is the legacy decomposition: one job per player,
-// each enumerating the 2^(n-1) subsets excluding it. Worker count is capped
-// at n, so the last straggler bounds wall-clock time.
-func parallelShapleyPerPlayer(g Game, workers int) []float64 {
-	n := g.N()
-	if workers > n {
-		workers = n
-	}
-	weight := shapleyWeights(n)
-	phi := make([]float64, n)
-	full := combin.Full(n)
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				sum := 0.0
-				rest := full.Without(i)
-				combin.Subsets(rest, func(s combin.Set) bool {
-					sum += weight[s.Card()] * (g.Value(s.With(i)) - g.Value(s))
-					return true
-				})
-				phi[i] = sum
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return phi
-}
-
 // Snapshot materializes every coalition value of g into an immutable Table,
 // which is safe for concurrent reads. Cost is 2^n evaluations; limited to
 // 24 players.
@@ -104,7 +27,7 @@ func Snapshot(g Game) (*Table, error) {
 
 // SnapshotParallel materializes g into a Table with the 2^n coalition range
 // sharded across workers (0 means GOMAXPROCS). The game must be safe for
-// concurrent Value calls — wrap it with SafeCache if it is not. Each worker
+// concurrent Value calls; use Snapshot when it is not. Each worker
 // fills a disjoint contiguous block of the value table, so expensive
 // characteristic functions (e.g. one LP/simulation solve per coalition)
 // evaluate concurrently. Limited to 24 players.

@@ -21,31 +21,36 @@ func TestParallelShapleyMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := Shapley(g)
+		seq := BatchedValues(g).Shapley
 		for _, workers := range []int{0, 1, 2, 16} {
-			par := ParallelShapley(g, workers)
-			almostEqualVec(t, par, seq, 1e-9, "parallel vs sequential Shapley")
+			res, err := Values(AsMemberGame(g), Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			almostEqualVec(t, res.Phi, seq, 1e-9, "parallel vs sequential Shapley")
 		}
 	}
 }
 
 func TestParallelShapleyWeights(t *testing.T) {
-	// The multiplicative weight computation must agree with the factorial
-	// form used by Shapley — additive games expose any weight error.
+	// The kernel's weights must reproduce an additive game's values
+	// exactly at any worker count — additive games expose any weight error.
 	w := []float64{2, 3, 5, 7, 11, 13}
 	g := additiveGame(w)
 	snap, err := Snapshot(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := ParallelShapley(snap, 4)
-	almostEqualVec(t, par, w, 1e-9, "additive parallel Shapley")
+	res, err := Values(AsMemberGame(snap), Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	almostEqualVec(t, res.Phi, w, 1e-9, "additive parallel Shapley")
 }
 
-// TestParallelShapleyWorkersExceedPlayers pins the post-kernel contract:
+// TestParallelShapleyWorkersExceedPlayers pins the kernel's contract:
 // worker count scales with the 2^n coalition range, so asking for far more
-// workers than players must still be correct (the legacy per-player path
-// silently degraded to n workers; the kernel shards coalition ranges).
+// workers than players must still be correct.
 func TestParallelShapleyWorkersExceedPlayers(t *testing.T) {
 	rng := stats.NewRand(5)
 	n := 4
@@ -57,15 +62,14 @@ func TestParallelShapleyWorkersExceedPlayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ShapleyByPermutation(g)
+	want := shapleyByPermutation(g)
 	for _, workers := range []int{n + 1, 4 * n, 1 << n, 1000} {
-		almostEqualVec(t, ParallelShapley(g, workers), want, 1e-9,
-			"ParallelShapley with workers >> n")
+		res, err := Values(AsMemberGame(g), Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		almostEqualVec(t, res.Phi, want, 1e-9, "Values with workers >> n")
 	}
-	// The >24-player fallback still degrades gracefully to n workers.
-	big := additiveGame([]float64{1, 2, 3})
-	almostEqualVec(t, parallelShapleyPerPlayer(big, 50), []float64{1, 2, 3}, 1e-9,
-		"per-player fallback with workers > n")
 }
 
 func TestSnapshot(t *testing.T) {
@@ -115,7 +119,7 @@ func TestTableJSONRoundTrip(t *testing.T) {
 		}
 	}
 	// Shapley survives serialization.
-	almostEqualVec(t, Shapley(&back), Shapley(g), 1e-12, "Shapley after round trip")
+	almostEqualVec(t, shapley(t, &back), shapley(t, g), 1e-12, "Shapley after round trip")
 }
 
 func TestTableJSONRejectsInvalid(t *testing.T) {
@@ -142,7 +146,7 @@ func BenchmarkParallelShapley16(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ParallelShapley(snap, 0)
+		BatchedValuesParallel(snap, 0)
 	}
 }
 
@@ -157,6 +161,6 @@ func BenchmarkSequentialShapley16(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Shapley(snap)
+		BatchedValues(snap)
 	}
 }

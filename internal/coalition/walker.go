@@ -1,24 +1,19 @@
 package coalition
 
-import "sync/atomic"
-
-// The shared prefix walker.
+// The prefix walker.
 //
-// Both sampling engines — ApproxShapley and MonteCarloShapleyParallel —
-// evaluate V along the growing prefixes of sampled permutations and
-// consume the per-step deltas V(prefix_k) − V(prefix_{k−1}). Until PR 7
-// each engine carried its own copy of that loop, and every step re-solved
-// the full prefix coalition from scratch. prefixWalker is the single
-// shared implementation: when the game can hand out an incremental
+// The sampler (ApproxShapley) evaluates V along the growing prefixes of
+// sampled permutations and consumes the per-step deltas
+// V(prefix_k) − V(prefix_{k−1}). When the game can hand out an incremental
 // PrefixValuer, each step updates the previous prefix's solved state
-// (O(Δ) on the allocation fast path) instead of re-solving; otherwise it
-// falls back to the exact ValueMembers loop the engines always ran.
+// (O(Δ) on the allocation fast path) instead of re-solving; otherwise the
+// walker evaluates every prefix through ValueMembers.
 //
 // Determinism: the incremental path is required to return bit-identical
 // values to ValueMembers (see allocation.PrefixSolver), and the walker
-// preserves the engines' visit order exactly, so fixed-seed results are
-// identical whether the incremental path is on or off — on top of the
-// existing worker-count invariance.
+// visits players in the same order on both paths, so fixed-seed results do
+// not depend on which path a game offers — on top of the worker-count
+// invariance.
 
 // PrefixValuer incrementally evaluates V along a growing coalition. It is
 // stateful and single-goroutine; each sampling worker obtains its own.
@@ -41,19 +36,6 @@ type PrefixGame interface {
 	PrefixValuer() PrefixValuer
 }
 
-// incrementalDisabled is the process-wide kill switch for the incremental
-// prefix path (fedsim -no-incremental, the CI equivalence gate).
-var incrementalDisabled atomic.Bool
-
-// SetIncrementalEnabled turns the incremental prefix-evaluation path on or
-// off process-wide; off, the samplers evaluate every prefix through
-// ValueMembers. It reports the previous state. Results are bit-identical
-// either way — the switch exists to prove exactly that, and to measure the
-// incremental path's speedup.
-func SetIncrementalEnabled(on bool) bool {
-	return !incrementalDisabled.Swap(!on)
-}
-
 // prefixWalker walks permutation prefixes for one sampling worker. A nil
 // valuer means the generic ValueMembers path.
 type prefixWalker struct {
@@ -62,20 +44,14 @@ type prefixWalker struct {
 }
 
 // newPrefixWalker builds a walker for g, acquiring an incremental valuer
-// when g supports one and the incremental path is enabled.
-func newPrefixWalker(g MemberGame, noIncremental bool) *prefixWalker {
+// when g supports one.
+func newPrefixWalker(g MemberGame) *prefixWalker {
 	w := &prefixWalker{g: g}
-	if noIncremental || incrementalDisabled.Load() {
-		return w
-	}
 	if pg, ok := g.(PrefixGame); ok {
 		w.pv = pg.PrefixValuer()
 	}
 	return w
 }
-
-// incremental reports whether the walker runs on the incremental path.
-func (w *prefixWalker) incremental() bool { return w.pv != nil }
 
 // walk evaluates V along the growing prefixes of perm — of reverse(perm)
 // when rev is set, walked through the same buffer from the tail: prefix k

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"fedshare/internal/combin"
 	"fedshare/internal/stats"
 )
 
@@ -16,16 +15,6 @@ type testPrefixGame struct {
 }
 
 func (g *testPrefixGame) N() int { return len(g.w) }
-
-// Value implements the bitmask Game interface so the Monte-Carlo engine
-// accepts the game; AsMemberGame unwraps it back to the PrefixGame.
-func (g *testPrefixGame) Value(s combin.Set) float64 {
-	v := 0.0
-	for _, p := range s.Members() {
-		v += g.w[p]
-	}
-	return v
-}
 
 func (g *testPrefixGame) ValueMembers(members []int) float64 {
 	v := 0.0
@@ -61,8 +50,9 @@ func newTestPrefixGame(n int) *testPrefixGame {
 }
 
 // TestWalkerIncrementalMatchesGeneric requires bit-identical sampler
-// output with the incremental path on and off, and verifies each mode
-// actually ran the intended path.
+// output from a PrefixGame and from the same game behind a plain MemberFunc,
+// which the walker can only evaluate through ValueMembers, and verifies
+// each ran the intended path.
 func TestWalkerIncrementalMatchesGeneric(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := newTestPrefixGame(12)
@@ -71,18 +61,16 @@ func TestWalkerIncrementalMatchesGeneric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.extends.Load() == 0 {
+		extends := g.extends.Load()
+		if extends == 0 {
 			t.Fatal("incremental path never ran on a PrefixGame")
 		}
-
-		g2 := newTestPrefixGame(12)
-		opt.NoIncremental = true
-		gen, err := ApproxShapley(g2, opt)
+		gen, err := ApproxShapley(MemberFunc{Players: g.N(), V: g.ValueMembers}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g2.extends.Load() != 0 {
-			t.Fatal("NoIncremental still called Extend")
+		if g.extends.Load() != extends {
+			t.Fatal("the MemberFunc wrapper still called Extend")
 		}
 		for i := range inc.Phi {
 			if inc.Phi[i] != gen.Phi[i] {
@@ -92,54 +80,6 @@ func TestWalkerIncrementalMatchesGeneric(t *testing.T) {
 			if inc.CIHalf[i] != gen.CIHalf[i] {
 				t.Fatalf("workers=%d player %d: CI differs", workers, i)
 			}
-		}
-	}
-}
-
-// TestSetIncrementalEnabled checks the process-wide kill switch.
-func TestSetIncrementalEnabled(t *testing.T) {
-	prev := SetIncrementalEnabled(false)
-	defer SetIncrementalEnabled(prev)
-
-	g := newTestPrefixGame(8)
-	if _, err := ApproxShapley(g, ApproxOptions{Samples: 32, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if g.extends.Load() != 0 {
-		t.Fatal("kill switch off but Extend ran")
-	}
-	if on := SetIncrementalEnabled(true); on {
-		t.Fatal("SetIncrementalEnabled(true) reported previous state on")
-	}
-	if _, err := ApproxShapley(g, ApproxOptions{Samples: 32, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if g.extends.Load() == 0 {
-		t.Fatal("kill switch on but Extend never ran")
-	}
-}
-
-// TestWalkerMonteCarloIncremental checks the Monte-Carlo engine runs the
-// shared walker's incremental path on PrefixGames, bit-identically to the
-// generic path.
-func TestWalkerMonteCarloIncremental(t *testing.T) {
-	g := newTestPrefixGame(10)
-	inc, err := MonteCarloShapleyParallel(g, 200, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.extends.Load() == 0 {
-		t.Fatal("incremental path never ran")
-	}
-	prev := SetIncrementalEnabled(false)
-	gen, err := MonteCarloShapleyParallel(g, 200, 4, 7)
-	SetIncrementalEnabled(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inc.Phi {
-		if inc.Phi[i] != gen.Phi[i] {
-			t.Fatalf("player %d: incremental %.17g, generic %.17g", i, inc.Phi[i], gen.Phi[i])
 		}
 	}
 }

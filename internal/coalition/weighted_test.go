@@ -62,7 +62,7 @@ func TestWeightedShapleyEqualWeightsIsShapley(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	almostEqualVec(t, ws, Shapley(g), 1e-12, "equal-weight weighted Shapley")
+	almostEqualVec(t, ws, shapley(t, g), 1e-12, "equal-weight weighted Shapley")
 }
 
 func TestWeightedShapleyEfficiency(t *testing.T) {

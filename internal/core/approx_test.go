@@ -272,16 +272,21 @@ func TestLargeFederationBeyondBitmaskBound(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("normalized shares sum to %.12f", sum)
 	}
-	for _, p := range []Policy{MonteCarloShapleyPolicy{Samples: 10}, NucleolusPolicy{}, BanzhafPolicy{}, UserWeightedShapleyPolicy{}} {
-		if _, err := p.Shares(m); err == nil {
-			t.Errorf("policy %s did not refuse a 100-facility model", p.Name())
+	// Past the 24-facility table bound the rules reading every coalition
+	// must refuse up front: at 30 facilities a 2^30 enumeration would
+	// otherwise start.
+	for _, big := range []*Model{heteroModel(t, 30, 30), m} {
+		for _, p := range []Policy{NucleolusPolicy{}, BanzhafPolicy{}, UserWeightedShapleyPolicy{}} {
+			if _, err := p.Shares(big); err == nil || !strings.Contains(err.Error(), "shapley-approx") {
+				t.Errorf("policy %s on %d facilities: got %v, want a refusal naming shapley-approx", p.Name(), big.N(), err)
+			}
 		}
-	}
-	if _, err := Analyze(m); err == nil {
-		t.Error("Analyze did not refuse a 100-facility model")
-	}
-	if _, err := m.Table(); err == nil {
-		t.Error("Table did not refuse a 100-facility model")
+		if _, err := Analyze(big); err == nil {
+			t.Errorf("Analyze did not refuse a %d-facility model", big.N())
+		}
+		if _, err := big.Table(); err == nil || !strings.Contains(err.Error(), "24") {
+			t.Errorf("Table on %d facilities: got %v, want a refusal naming the 24 bound", big.N(), err)
+		}
 	}
 }
 

@@ -145,9 +145,9 @@ func TestCollapsedGameBypassesMemo(t *testing.T) {
 	}
 }
 
-// TestGameConcurrentInit races many goroutines through the lazy Game()
-// init and concurrent Value evaluation (run under -race); all must see one
-// cache instance.
+// TestGameConcurrentInit races many goroutines through the lazy Table()
+// init, table reads and GrandValue (run under -race); all must see one
+// table.
 func TestGameConcurrentInit(t *testing.T) {
 	m, err := NewModel([]Facility{
 		{Name: "A", Locations: 5, Resources: 1},
@@ -164,17 +164,22 @@ func TestGameConcurrentInit(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			g := m.Game()
+			g, err := m.Table()
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			games[w] = g
 			for s := combin.Set(1); s <= combin.Full(3); s++ {
 				g.Value(s)
 			}
+			m.GrandValue()
 		}(w)
 	}
 	wg.Wait()
 	for w := 1; w < workers; w++ {
 		if games[w] != games[0] {
-			t.Fatal("concurrent Game() built more than one cache")
+			t.Fatal("concurrent Table() built more than one table")
 		}
 	}
 }

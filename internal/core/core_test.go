@@ -71,7 +71,10 @@ func TestPaperValueTableNonStrict(t *testing.T) {
 	// The same section's value table (V({1,2}) = 500 etc.) uses the
 	// non-strict threshold.
 	m := fig4Model(t, 500, false)
-	g := m.Game()
+	g, err := m.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		s    combin.Set
 		want float64
@@ -139,7 +142,7 @@ func TestAllPoliciesSumToOne(t *testing.T) {
 	for _, p := range []Policy{
 		ShapleyPolicy{}, ProportionalPolicy{}, ConsumptionPolicy{},
 		EqualPolicy{}, NucleolusPolicy{}, BanzhafPolicy{},
-		MonteCarloShapleyPolicy{Samples: 500, Seed: 1},
+		ApproxShapleyPolicy{Samples: 500, Seed: 1, Method: coalition.MethodApprox},
 	} {
 		s := shares(t, m, p)
 		sum := 0.0
@@ -155,7 +158,7 @@ func TestAllPoliciesSumToOne(t *testing.T) {
 func TestMonteCarloPolicyTracksExact(t *testing.T) {
 	m := fig4Model(t, 500, false)
 	exact := shares(t, m, ShapleyPolicy{})
-	mc := shares(t, m, MonteCarloShapleyPolicy{Samples: 20000, Seed: 7})
+	mc := shares(t, m, ApproxShapleyPolicy{Samples: 20000, Seed: 7, Method: coalition.MethodApprox})
 	wantVec(t, mc, exact, 0.02, "MC vs exact Shapley")
 }
 
@@ -228,17 +231,21 @@ func TestConsumptionLowDemandFollowsDiversity(t *testing.T) {
 }
 
 func TestGameCaching(t *testing.T) {
+	// The coalition table is materialized once and shared by every rule
+	// on the model; Invalidate drops it.
 	m := fig4Model(t, 500, false)
-	g := m.Game()
-	_ = coalition.Shapley(g)
-	evals := g.Evaluations()
-	_ = coalition.Shapley(g)
-	if g.Evaluations() != evals {
-		t.Error("second Shapley run should hit the cache")
+	tab, err := m.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares(t, m, ShapleyPolicy{})
+	shares(t, m, BanzhafPolicy{})
+	if again, _ := m.Table(); again != tab {
+		t.Error("policies rebuilt the cached coalition table")
 	}
 	m.Invalidate()
-	if m.Game() == g {
-		t.Error("Invalidate must drop the cached game")
+	if again, _ := m.Table(); again == tab {
+		t.Error("Invalidate must drop the cached coalition table")
 	}
 }
 
@@ -341,8 +348,7 @@ func TestOverlapModel(t *testing.T) {
 	}
 
 	// Value stays monotone with overlap.
-	g := m.Game()
-	if g.Value(combin.Of(0)) > g.Value(combin.Of(0, 1))+1e-9 {
+	if m.Value(combin.Of(0)) > m.Value(combin.Of(0, 1))+1e-9 {
 		t.Error("overlap model broke monotonicity")
 	}
 
@@ -481,7 +487,10 @@ func TestModelMonotonicityProperties(t *testing.T) {
 			return m
 		}
 		m := mk(locs, caps)
-		g := m.Game()
+		g, err := m.Table()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !coalition.IsMonotone(g) {
 			t.Fatalf("trial %d: value function not monotone (l=%g k=%d locs=%v caps=%v)",
 				trial, l, k, locs, caps)

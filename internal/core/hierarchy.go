@@ -36,7 +36,8 @@ type HierarchicalShares struct {
 // local and global federation policies" made concrete.
 //
 // Exact enumeration is used when feasible; otherwise mcSamples Monte-Carlo
-// orderings (default 20000) with the given seed.
+// orderings (default 20000) with the given seed. Both read the members'
+// dense coalition table, so at most 24 members are supported.
 func HierarchicalShapley(groups []AuthorityGroup, demand *economics.Workload, mcSamples int, seed uint64) (*HierarchicalShares, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("core: need at least one authority group")
@@ -58,7 +59,10 @@ func HierarchicalShapley(groups []AuthorityGroup, demand *economics.Workload, mc
 	if err != nil {
 		return nil, err
 	}
-	game := model.Game()
+	game, err := model.Table()
+	if err != nil {
+		return nil, err
+	}
 	st := coalition.Structure{Blocks: blocks}
 
 	phi, err := coalition.Owen(game, st)

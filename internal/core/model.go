@@ -83,22 +83,26 @@ type Model struct {
 	// the paper's setting for all numerical figures.
 	Overlap [][]int
 
-	// mu guards the lazily-built game and request caches so concurrent
-	// sweep workers can share a model safely; reqs is additionally
-	// published through an atomic pointer so the per-coalition read in
-	// Value stays lock-free.
+	// mu guards the lazily-built coalition table and request cache so
+	// concurrent sweep workers can share a model safely; reqs is
+	// additionally published through an atomic pointer so the
+	// per-coalition read in Value stays lock-free.
 	mu    sync.Mutex
-	game  *coalition.SafeCache
 	table *coalition.Table
 	reqs  atomic.Pointer[[]allocation.Request]
 }
 
-// MaxFacilities bounds federation size. The bitmask-based exact engines
-// stop at combin.MaxPlayers (64); beyond that every computation runs
-// through the member-list tier (ValueMembers, coalition.Values), which has
-// no representational limit — the bound exists only to catch absurd
+// MaxFacilities bounds federation size. The dense coalition table stops at
+// maxTableFacilities (24) and overlap models at the combin.MaxPlayers (64)
+// bitmask bound; beyond those every computation runs through the
+// member-list tier (ValueMembers, coalition.Values), which has no
+// representational limit — the bound exists only to catch absurd
 // configurations early.
 const MaxFacilities = 4096
+
+// maxTableFacilities is the largest model whose 2^n coalition values Table
+// materializes: coalition.Snapshot's bound, a 128 MiB table.
+const maxTableFacilities = 24
 
 // NewModel validates and builds a federation model.
 func NewModel(facilities []Facility, demand *economics.Workload) (*Model, error) {
@@ -432,35 +436,16 @@ func (m *Model) solve(pool allocation.Pool) *allocation.Result {
 	return allocation.Solve(pool, m.requests())
 }
 
-// Game returns the memoized coalitional game over the facilities. The
-// cache is safe for concurrent Value calls (Value is a pure function of
-// the model and the allocation solver is stateless), so the parallel
-// engines — ParallelShapley, SnapshotParallel — can evaluate coalition
-// allocations concurrently without a prior full snapshot. The lazy init is
-// mutex-guarded, so concurrent sweep workers sharing a model cannot race
-// to build it.
-func (m *Model) Game() *coalition.SafeCache {
-	if m.N() > combin.MaxPlayers {
-		panic(fmt.Sprintf("core: the bitmask game is limited to %d facilities, have %d; use ValueMembers/coalition.Values",
-			combin.MaxPlayers, m.N()))
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.game == nil {
-		m.game = coalition.NewSafeCache(coalition.Func{Players: m.N(), V: m.Value})
-	}
-	return m.game
-}
-
 // Table returns the model's dense coalition-value table, materialized once
-// (2^n Value evaluations on first call). Value is safe for concurrent calls,
-// so unlike Game() no locking wrapper sits between the exact engines and
-// the characteristic function — for the figure sweeps' small models this
-// skips a SafeCache allocation and a mutex acquisition per coalition. It
-// errors for models too large to snapshot; use Game() then.
+// (2^n Value evaluations on first call) and read by every exact engine: the
+// lattice kernel behind coalition.Values, the nucleolus, Banzhaf, the
+// weighted Shapley value, the Owen value and Analyze. Value is safe for
+// concurrent calls, so no locking wrapper sits between the table and the
+// characteristic function. It errors for models beyond the 24-facility
+// table bound.
 func (m *Model) Table() (*coalition.Table, error) {
-	if m.N() > combin.MaxPlayers {
-		return nil, fmt.Errorf("core: %d facilities exceed the %d-player snapshot bound", m.N(), combin.MaxPlayers)
+	if m.N() > maxTableFacilities {
+		return nil, fmt.Errorf("core: %d facilities exceed the %d-facility coalition-table bound", m.N(), maxTableFacilities)
 	}
 	// Warm the request cache first: Value calls requests(), whose slow
 	// path takes m.mu, and the snapshot below runs with m.mu held.
@@ -478,26 +463,21 @@ func (m *Model) Table() (*coalition.Table, error) {
 }
 
 // GrandValue is V(N). It reads the dense table when one has been
-// materialized and otherwise evaluates through the lazy game cache, so
-// callers needing only V(N) never pay for a full snapshot.
+// materialized and otherwise evaluates the grand coalition directly (the
+// allocation memo absorbs repeat calls on disjoint models), so callers
+// needing only V(N) never pay for a full snapshot.
 func (m *Model) GrandValue() float64 {
-	n := m.N()
-	if n > combin.MaxPlayers {
-		// Beyond the bitmask bound: one member-list evaluation (the
-		// allocation memo caches the repeat calls).
-		members := make([]int, n)
-		for i := range members {
-			members[i] = i
-		}
-		return m.ValueMembers(members)
-	}
 	m.mu.Lock()
 	t := m.table
 	m.mu.Unlock()
 	if t != nil {
-		return t.Value(combin.Full(n))
+		return t.Value(combin.Full(m.N()))
 	}
-	return m.Game().Value(combin.Full(n))
+	members := make([]int, m.N())
+	for i := range members {
+		members[i] = i
+	}
+	return m.ValueMembers(members)
 }
 
 // ConsumptionByFacility solves the grand-coalition allocation and attributes
@@ -536,11 +516,10 @@ func (m *Model) grandPool() pooling {
 	return p
 }
 
-// Invalidate drops the memoized game and request expansion (call after
-// mutating the model).
+// Invalidate drops the memoized coalition table and request expansion
+// (call after mutating the model).
 func (m *Model) Invalidate() {
 	m.mu.Lock()
-	m.game = nil
 	m.table = nil
 	m.reqs.Store(nil)
 	m.mu.Unlock()
@@ -549,7 +528,7 @@ func (m *Model) Invalidate() {
 // CloneWith returns a copy of the model sharing the (read-only) demand and
 // overlap structure, with mutate applied to the copy's facilities. It is
 // the provision-sweep building block: each sweep point gets a private
-// model, so points evaluate concurrently without racing on the game cache.
+// model, so points evaluate concurrently without racing on the coalition table.
 func (m *Model) CloneWith(mutate func(facilities []Facility)) *Model {
 	fs := append([]Facility(nil), m.Facilities...)
 	if mutate != nil {

@@ -22,10 +22,10 @@ type Policy interface {
 }
 
 // ShapleyPolicy shares value by the normalized Shapley value φ̂ (eq. (5)):
-// each facility receives its expected marginal contribution. The
-// computation runs on the batched coalition-lattice kernel: the model's
-// concurrency-safe game cache lets the 2^n coalition allocations solve in
-// parallel, and a single sweep then yields every facility's value at once.
+// each facility receives its expected marginal contribution. Shares come
+// from coalition.Values at every federation size: the lattice kernel over
+// the model's dense table (Model.Table) up to 24 facilities, the exact
+// collapsed class lattice or the sampler beyond.
 type ShapleyPolicy struct {
 	// Workers bounds the parallelism; 0 means GOMAXPROCS.
 	Workers int
@@ -36,14 +36,6 @@ func (ShapleyPolicy) Name() string { return "shapley" }
 
 // Shares implements Policy.
 func (p ShapleyPolicy) Shares(m *Model) ([]float64, error) {
-	// Snapshot-eligible models (every paper figure) go through the dense
-	// table: the batched kernel reads it directly, with no per-coalition
-	// cache locking. Larger models auto-dispatch through the approximation
-	// tier: exact on the collapsed class lattice when the facility mix
-	// allows, sampled otherwise.
-	if t, err := m.Table(); err == nil {
-		return coalition.Normalize(t, coalition.ParallelShapley(t, p.Workers)), nil
-	}
 	res, err := coalition.Values(m, coalition.Options{Workers: p.Workers})
 	if err != nil {
 		return nil, err
@@ -88,10 +80,6 @@ type ApproxShapleyPolicy struct {
 	// (exact when feasible). coalition.MethodApprox forces the sampling
 	// estimator — what scenario specs with "method": "approx" request.
 	Method coalition.Method
-	// NoIncremental disables the incremental prefix-evaluation path in
-	// the sampling engines (fedsim -no-incremental flips the process-wide
-	// switch instead). Shares are bit-identical either way.
-	NoIncremental bool
 }
 
 // Name implements Policy.
@@ -119,11 +107,10 @@ func (p ApproxShapleyPolicy) Result(m *Model) (*coalition.ValueResult, error) {
 		method = coalition.MethodAuto
 	}
 	opt := coalition.Options{
-		Method:        method,
-		Workers:       p.Workers,
-		Samples:       p.Samples,
-		Seed:          p.Seed,
-		NoIncremental: p.NoIncremental,
+		Method:  method,
+		Workers: p.Workers,
+		Samples: p.Samples,
+		Seed:    p.Seed,
 	}
 	if p.CITarget < 0 {
 		return nil, fmt.Errorf("core: negative CI target %g", p.CITarget)
@@ -138,38 +125,15 @@ func (p ApproxShapleyPolicy) Result(m *Model) (*coalition.ValueResult, error) {
 	return coalition.Values(m, opt)
 }
 
-// MonteCarloShapleyPolicy estimates φ̂ by sampling orderings — the practical
-// rule for federations too large for exact computation.
-type MonteCarloShapleyPolicy struct {
-	Samples int
-	Seed    uint64
-}
-
-// Name implements Policy.
-func (MonteCarloShapleyPolicy) Name() string { return "shapley-mc" }
-
-// Shares implements Policy.
-func (p MonteCarloShapleyPolicy) Shares(m *Model) ([]float64, error) {
-	if err := requireBitmaskGame(m, "shapley-mc", "shapley-approx"); err != nil {
-		return nil, err
+// tableFor returns the model's dense coalition table for the rules that
+// read every coalition, refusing models beyond the table bound up front
+// with a pointer at the rule that does scale.
+func tableFor(m *Model, name, instead string) (*coalition.Table, error) {
+	if m.N() > maxTableFacilities {
+		return nil, fmt.Errorf("core: policy %s is limited to %d facilities, have %d; use %s",
+			name, maxTableFacilities, m.N(), instead)
 	}
-	samples := p.Samples
-	if samples <= 0 {
-		samples = 2000
-	}
-	g := m.Game()
-	res := coalition.MonteCarloShapley(g, samples, stats.NewRand(p.Seed))
-	return coalition.Normalize(g, res.Phi), nil
-}
-
-// requireBitmaskGame rejects models beyond the 64-facility bitmask bound
-// with a pointer at the policy that does scale.
-func requireBitmaskGame(m *Model, name, instead string) error {
-	if m.N() > combin.MaxPlayers {
-		return fmt.Errorf("core: policy %s is limited to %d facilities, have %d; use %s",
-			name, combin.MaxPlayers, m.N(), instead)
-	}
-	return nil
+	return m.Table()
 }
 
 // ProportionalPolicy is the availability-proportional rule π̂ (eq. (6)):
@@ -245,10 +209,10 @@ func (NucleolusPolicy) Name() string { return "nucleolus" }
 
 // Shares implements Policy.
 func (NucleolusPolicy) Shares(m *Model) ([]float64, error) {
-	if err := requireBitmaskGame(m, "nucleolus", "shapley-approx"); err != nil {
+	g, err := tableFor(m, "nucleolus", "shapley-approx")
+	if err != nil {
 		return nil, err
 	}
-	g := m.Game()
 	nuc, err := coalition.Nucleolus(g)
 	if err != nil {
 		return nil, err
@@ -265,17 +229,11 @@ func (BanzhafPolicy) Name() string { return "banzhaf" }
 
 // Shares implements Policy.
 func (BanzhafPolicy) Shares(m *Model) ([]float64, error) {
-	if err := requireBitmaskGame(m, "banzhaf", "shapley-approx"); err != nil {
+	t, err := tableFor(m, "banzhaf", "shapley-approx")
+	if err != nil {
 		return nil, err
 	}
-	g := m.Game()
-	var beta []float64
-	if b, err := coalition.ParallelBatched(g, 0); err == nil {
-		beta = b.Banzhaf
-	} else {
-		// Beyond the snapshot-eligible range: per-player enumeration.
-		beta = coalition.Banzhaf(g)
-	}
+	beta := coalition.BatchedValuesParallel(t, 0).Banzhaf
 	total := 0.0
 	for _, b := range beta {
 		total += b
@@ -297,8 +255,8 @@ func PolicyNames() []string {
 
 // PolicyByName resolves a deterministic sharing policy by its registered
 // name; the empty string resolves to the Shapley rule (the paper's
-// default). Parameterized policies (Monte Carlo Shapley) are constructed
-// directly instead.
+// default). Sampler settings (budget, CI target, seed) are set on an
+// ApproxShapleyPolicy constructed directly instead.
 func PolicyByName(name string) (Policy, error) {
 	switch name {
 	case "", "shapley":
@@ -351,13 +309,13 @@ type Report struct {
 // Analyze builds a full report. Policies failing to compute are reported
 // with a nil share vector rather than failing the whole report.
 func Analyze(m *Model, policies ...Policy) (*Report, error) {
-	if err := requireBitmaskGame(m, "analyze (full coalition enumeration)", "shapley-approx for shares"); err != nil {
+	g, err := tableFor(m, "analyze (full coalition enumeration)", "shapley-approx for shares")
+	if err != nil {
 		return nil, err
 	}
 	if len(policies) == 0 {
 		policies = []Policy{ShapleyPolicy{}, ProportionalPolicy{}, ConsumptionPolicy{}, EqualPolicy{}}
 	}
-	g := m.Game()
 	rep := &Report{
 		GrandValue:     m.GrandValue(),
 		CoalitionValue: map[string]float64{},
@@ -441,7 +399,8 @@ func (UserWeightedShapleyPolicy) Name() string { return "shapley-users" }
 
 // Shares implements Policy.
 func (UserWeightedShapleyPolicy) Shares(m *Model) ([]float64, error) {
-	if err := requireBitmaskGame(m, "shapley-users", "shapley-approx"); err != nil {
+	g, err := tableFor(m, "shapley-users", "shapley-approx")
+	if err != nil {
 		return nil, err
 	}
 	w := make([]float64, m.N())
@@ -452,7 +411,6 @@ func (UserWeightedShapleyPolicy) Shares(m *Model) ([]float64, error) {
 			w[i] = 1
 		}
 	}
-	g := m.Game()
 	phi, err := coalition.WeightedShapley(g, w)
 	if err != nil {
 		return nil, err

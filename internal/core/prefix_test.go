@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"fedshare/internal/coalition"
 	"fedshare/internal/economics"
 	"fedshare/internal/stats"
 )
@@ -81,44 +80,6 @@ func TestModelPrefixValuerNilForOverlap(t *testing.T) {
 	}
 	if m.PrefixValuer() != nil {
 		t.Fatal("overlap model handed out a PrefixValuer")
-	}
-}
-
-// TestApproxIncrementalEquivalence is the equivalence gate: fixed-seed
-// sampled shares must be bit-identical with the incremental prefix path
-// enabled and disabled, on both allocation paths, at any worker count.
-func TestApproxIncrementalEquivalence(t *testing.T) {
-	models := map[string]*Model{
-		"fast-distinct": heteroModel(t, 24, 24),
-		"greedy":        greedyModel(t, 18),
-	}
-	for name, m := range models {
-		var ref []float64
-		for _, workers := range []int{1, 4} {
-			for _, noInc := range []bool{false, true} {
-				p := ApproxShapleyPolicy{
-					Samples: 96, Seed: 42, Workers: workers,
-					Method: coalition.MethodApprox, NoIncremental: noInc,
-				}
-				res, err := p.Result(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Method != coalition.EngineApprox && res.Method != coalition.EngineApproxCollapsed {
-					t.Fatalf("%s: engine %q, want a sampling engine", name, res.Method)
-				}
-				if ref == nil {
-					ref = res.Phi
-					continue
-				}
-				for i := range ref {
-					if res.Phi[i] != ref[i] {
-						t.Fatalf("%s workers=%d noIncremental=%v facility %d: %.17g, want %.17g",
-							name, workers, noInc, i, res.Phi[i], ref[i])
-					}
-				}
-			}
-		}
 	}
 }
 

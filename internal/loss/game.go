@@ -14,8 +14,8 @@ import (
 // rate when only coalition S's stations serve the full demand stream.
 //
 // Simulations share the base seed (common random numbers), which reduces
-// the variance of marginal contributions V(S∪{i}) − V(S). Wrap the result
-// with coalition.NewCache before running Shapley: each distinct coalition
+// the variance of marginal contributions V(S∪{i}) − V(S). Snapshot the
+// result into a coalition.Table before computing shares: each coalition
 // costs one simulation.
 func NewGame(cfg Config) (coalition.Game, error) {
 	n := len(cfg.Stations)
