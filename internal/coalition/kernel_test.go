@@ -172,7 +172,8 @@ func TestShapleyFallbackForNonSnapshotGames(t *testing.T) {
 }
 
 func TestSnapshotParallel(t *testing.T) {
-	g := gloveGame()
+	// 2^10 coalitions, enough to shard over several workers.
+	g := randomTable(t, 10, stats.NewRand(5))
 	seq, err := Snapshot(g)
 	if err != nil {
 		t.Fatal(err)

@@ -90,6 +90,14 @@ func Owen(g Game, st Structure) ([]float64, error) {
 	if orderings > 1e7 {
 		return nil, fmt.Errorf("coalition: %.3g structured orderings; use MonteCarloOwen", orderings)
 	}
+	// The orderings revisit every coalition many times over, so read the
+	// game's own dense table when it keeps one; it is built only now that
+	// the structure is known to be feasible.
+	if tg, ok := g.(tabled); ok {
+		if t, err := tg.Table(); err == nil {
+			g = t
+		}
+	}
 
 	phi := make([]float64, n)
 	count := 0
@@ -134,6 +142,9 @@ func Owen(g Game, st Structure) ([]float64, error) {
 // MonteCarloOwen estimates the Owen value by sampling structured orderings.
 func MonteCarloOwen(g Game, st Structure, samples int, rng *stats.Rand) ([]float64, error) {
 	n := g.N()
+	if n > combin.MaxPlayers {
+		return nil, fmt.Errorf("coalition: MonteCarloOwen limited to %d players, got %d", combin.MaxPlayers, n)
+	}
 	if err := st.Validate(n); err != nil {
 		return nil, err
 	}

@@ -163,6 +163,10 @@ func TestMonteCarloOwenValidation(t *testing.T) {
 	if _, err := MonteCarloOwen(g, Structure{Blocks: [][]int{{0}}}, 10, stats.NewRand(1)); err == nil {
 		t.Error("invalid structure must fail")
 	}
+	big := Func{Players: 65, V: func(combin.Set) float64 { return 0 }}
+	if _, err := MonteCarloOwen(big, Singletons(65), 10, stats.NewRand(1)); err == nil {
+		t.Error("more players than a coalition bitmask holds must fail")
+	}
 }
 
 func TestQuotientGameValues(t *testing.T) {

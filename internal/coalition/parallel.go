@@ -40,8 +40,10 @@ func SnapshotParallel(g Game, workers int) (*Table, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	size := uint64(1) << uint(n)
-	if uint64(workers) > size {
-		workers = int(size)
+	// Below ~2^6 coalitions per worker the spawn cost outweighs the
+	// evaluations, so small games snapshot sequentially.
+	if maxW := int(size >> 6); workers > maxW {
+		workers = max(1, maxW)
 	}
 	if workers <= 1 {
 		return Snapshot(g)

@@ -86,7 +86,7 @@ func TestApproxIncrementalEquivalence(t *testing.T) {
 		cs := m.ClassStructure()
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("%s workers=%d", name, workers)
-			opt := coalition.Options{Method: coalition.MethodApprox, Samples: 1, Seed: 42, Workers: workers}
+			opt := coalition.Options{Method: coalition.MethodApprox, Samples: 96, Seed: 42, Workers: workers}
 			inc, err := coalition.Values(prefixOnly{m}, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +103,7 @@ func TestApproxIncrementalEquivalence(t *testing.T) {
 				continue
 			}
 			mg := cs.MemberGame()
-			aopt := coalition.ApproxOptions{Samples: 1, Seed: 42, Workers: workers, Groups: cs.Groups()}
+			aopt := coalition.ApproxOptions{Samples: 96, Seed: 42, Workers: workers, Groups: cs.Groups()}
 			incC, err := coalition.ApproxShapley(mg, aopt)
 			if err != nil {
 				t.Fatal(err)

@@ -35,9 +35,10 @@ type HierarchicalShares struct {
 // consistent across the hierarchy — the paper's "interdependencies between
 // local and global federation policies" made concrete.
 //
-// Exact enumeration is used when feasible; otherwise mcSamples Monte-Carlo
-// orderings (default 20000) with the given seed. Both read the members'
-// dense coalition table, so at most 24 members are supported.
+// Exact enumeration over the members' dense coalition table is used when
+// feasible; otherwise mcSamples Monte-Carlo orderings (default 20000) with
+// the given seed, which evaluate only the coalitions they visit and so
+// serve up to 64 members.
 func HierarchicalShapley(groups []AuthorityGroup, demand *economics.Workload, mcSamples int, seed uint64) (*HierarchicalShares, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("core: need at least one authority group")
@@ -59,24 +60,24 @@ func HierarchicalShapley(groups []AuthorityGroup, demand *economics.Workload, mc
 	if err != nil {
 		return nil, err
 	}
-	game, err := model.Table()
-	if err != nil {
-		return nil, err
-	}
 	st := coalition.Structure{Blocks: blocks}
 
-	phi, err := coalition.Owen(game, st)
+	// Owen reads the model's dense table, which it builds only once the
+	// structure passes its ordering bound.
+	phi, err := coalition.Owen(model, st)
 	if err != nil {
-		// Too many structured orderings: fall back to sampling.
+		// Too many structured orderings: fall back to sampling, which
+		// evaluates the model (through the allocation memo) only on the
+		// coalitions its orderings visit.
 		if mcSamples <= 0 {
 			mcSamples = 20000
 		}
-		phi, err = coalition.MonteCarloOwen(game, st, mcSamples, stats.NewRand(seed))
+		phi, err = coalition.MonteCarloOwen(model, st, mcSamples, stats.NewRand(seed))
 		if err != nil {
 			return nil, err
 		}
 	}
-	norm := coalition.Normalize(game, phi)
+	norm := coalition.Normalize(model, phi)
 
 	out := &HierarchicalShares{
 		Authority:  make([]float64, len(groups)),

@@ -142,25 +142,29 @@ func TestHierarchicalValidation(t *testing.T) {
 }
 
 func TestHierarchicalMonteCarloFallback(t *testing.T) {
-	// 13 members in two blocks exceeds the exact-enumeration budget; the
-	// Monte-Carlo fallback must engage and stay efficient.
-	var a, b []Facility
-	for i := 0; i < 7; i++ {
-		a = append(a, Facility{Name: "a", Locations: 10, Resources: 1})
-	}
-	for i := 0; i < 6; i++ {
-		b = append(b, Facility{Name: "b", Locations: 20, Resources: 1})
-	}
-	groups := []AuthorityGroup{{Name: "A", Members: a}, {Name: "B", Members: b}}
-	hs, err := HierarchicalShapley(groups, hierDemand(t, 50), 3000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0.0
-	for _, s := range hs.Authority {
-		total += s
-	}
-	if math.Abs(total-1) > 0.02 {
-		t.Errorf("MC hierarchy shares sum to %g", total)
+	// 13 members in two blocks exceed the exact-enumeration budget; the
+	// Monte-Carlo fallback must engage and stay efficient. At 30 members,
+	// past the 24-member coalition-table bound, it must still work: it
+	// evaluates only the coalitions its orderings visit.
+	for _, size := range []struct{ a, b int }{{7, 6}, {16, 14}} {
+		var a, b []Facility
+		for i := 0; i < size.a; i++ {
+			a = append(a, Facility{Name: "a", Locations: 10, Resources: 1})
+		}
+		for i := 0; i < size.b; i++ {
+			b = append(b, Facility{Name: "b", Locations: 20, Resources: 1})
+		}
+		groups := []AuthorityGroup{{Name: "A", Members: a}, {Name: "B", Members: b}}
+		hs, err := HierarchicalShapley(groups, hierDemand(t, 50), 3000, 9)
+		if err != nil {
+			t.Fatalf("%d members: %v", size.a+size.b, err)
+		}
+		total := 0.0
+		for _, s := range hs.Authority {
+			total += s
+		}
+		if math.Abs(total-1) > 0.02 {
+			t.Errorf("%d members: MC hierarchy shares sum to %g", size.a+size.b, total)
+		}
 	}
 }

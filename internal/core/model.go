@@ -93,16 +93,12 @@ type Model struct {
 }
 
 // MaxFacilities bounds federation size. The dense coalition table stops at
-// maxTableFacilities (24) and overlap models at the combin.MaxPlayers (64)
-// bitmask bound; beyond those every computation runs through the
-// member-list tier (ValueMembers, coalition.Values), which has no
-// representational limit — the bound exists only to catch absurd
+// coalition.Snapshot's 24-player bound and overlap models at the
+// combin.MaxPlayers (64) bitmask bound; beyond those every computation runs
+// through the member-list tier (ValueMembers, coalition.Values), which has
+// no representational limit — the bound exists only to catch absurd
 // configurations early.
 const MaxFacilities = 4096
-
-// maxTableFacilities is the largest model whose 2^n coalition values Table
-// materializes: coalition.Snapshot's bound, a 128 MiB table.
-const maxTableFacilities = 24
 
 // NewModel validates and builds a federation model.
 func NewModel(facilities []Facility, demand *economics.Workload) (*Model, error) {
@@ -440,20 +436,18 @@ func (m *Model) solve(pool allocation.Pool) *allocation.Result {
 // (2^n Value evaluations on first call) and read by every exact engine: the
 // lattice kernel behind coalition.Values, the nucleolus, Banzhaf, the
 // weighted Shapley value, the Owen value and Analyze. Value is safe for
-// concurrent calls, so no locking wrapper sits between the table and the
-// characteristic function. It errors for models beyond the 24-facility
-// table bound.
+// concurrent calls, so the snapshot shards the coalitions over every CPU
+// with no locking wrapper between the table and the characteristic
+// function. Models beyond coalition.Snapshot's 24-player bound are refused
+// before anything is evaluated.
 func (m *Model) Table() (*coalition.Table, error) {
-	if m.N() > maxTableFacilities {
-		return nil, fmt.Errorf("core: %d facilities exceed the %d-facility coalition-table bound", m.N(), maxTableFacilities)
-	}
 	// Warm the request cache first: Value calls requests(), whose slow
 	// path takes m.mu, and the snapshot below runs with m.mu held.
 	m.requests()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.table == nil {
-		t, err := coalition.Snapshot(coalition.Func{Players: m.N(), V: m.Value})
+		t, err := coalition.SnapshotParallel(coalition.Func{Players: m.N(), V: m.Value}, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -126,14 +126,14 @@ func (p ApproxShapleyPolicy) Result(m *Model) (*coalition.ValueResult, error) {
 }
 
 // tableFor returns the model's dense coalition table for the rules that
-// read every coalition, refusing models beyond the table bound up front
-// with a pointer at the rule that does scale.
+// read every coalition. Table refuses models beyond the table bound before
+// evaluating anything; the refusal points at the rule that does scale.
 func tableFor(m *Model, name, instead string) (*coalition.Table, error) {
-	if m.N() > maxTableFacilities {
-		return nil, fmt.Errorf("core: policy %s is limited to %d facilities, have %d; use %s",
-			name, maxTableFacilities, m.N(), instead)
+	t, err := m.Table()
+	if err != nil {
+		return nil, fmt.Errorf("core: policy %s: %w; use %s", name, err, instead)
 	}
-	return m.Table()
+	return t, nil
 }
 
 // ProportionalPolicy is the availability-proportional rule π̂ (eq. (6)):
