@@ -306,8 +306,7 @@ func (a *Authority) CreateSlice(spec SliceSpec) (*Slice, error) {
 	return slice, nil
 }
 
-// DeleteSlice removes a slice and frees its slivers (including any slivers
-// recorded from federated reservations).
+// DeleteSlice removes a slice and frees its slivers.
 func (a *Authority) DeleteSlice(name string) error {
 	a.mu.Lock()
 	slice, ok := a.slices[name]
@@ -329,44 +328,16 @@ func (a *Authority) GetSlice(name string) (*Slice, bool) {
 	return s, ok
 }
 
-// AdoptSlice records a slice assembled externally (by the federation layer)
-// so DeleteSlice can free its local slivers.
-func (a *Authority) AdoptSlice(s *Slice) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, ok := a.slices[s.Spec.Name]; ok {
-		return fmt.Errorf("planetlab: slice %s already exists", s.Spec.Name)
-	}
-	a.slices[s.Spec.Name] = s
-	return nil
-}
-
-// RestoreSlivers re-applies placements recovered from a durable log:
-// load is incremented at exactly the recorded nodes, without re-running
-// placement policy or capacity checks — the placements were valid when
-// they were made durable, and recovery must reproduce them bit-for-bit
-// rather than re-decide them.
+// RestoreSlivers places slivers at exactly the given nodes, without
+// re-running placement policy or capacity checks: the placements were
+// decided (and made durable) earlier, and replaying them must reproduce
+// them bit-for-bit rather than re-decide them.
 func (a *Authority) RestoreSlivers(svs []Sliver) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, sv := range svs {
 		a.load[nodeKey(sv.SiteID, sv.NodeID)]++
 	}
-}
-
-// SlicesSnapshot returns deep copies of all deployed slices, sorted by
-// name, for durable-state capture.
-func (a *Authority) SlicesSnapshot() []*Slice {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]*Slice, 0, len(a.slices))
-	for _, s := range a.slices {
-		cp := *s
-		cp.Slivers = append([]Sliver(nil), s.Slivers...)
-		out = append(out, &cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
-	return out
 }
 
 // FairShare returns the capacity fraction each sliver on the node currently

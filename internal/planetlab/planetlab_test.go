@@ -201,27 +201,6 @@ func TestAvailableSites(t *testing.T) {
 	}
 }
 
-func TestAdoptSlice(t *testing.T) {
-	a := testAuthority(t, 2, 1, 1)
-	svs, err := a.ReserveSlivers("fed", "site0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slice := &Slice{Spec: SliceSpec{Name: "fed"}, Slivers: svs}
-	if err := a.AdoptSlice(slice); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AdoptSlice(slice); err == nil {
-		t.Error("double adoption must fail")
-	}
-	if err := a.DeleteSlice("fed"); err != nil {
-		t.Fatal(err)
-	}
-	if a.Utilization() != 0 {
-		t.Errorf("utilization %g after federated delete", a.Utilization())
-	}
-}
-
 func TestConcurrentSliceCreation(t *testing.T) {
 	a := testAuthority(t, 4, 2, 2) // 16 sliver slots, 4 per... 4 sites * 2 nodes * 2 = 16
 	var wg sync.WaitGroup

@@ -53,10 +53,22 @@ type DurableStore struct {
 	source func() State
 }
 
-// OpenDurableStore opens (or creates) the store in opts.Dir and recovers
-// the durable server state: the newest valid snapshot plus the replayed
-// log suffix, tolerating a torn tail. The returned State is what the
-// server must Restore before Start; it is nil only for a fresh directory.
+// SnapshotVersion is the snapshot format this build writes and the only
+// one it reads. A snapshot without a version predates versioning and has
+// this version's shape. WAL records carry no version: their encoding has
+// not changed.
+const SnapshotVersion = 1
+
+// snapshotFile is a snapshot's encoding: the state and its format version.
+type snapshotFile struct {
+	Version int `json:"version"`
+	*State
+}
+
+// OpenDurableStore opens (or creates) the store in opts.Dir and returns
+// what it recovered: the newest valid snapshot and the log suffix after
+// it, tolerating a torn tail. The server must Restore the returned State
+// before Start; it is nil only for a fresh directory.
 func OpenDurableStore(opts DurableOptions) (*DurableStore, *State, error) {
 	opts = opts.withDefaults()
 	l, rec, err := wal.Open(wal.Options{
@@ -69,39 +81,53 @@ func OpenDurableStore(opts DurableOptions) (*DurableStore, *State, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &State{}
-	if rec.Snapshot != nil {
-		if err := json.Unmarshal(rec.Snapshot, st); err != nil {
-			_ = l.Close()
-			return nil, nil, fmt.Errorf("sfa: decode snapshot at seq %d: %w", rec.SnapshotSeq, err)
-		}
+	st, err := decodeRecovered(rec)
+	if err != nil {
+		_ = l.Close()
+		return nil, nil, err
 	}
-	for _, r := range rec.Records {
-		var mrec Record
-		if err := json.Unmarshal(r.Data, &mrec); err != nil {
-			_ = l.Close()
-			return nil, nil, fmt.Errorf("sfa: decode wal record %d: %w", r.Seq, err)
-		}
-		if err := st.applyRecord(mrec); err != nil {
-			_ = l.Close()
-			return nil, nil, fmt.Errorf("sfa: replay wal record %d: %w", r.Seq, err)
-		}
-	}
-	st.canonicalize()
 	d := &DurableStore{log: l, every: opts.SnapshotEvery, logf: opts.Logf}
 	if d.logf == nil {
 		d.logf = func(string, ...interface{}) {}
 	}
-	if rec.Snapshot == nil && len(rec.Records) == 0 {
-		return d, nil, nil
-	}
 	return d, st, nil
+}
+
+// decodeRecovered decodes the recovered snapshot, refusing a format
+// version this build cannot read before decoding anything else, and the
+// record suffix after it.
+func decodeRecovered(rec *wal.Recovered) (*State, error) {
+	if rec.Snapshot == nil && len(rec.Records) == 0 {
+		return nil, nil
+	}
+	st := &State{}
+	if rec.Snapshot != nil {
+		var v struct {
+			Version int `json:"version"`
+		}
+		if err := json.Unmarshal(rec.Snapshot, &v); err != nil {
+			return nil, fmt.Errorf("sfa: decode snapshot at seq %d: %w", rec.SnapshotSeq, err)
+		}
+		if v.Version != 0 && v.Version != SnapshotVersion {
+			return nil, fmt.Errorf("sfa: snapshot at seq %d has format version %d; this build reads version %d",
+				rec.SnapshotSeq, v.Version, SnapshotVersion)
+		}
+		if err := json.Unmarshal(rec.Snapshot, st); err != nil {
+			return nil, fmt.Errorf("sfa: decode snapshot at seq %d: %w", rec.SnapshotSeq, err)
+		}
+	}
+	st.log = make([]Record, len(rec.Records))
+	for i, r := range rec.Records {
+		if err := json.Unmarshal(r.Data, &st.log[i]); err != nil {
+			return nil, fmt.Errorf("sfa: decode wal record %d: %w", r.Seq, err)
+		}
+	}
+	return st, nil
 }
 
 // Append durably logs one mutation record. Snapshot pacing is only
 // counted here; the cut itself happens in MaybeSnapshot, which the server
-// calls once the whole durable region (including dedup completion) is
-// capturable.
+// calls once the record is applied.
 func (d *DurableStore) Append(rec Record) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -137,30 +163,17 @@ func (d *DurableStore) MaybeSnapshot() error {
 	return nil
 }
 
-// SetSnapshotSource registers the state-capture callback. The server
-// calls this once at construction.
+// SetSnapshotSource registers the state serializer. The server calls this
+// once at construction.
 func (d *DurableStore) SetSnapshotSource(fn func() State) {
 	d.mu.Lock()
 	d.source = fn
 	d.mu.Unlock()
 }
 
-// Snapshot forces a snapshot + rotation now (also done automatically
-// every SnapshotEvery appends and at Close).
-func (d *DurableStore) Snapshot() error {
-	d.mu.Lock()
-	source := d.source
-	d.since = 0
-	d.mu.Unlock()
-	if source == nil {
-		return fmt.Errorf("sfa: no snapshot source registered")
-	}
-	return d.snapshot(source)
-}
-
 func (d *DurableStore) snapshot(source func() State) error {
 	st := source()
-	b, err := json.Marshal(&st)
+	b, err := json.Marshal(snapshotFile{Version: SnapshotVersion, State: &st})
 	if err != nil {
 		return fmt.Errorf("sfa: encode snapshot: %w", err)
 	}
@@ -168,7 +181,7 @@ func (d *DurableStore) snapshot(source func() State) error {
 }
 
 // Close cuts a final snapshot when possible (making the next recovery a
-// pure snapshot load) and closes the log.
+// pure snapshot load) and closes the log. Call it after Server.Close.
 func (d *DurableStore) Close() error {
 	d.mu.Lock()
 	source := d.source

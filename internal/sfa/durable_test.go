@@ -1,8 +1,10 @@
 package sfa
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,12 +14,20 @@ import (
 	"fedshare/internal/wal"
 )
 
+// snapshotState serializes srv's durable state under the state lock, the
+// witness the recovery tests compare.
+func (s *Server) snapshotState() State {
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	return s.st.snapshot()
+}
+
 // durableServer builds a server backed by a WAL store in dir, without
 // starting the network listener: handlers are driven directly so request
 // order is deterministic. The returned store is the one the server writes
 // through; crash it with store.log.Close() to simulate kill -9 (no final
-// snapshot, no graceful close).
-func durableServer(t *testing.T, dir string, snapshotEvery int, clock *fakeClock) (*Server, *DurableStore, *State) {
+// snapshot, no graceful close). opts apply after the defaults.
+func durableServer(t *testing.T, dir string, snapshotEvery int, clock *fakeClock, opts ...Option) (*Server, *DurableStore, *State) {
 	t.Helper()
 	store, st, err := OpenDurableStore(DurableOptions{
 		Dir: dir, SnapshotEvery: snapshotEvery, Registry: obs.NewRegistry(),
@@ -25,11 +35,12 @@ func durableServer(t *testing.T, dir string, snapshotEvery int, clock *fakeClock
 	if err != nil {
 		t.Fatalf("open durable store: %v", err)
 	}
-	srv := NewServer(buildAuthority(t, "DUR", 4, 2, 4), testSecret,
+	srv := NewServer(buildAuthority(t, "DUR", 4, 2, 4), testSecret, append([]Option{
 		WithLogger(quietLog),
 		WithStore(store),
 		WithMetrics(obs.NewRegistry()),
-		WithConfig(ServerConfig{Now: clock.Now}))
+		WithConfig(ServerConfig{Now: clock.Now}),
+	}, opts...)...)
 	t.Cleanup(func() { _ = srv.Close() })
 	return srv, store, st
 }
@@ -163,6 +174,297 @@ func TestRecoveryEquivalence(t *testing.T) {
 				t.Errorf("new reserve after recovery: %v", err)
 			}
 		})
+	}
+	t.Run("peered", recoverPeeredCoordinator)
+}
+
+// recoverPeeredCoordinator is TestRecoveryEquivalence's peered case: a
+// started durable coordinator, peered with one started peer, embeds slices
+// across the peer, deletes one, lets a TTL slice with remote slivers
+// expire, amends intent, and reserves and releases locally — every record
+// op. Recovered from its log alone, it must equal its own pre-crash state.
+func recoverPeeredCoordinator(t *testing.T) {
+	clock := newFakeClock()
+	dir := t.TempDir()
+	// An hour-long reaper tick keeps the reaper and probes out of the way;
+	// the test reaps by hand.
+	cfg := WithConfig(ServerConfig{Now: clock.Now, LeaseReapInterval: time.Hour})
+	peer := startServer(t, buildAuthority(t, "PEER", 2, 1, 4), WithMetrics(obs.NewRegistry()), cfg)
+	srv, store, _ := durableServer(t, dir, -1, clock, cfg)
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.PeerWith(peer.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	create := func(name string, ttl float64) []SliverRecord {
+		t.Helper()
+		// Four local sites cannot meet min_sites 5: the peer must join.
+		resp, err := srv.handleCreateSlice(SliceRequest{
+			Credential: userCred(), Name: name, Owner: "tester",
+			MinSites: 5, SliversPerSite: 1, TTLSeconds: ttl,
+		})
+		if err != nil {
+			t.Fatalf("create %s: %v", name, err)
+		}
+		var remote []SliverRecord
+		for _, sv := range resp.Slivers {
+			if sv.Authority == "PEER" {
+				remote = append(remote, sv)
+			}
+		}
+		if len(remote) == 0 {
+			t.Fatalf("slice %s holds no slivers at the peer", name)
+		}
+		return remote
+	}
+	remoteA := create("a", 0)
+	create("b", 0)
+	if _, err := srv.handleDeleteSlice(DeleteRequest{Credential: userCred(), Name: "b"}); err != nil {
+		t.Fatalf("delete b: %v", err)
+	}
+	create("t", 5)
+	clock.Advance(6 * time.Second)
+	if n := srv.reapExpiredLeases(); n != 1 {
+		t.Fatalf("reaper expired %d leases, want the TTL slice", n)
+	}
+	if hasSlice(srv, "t") {
+		t.Fatal("expired slice t still present")
+	}
+	rr, err := srv.handleReserve(ReserveRequest{
+		Credential: userCred(), SliceName: "r", Sites: 1, PerSite: 1, IdempotencyKey: "rk",
+	})
+	if err != nil {
+		t.Fatalf("reserve: %v", err)
+	}
+	if _, err := srv.handleRelease(ReleaseRequest{
+		Credential: userCred(), SliceName: "r", Slivers: rr.Slivers, IdempotencyKey: "rk",
+	}); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	srv.amendIntent("PEER", map[string][]SliverRecord{"a": remoteA[:1]})
+
+	want := srv.snapshotState()
+	util := srv.auth.Utilization()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = store.log.Close() // crash: no final snapshot
+
+	rec, store2, rst := durableServer(t, dir, -1, clock, cfg)
+	defer store2.Close()
+	if rst == nil {
+		t.Fatal("recovery returned nil state for a populated directory")
+	}
+	ops := map[string]bool{}
+	for _, r := range rst.log {
+		ops[r.Op] = true
+	}
+	for _, op := range []string{OpReserve, OpRelease, OpCreateSlice, OpDeleteSlice, OpExpire, OpGen, OpAmendRemote} {
+		if !ops[op] {
+			t.Errorf("recovered log holds no %s record", op)
+		}
+	}
+	if err := rec.Restore(rst); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if got := rec.snapshotState(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered coordinator differs from its pre-crash state:\n got %+v\nwant %+v", got, want)
+	}
+	if got := rec.auth.Utilization(); got != util {
+		t.Errorf("recovered utilization = %g, want %g", got, util)
+	}
+}
+
+// TestRecoveryDedupWindow: the recovered idempotency window is the live
+// one — the newest DedupCapacity outcomes, in log order — whether recovery
+// replays the whole log or loads a snapshot and replays the suffix, so a
+// retry of the newest key replays after a crash.
+func TestRecoveryDedupWindow(t *testing.T) {
+	for _, every := range []int{-1, 3} {
+		t.Run(fmt.Sprintf("snapshotEvery=%d", every), func(t *testing.T) {
+			clock := newFakeClock()
+			dir := t.TempDir()
+			cfg := WithConfig(ServerConfig{Now: clock.Now, DedupCapacity: 4})
+			srv, store, _ := durableServer(t, dir, every, clock, cfg)
+			for i := 9; i >= 0; i-- {
+				key := fmt.Sprintf("s%d", i)
+				rr, err := srv.handleReserve(ReserveRequest{
+					Credential: userCred(), SliceName: key, Sites: 1, PerSite: 1, IdempotencyKey: key,
+				})
+				if err != nil {
+					t.Fatalf("reserve %s: %v", key, err)
+				}
+				if _, err := srv.handleRelease(ReleaseRequest{
+					Credential: userCred(), SliceName: key, Slivers: rr.Slivers,
+				}); err != nil {
+					t.Fatalf("release %s: %v", key, err)
+				}
+			}
+			want := srv.snapshotState()
+			var keys []string
+			for _, d := range want.Dedup {
+				keys = append(keys, d.Key)
+			}
+			if newest := []string{"reserve:s3", "reserve:s2", "reserve:s1", "reserve:s0"}; !reflect.DeepEqual(keys, newest) {
+				t.Fatalf("live window = %v, want %v", keys, newest)
+			}
+
+			_ = store.log.Close() // crash: no final snapshot
+			rec, store2, rst := durableServer(t, dir, every, clock, cfg)
+			defer store2.Close()
+			if err := rec.Restore(rst); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if got := rec.snapshotState(); !reflect.DeepEqual(got, want) {
+				t.Errorf("recovered state differs from live state:\n got %+v\nwant %+v", got, want)
+			}
+			if _, err := rec.handleReserve(ReserveRequest{
+				Credential: userCred(), SliceName: "s0", Sites: 1, PerSite: 1, IdempotencyKey: "s0",
+			}); err != nil {
+				t.Fatalf("retry s0: %v", err)
+			}
+			if n := counterValue(rec.obsreg, "fedshare_sfa_dedup_replays_total", MethodReserve); n != 1 {
+				t.Errorf("retry of the newest key re-executed after recovery (replays = %d)", n)
+			}
+		})
+	}
+}
+
+// failingStore refuses the next append of one op, as a full disk would.
+type failingStore struct {
+	Store
+	failOp string
+}
+
+func (f *failingStore) Append(rec Record) error {
+	if rec.Op == f.failOp {
+		f.failOp = ""
+		return errors.New("disk full")
+	}
+	return f.Store.Append(rec)
+}
+
+// TestDurableAppendFailureRetries: a reserve or slice creation whose record
+// cannot be logged is refused with nothing applied — no placement, no
+// outcome under its key — so a retry executes once the disk recovers, and
+// the log still reproduces the live state.
+func TestDurableAppendFailureRetries(t *testing.T) {
+	clock := newFakeClock()
+	dir := t.TempDir()
+	store, _, err := OpenDurableStore(DurableOptions{Dir: dir, SnapshotEvery: -1, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := &failingStore{Store: store, failOp: OpReserve}
+	newServer := func(st Store) *Server {
+		return NewServer(buildAuthority(t, "DUR", 2, 1, 2), testSecret,
+			WithLogger(quietLog), WithStore(st),
+			WithMetrics(obs.NewRegistry()), WithConfig(ServerConfig{Now: clock.Now}))
+	}
+	srv := newServer(failing)
+	defer srv.Close()
+
+	req := ReserveRequest{Credential: userCred(), SliceName: "s", Sites: 1, PerSite: 1, IdempotencyKey: "k"}
+	if _, err := srv.handleReserve(req); err == nil {
+		t.Fatal("reserve whose append failed was acknowledged")
+	}
+	if got := srv.snapshotState(); !reflect.DeepEqual(got, State{}) {
+		t.Errorf("refused reserve left state %+v", got)
+	}
+	if u := srv.auth.Utilization(); u != 0 {
+		t.Errorf("refused reserve left utilization %g", u)
+	}
+	rr, err := srv.handleReserve(req)
+	if err != nil {
+		t.Fatalf("retry after the disk recovered: %v", err)
+	}
+	if len(rr.Slivers) != 1 {
+		t.Fatalf("retry placed %d slivers, want 1", len(rr.Slivers))
+	}
+	if n := counterValue(srv.obsreg, "fedshare_sfa_dedup_replays_total", MethodReserve); n != 0 {
+		t.Errorf("retry replayed the refused attempt (replays = %d)", n)
+	}
+
+	failing.failOp = OpCreateSlice
+	before := srv.auth.Utilization()
+	slice := SliceRequest{Credential: userCred(), Name: "x", Owner: "tester", MinSites: 1, SliversPerSite: 1}
+	if _, err := srv.handleCreateSlice(slice); err == nil {
+		t.Fatal("slice creation whose append failed was acknowledged")
+	}
+	if hasSlice(srv, "x") {
+		t.Error("refused slice creation left the slice")
+	}
+	if u := srv.auth.Utilization(); u != before {
+		t.Errorf("refused slice creation left utilization %g, want %g", u, before)
+	}
+	if _, err := srv.handleCreateSlice(slice); err != nil {
+		t.Fatalf("slice creation retry: %v", err)
+	}
+
+	want := srv.snapshotState()
+	if wantDedup := []DedupState{{Key: "reserve:k", Slivers: rr.Slivers}}; !reflect.DeepEqual(want.Dedup, wantDedup) {
+		t.Errorf("dedup window = %+v, want only the retry's outcome %+v", want.Dedup, wantDedup)
+	}
+	_ = store.log.Close() // crash: no final snapshot
+	store2, rst, err := OpenDurableStore(DurableOptions{Dir: dir, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	rec := newServer(store2)
+	defer rec.Close()
+	if err := rec.Restore(rst); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.snapshotState(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered state differs from live state:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestDurableSnapshotVersion: a snapshot in a format version this build
+// cannot read is refused, naming both versions, with no state returned; an
+// unversioned snapshot predates versioning and reads as the current format.
+func TestDurableSnapshotVersion(t *testing.T) {
+	writeSnapshot := func(payload string) string {
+		t.Helper()
+		dir := t.TempDir()
+		l, _, err := wal.Open(wal.Options{Dir: dir, Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Snapshot([]byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	next := SnapshotVersion + 1
+	dir := writeSnapshot(fmt.Sprintf(`{"version":%d,"seq":7,"slices":{"renamed":true}}`, next))
+	store, st, err := OpenDurableStore(DurableOptions{Dir: dir, Registry: obs.NewRegistry()})
+	if err == nil {
+		store.Close()
+		t.Fatalf("opened a version %d snapshot as state %+v", next, st)
+	}
+	if st != nil {
+		t.Errorf("refused snapshot still returned state %+v", st)
+	}
+	for _, want := range []string{fmt.Sprintf("version %d", next), fmt.Sprintf("version %d", SnapshotVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+
+	dir = writeSnapshot(`{"seq":7}`)
+	store, st, err = OpenDurableStore(DurableOptions{Dir: dir, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatalf("unversioned snapshot refused: %v", err)
+	}
+	defer store.Close()
+	if st == nil || st.Seq != 7 {
+		t.Errorf("unversioned snapshot recovered as %+v, want seq 7", st)
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // away, the coordinator queues the operations it could not deliver; when a
 // probe reaches the peer again, a reconciler (1) replays the backlog under
 // the operations' original idempotency keys, (2) diffs the peer's live
-// holdings against the coordinator's intent (remoteRefs) — retiring
-// orphaned slivers at the peer and dropping intent the peer lost — and
-// (3) verifies holdings == intent before the peer is readmitted to share
-// computation. Idempotency keys (PR 5) make replays exactly-once; the
+// holdings against the coordinator's intent (its slices' remote slivers)
+// — retiring orphaned slivers at the peer and dropping intent the peer
+// lost — and (3) verifies holdings == intent before the peer is readmitted
+// to share computation. Idempotency keys (PR 5) make replays exactly-once; the
 // durable OpGen high-water mark (PR 8) guarantees retire keys drawn after
 // a coordinator restart never collide with keys already seen by the peer.
 
@@ -80,15 +80,15 @@ func sliverKey(slice string, sv SliverRecord) string {
 }
 
 // remoteIntent returns the coordinator's intended holdings at peer:
-// slice -> slivers, extracted from remoteRefs.
+// slice -> slivers, extracted from its slices' remote slivers.
 func (s *Server) remoteIntent(peer string) map[string][]SliverRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
 	out := map[string][]SliverRecord{}
-	for slice, svs := range s.remoteRefs {
-		for _, sv := range svs {
+	for name, sl := range s.st.slices {
+		for _, sv := range sl.Remote {
 			if sv.Authority == peer {
-				out[slice] = append(out[slice], sv)
+				out[name] = append(out[name], sv)
 			}
 		}
 	}
@@ -96,39 +96,30 @@ func (s *Server) remoteIntent(peer string) map[string][]SliverRecord {
 }
 
 // amendIntent drops lost slivers (held in intent but no longer at the
-// peer) from remoteRefs, durably recording the corrected per-slice sets.
+// peer) from their slices' remote slivers, committing one amend_remote
+// record per slice with the corrected set.
 func (s *Server) amendIntent(peer string, lost map[string][]SliverRecord) {
 	dropped := 0
-	s.storeLock()
-	s.mu.Lock()
-	var records []Record
-	for slice, svs := range lost {
+	s.st.mu.Lock()
+	for _, slice := range sortedKeys(lost) {
 		gone := map[string]bool{}
-		for _, sv := range svs {
+		for _, sv := range lost[slice] {
 			gone[sliverKey(slice, sv)] = true
 			dropped++
 		}
+		sl := s.st.slices[slice]
+		if sl == nil {
+			continue // deleted meanwhile: no intent left to amend
+		}
 		var keep []SliverRecord
-		for _, sv := range s.remoteRefs[slice] {
+		for _, sv := range sl.Remote {
 			if !gone[sliverKey(slice, sv)] {
 				keep = append(keep, sv)
 			}
 		}
-		if len(keep) == 0 {
-			delete(s.remoteRefs, slice)
-		} else {
-			s.remoteRefs[slice] = keep
-		}
-		records = append(records, Record{Op: OpAmendRemote, Slice: slice, Remote: keep})
+		s.commitAnyway(Record{Op: OpAmendRemote, Slice: slice, Remote: keep})
 	}
-	s.mu.Unlock()
-	sort.Slice(records, func(i, j int) bool { return records[i].Slice < records[j].Slice })
-	for _, rec := range records {
-		if err := s.storeAppend(rec); err != nil {
-			s.log.Errorf("sfa[%s]: wal append (amend %s): %v", s.auth.Name, rec.Slice, err)
-		}
-	}
-	s.storeUnlock()
+	s.st.mu.Unlock()
 	s.metrics.reconcileDropped.Add(int64(dropped))
 	s.log.Infof("sfa[%s]: reconcile with %s: dropped %d lost slivers from intent", s.auth.Name, peer, dropped)
 }
@@ -233,9 +224,8 @@ func (s *Server) runReconcile(name string, ph *peerHandle) bool {
 }
 
 // replayOp re-sends one queued operation with a fresh credential. A remote
-// error is a resolution (the operation executed and was rejected — e.g. a
-// replayed reserve against a deleted slice's cached error); only transport
-// failures abort the drain.
+// error is a resolution (the peer answered and rejected the operation);
+// only transport failures abort the drain.
 func (s *Server) replayOp(ph *peerHandle, cred Credential, op pendingOp) error {
 	switch op.method {
 	case MethodReserve:

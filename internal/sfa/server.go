@@ -11,7 +11,6 @@ import (
 	"net"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +28,9 @@ type ServerConfig struct {
 	// (default 2m). Tests shrink it to ~100ms to exercise the idle-drop
 	// path quickly.
 	IdleReadDeadline time.Duration
-	// DedupCapacity bounds the Reserve idempotency-key table (default
-	// 1024 completed entries; in-flight entries are never evicted).
+	// DedupCapacity bounds the window of remembered idempotency outcomes
+	// (default 1024): the oldest outcome in log order is forgotten first,
+	// live and after recovery alike.
 	DedupCapacity int
 	// LeaseReapInterval paces the background lease reaper (default 1s).
 	LeaseReapInterval time.Duration
@@ -97,32 +97,19 @@ type Server struct {
 	obsreg   *obs.Registry
 	metrics  *serverMetrics
 	cfg      ServerConfig
-	dedup    *dedupTable
-	leases   *leaseTable
+	st       *state // durable state; st.mu is the state lock
 	health   *healthTracker
 	recon    *reconciler
-	seq      atomic.Uint64 // per-lifecycle nonce for outbound idempotency keys
-	inflight atomic.Int64  // requests currently being handled (admission gate)
-	store    Store         // nil = memory-only (the default)
+	inflight atomic.Int64 // requests currently being handled (admission gate)
+	store    Store        // nil = memory-only (the default)
 
-	// durableMu serializes every (state mutation + store append) pair so
-	// the log is a true linearization of execution: replaying a durable
-	// log prefix reproduces exactly the state the server held when that
-	// prefix was its log. It also makes the snapshot cut at an append
-	// boundary consistent — no mutation is half-applied while it is held.
-	// Lock ordering: durableMu is acquired before any of auth.mu,
-	// leases.mu, dedup.mu, or s.mu, and never while holding them; network
-	// calls to peers are never made under durableMu.
-	durableMu sync.Mutex
-
-	mu         sync.Mutex
-	record     AuthorityRecord
-	peers      map[string]*peerHandle
-	remoteRefs map[string][]SliverRecord // slice -> slivers held at peers
-	conns      map[net.Conn]struct{}
-	usage      map[string]int // authority -> cumulative slivers served
-	embedded   int            // slices embedded via this registry
-	draining   bool
+	// mu guards the fields below. It is never held together with the
+	// state lock.
+	mu       sync.Mutex
+	record   AuthorityRecord
+	peers    map[string]*peerHandle
+	conns    map[net.Conn]struct{}
+	draining bool
 
 	ln       net.Listener
 	wg       sync.WaitGroup
@@ -187,22 +174,20 @@ func WithStore(st Store) Option {
 // federation trust root shared among peered authorities.
 func NewServer(auth *planetlab.Authority, secret []byte, opts ...Option) *Server {
 	s := &Server{
-		auth:       auth,
-		secret:     secret,
-		peers:      map[string]*peerHandle{},
-		remoteRefs: map[string][]SliverRecord{},
-		conns:      map[net.Conn]struct{}{},
-		usage:      map[string]int{},
-		log:        obs.NewLogger(log.Printf, obs.LogInfo),
-		obsreg:     obs.Default,
-		cfg:        ServerConfig{}.withDefaults(),
-		leases:     newLeaseTable(),
+		auth:   auth,
+		secret: secret,
+		peers:  map[string]*peerHandle{},
+		conns:  map[net.Conn]struct{}{},
+		log:    obs.NewLogger(log.Printf, obs.LogInfo),
+		obsreg: obs.Default,
+		cfg:    ServerConfig{}.withDefaults(),
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	s.dedup = newDedupTable(s.cfg.DedupCapacity)
 	s.metrics = newServerMetrics(s.obsreg)
+	// Delta updates (not Set) so servers sharing a registry aggregate.
+	s.st = newState(auth, s.cfg.DedupCapacity, func(delta int) { s.metrics.leasesActive.Add(float64(delta)) })
 	s.recon = newReconciler()
 	s.health = newHealthTracker(s.cfg.Now, s.cfg.SuspectAfter, s.cfg.DownAfter, s.cfg.ProbeInterval, s.cfg.Seed)
 	s.health.onTransition = func(peer string, from, to PeerState) {
@@ -212,55 +197,62 @@ func NewServer(auth *planetlab.Authority, secret []byte, opts ...Option) *Server
 			s.log.Infof("sfa[%s]: peer %s: %s -> %s", s.auth.Name, peer, from, to)
 		}
 	}
-	// Delta updates (not Set) so servers sharing a registry aggregate.
-	s.leases.onChange = func(delta int) { s.metrics.leasesActive.Add(float64(delta)) }
 	if s.store != nil {
-		// Snapshots are cut inside Append while durableMu is held, so the
-		// captured state is exactly the state after the appended record.
-		s.store.SetSnapshotSource(s.snapshotState)
+		// The store calls the source under the state lock (from
+		// MaybeSnapshot, inside commit) or after Server.Close.
+		s.store.SetSnapshotSource(s.st.snapshot)
 	}
 	return s
 }
 
-// storeLock serializes a mutation+append pair when a store is configured;
-// without one it is free so the memory-only path keeps its concurrency.
-func (s *Server) storeLock() {
+// commit makes one decided mutation durable and applies it; the caller
+// holds the state lock. A failed append is returned with nothing applied,
+// so a refused reserve or slice creation leaves nothing to undo.
+func (s *Server) commit(rec Record) error {
 	if s.store != nil {
-		s.durableMu.Lock()
+		if err := s.store.Append(rec); err != nil {
+			return fmt.Errorf("durable log append: %v", err)
+		}
+	}
+	s.applyLocked(rec)
+	return nil
+}
+
+// commitAnyway commits a mutation that already took effect for its client
+// or cannot be taken back — a release, deletion, expiry, amendment or
+// generation. A failed append is logged and the record applied anyway,
+// preferring availability: a lost record at worst holds capacity until a
+// lease reaps it after recovery.
+func (s *Server) commitAnyway(rec Record) {
+	if err := s.commit(rec); err != nil {
+		s.log.Errorf("sfa[%s]: wal append (%s %s): %v", s.auth.Name, rec.Op, rec.Slice, err)
+		s.applyLocked(rec)
 	}
 }
 
-func (s *Server) storeUnlock() {
+// applyLocked applies rec and cuts any due snapshot, still under the state
+// lock, so a snapshot is exactly the state after the last logged record.
+func (s *Server) applyLocked(rec Record) {
+	if err := s.st.apply(rec); err != nil {
+		// Live records are decided against this very state: only a bug
+		// lands here.
+		s.log.Errorf("sfa[%s]: apply %s %s: %v", s.auth.Name, rec.Op, rec.Slice, err)
+	}
 	if s.store != nil {
-		// Cut any due snapshot here — after every append AND side effect
-		// of the region (dedup completion included) — so the captured
-		// state is exactly what replaying the log up to this point yields.
 		if err := s.store.MaybeSnapshot(); err != nil {
 			s.log.Errorf("sfa[%s]: snapshot: %v", s.auth.Name, err)
 		}
-		s.durableMu.Unlock()
 	}
-}
-
-// storeAppend logs one mutation record. Callers hold durableMu (via
-// storeLock) so the log order equals execution order.
-func (s *Server) storeAppend(rec Record) error {
-	if s.store == nil {
-		return nil
-	}
-	return s.store.Append(rec)
 }
 
 // nextGen draws an idempotency generation and makes the high-water mark
 // durable, so a recovered server never reuses a generation that may have
 // reached a peer inside an outbound idempotency key.
 func (s *Server) nextGen() uint64 {
-	s.storeLock()
-	defer s.storeUnlock()
-	gen := s.seq.Add(1)
-	if err := s.storeAppend(Record{Op: OpGen, Gen: gen}); err != nil {
-		s.log.Errorf("sfa[%s]: wal append (gen %d): %v", s.auth.Name, gen, err)
-	}
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	gen := s.st.gen + 1
+	s.commitAnyway(Record{Op: OpGen, Gen: gen})
 	return gen
 }
 
@@ -307,46 +299,33 @@ func (s *Server) reapLoop() {
 
 // reapExpiredLeases releases every lease whose TTL has elapsed and returns
 // how many it reaped. Local effects (freeing slivers, deleting slices) are
-// logged to the durable store under durableMu; remote releases happen
-// afterwards, outside the lock, because they draw generations and make
-// network calls.
+// committed under the state lock; remote releases happen afterwards,
+// outside it, because they draw generations and make network calls.
 func (s *Server) reapExpiredLeases() int {
 	type pendingRemote struct {
 		slice   string
 		slivers []SliverRecord
 	}
 	var remotes []pendingRemote
-	s.storeLock()
-	expired := s.leases.expired(s.cfg.Now())
+	s.st.mu.Lock()
+	expired := s.st.expired(s.cfg.Now().UnixNano())
 	for _, l := range expired {
-		// expired() already removed these holdings from the table, so a
-		// Release racing us finds nothing to trim and releases nothing;
-		// only this goroutine frees the slivers.
-		switch l.kind {
-		case leaseReserve:
-			s.auth.ReleaseSlivers(l.slivers)
-			s.log.Infof("sfa[%s]: lease expired for %s: released %d slivers",
-				s.auth.Name, l.slice, len(l.slivers))
-		case leaseSlice:
+		if l.Kind == leaseSlice {
 			// Delete the slice exactly as an explicit DeleteSlice would:
 			// local slivers freed now, remote slivers released after the
-			// durable region.
-			if err := s.auth.DeleteSlice(l.slice); err != nil {
-				s.log.Errorf("sfa[%s]: lease expiry of slice %s: %v", s.auth.Name, l.slice, err)
+			// state lock is dropped.
+			if sl := s.st.slices[l.Slice]; sl != nil {
+				remotes = append(remotes, pendingRemote{slice: l.Slice, slivers: sl.Remote})
 			}
-			s.mu.Lock()
-			remote := s.remoteRefs[l.slice]
-			delete(s.remoteRefs, l.slice)
-			s.mu.Unlock()
-			remotes = append(remotes, pendingRemote{slice: l.slice, slivers: remote})
-			s.log.Infof("sfa[%s]: slice lease expired: %s", s.auth.Name, l.slice)
+			s.log.Infof("sfa[%s]: slice lease expired: %s", s.auth.Name, l.Slice)
+		} else {
+			s.log.Infof("sfa[%s]: lease expired for %s: released %d slivers",
+				s.auth.Name, l.Slice, len(l.Slivers))
 		}
 		s.metrics.leasesExpired.Inc()
-		if err := s.storeAppend(Record{Op: OpExpire, Slice: l.slice, Kind: int(l.kind)}); err != nil {
-			s.log.Errorf("sfa[%s]: wal append (expire %s): %v", s.auth.Name, l.slice, err)
-		}
+		s.commitAnyway(Record{Op: OpExpire, Slice: l.Slice, Kind: l.Kind})
 	}
-	s.storeUnlock()
+	s.st.mu.Unlock()
 	for _, pr := range remotes {
 		s.releaseRemote(pr.slice, pr.slivers)
 	}
@@ -424,10 +403,13 @@ func (s *Server) Drain() {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
+	s.st.mu.Lock()
+	holdings := len(s.st.leases)
+	s.st.mu.Unlock()
 	start := time.Now()
 	if !already {
 		s.log.Infof("sfa[%s]: drain started: %d open connections, %d active holdings",
-			s.auth.Name, len(conns), s.leases.active())
+			s.auth.Name, len(conns), holdings)
 		if ln != nil {
 			_ = ln.Close()
 		}
@@ -729,18 +711,21 @@ func (s *Server) handleListHoldings(p HoldingsRequest) (*HoldingsResponse, error
 		holder = p.Credential.Subject
 	}
 	resp := &HoldingsResponse{Authority: s.auth.Name}
-	for _, l := range s.leases.holdingsFor(holder) {
-		h := Holding{Slice: l.slice, Slivers: toRecords(s.auth.Name, l.slivers)}
-		if !l.expiry.IsZero() {
-			h.Expiry = l.expiry.UnixNano()
+	s.st.mu.Lock()
+	for _, l := range s.st.leases {
+		if l.Kind == leaseReserve && l.Holder == holder {
+			resp.Holdings = append(resp.Holdings, Holding{Slice: l.Slice, Expiry: l.Expiry,
+				Slivers: append([]SliverRecord(nil), l.Slivers...)})
 		}
+	}
+	s.st.mu.Unlock()
+	for _, h := range resp.Holdings {
 		sort.Slice(h.Slivers, func(i, j int) bool {
 			if h.Slivers[i].SiteID != h.Slivers[j].SiteID {
 				return h.Slivers[i].SiteID < h.Slivers[j].SiteID
 			}
 			return h.Slivers[i].NodeID < h.Slivers[j].NodeID
 		})
-		resp.Holdings = append(resp.Holdings, h)
 	}
 	sort.Slice(resp.Holdings, func(i, j int) bool { return resp.Holdings[i].Slice < resp.Holdings[j].Slice })
 	return resp, nil
@@ -843,91 +828,49 @@ func (s *Server) handleReserve(p ReserveRequest) (*ReserveResponse, error) {
 	if p.Sites <= 0 || p.PerSite <= 0 {
 		return nil, fmt.Errorf("reserve needs positive sites and per-site counts")
 	}
-	var entry *dedupEntry
+	key := ""
 	if p.IdempotencyKey != "" {
 		// Keys are namespaced by method so a key accidentally reused
 		// across Reserve and Release can never replay the wrong method's
-		// cached outcome.
-		e, claimed := s.dedup.claim("reserve:" + p.IdempotencyKey)
-		if !claimed {
-			// A duplicate (retry after a lost response, or a concurrent
-			// twin): wait for the original execution and replay its
-			// outcome verbatim.
-			<-e.done
-			s.metrics.dedupReplays.With(MethodReserve).Inc()
-			s.log.Debugf("sfa[%s]: reserve dedup replay for key %q", s.auth.Name, p.IdempotencyKey)
-			if e.errMsg != "" {
-				return nil, errors.New(e.errMsg)
-			}
-			resp, ok := e.resp.(*ReserveResponse)
-			if !ok {
-				// Unreachable with namespaced keys, but fail loudly rather
-				// than replaying a silent empty success.
-				return nil, fmt.Errorf("idempotency key %q: cached outcome is not a reserve response", p.IdempotencyKey)
-			}
-			return resp, nil
-		}
-		entry = e
+		// outcome.
+		key = "reserve:" + p.IdempotencyKey
 	}
-	s.storeLock()
-	resp, err := s.reserveLocked(p)
-	if entry != nil {
-		msg := ""
-		if err != nil {
-			msg = err.Error()
-		}
-		// Finish inside the durable region: any snapshot cut by a later
-		// append (which must wait for durableMu) already sees this entry
-		// completed, so a snapshot never silently drops a logged outcome.
-		entry.finish(resp, msg)
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	if slivers, ok := s.st.outcome(key); ok {
+		// A duplicate — a retry after a lost response, or a concurrent twin
+		// that waited on the state lock — replays the completed outcome.
+		s.metrics.dedupReplays.With(MethodReserve).Inc()
+		s.log.Debugf("sfa[%s]: reserve dedup replay for key %q", s.auth.Name, p.IdempotencyKey)
+		return &ReserveResponse{Slivers: slivers}, nil
 	}
-	s.storeUnlock()
-	return resp, err
-}
-
-// reserveLocked performs the actual placement (exactly once per
-// idempotency key) and makes it durable. Caller holds durableMu via
-// storeLock.
-func (s *Server) reserveLocked(p ReserveRequest) (*ReserveResponse, error) {
+	// Decide: the authority's placement policy holds slivers at the first
+	// p.Sites sites with room. The hold is dropped on return; apply places
+	// exactly the committed slivers.
 	candidates := s.auth.AvailableSites(p.PerSite)
 	if len(candidates) > p.Sites {
 		candidates = candidates[:p.Sites]
 	}
-	var placed []planetlab.Sliver
+	var hold []planetlab.Sliver
 	for _, siteID := range candidates {
-		svs, err := s.auth.ReserveSlivers(p.SliceName, siteID, p.PerSite)
-		if err != nil {
-			continue // another request raced us; skip the site
+		if svs, err := s.auth.ReserveSlivers(p.SliceName, siteID, p.PerSite); err == nil {
+			hold = append(hold, svs...)
 		}
-		placed = append(placed, svs...)
 	}
-	var expiry time.Time
-	if len(placed) > 0 {
-		// Track every holding, leased (TTL set, zero expiry means held
-		// indefinitely) or not, so Release can free exactly the slivers
-		// still held here and nothing else. The holder (credential
-		// subject) keys the anti-entropy ListHoldings read.
-		if p.TTLSeconds > 0 {
-			expiry = s.cfg.Now().Add(time.Duration(p.TTLSeconds * float64(time.Second)))
-		}
-		s.leases.add(p.SliceName, leaseReserve, p.Credential.Subject, placed, expiry)
+	defer s.auth.ReleaseSlivers(hold)
+	resp := &ReserveResponse{Slivers: toRecords(s.auth.Name, hold)}
+	if len(hold) == 0 && key == "" {
+		return resp, nil
 	}
-	resp := &ReserveResponse{Slivers: toRecords(s.auth.Name, placed)}
-	if s.store != nil && (len(placed) > 0 || p.IdempotencyKey != "") {
-		rec := Record{Op: OpReserve, Slice: p.SliceName, Holder: p.Credential.Subject, Slivers: resp.Slivers}
-		if p.IdempotencyKey != "" {
-			rec.Key = "reserve:" + p.IdempotencyKey
-		}
-		if !expiry.IsZero() {
-			rec.Expiry = expiry.UnixNano()
-		}
-		if aerr := s.storeAppend(rec); aerr != nil {
-			// The memory state must never run ahead of the log: undo the
-			// placement so the client's retry re-executes against state the
-			// log can actually reproduce.
-			s.auth.ReleaseSlivers(s.leases.trim(p.SliceName, placed))
-			return nil, fmt.Errorf("durable log append: %v", aerr)
-		}
+	// Every holding is tracked, leased (TTL set) or held until released,
+	// so Release frees exactly the slivers still held here. The holder
+	// (credential subject) keys the anti-entropy ListHoldings read.
+	rec := Record{Op: OpReserve, Slice: p.SliceName, Key: key, Holder: p.Credential.Subject, Slivers: resp.Slivers}
+	if len(hold) > 0 && p.TTLSeconds > 0 {
+		rec.Expiry = s.cfg.Now().Add(time.Duration(p.TTLSeconds * float64(time.Second))).UnixNano()
+	}
+	if err := s.commit(rec); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
@@ -939,53 +882,29 @@ func (s *Server) handleRelease(p ReleaseRequest) (*Empty, error) {
 	if err := s.verify(p.Credential); err != nil {
 		return nil, err
 	}
-	var entry *dedupEntry
+	key := ""
 	if p.IdempotencyKey != "" {
-		e, claimed := s.dedup.claim("release:" + p.IdempotencyKey)
-		if !claimed {
-			<-e.done
-			s.metrics.dedupReplays.With(MethodRelease).Inc()
-			s.log.Debugf("sfa[%s]: release dedup replay for key %q", s.auth.Name, p.IdempotencyKey)
-			if e.errMsg != "" {
-				return nil, errors.New(e.errMsg)
-			}
-			return &Empty{}, nil
-		}
-		entry = e
+		key = "release:" + p.IdempotencyKey
 	}
-	var svs []planetlab.Sliver
+	var requested []SliverRecord
 	for _, rec := range p.Slivers {
-		if rec.Authority != s.auth.Name {
-			continue
-		}
-		svs = append(svs, planetlab.Sliver{
-			SliceName: p.SliceName, SiteID: rec.SiteID, NodeID: rec.NodeID,
-		})
-	}
-	// Release only slivers this server still tracks as held: if the lease
-	// reaper or a racing duplicate already freed them, a second node-load
-	// decrement would free capacity still held by other slices. Trimming
-	// also settles the lease so released slivers are not re-freed at
-	// expiry.
-	s.storeLock()
-	removed := s.leases.trim(p.SliceName, svs)
-	s.auth.ReleaseSlivers(removed)
-	if s.store != nil && (len(removed) > 0 || p.IdempotencyKey != "") {
-		rec := Record{Op: OpRelease, Slice: p.SliceName, Slivers: toRecords(s.auth.Name, removed)}
-		if p.IdempotencyKey != "" {
-			rec.Key = "release:" + p.IdempotencyKey
-		}
-		if aerr := s.storeAppend(rec); aerr != nil {
-			// A release cannot be undone without re-placing, so prefer
-			// availability: the worst a lost release record costs is
-			// capacity held until the lease TTL reaps it after recovery.
-			s.log.Errorf("sfa[%s]: wal append (release %s): %v", s.auth.Name, p.SliceName, aerr)
+		if rec.Authority == s.auth.Name {
+			requested = append(requested, rec)
 		}
 	}
-	if entry != nil {
-		entry.finish(&Empty{}, "")
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	if _, ok := s.st.outcome(key); ok {
+		s.metrics.dedupReplays.With(MethodRelease).Inc()
+		s.log.Debugf("sfa[%s]: release dedup replay for key %q", s.auth.Name, p.IdempotencyKey)
+		return &Empty{}, nil
 	}
-	s.storeUnlock()
+	// Free only slivers this server still holds for the slice: if the
+	// reaper or an earlier release already freed them, a second node-load
+	// decrement would free capacity held by other slices.
+	if freed := s.st.held(p.SliceName, requested); len(freed) > 0 || key != "" {
+		s.commitAnyway(Record{Op: OpRelease, Slice: p.SliceName, Key: key, Slivers: freed})
+	}
 	return &Empty{}, nil
 }
 
@@ -1011,21 +930,19 @@ func (s *Server) handleCreateSlice(p SliceRequest) (*SliceResponse, error) {
 	if p.MinSites < 0 {
 		return nil, fmt.Errorf("negative min_sites")
 	}
-	if _, exists := s.auth.GetSlice(p.Name); exists {
-		return nil, fmt.Errorf("slice %s already exists", p.Name)
-	}
 
+	// Local placement first. The local slivers are held for the whole peer
+	// fan-out: transient node load outside the durable state, released on
+	// abort and turned into the create_slice record's placement at commit.
 	maxSites := p.MaxSites
-	var localSlivers []planetlab.Sliver
+	var hold []planetlab.Sliver
 	var remote []SliverRecord
 	sitesGot := 0
-
-	abort := func() {
-		s.auth.ReleaseSlivers(localSlivers)
-		s.releaseRemote(p.Name, remote)
+	s.st.mu.Lock()
+	if s.st.slices[p.Name] != nil {
+		s.st.mu.Unlock()
+		return nil, fmt.Errorf("slice %s already exists", p.Name)
 	}
-
-	// Local placement first.
 	for _, siteID := range s.auth.AvailableSites(per) {
 		if maxSites > 0 && sitesGot >= maxSites {
 			break
@@ -1034,9 +951,10 @@ func (s *Server) handleCreateSlice(p SliceRequest) (*SliceResponse, error) {
 		if err != nil {
 			continue
 		}
-		localSlivers = append(localSlivers, svs...)
+		hold = append(hold, svs...)
 		sitesGot++
 	}
+	s.st.mu.Unlock()
 
 	// Peers, in deterministic order, until the threshold (and max) is met.
 	cred := IssueCredential(s.secret, s.auth.Name, s.auth.Name, time.Minute)
@@ -1044,8 +962,7 @@ func (s *Server) handleCreateSlice(p SliceRequest) (*SliceResponse, error) {
 	// retries of each Reserve below share a key, while a later lifecycle of
 	// the same slice name (delete + recreate, or recreate after TTL expiry)
 	// draws a fresh generation and executes anew instead of replaying this
-	// lifecycle's cached outcome — including cached errors, which would
-	// otherwise poison the slice name at that peer forever.
+	// lifecycle's outcome.
 	gen := s.nextGen()
 	for _, ph := range s.peerList() {
 		name := ph.record.Name
@@ -1097,93 +1014,46 @@ func (s *Server) handleCreateSlice(p SliceRequest) (*SliceResponse, error) {
 		remote = append(remote, rr.Slivers...)
 	}
 
-	if sitesGot < p.MinSites {
-		abort()
-		return nil, fmt.Errorf("federation can offer %d sites, slice needs %d", sitesGot, p.MinSites)
+	local := toRecords(s.auth.Name, hold)
+	var err error
+	s.st.mu.Lock()
+	switch {
+	case sitesGot < p.MinSites:
+		err = fmt.Errorf("federation can offer %d sites, slice needs %d", sitesGot, p.MinSites)
+	case s.st.slices[p.Name] != nil: // a concurrent create of the name committed first
+		err = fmt.Errorf("slice %s already exists", p.Name)
+	default:
+		rec := Record{Op: OpCreateSlice, Slice: p.Name, Slivers: local, Remote: remote,
+			Spec: &SliceSpecState{Name: p.Name, Owner: p.Owner, MinSites: p.MinSites, MaxSites: p.MaxSites, SliversPerSite: per}}
+		if p.TTLSeconds > 0 {
+			// Lease the whole slice for the experiment's holding time; the
+			// reaper deletes it (and releases remote slivers) at expiry.
+			rec.Expiry = s.cfg.Now().Add(time.Duration(p.TTLSeconds * float64(time.Second))).UnixNano()
+		}
+		err = s.commit(rec)
 	}
-
-	slice := &planetlab.Slice{
-		Spec:    planetlab.SliceSpec{Name: p.Name, Owner: p.Owner, MinSites: p.MinSites, MaxSites: p.MaxSites, SliversPerSite: per},
-		Slivers: localSlivers,
-	}
-	s.storeLock()
-	if err := s.auth.AdoptSlice(slice); err != nil {
-		s.storeUnlock()
-		abort()
+	s.auth.ReleaseSlivers(hold)
+	s.st.mu.Unlock()
+	if err != nil {
+		s.releaseRemote(p.Name, remote)
 		return nil, err
 	}
-	s.mu.Lock()
-	s.remoteRefs[p.Name] = remote
-	s.embedded++
-	s.usage[s.auth.Name] += len(localSlivers)
-	for _, sv := range remote {
-		s.usage[sv.Authority]++
-	}
-	s.mu.Unlock()
-	var expiry time.Time
-	if p.TTLSeconds > 0 {
-		// Lease the whole slice for the experiment's holding time; the
-		// reaper deletes it (and releases remote slivers) at expiry.
-		expiry = s.cfg.Now().Add(time.Duration(p.TTLSeconds * float64(time.Second)))
-		s.leases.add(p.Name, leaseSlice, "", nil, expiry)
-	}
-	if s.store != nil {
-		rec := Record{Op: OpCreateSlice, Slice: p.Name, Spec: specState(slice.Spec),
-			Slivers: toRecords(s.auth.Name, localSlivers), Remote: remote}
-		if !expiry.IsZero() {
-			rec.Expiry = expiry.UnixNano()
-		}
-		if aerr := s.storeAppend(rec); aerr != nil {
-			// Undo the commit so memory never acknowledges state the log
-			// lost: delete the slice (frees local slivers), drop the lease
-			// and refs, then release remote slivers outside the lock.
-			_ = s.auth.DeleteSlice(p.Name)
-			s.leases.remove(p.Name)
-			s.mu.Lock()
-			delete(s.remoteRefs, p.Name)
-			s.embedded--
-			s.usage[s.auth.Name] -= len(localSlivers)
-			for _, sv := range remote {
-				s.usage[sv.Authority]--
-			}
-			s.mu.Unlock()
-			s.storeUnlock()
-			s.releaseRemote(p.Name, remote)
-			return nil, fmt.Errorf("durable log append: %v", aerr)
-		}
-	}
-	s.storeUnlock()
-
-	resp := &SliceResponse{Name: p.Name, Sites: sitesGot}
-	for _, sv := range localSlivers {
-		resp.Slivers = append(resp.Slivers, SliverRecord{
-			Authority: s.auth.Name, SiteID: sv.SiteID, NodeID: sv.NodeID,
-		})
-	}
-	resp.Slivers = append(resp.Slivers, remote...)
-	return resp, nil
+	return &SliceResponse{Name: p.Name, Sites: sitesGot, Slivers: append(append([]SliverRecord(nil), local...), remote...)}, nil
 }
 
 func (s *Server) handleDeleteSlice(p DeleteRequest) (*Empty, error) {
 	if err := s.verify(p.Credential); err != nil {
 		return nil, err
 	}
-	s.storeLock()
-	if err := s.auth.DeleteSlice(p.Name); err != nil {
-		s.storeUnlock()
-		return nil, err
+	s.st.mu.Lock()
+	sl := s.st.slices[p.Name]
+	if sl == nil {
+		s.st.mu.Unlock()
+		return nil, fmt.Errorf("no slice %s", p.Name)
 	}
-	s.leases.remove(p.Name)
-	s.mu.Lock()
-	remote := s.remoteRefs[p.Name]
-	delete(s.remoteRefs, p.Name)
-	s.mu.Unlock()
-	if aerr := s.storeAppend(Record{Op: OpDeleteSlice, Slice: p.Name}); aerr != nil {
-		// The deletion is not undoable; a lost delete record at worst
-		// resurrects the slice at recovery until its lease expires.
-		s.log.Errorf("sfa[%s]: wal append (delete %s): %v", s.auth.Name, p.Name, aerr)
-	}
-	s.storeUnlock()
+	remote := sl.Remote
+	s.commitAnyway(Record{Op: OpDeleteSlice, Slice: p.Name})
+	s.st.mu.Unlock()
 	s.releaseRemote(p.Name, remote)
 	return &Empty{}, nil
 }
@@ -1404,126 +1274,47 @@ func (s *Server) handleShares(p SharesRequest) (*SharesResponse, error) {
 // handleUsage reports cumulative served slivers and the measured
 // consumption shares they imply.
 func (s *Server) handleUsage() *UsageResponse {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
 	resp := &UsageResponse{
 		Authority:         s.auth.Name,
 		CumulativeSlivers: map[string]int{},
 		MeasuredShares:    map[string]float64{},
-		SlicesEmbedded:    s.embedded,
+		SlicesEmbedded:    s.st.embedded,
 	}
 	total := 0
-	for name, n := range s.usage {
+	for name, n := range s.st.usage {
 		resp.CumulativeSlivers[name] = n
 		total += n
 	}
 	if total > 0 {
-		for name, n := range s.usage {
+		for name, n := range s.st.usage {
 			resp.MeasuredShares[name] = float64(n) / float64(total)
 		}
 	}
 	return resp
 }
 
-// snapshotState captures the server's full durable state in canonical
-// order. When a store is configured it is invoked at append boundaries
-// (under durableMu), so the capture is a consistent cut.
-func (s *Server) snapshotState() State {
-	st := State{Seq: s.seq.Load()}
-	slices := s.auth.SlicesSnapshot()
-	s.mu.Lock()
-	st.Embedded = s.embedded
-	usage := map[string]int{}
-	for name, n := range s.usage {
-		if n != 0 {
-			usage[name] = n
-		}
-	}
-	if len(usage) > 0 {
-		st.Usage = usage
-	}
-	remoteRefs := make(map[string][]SliverRecord, len(s.remoteRefs))
-	for name, svs := range s.remoteRefs {
-		remoteRefs[name] = append([]SliverRecord(nil), svs...)
-	}
-	s.mu.Unlock()
-	for _, sl := range slices {
-		st.Slices = append(st.Slices, SliceState{
-			Spec:   *specState(sl.Spec),
-			Local:  toRecords(s.auth.Name, sl.Slivers),
-			Remote: remoteRefs[sl.Spec.Name],
-		})
-	}
-	for _, l := range s.leases.snapshot() {
-		ls := LeaseState{Slice: l.slice, Kind: int(l.kind), Holder: l.holder,
-			Slivers: toRecords(s.auth.Name, l.slivers)}
-		if !l.expiry.IsZero() {
-			ls.Expiry = l.expiry.UnixNano()
-		}
-		st.Leases = append(st.Leases, ls)
-	}
-	st.Dedup = s.dedup.snapshot()
-	st.canonicalize()
-	return st
-}
-
-// Restore loads recovered durable state into a freshly built server. It
-// must run before Start, while nothing else touches the server. Lease
-// expiries are absolute timestamps, so holdings that expired during the
-// outage are reaped on the first reaper tick after Start rather than
-// silently resurrected.
+// Restore loads recovered durable state into a freshly built server: the
+// snapshot, then each logged record after it through the same apply live
+// requests use. It must run before Start, while nothing else touches the
+// server. Lease expiries are absolute timestamps, so holdings that expired
+// during the outage are reaped on the first reaper tick after Start rather
+// than silently resurrected.
 func (s *Server) Restore(st *State) error {
 	if st == nil {
 		return nil
 	}
-	s.seq.Store(st.Seq)
-	for _, sl := range st.Slices {
-		slivers := toSlivers(sl.Spec.Name, sl.Local)
-		// Re-apply the recorded placements (node load), then re-adopt the
-		// slice so DeleteSlice frees them again.
-		s.auth.RestoreSlivers(slivers)
-		if err := s.auth.AdoptSlice(&planetlab.Slice{Spec: sl.Spec.spec(), Slivers: slivers}); err != nil {
-			return fmt.Errorf("sfa: restore slice %s: %w", sl.Spec.Name, err)
-		}
-		if len(sl.Remote) > 0 {
-			s.mu.Lock()
-			s.remoteRefs[sl.Spec.Name] = sl.Remote
-			s.mu.Unlock()
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	s.st.load(st)
+	for i, rec := range st.log {
+		if err := s.st.apply(rec); err != nil {
+			return fmt.Errorf("sfa: replay record %d after the snapshot: %w", i+1, err)
 		}
 	}
-	s.mu.Lock()
-	s.embedded = st.Embedded
-	for name, n := range st.Usage {
-		s.usage[name] = n
-	}
-	s.mu.Unlock()
-	for _, l := range st.Leases {
-		slivers := toSlivers(l.Slice, l.Slivers)
-		if leaseKind(l.Kind) == leaseReserve {
-			// Reserve holdings carry their own placements; slice leases'
-			// slivers were restored with the slice above.
-			s.auth.RestoreSlivers(slivers)
-		}
-		var expiry time.Time
-		if l.Expiry != 0 {
-			expiry = time.Unix(0, l.Expiry)
-		}
-		s.leases.install(l.Slice, leaseKind(l.Kind), l.Holder, slivers, expiry)
-	}
-	for _, e := range st.Dedup {
-		var resp interface{}
-		switch {
-		case e.Err != "":
-			// Cached failures replay as errors; the response value is unused.
-		case strings.HasPrefix(e.Key, "release:"):
-			resp = &Empty{}
-		default:
-			resp = &ReserveResponse{Slivers: e.Slivers}
-		}
-		s.dedup.restore(e.Key, resp, e.Err)
-	}
-	s.log.Infof("sfa[%s]: restored durable state: %d slices, %d leases, %d dedup keys, seq %d",
-		s.auth.Name, len(st.Slices), len(st.Leases), len(st.Dedup), st.Seq)
+	s.log.Infof("sfa[%s]: restored durable state: %d slices, %d leases, %d dedup keys, gen %d (%d records replayed)",
+		s.auth.Name, len(s.st.slices), len(s.st.leases), len(s.st.order), s.st.gen, len(st.log))
 	return nil
 }
 

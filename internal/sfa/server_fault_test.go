@@ -30,6 +30,13 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// hasSlice reports whether srv's durable state holds the named slice.
+func hasSlice(srv *Server, name string) bool {
+	srv.st.mu.Lock()
+	defer srv.st.mu.Unlock()
+	return srv.st.slices[name] != nil
+}
+
 // leaseServer starts a server with a fast reaper on a simulated clock.
 func leaseServer(t *testing.T, sites, nodes, capacity int) (*Server, *obs.Registry, *fakeClock) {
 	t.Helper()
@@ -128,7 +135,9 @@ func TestReleaseIdempotencyProtectsAccounting(t *testing.T) {
 
 func TestDedupTableBounded(t *testing.T) {
 	srv, _, _ := leaseServer(t, 4, 1, 8)
-	srv.dedup = newDedupTable(2) // shrink after start for the test
+	srv.st.mu.Lock()
+	srv.st.capacity = 2 // shrink after start for the test
+	srv.st.mu.Unlock()
 	c := dialServer(t, srv)
 	for _, key := range []string{"k1", "k2", "k3", "k4"} {
 		if err := c.Call(MethodReserve, ReserveRequest{
@@ -138,7 +147,10 @@ func TestDedupTableBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := srv.dedup.size(); got > 2 {
+	srv.st.mu.Lock()
+	got := len(srv.st.window)
+	srv.st.mu.Unlock()
+	if got > 2 {
 		t.Errorf("dedup table holds %d completed keys, cap is 2", got)
 	}
 	// An evicted key no longer replays: the request executes again. That is
@@ -234,8 +246,7 @@ func TestSliceTTLExpiresAcrossFederation(t *testing.T) {
 	}
 	clock.Advance(31 * time.Second)
 	waitFor(t, "federated slice expiry", func() bool {
-		_, exists := servers["PLC"].auth.GetSlice("exp")
-		return !exists &&
+		return !hasSlice(servers["PLC"], "exp") &&
 			servers["PLC"].auth.Utilization() == 0 &&
 			servers["PLE"].auth.Utilization() == 0
 	})

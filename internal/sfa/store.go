@@ -1,27 +1,23 @@
 package sfa
 
-import (
-	"fmt"
-	"sort"
-
-	"fedshare/internal/planetlab"
-)
+import "fedshare/internal/planetlab"
 
 // This file defines the durable-state surface of the SFA server: the
 // Store interface the server appends mutation records to, the Record
-// union those appends carry, and the State snapshot that recovery and
-// snapshotting exchange. The server stays memory-only by default (nil
-// Store); fedd wires in the WAL-backed DurableStore with -data-dir.
+// union those appends carry, and the State a snapshot serializes. The
+// server stays memory-only by default (nil Store); fedd wires in the
+// WAL-backed DurableStore with -data-dir.
 
-// Record ops. Every record describes one completed, externally visible
-// mutation of durable state; replaying a log prefix in order reproduces
-// the exact server state at that point.
+// Record ops. Every record describes one decided mutation of durable
+// state; state.apply performs it, live and on replay, so replaying a log
+// prefix in order reproduces the exact server state at that point.
 const (
-	// OpReserve: slivers placed (or a keyed failure cached) by
-	// handleReserve. Carries the placement, lease expiry, and dedup key.
+	// OpReserve: slivers placed by handleReserve (none, for a keyed
+	// request that found no room). Carries the placement, lease expiry,
+	// and dedup key.
 	OpReserve = "reserve"
-	// OpRelease: slivers actually freed by handleRelease (post lease
-	// trim), plus the dedup key.
+	// OpRelease: slivers actually freed by handleRelease (those the
+	// holding still held), plus the dedup key.
 	OpRelease = "release"
 	// OpCreateSlice: a federated slice committed by handleCreateSlice —
 	// spec, local slivers, remote slivers, optional whole-slice lease.
@@ -46,8 +42,7 @@ type Record struct {
 	Slice   string          `json:"slice,omitempty"`
 	Key     string          `json:"key,omitempty"`
 	Holder  string          `json:"holder,omitempty"` // reserving coordinator (OpReserve)
-	Err     string          `json:"err,omitempty"`
-	Kind    int             `json:"kind,omitempty"`   // leaseKind for OpExpire
+	Kind    int             `json:"kind,omitempty"`   // lease kind for OpExpire
 	Expiry  int64           `json:"expiry,omitempty"` // UnixNano; 0 = no lease
 	Gen     uint64          `json:"gen,omitempty"`
 	Spec    *SliceSpecState `json:"spec,omitempty"`
@@ -55,22 +50,23 @@ type Record struct {
 	Remote  []SliverRecord  `json:"remote,omitempty"`  // peer-held slivers
 }
 
-// Store persists the server's durable mutations. Implementations must be
-// safe for concurrent use; the server additionally serializes Append
-// calls against state mutations so the log is a true linearization.
+// Store persists the server's durable mutations. The server calls Append
+// and MaybeSnapshot under its state lock, between deciding a mutation and
+// applying it, so the log is a true linearization of execution.
+// Implementations must be safe for concurrent use.
 type Store interface {
-	// Append durably logs one mutation record before the server
-	// acknowledges the mutation to its client.
+	// Append durably logs one mutation record before the server applies
+	// it. An error refuses a reserve or slice creation with nothing
+	// applied; other ops log the error and apply anyway.
 	Append(Record) error
 	// MaybeSnapshot cuts a snapshot (and rotates the log) if one is due.
-	// The server calls it at the end of each durable region — after the
-	// append AND after the region's side effects (dedup completion) are
-	// visible — never from inside Append, where a keyed request's own
-	// outcome would not yet be capturable.
+	// The server calls it right after applying an appended record, still
+	// under the state lock, so the captured state is exactly the log so
+	// far.
 	MaybeSnapshot() error
-	// SetSnapshotSource registers the callback that captures the server's
-	// full durable state, letting the store cut snapshots at durable-region
-	// boundaries.
+	// SetSnapshotSource registers the callback that serializes the
+	// server's state. The store calls it only from MaybeSnapshot and from
+	// Close, which the process owner calls after Server.Close.
 	SetSnapshotSource(func() State)
 	// Close releases the store. The server does not call Close; the
 	// process owner does, after Server.Close.
@@ -86,16 +82,6 @@ type SliceSpecState struct {
 	SliversPerSite int    `json:"per,omitempty"`
 }
 
-func specState(s planetlab.SliceSpec) *SliceSpecState {
-	return &SliceSpecState{Name: s.Name, Owner: s.Owner, MinSites: s.MinSites,
-		MaxSites: s.MaxSites, SliversPerSite: s.SliversPerSite}
-}
-
-func (s *SliceSpecState) spec() planetlab.SliceSpec {
-	return planetlab.SliceSpec{Name: s.Name, Owner: s.Owner, MinSites: s.MinSites,
-		MaxSites: s.MaxSites, SliversPerSite: s.SliversPerSite}
-}
-
 // SliceState is one embedded slice's durable record.
 type SliceState struct {
 	Spec   SliceSpecState `json:"spec"`
@@ -103,7 +89,7 @@ type SliceState struct {
 	Remote []SliverRecord `json:"remote,omitempty"`
 }
 
-// LeaseState is one holding in the lease table.
+// LeaseState is one holding: a reserve's slivers, or a slice's lease.
 type LeaseState struct {
 	Slice   string         `json:"slice"`
 	Kind    int            `json:"kind"`
@@ -112,183 +98,32 @@ type LeaseState struct {
 	Slivers []SliverRecord `json:"slivers,omitempty"`
 }
 
-// DedupState is one completed idempotency entry: the key and the outcome
-// that retries must replay. Reserve outcomes are the placed slivers;
-// release outcomes are empty; either may instead be a cached error.
+// DedupState is one remembered idempotency outcome: the key and what
+// retries replay — the placed slivers of a reserve, nothing for a release.
 type DedupState struct {
 	Key     string         `json:"key"`
-	Err     string         `json:"err,omitempty"`
 	Slivers []SliverRecord `json:"slivers,omitempty"`
 }
 
-// State is the full durable state of a server, canonically ordered so two
-// servers that executed the same mutations compare equal with
-// reflect.DeepEqual. It is the snapshot format of the durable store and
-// the witness the recovery-equivalence tests compare.
+// State is the full durable state of a server serialized in canonical
+// order, so two servers that executed the same mutations compare equal
+// with reflect.DeepEqual. It is the snapshot format of the durable store
+// (versioned by SnapshotVersion) and the witness the recovery tests
+// compare.
 type State struct {
 	// Seq is the idempotency-generation high-water mark.
 	Seq uint64 `json:"seq"`
-	// Slices, Leases sorted by slice name; Dedup sorted by key.
+	// Slices and Leases are sorted by slice name; Dedup is the window of
+	// remembered outcomes, oldest first (log order).
 	Slices   []SliceState   `json:"slices,omitempty"`
 	Leases   []LeaseState   `json:"leases,omitempty"`
 	Dedup    []DedupState   `json:"dedup,omitempty"`
 	Usage    map[string]int `json:"usage,omitempty"`
 	Embedded int            `json:"embedded,omitempty"`
-}
 
-// canonicalize sorts the state's slices into their documented order and
-// normalizes empty collections to nil, so states built by replay, by live
-// capture, or by a JSON round trip all compare equal with
-// reflect.DeepEqual. Dedup is sorted by key (not table FIFO order):
-// concurrent executions may log in a different order than they claimed
-// keys, and only the set of outcomes is part of durable state.
-func (st *State) canonicalize() {
-	sort.Slice(st.Slices, func(i, j int) bool { return st.Slices[i].Spec.Name < st.Slices[j].Spec.Name })
-	sort.Slice(st.Leases, func(i, j int) bool { return st.Leases[i].Slice < st.Leases[j].Slice })
-	sort.Slice(st.Dedup, func(i, j int) bool { return st.Dedup[i].Key < st.Dedup[j].Key })
-	if len(st.Slices) == 0 {
-		st.Slices = nil
-	}
-	if len(st.Leases) == 0 {
-		st.Leases = nil
-	}
-	if len(st.Dedup) == 0 {
-		st.Dedup = nil
-	}
-	if len(st.Usage) == 0 {
-		st.Usage = nil
-	}
-}
-
-// findLease returns the index of slice's lease entry, or -1.
-func (st *State) findLease(slice string) int {
-	for i := range st.Leases {
-		if st.Leases[i].Slice == slice {
-			return i
-		}
-	}
-	return -1
-}
-
-// dropLease removes slice's lease entry if present.
-func (st *State) dropLease(slice string) {
-	if i := st.findLease(slice); i >= 0 {
-		st.Leases = append(st.Leases[:i], st.Leases[i+1:]...)
-	}
-}
-
-// addDedup records a completed keyed outcome (no-op for unkeyed records).
-func (st *State) addDedup(key, errMsg string, slivers []SliverRecord) {
-	if key == "" {
-		return
-	}
-	st.Dedup = append(st.Dedup, DedupState{Key: key, Err: errMsg, Slivers: slivers})
-}
-
-// applyRecord advances st by one mutation record. It is the pure-data
-// twin of the server's live handlers; TestRecoveryEquivalence pins the
-// two to each other.
-func (st *State) applyRecord(rec Record) error {
-	switch rec.Op {
-	case OpGen:
-		if rec.Gen > st.Seq {
-			st.Seq = rec.Gen
-		}
-	case OpReserve:
-		if rec.Err == "" && len(rec.Slivers) > 0 {
-			// Mirror leaseTable.add: merge slivers, keep the later expiry,
-			// zero expiry (indefinite) dominates.
-			if i := st.findLease(rec.Slice); i >= 0 {
-				l := &st.Leases[i]
-				l.Slivers = append(l.Slivers, rec.Slivers...)
-				if l.Expiry == 0 || rec.Expiry == 0 {
-					l.Expiry = 0
-				} else if rec.Expiry > l.Expiry {
-					l.Expiry = rec.Expiry
-				}
-			} else {
-				st.Leases = append(st.Leases, LeaseState{
-					Slice: rec.Slice, Kind: int(leaseReserve), Holder: rec.Holder,
-					Expiry: rec.Expiry, Slivers: rec.Slivers,
-				})
-			}
-		}
-		st.addDedup(rec.Key, rec.Err, rec.Slivers)
-	case OpRelease:
-		// Mirror leaseTable.trim: the record already names exactly the
-		// slivers that were freed.
-		if i := st.findLease(rec.Slice); i >= 0 && st.Leases[i].Kind == int(leaseReserve) {
-			l := &st.Leases[i]
-			for _, req := range rec.Slivers {
-				for j, sv := range l.Slivers {
-					if sv.SiteID == req.SiteID && sv.NodeID == req.NodeID {
-						l.Slivers = append(l.Slivers[:j], l.Slivers[j+1:]...)
-						break
-					}
-				}
-			}
-			if len(l.Slivers) == 0 {
-				st.dropLease(rec.Slice)
-			}
-		}
-		st.addDedup(rec.Key, rec.Err, nil)
-	case OpCreateSlice:
-		if rec.Spec == nil {
-			return fmt.Errorf("sfa: %s record for %q lacks a spec", rec.Op, rec.Slice)
-		}
-		st.Slices = append(st.Slices, SliceState{
-			Spec: *rec.Spec, Local: rec.Slivers, Remote: rec.Remote,
-		})
-		st.Embedded++
-		if st.Usage == nil {
-			st.Usage = map[string]int{}
-		}
-		if len(rec.Slivers) > 0 {
-			// Local slivers all carry the embedding authority's name.
-			st.Usage[rec.Slivers[0].Authority] += len(rec.Slivers)
-		}
-		for _, sv := range rec.Remote {
-			st.Usage[sv.Authority]++
-		}
-		if rec.Expiry != 0 {
-			st.Leases = append(st.Leases, LeaseState{
-				Slice: rec.Spec.Name, Kind: int(leaseSlice), Expiry: rec.Expiry,
-			})
-		}
-	case OpDeleteSlice:
-		st.deleteSlice(rec.Slice)
-	case OpAmendRemote:
-		for i := range st.Slices {
-			if st.Slices[i].Spec.Name == rec.Slice {
-				st.Slices[i].Remote = rec.Remote
-				break
-			}
-		}
-	case OpExpire:
-		switch leaseKind(rec.Kind) {
-		case leaseReserve:
-			st.dropLease(rec.Slice)
-		case leaseSlice:
-			st.deleteSlice(rec.Slice)
-		default:
-			return fmt.Errorf("sfa: expire record with unknown lease kind %d", rec.Kind)
-		}
-	default:
-		return fmt.Errorf("sfa: unknown record op %q", rec.Op)
-	}
-	return nil
-}
-
-// deleteSlice removes a slice and its lease. Usage is cumulative and
-// survives deletion, exactly as in the live server.
-func (st *State) deleteSlice(name string) {
-	for i := range st.Slices {
-		if st.Slices[i].Spec.Name == name {
-			st.Slices = append(st.Slices[:i], st.Slices[i+1:]...)
-			break
-		}
-	}
-	st.dropLease(name)
+	// log is the record suffix after the snapshot, as OpenDurableStore
+	// recovered it; Server.Restore applies it after loading the snapshot.
+	log []Record
 }
 
 // --- Conversions between wire records and substrate slivers ---
