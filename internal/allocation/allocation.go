@@ -23,9 +23,13 @@
 package allocation
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Class is a group of interchangeable locations with a common per-location
@@ -383,186 +387,309 @@ func rebalanceSlots(res *Result, assigned int) {
 
 // solveGreedy is the general constructive engine: admit requests (trying
 // both ascending- and descending-Min orders), give each admitted request its
-// minimum from the highest-capacity free locations, then hand out one
+// minimum from the most preferred free locations, then hand out one
 // location at a time to the request with the best marginal utility. Exact
 // for concave shapes on its admission set; a high-quality heuristic for
 // convex shapes (validated against brute force on small instances).
 func solveGreedy(pool Pool, reqs []Request) *Result {
-	best := greedyWithOrder(pool, reqs, true)
-	alt := greedyWithOrder(pool, reqs, false)
+	s := greedyScratchPool.Get().(*greedyScratch)
+	defer greedyScratchPool.Put(s)
+	best := s.run(pool, reqs, true)
+	alt := s.run(pool, reqs, false)
 	if alt.Utility > best.Utility {
 		best = alt
 	}
 	return best
 }
 
-type location struct {
-	class int
-	rem   float64
+// greedyScratchPool recycles the greedy engine's working state across
+// calls; Solve runs on many goroutines at once, each with its own scratch.
+var greedyScratchPool = sync.Pool{New: func() any { return new(greedyScratch) }}
+
+// greedyScratch is the greedy engine's working state: the location index
+// and the per-request bookkeeping of one run.
+type greedyScratch struct {
+	idx      locIndex
+	class    []int     // class[li]: the pool class of location li
+	used     []uint64  // request j's locations: used[j*words : (j+1)*words]
+	x        []int     // locations assigned to each request
+	admitted []bool    // request met its minimum
+	live     []bool    // request may still grow in the current top-up
+	next     []float64 // Utility(x+1) of each live request
+	gain     []float64 // Utility(x+1) - Utility(x) of each live request
+	order    []int     // admission order
+	take     []int     // locations picked for one admission
 }
 
-func greedyWithOrder(pool Pool, reqs []Request, ascending bool) *Result {
-	nc := len(pool.Classes)
-	res := &Result{
-		X:               make([]int, len(reqs)),
-		ConsumedByClass: make([]float64, nc),
-		SlotsByClass:    make([]int, nc),
-	}
+// run is one greedy pass with the given admission order.
+func (s *greedyScratch) run(pool Pool, reqs []Request, ascending bool) *Result {
+	res := emptyResult(pool, reqs)
 	L := pool.TotalLocations()
 	if L == 0 || len(reqs) == 0 {
 		return res
 	}
-	locs := make([]location, 0, L)
-	for c, cl := range pool.Classes {
-		for i := 0; i < cl.Count; i++ {
-			locs = append(locs, location{class: c, rem: cl.Capacity})
-		}
+	s.reset(pool.Classes, L, len(reqs))
+	s.order = s.order[:0]
+	for j := range reqs {
+		s.order = append(s.order, j)
 	}
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
+	slices.SortStableFunc(s.order, func(a, b int) int {
 		if ascending {
-			return reqs[order[a]].Min < reqs[order[b]].Min
+			return cmp.Compare(reqs[a].Min, reqs[b].Min)
 		}
-		return reqs[order[a]].Min > reqs[order[b]].Min
+		return cmp.Compare(reqs[b].Min, reqs[a].Min)
 	})
 
-	used := make([][]bool, len(reqs)) // used[j][loc]
-	usedCount := make([]int, L)       // how many requests use each location
-	x := make([]int, len(reqs))
-	admitted := make([]bool, len(reqs))
-
 	// Phase A: minima.
-	for _, j := range order {
-		r := reqs[j]
-		maxX := r.maxLocations(L)
-		if r.Min > maxX {
-			continue
-		}
-		take := pickLocations(locs, nil, usedCount, r.Resources, r.Min)
-		if len(take) < r.Min {
-			continue
-		}
-		admitted[j] = true
-		used[j] = make([]bool, L)
-		for _, li := range take {
-			locs[li].rem -= r.Resources
-			used[j][li] = true
-			usedCount[li]++
-		}
-		x[j] = len(take)
+	for _, j := range s.order {
+		s.admit(j, reqs[j], reqs[j].Min, L)
 	}
-
 	// Phase B: marginal top-up, one location at a time.
-	for {
-		bestJ, bestLoc := -1, -1
-		bestGain := 1e-12
-		for j := range reqs {
-			if !admitted[j] {
-				continue
-			}
-			r := reqs[j]
-			if x[j] >= r.maxLocations(L) {
-				continue
-			}
-			gain := r.Utility(x[j]+1) - r.Utility(x[j])
-			if gain <= bestGain {
-				continue
-			}
-			li := pickOne(locs, used[j], usedCount, r.Resources)
-			if li < 0 {
-				continue
-			}
-			bestJ, bestLoc, bestGain = j, li, gain
-		}
-		if bestJ < 0 {
-			break
-		}
-		locs[bestLoc].rem -= reqs[bestJ].Resources
-		used[bestJ][bestLoc] = true
-		usedCount[bestLoc]++
-		x[bestJ]++
-	}
+	s.topUp(reqs, L)
 
-	for j := range reqs {
-		if !admitted[j] {
+	for j, r := range reqs {
+		if !s.admitted[j] {
 			continue
 		}
-		res.X[j] = x[j]
-		res.Utility += reqs[j].Utility(x[j])
-		for li, u := range used[j] {
-			if u {
-				res.SlotsByClass[locs[li].class]++
-				res.ConsumedByClass[locs[li].class] += reqs[j].Resources
+		res.X[j] = s.x[j]
+		res.Utility += r.Utility(s.x[j])
+		for w, b := range s.usedOf(j) {
+			for ; b != 0; b &= b - 1 {
+				c := s.class[w<<6|bits.TrailingZeros64(b)]
+				res.SlotsByClass[c]++
+				res.ConsumedByClass[c] += r.Resources
 			}
 		}
 	}
 	return res
 }
 
-// pickLocations returns up to want location indices with remaining capacity
-// >= need, not already marked in used. Preference order: locations already
-// used by the most other requests first (they cannot serve those requests
-// again, so consuming them harms nobody), then the highest remaining
-// capacity (water-filling keeps scarce low-capacity locations free for
-// longer). usedCount may be nil when no assignments exist yet.
-func pickLocations(locs []location, used []bool, usedCount []int, need float64, want int) []int {
-	type cand struct {
-		idx  int
-		rem  float64
-		uses int
-	}
-	cands := make([]cand, 0, len(locs))
-	for i, l := range locs {
-		if l.rem+1e-12 >= need && (used == nil || !used[i]) {
-			uses := 0
-			if usedCount != nil {
-				uses = usedCount[i]
-			}
-			cands = append(cands, cand{i, l.rem, uses})
+// reset indexes the L locations of classes, all free, for k requests.
+func (s *greedyScratch) reset(classes []Class, L, k int) {
+	s.idx.reset(L)
+	s.class = resize(s.class, L)
+	li := 0
+	for c, cl := range classes {
+		for n := 0; n < cl.Count; n++ {
+			s.class[li] = c
+			s.idx.insert(li, 0, cl.Capacity)
+			li++
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].uses != cands[b].uses {
-			return cands[a].uses > cands[b].uses
-		}
-		if cands[a].rem != cands[b].rem {
-			return cands[a].rem > cands[b].rem
-		}
-		return cands[a].idx < cands[b].idx
-	})
-	if len(cands) > want {
-		cands = cands[:want]
-	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.idx
-	}
-	return out
+	s.used = resize(s.used, k*s.idx.words)
+	s.x = resize(s.x, k)
+	s.admitted = resize(s.admitted, k)
+	s.live = resize(s.live, k)
+	s.next = resize(s.next, k)
+	s.gain = resize(s.gain, k)
 }
 
-// pickOne returns the best single location with rem >= need not yet used by
-// this request (same preference order as pickLocations), or -1.
-func pickOne(locs []location, used []bool, usedCount []int, need float64) int {
-	best := -1
-	bestUses := -1
-	for i, l := range locs {
-		if used != nil && used[i] {
-			continue
-		}
-		if l.rem+1e-12 < need {
-			continue
-		}
-		uses := 0
-		if usedCount != nil {
-			uses = usedCount[i]
-		}
-		if best < 0 || uses > bestUses || (uses == bestUses && l.rem > locs[best].rem) {
-			best = i
-			bestUses = uses
+// usedOf returns request j's location bitset.
+func (s *greedyScratch) usedOf(j int) []uint64 {
+	w := s.idx.words
+	return s.used[j*w : (j+1)*w]
+}
+
+// admit admits request j when its want most preferred locations not
+// marked in its bitset all exist, and assigns them. A request whose
+// minimum exceeds its maximum is never admitted.
+func (s *greedyScratch) admit(j int, r Request, want, L int) {
+	if r.Min > r.maxLocations(L) {
+		return
+	}
+	used := s.usedOf(j)
+	s.take = s.idx.best(s.take[:0], used, r.Resources, want)
+	if len(s.take) < want {
+		return
+	}
+	for _, li := range s.take {
+		s.idx.consume(li, r.Resources)
+		used[li>>6] |= 1 << (li & 63)
+	}
+	s.admitted[j] = true
+	s.x[j] = want
+}
+
+// topUp is the marginal phase: hand out one location at a time to the
+// admitted request with the highest gain above 1e-12, lowest index on
+// ties, while that request is below its maximum and a location it does
+// not hold has room for it. A gain changes only when its own request
+// grows, so each is recomputed only then. A request that finds no
+// location is retired: capacities only fall and held sets only grow, so
+// it never finds one later, and since the search is pure, skipping it
+// selects the same request the full scan over every request would.
+func (s *greedyScratch) topUp(reqs []Request, L int) {
+	for j, r := range reqs {
+		s.live[j] = s.admitted[j] && s.x[j] < r.maxLocations(L)
+		if s.live[j] {
+			s.next[j] = r.Utility(s.x[j] + 1)
+			s.gain[j] = s.next[j] - r.Utility(s.x[j])
 		}
 	}
-	return best
+	for {
+		best, bestGain := -1, 1e-12
+		for j := range reqs {
+			if s.live[j] && s.gain[j] > bestGain {
+				best, bestGain = j, s.gain[j]
+			}
+		}
+		if best < 0 {
+			return
+		}
+		r := &reqs[best]
+		used := s.usedOf(best)
+		li := s.idx.pickOne(used, r.Resources)
+		if li < 0 {
+			s.live[best] = false
+			continue
+		}
+		s.idx.consume(li, r.Resources)
+		used[li>>6] |= 1 << (li & 63)
+		s.x[best]++
+		if s.x[best] >= r.maxLocations(L) {
+			s.live[best] = false
+			continue
+		}
+		u := s.next[best]
+		s.next[best] = r.Utility(s.x[best] + 1)
+		s.gain[best] = s.next[best] - u
+	}
+}
+
+// locIndex orders a pool's locations by the greedy's preference: those
+// held by the most requests first (they cannot serve those requests again,
+// so consuming them harms nobody), then the highest remaining capacity
+// (water-filling keeps scarce low-capacity locations free for longer),
+// then the lowest index. Locations sharing a key (uses, remaining
+// capacity) form one group, a bitset over location indices, and the
+// groups are kept sorted by key. The keys take few distinct values, so a
+// search walks a handful of groups and picks members a word at a time.
+type locIndex struct {
+	words  int   // bitset length: ⌈L/64⌉
+	slot   []int // group slot of each location
+	groups []locGroup
+	order  []int    // live group slots, best key first
+	free   []int    // empty group slots for reuse
+	bits   []uint64 // member bitset of slot g: bits[g*words : (g+1)*words]
+}
+
+// locGroup is the set of locations sharing one key.
+type locGroup struct {
+	uses int     // requests holding each member
+	rem  float64 // remaining capacity of each member
+	n    int     // member count
+}
+
+// reset empties the index for L locations.
+func (x *locIndex) reset(L int) {
+	x.words = (L + 63) >> 6
+	x.slot = resize(x.slot, L)
+	x.groups = x.groups[:0]
+	x.order = x.order[:0]
+	x.free = x.free[:0]
+	x.bits = x.bits[:0]
+}
+
+// members returns group slot g's member bitset.
+func (x *locIndex) members(g int) []uint64 {
+	return x.bits[g*x.words : (g+1)*x.words]
+}
+
+// consume assigns location li to one more request needing need units:
+// the location moves to the group of its new key. Its remaining capacity
+// is its group's: capacities that compare equal are the same number, up
+// to the sign of zero, which no subtraction of need can tell apart.
+func (x *locIndex) consume(li int, need float64) {
+	g := x.slot[li]
+	key := x.groups[g]
+	x.members(g)[li>>6] &^= 1 << (li & 63)
+	if x.groups[g].n--; x.groups[g].n == 0 {
+		p := slices.Index(x.order, g)
+		x.order = slices.Delete(x.order, p, p+1)
+		x.free = append(x.free, g)
+	}
+	x.insert(li, key.uses+1, key.rem-need)
+}
+
+// insert files location li under key (uses, rem), creating the group if
+// no location holds that key yet. Keys compare with the scan's own
+// operators, so locations share a group exactly when the scan tied them.
+func (x *locIndex) insert(li, uses int, rem float64) {
+	lo, hi := 0, len(x.order)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g := &x.groups[x.order[mid]]; g.uses > uses || (g.uses == uses && g.rem > rem) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	var g int
+	if lo < len(x.order) && x.groups[x.order[lo]].uses == uses && x.groups[x.order[lo]].rem == rem {
+		g = x.order[lo]
+	} else {
+		if n := len(x.free); n > 0 {
+			g, x.free = x.free[n-1], x.free[:n-1]
+		} else {
+			g = len(x.groups)
+			x.groups = append(x.groups, locGroup{})
+			x.bits = append(x.bits, make([]uint64, x.words)...)
+		}
+		x.groups[g] = locGroup{uses: uses, rem: rem}
+		x.order = slices.Insert(x.order, lo, g)
+	}
+	x.groups[g].n++
+	x.members(g)[li>>6] |= 1 << (li & 63)
+	x.slot[li] = g
+}
+
+// best appends to dst up to want locations with room for need units and
+// not marked in used, most preferred first. Under the strict preference
+// order the first want candidates are unique, so this is the sorted
+// candidate list cut at want.
+func (x *locIndex) best(dst []int, used []uint64, need float64, want int) []int {
+	for _, g := range x.order {
+		if len(dst) == want {
+			break
+		}
+		if !(x.groups[g].rem+1e-12 >= need) {
+			continue
+		}
+		for w, b := range x.members(g) {
+			for m := b &^ used[w]; m != 0 && len(dst) < want; m &= m - 1 {
+				dst = append(dst, w<<6|bits.TrailingZeros64(m))
+			}
+			if len(dst) == want {
+				break
+			}
+		}
+	}
+	return dst
+}
+
+// pickOne returns the most preferred location with room for need units
+// not marked in used, or -1.
+func (x *locIndex) pickOne(used []uint64, need float64) int {
+	for _, g := range x.order {
+		if x.groups[g].rem+1e-12 < need {
+			continue
+		}
+		for w, b := range x.members(g) {
+			if m := b &^ used[w]; m != 0 {
+				return w<<6 | bits.TrailingZeros64(m)
+			}
+		}
+	}
+	return -1
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

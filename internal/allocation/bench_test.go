@@ -43,3 +43,67 @@ func BenchmarkSolveMemoWarm(b *testing.B) {
 		m.Solve(pool, reqs)
 	}
 }
+
+// scarceInstance is the grand pool of the fedbench scarce workload: 30
+// facilities in pairs sharing a location count (1–15 locations), with 1–5
+// resources per location, against 12 elastic requests (l = 10, d = 0.7)
+// and 6 strict ones (x > 80 locations, d = 1.3, 2 resources each).
+func scarceInstance() (Pool, []Request) {
+	classes := make([]Class, 30)
+	for i := range classes {
+		classes[i] = Class{Label: "S", Count: 1 + i/2, Capacity: float64(1 + (i/2+i%2)%5)}
+	}
+	reqs := make([]Request, 0, 18)
+	for k := 0; k < 12; k++ {
+		reqs = append(reqs, Request{Min: 10, Shape: 0.7, Resources: 1, Label: "elastic"})
+	}
+	for k := 0; k < 6; k++ {
+		reqs = append(reqs, Request{Min: 81, Shape: 1.3, Resources: 2, Label: "strict"})
+	}
+	return Pool{Classes: classes}, reqs
+}
+
+// fig5Pools returns the seven coalitions of fig5's unit-capacity
+// L = (100, 400, 800) pool, indexed by member bitmask minus one.
+func fig5Pools() []Pool {
+	counts := []int{100, 400, 800}
+	pools := make([]Pool, 0, 7)
+	for s := 1; s < 8; s++ {
+		var p Pool
+		for i, n := range counts {
+			if s&(1<<i) != 0 {
+				p.Classes = append(p.Classes, Class{Label: "F", Count: n, Capacity: 1})
+			}
+		}
+		pools = append(pools, p)
+	}
+	return pools
+}
+
+var benchSink *Result
+
+// BenchmarkSolveGreedyScarce measures one full greedy solve of the scarce
+// grand pool, the Solve every scarce prefix-step fallback pays.
+func BenchmarkSolveGreedyScarce(b *testing.B) {
+	pool, reqs := scarceInstance()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = solveGreedy(pool, reqs)
+	}
+}
+
+// BenchmarkSolveGreedyFig5 measures fig5's greedy work at d = 0.5: one
+// request with l = 600 over all seven coalitions, topped up one location
+// at a time to every free location.
+func BenchmarkSolveGreedyFig5(b *testing.B) {
+	pools := fig5Pools()
+	reqs := []Request{{Min: 600, Shape: 0.5, Resources: 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pools {
+			benchSink = solveGreedy(p, reqs)
+		}
+	}
+}

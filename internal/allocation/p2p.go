@@ -10,11 +10,6 @@ type FacilityContribution struct {
 	Requests []Request
 }
 
-// reqRef identifies one request as (facility index, request index).
-type reqRef struct {
-	fi, j int
-}
-
 // P2PResult is the outcome of the incentive-constrained allocation
 // (problem (3) of the paper).
 type P2PResult struct {
@@ -50,7 +45,9 @@ func (r *P2PResult) TotalUtility() float64 {
 // on federation spare capacity and admitted requests are topped up by
 // marginal utility. Because no step ever lowers a facility's utility, the
 // constraints hold at every point, and the result quantifies the federation
-// surplus of pooling.
+// surplus of pooling. Both phases run on the greedy engine's location
+// index; in the partition phase every foreign location starts marked as
+// held by the request, so only its own facility's locations can serve it.
 func SolveP2P(facilities []FacilityContribution) (*P2PResult, error) {
 	nf := len(facilities)
 	res := &P2PResult{
@@ -59,113 +56,82 @@ func SolveP2P(facilities []FacilityContribution) (*P2PResult, error) {
 		X:          make([][]int, nf),
 		Shares:     make([]float64, nf),
 	}
-	// Build the global location array, remembering class offsets.
-	var locs []location
-	locFacility := []int{}
+	// One pool of every facility's classes; facility fi owns the location
+	// range [bound[fi], bound[fi+1]).
+	var classes []Class
+	bound := make([]int, nf+1)
 	for fi, f := range facilities {
+		bound[fi+1] = bound[fi]
 		for _, cl := range f.Classes {
 			if cl.Count < 0 || cl.Capacity < 0 {
 				return nil, fmt.Errorf("allocation: facility %s has invalid class", f.Name)
 			}
-			for k := 0; k < cl.Count; k++ {
-				locs = append(locs, location{class: fi, rem: cl.Capacity})
-				locFacility = append(locFacility, fi)
-			}
+			classes = append(classes, cl)
+			bound[fi+1] += cl.Count
 		}
 	}
-	L := len(locs)
+	L := bound[nf]
 
-	var refs []reqRef
-	used := map[reqRef][]bool{}
-	usedCount := make([]int, L)
-	x := map[reqRef]int{}
-	admitted := map[reqRef]bool{}
-
+	// Every request in facility order, with its facility.
+	var reqs []Request
+	var owner []int
 	for fi, f := range facilities {
 		res.X[fi] = make([]int, len(f.Requests))
 		for j, r := range f.Requests {
 			if r.Resources <= 0 || r.Shape <= 0 || r.Min < 0 {
 				return nil, fmt.Errorf("allocation: facility %s request %d invalid", f.Name, j)
 			}
-			refs = append(refs, reqRef{fi, j})
+			reqs = append(reqs, r)
+			owner = append(owner, fi)
+		}
+	}
+
+	s := greedyScratchPool.Get().(*greedyScratch)
+	defer greedyScratchPool.Put(s)
+	s.reset(classes, L, len(reqs))
+	own := make([][]uint64, nf) // own[fi] marks facility fi's locations
+	for fi := range own {
+		own[fi] = make([]uint64, s.idx.words)
+		for li := bound[fi]; li < bound[fi+1]; li++ {
+			own[fi][li>>6] |= 1 << (li & 63)
 		}
 	}
 
 	// Phase 1 — partition allocation: each facility on its own locations.
-	ownLocs := func(fi int) []bool {
-		mask := make([]bool, L)
-		for li := range locs {
-			mask[li] = locFacility[li] != fi // mark *foreign* as used
+	for j, r := range reqs {
+		used := s.usedOf(j)
+		for w, m := range own[owner[j]] {
+			used[w] = ^m
 		}
-		return mask
-	}
-	for fi, f := range facilities {
-		for j, r := range f.Requests {
-			ref := reqRef{fi, j}
-			maxX := r.maxLocations(L)
-			if r.Min > maxX {
-				continue
-			}
-			blocked := ownLocs(fi)
-			take := pickLocations(locs, blocked, usedCount, r.Resources, max(r.Min, 1))
-			if len(take) < r.Min || len(take) == 0 {
-				continue
-			}
-			admitted[ref] = true
-			u := make([]bool, L)
-			for _, li := range take {
-				locs[li].rem -= r.Resources
-				u[li] = true
-				usedCount[li]++
-			}
-			used[ref] = u
-			x[ref] = len(take)
-		}
+		s.admit(j, r, max(r.Min, 1), L)
 	}
 	// Local top-up to standalone optimum (still restricted to own
 	// locations).
-	topUp(facilities, locs, usedCount, refs, used, x, admitted, func(ref reqRef, li int) bool {
-		return locFacility[li] == ref.fi
-	}, L)
-	for fi, f := range facilities {
-		for j, r := range f.Requests {
-			res.Standalone[fi] += r.Utility(x[reqRef{fi, j}])
+	s.topUp(reqs, L)
+	for j, r := range reqs {
+		res.Standalone[owner[j]] += r.Utility(s.x[j])
+		used := s.usedOf(j)
+		for w, m := range own[owner[j]] {
+			used[w] &= m
 		}
 	}
 
 	// Phase 2 — federation: admit locally-rejected requests on global spare
 	// capacity, then global marginal top-up.
-	for _, ref := range refs {
-		if admitted[ref] {
-			continue
+	for j, r := range reqs {
+		if !s.admitted[j] {
+			s.admit(j, r, max(r.Min, 1), L)
 		}
-		r := facilities[ref.fi].Requests[ref.j]
-		maxX := r.maxLocations(L)
-		if r.Min > maxX {
-			continue
-		}
-		take := pickLocations(locs, nil, usedCount, r.Resources, max(r.Min, 1))
-		if len(take) < r.Min || len(take) == 0 {
-			continue
-		}
-		admitted[ref] = true
-		u := make([]bool, L)
-		for _, li := range take {
-			locs[li].rem -= r.Resources
-			u[li] = true
-			usedCount[li]++
-		}
-		used[ref] = u
-		x[ref] = len(take)
 	}
-	topUp(facilities, locs, usedCount, refs, used, x, admitted, func(reqRef, int) bool { return true }, L)
+	s.topUp(reqs, L)
 
+	j := 0
 	total := 0.0
 	for fi, f := range facilities {
-		for j, r := range f.Requests {
-			ref := reqRef{fi, j}
-			res.X[fi][j] = x[ref]
-			res.Federated[fi] += r.Utility(x[ref])
+		for k, r := range f.Requests {
+			res.X[fi][k] = s.x[j]
+			res.Federated[fi] += r.Utility(s.x[j])
+			j++
 		}
 		total += res.Federated[fi]
 	}
@@ -175,73 +141,4 @@ func SolveP2P(facilities []FacilityContribution) (*P2PResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// topUp hands out one location at a time to the admitted request with the
-// highest marginal utility, restricted by allow(ref, locIdx).
-func topUp(facilities []FacilityContribution, locs []location, usedCount []int,
-	refs []reqRef, used map[reqRef][]bool,
-	x map[reqRef]int, admitted map[reqRef]bool,
-	allow func(reqRef, int) bool, L int) {
-
-	for {
-		var bestRef reqRef
-		bestLoc := -1
-		bestGain := 1e-12
-		for _, ref := range refs {
-			if !admitted[ref] {
-				continue
-			}
-			r := facilities[ref.fi].Requests[ref.j]
-			if x[ref] >= r.maxLocations(L) {
-				continue
-			}
-			gain := r.Utility(x[ref]+1) - r.Utility(x[ref])
-			if gain <= bestGain {
-				continue
-			}
-			li := pickOneAllowed(locs, used[ref], usedCount, r.Resources, ref, allow)
-			if li < 0 {
-				continue
-			}
-			bestRef, bestLoc, bestGain = ref, li, gain
-		}
-		if bestLoc < 0 {
-			return
-		}
-		r := facilities[bestRef.fi].Requests[bestRef.j]
-		locs[bestLoc].rem -= r.Resources
-		used[bestRef][bestLoc] = true
-		usedCount[bestLoc]++
-		x[bestRef]++
-	}
-}
-
-func pickOneAllowed(locs []location, used []bool, usedCount []int, need float64,
-	ref reqRef, allow func(reqRef, int) bool) int {
-	best := -1
-	bestUses := -1
-	for i, l := range locs {
-		if used != nil && used[i] {
-			continue
-		}
-		if !allow(ref, i) {
-			continue
-		}
-		if l.rem+1e-12 < need {
-			continue
-		}
-		if best < 0 || usedCount[i] > bestUses || (usedCount[i] == bestUses && l.rem > locs[best].rem) {
-			best = i
-			bestUses = usedCount[i]
-		}
-	}
-	return best
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
