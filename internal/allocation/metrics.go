@@ -7,13 +7,14 @@ import "fedshare/internal/obs"
 // callback gauges reads the existing counters at scrape time, so the
 // Solve hot path is untouched.
 // Prefix-solver counters. PrefixSolver batches its per-step deltas and
-// flushes them on Reset/Stats (once per permutation half-walk), so the
-// incremental hot path performs no atomic operations.
+// flushes them on Reset/Stats (once per permutation half-walk, and once
+// more when a sampling worker finishes), so the incremental hot path
+// performs no atomic operations.
 var (
 	prefixStepsTotal = obs.Default.Counter("fedshare_allocation_prefix_steps_total",
-		"Incremental prefix-solver steps (PrefixSolver.Add calls).")
+		"Incremental prefix-solver steps (PrefixSolver.Add and Grow calls).")
 	prefixFallbacksTotal = obs.Default.Counter("fedshare_allocation_prefix_fallbacks_total",
-		"Prefix-solver steps that fell back to a full re-solve of the prefix pool.")
+		"Prefix-solver steps no incremental path could certify: a full re-solve of the prefix pool, or a count-vector memo read on the collapsed class game.")
 )
 
 // PrefixCounters snapshots the process-wide prefix-solver counters

@@ -33,6 +33,14 @@ import (
 //     the allocation memo but never inserting, so permutation walks do
 //     not flood the table with one-off prefix keys.
 //
+// Add appends one class per step. Grow is the in-place variant for a
+// pool whose classes the caller fixes up front (SetLayout): a step adds
+// locations to an existing slot, as the collapsed class game does when a
+// template's aggregated class gains a replica. Both share the location
+// and Fenwick accounting and the one set of certification branches
+// above; where neither branch applies, Grow reports the step uncertified
+// and leaves valuing it to the caller instead of solving.
+//
 // Values are bit-identical to Solve on the fast path (all arithmetic is
 // exact integer slot counting) and on the certified repair path (the
 // closed form replays the greedy's own float operations in the same
@@ -51,8 +59,9 @@ type PrefixStats struct {
 	// Repaired is the number of steps valued by the certified greedy
 	// repair (abundant-capacity closed form).
 	Repaired int64
-	// Fallbacks is the number of steps that re-solved the full prefix
-	// pool because no incremental path could certify the value.
+	// Fallbacks is the number of steps no incremental path could
+	// certify: Add re-solved the full prefix pool, Grow left the value
+	// to its caller.
 	Fallbacks int64
 }
 
@@ -83,10 +92,12 @@ type PrefixSolver struct {
 	order      []int   // request indices, stable ascending-Min (solveFast order)
 	sumRes     float64 // Σ_j Resources_j — the abundant-capacity bar
 
-	// Pool state.
+	// Pool state. classes is the pool Add builds; slotCap the
+	// capacities of the layout Grow fills.
 	classes []Class
+	slotCap []float64
 	poolL   int
-	scarce  int // classes with Count > 0 and Capacity < sumRes
+	scarce  int // steps that added locations of Capacity < sumRes; only == 0 is read
 
 	// Fast-path slot accounting: Fenwick trees over the capped
 	// per-location experiment capacity b = min(⌊Capacity/r0⌋, k).
@@ -168,8 +179,9 @@ func (ps *PrefixSolver) fastEligible() bool {
 	return ps.k > 0 && ps.uniformRes && ps.allLinear
 }
 
-// Reset empties the pool, starting a new walk. Counter deltas accumulated
-// since the previous flush are published to the process metrics.
+// Reset empties the pool, starting a new walk; a layout set by SetLayout
+// stays, with every slot empty. Counter deltas accumulated since the
+// previous flush are published to the process metrics.
 func (ps *PrefixSolver) Reset() {
 	ps.flushMetrics()
 	ps.classes = ps.classes[:0]
@@ -205,7 +217,8 @@ func (ps *PrefixSolver) Stats() PrefixStats {
 	return ps.stats
 }
 
-// Value returns V of the current pool.
+// Value returns V of the current pool; NaN after an uncertified Grow,
+// whose value the solver does not know.
 func (ps *PrefixSolver) Value() float64 { return ps.value }
 
 // Add grows the pool by one class and returns the new V — exactly
@@ -219,49 +232,88 @@ func (ps *PrefixSolver) Add(c Class) float64 {
 		panic(fmt.Sprintf("allocation: class %s has negative capacity", c.Label))
 	}
 	ps.classes = append(ps.classes, c)
+	v, ok := ps.step(c.Count, c.Capacity)
+	if !ok {
+		v = ps.fallbackValue()
+	}
+	ps.value = v
+	return v
+}
+
+// SetLayout fixes the pool layout Grow fills and empties the pool: slot
+// i is a class of per-location capacity capacities[i], starting with no
+// locations. One walk grows the pool by Add or by Grow, never both. It
+// panics on a negative capacity, mirroring Solve.
+func (ps *PrefixSolver) SetLayout(capacities []float64) {
+	for i, c := range capacities {
+		if c < 0 {
+			panic(fmt.Sprintf("allocation: slot %d has negative capacity", i))
+		}
+	}
+	ps.slotCap = append(ps.slotCap[:0], capacities...)
+	ps.Reset()
+}
+
+// Grow adds count locations to slot i of the layout in place. When a
+// certified path values the grown pool, it returns V with ok set —
+// exactly Solve(pool, reqs).Utility for the pool of the non-empty slots
+// in slot order. Otherwise ok is false and the step is counted as a
+// fallback: Grow neither solves nor reads the memo, and V is the
+// caller's to find. Certification depends only on the slots' location
+// counts, never on the walk that reached them.
+func (ps *PrefixSolver) Grow(i, count int) (v float64, ok bool) {
+	if count < 0 {
+		panic(fmt.Sprintf("allocation: slot %d grown by negative count %d", i, count))
+	}
+	v, ok = ps.step(count, ps.slotCap[i])
+	if !ok {
+		v = math.NaN()
+	}
+	ps.value = v
+	return v, ok
+}
+
+// step adds count locations of the given capacity to the pool's location
+// and Fenwick accounting, then values the pool on the cheapest certified
+// path that reproduces Solve: incremental fast path, then certified
+// greedy repair. ok is false (a counted fallback) when neither applies.
+func (ps *PrefixSolver) step(count int, capacity float64) (v float64, ok bool) {
 	ps.stats.Steps++
-	if c.Count > 0 {
-		ps.poolL += c.Count
-		if c.Capacity < ps.sumRes {
+	if count > 0 {
+		ps.poolL += count
+		if capacity < ps.sumRes {
 			ps.scarce++
 		}
 		if ps.fastEligible() {
-			b := int(math.Floor(c.Capacity / ps.r0))
+			b := int(math.Floor(capacity / ps.r0))
 			if b > ps.k {
 				b = ps.k
 			}
-			fenwAdd(ps.fcnt, b, int64(c.Count))
-			fenwAdd(ps.fslots, b, int64(b)*int64(c.Count))
-			ps.totCnt += int64(c.Count)
+			fenwAdd(ps.fcnt, b, int64(count))
+			fenwAdd(ps.fslots, b, int64(b)*int64(count))
+			ps.totCnt += int64(count)
 			if b > ps.maxN {
 				ps.maxN = b
 			}
 		}
 	}
-	ps.value = ps.solveStep()
-	return ps.value
-}
-
-// solveStep picks the cheapest path that reproduces Solve on the current
-// pool: incremental fast path, certified greedy repair, full fallback.
-func (ps *PrefixSolver) solveStep() float64 {
 	if ps.k == 0 {
 		// Solve of an empty request list is 0 on every pool.
 		ps.stats.Fast++
-		return 0
+		return 0, true
 	}
 	// Mirror of fastApplies: uniform resources, all shapes 1, and no Max
 	// binding below the current pool size.
 	if ps.fastEligible() && (ps.boundedMax == 0 || ps.boundedMax >= ps.poolL) {
 		ps.stats.Fast++
-		return float64(ps.fastValue())
+		return float64(ps.fastValue()), true
 	}
 	if ps.scarce == 0 {
 		ps.stats.Repaired++
-		return ps.abundantValue()
+		return ps.abundantValue(), true
 	}
 	ps.stats.Fallbacks++
-	return ps.fallbackValue()
+	return 0, false
 }
 
 // totalSlots returns Σ_c Count_c·min(n_c, m) over the current pool via

@@ -263,6 +263,19 @@ func TestPrefixSolverValidation(t *testing.T) {
 			ps.Add(c)
 		}()
 	}
+	for name, bad := range map[string]func(){
+		"negative slot capacity": func() { ps.SetLayout([]float64{1, -1}) },
+		"negative growth":        func() { ps.SetLayout([]float64{1}); ps.Grow(0, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
 }
 
 // TestPrefixSolverConcurrentWalkers runs independent solvers sharing one
@@ -308,4 +321,79 @@ func TestPrefixSolverConcurrentWalkers(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// TestPrefixSolverGrowMatchesSolve is the differential test of the
+// in-place layout: random slot layouts grown by random sequences, on fast
+// and general request lists. Every certified Grow value must equal Solve
+// of the non-empty slots in slot order bit for bit, and a step must be
+// uncertified exactly when Add, fed the same locations as one class per
+// step, falls back. Uncertified steps neither solve nor read the memo.
+func TestPrefixSolverGrowMatchesSolve(t *testing.T) {
+	rng := stats.NewRand(7006)
+	memo := NewMemo()
+	var agg PrefixStats
+	for trial := 0; trial < 400; trial++ {
+		reqs := randFastRequests(rng)
+		if trial%2 == 1 {
+			reqs = randGeneralRequests(rng)
+		}
+		layout := randClasses(rng, reqs, trial%4 == 1)
+		caps := make([]float64, len(layout))
+		for i, c := range layout {
+			caps[i] = c.Capacity
+		}
+		grow, err := NewPrefixSolver(reqs, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add, err := NewPrefixSolver(reqs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grow.SetLayout(caps)
+		counts := make([]int, len(caps))
+		for walk := 0; walk < 3; walk++ {
+			grow.Reset()
+			add.Reset()
+			clear(counts)
+			for step := 0; step < 3*len(caps); step++ {
+				i, d := rng.Intn(len(caps)), rng.Intn(4)
+				counts[i] += d
+				got, ok := grow.Grow(i, d)
+				fallbacks := add.Stats().Fallbacks
+				addV := add.Add(Class{Count: d, Capacity: caps[i]})
+				if fellBack := add.Stats().Fallbacks > fallbacks; ok == fellBack {
+					t.Fatalf("trial %d step %d: Grow certified=%v, Add fell back=%v", trial, step, ok, fellBack)
+				}
+				if !ok {
+					if !math.IsNaN(got) || !math.IsNaN(grow.Value()) {
+						t.Fatalf("trial %d step %d: uncertified Grow reported %g, Value %g", trial, step, got, grow.Value())
+					}
+					continue
+				}
+				var pool Pool
+				for s, c := range counts {
+					if c > 0 {
+						pool.Classes = append(pool.Classes, Class{Count: c, Capacity: caps[s]})
+					}
+				}
+				if want := Solve(pool, reqs).Utility; got != want || addV != want || grow.Value() != want {
+					t.Fatalf("trial %d step %d: Grow %.17g, Add %.17g, Solve %.17g", trial, step, got, addV, want)
+				}
+			}
+		}
+		st := grow.Stats()
+		agg.Steps += st.Steps
+		agg.Fast += st.Fast
+		agg.Repaired += st.Repaired
+		agg.Fallbacks += st.Fallbacks
+	}
+	if agg.Fast == 0 || agg.Repaired == 0 || agg.Fallbacks == 0 {
+		t.Fatalf("every step kind must occur: %+v", agg)
+	}
+	if ms := memo.Stats(); ms.Hits+ms.Misses != 0 {
+		t.Fatalf("Grow consulted the memo: %+v", ms)
+	}
+	t.Logf("grow differential: %+v", agg)
 }

@@ -269,6 +269,7 @@ func (e *approxEngine) run(from, to, workers int) {
 					e.unit(u, scratch)
 				}
 			}
+			scratch.w.finish()
 		}()
 	}
 	for s := 0; s < approxStrata; s++ {

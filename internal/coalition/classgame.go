@@ -22,9 +22,13 @@ import (
 //
 // Two engines run on the collapsed game: ExactShapley enumerates the count
 // lattice with closed-form ordering probabilities (exact, feasible when
-// Π(m_j+1) is modest), and MemberGame adapts it for ApproxShapley with a
-// concurrent count-vector memo, composing collapse with sampling when the
-// state space is still too large.
+// Π(m_j+1) is modest), and MemberGame adapts it for ApproxShapley,
+// composing collapse with sampling when the state space is still too
+// large. Its permutation walks grow a count vector one member at a time
+// and value each step by a per-step rule: a step the structure's
+// incremental evaluator (ClassStructure.Prefix) certifies takes that
+// value; any other step reads a concurrent count-vector memo, which
+// calls Value on a miss.
 
 // ClassStructure describes the interchangeable-player structure of a game:
 // a partition of the players into classes plus the class-level
@@ -37,9 +41,27 @@ type ClassStructure struct {
 	// Value returns V for the coalition containing counts[j] members of
 	// class j (any counts[j] members — the classes are interchangeable).
 	// It must be safe for concurrent calls, return 0 for the zero vector,
-	// and must not retain the slice. MemberGame caches it per count
-	// vector, so it need not cache itself.
+	// and must not retain the slice. MemberGame's walks call it only on
+	// steps Prefix cannot certify, through a count-vector memo, so it
+	// need not cache itself.
 	Value func(counts []int) float64
+	// Prefix, when non-nil, returns a fresh incremental evaluator of
+	// Value for one prefix walker. The game's owner fills it (core.Model
+	// backs it with an allocation.PrefixSolver); nil means every walked
+	// step reads the count-vector memo.
+	Prefix func() ClassPrefix
+}
+
+// ClassPrefix values a count vector grown one member at a time, for one
+// walker of the collapsed game. It is stateful and single-goroutine.
+type ClassPrefix interface {
+	// Reset empties the count vector, starting a new walk.
+	Reset()
+	// Add adds one member of class j. When ok, v is exactly Value of the
+	// grown count vector, bit for bit. Otherwise the evaluator could not
+	// certify the step and the caller values the vector itself; whether
+	// a step is certified depends only on the count vector.
+	Add(j int) (v float64, ok bool)
 }
 
 // Validate checks the partition's internal consistency.
@@ -206,14 +228,14 @@ func odometer(counts, mult []int) {
 const classMemoStripes = 64
 
 // classMemberGame adapts a ClassStructure to the MemberGame interface for
-// the sampler: coalitions reduce to count vectors, and distinct count
-// vectors are solved once through a striped concurrent memo. A sampled
-// ordering of a 200-player game visits 200 prefixes, but across thousands
-// of orderings those prefixes share a vastly smaller count-vector space,
-// so most ValueMembers calls are O(k) lookups rather than solves. This memo
-// is the only cache on the collapsed path (core.Model's ClassStructure.Value
-// solves directly), so memory is bounded by the count vectors one
-// computation visits.
+// the sampler: coalitions reduce to count vectors, and count vectors the
+// incremental evaluator cannot certify are solved once through a striped
+// concurrent memo. A sampled ordering of a 200-player game visits 200
+// prefixes, but across thousands of orderings those prefixes share a
+// vastly smaller count-vector space, so a memo-served step is usually an
+// O(k) lookup rather than a solve. This memo is the only cache on the
+// collapsed path (core.Model's ClassStructure.Value solves directly), so
+// memory is bounded by the count vectors one computation sends to it.
 type classMemberGame struct {
 	cs     *ClassStructure
 	seed   maphash.Seed
@@ -245,18 +267,24 @@ func (g *classMemberGame) ValueMembers(members []int) float64 {
 }
 
 // PrefixValuer implements PrefixGame: the walker's coalition reduces to a
-// count vector maintained incrementally, so each prefix step is one O(k)
-// memo probe with no per-member scan. The valuer shares the game's striped
-// memo, so incremental and ValueMembers evaluations return the same cached
-// floats bit-for-bit.
+// count vector maintained incrementally, with no per-member scan. Each
+// step takes the value of the valuer's own ClassPrefix evaluator when it
+// certifies one, and otherwise one O(k) probe of the game's striped memo.
+// Both equal Value of the count vector bit for bit, so incremental and
+// ValueMembers evaluations agree whichever serves a step.
 func (g *classMemberGame) PrefixValuer() PrefixValuer {
 	k := g.cs.K()
-	return &classPrefixValuer{g: g, counts: make([]int, k), key: make([]byte, 2*k)}
+	v := &classPrefixValuer{g: g, counts: make([]int, k), key: make([]byte, 2*k)}
+	if g.cs.Prefix != nil {
+		v.ev = g.cs.Prefix()
+	}
+	return v
 }
 
 // classPrefixValuer is the incremental walker state over one count vector.
 type classPrefixValuer struct {
 	g      *classMemberGame
+	ev     ClassPrefix // nil: every step reads the memo
 	counts []int
 	key    []byte
 }
@@ -266,11 +294,20 @@ func (v *classPrefixValuer) Reset() {
 	for j := range v.counts {
 		v.counts[j] = 0
 	}
+	if v.ev != nil {
+		v.ev.Reset()
+	}
 }
 
 // Extend implements PrefixValuer.
 func (v *classPrefixValuer) Extend(p int) float64 {
-	v.counts[v.g.cs.ClassOf[p]]++
+	j := v.g.cs.ClassOf[p]
+	v.counts[j]++
+	if v.ev != nil {
+		if x, ok := v.ev.Add(j); ok {
+			return x
+		}
+	}
 	return v.g.valueCounts(v.counts, v.key)
 }
 

@@ -149,8 +149,10 @@ func TestClassMemberGameMatchesStructure(t *testing.T) {
 	if mg.N() != 6 {
 		t.Fatalf("N = %d, want 6", mg.N())
 	}
-	// Every coalition through the memoized adapter must match the dense
-	// table; hammered concurrently this doubles as the memo's race test.
+	// ValueMembers values every coalition through the count-vector memo
+	// (only prefix walks consult an incremental evaluator), and each must
+	// match the dense table; hammered concurrently this doubles as the
+	// memo's race test.
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

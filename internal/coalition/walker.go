@@ -21,7 +21,9 @@ package coalition
 // (bit-identical, so sampling output is independent of whether the
 // incremental path is used).
 type PrefixValuer interface {
-	// Reset empties the coalition, starting a new walk.
+	// Reset empties the coalition, starting a new walk. The sampler also
+	// calls it once when a worker finishes, so a valuer that batches
+	// counters (allocation.PrefixSolver does) publishes its last walk's.
 	Reset()
 	// Extend adds one player and returns V of the extended coalition.
 	Extend(player int) float64
@@ -51,6 +53,14 @@ func newPrefixWalker(g MemberGame) *prefixWalker {
 		w.pv = pg.PrefixValuer()
 	}
 	return w
+}
+
+// finish ends the worker's walks: it resets the valuer, publishing any
+// counters it batched since its last walk began.
+func (w *prefixWalker) finish() {
+	if w.pv != nil {
+		w.pv.Reset()
+	}
 }
 
 // walk evaluates V along the growing prefixes of perm — of reverse(perm)

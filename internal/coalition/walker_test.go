@@ -86,39 +86,103 @@ func TestWalkerIncrementalMatchesGeneric(t *testing.T) {
 
 // TestClassGamePrefixValuer walks random permutations through the
 // collapsed game's incremental valuer and requires exact agreement with
-// ValueMembers at every prefix (both share the count-vector memo).
+// ValueMembers at every prefix under the per-step rule: a step the
+// structure's Prefix evaluator certifies takes its value, and every other
+// step reads the count-vector memo. Without an evaluator every step reads
+// the memo; with one that certifies every step, the walk never calls
+// Value.
 func TestClassGamePrefixValuer(t *testing.T) {
-	cs := &ClassStructure{
-		Mult:    []int{3, 4, 2},
-		ClassOf: []int{0, 0, 0, 1, 1, 1, 1, 2, 2},
-		Value: func(counts []int) float64 {
-			// Submodular-ish nonlinear class game.
-			v := 0.0
-			for j, c := range counts {
-				v += float64((j + 1) * c * (10 - c))
+	value := func(counts []int) float64 {
+		// Submodular-ish nonlinear class game.
+		v := 0.0
+		for j, c := range counts {
+			v += float64((j + 1) * c * (10 - c))
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		name    string
+		certify func(total int) bool // nil: no evaluator
+	}{
+		{"memo only", nil},
+		{"even steps certified", func(total int) bool { return total%2 == 0 }},
+		{"every step certified", func(int) bool { return true }},
+	} {
+		var valueCalls, certified atomic.Int64
+		cs := &ClassStructure{
+			Mult:    []int{3, 4, 2},
+			ClassOf: []int{0, 0, 0, 1, 1, 1, 1, 2, 2},
+			Value: func(counts []int) float64 {
+				valueCalls.Add(1)
+				return value(counts)
+			},
+		}
+		if tc.certify != nil {
+			cs.Prefix = func() ClassPrefix {
+				return &stubClassPrefix{counts: make([]int, 3), value: value, certify: tc.certify, certified: &certified}
 			}
-			return v
-		},
-	}
-	mg := cs.MemberGame()
-	pg, ok := mg.(PrefixGame)
-	if !ok {
-		t.Fatal("collapsed game does not implement PrefixGame")
-	}
-	pv := pg.PrefixValuer()
-	if pv == nil {
-		t.Fatal("collapsed game returned a nil PrefixValuer")
-	}
-	rng := stats.NewRand(11)
-	n := cs.N()
-	for walk := 0; walk < 50; walk++ {
-		perm := rng.Perm(n)
-		pv.Reset()
-		for k := 1; k <= n; k++ {
-			got := pv.Extend(perm[k-1])
-			if want := mg.ValueMembers(perm[:k]); got != want {
-				t.Fatalf("walk %d prefix %d: incremental %.17g, direct %.17g", walk, k, got, want)
+		}
+		mg := cs.MemberGame()
+		pg, ok := mg.(PrefixGame)
+		if !ok {
+			t.Fatal("collapsed game does not implement PrefixGame")
+		}
+		pv := pg.PrefixValuer()
+		if pv == nil {
+			t.Fatal("collapsed game returned a nil PrefixValuer")
+		}
+		rng := stats.NewRand(11)
+		n := cs.N()
+		walkCalls := int64(0)
+		for walk := 0; walk < 50; walk++ {
+			perm := rng.Perm(n)
+			pv.Reset()
+			for k := 1; k <= n; k++ {
+				before := valueCalls.Load()
+				got := pv.Extend(perm[k-1])
+				walkCalls += valueCalls.Load() - before
+				if want := mg.ValueMembers(perm[:k]); got != want {
+					t.Fatalf("%s: walk %d prefix %d: incremental %.17g, direct %.17g", tc.name, walk, k, got, want)
+				}
+			}
+		}
+		switch tc.name {
+		case "memo only":
+			if walkCalls == 0 {
+				t.Errorf("%s: the walk never reached Value", tc.name)
+			}
+		case "even steps certified":
+			if certified.Load() == 0 || walkCalls == 0 {
+				t.Errorf("%s: %d certified steps, %d Value calls; want both", tc.name, certified.Load(), walkCalls)
+			}
+		case "every step certified":
+			if walkCalls != 0 {
+				t.Errorf("%s: the walk called Value %d times", tc.name, walkCalls)
 			}
 		}
 	}
+}
+
+// stubClassPrefix is a ClassPrefix certifying the steps whose count
+// vector's total passes certify, valued by calling value itself.
+type stubClassPrefix struct {
+	counts    []int
+	value     func([]int) float64
+	certify   func(total int) bool
+	certified *atomic.Int64
+}
+
+func (s *stubClassPrefix) Reset() { clear(s.counts) }
+
+func (s *stubClassPrefix) Add(j int) (float64, bool) {
+	s.counts[j]++
+	total := 0
+	for _, c := range s.counts {
+		total += c
+	}
+	if !s.certify(total) {
+		return 0, false
+	}
+	s.certified.Add(1)
+	return s.value(s.counts), true
 }

@@ -43,10 +43,12 @@ func benchFederation(tb testing.TB, n, k int) *Model {
 // approximation tier at federation scale: symmetry collapse over 5
 // facility templates, then stratified antithetic permutation sampling
 // adaptive to a 1% relative CI target. These are the BENCH_6.json
-// wall-clock points (n = 50, 100, 200, 500). Each iteration builds a
-// fresh model and a fresh count-vector memo, and the collapsed game never
-// reads the allocation memo, so every iteration solves its count vectors
-// cold — matching how a scenario sweep behaves.
+// wall-clock points (n = 50, 100, 200, 500). The demand is linear, so the
+// collapsed game's PrefixSolver fast path certifies every walked step:
+// no step reaches the count-vector memo or Value, and the allocation memo
+// is never read. Each iteration builds a fresh model, so nothing carries
+// over between iterations — matching how a scenario sweep behaves.
+// BenchmarkApproxShapleyCollapsedGreedy measures the memo-served side.
 func BenchmarkApproxShapley(b *testing.B) {
 	for _, n := range []int{50, 100, 200, 500} {
 		b.Run(benchName(n), func(b *testing.B) {
@@ -62,6 +64,56 @@ func BenchmarkApproxShapley(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkApproxShapleyCollapsedGreedy measures the collapsed game's
+// memo-served side: 36 facilities from three templates — A (8 locations
+// of 3 resources), B (20 of 2), C (50 of 1), 12 replicas each — under 12
+// elastic requests (min 10 locations, shape 0.7) and 6 strict ones (min
+// 80, shape 1.3, 2 resources). The demand is off the fast path and every
+// capacity is below its total resource demand, so the PrefixSolver
+// certifies no step and each one reads the count-vector memo, which
+// solves a count vector on its first visit only. Forced approx, 2000
+// samples, seed 42.
+func BenchmarkApproxShapleyCollapsedGreedy(b *testing.B) {
+	wl, err := economics.NewWorkload(
+		economics.DemandClass{Type: economics.ExperimentType{
+			Name: "elastic", MinLocations: 10, MaxLocations: math.Inf(1),
+			Resources: 1, HoldingTime: 1, Shape: 0.7,
+		}, Count: 12},
+		economics.DemandClass{Type: economics.ExperimentType{
+			Name: "strict", MinLocations: 80, MaxLocations: math.Inf(1),
+			Resources: 2, HoldingTime: 1, Shape: 1.3,
+		}, Count: 6},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tpls := []Facility{
+		{Name: "A", Locations: 8, Resources: 3},
+		{Name: "B", Locations: 20, Resources: 2},
+		{Name: "C", Locations: 50, Resources: 1},
+	}
+	p := ApproxShapleyPolicy{Samples: 2000, Seed: 42, Method: coalition.MethodApprox}
+	for i := 0; i < b.N; i++ {
+		fs := make([]Facility, 0, 36)
+		for _, tpl := range tpls {
+			for r := 0; r < 12; r++ {
+				fs = append(fs, tpl)
+			}
+		}
+		m, err := NewModel(fs, wl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := p.Result(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Method != coalition.EngineApproxCollapsed {
+			b.Fatalf("engine %q, want %q", res.Method, coalition.EngineApproxCollapsed)
+		}
 	}
 }
 

@@ -73,13 +73,16 @@ func specModel(t *testing.T, id string) *core.Model {
 // through ValueMembers (the same game wrapped in a MemberFunc, which offers
 // no incremental path), on both allocation paths and the example
 // federations, at any worker count. Templated models are also checked
-// through their collapsed class game.
+// through their collapsed class game, whose walks take the solver's
+// certified steps on the example federations and mix the certified repair
+// with count-vector memo steps on the nonlinear templated model.
 func TestApproxIncrementalEquivalence(t *testing.T) {
 	models := map[string]*core.Model{
-		"fast-distinct": distinctModel(t, 24, 1),
-		"greedy":        distinctModel(t, 18, 0.8),
-		"hetero100":     specModel(t, "hetero100"),
-		"hetero200":     specModel(t, "hetero200"),
+		"fast-distinct":       distinctModel(t, 24, 1),
+		"greedy":              distinctModel(t, 18, 0.8),
+		"hetero100":           specModel(t, "hetero100"),
+		"hetero200":           specModel(t, "hetero200"),
+		"templated-nonlinear": core.TemplatedNonlinearModel(t),
 	}
 	for name, m := range models {
 		plain := coalition.MemberFunc{Players: m.N(), V: m.ValueMembers}

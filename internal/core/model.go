@@ -368,9 +368,13 @@ type classSignature struct {
 // sit next to each other in a per-replica pool, so the greedy engine sees
 // the same location sequence with the same capacities, and the fast and
 // analytic engines see the same integer slot sums; only Utility is read.
-// The count-vector memo of coalition.ClassStructure.MemberGame is the one
-// cache on this path, so the process-wide allocation memo holds only
-// direct evaluations (Value, ValueMembers).
+// Its incremental evaluator (Prefix) walks those same merged classes on an
+// allocation.PrefixSolver, one slot per template in template order, and
+// certifies the steps the solver's fast path or abundant repair values;
+// the sampler sends every other step to the count-vector memo of
+// coalition.ClassStructure.MemberGame, the one cache on this path. The
+// process-wide allocation memo holds only direct evaluations (Value,
+// ValueMembers).
 func (m *Model) ClassStructure() *coalition.ClassStructure {
 	if m.Overlap != nil {
 		return nil
@@ -415,6 +419,7 @@ func (m *Model) ClassStructure() *coalition.ClassStructure {
 			res := allocation.Solve(allocation.Pool{Classes: classes}, m.requests())
 			return m.muFactor() * res.Utility
 		},
+		Prefix: func() coalition.ClassPrefix { return m.classPrefix(reps) },
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"fedshare/internal/allocation"
 	"fedshare/internal/coalition"
 )
@@ -59,4 +61,46 @@ func (v *modelPrefixValuer) Extend(i int) float64 {
 		Capacity: f.EffectiveCapacity(),
 	})
 	return v.m.muFactor() * u
+}
+
+// classPrefix is the collapsed game's incremental evaluator: a
+// PrefixSolver over the merged classes ClassStructure's Value builds, one
+// slot per template (represented by facility reps[j]) in template order.
+// A replica of template j grows slot j by L_j locations in place.
+type classPrefix struct {
+	m    *Model
+	reps []int
+	ps   *allocation.PrefixSolver
+}
+
+// classPrefix builds one walker's evaluator over the given templates. It
+// returns nil on invalid demand, leaving every step to Value, which
+// reports it the established way.
+func (m *Model) classPrefix(reps []int) coalition.ClassPrefix {
+	ps, err := allocation.NewPrefixSolver(m.requests(), nil)
+	if err != nil {
+		return nil
+	}
+	caps := make([]float64, len(reps))
+	for j, i := range reps {
+		caps[j] = m.Facilities[i].EffectiveCapacity()
+	}
+	ps.SetLayout(caps)
+	return &classPrefix{m: m, reps: reps, ps: ps}
+}
+
+// Reset implements coalition.ClassPrefix.
+func (e *classPrefix) Reset() { e.ps.Reset() }
+
+// Add implements coalition.ClassPrefix.
+func (e *classPrefix) Add(j int) (float64, bool) {
+	l := e.m.Facilities[e.reps[j]].Locations
+	if l == 0 {
+		// Value skips zero-location templates, so V — and whether it is
+		// certified — is the previous step's (NaN when it was not).
+		u := e.ps.Value()
+		return e.m.muFactor() * u, !math.IsNaN(u)
+	}
+	u, ok := e.ps.Grow(j, l)
+	return e.m.muFactor() * u, ok
 }

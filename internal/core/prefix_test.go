@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"fedshare/internal/allocation"
+	"fedshare/internal/coalition"
 	"fedshare/internal/economics"
 	"fedshare/internal/stats"
 )
@@ -110,4 +115,179 @@ func TestPrefixWalkersConcurrentOnSharedModel(t *testing.T) {
 		}(uint64(w + 1))
 	}
 	wg.Wait()
+}
+
+// templatedNonlinearModel is a templated federation off the allocation
+// fast path: sublinear elastic and superlinear strict demand with mixed
+// resources (Σr = 8). Template capacities straddle Σr, so a prefix of
+// only abundant replicas takes the certified greedy repair and a prefix
+// holding a scarce one is left to the count-vector memo; one template
+// contributes no locations.
+func templatedNonlinearModel(t testing.TB) *Model {
+	t.Helper()
+	wl, err := economics.NewWorkload(
+		economics.DemandClass{Type: economics.ExperimentType{
+			Name: "elastic", MinLocations: 2, MaxLocations: 6,
+			Resources: 1, HoldingTime: 1, Shape: 0.8,
+		}, Count: 4},
+		economics.DemandClass{Type: economics.ExperimentType{
+			Name: "strict", MinLocations: 3, MaxLocations: math.Inf(1),
+			Resources: 2, HoldingTime: 1, Shape: 1.3,
+		}, Count: 2},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpls := []struct {
+		f    Facility
+		mult int
+	}{
+		{Facility{Locations: 3, Resources: 12}, 6}, // abundant
+		{Facility{Locations: 2, Resources: 5}, 4},  // scarce
+		{Facility{Locations: 4, Resources: 9}, 5},  // abundant
+		{Facility{Locations: 0, Resources: 7}, 3},  // no locations
+	}
+	var fs []Facility
+	for j, tpl := range tpls {
+		for r := 0; r < tpl.mult; r++ {
+			f := tpl.f
+			f.Name = fmt.Sprintf("T%d-%d", j, r)
+			fs = append(fs, f)
+		}
+	}
+	m, err := NewModel(fs, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestClassStructurePrefixWalk walks the collapsed game's PrefixValuer
+// over random orderings and requires every prefix value to equal
+// cs.Value of the prefix's count vector bit for bit. On a linear
+// templated model the solver's fast path certifies every step; on
+// templatedNonlinearModel steps split between the certified repair and
+// the count-vector memo. Concurrent walkers share one game, and so one
+// memo (meaningful under -race).
+func TestClassStructurePrefixWalk(t *testing.T) {
+	models := map[string]*Model{
+		"linear":    heteroModel(t, 24, 4),
+		"nonlinear": templatedNonlinearModel(t),
+	}
+	for name, m := range models {
+		cs := m.ClassStructure()
+		var mu sync.Mutex
+		var evs []*classPrefix
+		inner := cs.Prefix
+		cs.Prefix = func() coalition.ClassPrefix {
+			ev := inner()
+			mu.Lock()
+			evs = append(evs, ev.(*classPrefix))
+			mu.Unlock()
+			return ev
+		}
+		pg := cs.MemberGame().(coalition.PrefixGame)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				rng := stats.NewRand(seed)
+				pv := pg.PrefixValuer()
+				counts := make([]int, cs.K())
+				for walk := 0; walk < 25; walk++ {
+					perm := rng.Perm(cs.N())
+					pv.Reset()
+					clear(counts)
+					for k, p := range perm {
+						counts[cs.ClassOf[p]]++
+						if got, want := pv.Extend(p), cs.Value(counts); got != want {
+							t.Errorf("%s worker %d walk %d prefix %d: walked %.17g, Value(%v) %.17g",
+								name, seed, walk, k+1, got, counts, want)
+							return
+						}
+					}
+				}
+			}(uint64(w + 1))
+		}
+		wg.Wait()
+		var st allocation.PrefixStats
+		for _, ev := range evs {
+			s := ev.ps.Stats()
+			st.Fast += s.Fast
+			st.Repaired += s.Repaired
+			st.Fallbacks += s.Fallbacks
+		}
+		switch {
+		case name == "linear" && (st.Fast == 0 || st.Repaired+st.Fallbacks != 0):
+			t.Errorf("linear: want fast steps only, got %+v", st)
+		case name == "nonlinear" && (st.Repaired == 0 || st.Fallbacks == 0):
+			t.Errorf("nonlinear: want repaired and uncertified steps, got %+v", st)
+		}
+	}
+}
+
+// TestClassStructurePrefixValueCalls pins the mechanism, not only the
+// output: with Value wrapped in a call counter, sampling the linear
+// templated game never calls Value (the solver certifies every step),
+// while the nonlinear one reaches it through the count-vector memo.
+func TestClassStructurePrefixValueCalls(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		m         *Model
+		wantCalls bool
+	}{
+		{"linear", heteroModel(t, 24, 4), false},
+		{"nonlinear", templatedNonlinearModel(t), true},
+	} {
+		cs := tc.m.ClassStructure()
+		var calls atomic.Int64
+		inner := cs.Value
+		cs.Value = func(counts []int) float64 {
+			calls.Add(1)
+			return inner(counts)
+		}
+		res, err := coalition.Values(tc.m, coalition.Options{
+			Method: coalition.MethodApprox, Samples: 96, Seed: 42, Structure: cs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Method != coalition.EngineApproxCollapsed {
+			t.Fatalf("%s: engine %q, want %q", tc.name, res.Method, coalition.EngineApproxCollapsed)
+		}
+		if got := calls.Load() > 0; got != tc.wantCalls {
+			t.Errorf("%s: %d Value calls, want calls=%v", tc.name, calls.Load(), tc.wantCalls)
+		}
+	}
+}
+
+// TestApproxPrefixCountersExact checks that the process-wide prefix
+// counters see every walked step at any worker count, the last walk of
+// each worker included: Samples × n steps for a distinct model walked
+// through Model.PrefixValuer and for a templated one walked through the
+// collapsed game's solver, with no fallbacks on either (linear demand).
+func TestApproxPrefixCountersExact(t *testing.T) {
+	models := map[string]*Model{
+		"distinct":  heteroModel(t, 30, 30),
+		"collapsed": heteroModel(t, 30, 3),
+	}
+	for name, m := range models {
+		for _, workers := range []int{1, 2, 4} {
+			steps0, fallbacks0 := allocation.PrefixCounters()
+			p := ApproxShapleyPolicy{Samples: 60, Seed: 7, Workers: workers, Method: coalition.MethodApprox}
+			res, err := p.Result(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps1, fallbacks1 := allocation.PrefixCounters()
+			if got, want := steps1-steps0, int64(res.Samples*m.N()); got != want {
+				t.Errorf("%s workers=%d: %d prefix steps counted, want %d (%d samples × %d)",
+					name, workers, got, want, res.Samples, m.N())
+			}
+			if d := fallbacks1 - fallbacks0; d != 0 {
+				t.Errorf("%s workers=%d: %d fallbacks, want 0", name, workers, d)
+			}
+		}
+	}
 }
