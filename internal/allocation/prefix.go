@@ -51,7 +51,7 @@ import (
 
 // PrefixStats counts how a PrefixSolver's steps were served.
 type PrefixStats struct {
-	// Steps is the number of Add calls.
+	// Steps is the number of Add and Grow calls.
 	Steps int64
 	// Fast is the number of steps valued by the incremental exact
 	// Gale–Ryser/analytic fast path.
@@ -266,9 +266,6 @@ func (ps *PrefixSolver) Grow(i, count int) (v float64, ok bool) {
 		panic(fmt.Sprintf("allocation: slot %d grown by negative count %d", i, count))
 	}
 	v, ok = ps.step(count, ps.slotCap[i])
-	if !ok {
-		v = math.NaN()
-	}
 	ps.value = v
 	return v, ok
 }
@@ -276,7 +273,8 @@ func (ps *PrefixSolver) Grow(i, count int) (v float64, ok bool) {
 // step adds count locations of the given capacity to the pool's location
 // and Fenwick accounting, then values the pool on the cheapest certified
 // path that reproduces Solve: incremental fast path, then certified
-// greedy repair. ok is false (a counted fallback) when neither applies.
+// greedy repair. When neither applies, it counts a fallback and returns
+// NaN with ok false.
 func (ps *PrefixSolver) step(count int, capacity float64) (v float64, ok bool) {
 	ps.stats.Steps++
 	if count > 0 {
@@ -313,7 +311,7 @@ func (ps *PrefixSolver) step(count int, capacity float64) (v float64, ok bool) {
 		return ps.abundantValue(), true
 	}
 	ps.stats.Fallbacks++
-	return 0, false
+	return math.NaN(), false
 }
 
 // totalSlots returns Σ_c Count_c·min(n_c, m) over the current pool via

@@ -121,10 +121,11 @@ func TestOverlapModelsBypassMemo(t *testing.T) {
 }
 
 // TestCollapsedGameBypassesMemo is the memo-isolation regression test: the
-// collapsed class game caches each count vector in its own memo, so a
-// sampled share computation on a templated federation past the bitmask
-// bound may touch the process-wide allocation memo only for its direct
-// V(N) evaluations, never once per count vector.
+// collapsed class game values its walked steps through its own prefix
+// solvers, or its own count-vector memo where a solver cannot certify a
+// step, so a sampled share computation on a templated federation past the
+// bitmask bound may touch the process-wide allocation memo only for its
+// direct V(N) evaluations, never once per count vector.
 func TestCollapsedGameBypassesMemo(t *testing.T) {
 	m := heteroModel(t, 120, 4)
 	before := allocation.DefaultMemo.Stats()
