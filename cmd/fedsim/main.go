@@ -96,8 +96,8 @@ func main() {
 	}
 	flag.Parse()
 
-	// The coalition engine (SnapshotParallel / BatchedValuesParallel) sizes
-	// its worker pools from GOMAXPROCS; -workers bounds both.
+	// The coalition engine (Snapshot / BatchedValues behind Model.Table and
+	// Values) sizes its worker pools from GOMAXPROCS; -workers bounds both.
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}

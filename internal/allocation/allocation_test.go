@@ -348,7 +348,10 @@ func TestSolveP2PIndividualRationality(t *testing.T) {
 			}
 		}
 		// Shares sum to 1 when total > 0.
-		total := res.TotalUtility()
+		total := 0.0
+		for _, u := range res.Federated {
+			total += u
+		}
 		if total > 0 {
 			sum := 0.0
 			for _, s := range res.Shares {

@@ -15,14 +15,10 @@ package allocation
 // solveAnalytic shares distributeBalanced with solveFast, so the two
 // engines agree bit-for-bit (X, Utility, ConsumedByClass, SlotsByClass) on
 // the analytic domain; solveFast remains the test oracle. Solve is the only
-// entry point: it dispatches here when AnalyticApplies.
-
-// AnalyticApplies reports whether the closed form handles (pool, reqs): a
-// non-empty batch of identical requests with linear utility (Shape == 1),
-// uniform Resources, identical Min, and no Max below the pool size.
-func AnalyticApplies(pool Pool, reqs []Request) bool {
-	return fastApplies(pool, reqs) && analyticEligible(pool, reqs)
-}
+// entry point: it dispatches here when fastApplies and analyticEligible both
+// hold, i.e. for a non-empty batch of identical requests with linear utility
+// (Shape == 1), uniform Resources, identical Min, and no Max below the pool
+// size.
 
 // analyticEligible assumes fastApplies already holds (uniform Resources,
 // Shape 1, unbounded Max) and checks the extra homogeneity condition.

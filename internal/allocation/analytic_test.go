@@ -33,6 +33,11 @@ func randomAnalyticInstance(rng *rand.Rand) (Pool, []Request) {
 	return pool, reqs
 }
 
+// analyticApplies is Solve's dispatch rule for the closed form.
+func analyticApplies(pool Pool, reqs []Request) bool {
+	return fastApplies(pool, reqs) && analyticEligible(pool, reqs)
+}
+
 // TestSolveAnalyticMatchesFastOracle verifies the closed-form engine against
 // the full solveFast admission loop on 2000 randomized eligible instances:
 // the two must agree exactly (==, not within tolerance) on every Result
@@ -41,7 +46,7 @@ func TestSolveAnalyticMatchesFastOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	for trial := 0; trial < 2000; trial++ {
 		pool, reqs := randomAnalyticInstance(rng)
-		if !AnalyticApplies(pool, reqs) {
+		if !analyticApplies(pool, reqs) {
 			t.Fatalf("trial %d: instance unexpectedly outside analytic domain", trial)
 		}
 		want := solveFast(pool, reqs)
@@ -74,7 +79,7 @@ func TestSolveDispatchesAnalytic(t *testing.T) {
 	for j := range reqs {
 		reqs[j] = Request{Min: 3, Shape: 1, Resources: 1}
 	}
-	if !AnalyticApplies(pool, reqs) {
+	if !analyticApplies(pool, reqs) {
 		t.Fatal("homogeneous batch should be analytic-eligible")
 	}
 	got := Solve(pool, reqs)
@@ -85,12 +90,12 @@ func TestSolveDispatchesAnalytic(t *testing.T) {
 
 	// Heterogeneous minima: eligible for solveFast, not for the closed form.
 	mixed := append(append([]Request(nil), reqs...), Request{Min: 5, Shape: 1, Resources: 1})
-	if AnalyticApplies(pool, mixed) {
+	if analyticApplies(pool, mixed) {
 		t.Fatal("mixed minima must not be analytic-eligible")
 	}
 	// Nonlinear shape: not even fast-eligible.
 	curved := []Request{{Min: 2, Shape: 1.2, Resources: 1}, {Min: 2, Shape: 1.2, Resources: 1}}
-	if AnalyticApplies(pool, curved) {
+	if analyticApplies(pool, curved) {
 		t.Fatal("d != 1 must not be analytic-eligible")
 	}
 	if got := Solve(pool, mixed); len(got.X) != len(mixed) {

@@ -26,15 +26,6 @@ type P2PResult struct {
 	Shares []float64
 }
 
-// TotalUtility returns Σ Federated.
-func (r *P2PResult) TotalUtility() float64 {
-	t := 0.0
-	for _, u := range r.Federated {
-		t += u
-	}
-	return t
-}
-
 // SolveP2P solves the P2P-scenario allocation: maximize total user utility
 // subject to every facility obtaining at least its standalone utility
 // (the individual-rationality constraint of problem (3)).

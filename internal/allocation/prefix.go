@@ -65,15 +65,6 @@ type PrefixStats struct {
 	Fallbacks int64
 }
 
-// FallbackRate returns the fraction of steps that fell back to a full
-// re-solve.
-func (s PrefixStats) FallbackRate() float64 {
-	if s.Steps == 0 {
-		return 0
-	}
-	return float64(s.Fallbacks) / float64(s.Steps)
-}
-
 // PrefixSolver evaluates V over a growing pool of location classes for a
 // fixed request list. It is stateful and NOT safe for concurrent use;
 // create one per walker goroutine (they may share one Memo, which is

@@ -220,8 +220,8 @@ func TestPrefixSolverStatsAndReset(t *testing.T) {
 	if st.Steps != 2 || st.Fast != 2 {
 		t.Fatalf("unexpected stats %+v", st)
 	}
-	if st.FallbackRate() != 0 {
-		t.Fatalf("fallback rate %g, want 0", st.FallbackRate())
+	if st.Fallbacks != 0 {
+		t.Fatalf("%d fallbacks, want 0", st.Fallbacks)
 	}
 	v := ps.Value()
 	ps.Reset()

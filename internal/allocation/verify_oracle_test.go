@@ -3,8 +3,6 @@ package allocation
 import (
 	"fmt"
 	"math"
-
-	"fedshare/internal/maxflow"
 )
 
 // verifyAssignment checks, with an independent max-flow computation, that
@@ -55,7 +53,7 @@ func verifyAssignment(pool Pool, reqs []Request, X []int) error {
 			rightCap = append(rightCap, slots)
 		}
 	}
-	flow, _ := maxflow.BMatching(leftCap, rightCap)
+	flow, _ := bMatching(leftCap, rightCap)
 	if flow != total {
 		return fmt.Errorf("allocation: counts %v need %d pairs but flow admits only %d", X, total, flow)
 	}
@@ -143,29 +141,29 @@ func solveFlow(pool Pool, reqs []Request) (*Result, error) {
 	// two-phase construction is used instead.
 	nl := len(admitted)
 	nrLocs := L
-	g := maxflow.NewGraph(nl + nrLocs + 2)
+	g := newFlowGraph(nl + nrLocs + 2)
 	s, t := 0, nl+nrLocs+1
 	minEdges := make([]int, nl)
 	for i, j := range admitted {
-		minEdges[i] = g.AddEdge(s, 1+i, reqs[j].Min)
+		minEdges[i] = g.addEdge(s, 1+i, reqs[j].Min)
 	}
 	li := 0
 	for c := range pool.Classes {
 		for k := 0; k < counts[c]; k++ {
-			g.AddEdge(1+nl+li, t, n[c])
+			g.addEdge(1+nl+li, t, n[c])
 			li++
 		}
 	}
 	for i := 0; i < nl; i++ {
 		for l := 0; l < nrLocs; l++ {
-			g.AddEdge(1+i, 1+nl+l, 1)
+			g.addEdge(1+i, 1+nl+l, 1)
 		}
 	}
 	sumMin := 0
 	for _, j := range admitted {
 		sumMin += reqs[j].Min
 	}
-	if got := g.MaxFlow(s, t); got != sumMin {
+	if got := g.maxFlow(s, t); got != sumMin {
 		return nil, fmt.Errorf("allocation: internal: minima flow %d != %d", got, sumMin)
 	}
 	// Phase 2: raise source capacities to Max and continue the flow on the
@@ -176,16 +174,16 @@ func solveFlow(pool Pool, reqs []Request) (*Result, error) {
 	}
 	for i, j := range admitted {
 		if extra := reqs[j].maxLocations(L) - reqs[j].Min; extra > 0 {
-			extraEdges[i] = g.AddEdge(s, 1+i, extra)
+			extraEdges[i] = g.addEdge(s, 1+i, extra)
 		}
 	}
-	g.MaxFlow(s, t)
+	g.maxFlow(s, t)
 
 	deg := make([]int, nl)
 	for i := range admitted {
-		deg[i] = g.Flow(minEdges[i])
+		deg[i] = g.flow(minEdges[i])
 		if extraEdges[i] >= 0 {
-			deg[i] += g.Flow(extraEdges[i])
+			deg[i] += g.flow(extraEdges[i])
 		}
 	}
 

@@ -45,11 +45,15 @@ const approxStrata = 64
 // is given.
 const approxDefaultMaxSamples = 1 << 20
 
+// permsPerUnit is the number of orderings in one sample unit: a sampled
+// permutation and its antithetic reversal.
+const permsPerUnit = 2
+
 // ApproxOptions configures ApproxShapley.
 type ApproxOptions struct {
 	// Samples is the permutation budget. The sampler rounds it up to a
 	// whole number of first-element-balanced antithetic blocks (2n
-	// permutations per block; n with NoAntithetic). When CITarget is also
+	// permutations per block). When CITarget is also
 	// set, Samples acts as the adaptive cap; 0 means
 	// approxDefaultMaxSamples.
 	Samples int
@@ -68,9 +72,6 @@ type ApproxOptions struct {
 	// players provably have equal Shapley values). Every player must
 	// appear in exactly one group. Nil means no pooling.
 	Groups [][]int
-	// NoAntithetic disables antithetic pairing (each sample unit is a
-	// single ordering). Used by estimator-quality tests and benchmarks.
-	NoAntithetic bool
 }
 
 // ApproxResult is a sampled Shapley estimate with per-player uncertainty.
@@ -125,10 +126,6 @@ func ApproxShapley(g MemberGame, opt ApproxOptions) (*ApproxResult, error) {
 	if workers > approxStrata {
 		workers = approxStrata
 	}
-	permsPerUnit := 2
-	if opt.NoAntithetic {
-		permsPerUnit = 1
-	}
 	// Budgets in units (antithetic pairs), rounded up to whole blocks of n
 	// units so the first-element strata stay exactly balanced.
 	blockUnits := n
@@ -144,8 +141,7 @@ func ApproxShapley(g MemberGame, opt ApproxOptions) (*ApproxResult, error) {
 	eng := &approxEngine{
 		g: g, n: n, seed: opt.Seed,
 		groups: groups, groupOf: groupOf,
-		antithetic: !opt.NoAntithetic,
-		sums:       make([][]stats.Summary, approxStrata),
+		sums: make([][]stats.Summary, approxStrata),
 	}
 	for s := range eng.sums {
 		eng.sums[s] = make([]stats.Summary, len(groups))
@@ -237,12 +233,11 @@ func normalizeGroups(n int, groups [][]int) ([][]int, []int, error) {
 
 // approxEngine carries the sampler state shared across rounds.
 type approxEngine struct {
-	g          MemberGame
-	n          int
-	seed       uint64
-	groups     [][]int
-	groupOf    []int
-	antithetic bool
+	g       MemberGame
+	n       int
+	seed    uint64
+	groups  [][]int
+	groupOf []int
 	// sums[s][g] accumulates stratum s's observations for group g. Strata
 	// are keyed by unit index (u mod approxStrata), so their contents are
 	// independent of how units are scheduled onto workers.
@@ -277,14 +272,7 @@ func (e *approxEngine) run(from, to, workers int) {
 	}
 	close(jobs)
 	wg.Wait()
-	shapleySamplesTotal.Add(int64(to-from) * int64(e.permsPerUnit()))
-}
-
-func (e *approxEngine) permsPerUnit() int {
-	if e.antithetic {
-		return 2
-	}
-	return 1
+	shapleySamplesTotal.Add(int64(to-from) * permsPerUnit)
 }
 
 // approxScratch is the per-worker reusable buffer set, including the
@@ -329,11 +317,9 @@ func (e *approxEngine) unit(u int, sc *approxScratch) {
 	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
 
 	sc.w.walk(perm, false, sc.set)
-	if e.antithetic {
-		sc.w.walk(perm, true, sc.add)
-		for i := range sc.marg {
-			sc.marg[i] /= 2
-		}
+	sc.w.walk(perm, true, sc.add)
+	for i := range sc.marg {
+		sc.marg[i] /= 2
 	}
 	for gi, members := range e.groups {
 		total := 0.0

@@ -61,7 +61,7 @@ func TestExactClassShapleyMatchesKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := BatchedValues(tab).Shapley
+	exact := BatchedValues(tab, 1).Shapley
 	for i := range exact {
 		if math.Abs(phi[i]-exact[i]) > 1e-9 {
 			t.Errorf("player %d: collapsed %.12f vs kernel %.12f", i, phi[i], exact[i])

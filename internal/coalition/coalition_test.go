@@ -121,7 +121,7 @@ func TestShapleyEfficiencyProperty(t *testing.T) {
 		}
 		g, _ := NewTable(n, vals)
 		phi := shapley(t, g)
-		if err := CheckEfficiency(g, phi, 1e-7); err != nil {
+		if err := checkEfficiency(g, phi, 1e-7); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -193,14 +193,8 @@ func TestProperties(t *testing.T) {
 	}}) {
 		t.Error("sqrt(|S|) is strictly concave, not convex")
 	}
-	if !IsMonotone(gloveGame()) {
+	if !isMonotone(gloveGame()) {
 		t.Error("glove game is monotone")
-	}
-	if !IsEssential(gloveGame()) {
-		t.Error("glove game is essential")
-	}
-	if IsEssential(additiveGame([]float64{1, 2})) {
-		t.Error("additive games are inessential")
 	}
 	// A non-superadditive game: strictly concave in |S| with positive
 	// singletons.
@@ -236,34 +230,25 @@ func TestPaperConvexityClaim(t *testing.T) {
 	if !IsConvex(g) {
 		t.Error("d>1 game should be convex")
 	}
-	ok, err := CoreNonempty(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	if !coreNonempty(t, g) {
 		t.Error("convex game must have nonempty core")
 	}
 	// Large threshold also creates a nonempty core (grand coalition alone
 	// feasible).
-	gBig := mk(1, 1300)
-	ok, err = CoreNonempty(gBig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	if !coreNonempty(t, mk(1, 1300)) {
 		t.Error("all-must-cooperate game must have nonempty core")
 	}
 }
 
 func TestInCoreAndLeastCoreGlove(t *testing.T) {
 	g := gloveGame()
-	if !InCore(g, []float64{0, 0, 1}, 1e-9) {
+	if !inCore(g, []float64{0, 0, 1}, 1e-9) {
 		t.Error("(0,0,1) is the glove-game core point")
 	}
-	if InCore(g, []float64{0.5, 0, 0.5}, 1e-9) {
+	if inCore(g, []float64{0.5, 0, 0.5}, 1e-9) {
 		t.Error("(0.5,0,0.5) violates {1,2}'s guarantee")
 	}
-	if InCore(g, []float64{0, 0, 0.9}, 1e-9) {
+	if inCore(g, []float64{0, 0, 0.9}, 1e-9) {
 		t.Error("inefficient allocation cannot be in the core")
 	}
 	res, err := LeastCore(g)
@@ -273,7 +258,7 @@ func TestInCoreAndLeastCoreGlove(t *testing.T) {
 	if res.Epsilon > 1e-7 {
 		t.Errorf("glove-game core nonempty but epsilon = %g", res.Epsilon)
 	}
-	if !InCore(g, res.X, 1e-6) {
+	if !inCore(g, res.X, 1e-6) {
 		t.Errorf("least-core point %v should be in the core", res.X)
 	}
 }
@@ -289,11 +274,7 @@ func TestLeastCoreEmptyCore(t *testing.T) {
 	if math.Abs(res.Epsilon-1.0/3.0) > 1e-6 {
 		t.Errorf("epsilon = %g, want 1/3", res.Epsilon)
 	}
-	ok, err := CoreNonempty(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	if coreNonempty(t, g) {
 		t.Error("majority game core must be empty")
 	}
 }
@@ -372,15 +353,10 @@ func TestNucleolusInCoreProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !InCore(g, nuc, 1e-5) {
+		if !inCore(g, nuc, 1e-5) {
 			t.Fatalf("trial %d: nucleolus %v not in core", trial, nuc)
 		}
 	}
-}
-
-func TestEqualSplit(t *testing.T) {
-	g := gloveGame()
-	almostEqualVec(t, EqualSplit(g), []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}, 1e-12, "equal split")
 }
 
 func TestNormalize(t *testing.T) {
@@ -414,7 +390,7 @@ func TestNewTableValidation(t *testing.T) {
 // BenchmarkShapley10 measures Values end to end on a 10-player bitmask
 // game: snapshot, then one kernel sweep.
 func BenchmarkShapley10(b *testing.B) {
-	g := AsMemberGame(Func{Players: 10, V: func(s combin.Set) float64 {
+	g := asMemberGame(Func{Players: 10, V: func(s combin.Set) float64 {
 		c := float64(s.Card())
 		return c * c
 	}})
@@ -427,7 +403,7 @@ func BenchmarkShapley10(b *testing.B) {
 }
 
 func BenchmarkNucleolus5(b *testing.B) {
-	g, err := Snapshot(bankruptcyGame(300, []float64{50, 100, 150, 200, 250}))
+	g, err := Snapshot(bankruptcyGame(300, []float64{50, 100, 150, 200, 250}), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,36 +8,6 @@ import (
 	"fedshare/internal/lp"
 )
 
-// InCore reports whether allocation x lies in the core of g: x must be
-// efficient (Σx = V(N)) and no coalition may prefer to defect
-// (x(S) >= V(S) for every S).
-func InCore(g Game, x []float64, tol float64) bool {
-	n := g.N()
-	if len(x) != n {
-		return false
-	}
-	sum := 0.0
-	for _, xi := range x {
-		sum += xi
-	}
-	if math.Abs(sum-g.Value(Grand(g))) > tol {
-		return false
-	}
-	ok := true
-	combin.AllCoalitions(n, func(s combin.Set) bool {
-		xs := 0.0
-		for _, i := range s.Members() {
-			xs += x[i]
-		}
-		if xs < g.Value(s)-tol {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
 // LeastCoreResult is the outcome of the least-core LP.
 type LeastCoreResult struct {
 	// Epsilon is the minimized maximum excess max_S (V(S) − x(S)) over
@@ -71,16 +41,6 @@ func LeastCore(g Game) (*LeastCoreResult, error) {
 		return nil, fmt.Errorf("coalition: least-core LP is %v", sol.Status)
 	}
 	return &LeastCoreResult{Epsilon: -m.t.Value(sol.X), X: m.alloc(sol.X)}, nil
-}
-
-// CoreNonempty reports whether the core of g is nonempty, via the least-core
-// LP.
-func CoreNonempty(g Game) (bool, error) {
-	res, err := LeastCore(g)
-	if err != nil {
-		return false, err
-	}
-	return res.Epsilon <= 1e-7, nil
 }
 
 // coreModel builds the shared LP skeleton used by least-core and nucleolus:
@@ -260,19 +220,4 @@ func Nucleolus(g Game) ([]float64, error) {
 		}
 	}
 	return nil, fmt.Errorf("coalition: nucleolus did not converge")
-}
-
-// EqualSplit returns the equal division of V(N) — the "equity" baseline the
-// paper contrasts with contribution-aware rules.
-func EqualSplit(g Game) []float64 {
-	n := g.N()
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	share := g.Value(Grand(g)) / float64(n)
-	for i := range out {
-		out[i] = share
-	}
-	return out
 }

@@ -47,10 +47,6 @@ type Options struct {
 	CITarget float64
 	// Seed selects the deterministic sample stream.
 	Seed uint64
-	// Structure, when non-nil, supplies the interchangeable-player
-	// partition; otherwise Values asks the game itself via the
-	// ClassStructured interface.
-	Structure *ClassStructure
 }
 
 // ClassStructured is implemented by games that can expose their
@@ -105,16 +101,14 @@ func Values(g MemberGame, opt Options) (*ValueResult, error) {
 	// interface.
 	if method != MethodApprox && n <= snapshotMaxPlayers {
 		if t, ok := denseTable(g, workers); ok {
-			phi := BatchedValuesParallel(t, workers).Shapley
+			phi := BatchedValues(t, workers).Shapley
 			return &ValueResult{Phi: phi, Method: EngineKernel, Converged: true}, nil
 		}
 	}
 
-	st := opt.Structure
-	if st == nil {
-		if cs, ok := g.(ClassStructured); ok {
-			st = cs.ClassStructure()
-		}
+	var st *ClassStructure
+	if cs, ok := g.(ClassStructured); ok {
+		st = cs.ClassStructure()
 	}
 	// A partition that does not actually collapse anything buys no exact
 	// feasibility and no pooling; treat it as unstructured.

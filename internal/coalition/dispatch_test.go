@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"fedshare/internal/combin"
 )
 
 // structuredMemberGame pairs a large synthetic member game with its class
@@ -39,14 +37,14 @@ func bigClassGame(n, k int) structuredMemberGame {
 
 func TestValuesPicksKernelForSmallGames(t *testing.T) {
 	tab := randomMonotoneTable(t, 8, 5)
-	res, err := Values(AsMemberGameTable(tab), Options{})
+	res, err := Values(asMemberGame(tab), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Method != EngineKernel {
 		t.Fatalf("method %q, want %q", res.Method, EngineKernel)
 	}
-	exact := BatchedValues(tab).Shapley
+	exact := BatchedValues(tab, 1).Shapley
 	for i := range exact {
 		if res.Phi[i] != exact[i] {
 			t.Errorf("player %d: %g vs kernel %g", i, res.Phi[i], exact[i])
@@ -55,20 +53,6 @@ func TestValuesPicksKernelForSmallGames(t *testing.T) {
 	if res.CIHalf != nil || res.Samples != 0 || !res.Converged {
 		t.Errorf("unexpected kernel result metadata: %+v", res)
 	}
-}
-
-// AsMemberGameTable lifts a *Table through the Game interface so the
-// dispatcher sees both Game and MemberGame (as core.Model will).
-func AsMemberGameTable(tab *Table) MemberGame { return tableMemberGame{tab} }
-
-type tableMemberGame struct{ t *Table }
-
-func (g tableMemberGame) N() int { return g.t.N() }
-func (g tableMemberGame) Value(s combin.Set) float64 {
-	return g.t.Value(s)
-}
-func (g tableMemberGame) ValueMembers(members []int) float64 {
-	return g.t.Value(setOf(members))
 }
 
 func TestValuesPicksExactCollapsed(t *testing.T) {
@@ -135,14 +119,14 @@ func TestValuesMethodExactErrorsWhenInfeasible(t *testing.T) {
 
 func TestValuesMethodApproxForcesSamplingOnSmallGames(t *testing.T) {
 	tab := randomMonotoneTable(t, 6, 9)
-	res, err := Values(AsMemberGameTable(tab), Options{Method: MethodApprox, Samples: 5000, Seed: 4})
+	res, err := Values(asMemberGame(tab), Options{Method: MethodApprox, Samples: 5000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Method != EngineApprox {
 		t.Fatalf("method %q, want %q", res.Method, EngineApprox)
 	}
-	exact := BatchedValues(tab).Shapley
+	exact := BatchedValues(tab, 1).Shapley
 	for i := range exact {
 		if diff := math.Abs(res.Phi[i] - exact[i]); diff > 5*res.CIHalf[i]+1e-9 {
 			t.Errorf("player %d: %g vs exact %g", i, res.Phi[i], exact[i])
@@ -155,19 +139,6 @@ func TestValuesUnknownMethod(t *testing.T) {
 	if _, err := Values(g, Options{Method: "banzhaf"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown method") {
 		t.Errorf("expected unknown-method error, got %v", err)
-	}
-}
-
-func TestValuesExplicitStructureOverridesInterface(t *testing.T) {
-	// Supplying Options.Structure lets callers collapse games that do not
-	// implement ClassStructured themselves.
-	st := bigClassGame(60, 3).st
-	res, err := Values(st.MemberGame(), Options{Structure: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Method != EngineExactCollapsed {
-		t.Fatalf("method %q, want %q", res.Method, EngineExactCollapsed)
 	}
 }
 

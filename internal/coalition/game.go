@@ -1,9 +1,9 @@
 // Package coalition implements transferable-utility coalitional games and
 // the solution concepts the paper builds on: the Shapley value (exact and
-// sampled, both through Values), the Banzhaf value, the core and least core, and the
-// nucleolus. It also provides the structural property checks
-// (superadditivity, convexity, monotonicity) that Sec. 3.2.1 of the paper
-// uses to reason about when the core exists.
+// sampled, both through Values), the Banzhaf value, the least core, the
+// nucleolus, the weighted Shapley and Owen values. It also provides the
+// structural property checks (superadditivity, convexity) that Sec. 3.2.1
+// of the paper uses to reason about when the core exists.
 package coalition
 
 import (
@@ -110,49 +110,6 @@ func IsConvex(g Game) bool {
 		}
 	}
 	return ok
-}
-
-// IsMonotone reports whether S ⊆ T implies V(S) <= V(T).
-func IsMonotone(g Game) bool {
-	n := g.N()
-	ok := true
-	combin.AllCoalitions(n, func(s combin.Set) bool {
-		for i := 0; i < n; i++ {
-			if s.Contains(i) {
-				continue
-			}
-			if g.Value(s.With(i)) < g.Value(s)-1e-9 {
-				ok = false
-				return false
-			}
-		}
-		return true
-	})
-	return ok
-}
-
-// IsEssential reports whether the grand coalition is worth more than the sum
-// of singleton values — i.e., whether there is surplus to share at all.
-func IsEssential(g Game) bool {
-	sum := 0.0
-	for i := 0; i < g.N(); i++ {
-		sum += g.Value(combin.Singleton(i))
-	}
-	return g.Value(Grand(g)) > sum+1e-9
-}
-
-// CheckEfficiency verifies Σφ_i == V(N) within tol, returning a descriptive
-// error when violated. Useful as a guard after sampled estimation.
-func CheckEfficiency(g Game, phi []float64, tol float64) error {
-	sum := 0.0
-	for _, p := range phi {
-		sum += p
-	}
-	vn := g.Value(Grand(g))
-	if math.Abs(sum-vn) > tol {
-		return fmt.Errorf("coalition: allocation sums to %g, V(N) = %g", sum, vn)
-	}
-	return nil
 }
 
 // Normalize divides an allocation by V(N), yielding shares that sum to 1

@@ -3,7 +3,6 @@ package coalition
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"sync"
 	"time"
 
@@ -24,8 +23,7 @@ type Batched struct {
 }
 
 // BatchedValues computes the exact Shapley and Banzhaf values of every
-// player in one sequential sweep over the coalition lattice of a Table
-// game.
+// player in one sweep over the coalition lattice of a Table game.
 //
 // Instead of the classic n independent subset enumerations (one per
 // player, each walking 2^(n-1) coalitions through the Game interface), the
@@ -35,57 +33,34 @@ type Batched struct {
 // total work is the same Θ(n·2^n) additions, but all reads are direct
 // []float64 indexing — no interface dispatch, no per-player re-walk of the
 // lattice, and the V(T) operand streams through the cache.
-func BatchedValues(t *Table) Batched {
-	n := t.Players
-	res := Batched{Shapley: make([]float64, n), Banzhaf: make([]float64, n)}
-	if n == 0 {
-		return res
-	}
-	batchesTotal.Inc()
-	timed := len(t.Values) >= batchTimingMinCoalitions
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	sweepRange(t.Values, shapleyWeights(n), 1, uint64(len(t.Values)), res.Shapley, res.Banzhaf)
-	scaleBanzhaf(res.Banzhaf, n)
-	if timed {
-		batchSeconds.ObserveDuration(time.Since(start))
-	}
-	return res
-}
-
-// BatchedValuesParallel is BatchedValues with the coalition range sharded
-// across workers (0 means GOMAXPROCS). Each worker sweeps a contiguous
-// block of the lattice into private per-player accumulators, which are
-// reduced in worker order afterwards — so the result is deterministic for
-// a fixed worker count, and the worker count scales with the 2^n coalition
-// range rather than being capped at n players.
-func BatchedValuesParallel(t *Table, workers int) Batched {
+//
+// With workers ≤ 1 the sweep is sequential. Otherwise the coalition range
+// is sharded across up to workers goroutines (fewer for small tables:
+// below ~2^12 coalitions per worker the spawn cost dominates the sweep).
+// Each sweeps a contiguous block of the lattice into private per-player
+// accumulators, which are reduced in worker order afterwards — so the
+// result is deterministic for a fixed worker count, and the worker count
+// scales with the 2^n coalition range rather than being capped at n
+// players.
+func BatchedValues(t *Table, workers int) Batched {
 	n := t.Players
 	res := Batched{Shapley: make([]float64, n), Banzhaf: make([]float64, n)}
 	if n == 0 {
 		return res
 	}
 	size := uint64(len(t.Values))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Below ~2^12 coalitions per worker the spawn cost dominates the sweep.
-	if maxW := int(size >> 12); workers > maxW {
-		workers = max(1, maxW)
-	}
+	workers = min(workers, int(size>>12))
 	batchesTotal.Inc()
 	if len(t.Values) >= batchTimingMinCoalitions {
 		start := time.Now()
 		defer func() { batchSeconds.ObserveDuration(time.Since(start)) }()
 	}
-	if workers == 1 {
-		sweepRange(t.Values, shapleyWeights(n), 1, size, res.Shapley, res.Banzhaf)
+	w := shapleyWeights(n)
+	if workers <= 1 {
+		sweepRange(t.Values, w, 1, size, res.Shapley, res.Banzhaf)
 		scaleBanzhaf(res.Banzhaf, n)
 		return res
 	}
-	w := shapleyWeights(n)
 	partials := make([]Batched, workers)
 	chunk := (size + uint64(workers) - 1) / uint64(workers)
 	var wg sync.WaitGroup
@@ -174,7 +149,7 @@ func denseTable(g MemberGame, workers int) (t *Table, ok bool) {
 	case tabled:
 		t, err = g.Table()
 	case Game:
-		t, err = SnapshotParallel(g, workers)
+		t, err = Snapshot(g, workers)
 	default:
 		return nil, false
 	}

@@ -2,6 +2,8 @@ package coalition
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"fedshare/internal/combin"
@@ -28,7 +30,7 @@ func TestBatchedValuesMatchesOracles(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(8)
 		g := randomTable(t, n, rng)
-		res := BatchedValues(g)
+		res := BatchedValues(g, 1)
 		almostEqualVec(t, res.Shapley, shapleyLegacy(g), 1e-9, "kernel vs legacy Shapley")
 		almostEqualVec(t, res.Shapley, shapleyByPermutation(g), 1e-9, "kernel vs permutation oracle")
 		almostEqualVec(t, res.Banzhaf, banzhafLegacy(g), 1e-9, "kernel vs legacy Banzhaf")
@@ -52,7 +54,7 @@ func TestBatchedValuesDispatch(t *testing.T) {
 	g := randomTable(t, 6, rng)
 	want := shapleyByPermutation(g)
 	for _, workers := range []int{1, 4} {
-		for _, mg := range []MemberGame{AsMemberGame(g), ownTableGame{g}} {
+		for _, mg := range []MemberGame{asMemberGame(g), ownTableGame{g}} {
 			res, err := Values(mg, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -72,11 +74,11 @@ func TestBatchedValuesEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := BatchedValues(empty)
+	res := BatchedValues(empty, 1)
 	if len(res.Shapley) != 0 || len(res.Banzhaf) != 0 {
 		t.Errorf("n=0 kernel returned %v", res)
 	}
-	if got, err := Values(AsMemberGame(empty), Options{}); err != nil || got.Phi != nil {
+	if got, err := Values(asMemberGame(empty), Options{}); err != nil || got.Phi != nil {
 		t.Errorf("Values(n=0) = %+v, %v; want nil shares", got, err)
 	}
 
@@ -85,7 +87,7 @@ func TestBatchedValuesEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = BatchedValues(single)
+	res = BatchedValues(single, 1)
 	if res.Shapley[0] != 7.5 || res.Banzhaf[0] != 7.5 {
 		t.Errorf("n=1 kernel returned %+v, want 7.5/7.5", res)
 	}
@@ -95,7 +97,7 @@ func TestBatchedValuesEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = BatchedValues(nonMono)
+	res = BatchedValues(nonMono, 1)
 	almostEqualVec(t, res.Shapley, shapleyByPermutation(nonMono), 1e-12, "non-monotone Shapley")
 	if res.Shapley[1] >= 0 {
 		t.Errorf("player 1 destroys value, φ_1 = %g should be negative", res.Shapley[1])
@@ -107,9 +109,13 @@ func TestBatchedValuesParallelMatchesSequential(t *testing.T) {
 	rng := stats.NewRand(7)
 	for _, n := range []int{1, 2, 5, 9, 13} {
 		g := randomTable(t, n, rng)
-		want := BatchedValues(g)
-		for _, workers := range []int{0, 1, 2, 3, 8, 33} {
-			got := BatchedValuesParallel(g, workers)
+		want := BatchedValues(g, 1)
+		// Any workers ≤ 1 is the sequential sweep itself, bit for bit.
+		if got := BatchedValues(g, 0); !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d: workers=0 gave %v, sequential %v", n, got, want)
+		}
+		for _, workers := range []int{2, 3, 8, 33} {
+			got := BatchedValues(g, workers)
 			almostEqualVec(t, got.Shapley, want.Shapley, 1e-9, "parallel kernel Shapley")
 			almostEqualVec(t, got.Banzhaf, want.Banzhaf, 1e-9, "parallel kernel Banzhaf")
 		}
@@ -120,8 +126,8 @@ func TestBatchedValuesEfficiency(t *testing.T) {
 	// Shapley from the kernel must still satisfy Σφ_i = V(N).
 	rng := stats.NewRand(12)
 	g := randomTable(t, 10, rng)
-	res := BatchedValuesParallel(g, 4)
-	if err := CheckEfficiency(g, res.Shapley, 1e-9); err != nil {
+	res := BatchedValues(g, 4)
+	if err := checkEfficiency(g, res.Shapley, 1e-9); err != nil {
 		t.Error(err)
 	}
 }
@@ -149,7 +155,7 @@ func TestShapleyFallbackForNonSnapshotGames(t *testing.T) {
 	// A game violating the V(∅) = 0 contract cannot be snapshotted. Values
 	// must fall back to the sampler, whose marginals telescope to V(N),
 	// rather than fail, and must refuse an exact request.
-	bad := AsMemberGame(Func{Players: 3, V: func(s combin.Set) float64 {
+	bad := asMemberGame(Func{Players: 3, V: func(s combin.Set) float64 {
 		return float64(s.Card()) + 1 // V(∅) = 1
 	}})
 	res, err := Values(bad, Options{Samples: 60, Seed: 1})
@@ -174,12 +180,12 @@ func TestShapleyFallbackForNonSnapshotGames(t *testing.T) {
 func TestSnapshotParallel(t *testing.T) {
 	// 2^10 coalitions, enough to shard over several workers.
 	g := randomTable(t, 10, stats.NewRand(5))
-	seq, err := Snapshot(g)
+	seq, err := Snapshot(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2, 5, 100} {
-		par, err := SnapshotParallel(g, workers)
+	for _, workers := range []int{0, 2, 5, 100} {
+		par, err := Snapshot(g, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,8 +200,10 @@ func TestSnapshotParallel(t *testing.T) {
 		}
 	}
 	big := Func{Players: 30, V: func(combin.Set) float64 { return 0 }}
-	if _, err := SnapshotParallel(big, 4); err == nil {
-		t.Error("oversized SnapshotParallel must fail")
+	for _, workers := range []int{1, 4} {
+		if _, err := Snapshot(big, workers); err == nil {
+			t.Errorf("workers=%d: oversized Snapshot must fail", workers)
+		}
 	}
 }
 
@@ -205,15 +213,15 @@ func TestParallelBatched(t *testing.T) {
 	// beyond the 24-player table bound an unstructured bitmask game has no
 	// exact engine.
 	g := randomTable(t, 7, rng)
-	snap, err := SnapshotParallel(g, 4)
+	snap, err := Snapshot(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := BatchedValuesParallel(snap, 4)
+	res := BatchedValues(snap, 4)
 	almostEqualVec(t, res.Shapley, shapleyByPermutation(g), 1e-9, "parallel batched Shapley")
 	almostEqualVec(t, res.Banzhaf, banzhafLegacy(g), 1e-9, "parallel batched Banzhaf")
 
-	big := AsMemberGame(Func{Players: 30, V: func(combin.Set) float64 { return 0 }})
+	big := asMemberGame(Func{Players: 30, V: func(combin.Set) float64 { return 0 }})
 	if _, err := Values(big, Options{Method: MethodExact, Workers: 4}); err == nil {
 		t.Error("exact Values beyond 24 players must fail")
 	}
@@ -223,7 +231,7 @@ func BenchmarkShapleyKernel16(b *testing.B) {
 	g := benchTable(b, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BatchedValues(g)
+		BatchedValues(g, 1)
 	}
 }
 
@@ -231,7 +239,7 @@ func BenchmarkShapleyKernelParallel16(b *testing.B) {
 	g := benchTable(b, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BatchedValuesParallel(g, 0)
+		BatchedValues(g, runtime.GOMAXPROCS(0))
 	}
 }
 

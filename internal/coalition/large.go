@@ -1,7 +1,5 @@
 package coalition
 
-import "fedshare/internal/combin"
-
 // MemberGame is a coalitional game whose characteristic function is
 // evaluated over explicit member lists instead of combin.Set bitmasks. It
 // is the interface of the large-n tier: a Set caps the exact engines at 64
@@ -32,26 +30,3 @@ func (f MemberFunc) N() int { return f.Players }
 
 // ValueMembers implements MemberGame.
 func (f MemberFunc) ValueMembers(members []int) float64 { return f.V(members) }
-
-// memberAdapter lifts a bitmask Game to the MemberGame interface while
-// keeping the Game methods, so Values can still hand small games to the
-// exact kernel (valid only up to combin.MaxPlayers players).
-type memberAdapter struct{ Game }
-
-// AsMemberGame returns g as a MemberGame, unwrapping games that already
-// implement the interface. The adapter requires n ≤ combin.MaxPlayers.
-func AsMemberGame(g Game) MemberGame {
-	if mg, ok := g.(MemberGame); ok {
-		return mg
-	}
-	return memberAdapter{g}
-}
-
-// ValueMembers implements MemberGame.
-func (a memberAdapter) ValueMembers(members []int) float64 {
-	var s combin.Set
-	for _, p := range members {
-		s = s.With(p)
-	}
-	return a.Value(s)
-}

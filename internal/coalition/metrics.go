@@ -9,7 +9,7 @@ import "fedshare/internal/obs"
 // measure the clock, not the kernel.
 var (
 	batchesTotal = obs.Default.Counter("fedshare_coalition_batches_total",
-		"Batched coalition-lattice sweeps (BatchedValues and BatchedValuesParallel).")
+		"Batched coalition-lattice sweeps (BatchedValues).")
 	batchSeconds = obs.Default.Histogram("fedshare_coalition_batch_seconds",
 		"Durations of batched coalition-lattice sweeps over at least 2^8 coalitions.",
 		nil)

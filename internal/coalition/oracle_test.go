@@ -119,7 +119,7 @@ func monteCarloShapley(g Game, samples int, rng *stats.Rand) (phi, stdErr []floa
 // production path: Values, answered by the lattice kernel.
 func shapley(t testing.TB, g Game) []float64 {
 	t.Helper()
-	res, err := Values(AsMemberGame(g), Options{Method: MethodExact})
+	res, err := Values(asMemberGame(g), Options{Method: MethodExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func shapley(t testing.TB, g Game) []float64 {
 // banzhaf is the kernel's Banzhaf value of a bitmask game.
 func banzhaf(t testing.TB, g Game) []float64 {
 	t.Helper()
-	tab, err := Snapshot(g)
+	tab, err := Snapshot(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return BatchedValues(tab).Banzhaf
+	return BatchedValues(tab, 1).Banzhaf
 }
 
 // BenchmarkShapleyLegacy measures the pre-kernel path on an n=20 Table: n

@@ -69,7 +69,7 @@ func TestOwenEfficiency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckEfficiency(g, owen, 1e-7); err != nil {
+		if err := checkEfficiency(g, owen, 1e-7); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestOwenDiffersFromShapleyUnderStructure(t *testing.T) {
 		t.Error("structure should change the value division in the glove game")
 	}
 	// Owen remains efficient.
-	if err := CheckEfficiency(g, owen, 1e-9); err != nil {
+	if err := checkEfficiency(g, owen, 1e-9); err != nil {
 		t.Error(err)
 	}
 }
@@ -150,7 +150,7 @@ func TestOwenRejectsHugeStructures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckEfficiency(g, mc, 1e-6); err != nil {
+	if err := checkEfficiency(g, mc, 1e-6); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,8 +1,8 @@
 package coalition
 
 import (
-	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 
 	"fedshare/internal/combin"
@@ -21,9 +21,9 @@ func TestParallelShapleyMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := BatchedValues(g).Shapley
+		seq := BatchedValues(g, 1).Shapley
 		for _, workers := range []int{0, 1, 2, 16} {
-			res, err := Values(AsMemberGame(g), Options{Workers: workers})
+			res, err := Values(asMemberGame(g), Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,11 +37,11 @@ func TestParallelShapleyWeights(t *testing.T) {
 	// exactly at any worker count — additive games expose any weight error.
 	w := []float64{2, 3, 5, 7, 11, 13}
 	g := additiveGame(w)
-	snap, err := Snapshot(g)
+	snap, err := Snapshot(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Values(AsMemberGame(snap), Options{Workers: 4})
+	res, err := Values(asMemberGame(snap), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestParallelShapleyWorkersExceedPlayers(t *testing.T) {
 	}
 	want := shapleyByPermutation(g)
 	for _, workers := range []int{n + 1, 4 * n, 1 << n, 1000} {
-		res, err := Values(AsMemberGame(g), Options{Workers: workers})
+		res, err := Values(asMemberGame(g), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestSnapshot(t *testing.T) {
 		calls++
 		return float64(s.Card() * 2)
 	}}
-	snap, err := Snapshot(g)
+	snap, err := Snapshot(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,46 +92,8 @@ func TestSnapshot(t *testing.T) {
 		return true
 	})
 	big := Func{Players: 30, V: func(combin.Set) float64 { return 0 }}
-	if _, err := Snapshot(big); err == nil {
+	if _, err := Snapshot(big, 1); err == nil {
 		t.Error("oversized snapshot must fail")
-	}
-}
-
-func TestTableJSONRoundTrip(t *testing.T) {
-	g, err := NewTable(3, []float64{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Table
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Players != 3 {
-		t.Errorf("players = %d", back.Players)
-	}
-	for s := combin.Set(0); s < 8; s++ {
-		if back.Value(s) != g.Value(s) {
-			t.Errorf("V(%v) mismatch after round trip", s)
-		}
-	}
-	// Shapley survives serialization.
-	almostEqualVec(t, shapley(t, &back), shapley(t, g), 1e-12, "Shapley after round trip")
-}
-
-func TestTableJSONRejectsInvalid(t *testing.T) {
-	var tb Table
-	if err := json.Unmarshal([]byte(`{"players":2,"values":[0,1]}`), &tb); err == nil {
-		t.Error("wrong value count must fail")
-	}
-	if err := json.Unmarshal([]byte(`{"players":2,"values":[1,0,0,0]}`), &tb); err == nil {
-		t.Error("nonzero V(empty) must fail")
-	}
-	if err := json.Unmarshal([]byte(`not json`), &tb); err == nil {
-		t.Error("garbage must fail")
 	}
 }
 
@@ -140,13 +102,13 @@ func BenchmarkParallelShapley16(b *testing.B) {
 		c := float64(s.Card())
 		return c * math.Sqrt(c)
 	}}
-	snap, err := Snapshot(g)
+	snap, err := Snapshot(g, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BatchedValuesParallel(snap, 0)
+		BatchedValues(snap, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -155,12 +117,12 @@ func BenchmarkSequentialShapley16(b *testing.B) {
 		c := float64(s.Card())
 		return c * math.Sqrt(c)
 	}}
-	snap, err := Snapshot(g)
+	snap, err := Snapshot(g, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BatchedValues(snap)
+		BatchedValues(snap, 1)
 	}
 }

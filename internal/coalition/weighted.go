@@ -72,25 +72,3 @@ func WeightedShapley(g Game, w []float64) ([]float64, error) {
 	}
 	return phi, nil
 }
-
-// InteractionIndex returns the total positive and negative interaction mass
-// of the game: the sums of positive and negative dividends over coalitions
-// of size >= 2. A purely additive game has both at zero; large positive
-// mass signals strong complementarity (the federation's diversity synergy).
-func InteractionIndex(g Game) (positive, negative float64, err error) {
-	div, err := HarsanyiDividends(g)
-	if err != nil {
-		return 0, 0, err
-	}
-	for s := 1; s < len(div); s++ {
-		if combin.Set(s).Card() < 2 {
-			continue
-		}
-		if div[s] > 0 {
-			positive += div[s]
-		} else {
-			negative += div[s]
-		}
-	}
-	return positive, negative, nil
-}

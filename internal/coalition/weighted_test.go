@@ -82,7 +82,7 @@ func TestWeightedShapleyEfficiency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := CheckEfficiency(g, phi, 1e-7); err != nil {
+		if err := checkEfficiency(g, phi, 1e-7); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -117,29 +117,6 @@ func TestWeightedShapleyValidation(t *testing.T) {
 	}
 }
 
-func TestInteractionIndex(t *testing.T) {
-	// Additive game: no interaction at all.
-	pos, neg, err := InteractionIndex(additiveGame([]float64{1, 2, 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pos != 0 || neg != 0 {
-		t.Errorf("additive game interactions = %g, %g", pos, neg)
-	}
-	// Glove game: V is subadditive in pairs with the right glove
-	// (complementarity) but redundant between the two lefts.
-	pos, neg, err = InteractionIndex(gloveGame())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pos <= 0 {
-		t.Errorf("glove game should have positive complementarity, got %g", pos)
-	}
-	if neg >= 0 {
-		t.Errorf("glove game should have negative redundancy, got %g", neg)
-	}
-}
-
 func TestDividendsSizeLimit(t *testing.T) {
 	g := Func{Players: 25, V: func(combin.Set) float64 { return 0 }}
 	if _, err := HarsanyiDividends(g); err == nil {
@@ -152,7 +129,7 @@ func BenchmarkHarsanyiDividends16(b *testing.B) {
 		c := float64(s.Card())
 		return c * c
 	}}
-	snap, err := Snapshot(g)
+	snap, err := Snapshot(g, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -60,14 +60,8 @@ func (s Set) Without(i int) Set { return s &^ Singleton(i) }
 // Union returns s ∪ t.
 func (s Set) Union(t Set) Set { return s | t }
 
-// Intersect returns s ∩ t.
-func (s Set) Intersect(t Set) Set { return s & t }
-
 // Minus returns s \ t.
 func (s Set) Minus(t Set) Set { return s &^ t }
-
-// SubsetOf reports whether s ⊆ t.
-func (s Set) SubsetOf(t Set) bool { return s&^t == 0 }
 
 // Card returns |s|.
 func (s Set) Card() int { return bits.OnesCount64(uint64(s)) }
@@ -113,16 +107,6 @@ func Subsets(s Set, fn func(Set) bool) {
 			return
 		}
 	}
-}
-
-// ProperSubsets calls fn for every strict, nonempty subset of s.
-func ProperSubsets(s Set, fn func(Set) bool) {
-	Subsets(s, func(sub Set) bool {
-		if sub == s || sub == 0 {
-			return true
-		}
-		return fn(sub)
-	})
 }
 
 // AllCoalitions calls fn for every coalition over n players, empty and grand

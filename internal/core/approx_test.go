@@ -188,7 +188,9 @@ func randomDemand(rng *rand.Rand, mode int, shapes []float64) []economics.Demand
 }
 
 // solverFor names the allocation engine Solve dispatches to for the
-// coalition's direct pool.
+// coalition's direct pool, by Solve's rule: uniform resources, shape 1 and
+// no Max below the pool size select the linear engines, and identical
+// minima on top of that the closed form.
 func solverFor(m *Model, members []int) string {
 	var pool allocation.Pool
 	for _, i := range members {
@@ -196,13 +198,16 @@ func solverFor(m *Model, members []int) string {
 		pool.Classes = append(pool.Classes, allocation.Class{Count: f.Locations, Capacity: f.EffectiveCapacity()})
 	}
 	reqs := m.requests()
-	if allocation.AnalyticApplies(pool, reqs) {
-		return "analytic"
-	}
+	L := pool.TotalLocations()
+	sameMin := len(reqs) > 0
 	for _, r := range reqs {
-		if r.Shape != 1 || r.Resources != reqs[0].Resources {
+		if r.Shape != 1 || r.Resources != reqs[0].Resources || (r.Max > 0 && r.Max < L) {
 			return "greedy"
 		}
+		sameMin = sameMin && r.Min == reqs[0].Min
+	}
+	if sameMin {
+		return "analytic"
 	}
 	return "fast"
 }

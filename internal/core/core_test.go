@@ -455,10 +455,27 @@ func TestUserWeightedShapleyPolicy(t *testing.T) {
 		[]float64{0.5, 0.25, 0.25}, 1e-9, "synergy split by users")
 }
 
+// monotoneTable reports whether adding any player to any coalition never
+// lowers the table's value: V(T \ {i}) <= V(T) for every T and i ∈ T.
+func monotoneTable(t *coalition.Table) bool {
+	for m := 1; m < len(t.Values); m++ {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			if t.Values[m&^(rest&-rest)] > t.Values[m]+1e-9 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestModelMonotonicityProperties: the value function must be monotone in
 // coalition membership, facility locations, and capacity — more resources
 // can never reduce the servable utility.
 func TestModelMonotonicityProperties(t *testing.T) {
+	// Adding player 1 to {0} loses value: the check must notice.
+	if nonMono, err := coalition.NewTable(2, []float64{0, 10, 2, 4}); err != nil || monotoneTable(nonMono) {
+		t.Fatalf("monotoneTable accepted a non-monotone table (err %v)", err)
+	}
 	rng := stats.NewRand(113)
 	for trial := 0; trial < 40; trial++ {
 		l := float64(rng.Intn(20)) * 25
@@ -491,7 +508,7 @@ func TestModelMonotonicityProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !coalition.IsMonotone(g) {
+		if !monotoneTable(g) {
 			t.Fatalf("trial %d: value function not monotone (l=%g k=%d locs=%v caps=%v)",
 				trial, l, k, locs, caps)
 		}

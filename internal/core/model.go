@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -452,7 +453,7 @@ func (m *Model) Table() (*coalition.Table, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.table == nil {
-		t, err := coalition.SnapshotParallel(coalition.Func{Players: m.N(), V: m.Value}, 0)
+		t, err := coalition.Snapshot(coalition.Func{Players: m.N(), V: m.Value}, runtime.GOMAXPROCS(0))
 		if err != nil {
 			return nil, err
 		}

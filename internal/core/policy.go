@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 
 	"fedshare/internal/coalition"
@@ -233,7 +234,7 @@ func (BanzhafPolicy) Shares(m *Model) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	beta := coalition.BatchedValuesParallel(t, 0).Banzhaf
+	beta := coalition.BatchedValues(t, runtime.GOMAXPROCS(0)).Banzhaf
 	total := 0.0
 	for _, b := range beta {
 		total += b

@@ -227,6 +227,15 @@ func TestClassStructurePrefixWalk(t *testing.T) {
 	}
 }
 
+// withStructure is a model that reports a given class structure instead of
+// building its own, so a test can hand Values an instrumented one.
+type withStructure struct {
+	*Model
+	cs *coalition.ClassStructure
+}
+
+func (w withStructure) ClassStructure() *coalition.ClassStructure { return w.cs }
+
 // TestClassStructurePrefixValueCalls pins the mechanism, not only the
 // output: with Value wrapped in a call counter, sampling the linear
 // templated game never calls Value (the solver certifies every step),
@@ -247,8 +256,8 @@ func TestClassStructurePrefixValueCalls(t *testing.T) {
 			calls.Add(1)
 			return inner(counts)
 		}
-		res, err := coalition.Values(tc.m, coalition.Options{
-			Method: coalition.MethodApprox, Samples: 96, Seed: 42, Structure: cs,
+		res, err := coalition.Values(withStructure{tc.m, cs}, coalition.Options{
+			Method: coalition.MethodApprox, Samples: 96, Seed: 42,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -188,23 +188,6 @@ func (w *Workload) Total() int {
 	return n
 }
 
-// Mixture builds a two-class workload with a total of k experiments, a
-// fraction sigma of which are of type b (the paper's σ sweep of Fig 7).
-// Rounding assigns ⌊σk+0.5⌉ experiments to b.
-func Mixture(a, b ExperimentType, k int, sigma float64) (*Workload, error) {
-	if sigma < 0 || sigma > 1 {
-		return nil, fmt.Errorf("economics: sigma %g outside [0,1]", sigma)
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("economics: negative workload size %d", k)
-	}
-	nb := int(math.Floor(sigma*float64(k) + 0.5))
-	return NewWorkload(
-		DemandClass{Type: a, Count: k - nb},
-		DemandClass{Type: b, Count: nb},
-	)
-}
-
 // ArrivalSpec describes a Poisson demand stream for the loss-network
 // simulator: experiments of the given type arrive at Rate per unit time and
 // hold resources for their HoldingTime.

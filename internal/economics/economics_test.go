@@ -165,42 +165,6 @@ func TestWorkload(t *testing.T) {
 	}
 }
 
-func TestMixture(t *testing.T) {
-	a := ExperimentType{Name: "a", MaxLocations: math.Inf(1), Resources: 1, HoldingTime: 1, Shape: 1}
-	b := ExperimentType{Name: "b", MinLocations: 700, MaxLocations: math.Inf(1), Resources: 1, HoldingTime: 1, Shape: 1}
-	for _, c := range []struct {
-		sigma        float64
-		wantA, wantB int
-	}{
-		{0, 10, 0},
-		{1, 0, 10},
-		{0.5, 5, 5},
-		{0.25, 8, 2}, // 2.5 rounds to 3? floor(2.5+0.5)=3 -> 7,3
-	} {
-		w, err := Mixture(a, b, 10, c.sigma)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb := w.Classes[1].Count
-		na := w.Classes[0].Count
-		if na+nb != 10 {
-			t.Errorf("sigma=%g: counts %d+%d != 10", c.sigma, na, nb)
-		}
-		if math.Abs(float64(nb)-c.sigma*10) > 0.51 {
-			t.Errorf("sigma=%g: nb=%d too far from %g", c.sigma, nb, c.sigma*10)
-		}
-	}
-	if _, err := Mixture(a, b, 10, -0.1); err == nil {
-		t.Error("sigma < 0 must fail")
-	}
-	if _, err := Mixture(a, b, 10, 1.1); err == nil {
-		t.Error("sigma > 1 must fail")
-	}
-	if _, err := Mixture(a, b, -1, 0.5); err == nil {
-		t.Error("negative k must fail")
-	}
-}
-
 func TestArrivalSpec(t *testing.T) {
 	ok := ArrivalSpec{Type: P2PExperiment, Rate: 2}
 	if err := ok.Validate(); err != nil {

@@ -14,12 +14,8 @@ import (
 func TestFiguresByteIdenticalAcrossWorkers(t *testing.T) {
 	render := func() map[string]string {
 		out := map[string]string{}
-		figs, err := All()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range figs {
-			out[f.ID] = f.Table()
+		for _, id := range paperFigureIDs() {
+			out[id] = mustFig(t, id).Table()
 		}
 		return out
 	}

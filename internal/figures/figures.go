@@ -13,39 +13,6 @@ import (
 // Figure is one regenerated paper figure — an executed scenario.
 type Figure = scenario.Result
 
-// All runs every paper figure in paper order (excluding convention
-// variants and extensions).
-func All() ([]*Figure, error) {
-	var out []*Figure
-	for _, e := range scenario.Entries() {
-		if e.Variant || e.Extension {
-			continue
-		}
-		f, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-// Extensions runs the figures that go beyond the paper's evaluation.
-func Extensions() ([]*Figure, error) {
-	var out []*Figure
-	for _, e := range scenario.Entries() {
-		if !e.Extension {
-			continue
-		}
-		f, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
 // ByID runs the figure with the given id ("fig2", "fig4", ...). Unknown
 // ids fail with the registry's id listing.
 func ByID(id string) (*Figure, error) {

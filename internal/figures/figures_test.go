@@ -2,8 +2,11 @@ package figures
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"fedshare/internal/scenario"
 )
 
 // mustFig runs a registered figure scenario, failing the test on error.
@@ -230,32 +233,40 @@ func TestFig9IncentiveCurves(t *testing.T) {
 	}
 }
 
+// paperFigureIDs lists the registry's paper figures in paper order:
+// convention variants and extensions aside.
+func paperFigureIDs() []string {
+	var ids []string
+	for _, e := range scenario.Entries() {
+		if !e.Variant && !e.Extension {
+			ids = append(ids, e.ID)
+		}
+	}
+	return ids
+}
+
+// TestAllAndByID runs every paper figure through ByID, and the strict
+// variant by id.
 func TestAllAndByID(t *testing.T) {
-	all, err := All()
-	if err != nil {
-		t.Fatal(err)
+	paper := paperFigureIDs()
+	if want := []string{"fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"}; !reflect.DeepEqual(paper, want) {
+		t.Fatalf("paper figures %v, want %v", paper, want)
 	}
-	if len(all) != 7 {
-		t.Fatalf("All returned %d figures", len(all))
-	}
-	seen := map[string]bool{}
-	for _, f := range all {
-		if seen[f.ID] {
-			t.Errorf("duplicate figure %s", f.ID)
+	for _, id := range paper {
+		f, err := ByID(id)
+		if err != nil {
+			t.Fatalf("ByID(%s): %v", id, err)
 		}
-		seen[f.ID] = true
-		if len(f.Series) == 0 {
-			t.Errorf("%s has no series", f.ID)
+		if f.ID != id || len(f.Series) == 0 {
+			t.Errorf("%s: ran %q with %d series", id, f.ID, len(f.Series))
+			continue
 		}
-		tbl := f.Table()
-		if !strings.Contains(tbl, f.Series[0].Name) {
-			t.Errorf("%s table missing header", f.ID)
+		if !strings.Contains(f.Table(), f.Series[0].Name) {
+			t.Errorf("%s table missing header", id)
 		}
 	}
-	for _, id := range []string{"fig2", "fig4", "fig4-strict", "fig5", "fig6", "fig7", "fig8", "fig9"} {
-		if _, err := ByID(id); err != nil {
-			t.Errorf("ByID(%s): %v", id, err)
-		}
+	if _, err := ByID("fig4-strict"); err != nil {
+		t.Errorf("ByID(fig4-strict): %v", err)
 	}
 	if _, err := ByID("fig99"); err == nil {
 		t.Error("unknown id must fail")

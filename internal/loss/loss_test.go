@@ -307,17 +307,17 @@ func TestLossGameShapley(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := coalition.Snapshot(g)
+	tab, err := coalition.Snapshot(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi := coalition.BatchedValues(tab).Shapley
-	if err := coalition.CheckEfficiency(tab, phi, 1e-9); err != nil {
-		t.Fatal(err)
-	}
+	phi := coalition.BatchedValues(tab, 1).Shapley
 	vn := tab.Value(combin.Full(3))
 	if vn <= 0 {
 		t.Fatal("grand coalition should accept traffic")
+	}
+	if sum := phi[0] + phi[1] + phi[2]; math.Abs(sum-vn) > 1e-9 {
+		t.Fatalf("shares sum to %g, V(N) = %g", sum, vn)
 	}
 	if phi[2] <= phi[0] || phi[2] <= phi[1] {
 		t.Errorf("large station should earn the most: %v", phi)

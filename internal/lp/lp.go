@@ -62,9 +62,6 @@ func NewProblem(n int) *Problem {
 	return &Problem{C: make([]float64, n)}
 }
 
-// NumVars returns the number of decision variables.
-func (p *Problem) NumVars() int { return len(p.C) }
-
 // AddConstraint appends a constraint row. It panics on dimension mismatch to
 // surface modelling bugs at build time rather than as wrong optima.
 func (p *Problem) AddConstraint(coeffs []float64, rel Relation, rhs float64) {

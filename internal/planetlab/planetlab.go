@@ -1,9 +1,10 @@
 // Package planetlab models the testbed substrate the paper federates: sites
-// contribute nodes, users deploy slices (one sliver per node across a set of
-// sites), and competing slivers on a node share its capacity under
+// contribute nodes, slices place one or more slivers per node across a set
+// of sites, and competing slivers on a node share its capacity under
 // short-term fair allocation (Sec. 1.2). Regional authorities (PLC, PLE,
-// PLJ, …) each manage a disjoint set of sites; the sfa package federates
-// authorities over the network.
+// PLJ, …) each manage a disjoint set of sites. An Authority is one such
+// operator's node-load ledger; the sfa package owns the slices, their
+// leases and the federation of authorities over the network.
 package planetlab
 
 import (
@@ -48,13 +49,6 @@ type SliceSpec struct {
 	SliversPerSite int // resources per location r (default 1)
 }
 
-func (s SliceSpec) sliversPerSite() int {
-	if s.SliversPerSite <= 0 {
-		return 1
-	}
-	return s.SliversPerSite
-}
-
 // Validate checks the spec.
 func (s SliceSpec) Validate() error {
 	if s.Name == "" {
@@ -79,45 +73,21 @@ type Sliver struct {
 	NodeID    string
 }
 
-// Slice is a deployed slice.
-type Slice struct {
-	Spec    SliceSpec
-	Slivers []Sliver
-}
-
-// Sites returns the distinct site IDs the slice spans.
-func (s *Slice) Sites() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, sv := range s.Slivers {
-		if !seen[sv.SiteID] {
-			seen[sv.SiteID] = true
-			out = append(out, sv.SiteID)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Authority is one regional testbed operator. It is safe for concurrent use
-// (the sfa server handles connections in parallel).
+// Authority is one regional testbed operator: its sites and the number of
+// slivers placed on each node. It is safe for concurrent use (the sfa
+// server handles connections in parallel).
 type Authority struct {
 	Name string
 
-	mu     sync.Mutex
-	sites  []*Site
-	slices map[string]*Slice
+	mu    sync.Mutex
+	sites []*Site
 	// load[nodeKey] counts slivers currently placed on a node.
 	load map[string]int
 }
 
 // NewAuthority creates an empty authority.
 func NewAuthority(name string) *Authority {
-	return &Authority{
-		Name:   name,
-		slices: map[string]*Slice{},
-		load:   map[string]int{},
-	}
+	return &Authority{Name: name, load: map[string]int{}}
 }
 
 // AddSite registers a site. Site IDs must be unique within the authority.
@@ -266,68 +236,6 @@ func (a *Authority) ReleaseSlivers(slivers []Sliver) {
 	}
 }
 
-// CreateSlice embeds a slice across the authority's own sites: one batch of
-// SliversPerSite slivers at each of at least MinSites distinct sites
-// (up to MaxSites). It fails without side effects when the diversity
-// threshold cannot be met.
-func (a *Authority) CreateSlice(spec SliceSpec) (*Slice, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	if _, ok := a.slices[spec.Name]; ok {
-		a.mu.Unlock()
-		return nil, fmt.Errorf("planetlab: slice %s already exists", spec.Name)
-	}
-	a.mu.Unlock()
-
-	per := spec.sliversPerSite()
-	candidates := a.AvailableSites(per)
-	if len(candidates) < spec.MinSites {
-		return nil, fmt.Errorf("planetlab: only %d sites can host the slice, need %d",
-			len(candidates), spec.MinSites)
-	}
-	take := len(candidates)
-	if spec.MaxSites > 0 && take > spec.MaxSites {
-		take = spec.MaxSites
-	}
-	slice := &Slice{Spec: spec}
-	for _, siteID := range candidates[:take] {
-		svs, err := a.ReserveSlivers(spec.Name, siteID, per)
-		if err != nil {
-			a.ReleaseSlivers(slice.Slivers)
-			return nil, err
-		}
-		slice.Slivers = append(slice.Slivers, svs...)
-	}
-	a.mu.Lock()
-	a.slices[spec.Name] = slice
-	a.mu.Unlock()
-	return slice, nil
-}
-
-// DeleteSlice removes a slice and frees its slivers.
-func (a *Authority) DeleteSlice(name string) error {
-	a.mu.Lock()
-	slice, ok := a.slices[name]
-	if !ok {
-		a.mu.Unlock()
-		return fmt.Errorf("planetlab: no slice %s", name)
-	}
-	delete(a.slices, name)
-	a.mu.Unlock()
-	a.ReleaseSlivers(slice.Slivers)
-	return nil
-}
-
-// GetSlice returns a deployed slice.
-func (a *Authority) GetSlice(name string) (*Slice, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s, ok := a.slices[name]
-	return s, ok
-}
-
 // RestoreSlivers places slivers at exactly the given nodes, without
 // re-running placement policy or capacity checks: the placements were
 // decided (and made durable) earlier, and replaying them must reproduce
@@ -338,30 +246,6 @@ func (a *Authority) RestoreSlivers(svs []Sliver) {
 	for _, sv := range svs {
 		a.load[nodeKey(sv.SiteID, sv.NodeID)]++
 	}
-}
-
-// FairShare returns the capacity fraction each sliver on the node currently
-// receives: capacity divided by the number of co-located slivers (1.0 when
-// the node is underloaded). Unknown nodes return 0.
-func (a *Authority) FairShare(siteID, nodeID string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, s := range a.sites {
-		if s.ID != siteID {
-			continue
-		}
-		for _, n := range s.Nodes {
-			if n.ID != nodeID {
-				continue
-			}
-			load := a.load[nodeKey(siteID, nodeID)]
-			if load <= n.Capacity {
-				return 1
-			}
-			return float64(n.Capacity) / float64(load)
-		}
-	}
-	return 0
 }
 
 // Utilization returns slivers-placed / total-capacity over all sites.

@@ -58,81 +58,6 @@ func TestSliceSpecValidation(t *testing.T) {
 	}
 }
 
-func TestCreateSliceSpansSites(t *testing.T) {
-	a := testAuthority(t, 5, 2, 3)
-	slice, err := a.CreateSlice(SliceSpec{Name: "exp1", Owner: "alice", MinSites: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(slice.Sites()); got != 5 {
-		t.Errorf("slice spans %d sites, want all 5 (unbounded)", got)
-	}
-	if len(slice.Slivers) != 5 {
-		t.Errorf("%d slivers, want 5 (one per site)", len(slice.Slivers))
-	}
-	got, ok := a.GetSlice("exp1")
-	if !ok || got.Spec.Owner != "alice" {
-		t.Error("GetSlice lookup failed")
-	}
-}
-
-func TestCreateSliceMaxSites(t *testing.T) {
-	a := testAuthority(t, 5, 1, 2)
-	slice, err := a.CreateSlice(SliceSpec{Name: "cdn", MinSites: 2, MaxSites: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(slice.Sites()); got != 3 {
-		t.Errorf("slice spans %d sites, want MaxSites=3", got)
-	}
-}
-
-func TestCreateSliceDiversityFailure(t *testing.T) {
-	a := testAuthority(t, 2, 1, 1)
-	if _, err := a.CreateSlice(SliceSpec{Name: "big", MinSites: 5}); err == nil {
-		t.Error("diversity threshold above site count must fail")
-	}
-	if a.Utilization() != 0 {
-		t.Errorf("failed slice must leave no slivers: utilization %g", a.Utilization())
-	}
-}
-
-func TestCreateSliceDuplicate(t *testing.T) {
-	a := testAuthority(t, 2, 1, 2)
-	if _, err := a.CreateSlice(SliceSpec{Name: "dup"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.CreateSlice(SliceSpec{Name: "dup"}); err == nil {
-		t.Error("duplicate slice name must fail")
-	}
-}
-
-func TestDeleteSliceFreesCapacity(t *testing.T) {
-	a := testAuthority(t, 3, 1, 1)
-	if _, err := a.CreateSlice(SliceSpec{Name: "tmp", MinSites: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if a.Utilization() != 1 {
-		t.Errorf("utilization %g, want 1", a.Utilization())
-	}
-	// Full system rejects a second slice needing all sites.
-	if _, err := a.CreateSlice(SliceSpec{Name: "tmp2", MinSites: 3}); err == nil {
-		t.Error("full system should reject")
-	}
-	if err := a.DeleteSlice("tmp"); err != nil {
-		t.Fatal(err)
-	}
-	if a.Utilization() != 0 {
-		t.Errorf("utilization %g after delete, want 0", a.Utilization())
-	}
-	if _, err := a.CreateSlice(SliceSpec{Name: "tmp2", MinSites: 3}); err != nil {
-		t.Errorf("freed capacity should host the slice: %v", err)
-	}
-	if err := a.DeleteSlice("missing"); err == nil {
-		t.Error("deleting a missing slice must fail")
-	}
-}
-
 func TestReserveSliversLeastLoaded(t *testing.T) {
 	a := testAuthority(t, 1, 3, 2)
 	// Six single-sliver reservations must spread 2-2-2 over the 3 nodes.
@@ -165,24 +90,6 @@ func TestReserveSliversErrors(t *testing.T) {
 	}
 }
 
-func TestFairShare(t *testing.T) {
-	a := testAuthority(t, 1, 1, 2)
-	if got := a.FairShare("site0", "node0"); got != 1 {
-		t.Errorf("idle fair share %g, want 1", got)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := a.ReserveSlivers(fmt.Sprintf("s%d", i), "site0", 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := a.FairShare("site0", "node0"); got != 1 {
-		t.Errorf("at-capacity fair share %g, want 1", got)
-	}
-	if got := a.FairShare("nope", "node0"); got != 0 {
-		t.Errorf("unknown node fair share %g, want 0", got)
-	}
-}
-
 func TestAvailableSites(t *testing.T) {
 	a := testAuthority(t, 3, 1, 2)
 	if got := a.AvailableSites(2); len(got) != 3 {
@@ -201,35 +108,91 @@ func TestAvailableSites(t *testing.T) {
 	}
 }
 
+func TestReleaseSliversFreesCapacity(t *testing.T) {
+	a := testAuthority(t, 3, 1, 1)
+	var held []Sliver
+	for _, site := range a.AvailableSites(1) {
+		svs, err := a.ReserveSlivers("tmp", site, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, svs...)
+	}
+	if a.Utilization() != 1 {
+		t.Errorf("utilization %g, want 1", a.Utilization())
+	}
+	if got := a.AvailableSites(1); len(got) != 0 {
+		t.Errorf("full system still offers %v", got)
+	}
+	if _, err := a.ReserveSlivers("tmp2", "site0", 1); err == nil {
+		t.Error("full site must reject")
+	}
+	a.ReleaseSlivers(held)
+	if a.Utilization() != 0 {
+		t.Errorf("utilization %g after release, want 0", a.Utilization())
+	}
+	// A second release of the same slivers must not drive a node's load
+	// negative and so mint capacity.
+	a.ReleaseSlivers(held)
+	if a.SiteFree("site0") != 1 {
+		t.Errorf("site0 free %d after double release, want 1", a.SiteFree("site0"))
+	}
+	for _, site := range []string{"site0", "site1", "site2"} {
+		if _, err := a.ReserveSlivers("tmp2", site, 1); err != nil {
+			t.Errorf("freed capacity should host the slivers: %v", err)
+		}
+	}
+}
+
+// TestConcurrentSliceCreation places two-site slices from many goroutines
+// the way the sfa plane embeds a slice locally: reserve at available sites
+// until the threshold is met, release the partial hold otherwise.
+// Concurrent placement must never oversubscribe a node.
 func TestConcurrentSliceCreation(t *testing.T) {
-	a := testAuthority(t, 4, 2, 2) // 16 sliver slots, 4 per... 4 sites * 2 nodes * 2 = 16
+	a := testAuthority(t, 4, 2, 2) // 4 sites * 2 nodes * 2 = 16 sliver slots
+	const slices, perSlice = 12, 2
 	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := 0; i < 8; i++ {
+	placed := make([][]Sliver, slices)
+	for i := 0; i < slices; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = a.CreateSlice(SliceSpec{
-				Name:     fmt.Sprintf("slice%d", i),
-				MinSites: 2,
-				MaxSites: 2,
-			})
+			name := fmt.Sprintf("slice%d", i)
+			var hold []Sliver
+			for _, site := range a.AvailableSites(1) {
+				if len(hold) == perSlice {
+					break
+				}
+				if svs, err := a.ReserveSlivers(name, site, 1); err == nil {
+					hold = append(hold, svs...)
+				}
+			}
+			if len(hold) < perSlice {
+				a.ReleaseSlivers(hold)
+				return
+			}
+			placed[i] = hold
 		}(i)
 	}
 	wg.Wait()
 	created := 0
-	for _, err := range errs {
-		if err == nil {
+	for _, hold := range placed {
+		if hold != nil {
 			created++
 		}
 	}
-	// 16 slots / 2 slivers each = at most 8; capacity accounting must never
-	// oversubscribe.
-	used := a.Utilization()
-	if used > 1 {
-		t.Errorf("utilization %g > 1: oversubscription", used)
-	}
 	if created == 0 {
-		t.Error("no slice created under concurrency")
+		t.Fatal("no slice placed under concurrency")
+	}
+	// Capacity accounting must match the committed placements exactly:
+	// never oversubscribed, and no slot leaked by a released partial hold.
+	if got, want := a.Utilization(), float64(created*perSlice)/16; got != want {
+		t.Errorf("utilization %g with %d slices placed, want %g", got, created, want)
+	}
+	for _, hold := range placed {
+		a.ReleaseSlivers(hold)
+	}
+	if a.Utilization() != 0 {
+		t.Errorf("utilization %g after releasing every slice", a.Utilization())
 	}
 }

@@ -1,35 +1,6 @@
 package rspec
 
-import (
-	"fedshare/internal/planetlab"
-	"fedshare/internal/sfa"
-)
-
-// FromAuthority builds an advertisement RSpec from a live authority,
-// including current free capacity.
-func FromAuthority(a *planetlab.Authority) *Advertisement {
-	ad := New(a.Name)
-	for _, site := range a.Sites() {
-		s := Site{ID: site.ID, Name: site.Name}
-		free := a.SiteFree(site.ID)
-		// Free capacity is tracked per site; attribute it to nodes
-		// proportionally by walking node capacities (best effort: RSpec
-		// consumers care about site totals).
-		remaining := free
-		for _, n := range site.Nodes {
-			nf := n.Capacity
-			if nf > remaining {
-				nf = remaining
-			}
-			remaining -= nf
-			s.Nodes = append(s.Nodes, Node{
-				ID: n.ID, HostName: n.HostName, Capacity: n.Capacity, Free: nf,
-			})
-		}
-		ad.Sites = append(ad.Sites, s)
-	}
-	return ad
-}
+import "fedshare/internal/sfa"
 
 // FromResourceList converts an SFA wire-format resource list into an RSpec
 // advertisement. Node identities are not carried by the wire format, so
@@ -68,26 +39,4 @@ func FromResourceList(rl sfa.ResourceList) *Advertisement {
 
 func nodeID(i int) string {
 	return "node" + string(rune('0'+i/10)) + string(rune('0'+i%10))
-}
-
-// ToResourceList converts an advertisement into the SFA wire format.
-func ToResourceList(ad *Advertisement) sfa.ResourceList {
-	rl := sfa.ResourceList{Authority: ad.Authority}
-	for _, s := range ad.Sites {
-		capTotal, free := 0, 0
-		for _, n := range s.Nodes {
-			capTotal += n.Capacity
-			if n.Free > 0 {
-				free += n.Free
-			}
-		}
-		rl.Sites = append(rl.Sites, sfa.SiteResource{
-			SiteID:   s.ID,
-			Name:     s.Name,
-			Nodes:    len(s.Nodes),
-			Capacity: capTotal,
-			Free:     free,
-		})
-	}
-	return rl
 }

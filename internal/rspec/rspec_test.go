@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"fedshare/internal/planetlab"
 	"fedshare/internal/sfa"
 )
 
@@ -104,34 +103,6 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestFromAuthority(t *testing.T) {
-	a := planetlab.NewAuthority("PLC")
-	site := &planetlab.Site{ID: "s0", Name: "Princeton", Nodes: []planetlab.Node{
-		{ID: "n0", HostName: "n0.example", Capacity: 3},
-		{ID: "n1", HostName: "n1.example", Capacity: 2},
-	}}
-	if err := a.AddSite(site); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.ReserveSlivers("slice", "s0", 2); err != nil {
-		t.Fatal(err)
-	}
-	ad := FromAuthority(a)
-	if err := ad.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if ad.TotalCapacity() != 5 {
-		t.Errorf("capacity %d", ad.TotalCapacity())
-	}
-	free := 0
-	for _, n := range ad.Sites[0].Nodes {
-		free += n.Free
-	}
-	if free != 3 {
-		t.Errorf("advertised free %d, want 3 after two reservations", free)
-	}
-}
-
 func TestResourceListRoundTrip(t *testing.T) {
 	rl := sfa.ResourceList{
 		Authority: "PLJ",
@@ -144,7 +115,7 @@ func TestResourceListRoundTrip(t *testing.T) {
 	if err := ad.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	back := ToResourceList(ad)
+	back := toResourceList(ad)
 	if back.Authority != "PLJ" || len(back.Sites) != 2 {
 		t.Fatalf("round trip: %+v", back)
 	}
@@ -159,6 +130,29 @@ func TestResourceListRoundTrip(t *testing.T) {
 			t.Errorf("site %d nodes %d != %d", i, back.Sites[i].Nodes, rl.Sites[i].Nodes)
 		}
 	}
+}
+
+// toResourceList converts an advertisement back into the SFA wire format,
+// the inverse FromResourceList is checked against.
+func toResourceList(ad *Advertisement) sfa.ResourceList {
+	rl := sfa.ResourceList{Authority: ad.Authority}
+	for _, s := range ad.Sites {
+		capTotal, free := 0, 0
+		for _, n := range s.Nodes {
+			capTotal += n.Capacity
+			if n.Free > 0 {
+				free += n.Free
+			}
+		}
+		rl.Sites = append(rl.Sites, sfa.SiteResource{
+			SiteID:   s.ID,
+			Name:     s.Name,
+			Nodes:    len(s.Nodes),
+			Capacity: capTotal,
+			Free:     free,
+		})
+	}
+	return rl
 }
 
 func BenchmarkEncodeDecode(b *testing.B) {

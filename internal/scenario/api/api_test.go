@@ -260,6 +260,41 @@ func TestErrorsAreStructuredJSON(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsMalformedSpecBodies posts spec bodies ParseSpec must
+// refuse — a valid spec followed by stray closing delimiters, and a spec
+// whose facility replicas exceed the federation bound — and checks that
+// each gets a structured 400 and that nothing is queued.
+func TestSubmitRejectsMalformedSpecBodies(t *testing.T) {
+	srv, eng := newTestServer(t, engine.Options{})
+	huge := strings.Replace(testSpecJSON, `"resources": 8}`, `"resources": 8, "count": 1000000000}`, 1)
+	if huge == testSpecJSON {
+		t.Fatal("test spec has no facility to replicate")
+	}
+	for name, body := range map[string]string{
+		"trailing brace":    testSpecJSON + "}",
+		"trailing bracket":  testSpecJSON + "]",
+		"trailing braces":   testSpecJSON + "}}",
+		"count past bound":  huge,
+		"trailing document": testSpecJSON + "{}",
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil || e.Error == "" {
+			t.Errorf("%s: %s %s, want a structured 400", name, resp.Status, raw)
+		}
+	}
+	if runs := eng.List(); len(runs) != 0 {
+		t.Errorf("rejected bodies queued %d runs", len(runs))
+	}
+}
+
 func TestResultBeforeDoneConflicts(t *testing.T) {
 	srv, eng := newTestServer(t, engine.Options{MaxConcurrent: 1})
 	// Occupy the only slot so an API-submitted run stays queued.

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -49,9 +50,9 @@ const (
 	VarShape = "shape"
 	// VarCount sets the experiment count K of the targeted demand classes.
 	VarCount = "count"
-	// VarSigma redistributes the total experiment count of a two-class
-	// workload: the targeted class receives fraction σ (rounded as in
-	// economics.Mixture), the other the remainder.
+	// VarSigma redistributes the total experiment count K of a two-class
+	// workload (the paper's σ sweep of Fig 7): the targeted class receives
+	// ⌊σK+0.5⌋ experiments, the other the remainder.
 	VarSigma = "sigma"
 	// VarLocations sets the location count L_i of the targeted facilities.
 	VarLocations = "locations"
@@ -302,7 +303,6 @@ func (s *Spec) apply(variable, target string, x float64) error {
 			}
 		}
 		total := s.Demand[0].Count + s.Demand[1].Count
-		// Same rounding as economics.Mixture.
 		nb := int(math.Floor(x*float64(total) + 0.5))
 		s.Demand[bi].Count = nb
 		s.Demand[1-bi].Count = total - nb
@@ -513,6 +513,7 @@ func (s *Spec) Validate() error {
 	if len(s.Facilities) == 0 {
 		return fmt.Errorf("scenario %s: needs at least one facility", s.ID)
 	}
+	replicas := 0
 	for i, f := range s.Facilities {
 		if f.Name == "" {
 			return fmt.Errorf("scenario %s: facility %d has no name", s.ID, i)
@@ -520,6 +521,13 @@ func (s *Spec) Validate() error {
 		if f.Count < 0 {
 			return fmt.Errorf("scenario %s: facility %s has negative count %d", s.ID, f.Name, f.Count)
 		}
+		// Bound the expanded federation before anything expands it; each
+		// count is checked before it is added, so the sum cannot overflow.
+		if f.count() > core.MaxFacilities-replicas {
+			return fmt.Errorf("scenario %s: facility %s (count %d) takes the federation past %d facilities",
+				s.ID, f.Name, f.count(), core.MaxFacilities)
+		}
+		replicas += f.count()
 		if err := f.facility().Validate(); err != nil {
 			return fmt.Errorf("scenario %s: %w", s.ID, err)
 		}
@@ -581,8 +589,9 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: decode spec: %w", err)
 	}
-	// Reject trailing garbage after the spec object.
-	if dec.More() {
+	// Reject anything but whitespace after the spec object. dec.More is
+	// not enough: it reports false at a stray closing '}' or ']'.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("scenario: trailing data after spec object")
 	}
 	if err := s.Validate(); err != nil {

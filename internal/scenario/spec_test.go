@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
+
+	"fedshare/internal/core"
 )
 
 // testSpec is a small but fully-featured shares scenario: heterogeneous
@@ -66,13 +69,66 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 }
 
 func TestParseSpecRejectsTrailingData(t *testing.T) {
-	s := testSpec()
-	data, err := s.JSON()
+	data, err := os.ReadFile("../../examples/scenarios/hetero5.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseSpec(append(data, []byte(`{"id":"second"}`)...)); err == nil {
-		t.Fatal("trailing JSON object must be rejected")
+	for _, tc := range []struct {
+		suffix string
+		ok     bool
+	}{
+		{"", true},
+		{" \n\t\r\n", true},
+		{"}", false},
+		{"]", false},
+		{"}}", false},
+		{" x", false},
+		{"{}", false},
+		{`{"id":"second"}`, false},
+	} {
+		body := append(append([]byte(nil), data...), tc.suffix...)
+		_, err := ParseSpec(body)
+		if tc.ok && err != nil {
+			t.Errorf("suffix %q: %v", tc.suffix, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "trailing data")) {
+			t.Errorf("suffix %q: error %v, want trailing data rejected", tc.suffix, err)
+		}
+	}
+}
+
+// TestValidateBoundsFacilityCount checks the federation-size bound on the
+// declared replicas, before anything expands them.
+func TestValidateBoundsFacilityCount(t *testing.T) {
+	// testSpec declares three facilities; A's replicas fill the rest.
+	s := testSpec()
+	s.Facilities[0].Count = core.MaxFacilities - 2
+	if err := s.Validate(); err != nil {
+		t.Fatalf("exactly %d facilities rejected: %v", core.MaxFacilities, err)
+	}
+	for _, counts := range [][3]int{
+		{core.MaxFacilities - 1, 0, 0},
+		{1e9, 0, 0},
+		// A naive running sum would wrap around past MaxInt and pass.
+		{4000, math.MaxInt - 10, 0},
+		{1, 1, math.MaxInt},
+	} {
+		s := testSpec()
+		for i, c := range counts {
+			s.Facilities[i].Count = c
+		}
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), "past 4096 facilities") {
+			t.Errorf("counts %v: error %v, want the facility bound", counts, err)
+		}
+	}
+	// The bound is checked at parse time, so an oversized spec never
+	// reaches model construction.
+	body := `{"id": "huge", "facilities": [{"name": "X", "locations": 10, "resources": 1, "count": 1000000000}],
+	  "demand": [{"name": "d", "count": 1}], "policies": ["shapley"],
+	  "axis": {"variable": "threshold", "from": 0, "to": 1, "step": 1}}`
+	if _, err := ParseSpec([]byte(body)); err == nil || !strings.Contains(err.Error(), "facility X") {
+		t.Fatalf("count 1e9 parsed: %v", err)
 	}
 }
 

@@ -450,7 +450,7 @@ func TestReconcileDropsLostIntent(t *testing.T) {
 		t.Error("shares during the cut should carry the partial marker")
 	}
 	waitFor(t, "P2 to be declared down", func() bool {
-		return srvC.PeerLifecycleState("P2") == PeerDown
+		return srvC.health.state("P2") == PeerDown
 	})
 
 	// Heal; the probe starts recovery and reconciliation drops the lost
@@ -458,7 +458,7 @@ func TestReconcileDropsLostIntent(t *testing.T) {
 	gate.Heal()
 	clock.Advance(120 * time.Millisecond)
 	waitFor(t, "P2 readmission after reconcile", func() bool {
-		return srvC.PeerLifecycleState("P2") == PeerHealthy && srvC.recon.depth("P2") == 0
+		return srvC.health.state("P2") == PeerHealthy && srvC.recon.depth("P2") == 0
 	})
 	if got := regC.Counter("fedshare_sfa_reconcile_dropped_intent_total", "").Value(); got != 2 {
 		t.Errorf("dropped-intent counter = %d, want 2", got)
@@ -548,7 +548,7 @@ func runPartitionChaos(t *testing.T, seed uint64) string {
 	// slices created before a cut are deleted during it (exercising queued
 	// releases) and vice versa.
 	op := func() {
-		state := srvC.PeerLifecycleState("P2")
+		state := srvC.health.state("P2")
 		// A key for P2 is drawn only when it is not down/recovering; every
 		// drawn key executes exactly once (directly or via replay).
 		keyed := state != PeerDown && state != PeerRecovering
@@ -600,7 +600,7 @@ func runPartitionChaos(t *testing.T, seed uint64) string {
 		for j := 0; j < w.DownOps; j++ {
 			op()
 		}
-		if srvC.PeerLifecycleState("P2") == PeerDown {
+		if srvC.health.state("P2") == PeerDown {
 			// Degraded mode: shares succeed over the live sub-federation and
 			// carry the partial marker while the peer is out. Fresh response
 			// struct every time — Partial/Down are omitempty and would
@@ -623,7 +623,7 @@ func runPartitionChaos(t *testing.T, seed uint64) string {
 		// reaper tick probes P2, starts recovery, and reconciles inline.
 		clock.Advance(120 * time.Millisecond)
 		waitFor(t, fmt.Sprintf("window %d reconciliation", wi), func() bool {
-			return srvC.PeerLifecycleState("P2") == PeerHealthy && srvC.recon.depth("P2") == 0
+			return srvC.health.state("P2") == PeerHealthy && srvC.recon.depth("P2") == 0
 		})
 		fmt.Fprintf(&b, "w%d:healed\n", wi)
 	}

@@ -812,11 +812,6 @@ func (s *Server) PeerHealth() []PeerHealthInfo {
 	return out
 }
 
-// PeerLifecycleState returns one peer's current health state.
-func (s *Server) PeerLifecycleState(name string) PeerState {
-	return s.health.state(name)
-}
-
 // handleReserve places slivers locally for a remote federated slice. With
 // an idempotency key, a retried request replays the original response
 // instead of double-booking; with a TTL, the reservation is a lease the
@@ -1343,16 +1338,4 @@ func (s *Server) PeerWith(addr string) error {
 	s.health.ensure(resp.Record.Name)
 	s.log.Infof("sfa[%s]: peered with %s (%s)", s.auth.Name, resp.Record.Name, resp.Record.Addr)
 	return nil
-}
-
-// Peers returns the names of current peers.
-func (s *Server) Peers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for n := range s.peers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -169,9 +169,9 @@ func TestPeering(t *testing.T) {
 		"PLC": {3, 2, 2}, "PLE": {2, 2, 2}, "PLJ": {1, 2, 2},
 	})
 	for name, srv := range servers {
-		peers := srv.Peers()
+		peers := srv.health.snapshot()
 		if len(peers) != 2 {
-			t.Errorf("%s has peers %v, want 2", name, peers)
+			t.Errorf("%s tracks peers %+v, want 2", name, peers)
 		}
 	}
 }

@@ -92,45 +92,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Poisson returns a Poisson variate with the given mean (Knuth's method for
-// small means, normal approximation above 500 to avoid underflow).
-func (r *Rand) Poisson(mean float64) int {
-	if mean < 0 {
-		panic("stats: Poisson with negative mean")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean > 500 {
-		// Normal approximation with continuity correction.
-		v := mean + math.Sqrt(mean)*r.Normal()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	limit := math.Exp(-mean)
-	p := 1.0
-	k := 0
-	for {
-		p *= r.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
-}
-
-// Normal returns a standard normal variate (Box–Muller).
-func (r *Rand) Normal() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // Summary accumulates streaming first and second moments of a sample.
 type Summary struct {
 	n          int

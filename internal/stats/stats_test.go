@@ -84,39 +84,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPoissonMeanAndVariance(t *testing.T) {
-	r := NewRand(5)
-	for _, mean := range []float64{0.5, 3, 30, 600} {
-		var s Summary
-		for i := 0; i < 20000; i++ {
-			s.Add(float64(r.Poisson(mean)))
-		}
-		if math.Abs(s.Mean()-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%g) mean %g", mean, s.Mean())
-		}
-		if math.Abs(s.Var()-mean) > 0.1*mean+0.1 {
-			t.Errorf("Poisson(%g) variance %g", mean, s.Var())
-		}
-	}
-	if NewRand(1).Poisson(0) != 0 {
-		t.Error("Poisson(0) must be 0")
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	r := NewRand(13)
-	var s Summary
-	for i := 0; i < 100000; i++ {
-		s.Add(r.Normal())
-	}
-	if math.Abs(s.Mean()) > 0.02 {
-		t.Errorf("normal mean %g", s.Mean())
-	}
-	if math.Abs(s.Var()-1) > 0.05 {
-		t.Errorf("normal variance %g", s.Var())
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRand(17)
 	f := func(nRaw uint8) bool {
