@@ -266,7 +266,10 @@ func TestErrorsAreStructuredJSON(t *testing.T) {
 // each gets a structured 400 and that nothing is queued.
 func TestSubmitRejectsMalformedSpecBodies(t *testing.T) {
 	srv, eng := newTestServer(t, engine.Options{})
-	huge := strings.Replace(testSpecJSON, `"resources": 8}`, `"resources": 8, "count": 1000000000}`, 1)
+	// One facility past the bound is enough: the API must refuse it before
+	// queueing, not let the run fail (or, for a huge count, exhaust memory)
+	// while expanding replicas.
+	huge := strings.Replace(testSpecJSON, `"resources": 8}`, `"resources": 8, "count": 4096}`, 1)
 	if huge == testSpecJSON {
 		t.Fatal("test spec has no facility to replicate")
 	}
