@@ -1,6 +1,11 @@
 package allocation
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"fedshare/internal/stats"
+)
 
 func benchInstance() (Pool, []Request) {
 	pool := Pool{Classes: []Class{
@@ -104,6 +109,53 @@ func BenchmarkSolveGreedyFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, p := range pools {
 			benchSink = solveGreedy(p, reqs)
+		}
+	}
+}
+
+// prefixWalkInstance returns 500 classes of 1–8 locations hosting 0–12
+// experiments each (past the cap at k = 10) and k uniform linear
+// requests, with homogeneous minima l = 20 or minima spread over 0–39.
+func prefixWalkInstance(k int, hetero bool) ([]Class, []Request) {
+	rng := stats.NewRand(18)
+	classes := make([]Class, 500)
+	for i := range classes {
+		classes[i] = Class{Label: "w", Count: 1 + rng.Intn(8), Capacity: float64(rng.Intn(13))}
+	}
+	reqs := make([]Request, k)
+	for j := range reqs {
+		reqs[j] = Request{Min: 20, Shape: 1, Resources: 1}
+		if hetero {
+			reqs[j].Min = rng.Intn(40)
+		}
+	}
+	return classes, reqs
+}
+
+var prefixSink float64
+
+// BenchmarkPrefixSolverWalk measures one 500-class prefix walk, every
+// step on the fast path, with homogeneous and heterogeneous minima at
+// k = 10 and k = 100. No fedbench workload reaches the heterogeneous
+// admission replay; this is where its cost shows.
+func BenchmarkPrefixSolverWalk(b *testing.B) {
+	for _, minima := range []string{"homog", "hetero"} {
+		for _, k := range []int{10, 100} {
+			b.Run(fmt.Sprintf("%s/k=%d", minima, k), func(b *testing.B) {
+				classes, reqs := prefixWalkInstance(k, minima == "hetero")
+				ps, err := NewPrefixSolver(reqs, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ps.Reset()
+					for _, c := range classes {
+						prefixSink += ps.Add(c)
+					}
+				}
+			})
 		}
 	}
 }

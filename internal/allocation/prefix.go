@@ -18,10 +18,14 @@ import (
 //   - on the Gale–Ryser fast path (uniform request resources, linear
 //     utility, no binding Max — the paper's figure workloads), V equals
 //     totalSlots(m*) for the greedily admitted count m*. The solver keeps
-//     the pool's per-location capacity histogram in two Fenwick trees, so
-//     adding a class is an O(log K) point update and re-finding m* is a
-//     binary search with O(log K) totalSlots queries — no pool rebuild,
-//     no admission-loop re-scan of the locations.
+//     a histogram of the pool's locations by per-location capacity, so
+//     adding a class is one counter update. With homogeneous minima the
+//     feasible counts {m : m·l ≤ totalSlots(m)} form a prefix of 0..k
+//     that only widens as the pool grows, so m* never decreases along a
+//     walk: the solver carries m* and totalSlots(m*) and advances m*
+//     in O(1) amortized per step. Heterogeneous minima replay solveFast's
+//     admission against a totalSlots table rebuilt from the histogram in
+//     O(k) — no pool rebuild, no admission-loop re-scan of the locations.
 //   - on the general (greedy-engine) path, the solver repairs instead of
 //     re-solving when it can certify that the repaired value equals a
 //     fresh solveGreedy run: under the abundant-capacity certificate
@@ -37,7 +41,7 @@ import (
 // pool whose classes the caller fixes up front (SetLayout): a step adds
 // locations to an existing slot, as the collapsed class game does when a
 // template's aggregated class gains a replica. Both share the location
-// and Fenwick accounting and the one set of certification branches
+// and histogram accounting and the one set of certification branches
 // above; where neither branch applies, Grow reports the step uncertified
 // and leaves valuing it to the caller instead of solving.
 //
@@ -80,7 +84,6 @@ type PrefixSolver struct {
 	allLinear  bool    // all Shape == 1
 	boundedMax int     // smallest positive Max among requests; 0 = none
 	homogMin   int     // common Min when all equal, else -1
-	order      []int   // request indices, stable ascending-Min (solveFast order)
 	sumRes     float64 // Σ_j Resources_j — the abundant-capacity bar
 
 	// Pool state. classes is the pool Add builds; slotCap the
@@ -90,14 +93,22 @@ type PrefixSolver struct {
 	poolL   int
 	scarce  int // steps that added locations of Capacity < sumRes; only == 0 is read
 
-	// Fast-path slot accounting: Fenwick trees over the capped
-	// per-location experiment capacity b = min(⌊Capacity/r0⌋, k).
-	fcnt   []int64 // location counts by b
-	fslots []int64 // b·count by b
-	totCnt int64
-	maxN   int // largest capped b among non-empty classes
+	// Fast-path slot accounting over the capped per-location experiment
+	// capacity b = min(⌊Capacity/r0⌋, k): hist[b] counts the pool's
+	// locations of capacity b. With homogeneous minima, m is the admitted
+	// count m*, slots = totalSlots(m) and above the number of locations
+	// with b > m, so totalSlots(m+1) = slots + above.
+	hist  []int
+	m     int
+	slots int
+	above int
 
-	minsDesc []int // admission-replay scratch
+	// Heterogeneous-minima admission replay: solveFast's ascending-Min
+	// request order, the totalSlots table by admitted count, and the
+	// descending minima multiset.
+	order    []int
+	tslots   []int
+	minsDesc []int
 
 	value float64
 	stats PrefixStats
@@ -148,18 +159,20 @@ func NewPrefixSolver(reqs []Request, memo *Memo) (*PrefixSolver, error) {
 		}
 		ps.sumRes += r.Resources
 	}
-	ps.order = make([]int, ps.k)
-	for i := range ps.order {
-		ps.order[i] = i
-	}
-	sort.SliceStable(ps.order, func(a, b int) bool {
-		return reqs[ps.order[a]].Min < reqs[ps.order[b]].Min
-	})
 	if ps.fastEligible() {
-		ps.fcnt = make([]int64, ps.k+1)
-		ps.fslots = make([]int64, ps.k+1)
+		ps.hist = make([]int, ps.k+1)
+		if ps.homogMin < 0 {
+			ps.order = make([]int, ps.k)
+			for i := range ps.order {
+				ps.order[i] = i
+			}
+			sort.SliceStable(ps.order, func(a, b int) bool {
+				return reqs[ps.order[a]].Min < reqs[ps.order[b]].Min
+			})
+			ps.tslots = make([]int, ps.k+1)
+			ps.minsDesc = make([]int, 0, ps.k)
+		}
 	}
-	ps.minsDesc = make([]int, 0, ps.k)
 	return ps, nil
 }
 
@@ -178,12 +191,8 @@ func (ps *PrefixSolver) Reset() {
 	ps.classes = ps.classes[:0]
 	ps.poolL = 0
 	ps.scarce = 0
-	ps.totCnt = 0
-	ps.maxN = 0
-	for i := range ps.fcnt {
-		ps.fcnt[i] = 0
-		ps.fslots[i] = 0
-	}
+	clear(ps.hist)
+	ps.m, ps.slots, ps.above = 0, 0, 0
 	ps.value = 0
 }
 
@@ -262,7 +271,7 @@ func (ps *PrefixSolver) Grow(i, count int) (v float64, ok bool) {
 }
 
 // step adds count locations of the given capacity to the pool's location
-// and Fenwick accounting, then values the pool on the cheapest certified
+// and histogram accounting, then values the pool on the cheapest certified
 // path that reproduces Solve: incremental fast path, then certified
 // greedy repair. When neither applies, it counts a fallback and returns
 // NaN with ok false.
@@ -273,16 +282,12 @@ func (ps *PrefixSolver) step(count int, capacity float64) (v float64, ok bool) {
 		if capacity < ps.sumRes {
 			ps.scarce++
 		}
-		if ps.fastEligible() {
-			b := int(math.Floor(capacity / ps.r0))
-			if b > ps.k {
-				b = ps.k
-			}
-			fenwAdd(ps.fcnt, b, int64(count))
-			fenwAdd(ps.fslots, b, int64(b)*int64(count))
-			ps.totCnt += int64(count)
-			if b > ps.maxN {
-				ps.maxN = b
+		if ps.hist != nil {
+			b := min(int(math.Floor(capacity/ps.r0)), ps.k)
+			ps.hist[b] += count
+			ps.slots += count * min(b, ps.m)
+			if b > ps.m {
+				ps.above += count
 			}
 		}
 	}
@@ -305,60 +310,43 @@ func (ps *PrefixSolver) step(count int, capacity float64) (v float64, ok bool) {
 	return math.NaN(), false
 }
 
-// totalSlots returns Σ_c Count_c·min(n_c, m) over the current pool via
-// the Fenwick trees — the same quantity totalSlots computes from the
-// class arrays, valid for m ≤ k (the only range admission ever queries,
-// which is why capping b at k is lossless).
-func (ps *PrefixSolver) totalSlots(m int) int64 {
-	if m <= 0 {
-		return 0
-	}
-	le := fenwSum(ps.fcnt, m-1)
-	return fenwSum(ps.fslots, m-1) + int64(m)*(ps.totCnt-le)
-}
-
 // fastValue is the incremental fast path: V = totalSlots(m*) with m* the
-// admitted count, by closed form for homogeneous minima (the analytic
-// engine's domain) and by admission replay otherwise.
-func (ps *PrefixSolver) fastValue() int64 {
+// admitted count, carried across steps for homogeneous minima (the
+// analytic engine's domain) and by admission replay otherwise.
+func (ps *PrefixSolver) fastValue() int {
 	if ps.homogMin >= 0 {
 		return ps.homogValue()
 	}
 	return ps.heteroFastValue()
 }
 
-// homogValue mirrors solveAnalytic's admission: identical minima make
-// Gale–Ryser a single inequality whose feasible set is a prefix of 0..k.
-func (ps *PrefixSolver) homogValue() int64 {
+// homogValue mirrors solveAnalytic's admission: identical minima l make
+// Gale–Ryser the single inequality m·l ≤ totalSlots(m), whose solutions
+// form a prefix of 0..k. Adding locations only raises totalSlots, so the
+// previous step's m* stays feasible and the new m* is found by advancing
+// it. With l = 0 m* runs to k, where totalSlots equals solveAnalytic's
+// totalSlots(min(k, max b)); with l above the pool size no m ≥ 1 passes.
+func (ps *PrefixSolver) homogValue() int {
 	l := ps.homogMin
-	switch {
-	case l > ps.poolL:
-		return 0
-	case l == 0:
-		m := ps.k
-		if m > ps.maxN {
-			m = ps.maxN
-		}
-		return ps.totalSlots(m)
-	default:
-		lo, hi := 0, ps.k
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if int64(mid)*int64(l) <= ps.totalSlots(mid) {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		return ps.totalSlots(lo)
+	for ps.m < ps.k && (ps.m+1)*l <= ps.slots+ps.above {
+		ps.slots += ps.above
+		ps.m++
+		ps.above -= ps.hist[ps.m]
 	}
+	return ps.slots
 }
 
 // heteroFastValue replays solveFast's admission loop — ascending-Min
 // scan, insertion into the descending minima multiset, Gale–Ryser prefix
-// feasibility — against the Fenwick slot oracle, so no per-step pool or
-// class-table rebuild happens.
-func (ps *PrefixSolver) heteroFastValue() int64 {
+// feasibility — against a totalSlots table rebuilt from the histogram, so
+// no per-step pool or class-table rebuild happens.
+func (ps *PrefixSolver) heteroFastValue() int {
+	ts := ps.tslots
+	above := ps.poolL - ps.hist[0]
+	for m := 0; m < ps.k; m++ {
+		ts[m+1] = ts[m] + above
+		above -= ps.hist[m+1]
+	}
 	admitted := 0
 	minsDesc := ps.minsDesc[:0]
 	for _, j := range ps.order {
@@ -366,7 +354,7 @@ func (ps *PrefixSolver) heteroFastValue() int64 {
 		if min > ps.poolL {
 			continue
 		}
-		if min == 0 && ps.totalSlots(admitted+1) == ps.totalSlots(admitted) {
+		if min == 0 && ts[admitted+1] == ts[admitted] {
 			continue
 		}
 		pos := sort.Search(len(minsDesc), func(i int) bool { return minsDesc[i] < min })
@@ -374,10 +362,10 @@ func (ps *PrefixSolver) heteroFastValue() int64 {
 		copy(minsDesc[pos+1:], minsDesc[pos:])
 		minsDesc[pos] = min
 		feasible := true
-		prefix := int64(0)
+		prefix := 0
 		for t, v := range minsDesc {
-			prefix += int64(v)
-			if prefix > ps.totalSlots(t+1) {
+			prefix += v
+			if prefix > ts[t+1] {
 				feasible = false
 				break
 			}
@@ -390,7 +378,7 @@ func (ps *PrefixSolver) heteroFastValue() int64 {
 		admitted++
 	}
 	ps.minsDesc = minsDesc[:0]
-	return ps.totalSlots(admitted)
+	return ts[admitted]
 }
 
 // abundantValue is the certified greedy repair. Certificate: every class
@@ -460,21 +448,4 @@ func (ps *PrefixSolver) fallbackValue() float64 {
 		}
 	}
 	return Solve(pool, ps.reqs).Utility
-}
-
-// fenwAdd adds d at index i (0-based) of a Fenwick tree stored in a
-// 1-based array of length len(t); t must have length ≥ 2.
-func fenwAdd(t []int64, i int, d int64) {
-	for i++; i < len(t); i += i & -i {
-		t[i] += d
-	}
-}
-
-// fenwSum returns the prefix sum over indices [0, i].
-func fenwSum(t []int64, i int) int64 {
-	s := int64(0)
-	for i++; i > 0; i -= i & -i {
-		s += t[i]
-	}
-	return s
 }

@@ -397,3 +397,226 @@ func TestPrefixSolverGrowMatchesSolve(t *testing.T) {
 	}
 	t.Logf("grow differential: %+v", agg)
 }
+
+// longWalkCase is one request list of TestPrefixSolverLongWalks with the
+// class list its walks permute.
+type longWalkCase struct {
+	name    string
+	reqs    []Request
+	classes []Class
+}
+
+// longWalkCases draws request lists of 20–150 uniform-resource linear
+// requests and 100–300 classes, most of capacity below 6 experiments
+// so that m* climbs through 0..k over a walk, and about one in ten at or
+// past the k cap. Minima are homogeneous (l drawn, or 0) or mixed with
+// some zeros. One case in three (k ≤ 60, 60–100 classes) bounds Max at
+// two thirds of the walk's locations, so the fast path applies for most
+// of a walk and then stops.
+func longWalkCases(rng *stats.Rand) []longWalkCase {
+	var out []longWalkCase
+	for trial := 0; trial < 12; trial++ {
+		bounded, hetero := trial%3 == 2, trial%2 == 1
+		k := 20 + rng.Intn(131)
+		if bounded {
+			k = 20 + rng.Intn(41) // steps past the bound re-solve with the greedy
+		}
+		r0 := 0.5 + rng.Float64()
+		l := 0
+		if trial%6 != 0 {
+			l = 1 + rng.Intn(30)
+		}
+		reqs := make([]Request, k)
+		for j := range reqs {
+			min := l
+			if hetero {
+				min = rng.Intn(60)
+				if rng.Intn(4) == 0 {
+					min = 0
+				}
+			}
+			reqs[j] = Request{Min: min, Shape: 1, Resources: r0}
+		}
+		n := 100 + rng.Intn(201)
+		switch {
+		case bounded:
+			n = 60 + rng.Intn(41)
+		case hetero:
+			n = 100 + rng.Intn(51) // Solve's admission replay is O(k²) per prefix
+		}
+		classes := make([]Class, n)
+		total := 0
+		for i := range classes {
+			b := rng.Float64() * 6
+			if rng.Intn(10) == 0 {
+				b = float64(k-2) + rng.Float64()*20
+			}
+			classes[i] = Class{Label: "c", Count: rng.Intn(5), Capacity: b * r0}
+			total += classes[i].Count
+		}
+		name := "homog"
+		if hetero {
+			name = "hetero"
+		} else if l == 0 {
+			name = "zero-min"
+		}
+		if bounded {
+			for j := range reqs {
+				if j == 0 || rng.Intn(3) == 0 {
+					reqs[j].Max = total * 2 / 3
+				}
+			}
+			name += "/max-binds"
+		}
+		out = append(out, longWalkCase{name: name, reqs: reqs, classes: classes})
+	}
+	return out
+}
+
+// TestPrefixSolverLongWalks walks hundreds of classes against up to 150
+// requests, so the admitted count moves through most of 0..k within one
+// walk — on both minima kinds, with l = 0, with capacities past the k
+// cap, and with a Max that starts to bind mid-walk. Every step must equal
+// a fresh Solve bit for bit. Each solver is reused across walks, and each
+// walk after a Reset must also equal a fresh solver's, step for step.
+func TestPrefixSolverLongWalks(t *testing.T) {
+	rng := stats.NewRand(7007)
+	var fastBounded, reachedK, fellBack int
+	for _, tc := range longWalkCases(rng) {
+		ps, err := NewPrefixSolver(tc.reqs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh *PrefixSolver // second walk only: ps has been Reset
+		for walk := 0; walk < 2; walk++ {
+			if walk > 0 {
+				ps.Reset()
+				if fresh, err = NewPrefixSolver(tc.reqs, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pool := Pool{Classes: make([]Class, 0, len(tc.classes))}
+			for step, ci := range rng.Perm(len(tc.classes)) {
+				c := tc.classes[ci]
+				before := ps.Stats()
+				got := ps.Add(c)
+				pool.Classes = append(pool.Classes, c)
+				if want := Solve(pool, tc.reqs).Utility; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s walk %d step %d: PrefixSolver %.17g, Solve %.17g", tc.name, walk, step, got, want)
+				}
+				if fresh != nil {
+					if again := fresh.Add(c); math.Float64bits(again) != math.Float64bits(got) {
+						t.Fatalf("%s step %d: after Reset %.17g, fresh solver %.17g", tc.name, step, got, again)
+					}
+				}
+				after := ps.Stats()
+				if after.Fast > before.Fast && tc.reqs[0].Max > 0 {
+					fastBounded++
+				}
+				if after.Fallbacks > before.Fallbacks {
+					fellBack++
+				}
+			}
+			if ps.homogMin >= 0 && ps.m == ps.k {
+				reachedK++
+			}
+		}
+	}
+	if fastBounded == 0 || reachedK == 0 || fellBack == 0 {
+		t.Fatalf("coverage: %d fast steps under a bounded Max, %d walks admitting all k, %d fallbacks",
+			fastBounded, reachedK, fellBack)
+	}
+}
+
+// FuzzPrefixSolver walks a decoded class sequence twice — once by Add,
+// once by Grow on a slot layout — and compares every step with Solve bit
+// for bit. Grow is checked on certified steps, and a step must be
+// uncertified exactly when Add falls back.
+func FuzzPrefixSolver(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, caps, steps := decodePrefixWalk(data)
+		add, err := NewPrefixSolver(reqs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grow, err := NewPrefixSolver(reqs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grow.SetLayout(caps)
+		var pool Pool
+		counts := make([]int, len(caps))
+		for n, s := range steps {
+			c := Class{Label: "c", Count: s[1], Capacity: caps[s[0]]}
+			fallbacks := add.Stats().Fallbacks
+			got := add.Add(c)
+			pool.Classes = append(pool.Classes, c)
+			if want := Solve(pool, reqs).Utility; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d: Add %.17g, Solve %.17g\nrequests %+v\npool %+v", n, got, want, reqs, pool.Classes)
+			}
+			counts[s[0]] += s[1]
+			v, ok := grow.Grow(s[0], s[1])
+			if fellBack := add.Stats().Fallbacks > fallbacks; ok == fellBack {
+				t.Fatalf("step %d: Grow certified=%v, Add fell back=%v", n, ok, fellBack)
+			}
+			if !ok {
+				continue
+			}
+			var slots Pool
+			for i, c := range counts {
+				if c > 0 {
+					slots.Classes = append(slots.Classes, Class{Label: "c", Count: c, Capacity: caps[i]})
+				}
+			}
+			if want := Solve(slots, reqs).Utility; math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("step %d: Grow %.17g, Solve %.17g\nrequests %+v\nslots %+v", n, v, want, reqs, slots.Classes)
+			}
+		}
+	})
+}
+
+// decodePrefixWalk reads a flags byte, a request count (1–24) and per
+// request a minimum (0–23), a maximum (0 = unbounded, up to 47), a shape
+// index and resources in quarters; then a slot count (1–8) with a
+// capacity per slot in quarters (0–63.75, past the k cap for small
+// resources); then up to 32 (slot, locations 0–6) steps. Flags bit 0
+// forces uniform resources and Shape 1, the fast path's demand; bit 1
+// gives every request the first one's minimum; bit 2 leaves every Max
+// unbounded. Missing bytes read as zero.
+func decodePrefixWalk(data []byte) (reqs []Request, caps []float64, steps [][2]int) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := int(data[0])
+		data = data[1:]
+		return b
+	}
+	flags := next()
+	reqs = make([]Request, 1+next()%24)
+	for j := range reqs {
+		reqs[j] = Request{
+			Min:       next() % 24,
+			Max:       next() % 48,
+			Shape:     greedyShapes[next()%len(greedyShapes)],
+			Resources: float64(1+next()%16) / 4,
+		}
+		if flags&1 != 0 {
+			reqs[j].Shape, reqs[j].Resources = 1, reqs[0].Resources
+		}
+		if flags&2 != 0 {
+			reqs[j].Min = reqs[0].Min
+		}
+		if flags&4 != 0 {
+			reqs[j].Max = 0
+		}
+	}
+	caps = make([]float64, 1+next()%8)
+	for i := range caps {
+		caps[i] = float64(next()) / 4
+	}
+	for len(data) > 0 && len(steps) < 32 {
+		steps = append(steps, [2]int{next() % len(caps), next() % 7})
+	}
+	return reqs, caps, steps
+}

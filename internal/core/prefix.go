@@ -35,13 +35,19 @@ func (m *Model) PrefixValuer() coalition.PrefixValuer {
 		// the non-incremental path report it the established way.
 		return nil
 	}
-	return &modelPrefixValuer{m: m, ps: ps}
+	classes := make([]allocation.Class, len(m.Facilities))
+	for i, f := range m.Facilities {
+		classes[i] = allocation.Class{Label: f.Name, Count: f.Locations, Capacity: f.EffectiveCapacity()}
+	}
+	return &modelPrefixValuer{ps: ps, classes: classes, mu: m.muFactor()}
 }
 
-// modelPrefixValuer walks one growing coalition of facilities.
+// modelPrefixValuer walks one growing coalition of facilities. classes[i]
+// is facility i's location class, built once per valuer.
 type modelPrefixValuer struct {
-	m  *Model
-	ps *allocation.PrefixSolver
+	ps      *allocation.PrefixSolver
+	classes []allocation.Class
+	mu      float64
 }
 
 // Reset implements coalition.PrefixValuer.
@@ -49,18 +55,13 @@ func (v *modelPrefixValuer) Reset() { v.ps.Reset() }
 
 // Extend implements coalition.PrefixValuer.
 func (v *modelPrefixValuer) Extend(i int) float64 {
-	f := &v.m.Facilities[i]
-	if f.Locations == 0 {
+	c := &v.classes[i]
+	if c.Count == 0 {
 		// ValueMembers skips zero-location facilities when building the
 		// pool; the value is unchanged.
-		return v.m.muFactor() * v.ps.Value()
+		return v.mu * v.ps.Value()
 	}
-	u := v.ps.Add(allocation.Class{
-		Label:    f.Name,
-		Count:    f.Locations,
-		Capacity: f.EffectiveCapacity(),
-	})
-	return v.m.muFactor() * u
+	return v.mu * v.ps.Add(*c)
 }
 
 // classPrefix is the collapsed game's incremental evaluator: a

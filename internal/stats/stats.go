@@ -94,10 +94,8 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 
 // Summary accumulates streaming first and second moments of a sample.
 type Summary struct {
-	n          int
-	mean, m2   float64
-	min, max   float64
-	everStored bool
+	n        int
+	mean, m2 float64
 }
 
 // Add folds one observation into the summary (Welford's update).
@@ -106,13 +104,6 @@ func (s *Summary) Add(x float64) {
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-	if !s.everStored || x < s.min {
-		s.min = x
-	}
-	if !s.everStored || x > s.max {
-		s.max = x
-	}
-	s.everStored = true
 }
 
 // Merge folds another summary into s, as if every observation added to o
@@ -133,12 +124,6 @@ func (s *Summary) Merge(o Summary) {
 	s.mean += delta * float64(o.n) / float64(n)
 	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
 	s.n = n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 }
 
 // N returns the number of observations.
@@ -157,12 +142,6 @@ func (s *Summary) Var() float64 {
 
 // Stddev returns the sample standard deviation.
 func (s *Summary) Stddev() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation (0 if empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 if empty).
-func (s *Summary) Max() float64 { return s.max }
 
 // CI95 returns the half-width of the normal-approximation 95% confidence
 // interval of the mean. It is 0 for fewer than two samples.
