@@ -125,11 +125,11 @@ func Solve(pool Pool, reqs []Request) *Result {
 		panic(err)
 	}
 	for j, r := range reqs {
-		if r.Resources <= 0 {
-			panic(fmt.Sprintf("allocation: request %d has non-positive Resources", j))
+		if !positiveFinite(r.Resources) {
+			panic(fmt.Sprintf("allocation: request %d has non-positive or non-finite Resources", j))
 		}
-		if r.Shape <= 0 {
-			panic(fmt.Sprintf("allocation: request %d has non-positive Shape", j))
+		if !positiveFinite(r.Shape) {
+			panic(fmt.Sprintf("allocation: request %d has non-positive or non-finite Shape", j))
 		}
 		if r.Min < 0 {
 			panic(fmt.Sprintf("allocation: request %d has negative Min", j))
@@ -142,6 +142,14 @@ func Solve(pool Pool, reqs []Request) *Result {
 		return solveFast(pool, reqs)
 	}
 	return solveGreedy(pool, reqs)
+}
+
+// positiveFinite reports whether v is a number in (0, +Inf): the range a
+// request's Shape and Resources must lie in. The greedy engine's proof
+// that its index makes the scan's decisions needs every gain to be a
+// number, which a NaN or infinite Shape or Resources breaks.
+func positiveFinite(v float64) bool {
+	return v > 0 && !math.IsInf(v, 1)
 }
 
 // fastApplies reports whether the polymatroid fast path is usable: uniform
@@ -394,41 +402,75 @@ func rebalanceSlots(res *Result, assigned int) {
 func solveGreedy(pool Pool, reqs []Request) *Result {
 	s := greedyScratchPool.Get().(*greedyScratch)
 	defer greedyScratchPool.Put(s)
-	best := s.run(pool, reqs, true)
-	alt := s.run(pool, reqs, false)
-	if alt.Utility > best.Utility {
-		best = alt
-	}
-	return best
+	return s.solve(pool, reqs)
 }
 
 // greedyScratchPool recycles the greedy engine's working state across
 // calls; Solve runs on many goroutines at once, each with its own scratch.
 var greedyScratchPool = sync.Pool{New: func() any { return new(greedyScratch) }}
 
-// greedyScratch is the greedy engine's working state: the location index
-// and the per-request bookkeeping of one run.
+// powTables is how many power tables a scratch holds before a new shape
+// takes over an old shape's table. A call binds a table to every distinct
+// shape it reads, so a call reading more shapes grows the set past it.
+const powTables = 4
+
+// greedyScratch is the greedy engine's working state: the location index,
+// the per-request bookkeeping of one run, and the power tables that
+// outlive it.
 type greedyScratch struct {
 	idx      locIndex
 	class    []int     // class[li]: the pool class of location li
 	used     []uint64  // request j's locations: used[j*words : (j+1)*words]
 	x        []int     // locations assigned to each request
 	admitted []bool    // request met its minimum
-	live     []bool    // request may still grow in the current top-up
-	next     []float64 // Utility(x+1) of each live request
-	gain     []float64 // Utility(x+1) - Utility(x) of each live request
+	gain     []float64 // Utility(x+1) - Utility(x) of each request in heap
+	heap     []int     // top-up candidates, best first (see before)
 	order    []int     // admission order
 	take     []int     // locations picked for one admission
+	alt      Result    // the descending order's result in solve
+
+	tables []powTable // by shape, reused across calls
+	table  []int      // table[j]: request j's entry in tables
+	calls  uint64     // resets so far; stamps the tables each call binds
 }
 
-// run is one greedy pass with the given admission order.
-func (s *greedyScratch) run(pool Pool, reqs []Request, ascending bool) *Result {
-	res := emptyResult(pool, reqs)
+// powTable caches math.Pow(float64(x), shape) for one shape, filled only
+// at the x a run reads. An entry is 0 until then: every power read is of
+// an x >= 1 with shape > 0, so it is at least 1.
+type powTable struct {
+	shape uint64 // math.Float64bits of the exponent
+	call  uint64 // the last reset that bound a request to this table
+	pow   []float64
+}
+
+// solve runs both admission orders and returns the better result, the
+// ascending one on ties. Only the returned Result is allocated.
+func (s *greedyScratch) solve(pool Pool, reqs []Request) *Result {
+	best := emptyResult(pool, reqs)
+	s.run(best, pool, reqs, true)
+	alt := &s.alt
+	alt.X = resize(alt.X, len(reqs))
+	alt.ConsumedByClass = resize(alt.ConsumedByClass, len(pool.Classes))
+	alt.SlotsByClass = resize(alt.SlotsByClass, len(pool.Classes))
+	alt.Utility = 0
+	s.run(alt, pool, reqs, false)
+	if alt.Utility > best.Utility {
+		best.Utility = alt.Utility
+		copy(best.X, alt.X)
+		copy(best.ConsumedByClass, alt.ConsumedByClass)
+		copy(best.SlotsByClass, alt.SlotsByClass)
+	}
+	return best
+}
+
+// run is one greedy pass with the given admission order, written into
+// res, which must be zero and shaped for (pool, reqs).
+func (s *greedyScratch) run(res *Result, pool Pool, reqs []Request, ascending bool) {
 	L := pool.TotalLocations()
 	if L == 0 || len(reqs) == 0 {
-		return res
+		return
 	}
-	s.reset(pool.Classes, L, len(reqs))
+	s.reset(pool.Classes, L, reqs)
 	s.order = s.order[:0]
 	for j := range reqs {
 		s.order = append(s.order, j)
@@ -447,12 +489,13 @@ func (s *greedyScratch) run(pool Pool, reqs []Request, ascending bool) *Result {
 	// Phase B: marginal top-up, one location at a time.
 	s.topUp(reqs, L)
 
-	for j, r := range reqs {
+	for j := range reqs {
 		if !s.admitted[j] {
 			continue
 		}
+		r := &reqs[j]
 		res.X[j] = s.x[j]
-		res.Utility += r.Utility(s.x[j])
+		res.Utility += s.utility(j, r, s.x[j])
 		for w, b := range s.usedOf(j) {
 			for ; b != 0; b &= b - 1 {
 				c := s.class[w<<6|bits.TrailingZeros64(b)]
@@ -461,27 +504,85 @@ func (s *greedyScratch) run(pool Pool, reqs []Request, ascending bool) *Result {
 			}
 		}
 	}
-	return res
 }
 
-// reset indexes the L locations of classes, all free, for k requests.
-func (s *greedyScratch) reset(classes []Class, L, k int) {
+// reset indexes the L locations of classes, all free, one group lookup
+// per class, and binds every request of reqs to its shape's power table.
+func (s *greedyScratch) reset(classes []Class, L int, reqs []Request) {
+	k := len(reqs)
 	s.idx.reset(L)
 	s.class = resize(s.class, L)
 	li := 0
 	for c, cl := range classes {
-		for n := 0; n < cl.Count; n++ {
-			s.class[li] = c
-			s.idx.insert(li, 0, cl.Capacity)
-			li++
+		if cl.Count == 0 {
+			continue
 		}
+		g := s.idx.group(0, cl.Capacity)
+		members := s.idx.members(g)
+		for end := li + cl.Count; li < end; li++ {
+			members[li>>6] |= 1 << (li & 63)
+			s.idx.slot[li] = g
+			s.class[li] = c
+		}
+		s.idx.groups[g].n += cl.Count
 	}
 	s.used = resize(s.used, k*s.idx.words)
 	s.x = resize(s.x, k)
 	s.admitted = resize(s.admitted, k)
-	s.live = resize(s.live, k)
-	s.next = resize(s.next, k)
 	s.gain = resize(s.gain, k)
+
+	s.calls++
+	s.table = resize(s.table, k)
+	for j := range reqs {
+		shape := math.Float64bits(reqs[j].Shape)
+		if j > 0 && shape == math.Float64bits(reqs[j-1].Shape) {
+			s.table[j] = s.table[j-1]
+		} else {
+			s.table[j] = s.tableOf(shape)
+		}
+	}
+}
+
+// tableOf returns the index of shape's power table, stamped as read by
+// the current call. A new table takes a fresh slot while the scratch
+// holds fewer than powTables, else the slot of the table unbound the
+// longest, but never one the current call reads: when the current call
+// reads them all, it takes a fresh slot.
+func (s *greedyScratch) tableOf(shape uint64) int {
+	victim := -1
+	for i := range s.tables {
+		t := &s.tables[i]
+		if t.shape == shape {
+			t.call = s.calls
+			return i
+		}
+		if t.call != s.calls && (victim < 0 || t.call < s.tables[victim].call) {
+			victim = i
+		}
+	}
+	if victim < 0 || len(s.tables) < powTables {
+		victim = len(s.tables)
+		s.tables = append(s.tables, powTable{})
+	}
+	t := &s.tables[victim]
+	t.shape, t.call, t.pow = shape, s.calls, t.pow[:0]
+	return victim
+}
+
+// utility is reqs[j].Utility(x), with the power read from j's table.
+func (s *greedyScratch) utility(j int, r *Request, x int) float64 {
+	if x <= 0 || x < r.Min {
+		return 0
+	}
+	t := &s.tables[s.table[j]]
+	if x >= len(t.pow) {
+		t.pow = append(t.pow, make([]float64, x+1-len(t.pow))...)
+	}
+	p := &t.pow[x]
+	if *p == 0 {
+		*p = math.Pow(float64(x), r.Shape)
+	}
+	return *p
 }
 
 // usedOf returns request j's location bitset.
@@ -492,7 +593,8 @@ func (s *greedyScratch) usedOf(j int) []uint64 {
 
 // admit admits request j when its want most preferred locations not
 // marked in its bitset all exist, and assigns them. A request whose
-// minimum exceeds its maximum is never admitted.
+// minimum exceeds its maximum is never admitted. The picks come group by
+// group, so each group's run of them moves to its new group at once.
 func (s *greedyScratch) admit(j int, r Request, want, L int) {
 	if r.Min > r.maxLocations(L) {
 		return
@@ -502,8 +604,15 @@ func (s *greedyScratch) admit(j int, r Request, want, L int) {
 	if len(s.take) < want {
 		return
 	}
+	for run := s.take; len(run) > 0; {
+		g, n := s.idx.slot[run[0]], 1
+		for n < len(run) && s.idx.slot[run[n]] == g {
+			n++
+		}
+		s.idx.move(run[:n], r.Resources)
+		run = run[n:]
+	}
 	for _, li := range s.take {
-		s.idx.consume(li, r.Resources)
 		used[li>>6] |= 1 << (li & 63)
 	}
 	s.admitted[j] = true
@@ -513,46 +622,74 @@ func (s *greedyScratch) admit(j int, r Request, want, L int) {
 // topUp is the marginal phase: hand out one location at a time to the
 // admitted request with the highest gain above 1e-12, lowest index on
 // ties, while that request is below its maximum and a location it does
-// not hold has room for it. A gain changes only when its own request
-// grows, so each is recomputed only then. A request that finds no
-// location is retired: capacities only fall and held sets only grow, so
-// it never finds one later, and since the search is pure, skipping it
-// selects the same request the full scan over every request would.
+// not hold has room for it. The candidates sit in a heap in that order,
+// so the request a scan over every request would pick is its top. A gain
+// changes only when its own request grows, and only the top grows, so
+// the heap is repaired from the top alone. A request leaves the heap for
+// good when it reaches its maximum, when its gain falls to 1e-12 (it can
+// no longer grow, so its gain stays there), or when it finds no
+// location: capacities only fall and held sets only grow, so it never
+// finds one later, and since the search is pure, skipping it selects the
+// same request the scan would.
 func (s *greedyScratch) topUp(reqs []Request, L int) {
-	for j, r := range reqs {
-		s.live[j] = s.admitted[j] && s.x[j] < r.maxLocations(L)
-		if s.live[j] {
-			s.next[j] = r.Utility(s.x[j] + 1)
-			s.gain[j] = s.next[j] - r.Utility(s.x[j])
+	s.heap = s.heap[:0]
+	for j := range reqs {
+		r := &reqs[j]
+		if !s.admitted[j] || s.x[j] >= r.maxLocations(L) {
+			continue
+		}
+		if s.gain[j] = s.utility(j, r, s.x[j]+1) - s.utility(j, r, s.x[j]); s.gain[j] > 1e-12 {
+			s.heap = append(s.heap, j)
 		}
 	}
-	for {
-		best, bestGain := -1, 1e-12
-		for j := range reqs {
-			if s.live[j] && s.gain[j] > bestGain {
-				best, bestGain = j, s.gain[j]
-			}
-		}
-		if best < 0 {
-			return
-		}
+	for i := len(s.heap)/2 - 1; i >= 0; i-- {
+		s.down(i)
+	}
+	for len(s.heap) > 0 {
+		best := s.heap[0]
 		r := &reqs[best]
 		used := s.usedOf(best)
-		li := s.idx.pickOne(used, r.Resources)
-		if li < 0 {
-			s.live[best] = false
-			continue
+		if li := s.idx.pickOne(used, r.Resources); li >= 0 {
+			s.take = append(s.take[:0], li)
+			s.idx.move(s.take, r.Resources)
+			used[li>>6] |= 1 << (li & 63)
+			if s.x[best]++; s.x[best] < r.maxLocations(L) {
+				s.gain[best] = s.utility(best, r, s.x[best]+1) - s.utility(best, r, s.x[best])
+				if s.gain[best] > 1e-12 {
+					s.down(0)
+					continue
+				}
+			}
 		}
-		s.idx.consume(li, r.Resources)
-		used[li>>6] |= 1 << (li & 63)
-		s.x[best]++
-		if s.x[best] >= r.maxLocations(L) {
-			s.live[best] = false
-			continue
+		n := len(s.heap) - 1
+		s.heap[0] = s.heap[n]
+		s.heap = s.heap[:n]
+		s.down(0)
+	}
+}
+
+// before orders the top-up heap: higher gain first, then lower index. It
+// is a strict total order on requests, so the top is unique.
+func (s *greedyScratch) before(a, b int) bool {
+	return s.gain[a] > s.gain[b] || (s.gain[a] == s.gain[b] && a < b)
+}
+
+// down sifts the heap entry at position i toward the leaves.
+func (s *greedyScratch) down(i int) {
+	h := s.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		u := s.next[best]
-		s.next[best] = r.Utility(s.x[best] + 1)
-		s.gain[best] = s.next[best] - u
+		if c+1 < len(h) && s.before(h[c+1], h[c]) {
+			c++
+		}
+		if !s.before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
@@ -595,26 +732,37 @@ func (x *locIndex) members(g int) []uint64 {
 	return x.bits[g*x.words : (g+1)*x.words]
 }
 
-// consume assigns location li to one more request needing need units:
-// the location moves to the group of its new key. Its remaining capacity
-// is its group's: capacities that compare equal are the same number, up
-// to the sign of zero, which no subtraction of need can tell apart.
-func (x *locIndex) consume(li int, need float64) {
-	g := x.slot[li]
+// move assigns the locations of run, all members of one group, to one
+// more request needing need units each: together they move to the group
+// of their new key. Their remaining capacity is their group's:
+// capacities that compare equal are the same number, up to the sign of
+// zero, which no subtraction of need can tell apart.
+func (x *locIndex) move(run []int, need float64) {
+	g := x.slot[run[0]]
 	key := x.groups[g]
-	x.members(g)[li>>6] &^= 1 << (li & 63)
-	if x.groups[g].n--; x.groups[g].n == 0 {
+	from := x.members(g)
+	for _, li := range run {
+		from[li>>6] &^= 1 << (li & 63)
+	}
+	if x.groups[g].n -= len(run); x.groups[g].n == 0 {
 		p := slices.Index(x.order, g)
 		x.order = slices.Delete(x.order, p, p+1)
 		x.free = append(x.free, g)
 	}
-	x.insert(li, key.uses+1, key.rem-need)
+	h := x.group(key.uses+1, key.rem-need)
+	to := x.members(h)
+	for _, li := range run {
+		to[li>>6] |= 1 << (li & 63)
+		x.slot[li] = h
+	}
+	x.groups[h].n += len(run)
 }
 
-// insert files location li under key (uses, rem), creating the group if
-// no location holds that key yet. Keys compare with the scan's own
-// operators, so locations share a group exactly when the scan tied them.
-func (x *locIndex) insert(li, uses int, rem float64) {
+// group returns the slot of the group of key (uses, rem), creating it
+// empty if no location holds that key yet. Keys compare with the scan's
+// own operators, so locations share a group exactly when the scan tied
+// them.
+func (x *locIndex) group(uses int, rem float64) int {
 	lo, hi := 0, len(x.order)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -624,23 +772,22 @@ func (x *locIndex) insert(li, uses int, rem float64) {
 			hi = mid
 		}
 	}
-	var g int
-	if lo < len(x.order) && x.groups[x.order[lo]].uses == uses && x.groups[x.order[lo]].rem == rem {
-		g = x.order[lo]
-	} else {
-		if n := len(x.free); n > 0 {
-			g, x.free = x.free[n-1], x.free[:n-1]
-		} else {
-			g = len(x.groups)
-			x.groups = append(x.groups, locGroup{})
-			x.bits = append(x.bits, make([]uint64, x.words)...)
+	if lo < len(x.order) {
+		if g := x.order[lo]; x.groups[g].uses == uses && x.groups[g].rem == rem {
+			return g
 		}
-		x.groups[g] = locGroup{uses: uses, rem: rem}
-		x.order = slices.Insert(x.order, lo, g)
 	}
-	x.groups[g].n++
-	x.members(g)[li>>6] |= 1 << (li & 63)
-	x.slot[li] = g
+	var g int
+	if n := len(x.free); n > 0 {
+		g, x.free = x.free[n-1], x.free[:n-1]
+	} else {
+		g = len(x.groups)
+		x.groups = append(x.groups, locGroup{})
+		x.bits = append(x.bits, make([]uint64, x.words)...)
+	}
+	x.groups[g] = locGroup{uses: uses, rem: rem}
+	x.order = slices.Insert(x.order, lo, g)
+	return g
 }
 
 // best appends to dst up to want locations with room for need units and

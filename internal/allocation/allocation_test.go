@@ -295,6 +295,12 @@ func TestSolvePanicsOnBadRequest(t *testing.T) {
 		{Min: 1, Shape: 1, Resources: 0},
 		{Min: 1, Shape: 0, Resources: 1},
 		{Min: -1, Shape: 1, Resources: 1},
+		{Min: 1, Shape: math.NaN(), Resources: 1},
+		{Min: 1, Shape: math.Inf(1), Resources: 1},
+		{Min: 1, Shape: math.Inf(-1), Resources: 1},
+		{Min: 1, Shape: 1, Resources: math.NaN()},
+		{Min: 1, Shape: 1, Resources: math.Inf(1)},
+		{Min: 1, Shape: 1, Resources: math.Inf(-1)},
 	} {
 		func() {
 			defer func() {
@@ -394,11 +400,18 @@ func TestSolveP2PInvalidInput(t *testing.T) {
 	}); err == nil {
 		t.Error("invalid class must error")
 	}
-	if _, err := SolveP2P([]FacilityContribution{
-		{Name: "bad", Classes: []Class{{Count: 1, Capacity: 1}},
-			Requests: []Request{{Min: 0, Shape: 0, Resources: 1}}},
-	}); err == nil {
-		t.Error("invalid request must error")
+	for _, r := range []Request{
+		{Min: 0, Shape: 0, Resources: 1},
+		{Min: 0, Shape: math.NaN(), Resources: 1},
+		{Min: 0, Shape: math.Inf(1), Resources: 1},
+		{Min: 0, Shape: 1, Resources: math.NaN()},
+		{Min: 0, Shape: 1, Resources: math.Inf(1)},
+	} {
+		if _, err := SolveP2P([]FacilityContribution{
+			{Name: "bad", Classes: []Class{{Count: 1, Capacity: 1}}, Requests: []Request{r}},
+		}); err == nil {
+			t.Errorf("invalid request %+v must error", r)
+		}
 	}
 }
 

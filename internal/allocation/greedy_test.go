@@ -37,20 +37,26 @@ func sameResult(got, want *Result) error {
 	return nil
 }
 
-// checkGreedy compares both admission orders and solveGreedy against the
-// scan-based oracle.
-func checkGreedy(pool Pool, reqs []Request) error {
-	s := new(greedyScratch)
+// checkGreedy compares both admission orders and solve, run on the
+// given scratch, and solveGreedy against the scan-based oracle.
+func checkGreedy(s *greedyScratch, pool Pool, reqs []Request) error {
 	asc, desc := greedyWithOrder(pool, reqs, true), greedyWithOrder(pool, reqs, false)
-	if err := sameResult(s.run(pool, reqs, true), asc); err != nil {
+	got := emptyResult(pool, reqs)
+	s.run(got, pool, reqs, true)
+	if err := sameResult(got, asc); err != nil {
 		return fmt.Errorf("ascending order: %v", err)
 	}
-	if err := sameResult(s.run(pool, reqs, false), desc); err != nil {
+	got = emptyResult(pool, reqs)
+	s.run(got, pool, reqs, false)
+	if err := sameResult(got, desc); err != nil {
 		return fmt.Errorf("descending order: %v", err)
 	}
 	want := asc
 	if desc.Utility > asc.Utility {
 		want = desc
+	}
+	if err := sameResult(s.solve(pool, reqs), want); err != nil {
+		return fmt.Errorf("solve: %v", err)
 	}
 	if err := sameResult(solveGreedy(pool, reqs), want); err != nil {
 		return fmt.Errorf("solveGreedy: %v", err)
@@ -111,24 +117,154 @@ func randGreedyInstance(rng *stats.Rand) (Pool, []Request) {
 
 // TestGreedyMatchesOracle requires the indexed greedy engine to reproduce
 // the scan-based engine bit for bit on random instances and on the
-// benchmark pools.
+// benchmark pools, all solved on one scratch.
 func TestGreedyMatchesOracle(t *testing.T) {
 	rng := stats.NewRand(15)
+	s := new(greedyScratch)
 	for i := 0; i < 20000; i++ {
 		pool, reqs := randGreedyInstance(rng)
-		if err := checkGreedy(pool, reqs); err != nil {
+		if err := checkGreedy(s, pool, reqs); err != nil {
 			t.Fatalf("instance %d (pool %+v, requests %+v): %v", i, pool, reqs, err)
 		}
 	}
 	pool, reqs := scarceInstance()
-	if err := checkGreedy(pool, reqs); err != nil {
+	if err := checkGreedy(s, pool, reqs); err != nil {
 		t.Fatalf("scarce grand pool: %v", err)
 	}
 	for _, p := range fig5Pools() {
 		for i := 1; i <= 25; i++ {
 			reqs := []Request{{Min: 600, Shape: float64(i) / 10, Resources: 1}}
-			if err := checkGreedy(p, reqs); err != nil {
+			if err := checkGreedy(s, p, reqs); err != nil {
 				t.Fatalf("fig5 %d locations, d = %g: %v", p.TotalLocations(), reqs[0].Shape, err)
+			}
+		}
+	}
+}
+
+// TestGreedyScratchReuse solves a seeded sequence of instances on one
+// scratch with shapes drawn from more distinct values than it keeps power
+// tables for: windows of three shapes evict earlier shapes' tables, one
+// request list reads every shape at once, and the first window's shapes
+// come back after their tables were evicted.
+func TestGreedyScratchReuse(t *testing.T) {
+	shapes := []float64{0.3, 0.45, 0.5, 0.6, 0.7, 0.8, 0.9, 1.1, 1.3, 1.5, 2, 2.5}
+	if len(shapes) <= 2*powTables {
+		t.Fatalf("%d shapes cannot cycle a scratch that keeps %d power tables", len(shapes), powTables)
+	}
+	rng := stats.NewRand(19)
+	s := new(greedyScratch)
+	solve := func(phase string, set []float64) {
+		t.Helper()
+		for i := 0; i < 40; i++ {
+			pool, reqs := randGreedyInstance(rng)
+			for j := range reqs {
+				reqs[j].Shape = set[rng.Intn(len(set))]
+			}
+			if err := checkGreedy(s, pool, reqs); err != nil {
+				t.Fatalf("%s, instance %d (pool %+v, requests %+v): %v", phase, i, pool, reqs, err)
+			}
+		}
+	}
+	for w := 0; w+3 <= len(shapes); w += 3 {
+		solve(fmt.Sprintf("window %v", shapes[w:w+3]), shapes[w:w+3])
+	}
+	pool, _ := scarceInstance()
+	every := make([]Request, 2*len(shapes))
+	for j := range every {
+		every[j] = Request{Min: 2 + j%5, Shape: shapes[j%len(shapes)], Resources: float64(1 + j%3)}
+	}
+	if err := checkGreedy(s, pool, every); err != nil {
+		t.Fatalf("every shape in one request list: %v", err)
+	}
+	solve("first window again", shapes[:3])
+	solve("every shape", shapes)
+}
+
+// TestGreedyUtilityTables requires every power-table read to equal
+// Request.Utility bit for bit, below Min and at x <= 0 included, for
+// requests sharing a shape under different minima, while the scratch
+// binds one request list after another.
+func TestGreedyUtilityTables(t *testing.T) {
+	s := new(greedyScratch)
+	classes := []Class{{Count: 40, Capacity: 1}}
+	for round, shapes := range [][]float64{{0.7, 1.3}, {0.5, 2, 0.7, 1e-13, 3.5, 0.45}, {1.3, 0.7}} {
+		var reqs []Request
+		for i, d := range shapes {
+			reqs = append(reqs, Request{Min: 3 * i, Shape: d, Resources: 1}, Request{Min: 0, Shape: d, Resources: 1})
+		}
+		s.reset(classes, 40, reqs)
+		for x := 41; x >= -1; x-- {
+			for j := range reqs {
+				got, want := s.utility(j, &reqs[j], x), reqs[j].Utility(x)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("round %d, request %+v: utility(%d) = %v, want %v", round, reqs[j], x, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGreedyTopUpEdges pins the top-up's ways of choosing and dropping a
+// request against the oracle: identical requests whose gains tie, so the
+// lowest index must win; a gain that starts at or falls to 1e-12; a
+// request that reaches its Max; and one retired while others still grow.
+func TestGreedyTopUpEdges(t *testing.T) {
+	ties := make([]Request, 40)
+	for j := range ties {
+		ties[j] = Request{Min: 1, Shape: 0.7, Resources: 1}
+	}
+	cases := []struct {
+		name  string
+		pool  Pool
+		reqs  []Request
+		check func(r *Result) error
+	}{
+		{"ties", Pool{Classes: []Class{{Count: 30, Capacity: 3}, {Count: 13, Capacity: 2}}}, ties,
+			func(r *Result) error {
+				// 116 slots for 40 requests: the ties decide which 36 get a third.
+				for j, x := range r.X {
+					want := 3
+					if j >= 36 {
+						want = 2
+					}
+					if x != want {
+						return fmt.Errorf("X[%d] = %d, want %d", j, x, want)
+					}
+				}
+				return nil
+			}},
+		{"gain to 1e-12", Pool{Classes: []Class{{Count: 20, Capacity: 3}}},
+			[]Request{{Min: 1, Shape: 2e-12, Resources: 1}, {Min: 1, Shape: 1e-13, Resources: 1}, {Min: 1, Shape: 0.6, Resources: 1}},
+			func(r *Result) error {
+				if r.X[0] != 2 || r.X[1] != 1 {
+					return fmt.Errorf("X = %v, want 2 and 1 locations for the flat shapes", r.X)
+				}
+				return nil
+			}},
+		{"max", Pool{Classes: []Class{{Count: 20, Capacity: 5}}},
+			[]Request{{Min: 1, Max: 3, Shape: 1.5, Resources: 1}, {Min: 2, Max: 7, Shape: 0.8, Resources: 2}, {Min: 1, Shape: 0.5, Resources: 1}},
+			func(r *Result) error {
+				if r.X[0] != 3 || r.X[1] != 7 {
+					return fmt.Errorf("X = %v, want the bounded requests at their Max 3 and 7", r.X)
+				}
+				return nil
+			}},
+		{"retired mid top-up", Pool{Classes: []Class{{Count: 4, Capacity: 3}, {Count: 30, Capacity: 1}}},
+			[]Request{{Min: 1, Shape: 0.9, Resources: 3}, {Min: 1, Shape: 0.5, Resources: 1}, {Min: 1, Shape: 0.5, Resources: 1}},
+			func(r *Result) error {
+				if r.X[0] >= 4 || r.X[1]+r.X[2] <= 2*r.X[0] {
+					return fmt.Errorf("X = %v, want the heavy request stopped short of 4 while the light ones grow on", r.X)
+				}
+				return nil
+			}},
+	}
+	for _, c := range cases {
+		if err := checkGreedy(new(greedyScratch), c.pool, c.reqs); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.check != nil {
+			if err := c.check(solveGreedy(c.pool, c.reqs)); err != nil {
+				t.Errorf("%s: %v", c.name, err)
 			}
 		}
 	}
@@ -171,7 +307,7 @@ func TestSolveGreedyConcurrent(t *testing.T) {
 func FuzzSolveGreedy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pool, reqs := decodeGreedyInstance(data)
-		if err := checkGreedy(pool, reqs); err != nil {
+		if err := checkGreedy(new(greedyScratch), pool, reqs); err != nil {
 			t.Fatalf("pool %+v, requests %+v: %v", pool, reqs, err)
 		}
 	})

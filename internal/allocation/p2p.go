@@ -69,7 +69,7 @@ func SolveP2P(facilities []FacilityContribution) (*P2PResult, error) {
 	for fi, f := range facilities {
 		res.X[fi] = make([]int, len(f.Requests))
 		for j, r := range f.Requests {
-			if r.Resources <= 0 || r.Shape <= 0 || r.Min < 0 {
+			if !positiveFinite(r.Resources) || !positiveFinite(r.Shape) || r.Min < 0 {
 				return nil, fmt.Errorf("allocation: facility %s request %d invalid", f.Name, j)
 			}
 			reqs = append(reqs, r)
@@ -79,7 +79,7 @@ func SolveP2P(facilities []FacilityContribution) (*P2PResult, error) {
 
 	s := greedyScratchPool.Get().(*greedyScratch)
 	defer greedyScratchPool.Put(s)
-	s.reset(classes, L, len(reqs))
+	s.reset(classes, L, reqs)
 	own := make([][]uint64, nf) // own[fi] marks facility fi's locations
 	for fi := range own {
 		own[fi] = make([]uint64, s.idx.words)
@@ -99,8 +99,8 @@ func SolveP2P(facilities []FacilityContribution) (*P2PResult, error) {
 	// Local top-up to standalone optimum (still restricted to own
 	// locations).
 	s.topUp(reqs, L)
-	for j, r := range reqs {
-		res.Standalone[owner[j]] += r.Utility(s.x[j])
+	for j := range reqs {
+		res.Standalone[owner[j]] += s.utility(j, &reqs[j], s.x[j])
 		used := s.usedOf(j)
 		for w, m := range own[owner[j]] {
 			used[w] &= m
@@ -119,9 +119,9 @@ func SolveP2P(facilities []FacilityContribution) (*P2PResult, error) {
 	j := 0
 	total := 0.0
 	for fi, f := range facilities {
-		for k, r := range f.Requests {
+		for k := range f.Requests {
 			res.X[fi][k] = s.x[j]
-			res.Federated[fi] += r.Utility(s.x[j])
+			res.Federated[fi] += s.utility(j, &reqs[j], s.x[j])
 			j++
 		}
 		total += res.Federated[fi]

@@ -122,11 +122,11 @@ type PrefixSolver struct {
 // Solve enforces.
 func NewPrefixSolver(reqs []Request, memo *Memo) (*PrefixSolver, error) {
 	for j, r := range reqs {
-		if r.Resources <= 0 {
-			return nil, fmt.Errorf("allocation: request %d has non-positive Resources", j)
+		if !positiveFinite(r.Resources) {
+			return nil, fmt.Errorf("allocation: request %d has non-positive or non-finite Resources", j)
 		}
-		if r.Shape <= 0 {
-			return nil, fmt.Errorf("allocation: request %d has non-positive Shape", j)
+		if !positiveFinite(r.Shape) {
+			return nil, fmt.Errorf("allocation: request %d has non-positive or non-finite Shape", j)
 		}
 		if r.Min < 0 {
 			return nil, fmt.Errorf("allocation: request %d has negative Min", j)

@@ -240,6 +240,10 @@ func TestPrefixSolverValidation(t *testing.T) {
 		{{Min: 0, Shape: 1, Resources: 0}},
 		{{Min: 0, Shape: 0, Resources: 1}},
 		{{Min: -1, Shape: 1, Resources: 1}},
+		{{Min: 0, Shape: math.NaN(), Resources: 1}},
+		{{Min: 0, Shape: math.Inf(1), Resources: 1}},
+		{{Min: 0, Shape: 1, Resources: math.NaN()}},
+		{{Min: 0, Shape: 1, Resources: math.Inf(1)}},
 	}
 	for i, reqs := range bad {
 		if _, err := NewPrefixSolver(reqs, nil); err == nil {

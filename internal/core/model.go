@@ -247,9 +247,12 @@ func (m *Model) requests() []allocation.Request {
 	return reqs
 }
 
-// buildRequests expands the demand workload into allocation requests.
+// buildRequests expands the demand workload into allocation requests,
+// sized up front: every sweep point builds a model and expands its
+// workload once. (A workload built without NewWorkload may hold a
+// negative count, which expands to nothing.)
 func (m *Model) buildRequests() []allocation.Request {
-	reqs := []allocation.Request{}
+	reqs := make([]allocation.Request, 0, max(m.Demand.Total(), 0))
 	for _, class := range m.Demand.Classes {
 		t := class.Type
 		maxLoc := 0 // unbounded

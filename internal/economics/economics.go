@@ -120,14 +120,14 @@ func (e ExperimentType) Validate() error {
 	if e.MaxLocations < e.MinLocations {
 		return fmt.Errorf("economics: %s: MaxLocations %g < MinLocations %g", e.Name, e.MaxLocations, e.MinLocations)
 	}
-	if e.Resources <= 0 {
-		return fmt.Errorf("economics: %s: Resources must be positive", e.Name)
+	if !(e.Resources > 0) || math.IsInf(e.Resources, 1) {
+		return fmt.Errorf("economics: %s: Resources must be positive and finite", e.Name)
 	}
 	if e.HoldingTime <= 0 || e.HoldingTime > 1 {
 		return fmt.Errorf("economics: %s: HoldingTime must be in (0,1]", e.Name)
 	}
-	if e.Shape <= 0 {
-		return fmt.Errorf("economics: %s: Shape must be positive", e.Name)
+	if !(e.Shape > 0) || math.IsInf(e.Shape, 1) {
+		return fmt.Errorf("economics: %s: Shape must be positive and finite", e.Name)
 	}
 	return nil
 }

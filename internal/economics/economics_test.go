@@ -134,6 +134,14 @@ func TestValidateRejections(t *testing.T) {
 	e = base
 	e.Shape = 0
 	bad = append(bad, e)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e = base
+		e.Shape = v
+		bad = append(bad, e)
+		e = base
+		e.Resources = v
+		bad = append(bad, e)
+	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {
 			t.Errorf("case %d should be invalid: %+v", i, b)
