@@ -40,10 +40,16 @@ import (
 // Add appends one class per step. Grow is the in-place variant for a
 // pool whose classes the caller fixes up front (SetLayout): a step adds
 // locations to an existing slot, as the collapsed class game does when a
-// template's aggregated class gains a replica. Both share the location
-// and histogram accounting and the one set of certification branches
-// above; where neither branch applies, Grow reports the step uncertified
-// and leaves valuing it to the caller instead of solving.
+// template's aggregated class gains a replica. Walk values a whole walk
+// over a class list fixed up front (SetClasses) in one call, as the
+// sampler's distinct-facility walks do: it reads each class's capacity
+// bin, digested once, keeps the admitted count in locals while the
+// homogeneous fast path holds, and builds the pool a fallback re-solves
+// from the walked indices only when a step falls back. All three share
+// the location and histogram accounting (fastSlots) and the one set of
+// certification branches above; where neither branch applies, Grow
+// reports the step uncertified and leaves valuing it to the caller
+// instead of solving.
 //
 // Values are bit-identical to Solve on the fast path (all arithmetic is
 // exact integer slot counting) and on the certified repair path (the
@@ -86,22 +92,22 @@ type PrefixSolver struct {
 	homogMin   int     // common Min when all equal, else -1
 	sumRes     float64 // Σ_j Resources_j — the abundant-capacity bar
 
-	// Pool state. classes is the pool Add builds; slotCap the
-	// capacities of the layout Grow fills.
-	classes []Class
-	slotCap []float64
-	poolL   int
-	scarce  int // steps that added locations of Capacity < sumRes; only == 0 is read
+	// Pool state. classes is the pool Add builds, or the classes of a
+	// Walk's first built steps, appended once a step falls back; slotCap
+	// the capacities of the layout Grow fills; walkClasses the class
+	// list Walk draws from, digested once into walkSteps.
+	classes     []Class
+	slotCap     []float64
+	walkClasses []Class
+	walkSteps   []stepClass
+	built       int
+	poolL       int
+	scarce      int // steps that added locations of Capacity < sumRes; only == 0 is read
 
-	// Fast-path slot accounting over the capped per-location experiment
-	// capacity b = min(⌊Capacity/r0⌋, k): hist[b] counts the pool's
-	// locations of capacity b. With homogeneous minima, m is the admitted
-	// count m*, slots = totalSlots(m) and above the number of locations
-	// with b > m, so totalSlots(m+1) = slots + above.
-	hist  []int
-	m     int
-	slots int
-	above int
+	// Fast-path slot accounting: hist[b] counts the pool's locations of
+	// capped capacity b (see stepClass), fast the admitted count over it.
+	hist []int
+	fast fastSlots
 
 	// Heterogeneous-minima admission replay: solveFast's ascending-Min
 	// request order, the totalSlots table by admitted count, and the
@@ -114,6 +120,49 @@ type PrefixSolver struct {
 	stats PrefixStats
 	// Flushed-to-metrics watermarks (see flushMetrics).
 	flushedSteps, flushedFallbacks int64
+}
+
+// stepClass is what a step reads of the class it adds: its location
+// count, its capped per-location experiment capacity
+// b = min(⌊Capacity/r0⌋, k) (fast-eligible request lists only), and 1
+// when it is scarce (Capacity < Σ_j Resources_j), else 0.
+type stepClass struct {
+	count, bin, scarce int
+}
+
+// fastSlots is the fast path's slot accounting over a histogram of the
+// pool's locations by capped capacity. With homogeneous minima m is the
+// admitted count m*, slots = totalSlots(m) and above the number of
+// locations with b > m, so totalSlots(m+1) = slots + above. Its methods
+// take and return it by value, so a walk that holds it in a local keeps
+// the three counters in registers.
+type fastSlots struct {
+	m, slots, above int
+}
+
+// add records count locations of capped capacity b.
+func (f fastSlots) add(hist []int, b, count int) fastSlots {
+	hist[b] += count
+	f.slots += count * min(b, f.m)
+	if b > f.m {
+		f.above += count
+	}
+	return f
+}
+
+// admit mirrors solveAnalytic's admission: identical minima l make
+// Gale–Ryser the single inequality m·l ≤ totalSlots(m), whose solutions
+// form a prefix of 0..k. Adding locations only raises totalSlots, so the
+// previous step's m* stays feasible and the new m* is found by advancing
+// it. With l = 0 m* runs to k, where totalSlots equals solveAnalytic's
+// totalSlots(min(k, max b)); with l above the pool size no m ≥ 1 passes.
+func (f fastSlots) admit(hist []int, k, l int) fastSlots {
+	for f.m < k && (f.m+1)*l <= f.slots+f.above {
+		f.slots += f.above
+		f.m++
+		f.above -= hist[f.m]
+	}
+	return f
 }
 
 // NewPrefixSolver builds a solver for the given request list. The memo,
@@ -189,10 +238,11 @@ func (ps *PrefixSolver) fastEligible() bool {
 func (ps *PrefixSolver) Reset() {
 	ps.flushMetrics()
 	ps.classes = ps.classes[:0]
+	ps.built = 0
 	ps.poolL = 0
 	ps.scarce = 0
 	clear(ps.hist)
-	ps.m, ps.slots, ps.above = 0, 0, 0
+	ps.fast = fastSlots{}
 	ps.value = 0
 }
 
@@ -225,19 +275,103 @@ func (ps *PrefixSolver) Value() float64 { return ps.value }
 // Solve(pool, reqs).Utility for the accumulated pool. It panics on
 // invalid classes, mirroring Solve.
 func (ps *PrefixSolver) Add(c Class) float64 {
+	checkClass(c)
+	ps.classes = append(ps.classes, c)
+	v, ok := ps.step(ps.stepClass(c.Count, c.Capacity))
+	if !ok {
+		v = ps.fallbackValue()
+	}
+	ps.value = v
+	return v
+}
+
+// checkClass panics on a class Solve would refuse.
+func checkClass(c Class) {
 	if c.Count < 0 {
 		panic(fmt.Sprintf("allocation: class %s has negative count", c.Label))
 	}
 	if c.Capacity < 0 {
 		panic(fmt.Sprintf("allocation: class %s has negative capacity", c.Label))
 	}
-	ps.classes = append(ps.classes, c)
-	v, ok := ps.step(c.Count, c.Capacity)
-	if !ok {
-		v = ps.fallbackValue()
+}
+
+// SetClasses fixes the class list Walk draws from and empties the pool.
+// The solver keeps classes, which the caller must not change, and
+// digests each class once. It panics on invalid classes, mirroring Solve.
+func (ps *PrefixSolver) SetClasses(classes []Class) {
+	ps.walkSteps = ps.walkSteps[:0]
+	for _, c := range classes {
+		checkClass(c)
+		ps.walkSteps = append(ps.walkSteps, ps.stepClass(c.Count, c.Capacity))
 	}
-	ps.value = v
-	return v
+	ps.walkClasses = classes
+	ps.Reset()
+}
+
+// Walk values one whole walk over the classes SetClasses fixed: it
+// empties the pool, adds classes[order[0]], classes[order[1]], … and
+// sets vals[n] to V after the (n+1)th, for every n < len(order). A class
+// without locations leaves the pool, V and the step counters as they
+// are, as a pool that omits it would. The values, the pool a fallback
+// solves and the counters are those of Add over the walked classes with
+// locations, bit for bit. A walk ends when Walk returns; the next starts
+// with Walk or Reset, not Add.
+func (ps *PrefixSolver) Walk(order []int, vals []float64) {
+	ps.Reset()
+	n := 0
+	if ps.homogMin >= 0 && ps.fastEligible() {
+		n = ps.walkHomog(order, vals)
+	}
+	for ; n < len(order); n++ {
+		if sc := ps.walkSteps[order[n]]; sc.count > 0 {
+			v, ok := ps.step(sc)
+			if !ok {
+				v = ps.walkFallback(order, n)
+			}
+			ps.value = v
+		}
+		vals[n] = ps.value
+	}
+}
+
+// walkHomog takes Walk's steps while the homogeneous-minima fast path
+// values them — every step, unless a bounded Max starts to bind — and
+// returns how many it took. It is step's fast branch with the pool size
+// and fastSlots held in locals, which the compiler keeps in registers;
+// DESIGN.md §5.5 gives what that saves a walk.
+func (ps *PrefixSolver) walkHomog(order []int, vals []float64) int {
+	steps, hist, k, l := ps.walkSteps, ps.hist, ps.k, ps.homogMin
+	f, poolL, scarce, added := ps.fast, ps.poolL, ps.scarce, int64(0)
+	n := 0
+	for ; n < len(order); n++ {
+		sc := steps[order[n]]
+		if sc.count > 0 {
+			if ps.maxBinds(poolL + sc.count) {
+				break // Max binds from here on: step() values the rest
+			}
+			poolL += sc.count
+			scarce += sc.scarce
+			f = f.add(hist, sc.bin, sc.count).admit(hist, k, l)
+			added++
+		}
+		vals[n] = float64(f.slots)
+	}
+	ps.fast, ps.poolL, ps.scarce = f, poolL, scarce
+	ps.stats.Steps += added
+	ps.stats.Fast += added
+	ps.value = float64(f.slots)
+	return n
+}
+
+// walkFallback re-solves the pool after step n of a walk, first appending
+// the walked classes with locations that the pool does not hold yet.
+func (ps *PrefixSolver) walkFallback(order []int, n int) float64 {
+	for ; ps.built <= n; ps.built++ {
+		if c := ps.walkClasses[order[ps.built]]; c.Count > 0 {
+			ps.classes = append(ps.classes, c)
+		}
+	}
+	return ps.fallbackValue()
 }
 
 // SetLayout fixes the pool layout Grow fills and empties the pool: slot
@@ -265,30 +399,35 @@ func (ps *PrefixSolver) Grow(i, count int) (v float64, ok bool) {
 	if count < 0 {
 		panic(fmt.Sprintf("allocation: slot %d grown by negative count %d", i, count))
 	}
-	v, ok = ps.step(count, ps.slotCap[i])
+	v, ok = ps.step(ps.stepClass(count, ps.slotCap[i]))
 	ps.value = v
 	return v, ok
 }
 
-// step adds count locations of the given capacity to the pool's location
-// and histogram accounting, then values the pool on the cheapest certified
-// path that reproduces Solve: incremental fast path, then certified
-// greedy repair. When neither applies, it counts a fallback and returns
-// NaN with ok false.
-func (ps *PrefixSolver) step(count int, capacity float64) (v float64, ok bool) {
+// stepClass digests count locations of the given capacity for step.
+func (ps *PrefixSolver) stepClass(count int, capacity float64) stepClass {
+	sc := stepClass{count: count}
+	if capacity < ps.sumRes {
+		sc.scarce = 1
+	}
+	if ps.hist != nil {
+		sc.bin = min(int(math.Floor(capacity/ps.r0)), ps.k)
+	}
+	return sc
+}
+
+// step adds a class's locations to the pool's location and histogram
+// accounting, then values the pool on the cheapest certified path that
+// reproduces Solve: incremental fast path, then certified greedy repair.
+// When neither applies, it counts a fallback and returns NaN with ok
+// false.
+func (ps *PrefixSolver) step(sc stepClass) (v float64, ok bool) {
 	ps.stats.Steps++
-	if count > 0 {
-		ps.poolL += count
-		if capacity < ps.sumRes {
-			ps.scarce++
-		}
+	if sc.count > 0 {
+		ps.poolL += sc.count
+		ps.scarce += sc.scarce
 		if ps.hist != nil {
-			b := min(int(math.Floor(capacity/ps.r0)), ps.k)
-			ps.hist[b] += count
-			ps.slots += count * min(b, ps.m)
-			if b > ps.m {
-				ps.above += count
-			}
+			ps.fast = ps.fast.add(ps.hist, sc.bin, sc.count)
 		}
 	}
 	if ps.k == 0 {
@@ -298,7 +437,7 @@ func (ps *PrefixSolver) step(count int, capacity float64) (v float64, ok bool) {
 	}
 	// Mirror of fastApplies: uniform resources, all shapes 1, and no Max
 	// binding below the current pool size.
-	if ps.fastEligible() && (ps.boundedMax == 0 || ps.boundedMax >= ps.poolL) {
+	if ps.fastEligible() && !ps.maxBinds(ps.poolL) {
 		ps.stats.Fast++
 		return float64(ps.fastValue()), true
 	}
@@ -310,30 +449,21 @@ func (ps *PrefixSolver) step(count int, capacity float64) (v float64, ok bool) {
 	return math.NaN(), false
 }
 
+// maxBinds reports whether some request's Max is below poolL, which takes
+// a pool of poolL locations off the fast path.
+func (ps *PrefixSolver) maxBinds(poolL int) bool {
+	return ps.boundedMax > 0 && ps.boundedMax < poolL
+}
+
 // fastValue is the incremental fast path: V = totalSlots(m*) with m* the
 // admitted count, carried across steps for homogeneous minima (the
 // analytic engine's domain) and by admission replay otherwise.
 func (ps *PrefixSolver) fastValue() int {
 	if ps.homogMin >= 0 {
-		return ps.homogValue()
+		ps.fast = ps.fast.admit(ps.hist, ps.k, ps.homogMin)
+		return ps.fast.slots
 	}
 	return ps.heteroFastValue()
-}
-
-// homogValue mirrors solveAnalytic's admission: identical minima l make
-// Gale–Ryser the single inequality m·l ≤ totalSlots(m), whose solutions
-// form a prefix of 0..k. Adding locations only raises totalSlots, so the
-// previous step's m* stays feasible and the new m* is found by advancing
-// it. With l = 0 m* runs to k, where totalSlots equals solveAnalytic's
-// totalSlots(min(k, max b)); with l above the pool size no m ≥ 1 passes.
-func (ps *PrefixSolver) homogValue() int {
-	l := ps.homogMin
-	for ps.m < ps.k && (ps.m+1)*l <= ps.slots+ps.above {
-		ps.slots += ps.above
-		ps.m++
-		ps.above -= ps.hist[ps.m]
-	}
-	return ps.slots
 }
 
 // heteroFastValue replays solveFast's admission loop — ascending-Min

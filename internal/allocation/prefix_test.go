@@ -2,6 +2,7 @@ package allocation
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -521,7 +522,7 @@ func TestPrefixSolverLongWalks(t *testing.T) {
 					fellBack++
 				}
 			}
-			if ps.homogMin >= 0 && ps.m == ps.k {
+			if ps.homogMin >= 0 && ps.fast.m == ps.k {
 				reachedK++
 			}
 		}
@@ -532,13 +533,16 @@ func TestPrefixSolverLongWalks(t *testing.T) {
 	}
 }
 
-// FuzzPrefixSolver walks a decoded class sequence twice — once by Add,
-// once by Grow on a slot layout — and compares every step with Solve bit
-// for bit. Grow is checked on certified steps, and a step must be
-// uncertified exactly when Add falls back.
+// FuzzPrefixSolver walks a decoded class sequence by Add, by Grow on a
+// slot layout and by Walk, forward and reversed. Add is compared with
+// Solve at every step, bit for bit. Grow is checked on certified steps,
+// and a step must be uncertified exactly when Add falls back. Walk must
+// return, at every step, the value of an Add walk over the same classes
+// with locations in the same order, and end with the same counters.
 func FuzzPrefixSolver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, caps, steps := decodePrefixWalk(data)
+		checkWalk(t, reqs, caps, steps)
 		add, err := NewPrefixSolver(reqs, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -577,6 +581,54 @@ func FuzzPrefixSolver(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkWalk runs the decoded walk through Walk, forward and reversed,
+// against an Add walk over the same classes that skips those without
+// locations.
+func checkWalk(t *testing.T, reqs []Request, caps []float64, steps [][2]int) {
+	t.Helper()
+	classes := make([]Class, len(steps))
+	order := make([]int, len(steps))
+	for n, s := range steps {
+		classes[n] = Class{Label: "c", Count: s[1], Capacity: caps[s[0]]}
+		order[n] = n
+	}
+	walk, err := NewPrefixSolver(reqs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk.SetClasses(classes)
+	vals := make([]float64, len(order))
+	for _, rev := range []bool{false, true} {
+		if rev {
+			slices.Reverse(order)
+		}
+		ref, err := NewPrefixSolver(reqs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := walk.Stats()
+		walk.Walk(order, vals)
+		for n := range order {
+			c := classes[order[n]]
+			want := ref.Value()
+			if c.Count > 0 {
+				want = ref.Add(c)
+			}
+			if math.Float64bits(vals[n]) != math.Float64bits(want) {
+				t.Fatalf("rev=%v step %d: Walk %.17g, Add %.17g\nrequests %+v\nclasses %+v", rev, n, vals[n], want, reqs, classes)
+			}
+		}
+		after := walk.Stats()
+		got := PrefixStats{
+			Steps: after.Steps - before.Steps, Fast: after.Fast - before.Fast,
+			Repaired: after.Repaired - before.Repaired, Fallbacks: after.Fallbacks - before.Fallbacks,
+		}
+		if want := ref.Stats(); got != want {
+			t.Fatalf("rev=%v: Walk counters %+v, Add counters %+v", rev, got, want)
+		}
+	}
 }
 
 // decodePrefixWalk reads a flags byte, a request count (1–24) and per

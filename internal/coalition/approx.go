@@ -277,26 +277,23 @@ func (e *approxEngine) run(from, to, workers int) {
 
 // approxScratch is the per-worker reusable buffer set, including the
 // worker's prefix walker (incremental valuers are stateful, one per
-// worker) and its preallocated visit closures.
+// worker).
 type approxScratch struct {
 	perm []int
+	vals []float64 // prefix values of the walk in progress
 	marg []float64 // pair-averaged marginal per player
 	obs  []float64 // pooled observation per group
 	w    *prefixWalker
-	set  func(player int, delta float64) // forward pass: marg[p] = δ
-	add  func(player int, delta float64) // reverse pass: marg[p] += δ
 }
 
 func (e *approxEngine) newScratch() *approxScratch {
-	sc := &approxScratch{
+	return &approxScratch{
 		perm: make([]int, e.n),
+		vals: make([]float64, e.n),
 		marg: make([]float64, e.n),
 		obs:  make([]float64, len(e.groups)),
 		w:    newPrefixWalker(e.g),
 	}
-	sc.set = func(p int, d float64) { sc.marg[p] = d }
-	sc.add = func(p int, d float64) { sc.marg[p] += d }
-	return sc
 }
 
 // unit evaluates one sample unit: a permutation with deterministically
@@ -305,26 +302,40 @@ func (e *approxEngine) newScratch() *approxScratch {
 func (e *approxEngine) unit(u int, sc *approxScratch) {
 	n := e.n
 	rng := stats.NewRand(e.seed + 0x9E3779B97F4A7C15*uint64(u+1))
-	perm := sc.perm
+	perm, vals, marg := sc.perm, sc.vals, sc.marg
 	for i := range perm {
 		perm[i] = i
 	}
 	// Force the block-cycled first element, then arrange the rest
-	// uniformly: proportional allocation over the position-0 stratum.
+	// uniformly (rng.Shuffle's swaps, inline): proportional allocation
+	// over the position-0 stratum.
 	first := u % n
 	perm[0], perm[first] = perm[first], perm[0]
 	rest := perm[1:]
-	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	for i := len(rest) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		rest[i], rest[j] = rest[j], rest[i]
+	}
 
-	sc.w.walk(perm, false, sc.set)
-	sc.w.walk(perm, true, sc.add)
-	for i := range sc.marg {
-		sc.marg[i] /= 2
+	// Each player's marginal is the difference of consecutive prefix
+	// values: forward, then added from the reversal and halved.
+	sc.w.values(perm, false, vals)
+	prev := 0.0
+	for k, p := range perm {
+		marg[p] = vals[k] - prev
+		prev = vals[k]
+	}
+	sc.w.values(perm, true, vals)
+	prev = 0.0
+	for k, v := range vals {
+		p := perm[n-1-k]
+		marg[p] = (marg[p] + (v - prev)) / 2
+		prev = v
 	}
 	for gi, members := range e.groups {
 		total := 0.0
 		for _, p := range members {
-			total += sc.marg[p]
+			total += marg[p]
 		}
 		sc.obs[gi] = total / float64(len(members))
 	}

@@ -3,17 +3,21 @@ package coalition
 // The prefix walker.
 //
 // The sampler (ApproxShapley) evaluates V along the growing prefixes of
-// sampled permutations and consumes the per-step deltas
-// V(prefix_k) − V(prefix_{k−1}). When the game can hand out an incremental
-// PrefixValuer, each step updates the previous prefix's solved state
-// (O(Δ) on the allocation fast path) instead of re-solving; otherwise the
-// walker evaluates every prefix through ValueMembers.
+// sampled permutations and takes the per-step deltas
+// V(prefix_k) − V(prefix_{k−1}) as marginals. The walker hands it the
+// prefix-value vector of a whole walk, from the cheapest source the game
+// offers: a valuer's batch method (walkValuer), which values the walk in
+// one call; otherwise a PrefixValuer's Extend per step, each updating
+// the previous prefix's solved state (O(Δ) on the allocation fast path)
+// instead of re-solving; otherwise ValueMembers of every prefix.
 //
-// Determinism: the incremental path is required to return bit-identical
-// values to ValueMembers (see allocation.PrefixSolver), and the walker
-// visits players in the same order on both paths, so fixed-seed results do
+// Determinism: the batch and incremental paths are required to return
+// values bit-identical to ValueMembers (see allocation.PrefixSolver), and
+// every path visits players in the same order, so fixed-seed results do
 // not depend on which path a game offers — on top of the worker-count
 // invariance.
+
+import "slices"
 
 // PrefixValuer incrementally evaluates V along a growing coalition. It is
 // stateful and single-goroutine; each sampling worker obtains its own.
@@ -38,11 +42,24 @@ type PrefixGame interface {
 	PrefixValuer() PrefixValuer
 }
 
+// walkValuer is a PrefixValuer that can also value a whole walk in one
+// call. The walker prefers it; wrappers that forward only Reset and
+// Extend (a timing wrapper, say) hide it and get the per-step loop.
+type walkValuer interface {
+	PrefixValuer
+	// Walk starts a new walk and sets vals[k] to V of the first k+1
+	// players of perm: exactly what Reset and one Extend per player would
+	// return.
+	Walk(perm []int, vals []float64)
+}
+
 // prefixWalker walks permutation prefixes for one sampling worker. A nil
 // valuer means the generic ValueMembers path.
 type prefixWalker struct {
-	g  MemberGame
-	pv PrefixValuer
+	g     MemberGame
+	pv    PrefixValuer
+	wv    walkValuer // pv's batch method, when it has one
+	rperm []int      // the reversed permutation a valuer walks
 }
 
 // newPrefixWalker builds a walker for g, acquiring an incremental valuer
@@ -51,6 +68,7 @@ func newPrefixWalker(g MemberGame) *prefixWalker {
 	w := &prefixWalker{g: g}
 	if pg, ok := g.(PrefixGame); ok {
 		w.pv = pg.PrefixValuer()
+		w.wv, _ = w.pv.(walkValuer)
 	}
 	return w
 }
@@ -63,38 +81,33 @@ func (w *prefixWalker) finish() {
 	}
 }
 
-// walk evaluates V along the growing prefixes of perm — of reverse(perm)
-// when rev is set, walked through the same buffer from the tail: prefix k
-// of the reversal is the suffix perm[n−k:]. For each step it calls
-// visit(player, delta) with the player completing the prefix and its
-// marginal contribution V(prefix) − V(previous prefix).
-func (w *prefixWalker) walk(perm []int, rev bool, visit func(player int, delta float64)) {
+// values sets vals[k] to V of the first k+1 players of perm — of
+// reverse(perm) when rev is set. A valuer walks a reversed copy; the
+// generic path reads the reversal's prefixes from the tail of perm:
+// prefix k+1 of the reversal is the suffix perm[n−k−1:].
+func (w *prefixWalker) values(perm []int, rev bool, vals []float64) {
 	n := len(perm)
-	prev := 0.0
-	if w.pv != nil {
-		w.pv.Reset()
-		for k := 1; k <= n; k++ {
-			p := perm[k-1]
+	if w.pv == nil {
+		for k := range perm {
 			if rev {
-				p = perm[n-k]
+				vals[k] = w.g.ValueMembers(perm[n-1-k:])
+			} else {
+				vals[k] = w.g.ValueMembers(perm[:k+1])
 			}
-			v := w.pv.Extend(p)
-			visit(p, v-prev)
-			prev = v
 		}
 		return
 	}
-	if !rev {
-		for k := 1; k <= n; k++ {
-			v := w.g.ValueMembers(perm[:k])
-			visit(perm[k-1], v-prev)
-			prev = v
-		}
+	if rev {
+		w.rperm = append(w.rperm[:0], perm...)
+		slices.Reverse(w.rperm)
+		perm = w.rperm
+	}
+	if w.wv != nil {
+		w.wv.Walk(perm, vals)
 		return
 	}
-	for k := 1; k <= n; k++ {
-		v := w.g.ValueMembers(perm[n-k:])
-		visit(perm[n-k], v-prev)
-		prev = v
+	w.pv.Reset()
+	for k, p := range perm {
+		vals[k] = w.pv.Extend(p)
 	}
 }

@@ -1,6 +1,7 @@
 package coalition
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -8,10 +9,15 @@ import (
 )
 
 // testPrefixGame is an additive game (V = Σ weights) implementing
-// PrefixGame, with a counter proving whether the incremental path ran.
+// PrefixGame, with counters proving which walker path ran. Its valuers
+// offer the batch Walk when batch is set; with nilValuer it hands out
+// none, as overlap models do.
 type testPrefixGame struct {
-	w       []float64
-	extends atomic.Int64
+	w         []float64
+	batch     bool
+	nilValuer bool
+	extends   atomic.Int64
+	walks     atomic.Int64
 }
 
 func (g *testPrefixGame) N() int { return len(g.w) }
@@ -25,6 +31,12 @@ func (g *testPrefixGame) ValueMembers(members []int) float64 {
 }
 
 func (g *testPrefixGame) PrefixValuer() PrefixValuer {
+	switch {
+	case g.nilValuer:
+		return nil
+	case g.batch:
+		return &testWalkValuer{testPrefixValuer{g: g}}
+	}
 	return &testPrefixValuer{g: g}
 }
 
@@ -41,6 +53,20 @@ func (pv *testPrefixValuer) Extend(p int) float64 {
 	return pv.v
 }
 
+// testWalkValuer adds the batch Walk to testPrefixValuer.
+type testWalkValuer struct{ testPrefixValuer }
+
+func (pv *testWalkValuer) Walk(perm []int, vals []float64) {
+	pv.g.walks.Add(1)
+	v := 0.0
+	for k, p := range perm {
+		v += pv.g.w[p]
+		vals[k] = v
+	}
+}
+
+// newTestPrefixGame returns an n-player additive game whose weights are
+// multiples of 1/4, so every prefix sum is exact in any order.
 func newTestPrefixGame(n int) *testPrefixGame {
 	g := &testPrefixGame{w: make([]float64, n)}
 	for i := range g.w {
@@ -49,36 +75,65 @@ func newTestPrefixGame(n int) *testPrefixGame {
 	return g
 }
 
-// TestWalkerIncrementalMatchesGeneric requires bit-identical sampler
-// output from a PrefixGame and from the same game behind a plain MemberFunc,
-// which the walker can only evaluate through ValueMembers, and verifies
-// each ran the intended path.
+// TestWalkerIncrementalMatchesGeneric checks every walker path against the
+// generic one. A game whose valuer has a batch Walk, the same game with
+// only Reset/Extend, one that hands out a nil valuer, and the game behind
+// a plain MemberFunc must give bit-identical prefix-value vectors, forward
+// and reversed, and bit-identical sampler output at 1 and 4 workers; each
+// game must have run on its own path.
 func TestWalkerIncrementalMatchesGeneric(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		g := newTestPrefixGame(12)
-		opt := ApproxOptions{Samples: 96, Seed: 9, Workers: workers}
-		inc, err := ApproxShapley(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		extends := g.extends.Load()
-		if extends == 0 {
-			t.Fatal("incremental path never ran on a PrefixGame")
-		}
-		gen, err := ApproxShapley(MemberFunc{Players: g.N(), V: g.ValueMembers}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.extends.Load() != extends {
-			t.Fatal("the MemberFunc wrapper still called Extend")
-		}
-		for i := range inc.Phi {
-			if inc.Phi[i] != gen.Phi[i] {
-				t.Fatalf("workers=%d player %d: incremental %.17g, generic %.17g",
-					workers, i, inc.Phi[i], gen.Phi[i])
+	const n = 12
+	games := map[string]*testPrefixGame{
+		"batch":  newTestPrefixGame(n),
+		"extend": newTestPrefixGame(n),
+		"nil":    newTestPrefixGame(n),
+	}
+	games["batch"].batch = true
+	games["nil"].nilValuer = true
+	generic := MemberFunc{Players: n, V: games["batch"].ValueMembers}
+
+	ref := newPrefixWalker(generic)
+	want, got := make([]float64, n), make([]float64, n)
+	rng := stats.NewRand(5)
+	for walk := 0; walk < 20; walk++ {
+		perm := rng.Perm(n)
+		for _, rev := range []bool{false, true} {
+			ref.values(perm, rev, want)
+			for name, g := range games {
+				newPrefixWalker(g).values(perm, rev, got)
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("%s walk %d rev=%v prefix %d: %.17g, generic %.17g", name, walk, rev, k+1, got[k], want[k])
+					}
+				}
 			}
-			if inc.CIHalf[i] != gen.CIHalf[i] {
-				t.Fatalf("workers=%d player %d: CI differs", workers, i)
+		}
+	}
+
+	for _, workers := range []int{1, 4} {
+		opt := ApproxOptions{Samples: 96, Seed: 9, Workers: workers}
+		gen, err := ApproxShapley(generic, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, g := range games {
+			g.extends.Store(0)
+			g.walks.Store(0)
+			res, err := ApproxShapley(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walks, extends := g.walks.Load(), g.extends.Load()
+			if ran := map[string]bool{
+				"batch": walks > 0 && extends == 0, "extend": walks == 0 && extends > 0, "nil": walks == 0 && extends == 0,
+			}[name]; !ran {
+				t.Fatalf("%s workers=%d: %d batch walks, %d extends", name, workers, walks, extends)
+			}
+			for i := range gen.Phi {
+				if res.Phi[i] != gen.Phi[i] || res.CIHalf[i] != gen.CIHalf[i] {
+					t.Fatalf("%s workers=%d player %d: %.17g ± %.17g, generic %.17g ± %.17g",
+						name, workers, i, res.Phi[i], res.CIHalf[i], gen.Phi[i], gen.CIHalf[i])
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"fedshare/internal/coalition"
@@ -122,9 +123,10 @@ func BenchmarkApproxShapleyCollapsedGreedy(b *testing.B) {
 // walks the full n-player member-list game. Fixed budget (one stratified
 // antithetic round) rather than a CI target, so the metric is pure
 // sampling throughput — since PR 7, dominated by the incremental prefix
-// solver rather than per-prefix re-solves.
+// solver rather than per-prefix re-solves. n = 2000 is fedbench walk's
+// size.
 func BenchmarkApproxShapleyDistinct(b *testing.B) {
-	for _, n := range []int{50, 100, 200, 500} {
+	for _, n := range []int{50, 100, 200, 500, 2000} {
 		b.Run(benchName(n), func(b *testing.B) {
 			p := ApproxShapleyPolicy{Samples: 2 * n, Seed: 42, Method: coalition.MethodApprox}
 			for i := 0; i < b.N; i++ {
@@ -154,14 +156,7 @@ func BenchmarkExactShapley(b *testing.B) {
 	}
 }
 
-func benchName(n int) string {
-	switch {
-	case n >= 100:
-		return "n=" + string(rune('0'+n/100)) + string(rune('0'+n/10%10)) + string(rune('0'+n%10))
-	default:
-		return "n=" + string(rune('0'+n/10)) + string(rune('0'+n%10))
-	}
-}
+func benchName(n int) string { return "n=" + strconv.Itoa(n) }
 
 // TestKernelSamplerAgreement is the agreement gate feeding BENCH_6.json:
 // at sizes where the exact 2^n kernel is still feasible, the sampled

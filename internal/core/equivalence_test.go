@@ -11,6 +11,7 @@ import (
 	"fedshare/internal/core"
 	"fedshare/internal/economics"
 	"fedshare/internal/scenario"
+	"fedshare/internal/stats"
 )
 
 // prefixOnly exposes a model's incremental prefix path but not its class
@@ -20,6 +21,29 @@ type prefixOnly struct{ m *core.Model }
 func (g prefixOnly) N() int                               { return g.m.N() }
 func (g prefixOnly) ValueMembers(members []int) float64   { return g.m.ValueMembers(members) }
 func (g prefixOnly) PrefixValuer() coalition.PrefixValuer { return g.m.PrefixValuer() }
+
+// stepOnly is prefixOnly with the valuer's batch Walk hidden, as a timing
+// wrapper hides it: the sampler extends each prefix one step at a time.
+type stepOnly struct{ prefixOnly }
+
+func (g stepOnly) PrefixValuer() coalition.PrefixValuer {
+	pv := g.m.PrefixValuer()
+	if pv == nil {
+		return nil
+	}
+	return struct{ coalition.PrefixValuer }{pv}
+}
+
+// overlapModel is distinctModel's linear federation over an explicit
+// location universe, which hands out no incremental valuer.
+func overlapModel(t *testing.T) *core.Model {
+	t.Helper()
+	m, err := distinctModel(t, 12, 1).WithOverlap(60, stats.NewRand(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // distinctModel is an n-facility federation of mutually different
 // facilities. Shape 1 keeps every prefix step on the allocation fast path;
@@ -69,10 +93,12 @@ func specModel(t *testing.T, id string) *core.Model {
 
 // TestApproxIncrementalEquivalence is the equivalence gate of the
 // incremental prefix path: fixed-seed sampled shares must be bit-identical
-// whether the sampler extends each prefix incrementally or evaluates it
-// through ValueMembers (the same game wrapped in a MemberFunc, which offers
-// no incremental path), on both allocation paths and the example
-// federations, at any worker count. Templated models are also checked
+// whether the sampler values each walk in one batch call, extends each
+// prefix incrementally (stepOnly) or evaluates it through ValueMembers
+// (the same game wrapped in a MemberFunc, which offers no incremental
+// path), on both allocation paths, an overlap model (no valuer: every
+// path is ValueMembers) and the example federations, at any worker
+// count. Templated models are also checked
 // through their collapsed class game, whose walks take the solver's
 // certified steps on the example federations and mix the certified repair
 // with count-vector memo steps on the nonlinear templated model.
@@ -83,6 +109,7 @@ func TestApproxIncrementalEquivalence(t *testing.T) {
 		"hetero100":           specModel(t, "hetero100"),
 		"hetero200":           specModel(t, "hetero200"),
 		"templated-nonlinear": core.TemplatedNonlinearModel(t),
+		"overlap":             overlapModel(t),
 	}
 	for name, m := range models {
 		plain := coalition.MemberFunc{Players: m.N(), V: m.ValueMembers}
@@ -102,6 +129,11 @@ func TestApproxIncrementalEquivalence(t *testing.T) {
 				t.Fatalf("%s: engines %q/%q, want %q", label, inc.Method, gen.Method, coalition.EngineApprox)
 			}
 			sameShares(t, label+" direct", inc.Phi, gen.Phi)
+			step, err := coalition.Values(stepOnly{prefixOnly{m}}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameShares(t, label+" step", step.Phi, gen.Phi)
 			if cs == nil || cs.K() == cs.N() {
 				continue
 			}

@@ -14,7 +14,9 @@ import (
 // instead of re-solving V(S∪{i}) from scratch. Each Extend(i) adds
 // facility i's location class to the pool — exactly the class
 // ValueMembers builds — and returns µ times the updated optimal utility,
-// bit-identical to ValueMembers of the extended member list.
+// bit-identical to ValueMembers of the extended member list. Its Walk
+// values a whole walk in one PrefixSolver.Walk over the same classes,
+// with the same values and counters as the Extend loop.
 //
 // Overlap models return nil (their V depends on concrete location
 // identities, not the class multiset, so no incremental pool state
@@ -39,11 +41,13 @@ func (m *Model) PrefixValuer() coalition.PrefixValuer {
 	for i, f := range m.Facilities {
 		classes[i] = allocation.Class{Label: f.Name, Count: f.Locations, Capacity: f.EffectiveCapacity()}
 	}
+	ps.SetClasses(classes)
 	return &modelPrefixValuer{ps: ps, classes: classes, mu: m.muFactor()}
 }
 
 // modelPrefixValuer walks one growing coalition of facilities. classes[i]
-// is facility i's location class, built once per valuer.
+// is facility i's location class, built once per valuer and shared with
+// the solver's Walk.
 type modelPrefixValuer struct {
 	ps      *allocation.PrefixSolver
 	classes []allocation.Class
@@ -62,6 +66,18 @@ func (v *modelPrefixValuer) Extend(i int) float64 {
 		return v.mu * v.ps.Value()
 	}
 	return v.mu * v.ps.Add(*c)
+}
+
+// Walk values a whole walk: vals[k] is µ times V of the first k+1
+// facilities of perm, as Extend returns them.
+func (v *modelPrefixValuer) Walk(perm []int, vals []float64) {
+	v.ps.Walk(perm, vals)
+	if v.mu == 1 {
+		return // x·1 is x, bit for bit
+	}
+	for k := range perm {
+		vals[k] *= v.mu
+	}
 }
 
 // classPrefix is the collapsed game's incremental evaluator: a

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,32 +48,141 @@ func greedyModel(t *testing.T, n int) *Model {
 	return m
 }
 
-// TestModelPrefixValuerMatchesValueMembers walks random permutations
-// through Model.PrefixValuer and requires bit-identical values to
-// ValueMembers at every prefix, on both allocation paths.
+// walkCaseModel builds a federation of n distinct facilities — 2–10
+// locations, 1–5 resources per location, every facility listed in zero
+// left without locations — against the given demand classes.
+func walkCaseModel(t *testing.T, n int, zero []int, demand ...economics.DemandClass) *Model {
+	t.Helper()
+	wl, err := economics.NewWorkload(demand...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := make([]Facility, n)
+	for i := range fs {
+		fs[i] = Facility{Name: fmt.Sprintf("W%02d", i), Locations: 2 + i%9, Resources: float64(1 + i%5)}
+	}
+	for _, i := range zero {
+		fs[i].Locations = 0
+	}
+	m, err := NewModel(fs, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// walkDemand is a demand class of count experiments with the given
+// minimum, maximum and shape, one resource each.
+func walkDemand(name string, count int, min, max, shape float64) economics.DemandClass {
+	return economics.DemandClass{Type: economics.ExperimentType{
+		Name: name, MinLocations: min, MaxLocations: max, Resources: 1, HoldingTime: 1, Shape: shape,
+	}, Count: count}
+}
+
+// stepValuer forwards only Reset and Extend, hiding a valuer's batch Walk
+// as a timing wrapper does.
+type stepValuer struct{ coalition.PrefixValuer }
+
+// TestModelPrefixValuerMatchesValueMembers walks random permutations,
+// forward and reversed, through Model.PrefixValuer's batch Walk and
+// through an Extend per step behind a wrapper that hides Walk. At every
+// prefix both must equal ValueMembers bit for bit, and both paths must
+// move the process prefix counters alike. The cases cover the fast path
+// with homogeneous minima (l = 0 and l above the pool included) and
+// heterogeneous ones, a Max that binds mid-walk, nonlinear demand where
+// every step falls back, and zero-location facilities. Overlap models
+// hand out no valuer (TestModelPrefixValuerNilForOverlap);
+// TestApproxIncrementalEquivalence samples one on every walker path.
 func TestModelPrefixValuerMatchesValueMembers(t *testing.T) {
-	models := map[string]*Model{
-		"fast":   heteroModel(t, 14, 5),
-		"greedy": greedyModel(t, 14),
+	inf := math.Inf(1)
+	cases := []struct {
+		name string
+		m    *Model
+		// fallbacks: "none", "some" (the fast path turns off part-way) or
+		// "all" steps.
+		fallbacks string
+	}{
+		{"homogeneous", walkCaseModel(t, 30, nil, walkDemand("b", 40, 10, inf, 1)), "none"},
+		{"homogeneous µ=0.85", func() *Model {
+			m := walkCaseModel(t, 30, nil, walkDemand("b", 40, 10, inf, 1))
+			m.Mu = 0.85
+			return m
+		}(), "none"},
+		{"homogeneous l=0", walkCaseModel(t, 30, nil, walkDemand("b", 40, 0, inf, 1)), "none"},
+		{"homogeneous l above pool", walkCaseModel(t, 30, nil, walkDemand("b", 40, 1000, inf, 1)), "none"},
+		{"heterogeneous minima", walkCaseModel(t, 30, nil,
+			walkDemand("small", 20, 5, inf, 1), walkDemand("large", 15, 40, inf, 1)), "none"},
+		{"max binds mid-walk", walkCaseModel(t, 30, nil, walkDemand("b", 20, 4, 60, 1)), "some"},
+		{"nonlinear", walkCaseModel(t, 16, []int{3, 9}, walkDemand("b", 10, 2, 6, 0.8)), "all"},
+		{"zero-location facilities", walkCaseModel(t, 30, []int{0, 4, 5, 17, 29}, walkDemand("b", 40, 10, inf, 1)), "none"},
+		{"fast", heteroModel(t, 14, 5), "none"},
+		{"greedy", greedyModel(t, 14), "some"},
 	}
 	rng := stats.NewRand(31)
-	for name, m := range models {
-		pv := m.PrefixValuer()
-		if pv == nil {
-			t.Fatalf("%s: nil PrefixValuer on a disjoint model", name)
-		}
-		n := m.N()
-		for walk := 0; walk < 30; walk++ {
-			perm := rng.Perm(n)
-			pv.Reset()
-			for k := 1; k <= n; k++ {
-				got := pv.Extend(perm[k-1])
-				if want := m.ValueMembers(perm[:k]); got != want {
-					t.Fatalf("%s walk %d prefix %d: incremental %.17g, direct %.17g",
-						name, walk, k, got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.m
+			pv := m.PrefixValuer()
+			batch, ok := pv.(interface {
+				Walk(perm []int, vals []float64)
+			})
+			if !ok {
+				t.Fatal("the model's valuer has no batch Walk")
+			}
+			step := stepValuer{m.PrefixValuer()}
+			n := m.N()
+			vals := make([]float64, n)
+			var batchSteps, batchFallbacks, stepSteps, stepFallbacks int64
+			for walk := 0; walk < 30; walk++ {
+				perm := rng.Perm(n)
+				for _, rev := range []bool{false, true} {
+					order := perm
+					if rev {
+						order = slices.Clone(perm)
+						slices.Reverse(order)
+					}
+					s0, f0 := allocation.PrefixCounters()
+					batch.Walk(order, vals)
+					pv.Reset() // publish the walk's counters
+					s1, f1 := allocation.PrefixCounters()
+					step.Reset()
+					for k, p := range order {
+						members := perm[:k+1]
+						if rev {
+							members = perm[n-1-k:]
+						}
+						got := step.Extend(p)
+						want := m.ValueMembers(members)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("walk %d rev=%v prefix %d: Extend %.17g, ValueMembers %.17g", walk, rev, k+1, got, want)
+						}
+						if math.Float64bits(vals[k]) != math.Float64bits(want) {
+							t.Fatalf("walk %d rev=%v prefix %d: Walk %.17g, ValueMembers %.17g", walk, rev, k+1, vals[k], want)
+						}
+					}
+					step.Reset()
+					s2, f2 := allocation.PrefixCounters()
+					batchSteps, batchFallbacks = batchSteps+s1-s0, batchFallbacks+f1-f0
+					stepSteps, stepFallbacks = stepSteps+s2-s1, stepFallbacks+f2-f1
 				}
 			}
-		}
+			if batchSteps != stepSteps || batchFallbacks != stepFallbacks {
+				t.Fatalf("counters: Walk %d steps / %d fallbacks, Extend %d / %d",
+					batchSteps, batchFallbacks, stepSteps, stepFallbacks)
+			}
+			var fellBack bool
+			switch tc.fallbacks {
+			case "none":
+				fellBack = batchFallbacks != 0
+			case "some":
+				fellBack = batchFallbacks == 0 || batchFallbacks == batchSteps
+			case "all":
+				fellBack = batchFallbacks != batchSteps
+			}
+			if fellBack || batchSteps == 0 {
+				t.Errorf("%d steps, %d fallbacks; want %s falling back", batchSteps, batchFallbacks, tc.fallbacks)
+			}
+		})
 	}
 }
 

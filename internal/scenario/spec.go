@@ -478,6 +478,7 @@ func (s *Spec) Validate() error {
 	if s.CITarget < 0 || s.CITarget >= 1 {
 		return fmt.Errorf("scenario %s: ci_target %g outside [0, 1) (it is relative to V(N))", s.ID, s.CITarget)
 	}
+	demandNames := make(map[string]bool, len(s.Demand))
 	for i, d := range s.Demand {
 		if d.Name == "" {
 			return fmt.Errorf("scenario %s: demand class %d has no name", s.ID, i)
@@ -488,11 +489,10 @@ func (s *Spec) Validate() error {
 		if err := d.experimentType().Validate(); err != nil {
 			return fmt.Errorf("scenario %s: %w", s.ID, err)
 		}
-		for j := 0; j < i; j++ {
-			if s.Demand[j].Name == d.Name {
-				return fmt.Errorf("scenario %s: duplicate demand class %q", s.ID, d.Name)
-			}
+		if demandNames[d.Name] {
+			return fmt.Errorf("scenario %s: duplicate demand class %q", s.ID, d.Name)
 		}
+		demandNames[d.Name] = true
 	}
 	switch s.kind() {
 	case KindUtility:
@@ -514,6 +514,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %s: needs at least one facility", s.ID)
 	}
 	replicas := 0
+	facilityNames := make(map[string]bool, len(s.Facilities))
 	for i, f := range s.Facilities {
 		if f.Name == "" {
 			return fmt.Errorf("scenario %s: facility %d has no name", s.ID, i)
@@ -531,11 +532,10 @@ func (s *Spec) Validate() error {
 		if err := f.facility().Validate(); err != nil {
 			return fmt.Errorf("scenario %s: %w", s.ID, err)
 		}
-		for j := 0; j < i; j++ {
-			if s.Facilities[j].Name == f.Name {
-				return fmt.Errorf("scenario %s: duplicate facility %q", s.ID, f.Name)
-			}
+		if facilityNames[f.Name] {
+			return fmt.Errorf("scenario %s: duplicate facility %q", s.ID, f.Name)
 		}
+		facilityNames[f.Name] = true
 	}
 	if _, err := s.resolvedPolicies(); err != nil {
 		return err

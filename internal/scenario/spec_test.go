@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -143,6 +144,10 @@ func TestValidateRejectsInvalidSpecs(t *testing.T) {
 		{"unknown kind", func(s *Spec) { s.Kind = "heatmap" }, "unknown kind"},
 		{"no facilities", func(s *Spec) { s.Facilities = nil }, "at least one facility"},
 		{"duplicate facility", func(s *Spec) { s.Facilities[1].Name = "A" }, "duplicate facility"},
+		{"duplicate last of max facilities", func(s *Spec) {
+			s.Facilities = distinctFacilities(core.MaxFacilities)
+			s.Facilities[len(s.Facilities)-1].Name = s.Facilities[7].Name
+		}, `duplicate facility "F0007"`},
 		{"negative locations", func(s *Spec) { s.Facilities[0].Locations = -1 }, "negative locations"},
 		{"unnamed demand", func(s *Spec) { s.Demand[0].Name = "" }, "no name"},
 		{"duplicate demand", func(s *Spec) { s.Demand[1].Name = "elastic" }, "duplicate demand"},
@@ -186,6 +191,28 @@ func TestValidateRejectsInvalidSpecs(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// distinctFacilities returns n facilities named F0000, F0001, ….
+func distinctFacilities(n int) []FacilitySpec {
+	facs := make([]FacilitySpec, n)
+	for i := range facs {
+		facs[i] = FacilitySpec{Name: fmt.Sprintf("F%04d", i), Locations: 1 + i%7, Resources: 1}
+	}
+	return facs
+}
+
+// BenchmarkValidate validates a spec of the largest federation a spec
+// may declare, every facility distinctly named.
+func BenchmarkValidate(b *testing.B) {
+	s := testSpec()
+	s.Facilities = distinctFacilities(core.MaxFacilities)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Validate(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
