@@ -10,16 +10,17 @@
 //
 // Two engines are provided:
 //
-//   - a fast exact path for the paper's figure workloads (uniform resources,
-//     linear utility d = 1, unbounded Max), built on the transversal-
-//     polymatroid structure of bipartite degree sequences (Gale–Ryser);
+//   - an exact engine for linear utility d = 1 with uniform resources and
+//     no binding Max (the paper's figure workloads): Gale–Ryser admission
+//     over a capacity histogram, shared with the incremental PrefixSolver
+//     (see linear.go);
 //   - a constructive greedy simulator for the general case (heterogeneous
 //     resources, bounded Max, nonlinear shapes), which also yields the
 //     per-class consumption needed by the consumption-proportional share ρ̂.
 //
-// Solve picks the fast path automatically when it applies; the two engines
-// agree on their common domain (checked in tests against a brute-force
-// oracle).
+// Solve picks the d = 1 engine automatically when it applies; the two
+// engines agree on their common domain (checked in tests against a
+// brute-force oracle).
 package allocation
 
 import (
@@ -28,7 +29,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -68,12 +68,20 @@ func (p Pool) TotalCapacity() float64 {
 // Validate checks the pool for modelling errors.
 func (p Pool) Validate() error {
 	for i, c := range p.Classes {
-		if c.Count < 0 {
-			return fmt.Errorf("allocation: class %d (%s) has negative count", i, c.Label)
+		if err := checkClass(i, c); err != nil {
+			return err
 		}
-		if c.Capacity < 0 {
-			return fmt.Errorf("allocation: class %d (%s) has negative capacity", i, c.Label)
-		}
+	}
+	return nil
+}
+
+// checkClass reports why Solve refuses class i of a pool, if it does.
+func checkClass(i int, c Class) error {
+	if c.Count < 0 {
+		return fmt.Errorf("allocation: class %d (%s) has negative count", i, c.Label)
+	}
+	if c.Capacity < 0 {
+		return fmt.Errorf("allocation: class %d (%s) has negative capacity", i, c.Label)
 	}
 	return nil
 }
@@ -124,133 +132,15 @@ func Solve(pool Pool, reqs []Request) *Result {
 	if err := pool.Validate(); err != nil {
 		panic(err)
 	}
-	for j, r := range reqs {
-		if !positiveFinite(r.Resources) {
-			panic(fmt.Sprintf("allocation: request %d has non-positive or non-finite Resources", j))
-		}
-		if !positiveFinite(r.Shape) {
-			panic(fmt.Sprintf("allocation: request %d has non-positive or non-finite Shape", j))
-		}
-		if r.Min < 0 {
-			panic(fmt.Sprintf("allocation: request %d has negative Min", j))
-		}
+	d := demandPool.Get().(*demand)
+	defer demandPool.Put(d)
+	if err := d.init(reqs); err != nil {
+		panic(err)
 	}
-	if fastApplies(pool, reqs) {
-		if analyticEligible(pool, reqs) {
-			return solveAnalytic(pool, reqs)
-		}
-		return solveFast(pool, reqs)
+	if L := pool.TotalLocations(); d.linear(L) {
+		return d.solve(pool, L)
 	}
 	return solveGreedy(pool, reqs)
-}
-
-// positiveFinite reports whether v is a number in (0, +Inf): the range a
-// request's Shape and Resources must lie in. The greedy engine's proof
-// that its index makes the scan's decisions needs every gain to be a
-// number, which a NaN or infinite Shape or Resources breaks.
-func positiveFinite(v float64) bool {
-	return v > 0 && !math.IsInf(v, 1)
-}
-
-// fastApplies reports whether the polymatroid fast path is usable: uniform
-// resources, all shapes exactly 1, no binding Max.
-func fastApplies(pool Pool, reqs []Request) bool {
-	if len(reqs) == 0 {
-		return true
-	}
-	L := pool.TotalLocations()
-	r0 := reqs[0].Resources
-	for _, r := range reqs {
-		if r.Shape != 1 || r.Resources != r0 {
-			return false
-		}
-		if r.Max > 0 && r.Max < L {
-			return false
-		}
-	}
-	return true
-}
-
-// totalSlots returns Σ_c Count_c · min(n_c, m): the maximum number of
-// (experiment, location) pairs achievable with m experiments, where n_c is
-// the per-location experiment capacity of class c.
-func totalSlots(n []int, counts []int, m int) int {
-	t := 0
-	for c := range n {
-		k := n[c]
-		if k > m {
-			k = m
-		}
-		t += counts[c] * k
-	}
-	return t
-}
-
-// minimaFeasible checks the Gale–Ryser condition for a multiset of minimum
-// demands: sorted descending, every prefix sum must fit within the maximum
-// slot supply for that many experiments.
-func minimaFeasible(minsDesc []int, n, counts []int) bool {
-	prefix := 0
-	for k, l := range minsDesc {
-		prefix += l
-		if prefix > totalSlots(n, counts, k+1) {
-			return false
-		}
-	}
-	return true
-}
-
-// solveFast is the exact d = 1 engine. With linear utility, total utility
-// equals total assigned slots; the transversal polymatroid of bipartite
-// degree sequences makes the maximum total slots for m admitted experiments
-// exactly totalSlots(m), achievable above any feasible vector of minima.
-// Admission therefore admits requests in ascending-Min order while the
-// minima stay feasible and the marginal slot supply remains positive.
-func solveFast(pool Pool, reqs []Request) *Result {
-	res := emptyResult(pool, reqs)
-	if len(reqs) == 0 {
-		return res
-	}
-	r0 := reqs[0].Resources
-	n, counts := fastSetup(pool, r0)
-	L := pool.TotalLocations()
-
-	// Admission order: ascending Min (cheapest feasibility footprint first).
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return reqs[order[a]].Min < reqs[order[b]].Min })
-
-	admitted := make([]int, 0, len(reqs))
-	minsDesc := make([]int, 0, len(reqs)) // maintained sorted descending
-	for _, j := range order {
-		if reqs[j].Min > L {
-			continue // can never meet its diversity threshold
-		}
-		m := len(admitted)
-		if totalSlots(n, counts, m+1) == totalSlots(n, counts, m) && reqs[j].Min == 0 {
-			// No new capacity and no obligation: admitting adds nothing.
-			continue
-		}
-		// Tentatively admit and check minima feasibility.
-		pos := sort.Search(len(minsDesc), func(i int) bool { return minsDesc[i] < reqs[j].Min })
-		minsDesc = append(minsDesc, 0)
-		copy(minsDesc[pos+1:], minsDesc[pos:])
-		minsDesc[pos] = reqs[j].Min
-		if !minimaFeasible(minsDesc, n, counts) {
-			// Roll back; later requests have equal or larger Min, but a
-			// *smaller* slot footprint is impossible, so only requests with
-			// the same Min could also fail — keep scanning (cheap).
-			copy(minsDesc[pos:], minsDesc[pos+1:])
-			minsDesc = minsDesc[:len(minsDesc)-1]
-			continue
-		}
-		admitted = append(admitted, j)
-	}
-
-	distributeBalanced(res, reqs, admitted, n, counts, L, r0)
-	return res
 }
 
 // emptyResult allocates a zeroed Result shaped for (pool, reqs).
@@ -261,112 +151,6 @@ func emptyResult(pool Pool, reqs []Request) *Result {
 		ConsumedByClass: make([]float64, nc),
 		SlotsByClass:    make([]int, nc),
 	}
-}
-
-// fastSetup computes the fast engine's per-class tables: n[c] = ⌊R_c/r⌋,
-// the per-location experiment capacity, and counts[c], the location count.
-func fastSetup(pool Pool, r0 float64) (n, counts []int) {
-	nc := len(pool.Classes)
-	n = make([]int, nc)
-	counts = make([]int, nc)
-	for c, cl := range pool.Classes {
-		n[c] = int(math.Floor(cl.Capacity / r0))
-		counts[c] = cl.Count
-	}
-	return n, counts
-}
-
-// distributeBalanced fills res with the balanced maximal assignment for the
-// given admitted set — the shared tail of solveFast and solveAnalytic, so
-// the two engines produce bit-identical results on their common domain.
-func distributeBalanced(res *Result, reqs []Request, admitted []int, n, counts []int, L int, r0 float64) {
-	m := len(admitted)
-	if m == 0 {
-		return
-	}
-	total := totalSlots(n, counts, m)
-
-	// Distribute total slots by water-filling: every experiment keeps at
-	// least its minimum, and surplus raises the lowest allocations toward a
-	// common level λ capped at L. Any distribution has equal utility at
-	// d = 1; balanced keeps X informative and matches the paper's
-	// short-term fair-share story.
-	xs := make([]int, m)
-	fill := func(lambda int) int {
-		sum := 0
-		for _, j := range admitted {
-			x := reqs[j].Min
-			if lambda > x {
-				x = lambda
-			}
-			if x > L {
-				x = L
-			}
-			sum += x
-		}
-		return sum
-	}
-	lo, hi := 0, L
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if fill(mid) <= total {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	remainder := total - fill(lo)
-	for i, j := range admitted {
-		x := reqs[j].Min
-		if lo > x {
-			x = lo
-		}
-		if x > L {
-			x = L
-		}
-		// Spend the sub-λ remainder one unit at a time on experiments
-		// sitting exactly at the water level.
-		if remainder > 0 && x == lo && x < L && reqs[j].Min <= lo {
-			x++
-			remainder--
-		}
-		xs[i] = x
-	}
-	for i, j := range admitted {
-		res.X[j] = xs[i]
-		res.Utility += float64(xs[i])
-	}
-
-	// Per-class consumption of the maximal balanced assignment: class c
-	// locations each host min(n_c, m) experiments; if not all slots were
-	// handed out (demand-limited), scale proportionally.
-	slotsAvail := 0
-	for c := range n {
-		k := n[c]
-		if k > m {
-			k = m
-		}
-		slotsAvail += counts[c] * k
-	}
-	assigned := 0
-	for _, x := range xs {
-		assigned += x
-	}
-	for c := range n {
-		k := n[c]
-		if k > m {
-			k = m
-		}
-		classSlots := counts[c] * k
-		if slotsAvail > 0 && assigned < slotsAvail {
-			// Spread shortfall evenly: experiments visit all locations
-			// uniformly until class capacity binds.
-			classSlots = int(math.Round(float64(classSlots) * float64(assigned) / float64(slotsAvail)))
-		}
-		res.SlotsByClass[c] = classSlots
-		res.ConsumedByClass[c] = float64(classSlots) * r0
-	}
-	rebalanceSlots(res, assigned)
 }
 
 // rebalanceSlots fixes rounding so Σ SlotsByClass == assigned exactly.

@@ -415,15 +415,6 @@ func TestSolveP2PInvalidInput(t *testing.T) {
 	}
 }
 
-func BenchmarkSolveFastFig6(b *testing.B) {
-	p := pool3(100, 400, 800, 80, 20, 10)
-	reqs := identical(200, 600, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Solve(p, reqs)
-	}
-}
-
 func BenchmarkSolveGreedySmall(b *testing.B) {
 	p := Pool{Classes: []Class{{Count: 30, Capacity: 3}, {Count: 20, Capacity: 2}}}
 	reqs := make([]Request, 10)

@@ -33,7 +33,7 @@ func randomAnalyticInstance(rng *rand.Rand) (Pool, []Request) {
 	return pool, reqs
 }
 
-// analyticApplies is Solve's dispatch rule for the closed form.
+// analyticApplies is the domain of the closed-form oracle.
 func analyticApplies(pool Pool, reqs []Request) bool {
 	return fastApplies(pool, reqs) && analyticEligible(pool, reqs)
 }
@@ -67,9 +67,9 @@ func TestSolveAnalyticMatchesFastOracle(t *testing.T) {
 	}
 }
 
-// TestSolveDispatchesAnalytic checks that the public Solve entry point
-// routes analytic-domain instances to the closed form (same results as the
-// exported solveAnalytic) and that heterogeneous instances stay out.
+// TestSolveDispatchesAnalytic checks that Solve matches the closed-form
+// oracle on a homogeneous batch, and that mixed minima and d ≠ 1 stay
+// outside the oracle's domain.
 func TestSolveDispatchesAnalytic(t *testing.T) {
 	pool := Pool{Classes: []Class{
 		{Label: "a", Count: 10, Capacity: 2},

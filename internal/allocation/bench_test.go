@@ -20,20 +20,27 @@ func benchInstance() (Pool, []Request) {
 	return pool, reqs
 }
 
-// BenchmarkSolveFast measures the full Gale–Ryser admission loop.
-func BenchmarkSolveFast(b *testing.B) {
-	pool, reqs := benchInstance()
-	for i := 0; i < b.N; i++ {
-		solveFast(pool, reqs)
-	}
-}
-
-// BenchmarkSolveAnalytic measures the closed-form engine on the same
-// instance (cold, no memo).
-func BenchmarkSolveAnalytic(b *testing.B) {
-	pool, reqs := benchInstance()
-	for i := 0; i < b.N; i++ {
-		solveAnalytic(pool, reqs)
+// BenchmarkSolveLinear measures Solve on the d = 1 engine with the
+// shapes of the paper's figures over the L = (100, 400, 800) pool: fig4's
+// single request (l = 500, unit capacities), fig6's 100 identical
+// requests (l = 600, R = (80, 20, 10)) and fig7's mixture of 20 requests
+// with l = 0 and 20 with l = 700 (R = (80, 50, 30)).
+func BenchmarkSolveLinear(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		pool Pool
+		reqs []Request
+	}{
+		{"fig4", pool3(100, 400, 800, 1, 1, 1), identical(1, 500, 1)},
+		{"fig6", pool3(100, 400, 800, 80, 20, 10), identical(100, 600, 1)},
+		{"fig7", pool3(100, 400, 800, 80, 50, 30), append(identical(20, 0, 1), identical(20, 700, 1)...)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = Solve(tc.pool, tc.reqs)
+			}
+		})
 	}
 }
 

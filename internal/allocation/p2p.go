@@ -54,8 +54,8 @@ func SolveP2P(facilities []FacilityContribution) (*P2PResult, error) {
 	for fi, f := range facilities {
 		bound[fi+1] = bound[fi]
 		for _, cl := range f.Classes {
-			if cl.Count < 0 || cl.Capacity < 0 {
-				return nil, fmt.Errorf("allocation: facility %s has invalid class", f.Name)
+			if err := checkClass(len(classes), cl); err != nil {
+				return nil, fmt.Errorf("facility %s: %w", f.Name, err)
 			}
 			classes = append(classes, cl)
 			bound[fi+1] += cl.Count
@@ -68,10 +68,10 @@ func SolveP2P(facilities []FacilityContribution) (*P2PResult, error) {
 	var owner []int
 	for fi, f := range facilities {
 		res.X[fi] = make([]int, len(f.Requests))
-		for j, r := range f.Requests {
-			if !positiveFinite(r.Resources) || !positiveFinite(r.Shape) || r.Min < 0 {
-				return nil, fmt.Errorf("allocation: facility %s request %d invalid", f.Name, j)
-			}
+		if err := checkRequests(f.Requests); err != nil {
+			return nil, fmt.Errorf("facility %s: %w", f.Name, err)
+		}
+		for _, r := range f.Requests {
 			reqs = append(reqs, r)
 			owner = append(owner, fi)
 		}

@@ -3,7 +3,6 @@ package allocation
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Incremental prefix allocation.
@@ -17,13 +16,12 @@ import (
 //
 //   - on the Gale–Ryser fast path (uniform request resources, linear
 //     utility, no binding Max — the paper's figure workloads), V equals
-//     totalSlots(m*) for the greedily admitted count m*. The solver keeps
-//     a histogram of the pool's locations by per-location capacity, so
-//     adding a class is one counter update. With homogeneous minima the
-//     feasible counts {m : m·l ≤ totalSlots(m)} form a prefix of 0..k
-//     that only widens as the pool grows, so m* never decreases along a
-//     walk: the solver carries m* and totalSlots(m*) and advances m*
-//     in O(1) amortized per step. Heterogeneous minima replay solveFast's
+//     totalSlots(m*) for the admitted count m*, computed by the d = 1
+//     engine Solve itself runs (linear.go). The solver keeps that engine's
+//     histogram of the pool's locations by capacity bin, so adding a class
+//     is one counter update. With homogeneous minima m* never decreases
+//     along a walk: the solver carries m* and totalSlots(m*) and advances
+//     m* in O(1) amortized per step. Heterogeneous minima replay the
 //     admission against a totalSlots table rebuilt from the histogram in
 //     O(k) — no pool rebuild, no admission-loop re-scan of the locations.
 //   - on the general (greedy-engine) path, the solver repairs instead of
@@ -51,20 +49,21 @@ import (
 // reports the step uncertified and leaves valuing it to the caller
 // instead of solving.
 //
-// Values are bit-identical to Solve on the fast path (all arithmetic is
-// exact integer slot counting) and on the certified repair path (the
-// closed form replays the greedy's own float operations in the same
-// order); fallback steps call the same Solve the non-incremental path
-// uses. A walk therefore produces the same float64 stream as calling
-// Solve on every prefix, which is what keeps the samplers' fixed-seed
-// determinism contract intact with the incremental path on or off.
+// Values are bit-identical to Solve on the fast path (Solve runs the same
+// admission, and all its arithmetic is exact integer slot counting) and on
+// the certified repair path (the closed form replays the greedy's own
+// float operations in the same order); fallback steps call the same Solve
+// the non-incremental path uses. A walk therefore produces the same
+// float64 stream as calling Solve on every prefix, which is what keeps the
+// samplers' fixed-seed determinism contract intact with the incremental
+// path on or off.
 
 // PrefixStats counts how a PrefixSolver's steps were served.
 type PrefixStats struct {
 	// Steps is the number of Add and Grow calls.
 	Steps int64
-	// Fast is the number of steps valued by the incremental exact
-	// Gale–Ryser/analytic fast path.
+	// Fast is the number of steps valued by the d = 1 engine's
+	// Gale–Ryser admission.
 	Fast int64
 	// Repaired is the number of steps valued by the certified greedy
 	// repair (abundant-capacity closed form).
@@ -80,17 +79,9 @@ type PrefixStats struct {
 // create one per walker goroutine (they may share one Memo, which is
 // concurrency-safe).
 type PrefixSolver struct {
-	reqs []Request
-	memo *Memo
-
-	// Request-list digests, fixed at construction.
-	k          int     // len(reqs)
-	r0         float64 // reqs[0].Resources when k > 0
-	uniformRes bool    // all Resources == r0
-	allLinear  bool    // all Shape == 1
-	boundedMax int     // smallest positive Max among requests; 0 = none
-	homogMin   int     // common Min when all equal, else -1
-	sumRes     float64 // Σ_j Resources_j — the abundant-capacity bar
+	demand // the request list, the histogram and the fast path's admission
+	memo   *Memo
+	sumRes float64 // Σ_j Resources_j — the abundant-capacity bar
 
 	// Pool state. classes is the pool Add builds, or the classes of a
 	// Walk's first built steps, appended once a step falls back; slotCap
@@ -104,18 +95,6 @@ type PrefixSolver struct {
 	poolL       int
 	scarce      int // steps that added locations of Capacity < sumRes; only == 0 is read
 
-	// Fast-path slot accounting: hist[b] counts the pool's locations of
-	// capped capacity b (see stepClass), fast the admitted count over it.
-	hist []int
-	fast fastSlots
-
-	// Heterogeneous-minima admission replay: solveFast's ascending-Min
-	// request order, the totalSlots table by admitted count, and the
-	// descending minima multiset.
-	order    []int
-	tslots   []int
-	minsDesc []int
-
 	value float64
 	stats PrefixStats
 	// Flushed-to-metrics watermarks (see flushMetrics).
@@ -123,46 +102,10 @@ type PrefixSolver struct {
 }
 
 // stepClass is what a step reads of the class it adds: its location
-// count, its capped per-location experiment capacity
-// b = min(⌊Capacity/r0⌋, k) (fast-eligible request lists only), and 1
-// when it is scarce (Capacity < Σ_j Resources_j), else 0.
+// count, its histogram bin (see demand.bin), and 1 when it is scarce
+// (Capacity < Σ_j Resources_j), else 0.
 type stepClass struct {
 	count, bin, scarce int
-}
-
-// fastSlots is the fast path's slot accounting over a histogram of the
-// pool's locations by capped capacity. With homogeneous minima m is the
-// admitted count m*, slots = totalSlots(m) and above the number of
-// locations with b > m, so totalSlots(m+1) = slots + above. Its methods
-// take and return it by value, so a walk that holds it in a local keeps
-// the three counters in registers.
-type fastSlots struct {
-	m, slots, above int
-}
-
-// add records count locations of capped capacity b.
-func (f fastSlots) add(hist []int, b, count int) fastSlots {
-	hist[b] += count
-	f.slots += count * min(b, f.m)
-	if b > f.m {
-		f.above += count
-	}
-	return f
-}
-
-// admit mirrors solveAnalytic's admission: identical minima l make
-// Gale–Ryser the single inequality m·l ≤ totalSlots(m), whose solutions
-// form a prefix of 0..k. Adding locations only raises totalSlots, so the
-// previous step's m* stays feasible and the new m* is found by advancing
-// it. With l = 0 m* runs to k, where totalSlots equals solveAnalytic's
-// totalSlots(min(k, max b)); with l above the pool size no m ≥ 1 passes.
-func (f fastSlots) admit(hist []int, k, l int) fastSlots {
-	for f.m < k && (f.m+1)*l <= f.slots+f.above {
-		f.slots += f.above
-		f.m++
-		f.above -= hist[f.m]
-	}
-	return f
 }
 
 // NewPrefixSolver builds a solver for the given request list. The memo,
@@ -170,66 +113,14 @@ func (f fastSlots) admit(hist []int, k, l int) fastSlots {
 // always re-solve directly. It validates the requests with the same rules
 // Solve enforces.
 func NewPrefixSolver(reqs []Request, memo *Memo) (*PrefixSolver, error) {
-	for j, r := range reqs {
-		if !positiveFinite(r.Resources) {
-			return nil, fmt.Errorf("allocation: request %d has non-positive or non-finite Resources", j)
-		}
-		if !positiveFinite(r.Shape) {
-			return nil, fmt.Errorf("allocation: request %d has non-positive or non-finite Shape", j)
-		}
-		if r.Min < 0 {
-			return nil, fmt.Errorf("allocation: request %d has negative Min", j)
-		}
-	}
-	ps := &PrefixSolver{
-		reqs:       reqs,
-		memo:       memo,
-		k:          len(reqs),
-		uniformRes: true,
-		allLinear:  true,
-		homogMin:   -1,
-	}
-	if ps.k > 0 {
-		ps.r0 = reqs[0].Resources
-		ps.homogMin = reqs[0].Min
+	ps := &PrefixSolver{memo: memo}
+	if err := ps.init(reqs); err != nil {
+		return nil, err
 	}
 	for _, r := range reqs {
-		if r.Resources != ps.r0 {
-			ps.uniformRes = false
-		}
-		if r.Shape != 1 {
-			ps.allLinear = false
-		}
-		if r.Max > 0 && (ps.boundedMax == 0 || r.Max < ps.boundedMax) {
-			ps.boundedMax = r.Max
-		}
-		if r.Min != ps.homogMin {
-			ps.homogMin = -1
-		}
 		ps.sumRes += r.Resources
 	}
-	if ps.fastEligible() {
-		ps.hist = make([]int, ps.k+1)
-		if ps.homogMin < 0 {
-			ps.order = make([]int, ps.k)
-			for i := range ps.order {
-				ps.order[i] = i
-			}
-			sort.SliceStable(ps.order, func(a, b int) bool {
-				return reqs[ps.order[a]].Min < reqs[ps.order[b]].Min
-			})
-			ps.tslots = make([]int, ps.k+1)
-			ps.minsDesc = make([]int, 0, ps.k)
-		}
-	}
 	return ps, nil
-}
-
-// fastEligible reports whether the fast path can ever apply to this
-// request list (the remaining condition — no Max binding below the pool
-// size — depends on the current pool and is checked per step).
-func (ps *PrefixSolver) fastEligible() bool {
-	return ps.k > 0 && ps.uniformRes && ps.allLinear
 }
 
 // Reset empties the pool, starting a new walk; a layout set by SetLayout
@@ -275,7 +166,9 @@ func (ps *PrefixSolver) Value() float64 { return ps.value }
 // Solve(pool, reqs).Utility for the accumulated pool. It panics on
 // invalid classes, mirroring Solve.
 func (ps *PrefixSolver) Add(c Class) float64 {
-	checkClass(c)
+	if err := checkClass(len(ps.classes), c); err != nil {
+		panic(err)
+	}
 	ps.classes = append(ps.classes, c)
 	v, ok := ps.step(ps.stepClass(c.Count, c.Capacity))
 	if !ok {
@@ -285,23 +178,15 @@ func (ps *PrefixSolver) Add(c Class) float64 {
 	return v
 }
 
-// checkClass panics on a class Solve would refuse.
-func checkClass(c Class) {
-	if c.Count < 0 {
-		panic(fmt.Sprintf("allocation: class %s has negative count", c.Label))
-	}
-	if c.Capacity < 0 {
-		panic(fmt.Sprintf("allocation: class %s has negative capacity", c.Label))
-	}
-}
-
 // SetClasses fixes the class list Walk draws from and empties the pool.
 // The solver keeps classes, which the caller must not change, and
 // digests each class once. It panics on invalid classes, mirroring Solve.
 func (ps *PrefixSolver) SetClasses(classes []Class) {
 	ps.walkSteps = ps.walkSteps[:0]
-	for _, c := range classes {
-		checkClass(c)
+	for i, c := range classes {
+		if err := checkClass(i, c); err != nil {
+			panic(err)
+		}
 		ps.walkSteps = append(ps.walkSteps, ps.stepClass(c.Count, c.Capacity))
 	}
 	ps.walkClasses = classes
@@ -319,7 +204,7 @@ func (ps *PrefixSolver) SetClasses(classes []Class) {
 func (ps *PrefixSolver) Walk(order []int, vals []float64) {
 	ps.Reset()
 	n := 0
-	if ps.homogMin >= 0 && ps.fastEligible() {
+	if ps.homogMin >= 0 {
 		n = ps.walkHomog(order, vals)
 	}
 	for ; n < len(order); n++ {
@@ -335,10 +220,11 @@ func (ps *PrefixSolver) Walk(order []int, vals []float64) {
 }
 
 // walkHomog takes Walk's steps while the homogeneous-minima fast path
-// values them — every step, unless a bounded Max starts to bind — and
-// returns how many it took. It is step's fast branch with the pool size
-// and fastSlots held in locals, which the compiler keeps in registers;
-// DESIGN.md §5.5 gives what that saves a walk.
+// values them — every step of a uniform linear request list, unless a
+// bounded Max starts to bind — and returns how many it took. It is step's
+// fast branch with the pool size and fastSlots held in locals, which the
+// compiler keeps in registers; DESIGN.md §5.5 gives what that saves a
+// walk.
 func (ps *PrefixSolver) walkHomog(order []int, vals []float64) int {
 	steps, hist, k, l := ps.walkSteps, ps.hist, ps.k, ps.homogMin
 	f, poolL, scarce, added := ps.fast, ps.poolL, ps.scarce, int64(0)
@@ -346,8 +232,8 @@ func (ps *PrefixSolver) walkHomog(order []int, vals []float64) int {
 	for ; n < len(order); n++ {
 		sc := steps[order[n]]
 		if sc.count > 0 {
-			if ps.maxBinds(poolL + sc.count) {
-				break // Max binds from here on: step() values the rest
+			if !ps.linear(poolL + sc.count) {
+				break // step() values the rest
 			}
 			poolL += sc.count
 			scarce += sc.scarce
@@ -380,8 +266,8 @@ func (ps *PrefixSolver) walkFallback(order []int, n int) float64 {
 // panics on a negative capacity, mirroring Solve.
 func (ps *PrefixSolver) SetLayout(capacities []float64) {
 	for i, c := range capacities {
-		if c < 0 {
-			panic(fmt.Sprintf("allocation: slot %d has negative capacity", i))
+		if err := checkClass(i, Class{Label: "slot", Capacity: c}); err != nil {
+			panic(err)
 		}
 	}
 	ps.slotCap = append(ps.slotCap[:0], capacities...)
@@ -406,40 +292,28 @@ func (ps *PrefixSolver) Grow(i, count int) (v float64, ok bool) {
 
 // stepClass digests count locations of the given capacity for step.
 func (ps *PrefixSolver) stepClass(count int, capacity float64) stepClass {
-	sc := stepClass{count: count}
+	sc := stepClass{count: count, bin: ps.bin(capacity)}
 	if capacity < ps.sumRes {
 		sc.scarce = 1
-	}
-	if ps.hist != nil {
-		sc.bin = min(int(math.Floor(capacity/ps.r0)), ps.k)
 	}
 	return sc
 }
 
 // step adds a class's locations to the pool's location and histogram
 // accounting, then values the pool on the cheapest certified path that
-// reproduces Solve: incremental fast path, then certified greedy repair.
-// When neither applies, it counts a fallback and returns NaN with ok
-// false.
+// reproduces Solve: the d = 1 engine's admission, then certified greedy
+// repair. When neither applies, it counts a fallback and returns NaN with
+// ok false.
 func (ps *PrefixSolver) step(sc stepClass) (v float64, ok bool) {
 	ps.stats.Steps++
 	if sc.count > 0 {
 		ps.poolL += sc.count
 		ps.scarce += sc.scarce
-		if ps.hist != nil {
-			ps.fast = ps.fast.add(ps.hist, sc.bin, sc.count)
-		}
+		ps.fast = ps.fast.add(ps.hist, sc.bin, sc.count)
 	}
-	if ps.k == 0 {
-		// Solve of an empty request list is 0 on every pool.
+	if ps.linear(ps.poolL) {
 		ps.stats.Fast++
-		return 0, true
-	}
-	// Mirror of fastApplies: uniform resources, all shapes 1, and no Max
-	// binding below the current pool size.
-	if ps.fastEligible() && !ps.maxBinds(ps.poolL) {
-		ps.stats.Fast++
-		return float64(ps.fastValue()), true
+		return float64(ps.admit(ps.poolL)), true
 	}
 	if ps.scarce == 0 {
 		ps.stats.Repaired++
@@ -447,68 +321,6 @@ func (ps *PrefixSolver) step(sc stepClass) (v float64, ok bool) {
 	}
 	ps.stats.Fallbacks++
 	return math.NaN(), false
-}
-
-// maxBinds reports whether some request's Max is below poolL, which takes
-// a pool of poolL locations off the fast path.
-func (ps *PrefixSolver) maxBinds(poolL int) bool {
-	return ps.boundedMax > 0 && ps.boundedMax < poolL
-}
-
-// fastValue is the incremental fast path: V = totalSlots(m*) with m* the
-// admitted count, carried across steps for homogeneous minima (the
-// analytic engine's domain) and by admission replay otherwise.
-func (ps *PrefixSolver) fastValue() int {
-	if ps.homogMin >= 0 {
-		ps.fast = ps.fast.admit(ps.hist, ps.k, ps.homogMin)
-		return ps.fast.slots
-	}
-	return ps.heteroFastValue()
-}
-
-// heteroFastValue replays solveFast's admission loop — ascending-Min
-// scan, insertion into the descending minima multiset, Gale–Ryser prefix
-// feasibility — against a totalSlots table rebuilt from the histogram, so
-// no per-step pool or class-table rebuild happens.
-func (ps *PrefixSolver) heteroFastValue() int {
-	ts := ps.tslots
-	above := ps.poolL - ps.hist[0]
-	for m := 0; m < ps.k; m++ {
-		ts[m+1] = ts[m] + above
-		above -= ps.hist[m+1]
-	}
-	admitted := 0
-	minsDesc := ps.minsDesc[:0]
-	for _, j := range ps.order {
-		min := ps.reqs[j].Min
-		if min > ps.poolL {
-			continue
-		}
-		if min == 0 && ts[admitted+1] == ts[admitted] {
-			continue
-		}
-		pos := sort.Search(len(minsDesc), func(i int) bool { return minsDesc[i] < min })
-		minsDesc = append(minsDesc, 0)
-		copy(minsDesc[pos+1:], minsDesc[pos:])
-		minsDesc[pos] = min
-		feasible := true
-		prefix := 0
-		for t, v := range minsDesc {
-			prefix += v
-			if prefix > ts[t+1] {
-				feasible = false
-				break
-			}
-		}
-		if !feasible {
-			copy(minsDesc[pos:], minsDesc[pos+1:])
-			minsDesc = minsDesc[:len(minsDesc)-1]
-			continue
-		}
-		admitted++
-	}
-	ps.minsDesc = minsDesc[:0]
-	return ts[admitted]
 }
 
 // abundantValue is the certified greedy repair. Certificate: every class

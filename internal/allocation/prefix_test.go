@@ -11,7 +11,7 @@ import (
 
 // randFastRequests draws a request list on the Gale–Ryser fast path:
 // uniform Resources, Shape 1, unbounded Max, mixed minima (sometimes
-// homogeneous, exercising the analytic closed form).
+// homogeneous, exercising the carried admission count).
 func randFastRequests(rng *stats.Rand) []Request {
 	k := 1 + rng.Intn(12)
 	r0 := 0.5 + rng.Float64()*2

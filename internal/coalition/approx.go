@@ -251,12 +251,18 @@ func (e *approxEngine) run(from, to, workers int) {
 	if to <= from {
 		return
 	}
-	jobs := make(chan int)
+	jobs := make(chan int, approxStrata) // sized to every job, queued before the workers start
+	for s := 0; s < approxStrata; s++ {
+		jobs <- s
+	}
+	close(jobs)
 	var wg sync.WaitGroup
+	var failed workerPanic
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer failed.catch()
 			scratch := e.newScratch()
 			for s := range jobs {
 				u := from + (s-from%approxStrata+approxStrata)%approxStrata
@@ -267,11 +273,8 @@ func (e *approxEngine) run(from, to, workers int) {
 			scratch.w.finish()
 		}()
 	}
-	for s := 0; s < approxStrata; s++ {
-		jobs <- s
-	}
-	close(jobs)
 	wg.Wait()
+	failed.rethrow()
 	shapleySamplesTotal.Add(int64(to-from) * permsPerUnit)
 }
 

@@ -2,8 +2,11 @@ package coalition
 
 import (
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
+
+	"fedshare/internal/combin"
 )
 
 // structuredMemberGame pairs a large synthetic member game with its class
@@ -150,5 +153,36 @@ func TestValuesEmptyGame(t *testing.T) {
 	}
 	if len(res.Phi) != 0 || !res.Converged {
 		t.Errorf("unexpected empty result %+v", res)
+	}
+}
+
+// panicGame is an 8-player additive game whose Value panics on the one
+// coalition {0, 2, 4, 5, 7}.
+type panicGame struct{}
+
+func (panicGame) N() int { return 8 }
+
+func (panicGame) Value(s combin.Set) float64 {
+	if s == 0b10110101 {
+		panic("bad coalition")
+	}
+	return float64(bits.OnesCount64(uint64(s)))
+}
+
+func (g panicGame) ValueMembers(members []int) float64 { return g.Value(setOf(members)) }
+
+// TestValuesRelaysWorkerPanics requires a panic on a worker goroutine of
+// the exact engine's snapshot and of the sampler to reach Values' caller,
+// where a recover sees it, instead of ending the process.
+func TestValuesRelaysWorkerPanics(t *testing.T) {
+	for _, m := range []Method{MethodExact, MethodApprox} {
+		func() {
+			defer func() {
+				if r := recover(); r != "bad coalition" {
+					t.Errorf("%s: recovered %v, want the game's panic", m, r)
+				}
+			}()
+			Values(panicGame{}, Options{Method: m, Workers: 4, Samples: 2000, Seed: 1})
+		}()
 	}
 }

@@ -64,6 +64,7 @@ func BatchedValues(t *Table, workers int) Batched {
 	partials := make([]Batched, workers)
 	chunk := (size + uint64(workers) - 1) / uint64(workers)
 	var wg sync.WaitGroup
+	var failed workerPanic
 	for k := 0; k < workers; k++ {
 		lo := uint64(k) * chunk
 		hi := min(lo+chunk, size)
@@ -74,10 +75,12 @@ func BatchedValues(t *Table, workers int) Batched {
 		wg.Add(1)
 		go func(p Batched, lo, hi uint64) {
 			defer wg.Done()
+			defer failed.catch()
 			sweepRange(t.Values, w, lo, hi, p.Shapley, p.Banzhaf)
 		}(partials[k], lo, hi)
 	}
 	wg.Wait()
+	failed.rethrow()
 	for _, p := range partials {
 		if p.Shapley == nil {
 			continue

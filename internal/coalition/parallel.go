@@ -34,6 +34,7 @@ func Snapshot(g Game, workers int) (*Table, error) {
 	}
 	chunk := (size + uint64(workers) - 1) / uint64(workers)
 	var wg sync.WaitGroup
+	var failed workerPanic
 	for k := 0; k < workers; k++ {
 		lo := uint64(k) * chunk
 		hi := min(lo+chunk, size)
@@ -43,11 +44,43 @@ func Snapshot(g Game, workers int) (*Table, error) {
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
+			defer failed.catch()
 			for m := lo; m < hi; m++ {
 				values[m] = g.Value(combin.Set(m))
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
+	failed.rethrow()
 	return NewTable(n, values)
+}
+
+// workerPanic keeps the first panic of a pool's worker goroutines, so
+// that the pool's caller re-raises it on its own goroutine once every
+// worker has finished. A panic left on a worker ends the process, out of
+// reach of any recover the caller set up, such as the scenario engine's,
+// which turns a run's panic into a failed run.
+type workerPanic struct {
+	mu sync.Mutex
+	v  any
+}
+
+// catch recovers a worker's panic and keeps it unless one is kept
+// already. Workers defer it.
+func (p *workerPanic) catch() {
+	if r := recover(); r != nil {
+		p.mu.Lock()
+		if p.v == nil {
+			p.v = r
+		}
+		p.mu.Unlock()
+	}
+}
+
+// rethrow re-raises the kept panic, if any. Call it after the workers
+// have finished.
+func (p *workerPanic) rethrow() {
+	if p.v != nil {
+		panic(p.v)
+	}
 }

@@ -370,8 +370,8 @@ type classSignature struct {
 // per template j — Count = c_j·L_j locations of capacity R_j·T_j — straight
 // through allocation.Solve. Merging is exact: a template's replicas would
 // sit next to each other in a per-replica pool, so the greedy engine sees
-// the same location sequence with the same capacities, and the fast and
-// analytic engines see the same integer slot sums; only Utility is read.
+// the same location sequence with the same capacities, and the d = 1
+// engine sees the same capacity histogram; only Utility is read.
 // Its incremental evaluator (Prefix) walks those same merged classes on an
 // allocation.PrefixSolver, one slot per template in template order, and
 // certifies the steps the solver's fast path or abundant repair values;

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -144,6 +145,56 @@ func TestSubmitPollResultLifecycle(t *testing.T) {
 	getJSON(t, srv.URL+"/api/v1/runs", &list)
 	if len(list.Runs) != 1 || list.Runs[0].ID != run.ID {
 		t.Fatalf("run list %+v", list.Runs)
+	}
+}
+
+// TestSubmitCapacityPastIntRange submits a spec whose facility A
+// (4 locations of 1e300 resources) hosts 1e300 experiments a location, a
+// count past the int range: with 5 requests and any threshold up to 4,
+// V(A) = 20, V(B) = 12 and V(AB) = 32, so the Shapley shares are
+// 0.625/0.375 on the exact path and on the sampler, whose permutation
+// walks see exactly those three values.
+func TestSubmitCapacityPastIntRange(t *testing.T) {
+	srv, _ := newTestServer(t, engine.Options{})
+	for _, method := range []string{"exact", "approx"} {
+		spec := `{
+  "id": "capacity-past-int-range",
+  "facilities": [
+    {"name": "A", "locations": 4, "resources": 1e300},
+    {"name": "B", "locations": 6, "resources": 2}
+  ],
+  "demand": [{"name": "batch", "count": 5}],
+  "policies": ["shapley"],
+  "method": "` + method + `",
+  "axis": {"variable": "threshold", "from": 0, "to": 4, "step": 1}
+}`
+		resp, err := http.Post(srv.URL+"/api/v1/runs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var run RunJSON
+		err = json.NewDecoder(resp.Body).Decode(&run)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit %s, %v", method, resp.Status, err)
+		}
+		pollDone(t, srv.URL, run.ID)
+		var res scenario.Result
+		getJSON(t, srv.URL+"/api/v1/runs/"+run.ID+"/result", &res)
+		if len(res.Series) != 2 {
+			t.Fatalf("%s: %d series, want 2", method, len(res.Series))
+		}
+		for i, want := range []float64{0.625, 0.375} {
+			s := res.Series[i]
+			if len(s.Points) != 5 {
+				t.Fatalf("%s: series %s has %d points, want 5", method, s.Name, len(s.Points))
+			}
+			for _, p := range s.Points {
+				if math.Abs(p.Y-want) > 1e-12 {
+					t.Errorf("%s: %s at l = %g is %g, want %g", method, s.Name, p.X, p.Y, want)
+				}
+			}
+		}
 	}
 }
 

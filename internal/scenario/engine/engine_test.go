@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fedshare/internal/coalition"
 	"fedshare/internal/scenario"
 )
 
@@ -221,6 +222,39 @@ func TestPanickingJobFailsWithoutKillingEngine(t *testing.T) {
 	}
 	if r, err := e.Wait(context.Background(), id2); err != nil || r.State != StateDone {
 		t.Fatalf("post-panic run finished %s, %v", r.State, err)
+	}
+}
+
+// TestPanickingWorkerFailsRun runs a job whose Shapley computation
+// panics on a sampling worker goroutine, as a game that panics on one
+// coalition makes it: the run must end failed, describing the panic,
+// rather than end the process.
+func TestPanickingWorkerFailsRun(t *testing.T) {
+	e := New(Options{})
+	defer e.Close()
+	game := coalition.MemberFunc{Players: 8, V: func(members []int) float64 {
+		mask := 0
+		for _, p := range members {
+			mask |= 1 << p
+		}
+		if mask == 0b10110101 {
+			panic("bad coalition")
+		}
+		return float64(len(members))
+	}}
+	id, err := e.SubmitJob("worker-panic", func(ctx context.Context, progress scenario.ProgressFunc) (*scenario.Result, error) {
+		_, err := coalition.Values(game, coalition.Options{Method: coalition.MethodApprox, Workers: 4, Samples: 2000, Seed: 1})
+		return &scenario.Result{}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.State != StateFailed || !strings.Contains(r.Error, "bad coalition") {
+		t.Fatalf("run ended %s (%q), want failed with the game's panic", r.State, r.Error)
 	}
 }
 
