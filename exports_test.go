@@ -23,6 +23,7 @@ var reachableAllowlist = map[string]string{
 	"core.TotalDistortion":            "documented, measured extension: the diversity-premium ablation's distance",
 	"loss.NewGame":                    "documented, measured extension: the loss-network value game",
 	"policy.WeightTable.Blend":        "documented, measured extension: demand-mixture blending of offline weights",
+	"policy.WeightTable.Lookup":       "the paper's Sec. 3.2.3 offline-weights lookup: a run's weights read from the precomputed table",
 	"allocation.Memo.SetEnabled":      "test seam: the memo-off reference of the determinism tests",
 	"planetlab.Authority.Utilization": "test seam: the capacity ledger's oversubscription checks",
 	"stats.Series.YAt":                "test seam: figure anchors read one point of a series",

@@ -143,26 +143,38 @@ var prefixSink float64
 
 // BenchmarkPrefixSolverWalk measures one 500-class prefix walk, every
 // step on the fast path, with homogeneous and heterogeneous minima at
-// k = 10 and k = 100. No fedbench workload reaches the heterogeneous
-// admission replay; this is where its cost shows.
+// k = 10 and k = 100: by Walk, as the sampler's distinct-facility walks
+// run, and by one Extend per step, as they run behind a wrapper that
+// hides Walk. No fedbench workload reaches the heterogeneous admission
+// replay; this is where its cost shows.
 func BenchmarkPrefixSolverWalk(b *testing.B) {
-	for _, minima := range []string{"homog", "hetero"} {
-		for _, k := range []int{10, 100} {
-			b.Run(fmt.Sprintf("%s/k=%d", minima, k), func(b *testing.B) {
-				classes, reqs := prefixWalkInstance(k, minima == "hetero")
-				ps, err := NewPrefixSolver(reqs, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ps.Reset()
-					for _, c := range classes {
-						prefixSink += ps.Add(c)
+	for _, path := range []string{"walk", "extend"} {
+		for _, minima := range []string{"homog", "hetero"} {
+			for _, k := range []int{10, 100} {
+				b.Run(fmt.Sprintf("%s/%s/k=%d", path, minima, k), func(b *testing.B) {
+					classes, reqs := prefixWalkInstance(k, minima == "hetero")
+					ps := newSolver(b, reqs, classes)
+					order := make([]int, len(classes))
+					for i := range order {
+						order[i] = i
 					}
-				}
-			})
+					vals := make([]float64, len(classes))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if path == "walk" {
+							ps.Walk(order, vals)
+							prefixSink += vals[len(vals)-1]
+							continue
+						}
+						ps.Reset()
+						for _, j := range order {
+							v, _ := ps.Extend(j)
+							prefixSink += v
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -127,7 +127,7 @@ func TestSolveMatchesLinearOracles(t *testing.T) {
 // 4 locations of capacity 1e300 (each hosts all 5) and one of 6 locations
 // of capacity 2 are worth 20, 12 and 32 together. The same holds with
 // r = 1e-300 against capacities 1 and 2e-300. Solve and the PrefixSolver
-// driven through Add, Walk and Grow must all read those values.
+// driven through Extend and Walk must all read those values.
 func TestLinearBinPastIntRange(t *testing.T) {
 	for _, tc := range []struct {
 		r    float64
@@ -147,26 +147,15 @@ func TestLinearBinPastIntRange(t *testing.T) {
 				t.Errorf("r = %g: Solve(%+v) = %g, want %g", tc.r, c.classes, got, c.want)
 			}
 		}
-		ps, err := NewPrefixSolver(reqs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		classes, alone := []Class{tc.a, tc.b}, []float64{20, 12}
-		ps.SetClasses(classes)
-		ps.SetLayout([]float64{tc.a.Capacity, tc.b.Capacity})
+		ps := newSolver(t, reqs, []Class{tc.a, tc.b})
+		alone := []float64{20, 12}
 		vals := make([]float64, 2)
 		for _, order := range [][]int{{0, 1}, {1, 0}} {
 			want := []float64{alone[order[0]], 32}
 			ps.Reset()
 			for n, i := range order {
-				if got := ps.Add(classes[i]); got != want[n] {
-					t.Errorf("r = %g: Add step %d of %v read %g, want %g", tc.r, n, order, got, want[n])
-				}
-			}
-			ps.Reset()
-			for n, i := range order {
-				if got, ok := ps.Grow(i, classes[i].Count); !ok || got != want[n] {
-					t.Errorf("r = %g: Grow step %d of %v read %g (certified %v), want %g", tc.r, n, order, got, ok, want[n])
+				if got, ok := ps.Extend(i); !ok || got != want[n] {
+					t.Errorf("r = %g: Extend step %d of %v read %g (certified %v), want %g", tc.r, n, order, got, ok, want[n])
 				}
 			}
 			if ps.Walk(order, vals); vals[0] != want[0] || vals[1] != want[1] {

@@ -150,37 +150,6 @@ func (m *Memo) Solve(pool Pool, reqs []Request) *Result {
 	return res
 }
 
-// Lookup returns the memoized Result for (pool, reqs) without ever
-// inserting: a hit counts and remaps exactly as Solve's hit path does; a
-// miss counts and returns (nil, false), leaving the solve decision to the
-// caller. The incremental prefix solver uses this on its fallback steps so
-// permutation walks read repeated aggregate keys from the table but cannot
-// flood it with one-off prefix signatures.
-func (m *Memo) Lookup(pool Pool, reqs []Request) (*Result, bool) {
-	if m.disabled.Load() {
-		return nil, false
-	}
-	s := memoScratchPool.Get().(*memoScratch)
-	identity := memoKey(s, pool, reqs)
-	stripe := memoStripe(s.buf)
-	m.mus[stripe].Lock()
-	canon, ok := m.tables[stripe][string(s.buf)]
-	m.mus[stripe].Unlock()
-	if !ok {
-		memoScratchPool.Put(s)
-		m.misses.Add(1)
-		return nil, false
-	}
-	m.hits.Add(1)
-	if identity {
-		memoScratchPool.Put(s)
-		return canon, true
-	}
-	res := remapResult(canon, s.perm)
-	memoScratchPool.Put(s)
-	return res, true
-}
-
 // memoSeed fixes the per-process stripe hash (striping need not be stable
 // across runs, only well spread within one).
 var memoSeed = maphash.MakeSeed()

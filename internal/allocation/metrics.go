@@ -12,7 +12,7 @@ import "fedshare/internal/obs"
 // performs no atomic operations.
 var (
 	prefixStepsTotal = obs.Default.Counter("fedshare_allocation_prefix_steps_total",
-		"Incremental prefix-solver steps (PrefixSolver.Add and Grow calls).")
+		"Incremental prefix-solver steps (PrefixSolver Extend and Walk steps that add locations).")
 	prefixFallbacksTotal = obs.Default.Counter("fedshare_allocation_prefix_fallbacks_total",
 		"Prefix-solver steps no incremental path could certify: a full re-solve of the prefix pool, or a count-vector memo read on the collapsed class game.")
 )

@@ -1,9 +1,6 @@
 package allocation
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Incremental prefix allocation.
 //
@@ -12,7 +9,7 @@ import (
 // step rebuilds the pool and re-runs the full allocation problem (2) of
 // Sec. 3.1, making a single permutation walk O(n²·solve). A PrefixSolver
 // instead carries the solved state of the current prefix and updates it
-// when one facility's class of locations joins the pool:
+// when one class of locations joins the pool:
 //
 //   - on the Gale–Ryser fast path (uniform request resources, linear
 //     utility, no binding Max — the paper's figure workloads), V equals
@@ -30,24 +27,22 @@ import (
 //     (every pool class's per-location capacity covers the total resource
 //     demand Σ_j r_j), the greedy provably admits every feasible request
 //     and tops each up independently, so V has a closed form evaluated in
-//     O(K). When the certificate fails, the solver falls back to a full
-//     re-solve of the prefix pool (counted; see PrefixStats) — reading
-//     the allocation memo but never inserting, so permutation walks do
-//     not flood the table with one-off prefix keys.
+//     O(K). When the certificate fails, the step is a fallback (counted;
+//     see PrefixStats): the pool of the walked classes is built and
+//     re-solved with Solve, with no cache in between.
 //
-// Add appends one class per step. Grow is the in-place variant for a
-// pool whose classes the caller fixes up front (SetLayout): a step adds
-// locations to an existing slot, as the collapsed class game does when a
-// template's aggregated class gains a replica. Walk values a whole walk
-// over a class list fixed up front (SetClasses) in one call, as the
-// sampler's distinct-facility walks do: it reads each class's capacity
-// bin, digested once, keeps the admitted count in locals while the
-// homogeneous fast path holds, and builds the pool a fallback re-solves
-// from the walked indices only when a step falls back. All three share
-// the location and histogram accounting (fastSlots) and the one set of
-// certification branches above; where neither branch applies, Grow
-// reports the step uncertified and leaves valuing it to the caller
-// instead of solving.
+// A walk draws from one class list, fixed up front and digested once
+// (SetClasses): each class's location count, capacity bin and scarcity.
+// Extend takes one step, adding classes[i], and reports whether a
+// certified path valued the pool; Resolve re-solves the walked pool for a
+// caller that needs an uncertified step's value. A caller that can value
+// uncertified steps better leaves them alone, as the collapsed class game
+// does: its classes are the templates, a replica of template j extends by
+// class j again, and its count-vector memo values the rest. Walk values a
+// whole walk in one call, as the sampler's distinct-facility walks do: it
+// keeps the admitted count in locals while the homogeneous fast path
+// holds, and re-solves each uncertified step. Both take the same steps
+// and build a fallback's pool the same way, from the walked indices.
 //
 // Values are bit-identical to Solve on the fast path (Solve runs the same
 // admission, and all its arithmetic is exact integer slot counting) and on
@@ -60,7 +55,8 @@ import (
 
 // PrefixStats counts how a PrefixSolver's steps were served.
 type PrefixStats struct {
-	// Steps is the number of Add and Grow calls.
+	// Steps is the number of steps that added locations: an Extend or
+	// Walk step adding a class without any leaves the counters alone.
 	Steps int64
 	// Fast is the number of steps valued by the d = 1 engine's
 	// Gale–Ryser admission.
@@ -69,33 +65,32 @@ type PrefixStats struct {
 	// repair (abundant-capacity closed form).
 	Repaired int64
 	// Fallbacks is the number of steps no incremental path could
-	// certify: Add re-solved the full prefix pool, Grow left the value
-	// to its caller.
+	// certify: Walk re-solved the pool, Extend left it to Resolve or to
+	// its caller.
 	Fallbacks int64
 }
 
 // PrefixSolver evaluates V over a growing pool of location classes for a
 // fixed request list. It is stateful and NOT safe for concurrent use;
-// create one per walker goroutine (they may share one Memo, which is
-// concurrency-safe).
+// create one per walker goroutine.
 type PrefixSolver struct {
-	demand // the request list, the histogram and the fast path's admission
-	memo   *Memo
+	demand         // the request list, the histogram and the fast path's admission
 	sumRes float64 // Σ_j Resources_j — the abundant-capacity bar
 
-	// Pool state. classes is the pool Add builds, or the classes of a
-	// Walk's first built steps, appended once a step falls back; slotCap
-	// the capacities of the layout Grow fills; walkClasses the class
-	// list Walk draws from, digested once into walkSteps.
-	classes     []Class
-	slotCap     []float64
-	walkClasses []Class
-	walkSteps   []stepClass
-	built       int
-	poolL       int
-	scarce      int // steps that added locations of Capacity < sumRes; only == 0 is read
+	// classes is the class list SetClasses fixed, digested once into
+	// steps. walked holds the class indices Extend has added since the
+	// last Reset. pool holds the classes with locations of the first
+	// built steps of a walk, appended once a step falls back.
+	classes []Class
+	steps   []stepClass
+	walked  []int
+	pool    []Class
+	built   int
+	poolL   int
+	scarce  int // steps that added locations of Capacity < sumRes; only == 0 is read
 
 	value float64
+	ok    bool // value is V of the pool
 	stats PrefixStats
 	// Flushed-to-metrics watermarks (see flushMetrics).
 	flushedSteps, flushedFallbacks int64
@@ -108,12 +103,10 @@ type stepClass struct {
 	count, bin, scarce int
 }
 
-// NewPrefixSolver builds a solver for the given request list. The memo,
-// when non-nil, is consulted (read-only) on fallback steps; pass nil to
-// always re-solve directly. It validates the requests with the same rules
-// Solve enforces.
-func NewPrefixSolver(reqs []Request, memo *Memo) (*PrefixSolver, error) {
-	ps := &PrefixSolver{memo: memo}
+// NewPrefixSolver builds a solver for the given request list. It
+// validates the requests with the same rules Solve enforces.
+func NewPrefixSolver(reqs []Request) (*PrefixSolver, error) {
+	ps := &PrefixSolver{ok: true}
 	if err := ps.init(reqs); err != nil {
 		return nil, err
 	}
@@ -123,23 +116,24 @@ func NewPrefixSolver(reqs []Request, memo *Memo) (*PrefixSolver, error) {
 	return ps, nil
 }
 
-// Reset empties the pool, starting a new walk; a layout set by SetLayout
-// stays, with every slot empty. Counter deltas accumulated since the
-// previous flush are published to the process metrics.
+// Reset empties the pool, starting a new walk. Counter deltas
+// accumulated since the previous flush are published to the process
+// metrics.
 func (ps *PrefixSolver) Reset() {
 	ps.flushMetrics()
-	ps.classes = ps.classes[:0]
+	ps.walked = ps.walked[:0]
+	ps.pool = ps.pool[:0]
 	ps.built = 0
 	ps.poolL = 0
 	ps.scarce = 0
 	clear(ps.hist)
 	ps.fast = fastSlots{}
-	ps.value = 0
+	ps.value, ps.ok = 0, true
 }
 
 // flushMetrics publishes counter deltas since the last flush to the
-// process-wide prefix metrics. Called from Reset so the hot Add path pays
-// no atomic operations.
+// process-wide prefix metrics. Called from Reset so the hot step path
+// pays no atomic operations.
 func (ps *PrefixSolver) flushMetrics() {
 	if d := ps.stats.Steps - ps.flushedSteps; d > 0 {
 		prefixStepsTotal.Add(d)
@@ -158,49 +152,57 @@ func (ps *PrefixSolver) Stats() PrefixStats {
 	return ps.stats
 }
 
-// Value returns V of the current pool; NaN after an uncertified Grow,
-// whose value the solver does not know.
-func (ps *PrefixSolver) Value() float64 { return ps.value }
-
-// Add grows the pool by one class and returns the new V — exactly
-// Solve(pool, reqs).Utility for the accumulated pool. It panics on
-// invalid classes, mirroring Solve.
-func (ps *PrefixSolver) Add(c Class) float64 {
-	if err := checkClass(len(ps.classes), c); err != nil {
-		panic(err)
-	}
-	ps.classes = append(ps.classes, c)
-	v, ok := ps.step(ps.stepClass(c.Count, c.Capacity))
-	if !ok {
-		v = ps.fallbackValue()
-	}
-	ps.value = v
-	return v
-}
-
-// SetClasses fixes the class list Walk draws from and empties the pool.
-// The solver keeps classes, which the caller must not change, and
-// digests each class once. It panics on invalid classes, mirroring Solve.
+// SetClasses fixes the class list Extend and Walk draw from and empties
+// the pool. The solver keeps classes, which the caller must not change,
+// and digests each class once. It panics on invalid classes, mirroring
+// Solve.
 func (ps *PrefixSolver) SetClasses(classes []Class) {
-	ps.walkSteps = ps.walkSteps[:0]
+	ps.steps = ps.steps[:0]
 	for i, c := range classes {
 		if err := checkClass(i, c); err != nil {
 			panic(err)
 		}
-		ps.walkSteps = append(ps.walkSteps, ps.stepClass(c.Count, c.Capacity))
+		sc := stepClass{count: c.Count, bin: ps.bin(c.Capacity)}
+		if c.Capacity < ps.sumRes {
+			sc.scarce = 1
+		}
+		ps.steps = append(ps.steps, sc)
 	}
-	ps.walkClasses = classes
+	ps.classes = classes
 	ps.Reset()
 }
 
-// Walk values one whole walk over the classes SetClasses fixed: it
-// empties the pool, adds classes[order[0]], classes[order[1]], … and
-// sets vals[n] to V after the (n+1)th, for every n < len(order). A class
-// without locations leaves the pool, V and the step counters as they
-// are, as a pool that omits it would. The values, the pool a fallback
-// solves and the counters are those of Add over the walked classes with
-// locations, bit for bit. A walk ends when Walk returns; the next starts
-// with Walk or Reset, not Add.
+// Extend adds classes[i] to the pool. When a certified path values the
+// grown pool, it returns V with ok set — exactly Solve(pool, reqs).Utility
+// for the pool of the classes added since Reset that have locations, in
+// the order added. Otherwise ok is false and the step is counted as a
+// fallback: Extend does not solve, and V is Resolve's or the caller's to
+// find. A class without locations leaves the pool, V, ok and the step
+// counters as they are. Certification depends only on the multiset of
+// classes added, never on the order that reached it.
+func (ps *PrefixSolver) Extend(i int) (v float64, ok bool) {
+	ps.walked = append(ps.walked, i)
+	if sc := ps.steps[i]; sc.count > 0 {
+		ps.value, ps.ok = ps.step(sc)
+	}
+	return ps.value, ps.ok
+}
+
+// Resolve returns V of the pool Extend has grown, solving the pool with
+// Solve; call it after an uncertified step. A later Extend that adds no
+// locations returns the resolved value as certain.
+func (ps *PrefixSolver) Resolve() float64 {
+	ps.value, ps.ok = ps.fallback(ps.walked, len(ps.walked)-1), true
+	return ps.value
+}
+
+// Walk values one whole walk over the class list: it empties the pool,
+// takes the steps of Extend(order[0]), Extend(order[1]), … and sets
+// vals[n] to V after the (n+1)th, for every n < len(order), re-solving
+// each step no certified path values as Resolve would. The values, the
+// pool a fallback solves and the counters are those of that Extend loop,
+// bit for bit. A walk ends when Walk returns; the next starts with Walk
+// or Reset, not Extend.
 func (ps *PrefixSolver) Walk(order []int, vals []float64) {
 	ps.Reset()
 	n := 0
@@ -208,10 +210,10 @@ func (ps *PrefixSolver) Walk(order []int, vals []float64) {
 		n = ps.walkHomog(order, vals)
 	}
 	for ; n < len(order); n++ {
-		if sc := ps.walkSteps[order[n]]; sc.count > 0 {
+		if sc := ps.steps[order[n]]; sc.count > 0 {
 			v, ok := ps.step(sc)
 			if !ok {
-				v = ps.walkFallback(order, n)
+				v = ps.fallback(order, n)
 			}
 			ps.value = v
 		}
@@ -226,7 +228,7 @@ func (ps *PrefixSolver) Walk(order []int, vals []float64) {
 // compiler keeps in registers; DESIGN.md §5.5 gives what that saves a
 // walk.
 func (ps *PrefixSolver) walkHomog(order []int, vals []float64) int {
-	steps, hist, k, l := ps.walkSteps, ps.hist, ps.k, ps.homogMin
+	steps, hist, k, l := ps.steps, ps.hist, ps.k, ps.homogMin
 	f, poolL, scarce, added := ps.fast, ps.poolL, ps.scarce, int64(0)
 	n := 0
 	for ; n < len(order); n++ {
@@ -249,68 +251,29 @@ func (ps *PrefixSolver) walkHomog(order []int, vals []float64) int {
 	return n
 }
 
-// walkFallback re-solves the pool after step n of a walk, first appending
-// the walked classes with locations that the pool does not hold yet.
-func (ps *PrefixSolver) walkFallback(order []int, n int) float64 {
+// fallback solves the pool after step n of the walk order — the walked
+// order of Extend, or Walk's — first appending the walked classes with
+// locations that the pool does not hold yet. The order is read, never
+// kept: Walk's belongs to its caller.
+func (ps *PrefixSolver) fallback(order []int, n int) float64 {
 	for ; ps.built <= n; ps.built++ {
-		if c := ps.walkClasses[order[ps.built]]; c.Count > 0 {
-			ps.classes = append(ps.classes, c)
+		if c := ps.classes[order[ps.built]]; c.Count > 0 {
+			ps.pool = append(ps.pool, c)
 		}
 	}
-	return ps.fallbackValue()
+	return Solve(Pool{Classes: ps.pool}, ps.reqs).Utility
 }
 
-// SetLayout fixes the pool layout Grow fills and empties the pool: slot
-// i is a class of per-location capacity capacities[i], starting with no
-// locations. One walk grows the pool by Add or by Grow, never both. It
-// panics on a negative capacity, mirroring Solve.
-func (ps *PrefixSolver) SetLayout(capacities []float64) {
-	for i, c := range capacities {
-		if err := checkClass(i, Class{Label: "slot", Capacity: c}); err != nil {
-			panic(err)
-		}
-	}
-	ps.slotCap = append(ps.slotCap[:0], capacities...)
-	ps.Reset()
-}
-
-// Grow adds count locations to slot i of the layout in place. When a
-// certified path values the grown pool, it returns V with ok set —
-// exactly Solve(pool, reqs).Utility for the pool of the non-empty slots
-// in slot order. Otherwise ok is false and the step is counted as a
-// fallback: Grow neither solves nor reads the memo, and V is the
-// caller's to find. Certification depends only on the slots' location
-// counts, never on the walk that reached them.
-func (ps *PrefixSolver) Grow(i, count int) (v float64, ok bool) {
-	if count < 0 {
-		panic(fmt.Sprintf("allocation: slot %d grown by negative count %d", i, count))
-	}
-	v, ok = ps.step(ps.stepClass(count, ps.slotCap[i]))
-	ps.value = v
-	return v, ok
-}
-
-// stepClass digests count locations of the given capacity for step.
-func (ps *PrefixSolver) stepClass(count int, capacity float64) stepClass {
-	sc := stepClass{count: count, bin: ps.bin(capacity)}
-	if capacity < ps.sumRes {
-		sc.scarce = 1
-	}
-	return sc
-}
-
-// step adds a class's locations to the pool's location and histogram
-// accounting, then values the pool on the cheapest certified path that
-// reproduces Solve: the d = 1 engine's admission, then certified greedy
-// repair. When neither applies, it counts a fallback and returns NaN with
-// ok false.
+// step adds a class's locations (sc.count > 0) to the pool's location
+// and histogram accounting, then values the pool on the cheapest
+// certified path that reproduces Solve: the d = 1 engine's admission,
+// then certified greedy repair. When neither applies, it counts a
+// fallback and returns NaN with ok false.
 func (ps *PrefixSolver) step(sc stepClass) (v float64, ok bool) {
 	ps.stats.Steps++
-	if sc.count > 0 {
-		ps.poolL += sc.count
-		ps.scarce += sc.scarce
-		ps.fast = ps.fast.add(ps.hist, sc.bin, sc.count)
-	}
+	ps.poolL += sc.count
+	ps.scarce += sc.scarce
+	ps.fast = ps.fast.add(ps.hist, sc.bin, sc.count)
 	if ps.linear(ps.poolL) {
 		ps.stats.Fast++
 		return float64(ps.admit(ps.poolL)), true
@@ -376,18 +339,4 @@ func greedyTopUp(r *Request, maxX int) int {
 		}
 	}
 	return lo
-}
-
-// fallbackValue re-solves the whole prefix pool: memo read first (repeated
-// aggregate keys — e.g. symmetric prefixes — still hit), then a direct
-// solve that is deliberately NOT inserted, so one-off prefix keys cannot
-// flood the memo.
-func (ps *PrefixSolver) fallbackValue() float64 {
-	pool := Pool{Classes: ps.classes}
-	if ps.memo != nil {
-		if res, ok := ps.memo.Lookup(pool, ps.reqs); ok {
-			return res.Utility
-		}
-	}
-	return Solve(pool, ps.reqs).Utility
 }

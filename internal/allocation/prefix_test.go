@@ -72,29 +72,49 @@ func randClasses(rng *stats.Rand, reqs []Request, abundant bool) []Class {
 	return classes
 }
 
-// walkAndCompare walks one random permutation of classes through ps,
-// comparing every step against a fresh Solve of the accumulated prefix
-// pool. Returns the largest absolute deviation observed.
-func walkAndCompare(t *testing.T, ps *PrefixSolver, reqs []Request, classes []Class, rng *stats.Rand, tol float64) float64 {
+// extendWalk takes one Extend step per class of order through ps,
+// re-solving each step Extend leaves uncertified, and sets vals[n] to V
+// after the (n+1)th.
+func extendWalk(ps *PrefixSolver, order []int, vals []float64) {
+	ps.Reset()
+	for n, i := range order {
+		v, ok := ps.Extend(i)
+		if !ok {
+			v = ps.Resolve()
+		}
+		vals[n] = v
+	}
+}
+
+// walkAndCompare walks one random permutation of classes, the class list
+// ps holds, by Extend and by Walk, and requires every step of both to
+// equal a fresh Solve of the accumulated prefix pool bit for bit.
+func walkAndCompare(t *testing.T, ps *PrefixSolver, reqs []Request, classes []Class, rng *stats.Rand) {
 	t.Helper()
 	perm := rng.Perm(len(classes))
-	ps.Reset()
+	walked, extended := make([]float64, len(perm)), make([]float64, len(perm))
+	ps.Walk(perm, walked)
+	extendWalk(ps, perm, extended)
 	pool := Pool{Classes: make([]Class, 0, len(classes))}
-	worst := 0.0
-	for step, ci := range perm {
-		got := ps.Add(classes[ci])
+	for n, ci := range perm {
 		pool.Classes = append(pool.Classes, classes[ci])
 		want := Solve(pool, reqs).Utility
-		diff := math.Abs(got - want)
-		if diff > worst {
-			worst = diff
-		}
-		if diff > tol {
-			t.Fatalf("step %d (%d classes): PrefixSolver=%g Solve=%g diff=%g > %g",
-				step, len(pool.Classes), got, want, diff, tol)
+		if math.Float64bits(extended[n]) != math.Float64bits(want) || math.Float64bits(walked[n]) != math.Float64bits(want) {
+			t.Fatalf("step %d (%d classes): Extend %.17g, Walk %.17g, Solve %.17g",
+				n, len(pool.Classes), extended[n], walked[n], want)
 		}
 	}
-	return worst
+}
+
+// newSolver builds a PrefixSolver over classes.
+func newSolver(t testing.TB, reqs []Request, classes []Class) *PrefixSolver {
+	t.Helper()
+	ps, err := NewPrefixSolver(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps.SetClasses(classes)
+	return ps
 }
 
 // TestPrefixSolverDifferentialFastPath walks ≥2000 random permutations of
@@ -102,30 +122,30 @@ func walkAndCompare(t *testing.T, ps *PrefixSolver, reqs []Request, classes []Cl
 // every prefix.
 func TestPrefixSolverDifferentialFastPath(t *testing.T) {
 	rng := stats.NewRand(7001)
-	perms := 0
-	var agg PrefixStats
+	perms, fast := 0, int64(0)
 	for trial := 0; perms < 2000; trial++ {
 		reqs := randFastRequests(rng)
 		classes := randClasses(rng, reqs, false)
-		ps, err := NewPrefixSolver(reqs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := newSolver(t, reqs, classes)
 		for w := 0; w < 5; w++ {
-			walkAndCompare(t, ps, reqs, classes, rng, 0)
+			walkAndCompare(t, ps, reqs, classes, rng)
 			perms++
 		}
-		agg = ps.Stats()
-		if agg.Fast == 0 {
-			t.Fatalf("fast-path instance took no fast steps: %+v", agg)
+		st := ps.Stats()
+		if st.Fast != st.Steps {
+			t.Fatalf("fast-path instance took steps off the fast path: %+v", st)
 		}
+		fast += st.Fast
 	}
-	t.Logf("fast differential: %d permutations", perms)
+	if fast == 0 {
+		t.Fatal("no step took the fast path")
+	}
+	t.Logf("fast differential: %d permutations, %d fast steps", perms, fast)
 }
 
 // TestPrefixSolverDifferentialGeneral walks ≥2000 random permutations of
-// general (greedy-engine) instances, requiring agreement within 1e-9 and
-// that both the certified repair and the fallback paths were exercised.
+// general (greedy-engine) instances, requiring exact agreement and that
+// both the certified repair and the fallback paths were exercised.
 func TestPrefixSolverDifferentialGeneral(t *testing.T) {
 	rng := stats.NewRand(7002)
 	perms := 0
@@ -133,12 +153,9 @@ func TestPrefixSolverDifferentialGeneral(t *testing.T) {
 	for trial := 0; perms < 2000; trial++ {
 		reqs := randGeneralRequests(rng)
 		classes := randClasses(rng, reqs, trial%2 == 0)
-		ps, err := NewPrefixSolver(reqs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := newSolver(t, reqs, classes)
 		for w := 0; w < 5; w++ {
-			walkAndCompare(t, ps, reqs, classes, rng, 1e-9)
+			walkAndCompare(t, ps, reqs, classes, rng)
 			perms++
 		}
 		st := ps.Stats()
@@ -155,83 +172,57 @@ func TestPrefixSolverDifferentialGeneral(t *testing.T) {
 		perms, repaired, fallbacks)
 }
 
-// TestPrefixSolverRepairPathExact pins the stronger property the repair
-// path actually provides: under the abundant-capacity certificate the
-// closed form reproduces solveGreedy bit-for-bit, not just within 1e-9.
+// TestPrefixSolverRepairPathExact pins the abundant-capacity certificate:
+// on instances where every class covers the total resource demand, no
+// step falls back, so every value is the closed form's.
 func TestPrefixSolverRepairPathExact(t *testing.T) {
 	rng := stats.NewRand(7003)
 	for trial := 0; trial < 200; trial++ {
 		reqs := randGeneralRequests(rng)
 		classes := randClasses(rng, reqs, true)
-		ps, err := NewPrefixSolver(reqs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walkAndCompare(t, ps, reqs, classes, rng, 0)
+		ps := newSolver(t, reqs, classes)
+		walkAndCompare(t, ps, reqs, classes, rng)
 		if st := ps.Stats(); st.Fallbacks != 0 {
 			t.Fatalf("abundant instance fell back %d times: %+v", st.Fallbacks, st)
 		}
 	}
 }
 
-// TestPrefixSolverMemoReadNoInsert checks the memo interplay: fallback
-// steps read the memo but never insert, so a walk cannot grow the table.
-func TestPrefixSolverMemoReadNoInsert(t *testing.T) {
-	rng := stats.NewRand(7004)
-	memo := NewMemo()
-	reqs := randGeneralRequests(rng)
-	classes := randClasses(rng, reqs, false)
-	ps, err := NewPrefixSolver(reqs, memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st PrefixStats
-	for w := 0; w < 20 && st.Fallbacks == 0; w++ {
-		walkAndCompare(t, ps, reqs, classes, rng, 1e-9)
-		st = ps.Stats()
-	}
-	if st.Fallbacks == 0 {
-		t.Skip("instance produced no fallback steps")
-	}
-	if entries := memo.Stats().Entries; entries != 0 {
-		t.Fatalf("prefix walk inserted %d memo entries", entries)
-	}
-	// Warm the memo with the full pool's aggregate key: the final prefix
-	// of the next walk must now read it (the class multiset matches
-	// regardless of permutation order).
-	memo.Solve(Pool{Classes: classes}, reqs)
-	before := memo.Stats().Hits
-	walkAndCompare(t, ps, reqs, classes, rng, 1e-9)
-	if st := ps.Stats(); st.Fallbacks > 0 && memo.Stats().Hits == before {
-		t.Fatal("fallback steps never read the warmed memo entry")
-	}
-}
-
-// TestPrefixSolverStatsAndReset checks the counters and that Reset fully
-// clears pool state.
+// TestPrefixSolverStatsAndReset checks the counters, that a class
+// without locations is no step, that Reset fully clears pool state, and
+// that the solver keeps no hold on Walk's order.
 func TestPrefixSolverStatsAndReset(t *testing.T) {
 	reqs := []Request{{Min: 1, Shape: 1, Resources: 1}, {Min: 2, Shape: 1, Resources: 1}}
-	ps, err := NewPrefixSolver(reqs, nil)
-	if err != nil {
-		t.Fatal(err)
+	ps := newSolver(t, reqs, []Class{{Count: 3, Capacity: 2}, {Count: 2, Capacity: 5}, {Count: 0, Capacity: 9}})
+	ps.Extend(0)
+	v, ok := ps.Extend(1)
+	if again, okAgain := ps.Extend(2); again != v || okAgain != ok {
+		t.Fatalf("a class without locations moved V from %g (%v) to %g (%v)", v, ok, again, okAgain)
 	}
-	ps.Add(Class{Count: 3, Capacity: 2})
-	ps.Add(Class{Count: 2, Capacity: 5})
 	st := ps.Stats()
-	if st.Steps != 2 || st.Fast != 2 {
-		t.Fatalf("unexpected stats %+v", st)
+	if st.Steps != 2 || st.Fast != 2 || !ok {
+		t.Fatalf("unexpected stats %+v (last step certified %v)", st, ok)
 	}
 	if st.Fallbacks != 0 {
 		t.Fatalf("%d fallbacks, want 0", st.Fallbacks)
 	}
-	v := ps.Value()
 	ps.Reset()
-	if ps.Value() != 0 {
-		t.Fatalf("value %g after Reset, want 0", ps.Value())
+	if got, ok := ps.Extend(2); got != 0 || !ok {
+		t.Fatalf("empty pool after Reset valued %g (certified %v), want 0", got, ok)
 	}
-	ps.Add(Class{Count: 3, Capacity: 2})
-	if got := ps.Add(Class{Count: 2, Capacity: 5}); got != v {
+	ps.Extend(0)
+	if got, _ := ps.Extend(1); got != v {
 		t.Fatalf("replayed walk gave %g, want %g", got, v)
+	}
+	// Walk reads its caller's order and keeps none of it: Extend steps
+	// after the next Reset leave the order as it was.
+	order := []int{1, 0}
+	ps.Walk(order, make([]float64, 2))
+	ps.Reset()
+	ps.Extend(2)
+	ps.Extend(2)
+	if order[0] != 1 || order[1] != 0 {
+		t.Fatalf("Extend after Walk wrote into the caller's order: %v", order)
 	}
 }
 
@@ -247,16 +238,13 @@ func TestPrefixSolverValidation(t *testing.T) {
 		{{Min: 0, Shape: 1, Resources: math.Inf(1)}},
 	}
 	for i, reqs := range bad {
-		if _, err := NewPrefixSolver(reqs, nil); err == nil {
+		if _, err := NewPrefixSolver(reqs); err == nil {
 			t.Errorf("case %d: invalid requests accepted", i)
 		}
 	}
-	ps, err := NewPrefixSolver(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := ps.Add(Class{Count: 3, Capacity: 1}); v != 0 {
-		t.Fatalf("empty request list valued %g, want 0", v)
+	ps := newSolver(t, nil, []Class{{Count: 3, Capacity: 1}})
+	if v, ok := ps.Extend(0); v != 0 || !ok {
+		t.Fatalf("empty request list valued %g (certified %v), want 0", v, ok)
 	}
 	for _, c := range []Class{{Count: -1, Capacity: 1}, {Count: 1, Capacity: -1}} {
 		func() {
@@ -265,56 +253,40 @@ func TestPrefixSolverValidation(t *testing.T) {
 					t.Errorf("invalid class %+v did not panic", c)
 				}
 			}()
-			ps.Add(c)
-		}()
-	}
-	for name, bad := range map[string]func(){
-		"negative slot capacity": func() { ps.SetLayout([]float64{1, -1}) },
-		"negative growth":        func() { ps.SetLayout([]float64{1}); ps.Grow(0, -1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			bad()
+			ps.SetClasses([]Class{{Count: 1, Capacity: 1}, c})
 		}()
 	}
 }
 
-// TestPrefixSolverConcurrentWalkers runs independent solvers sharing one
-// memo across goroutines — the allocation-level half of the race test
-// (run under -race in CI).
+// TestPrefixSolverConcurrentWalkers runs independent solvers over one
+// shared class list across goroutines, by Walk and by Extend — the
+// allocation-level half of the race test (run under -race in CI).
 func TestPrefixSolverConcurrentWalkers(t *testing.T) {
-	memo := NewMemo()
 	baseRng := stats.NewRand(7005)
 	reqs := randGeneralRequests(baseRng)
 	classes := randClasses(baseRng, reqs, false)
-	// Warm the memo so walkers exercise the concurrent read path too.
-	memo.Solve(Pool{Classes: classes}, reqs)
-
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
 			rng := stats.NewRand(seed)
-			ps, err := NewPrefixSolver(reqs, memo)
+			ps, err := NewPrefixSolver(reqs)
 			if err != nil {
-				errs <- err
+				t.Error(err)
 				return
 			}
+			ps.SetClasses(classes)
+			walked, extended := make([]float64, len(classes)), make([]float64, len(classes))
 			for walk := 0; walk < 25; walk++ {
 				perm := rng.Perm(len(classes))
-				ps.Reset()
+				ps.Walk(perm, walked)
+				extendWalk(ps, perm, extended)
 				pool := Pool{}
-				for _, ci := range perm {
-					got := ps.Add(classes[ci])
+				for n, ci := range perm {
 					pool.Classes = append(pool.Classes, classes[ci])
-					if want := Solve(pool, reqs).Utility; math.Abs(got-want) > 1e-9 {
-						t.Errorf("worker %d: got %g want %g", seed, got, want)
+					if want := Solve(pool, reqs).Utility; walked[n] != want || extended[n] != want {
+						t.Errorf("worker %d: Walk %g, Extend %g, Solve %g", seed, walked[n], extended[n], want)
 						return
 					}
 				}
@@ -322,73 +294,65 @@ func TestPrefixSolverConcurrentWalkers(t *testing.T) {
 		}(uint64(w + 1))
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
 }
 
-// TestPrefixSolverGrowMatchesSolve is the differential test of the
-// in-place layout: random slot layouts grown by random sequences, on fast
-// and general request lists. Every certified Grow value must equal Solve
-// of the non-empty slots in slot order bit for bit, and a step must be
-// uncertified exactly when Add, fed the same locations as one class per
-// step, falls back. Uncertified steps neither solve nor read the memo.
-func TestPrefixSolverGrowMatchesSolve(t *testing.T) {
+// TestPrefixSolverReplicaWalksMatchSolve is the differential test of the
+// collapsed class game's walks: the class list is a random set of
+// templates, and a walk extends by random template indices, one replica
+// of a template per step. Every certified value must equal Solve of the
+// templates' merged classes — replicas × locations each, non-empty ones in
+// template order, as the collapsed game's Value builds them — bit for
+// bit, on fast and general request lists. Whether a step is certified
+// must depend only on the multiset of templates walked: a fresh solver
+// extended by the same replicas in template order must agree.
+// Uncertified steps never solve: the collapsed game values them.
+func TestPrefixSolverReplicaWalksMatchSolve(t *testing.T) {
 	rng := stats.NewRand(7006)
-	memo := NewMemo()
 	var agg PrefixStats
 	for trial := 0; trial < 400; trial++ {
 		reqs := randFastRequests(rng)
 		if trial%2 == 1 {
 			reqs = randGeneralRequests(rng)
 		}
-		layout := randClasses(rng, reqs, trial%4 == 1)
-		caps := make([]float64, len(layout))
-		for i, c := range layout {
-			caps[i] = c.Capacity
-		}
-		grow, err := NewPrefixSolver(reqs, memo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		add, err := NewPrefixSolver(reqs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grow.SetLayout(caps)
-		counts := make([]int, len(caps))
+		tmpl := randClasses(rng, reqs, trial%4 == 1)
+		walker, sorted := newSolver(t, reqs, tmpl), newSolver(t, reqs, tmpl)
+		counts := make([]int, len(tmpl))
 		for walk := 0; walk < 3; walk++ {
-			grow.Reset()
-			add.Reset()
+			walker.Reset()
 			clear(counts)
-			for step := 0; step < 3*len(caps); step++ {
-				i, d := rng.Intn(len(caps)), rng.Intn(4)
-				counts[i] += d
-				got, ok := grow.Grow(i, d)
-				fallbacks := add.Stats().Fallbacks
-				addV := add.Add(Class{Count: d, Capacity: caps[i]})
-				if fellBack := add.Stats().Fallbacks > fallbacks; ok == fellBack {
-					t.Fatalf("trial %d step %d: Grow certified=%v, Add fell back=%v", trial, step, ok, fellBack)
+			for step := 0; step < 3*len(tmpl); step++ {
+				j := rng.Intn(len(tmpl))
+				counts[j]++
+				got, ok := walker.Extend(j)
+				sorted.Reset()
+				sortedOK := true
+				for i, c := range counts {
+					for r := 0; r < c; r++ {
+						_, sortedOK = sorted.Extend(i)
+					}
+				}
+				if ok != sortedOK {
+					t.Fatalf("trial %d step %d: walk certified=%v, same replicas in template order certified=%v", trial, step, ok, sortedOK)
 				}
 				if !ok {
-					if !math.IsNaN(got) || !math.IsNaN(grow.Value()) {
-						t.Fatalf("trial %d step %d: uncertified Grow reported %g, Value %g", trial, step, got, grow.Value())
+					if !math.IsNaN(got) || len(walker.pool) != 0 {
+						t.Fatalf("trial %d step %d: uncertified step reported %g and built a pool of %d classes", trial, step, got, len(walker.pool))
 					}
 					continue
 				}
 				var pool Pool
-				for s, c := range counts {
-					if c > 0 {
-						pool.Classes = append(pool.Classes, Class{Count: c, Capacity: caps[s]})
+				for i, c := range counts {
+					if cl := tmpl[i]; c > 0 && cl.Count > 0 {
+						cl.Count *= c
+						pool.Classes = append(pool.Classes, cl)
 					}
 				}
-				if want := Solve(pool, reqs).Utility; got != want || addV != want || grow.Value() != want {
-					t.Fatalf("trial %d step %d: Grow %.17g, Add %.17g, Solve %.17g", trial, step, got, addV, want)
+				if want := Solve(pool, reqs).Utility; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d step %d: walk %.17g, Solve of the merged classes %.17g", trial, step, got, want)
 				}
 			}
 		}
-		st := grow.Stats()
+		st := walker.Stats()
 		agg.Steps += st.Steps
 		agg.Fast += st.Fast
 		agg.Repaired += st.Repaired
@@ -397,10 +361,7 @@ func TestPrefixSolverGrowMatchesSolve(t *testing.T) {
 	if agg.Fast == 0 || agg.Repaired == 0 || agg.Fallbacks == 0 {
 		t.Fatalf("every step kind must occur: %+v", agg)
 	}
-	if ms := memo.Stats(); ms.Hits+ms.Misses != 0 {
-		t.Fatalf("Grow consulted the memo: %+v", ms)
-	}
-	t.Logf("grow differential: %+v", agg)
+	t.Logf("replica walks: %+v", agg)
 }
 
 // longWalkCase is one request list of TestPrefixSolverLongWalks with the
@@ -481,36 +442,42 @@ func longWalkCases(rng *stats.Rand) []longWalkCase {
 // TestPrefixSolverLongWalks walks hundreds of classes against up to 150
 // requests, so the admitted count moves through most of 0..k within one
 // walk — on both minima kinds, with l = 0, with capacities past the k
-// cap, and with a Max that starts to bind mid-walk. Every step must equal
-// a fresh Solve bit for bit. Each solver is reused across walks, and each
-// walk after a Reset must also equal a fresh solver's, step for step.
+// cap, and with a Max that starts to bind mid-walk. Every Extend step,
+// re-solved where uncertified, must equal a fresh Solve bit for bit, and
+// Walk must return the same values. Each solver is reused across walks,
+// and each walk after a Reset must also equal a fresh solver's, step for
+// step.
 func TestPrefixSolverLongWalks(t *testing.T) {
 	rng := stats.NewRand(7007)
 	var fastBounded, reachedK, fellBack int
 	for _, tc := range longWalkCases(rng) {
-		ps, err := NewPrefixSolver(tc.reqs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := newSolver(t, tc.reqs, tc.classes)
+		extended, walked := make([]float64, len(tc.classes)), make([]float64, len(tc.classes))
 		var fresh *PrefixSolver // second walk only: ps has been Reset
 		for walk := 0; walk < 2; walk++ {
 			if walk > 0 {
 				ps.Reset()
-				if fresh, err = NewPrefixSolver(tc.reqs, nil); err != nil {
-					t.Fatal(err)
-				}
+				fresh = newSolver(t, tc.reqs, tc.classes)
 			}
+			perm := rng.Perm(len(tc.classes))
 			pool := Pool{Classes: make([]Class, 0, len(tc.classes))}
-			for step, ci := range rng.Perm(len(tc.classes)) {
-				c := tc.classes[ci]
+			for step, ci := range perm {
 				before := ps.Stats()
-				got := ps.Add(c)
-				pool.Classes = append(pool.Classes, c)
+				got, ok := ps.Extend(ci)
+				if !ok {
+					got = ps.Resolve()
+				}
+				extended[step] = got
+				pool.Classes = append(pool.Classes, tc.classes[ci])
 				if want := Solve(pool, tc.reqs).Utility; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s walk %d step %d: PrefixSolver %.17g, Solve %.17g", tc.name, walk, step, got, want)
 				}
 				if fresh != nil {
-					if again := fresh.Add(c); math.Float64bits(again) != math.Float64bits(got) {
+					again, ok := fresh.Extend(ci)
+					if !ok {
+						again = fresh.Resolve()
+					}
+					if math.Float64bits(again) != math.Float64bits(got) {
 						t.Fatalf("%s step %d: after Reset %.17g, fresh solver %.17g", tc.name, step, got, again)
 					}
 				}
@@ -525,6 +492,12 @@ func TestPrefixSolverLongWalks(t *testing.T) {
 			if ps.homogMin >= 0 && ps.fast.m == ps.k {
 				reachedK++
 			}
+			ps.Walk(perm, walked)
+			for step := range perm {
+				if math.Float64bits(walked[step]) != math.Float64bits(extended[step]) {
+					t.Fatalf("%s walk %d step %d: Walk %.17g, Extend %.17g", tc.name, walk, step, walked[step], extended[step])
+				}
+			}
 		}
 	}
 	if fastBounded == 0 || reachedK == 0 || fellBack == 0 {
@@ -533,91 +506,71 @@ func TestPrefixSolverLongWalks(t *testing.T) {
 	}
 }
 
-// FuzzPrefixSolver walks a decoded class sequence by Add, by Grow on a
-// slot layout and by Walk, forward and reversed. Add is compared with
-// Solve at every step, bit for bit. Grow is checked on certified steps,
-// and a step must be uncertified exactly when Add falls back. Walk must
-// return, at every step, the value of an Add walk over the same classes
-// with locations in the same order, and end with the same counters.
+// FuzzPrefixSolver walks a decoded class sequence, one class per step, by
+// Extend and by Walk, forward and reversed. Every Extend step, re-solved
+// where uncertified, is compared with Solve of the walked classes bit for
+// bit. A certified step must also equal Solve of the slot pool: each
+// slot's locations so far merged into one class, non-empty slots in slot
+// order, as the collapsed class game's Value merges a template's
+// replicas. Walk must return the Extend walk's values at every step and
+// end with its counters.
 func FuzzPrefixSolver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, caps, steps := decodePrefixWalk(data)
-		checkWalk(t, reqs, caps, steps)
-		add, err := NewPrefixSolver(reqs, nil)
-		if err != nil {
-			t.Fatal(err)
+		classes := make([]Class, len(steps))
+		for n, s := range steps {
+			classes[n] = Class{Label: "c", Count: s[1], Capacity: caps[s[0]]}
 		}
-		grow, err := NewPrefixSolver(reqs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grow.SetLayout(caps)
+		ps := newSolver(t, reqs, classes)
 		var pool Pool
 		counts := make([]int, len(caps))
 		for n, s := range steps {
-			c := Class{Label: "c", Count: s[1], Capacity: caps[s[0]]}
-			fallbacks := add.Stats().Fallbacks
-			got := add.Add(c)
-			pool.Classes = append(pool.Classes, c)
-			if want := Solve(pool, reqs).Utility; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("step %d: Add %.17g, Solve %.17g\nrequests %+v\npool %+v", n, got, want, reqs, pool.Classes)
-			}
+			v, ok := ps.Extend(n)
 			counts[s[0]] += s[1]
-			v, ok := grow.Grow(s[0], s[1])
-			if fellBack := add.Stats().Fallbacks > fallbacks; ok == fellBack {
-				t.Fatalf("step %d: Grow certified=%v, Add fell back=%v", n, ok, fellBack)
-			}
-			if !ok {
-				continue
-			}
-			var slots Pool
-			for i, c := range counts {
-				if c > 0 {
-					slots.Classes = append(slots.Classes, Class{Label: "c", Count: c, Capacity: caps[i]})
+			if ok {
+				var slots Pool
+				for i, c := range counts {
+					if c > 0 {
+						slots.Classes = append(slots.Classes, Class{Label: "c", Count: c, Capacity: caps[i]})
+					}
 				}
+				if want := Solve(slots, reqs).Utility; math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("step %d: certified %.17g, Solve of the slots %.17g\nrequests %+v\nslots %+v", n, v, want, reqs, slots.Classes)
+				}
+			} else {
+				v = ps.Resolve()
 			}
-			if want := Solve(slots, reqs).Utility; math.Float64bits(v) != math.Float64bits(want) {
-				t.Fatalf("step %d: Grow %.17g, Solve %.17g\nrequests %+v\nslots %+v", n, v, want, reqs, slots.Classes)
+			pool.Classes = append(pool.Classes, classes[n])
+			if want := Solve(pool, reqs).Utility; math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("step %d: Extend %.17g (certified %v), Solve %.17g\nrequests %+v\npool %+v", n, v, ok, want, reqs, pool.Classes)
 			}
 		}
+		checkWalk(t, reqs, classes)
 	})
 }
 
-// checkWalk runs the decoded walk through Walk, forward and reversed,
-// against an Add walk over the same classes that skips those without
-// locations.
-func checkWalk(t *testing.T, reqs []Request, caps []float64, steps [][2]int) {
+// checkWalk runs Walk over classes, forward and reversed, against an
+// Extend walk in the same order on a second solver: values at every step
+// and the four counters must agree.
+func checkWalk(t *testing.T, reqs []Request, classes []Class) {
 	t.Helper()
-	classes := make([]Class, len(steps))
-	order := make([]int, len(steps))
-	for n, s := range steps {
-		classes[n] = Class{Label: "c", Count: s[1], Capacity: caps[s[0]]}
+	order := make([]int, len(classes))
+	for n := range order {
 		order[n] = n
 	}
-	walk, err := NewPrefixSolver(reqs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	walk.SetClasses(classes)
-	vals := make([]float64, len(order))
+	walk := newSolver(t, reqs, classes)
+	walked, extended := make([]float64, len(order)), make([]float64, len(order))
 	for _, rev := range []bool{false, true} {
 		if rev {
 			slices.Reverse(order)
 		}
-		ref, err := NewPrefixSolver(reqs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newSolver(t, reqs, classes)
 		before := walk.Stats()
-		walk.Walk(order, vals)
+		walk.Walk(order, walked)
+		extendWalk(ref, order, extended)
 		for n := range order {
-			c := classes[order[n]]
-			want := ref.Value()
-			if c.Count > 0 {
-				want = ref.Add(c)
-			}
-			if math.Float64bits(vals[n]) != math.Float64bits(want) {
-				t.Fatalf("rev=%v step %d: Walk %.17g, Add %.17g\nrequests %+v\nclasses %+v", rev, n, vals[n], want, reqs, classes)
+			if math.Float64bits(walked[n]) != math.Float64bits(extended[n]) {
+				t.Fatalf("rev=%v step %d: Walk %.17g, Extend %.17g\nrequests %+v\nclasses %+v", rev, n, walked[n], extended[n], reqs, classes)
 			}
 		}
 		after := walk.Stats()
@@ -626,7 +579,7 @@ func checkWalk(t *testing.T, reqs []Request, caps []float64, steps [][2]int) {
 			Repaired: after.Repaired - before.Repaired, Fallbacks: after.Fallbacks - before.Fallbacks,
 		}
 		if want := ref.Stats(); got != want {
-			t.Fatalf("rev=%v: Walk counters %+v, Add counters %+v", rev, got, want)
+			t.Fatalf("rev=%v: Walk counters %+v, Extend counters %+v", rev, got, want)
 		}
 	}
 }

@@ -157,6 +157,13 @@ func (m *Model) muFactor() float64 {
 // N returns the number of facilities.
 func (m *Model) N() int { return len(m.Facilities) }
 
+// class returns facility i's location class: L_i locations of capacity
+// R_i·T_i.
+func (m *Model) class(i int) allocation.Class {
+	f := &m.Facilities[i]
+	return allocation.Class{Label: f.Name, Count: f.Locations, Capacity: f.EffectiveCapacity()}
+}
+
 // ownerWeight attributes a pool class to contributing facilities.
 type ownerWeight struct {
 	facility int
@@ -170,21 +177,21 @@ type pooling struct {
 	owners [][]ownerWeight // per class
 }
 
+// addFacility adds disjoint facility i's class, owned by i alone, unless
+// it has no locations.
+func (p *pooling) addFacility(m *Model, i int) {
+	if m.Facilities[i].Locations > 0 {
+		p.pool.Classes = append(p.pool.Classes, m.class(i))
+		p.owners = append(p.owners, []ownerWeight{{facility: i, frac: 1}})
+	}
+}
+
 // poolFor builds the location pool available to coalition s.
 func (m *Model) poolFor(s combin.Set) pooling {
 	if m.Overlap == nil {
 		var p pooling
 		for _, i := range s.Members() {
-			f := m.Facilities[i]
-			if f.Locations == 0 {
-				continue
-			}
-			p.pool.Classes = append(p.pool.Classes, allocation.Class{
-				Label:    f.Name,
-				Count:    f.Locations,
-				Capacity: f.EffectiveCapacity(),
-			})
-			p.owners = append(p.owners, []ownerWeight{{facility: i, frac: 1}})
+			p.addFacility(m, i)
 		}
 		return p
 	}
@@ -257,7 +264,7 @@ func (m *Model) buildRequests() []allocation.Request {
 		t := class.Type
 		maxLoc := 0 // unbounded
 		if !math.IsInf(t.MaxLocations, 1) {
-			maxLoc = int(math.Floor(t.MaxLocations))
+			maxLoc = economics.LocationCount(math.Floor(t.MaxLocations))
 		}
 		for k := 0; k < class.Count; k++ {
 			reqs = append(reqs, allocation.Request{
@@ -287,15 +294,9 @@ func (m *Model) Value(s combin.Set) float64 {
 		scratch := classScratchPool.Get().(*[]allocation.Class)
 		classes := (*scratch)[:0]
 		for i := range m.Facilities {
-			f := &m.Facilities[i]
-			if !s.Contains(i) || f.Locations == 0 {
-				continue
+			if s.Contains(i) && m.Facilities[i].Locations > 0 {
+				classes = append(classes, m.class(i))
 			}
-			classes = append(classes, allocation.Class{
-				Label:    f.Name,
-				Count:    f.Locations,
-				Capacity: f.EffectiveCapacity(),
-			})
 		}
 		res := allocation.SolveCached(allocation.Pool{Classes: classes}, m.requests())
 		*scratch = classes
@@ -333,15 +334,9 @@ func (m *Model) ValueMembers(members []int) float64 {
 	scratch := classScratchPool.Get().(*[]allocation.Class)
 	classes := (*scratch)[:0]
 	for _, i := range members {
-		f := &m.Facilities[i]
-		if f.Locations == 0 {
-			continue
+		if m.Facilities[i].Locations > 0 {
+			classes = append(classes, m.class(i))
 		}
-		classes = append(classes, allocation.Class{
-			Label:    f.Name,
-			Count:    f.Locations,
-			Capacity: f.EffectiveCapacity(),
-		})
 	}
 	res := allocation.SolveCached(allocation.Pool{Classes: classes}, m.requests())
 	*scratch = classes
@@ -372,13 +367,16 @@ type classSignature struct {
 // sit next to each other in a per-replica pool, so the greedy engine sees
 // the same location sequence with the same capacities, and the d = 1
 // engine sees the same capacity histogram; only Utility is read.
-// Its incremental evaluator (Prefix) walks those same merged classes on an
-// allocation.PrefixSolver, one slot per template in template order, and
-// certifies the steps the solver's fast path or abundant repair values;
-// the sampler sends every other step to the count-vector memo of
-// coalition.ClassStructure.MemberGame, the one cache on this path. The
-// process-wide allocation memo holds only direct evaluations (Value,
-// ValueMembers).
+// Its incremental evaluator (Prefix) is the one Model.PrefixValuer uses,
+// over one class per template — L_j locations of capacity R_j·T_j — in
+// template order. A replica of template j extends the pool by class j
+// again, which adds the locations the merged class gains; certification
+// depends only on the classes added, so the evaluator certifies exactly
+// the count vectors the solver's fast path or abundant repair values, and
+// never solves. The sampler sends every other step to the count-vector
+// memo of coalition.ClassStructure.MemberGame, the one cache on this
+// path. The process-wide allocation memo holds only direct evaluations
+// (Value, ValueMembers).
 func (m *Model) ClassStructure() *coalition.ClassStructure {
 	if m.Overlap != nil {
 		return nil
@@ -404,26 +402,30 @@ func (m *Model) ClassStructure() *coalition.ClassStructure {
 		classOf[i] = j
 		mult[j]++
 	}
+	tmpl := make([]allocation.Class, len(reps)) // template j's class: facility reps[j]'s
+	for j, i := range reps {
+		tmpl[j] = m.class(i)
+	}
 	return &coalition.ClassStructure{
 		Mult:    mult,
 		ClassOf: classOf,
 		Value: func(counts []int) float64 {
 			classes := make([]allocation.Class, 0, len(counts))
 			for j, c := range counts {
-				f := &m.Facilities[reps[j]]
-				if c == 0 || f.Locations == 0 {
-					continue
+				if cl := tmpl[j]; c > 0 && cl.Count > 0 {
+					cl.Count *= c
+					classes = append(classes, cl)
 				}
-				classes = append(classes, allocation.Class{
-					Label:    f.Name,
-					Count:    c * f.Locations,
-					Capacity: f.EffectiveCapacity(),
-				})
 			}
 			res := allocation.Solve(allocation.Pool{Classes: classes}, m.requests())
 			return m.muFactor() * res.Utility
 		},
-		Prefix: func() coalition.ClassPrefix { return m.classPrefix(reps) },
+		Prefix: func() coalition.ClassPrefix {
+			if e := m.newPrefixEvaluator(tmpl); e != nil {
+				return e
+			}
+			return nil // a nil *prefixEvaluator would be a non-nil ClassPrefix
+		},
 	}
 }
 
@@ -497,24 +499,16 @@ func (m *Model) ConsumptionByFacility() []float64 {
 	return out
 }
 
-// grandPool builds the grand coalition's pooling. Disjoint models beyond
-// the bitmask bound assemble it directly from the facility list; everything
-// else goes through poolFor.
+// grandPool builds the grand coalition's pooling. Disjoint models, which
+// may pass the bitmask bound, assemble it from the facility list in
+// poolFor's order; overlap models go through poolFor.
 func (m *Model) grandPool() pooling {
-	if m.Overlap != nil || m.N() <= combin.MaxPlayers {
+	if m.Overlap != nil {
 		return m.poolFor(combin.Full(m.N()))
 	}
 	var p pooling
-	for i, f := range m.Facilities {
-		if f.Locations == 0 {
-			continue
-		}
-		p.pool.Classes = append(p.pool.Classes, allocation.Class{
-			Label:    f.Name,
-			Count:    f.Locations,
-			Capacity: f.EffectiveCapacity(),
-		})
-		p.owners = append(p.owners, []ownerWeight{{facility: i, frac: 1}})
+	for i := range m.Facilities {
+		p.addFacility(m, i)
 	}
 	return p
 }

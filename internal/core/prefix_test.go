@@ -186,6 +186,42 @@ func TestModelPrefixValuerMatchesValueMembers(t *testing.T) {
 	}
 }
 
+// TestPrefixWalksLeaveMemoAlone walks a mixed-shape greedy model, where
+// every prefix step falls back to a full solve, through
+// Model.PrefixValuer's batch Walk and through an Extend per step. The
+// process-wide allocation memo must read the same hits, misses and
+// entries afterwards: a walk's fallbacks solve their pools directly,
+// with no lookup and no insert.
+func TestPrefixWalksLeaveMemoAlone(t *testing.T) {
+	m := walkCaseModel(t, 16, []int{3},
+		walkDemand("sublinear", 6, 2, 6, 0.7), walkDemand("superlinear", 4, 3, math.Inf(1), 1.3))
+	pv := m.PrefixValuer()
+	batch := pv.(interface {
+		Walk(perm []int, vals []float64)
+	})
+	step := stepValuer{m.PrefixValuer()}
+	vals := make([]float64, m.N())
+	rng := stats.NewRand(37)
+	before := allocation.DefaultMemo.Stats()
+	_, f0 := allocation.PrefixCounters()
+	for walk := 0; walk < 20; walk++ {
+		perm := rng.Perm(m.N())
+		batch.Walk(perm, vals)
+		step.Reset()
+		for _, p := range perm {
+			step.Extend(p)
+		}
+	}
+	pv.Reset()
+	step.Reset()
+	if _, f1 := allocation.PrefixCounters(); f1-f0 < int64(2*20*(m.N()-1)) {
+		t.Fatalf("%d fallbacks, want every step with locations to fall back", f1-f0)
+	}
+	if after := allocation.DefaultMemo.Stats(); after != before {
+		t.Fatalf("prefix walks moved the allocation memo: %+v -> %+v", before, after)
+	}
+}
+
 // TestModelPrefixValuerNilForOverlap: overlap models have no incremental
 // pool state; the walker must fall back to ValueMembers.
 func TestModelPrefixValuerNilForOverlap(t *testing.T) {
@@ -195,6 +231,25 @@ func TestModelPrefixValuerNilForOverlap(t *testing.T) {
 	}
 	if m.PrefixValuer() != nil {
 		t.Fatal("overlap model handed out a PrefixValuer")
+	}
+}
+
+// TestPrefixEvaluatorNilOnInvalidDemand: when the allocation engine
+// refuses the demand (here a request of zero resources, which only a
+// workload built without NewWorkload can hold), both sampled games hand
+// out no evaluator, as an untyped nil, so their walkers take the
+// non-incremental path that reports the error.
+func TestPrefixEvaluatorNilOnInvalidDemand(t *testing.T) {
+	m, err := NewModel([]Facility{{Name: "A", Locations: 2, Resources: 1}, {Name: "B", Locations: 3, Resources: 1}},
+		&economics.Workload{Classes: []economics.DemandClass{{Type: economics.ExperimentType{Name: "bad", Shape: 1}, Count: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pv := m.PrefixValuer(); pv != nil {
+		t.Errorf("PrefixValuer handed out %T on invalid demand", pv)
+	}
+	if ev := m.ClassStructure().Prefix(); ev != nil {
+		t.Errorf("ClassStructure.Prefix handed out %T on invalid demand", ev)
 	}
 }
 
@@ -287,12 +342,12 @@ func TestClassStructurePrefixWalk(t *testing.T) {
 	for name, m := range models {
 		cs := m.ClassStructure()
 		var mu sync.Mutex
-		var evs []*classPrefix
+		var evs []*prefixEvaluator
 		inner := cs.Prefix
 		cs.Prefix = func() coalition.ClassPrefix {
 			ev := inner()
 			mu.Lock()
-			evs = append(evs, ev.(*classPrefix))
+			evs = append(evs, ev.(*prefixEvaluator))
 			mu.Unlock()
 			return ev
 		}

@@ -50,7 +50,7 @@ func (u ThresholdPower) Eval(x float64) float64 {
 }
 
 // Threshold returns the minimum acceptable location count as an integer:
-// the smallest whole x with u(x) > 0.
+// the smallest whole x with u(x) > 0, saturated as LocationCount does.
 func (u ThresholdPower) Threshold() int {
 	if u.L <= 0 {
 		if u.Strict && u.L == 0 {
@@ -58,11 +58,23 @@ func (u ThresholdPower) Threshold() int {
 		}
 		return 0
 	}
-	l := int(math.Ceil(u.L))
-	if u.Strict && float64(l) == u.L {
+	c := math.Ceil(u.L)
+	l := LocationCount(c)
+	if u.Strict && c == u.L && l < math.MaxInt {
 		l++
 	}
 	return l
+}
+
+// LocationCount converts a whole number of locations held in a float64
+// to an int, saturating at math.MaxInt, a count no pool reaches. The
+// comparison is made in float64 before converting, so a count past the
+// int range (a spec's "min_locations": 1e300) cannot wrap negative.
+func LocationCount(x float64) int {
+	if x < float64(math.MaxInt) { // so x < MaxInt+1, and int(x) fits
+		return int(x)
+	}
+	return math.MaxInt
 }
 
 // Linear is a linear utility with no threshold (a degenerate ThresholdPower

@@ -73,6 +73,12 @@ func TestThreshold(t *testing.T) {
 		{ThresholdPower{L: 50, D: 1, Strict: true}, 51},
 		{ThresholdPower{L: 0, D: 1}, 0},
 		{ThresholdPower{L: 0, D: 1, Strict: true}, 1},
+		// Past the int range the count saturates instead of wrapping.
+		{ThresholdPower{L: 1 << 62, D: 1, Strict: true}, 1<<62 + 1},
+		{ThresholdPower{L: 1 << 63, D: 1}, math.MaxInt},
+		{ThresholdPower{L: 1 << 63, D: 1, Strict: true}, math.MaxInt},
+		{ThresholdPower{L: 1e300, D: 1}, math.MaxInt},
+		{ThresholdPower{L: 1e300, D: 1, Strict: true}, math.MaxInt},
 	}
 	for _, c := range cases {
 		if got := c.u.Threshold(); got != c.want {

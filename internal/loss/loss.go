@@ -113,7 +113,7 @@ func Simulate(cfg Config) (*Metrics, error) {
 		minX := u.Threshold()
 		maxX := L
 		if !math.IsInf(t.MaxLocations, 1) {
-			maxX = int(math.Floor(t.MaxLocations))
+			maxX = economics.LocationCount(math.Floor(t.MaxLocations))
 			if maxX > L {
 				maxX = L
 			}

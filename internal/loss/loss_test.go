@@ -2,6 +2,7 @@ package loss
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"fedshare/internal/coalition"
@@ -96,6 +97,29 @@ func TestZeroLoadNoBlocking(t *testing.T) {
 	}
 	if m.Blocking["u"] > 0.001 {
 		t.Errorf("blocking %g at negligible load", m.Blocking["u"])
+	}
+}
+
+// TestHugeMaxLocationsIsUnbounded: a maximum past the int range admits
+// as an unbounded one does, instead of wrapping negative and blocking
+// every arrival.
+func TestHugeMaxLocationsIsUnbounded(t *testing.T) {
+	run := func(max float64) *Metrics {
+		et := economics.ExperimentType{Name: "e", MinLocations: 2, MaxLocations: max, Resources: 1, HoldingTime: 0.2, Shape: 1}
+		m, err := Simulate(Config{
+			Stations: []Station{{Label: "s", Count: 4, Capacity: 2}},
+			Arrivals: []economics.ArrivalSpec{{Type: et, Rate: 2}},
+			Horizon:  200,
+			Seed:     3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	huge, unbounded := run(1e300), run(math.Inf(1))
+	if unbounded.Accepted == 0 || !reflect.DeepEqual(huge, unbounded) {
+		t.Errorf("MaxLocations 1e300: %+v; unbounded: %+v", huge, unbounded)
 	}
 }
 

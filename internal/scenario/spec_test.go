@@ -320,3 +320,45 @@ func TestRunErrorsCarryContext(t *testing.T) {
 		t.Fatalf("Run must surface the unknown policy, got %v", err)
 	}
 }
+
+// TestThresholdPastIntRange runs a spec whose threshold,
+// "min_locations": 1e300, lies past the int range, exact and sampled. No
+// pool of its 10 locations reaches it, so it must give the result table
+// of the threshold 11, the first above every pool, where every Shapley
+// share reads 0, instead of failing on a negative minimum.
+func TestThresholdPastIntRange(t *testing.T) {
+	run := func(method, min string) *Result {
+		t.Helper()
+		s, err := ParseSpec([]byte(`{
+  "id": "threshold-past-int-range",
+  "facilities": [
+    {"name": "A", "locations": 4, "resources": 1},
+    {"name": "B", "locations": 6, "resources": 2}
+  ],
+  "demand": [{"name": "batch", "count": 5, "min_locations": ` + min + `}],
+  "method": "` + method + `",
+  "axis": {"variable": "count", "from": 1, "to": 3, "step": 1}
+}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(s)
+		if err != nil {
+			t.Fatalf("%s, min_locations %s: %v", method, min, err)
+		}
+		return res
+	}
+	for _, method := range []string{"exact", "approx"} {
+		huge, want := run(method, "1e300"), run(method, "11")
+		if huge.Table() != want.Table() {
+			t.Errorf("%s: min_locations 1e300 gives\n%s\nmin_locations 11 gives\n%s", method, huge.Table(), want.Table())
+		}
+		for _, ser := range want.Series[:2] {
+			for _, p := range ser.Points {
+				if p.Y != 0 {
+					t.Errorf("%s: %s at %g is %g, want 0", method, ser.Name, p.X, p.Y)
+				}
+			}
+		}
+	}
+}
