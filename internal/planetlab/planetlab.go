@@ -8,8 +8,11 @@
 package planetlab
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -79,38 +82,85 @@ type Sliver struct {
 type Authority struct {
 	Name string
 
-	mu    sync.Mutex
-	sites []*Site
-	// load[nodeKey] counts slivers currently placed on a node.
-	load map[string]int
+	mu sync.Mutex
+	// sites holds the sites in AddSite order, each with its node loads.
+	sites []*siteLoad
+	// index maps a site ID to its entry in sites.
+	index map[string]*siteLoad
+	// byID lists the sites in ID order. AddSite leaves it short, and
+	// AvailableSites re-sorts it then, so building a large authority
+	// costs one sort.
+	byID []*siteLoad
+}
+
+// siteLoad is one site and its ledger: load[j] counts the slivers placed
+// on site.Nodes[j].
+type siteLoad struct {
+	site *Site
+	load []int
+}
+
+// free returns the site's unreserved sliver slots.
+func (sl *siteLoad) free() int {
+	free := 0
+	for j, n := range sl.site.Nodes {
+		free += n.Capacity - sl.load[j]
+	}
+	return free
+}
+
+// node returns the position of the node with the given ID, or -1.
+func (sl *siteLoad) node(id string) int {
+	for j := range sl.site.Nodes {
+		if sl.site.Nodes[j].ID == id {
+			return j
+		}
+	}
+	return -1
 }
 
 // NewAuthority creates an empty authority.
 func NewAuthority(name string) *Authority {
-	return &Authority{Name: name, load: map[string]int{}}
+	return &Authority{Name: name, index: map[string]*siteLoad{}}
 }
 
-// AddSite registers a site. Site IDs must be unique within the authority.
+// AddSite registers a site. Site IDs must be unique within the authority,
+// and node IDs within the site. The authority keeps its own copy of the
+// node list, so later changes to s.Nodes do not reach it.
 func (a *Authority) AddSite(s *Site) error {
 	if s.ID == "" {
 		return fmt.Errorf("planetlab: site needs an ID")
 	}
+	seen := make(map[string]bool, len(s.Nodes))
+	for _, n := range s.Nodes {
+		if seen[n.ID] {
+			return fmt.Errorf("planetlab: site %s has duplicate node %s", s.ID, n.ID)
+		}
+		seen[n.ID] = true
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, existing := range a.sites {
-		if existing.ID == s.ID {
-			return fmt.Errorf("planetlab: duplicate site %s", s.ID)
-		}
+	if _, ok := a.index[s.ID]; ok {
+		return fmt.Errorf("planetlab: duplicate site %s", s.ID)
 	}
-	a.sites = append(a.sites, s)
+	site := *s
+	site.Nodes = append([]Node(nil), s.Nodes...)
+	sl := &siteLoad{site: &site, load: make([]int, len(site.Nodes))}
+	a.index[s.ID] = sl
+	a.sites = append(a.sites, sl)
 	return nil
 }
 
-// Sites returns a snapshot of the authority's sites.
+// Sites returns a snapshot of the authority's sites, in AddSite order. The
+// sites are the authority's own and must not be modified.
 func (a *Authority) Sites() []*Site {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]*Site(nil), a.sites...)
+	out := make([]*Site, len(a.sites))
+	for i, sl := range a.sites {
+		out[i] = sl.site
+	}
+	return out
 }
 
 // SiteCount returns the number of sites (the authority's L contribution).
@@ -120,47 +170,32 @@ func (a *Authority) SiteCount() int {
 	return len(a.sites)
 }
 
-func nodeKey(siteID, nodeID string) string { return siteID + "/" + nodeID }
-
-// freeSlotsLocked returns the spare sliver slots of a node.
-func (a *Authority) freeSlotsLocked(siteID string, n Node) int {
-	return n.Capacity - a.load[nodeKey(siteID, n.ID)]
-}
-
 // SiteFree returns the unreserved sliver slots at a site (0 for unknown
 // sites).
 func (a *Authority) SiteFree(siteID string) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, s := range a.sites {
-		if s.ID != siteID {
-			continue
-		}
-		free := 0
-		for _, n := range s.Nodes {
-			free += a.freeSlotsLocked(s.ID, n)
-		}
-		return free
+	if sl := a.index[siteID]; sl != nil {
+		return sl.free()
 	}
 	return 0
 }
 
-// AvailableSites returns the IDs of sites that can host at least want more
-// slivers.
+// AvailableSites returns, in ID order, the IDs of sites that can host at
+// least want more slivers.
 func (a *Authority) AvailableSites(want int) []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if len(a.byID) != len(a.sites) {
+		a.byID = append([]*siteLoad(nil), a.sites...)
+		sort.Slice(a.byID, func(i, j int) bool { return a.byID[i].site.ID < a.byID[j].site.ID })
+	}
 	var out []string
-	for _, s := range a.sites {
-		free := 0
-		for _, n := range s.Nodes {
-			free += a.freeSlotsLocked(s.ID, n)
-		}
-		if free >= want {
-			out = append(out, s.ID)
+	for _, sl := range a.byID {
+		if sl.free() >= want {
+			out = append(out, sl.site.ID)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -173,65 +208,56 @@ func (a *Authority) ReserveSlivers(sliceName, siteID string, count int) ([]Slive
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var site *Site
-	for _, s := range a.sites {
-		if s.ID == siteID {
-			site = s
-			break
-		}
-	}
-	if site == nil {
+	sl := a.index[siteID]
+	if sl == nil {
 		return nil, fmt.Errorf("planetlab: %s has no site %s", a.Name, siteID)
 	}
-	// Least-loaded-first placement (short-term fair share).
-	type slot struct {
-		node Node
-		free int
-	}
-	var slots []slot
-	for _, n := range site.Nodes {
-		if free := a.freeSlotsLocked(siteID, n); free > 0 {
-			slots = append(slots, slot{n, free})
+	// Least-loaded-first placement (short-term fair share): nodes with
+	// room, most free slots first, ties by node ID.
+	nodes := sl.site.Nodes
+	freeAt := func(j int) int { return nodes[j].Capacity - sl.load[j] }
+	var buf [8]int
+	slots := buf[:0]
+	room := 0
+	for j := range nodes {
+		if free := freeAt(j); free > 0 {
+			slots = append(slots, j)
+			room += free
 		}
 	}
-	sort.Slice(slots, func(i, j int) bool {
-		if slots[i].free != slots[j].free {
-			return slots[i].free > slots[j].free
-		}
-		return slots[i].node.ID < slots[j].node.ID
-	})
-	var placed []Sliver
-	remaining := count
-	for _, sl := range slots {
-		take := sl.free
-		if take > remaining {
-			take = remaining
-		}
-		for k := 0; k < take; k++ {
-			placed = append(placed, Sliver{SliceName: sliceName, SiteID: siteID, NodeID: sl.node.ID})
-		}
-		remaining -= take
-		if remaining == 0 {
-			break
-		}
-	}
-	if remaining > 0 {
+	if room < count {
 		return nil, fmt.Errorf("planetlab: site %s has insufficient capacity for %d slivers", siteID, count)
 	}
-	for _, sv := range placed {
-		a.load[nodeKey(sv.SiteID, sv.NodeID)]++
+	slices.SortFunc(slots, func(i, j int) int {
+		if c := cmp.Compare(freeAt(j), freeAt(i)); c != 0 {
+			return c
+		}
+		return strings.Compare(nodes[i].ID, nodes[j].ID)
+	})
+	placed := make([]Sliver, 0, count)
+	for _, j := range slots {
+		take := min(freeAt(j), count-len(placed))
+		for k := 0; k < take; k++ {
+			placed = append(placed, Sliver{SliceName: sliceName, SiteID: siteID, NodeID: nodes[j].ID})
+		}
+		sl.load[j] += take
+		if len(placed) == count {
+			break
+		}
 	}
 	return placed, nil
 }
 
-// ReleaseSlivers undoes a reservation.
+// ReleaseSlivers undoes a reservation. A sliver at an unknown node, or at
+// a node with no load left, is skipped.
 func (a *Authority) ReleaseSlivers(slivers []Sliver) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, sv := range slivers {
-		k := nodeKey(sv.SiteID, sv.NodeID)
-		if a.load[k] > 0 {
-			a.load[k]--
+		if sl := a.index[sv.SiteID]; sl != nil {
+			if j := sl.node(sv.NodeID); j >= 0 && sl.load[j] > 0 {
+				sl.load[j]--
+			}
 		}
 	}
 }
@@ -239,12 +265,17 @@ func (a *Authority) ReleaseSlivers(slivers []Sliver) {
 // RestoreSlivers places slivers at exactly the given nodes, without
 // re-running placement policy or capacity checks: the placements were
 // decided (and made durable) earlier, and replaying them must reproduce
-// them bit-for-bit rather than re-decide them.
+// them bit-for-bit rather than re-decide them. A sliver at an unknown node
+// is skipped.
 func (a *Authority) RestoreSlivers(svs []Sliver) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, sv := range svs {
-		a.load[nodeKey(sv.SiteID, sv.NodeID)]++
+		if sl := a.index[sv.SiteID]; sl != nil {
+			if j := sl.node(sv.NodeID); j >= 0 {
+				sl.load[j]++
+			}
+		}
 	}
 }
 
@@ -253,10 +284,10 @@ func (a *Authority) Utilization() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	capTotal, used := 0, 0
-	for _, s := range a.sites {
-		for _, n := range s.Nodes {
+	for _, sl := range a.sites {
+		for j, n := range sl.site.Nodes {
 			capTotal += n.Capacity
-			used += a.load[nodeKey(s.ID, n.ID)]
+			used += sl.load[j]
 		}
 	}
 	if capTotal == 0 {

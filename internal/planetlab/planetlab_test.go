@@ -2,6 +2,8 @@ package planetlab
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -38,6 +40,142 @@ func TestAddSiteValidation(t *testing.T) {
 	}
 	if a.SiteCount() != 1 {
 		t.Errorf("SiteCount = %d", a.SiteCount())
+	}
+	// Two nodes with one ID would share a load counter.
+	dup := &Site{ID: "s2", Nodes: []Node{{ID: "n", Capacity: 1}, {ID: "n", Capacity: 1}}}
+	if err := a.AddSite(dup); err == nil {
+		t.Error("duplicate node ID within a site must fail")
+	}
+	// The authority keeps its own node list: changing the caller's after
+	// AddSite reaches neither placement nor accounting.
+	s3 := &Site{ID: "s3", Nodes: []Node{{ID: "n0", Capacity: 1}, {ID: "n1", Capacity: 1}}}
+	if err := a.AddSite(s3); err != nil {
+		t.Fatal(err)
+	}
+	s3.Nodes[0].ID = "n1"
+	s3.Nodes = s3.Nodes[:1]
+	if svs, err := a.ReserveSlivers("x", "s3", 2); err != nil || svs[0].NodeID != "n0" || svs[1].NodeID != "n1" {
+		t.Errorf("ReserveSlivers after the caller's edit = %v, %v", svs, err)
+	}
+	if a.SiteFree("s3") != 0 || a.Utilization() != 1 {
+		t.Errorf("SiteFree(s3) = %d, Utilization = %g after filling s3", a.SiteFree("s3"), a.Utilization())
+	}
+}
+
+// TestNodeKeysDoNotCollide: site "a/b" with node "c" and site "a" with
+// node "b/c" are two nodes, so filling one leaves the other free. A ledger
+// keyed by "site/node" strings gave both the key "a/b/c".
+func TestNodeKeysDoNotCollide(t *testing.T) {
+	a := NewAuthority("x")
+	for _, s := range []*Site{
+		{ID: "a/b", Nodes: []Node{{ID: "c", Capacity: 1}}},
+		{ID: "a", Nodes: []Node{{ID: "b/c", Capacity: 1}}},
+	} {
+		if err := a.AddSite(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.ReserveSlivers("s", "a/b", 1); err != nil {
+		t.Fatal(err)
+	}
+	if free := a.SiteFree("a"); free != 1 {
+		t.Errorf("site a has %d free slots after filling site a/b, want 1", free)
+	}
+	if _, err := a.ReserveSlivers("s", "a", 1); err != nil {
+		t.Errorf("site a must still host a sliver: %v", err)
+	}
+}
+
+// TestLedgerMatchesOracle runs seeded random sequences of AddSite,
+// ReserveSlivers, ReleaseSlivers (including already-freed and unknown
+// slivers) and RestoreSlivers against the Authority and the map-keyed
+// oracle ledger it replaced, and requires every answer to be equal.
+func TestLedgerMatchesOracle(t *testing.T) {
+	siteIDs := []string{"s3", "s0", "s7", "s1", "s5", "s2", "s6", "s4"}
+	nodeIDs := []string{"c", "a", "d", "b"}
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, o := NewAuthority("x"), newOracleLedger()
+		var known []string // IDs of the sites added so far
+		var held []Sliver
+		randomSliver := func() Sliver {
+			// Unknown nodes are never added later, so the oracle's entries
+			// for them stay unobservable, as the Authority's skip does.
+			switch rng.Intn(8) {
+			case 0:
+				return Sliver{SliceName: "r", SiteID: "zz", NodeID: "a"}
+			case 1:
+				return Sliver{SliceName: "r", SiteID: siteIDs[rng.Intn(len(siteIDs))], NodeID: "q"}
+			}
+			if len(held) > 0 && rng.Intn(2) == 0 {
+				return held[rng.Intn(len(held))]
+			}
+			if len(known) == 0 {
+				return Sliver{SliceName: "r", SiteID: "zz", NodeID: "b"}
+			}
+			return Sliver{SliceName: "r", SiteID: known[rng.Intn(len(known))], NodeID: nodeIDs[rng.Intn(len(nodeIDs))]}
+		}
+		for step := 0; step < 300; step++ {
+			op := ""
+			switch r := rng.Intn(10); {
+			case r == 0 || len(known) == 0:
+				op = "add" // any ID, so duplicates are tried too
+				id := siteIDs[rng.Intn(len(siteIDs))]
+				site := &Site{ID: id}
+				for _, j := range rng.Perm(len(nodeIDs))[:1+rng.Intn(len(nodeIDs))] {
+					site.Nodes = append(site.Nodes, Node{ID: nodeIDs[j], Capacity: rng.Intn(5)})
+				}
+				errA, errO := a.AddSite(site), o.AddSite(site)
+				if (errA == nil) != (errO == nil) {
+					t.Fatalf("seed %d step %d: AddSite(%s) = %v, oracle %v", seed, step, id, errA, errO)
+				}
+				if errA == nil {
+					known = append(known, id)
+				}
+			case r <= 5:
+				op = "reserve"
+				id := "zz"
+				if rng.Intn(10) > 0 {
+					id = known[rng.Intn(len(known))]
+				}
+				count := rng.Intn(6)
+				svA, errA := a.ReserveSlivers("r", id, count)
+				svO, errO := o.ReserveSlivers("r", id, count)
+				if (errA == nil) != (errO == nil) || !reflect.DeepEqual(svA, svO) {
+					t.Fatalf("seed %d step %d: ReserveSlivers(%s, %d) = %v, %v; oracle %v, %v", seed, step, id, count, svA, errA, svO, errO)
+				}
+				held = append(held, svA...)
+			case r <= 8:
+				op = "release"
+				var rel []Sliver
+				for k := rng.Intn(5); k > 0; k-- {
+					rel = append(rel, randomSliver())
+				}
+				a.ReleaseSlivers(rel)
+				o.ReleaseSlivers(rel)
+			default:
+				op = "restore"
+				var res []Sliver
+				for k := rng.Intn(4); k > 0; k-- {
+					res = append(res, randomSliver())
+				}
+				a.RestoreSlivers(res)
+				o.RestoreSlivers(res)
+			}
+			for want := 0; want <= 4; want++ {
+				if got, exp := a.AvailableSites(want), o.AvailableSites(want); !reflect.DeepEqual(got, exp) {
+					t.Fatalf("seed %d step %d (%s): AvailableSites(%d) = %v, oracle %v", seed, step, op, want, got, exp)
+				}
+			}
+			for _, id := range append(siteIDs, "zz") {
+				if got, exp := a.SiteFree(id), o.SiteFree(id); got != exp {
+					t.Fatalf("seed %d step %d (%s): SiteFree(%s) = %d, oracle %d", seed, step, op, id, got, exp)
+				}
+			}
+			if got, exp := a.Utilization(), o.Utilization(); got != exp {
+				t.Fatalf("seed %d step %d (%s): Utilization = %g, oracle %g", seed, step, op, got, exp)
+			}
+		}
 	}
 }
 
@@ -194,5 +332,34 @@ func TestConcurrentSliceCreation(t *testing.T) {
 	}
 	if a.Utilization() != 0 {
 		t.Errorf("utilization %g after releasing every slice", a.Utilization())
+	}
+}
+
+// BenchmarkAuthorityReserveRelease runs one coordinator-side placement on
+// fedbench's authority shape (40 sites × 2 nodes × capacity 10): the
+// available sites, one sliver at each, then their release.
+func BenchmarkAuthorityReserveRelease(b *testing.B) {
+	a := NewAuthority("PLC")
+	for s := 0; s < 40; s++ {
+		site := &Site{ID: fmt.Sprintf("PLC-site%03d", s), Name: fmt.Sprintf("PLC site %d", s)}
+		for n := 0; n < 2; n++ {
+			site.Nodes = append(site.Nodes, Node{ID: fmt.Sprintf("node%d", n), Capacity: 10})
+		}
+		if err := a.AddSite(site); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var hold []Sliver
+		for _, id := range a.AvailableSites(1) {
+			svs, err := a.ReserveSlivers("s", id, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hold = append(hold, svs...)
+		}
+		a.ReleaseSlivers(hold)
 	}
 }

@@ -3,7 +3,6 @@ package sfa
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -121,7 +120,11 @@ func (c *Client) breakConn() {
 // Call sends one request and decodes the response into result (which may be
 // nil to discard). Server-side failures come back as *RemoteError without
 // retry; transport failures are retried per the client's retry budget and
-// surface the last error once the budget is exhausted.
+// surface the last error once the budget is exhausted. Two more failures
+// are final: a request whose frame would exceed MaxFrameSize is refused
+// before any dial, retry or breaker count, and a result that fails to
+// decode is returned at once, with no retry or breaker failure, since the
+// request executed and a retry would execute it again.
 //
 // The mutex serializes only the wire round-trips: backoff sleeps happen
 // with the lock released, so one call's backoff never blocks concurrent
@@ -129,6 +132,13 @@ func (c *Client) breakConn() {
 // consulted before each backoff, so a call against an open breaker fails
 // fast instead of sleeping first.
 func (c *Client) Call(method string, params, result interface{}) error {
+	req := &Envelope{Method: method}
+	if params != nil {
+		req.Params = marshal(params)
+	}
+	if n := frameLen(req); n > MaxFrameSize {
+		return fmt.Errorf("sfa: %s request of %d bytes exceeds the %d-byte frame limit", method, n, MaxFrameSize)
+	}
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		c.mu.Lock()
@@ -145,37 +155,42 @@ func (c *Client) Call(method string, params, result interface{}) error {
 			c.cfg.Sleep(delay)
 			c.mu.Lock()
 		}
-		err := c.callOnce(method, params, result)
-		if err == nil {
-			c.breaker.success()
+		resp, err := c.callOnce(req)
+		if err != nil {
+			lastErr = err
+			if c.breaker.failure(c.cfg.Now()) {
+				c.metrics.breakerOpens.Inc()
+			}
 			c.setBreakerGauge()
 			c.mu.Unlock()
-			return nil
+			continue
 		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			// The peer answered: the transport is healthy, so the breaker
-			// never counts a remote error. An overload shed is the one
-			// remote error guaranteed unexecuted — retry it with backoff;
-			// everything else was executed and is returned immediately.
-			c.breaker.success()
-			c.setBreakerGauge()
+		// The peer answered: the transport is healthy, so the breaker never
+		// counts what the response says.
+		c.breaker.success()
+		c.setBreakerGauge()
+		if resp.Error != "" {
+			remote := &RemoteError{Method: method, Msg: resp.Error, Code: resp.Code}
+			// An overload shed is the one remote error guaranteed
+			// unexecuted — retry it with backoff; everything else was
+			// executed and is returned immediately.
 			if remote.Code == CodeOverloaded {
 				c.stats.Shed++
 				c.metrics.shed.Inc()
-				lastErr = err
+				lastErr = remote
 				c.mu.Unlock()
 				continue
 			}
 			c.mu.Unlock()
-			return err
+			return remote
 		}
-		lastErr = err
-		if c.breaker.failure(c.cfg.Now()) {
-			c.metrics.breakerOpens.Inc()
-		}
-		c.setBreakerGauge()
 		c.mu.Unlock()
+		if result != nil {
+			if err := json.Unmarshal(resp.Result, result); err != nil {
+				return fmt.Errorf("sfa: decode %s result: %w", method, err)
+			}
+		}
+		return nil
 	}
 	return lastErr
 }
@@ -184,54 +199,40 @@ func (c *Client) setBreakerGauge() {
 	c.metrics.breakerState.With(c.cfg.Addr).Set(float64(c.breaker.state))
 }
 
-// callOnce performs one request/response round-trip. Any transport failure
-// breaks the connection before returning. Caller holds c.mu.
-func (c *Client) callOnce(method string, params, result interface{}) error {
+// callOnce performs one request/response round-trip under a fresh ID and
+// returns the response frame. Any transport failure breaks the connection
+// before returning. Caller holds c.mu.
+func (c *Client) callOnce(req *Envelope) (*Envelope, error) {
 	if err := c.ensureConn(); err != nil {
-		return err
+		return nil, err
 	}
 	c.nextID++
-	req := &Envelope{ID: c.nextID, Method: method}
-	if params != nil {
-		req.Params = marshal(params)
-	}
+	req.ID = c.nextID
 	deadline := time.Now().Add(c.cfg.CallTimeout)
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		c.breakConn()
-		return fmt.Errorf("sfa: set deadline: %w", err)
+		return nil, fmt.Errorf("sfa: set deadline: %w", err)
 	}
 	if err := WriteFrame(c.w, req); err != nil {
 		c.breakConn()
-		return err
+		return nil, err
 	}
 	if err := c.w.Flush(); err != nil {
 		c.breakConn()
-		return fmt.Errorf("sfa: flush: %w", err)
+		return nil, fmt.Errorf("sfa: flush: %w", err)
 	}
 	resp, err := ReadFrame(c.r)
 	if err != nil {
 		c.breakConn()
-		return fmt.Errorf("sfa: read response: %w", err)
+		return nil, fmt.Errorf("sfa: read response: %w", err)
 	}
 	if resp.ID != req.ID {
 		// A stale or corrupt frame: the stream is out of sync, so the
 		// connection is unusable.
 		c.breakConn()
-		return fmt.Errorf("sfa: response id %d for request %d", resp.ID, req.ID)
+		return nil, fmt.Errorf("sfa: response id %d for request %d", resp.ID, req.ID)
 	}
-	if resp.Error != "" {
-		return &RemoteError{Method: method, Msg: resp.Error, Code: resp.Code}
-	}
-	if result != nil {
-		if err := json.Unmarshal(resp.Result, result); err != nil {
-			// The frame was well-formed but the payload does not match:
-			// the stream itself is still in sync, yet the response is
-			// unusable and a retry would re-execute — treat as fatal.
-			c.breakConn()
-			return fmt.Errorf("sfa: decode result: %w", err)
-		}
-	}
-	return nil
+	return resp, nil
 }
 
 // Close tears down the connection. The client stays usable: a later Call

@@ -2,8 +2,11 @@ package sfa
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -306,5 +309,83 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 		if da < d/2 || da >= d {
 			t.Errorf("attempt %d: delay %s outside [%s, %s)", attempt, da, d/2, d)
 		}
+	}
+}
+
+// TestOversizedRequestRefusedBeforeDial: a request whose frame would exceed
+// MaxFrameSize is final. It is refused before any dial, backoff or breaker
+// count, since no attempt could send it.
+func TestOversizedRequestRefusedBeforeDial(t *testing.T) {
+	fs := newFrameServer(t, func(conn net.Conn, idx int) { echoFrames(conn) })
+	var dials, sleeps atomic.Int64
+	c := NewClient(ClientConfig{
+		Addr: fs.addr(), MaxAttempts: 3, BreakerThreshold: 1, Registry: obs.NewRegistry(),
+		DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+			dials.Add(1)
+			return net.DialTimeout("tcp", addr, timeout)
+		},
+		Sleep: func(time.Duration) { sleeps.Add(1) },
+	})
+	defer c.Close()
+	err := c.Call(MethodRelease, ReleaseRequest{SliceName: strings.Repeat("x", MaxFrameSize)}, nil)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte frame limit", MaxFrameSize)) {
+		t.Fatalf("err = %v, want the frame limit named", err)
+	}
+	if d, s := dials.Load(), sleeps.Load(); d != 0 || s != 0 {
+		t.Errorf("%d dials and %d backoffs for a request that cannot be sent", d, s)
+	}
+	if st := c.Stats(); st.Retries != 0 {
+		t.Errorf("stats = %+v, want 0 retries", st)
+	}
+	if got := c.BreakerState(); got != "closed" {
+		t.Errorf("breaker %s after an oversized request, want closed", got)
+	}
+}
+
+// TestUndecodableResultIsFinal: a result that does not decode came from a
+// request that executed, so it is returned at once — no retry, no breaker
+// failure — and the connection, whose stream stayed in sync, is kept.
+func TestUndecodableResultIsFinal(t *testing.T) {
+	var served atomic.Int64
+	fs := newFrameServer(t, func(conn net.Conn, idx int) {
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		w := bufio.NewWriter(conn)
+		for {
+			env, err := ReadFrame(r)
+			if err != nil {
+				return
+			}
+			served.Add(1)
+			result := marshal(Empty{})
+			if env.Method == MethodReserve {
+				result = json.RawMessage(`{"slivers":7}`)
+			}
+			if WriteFrame(w, &Envelope{ID: env.ID, Result: result}) != nil || w.Flush() != nil {
+				return
+			}
+		}
+	})
+	c := NewClient(ClientConfig{
+		Addr: fs.addr(), MaxAttempts: 3, RetryBase: time.Millisecond,
+		BreakerThreshold: 1, Registry: obs.NewRegistry(),
+	})
+	defer c.Close()
+	var rr ReserveResponse
+	err := c.Call(MethodReserve, ReserveRequest{SliceName: "s", Sites: 1, PerSite: 1}, &rr)
+	if err == nil || !strings.Contains(err.Error(), "decode") {
+		t.Fatalf("err = %v, want a decode error", err)
+	}
+	if n := served.Load(); n != 1 {
+		t.Errorf("an unkeyed reserve executed %d times", n)
+	}
+	if got := c.BreakerState(); got != "closed" {
+		t.Errorf("breaker %s after an undecodable result, want closed", got)
+	}
+	if err := c.Call(MethodPing, nil, nil); err != nil {
+		t.Fatalf("ping after an undecodable result: %v", err)
+	}
+	if st := c.Stats(); st.Retries != 0 || st.Dials != 1 {
+		t.Errorf("stats = %+v, want 0 retries over 1 dial", st)
 	}
 }

@@ -564,10 +564,25 @@ func (s *Server) dispatch(req *Envelope) *Envelope {
 	}
 	s.log.Debugf("sfa[%s]: method=%s dur=%s", s.auth.Name, req.Method, dur)
 	resp.Result = marshal(result)
+	if n := frameLen(resp); n > MaxFrameSize {
+		// The request executed, so the client must get a final answer
+		// rather than a dropped connection it would retry.
+		s.metrics.errors.With(label).Inc()
+		resp.Result = nil
+		resp.Error = fmt.Sprintf("%s response of %d bytes exceeds the %d-byte frame limit", req.Method, n, MaxFrameSize)
+	}
 	return resp
 }
 
 func (s *Server) handle(method string, params json.RawMessage) (interface{}, error) {
+	switch method {
+	case MethodPing, MethodGetRecord, MethodListResources, MethodGetUsage:
+		// These methods read no params, so nothing else would notice a
+		// body that is not JSON.
+		if len(params) > 0 && !json.Valid(params) {
+			return nil, fmt.Errorf("bad %s request: params are not JSON", method)
+		}
+	}
 	switch method {
 	case MethodPing:
 		return Empty{}, nil

@@ -4,8 +4,10 @@
 // resource records over TCP, peer with each other, embed slices across the
 // federation, and expose the policy-computed value shares.
 //
-// The wire format is deliberately simple and fully self-contained:
-// length-prefixed JSON frames carrying request/response envelopes.
+// The wire format is deliberately simple and fully self-contained: each
+// request or response envelope travels as one length-prefixed binary frame
+// whose params and result are JSON bodies, carried verbatim. The frame
+// layout is known to this file alone.
 package sfa
 
 import (
@@ -20,44 +22,78 @@ import (
 const MaxFrameSize = 4 << 20
 
 // Envelope is one framed message: a request (Method set) or a response
-// (Error or Result set), matched by ID.
+// (Error or Result set), matched by ID. Params and Result are JSON bodies
+// the frame carries without inspecting them; their consumer decodes them.
 type Envelope struct {
-	ID     uint64          `json:"id"`
-	Method string          `json:"method,omitempty"`
-	Params json.RawMessage `json:"params,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
+	ID     uint64
+	Method string
+	Params json.RawMessage
+	Result json.RawMessage
+	Error  string
 	// Code classifies machine-actionable errors. The only defined value is
 	// CodeOverloaded, which marks the error as retriable without counting
 	// against the peer's health (the server answered; it just shed load).
-	Code string `json:"code,omitempty"`
+	Code string
 }
 
 // CodeOverloaded is the Envelope.Code of a response shed by the server's
 // admission gate: the request was NOT executed and may be retried safely.
 const CodeOverloaded = "overloaded"
 
-// WriteFrame writes one length-prefixed JSON frame.
+// Frame layout, all integers big-endian:
+//
+//	[4: length of the rest][1: version][8: ID]
+//	[4: n][n: Method] [4: n][n: Code] [4: n][n: Error] [4: n][n: Params]
+//	[Result: the rest of the frame]
+//
+// Every field is fixed-width or length-prefixed, so an accepted frame has
+// exactly one encoding. Frames of the earlier JSON-envelope format begin
+// their body with '{' and are refused as an unknown version.
+const (
+	frameVersion = 1
+	// frameHeader is the length of a frame with every field empty, not
+	// counting the 4-byte length prefix.
+	frameHeader = 1 + 8 + 4*4
+)
+
+// frameLen is the length a frame for env declares: every byte after the
+// 4-byte length prefix.
+func frameLen(env *Envelope) int {
+	return frameHeader + len(env.Method) + len(env.Code) + len(env.Error) + len(env.Params) + len(env.Result)
+}
+
+// WriteFrame writes env as one frame. An envelope whose frame would exceed
+// MaxFrameSize is refused before any byte is written.
 func WriteFrame(w io.Writer, env *Envelope) error {
-	payload, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("sfa: encode: %w", err)
+	n := frameLen(env)
+	if n > MaxFrameSize {
+		return fmt.Errorf("sfa: frame of %d bytes exceeds the %d-byte limit", n, MaxFrameSize)
 	}
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("sfa: frame of %d bytes exceeds limit", len(payload))
+	hdr := make([]byte, 0, 4+n-len(env.Params)-len(env.Result))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(n))
+	hdr = append(hdr, frameVersion)
+	hdr = binary.BigEndian.AppendUint64(hdr, env.ID)
+	for _, f := range [...]string{env.Method, env.Code, env.Error} {
+		hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(f)))
+		hdr = append(hdr, f...)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(env.Params)))
+	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("sfa: write header: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("sfa: write payload: %w", err)
+	for _, body := range [...][]byte{env.Params, env.Result} {
+		if _, err := w.Write(body); err != nil {
+			return fmt.Errorf("sfa: write payload: %w", err)
+		}
 	}
 	return nil
 }
 
-// ReadFrame reads one length-prefixed JSON frame.
+// ReadFrame reads one frame. It checks the frame's framing — the length
+// against MaxFrameSize before allocating, the version, and every field
+// length against the frame — but not its JSON bodies: Params and Result
+// are sub-slices of the frame's one buffer, which is never reused, and the
+// caller decodes them. A clean end of stream before the frame is io.EOF.
 func ReadFrame(r io.Reader) (*Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -67,15 +103,38 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("sfa: incoming frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	p := make([]byte, n)
+	if _, err := io.ReadFull(r, p); err != nil {
 		return nil, fmt.Errorf("sfa: read payload: %w", err)
 	}
-	var env Envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return nil, fmt.Errorf("sfa: decode: %w", err)
+	if len(p) < frameHeader {
+		return nil, fmt.Errorf("sfa: decode: frame of %d bytes is shorter than its %d-byte header", len(p), frameHeader)
 	}
-	return &env, nil
+	if p[0] != frameVersion {
+		return nil, fmt.Errorf("sfa: decode: unknown frame version %#x", p[0])
+	}
+	env := &Envelope{ID: binary.BigEndian.Uint64(p[1:9])}
+	p = p[9:]
+	var fields [4][]byte
+	for i := range fields {
+		if len(p) < 4 {
+			return nil, fmt.Errorf("sfa: decode: frame ends inside field %d's length", i)
+		}
+		n := binary.BigEndian.Uint32(p)
+		p = p[4:]
+		if uint64(n) > uint64(len(p)) {
+			return nil, fmt.Errorf("sfa: decode: field %d of %d bytes overruns the frame's %d remaining", i, n, len(p))
+		}
+		fields[i], p = p[:n:n], p[n:]
+	}
+	env.Method, env.Code, env.Error = string(fields[0]), string(fields[1]), string(fields[2])
+	if len(fields[3]) > 0 {
+		env.Params = fields[3]
+	}
+	if len(p) > 0 {
+		env.Result = p
+	}
+	return env, nil
 }
 
 // marshal encodes params/results, panicking only on programmer error
