@@ -119,6 +119,23 @@ func (a *oracleLedger) ReserveSlivers(sliceName, siteID string, count int) ([]Sl
 	return placed, nil
 }
 
+// Reserve is the placement walk the sfa handlers ran before
+// Authority.Reserve: the available sites in ID order, the first maxSites
+// of them (all when maxSites <= 0), and ReserveSlivers at each.
+func (a *oracleLedger) Reserve(slice string, per, maxSites int) []Sliver {
+	ids := a.AvailableSites(per)
+	if maxSites > 0 && len(ids) > maxSites {
+		ids = ids[:maxSites]
+	}
+	var placed []Sliver
+	for _, id := range ids {
+		if svs, err := a.ReserveSlivers(slice, id, per); err == nil {
+			placed = append(placed, svs...)
+		}
+	}
+	return placed
+}
+
 func (a *oracleLedger) ReleaseSlivers(slivers []Sliver) {
 	for _, sv := range slivers {
 		k := oracleKey(sv.SiteID, sv.NodeID)

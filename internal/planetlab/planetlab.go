@@ -42,33 +42,6 @@ func (s *Site) Capacity() int {
 	return t
 }
 
-// SliceSpec is a slice request: a minimum number of distinct sites and a
-// sliver count per site.
-type SliceSpec struct {
-	Name           string
-	Owner          string
-	MinSites       int // diversity threshold l
-	MaxSites       int // 0 = unbounded
-	SliversPerSite int // resources per location r (default 1)
-}
-
-// Validate checks the spec.
-func (s SliceSpec) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("planetlab: slice needs a name")
-	}
-	if s.MinSites < 0 {
-		return fmt.Errorf("planetlab: slice %s has negative MinSites", s.Name)
-	}
-	if s.MaxSites < 0 {
-		return fmt.Errorf("planetlab: slice %s has negative MaxSites", s.Name)
-	}
-	if s.MaxSites > 0 && s.MaxSites < s.MinSites {
-		return fmt.Errorf("planetlab: slice %s has MaxSites < MinSites", s.Name)
-	}
-	return nil
-}
-
 // Sliver is one virtual machine of a slice on one node.
 type Sliver struct {
 	SliceName string
@@ -88,8 +61,8 @@ type Authority struct {
 	// index maps a site ID to its entry in sites.
 	index map[string]*siteLoad
 	// byID lists the sites in ID order. AddSite leaves it short, and
-	// AvailableSites re-sorts it then, so building a large authority
-	// costs one sort.
+	// Reserve re-sorts it then, so building a large authority costs one
+	// sort.
 	byID []*siteLoad
 }
 
@@ -170,6 +143,17 @@ func (a *Authority) SiteCount() int {
 	return len(a.sites)
 }
 
+// Capacity returns the authority's total sliver slots.
+func (a *Authority) Capacity() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	t := 0
+	for _, sl := range a.sites {
+		t += sl.site.Capacity()
+	}
+	return t
+}
+
 // SiteFree returns the unreserved sliver slots at a site (0 for unknown
 // sites).
 func (a *Authority) SiteFree(siteID string) int {
@@ -181,37 +165,41 @@ func (a *Authority) SiteFree(siteID string) int {
 	return 0
 }
 
-// AvailableSites returns, in ID order, the IDs of sites that can host at
-// least want more slivers.
-func (a *Authority) AvailableSites(want int) []string {
+// Reserve places per slivers of slice at each of up to maxSites sites
+// (every site when maxSites <= 0). It walks the sites in ID order and
+// takes each whose free slots cover per, so the slivers come per to a site
+// and len/per sites were used. It places nothing when per is not positive.
+func (a *Authority) Reserve(slice string, per, maxSites int) []Sliver {
+	if per <= 0 {
+		return nil
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(a.byID) != len(a.sites) {
 		a.byID = append([]*siteLoad(nil), a.sites...)
 		sort.Slice(a.byID, func(i, j int) bool { return a.byID[i].site.ID < a.byID[j].site.ID })
 	}
-	var out []string
+	var placed []Sliver
+	sites := 0
 	for _, sl := range a.byID {
-		if sl.free() >= want {
-			out = append(out, sl.site.ID)
+		if maxSites > 0 && sites == maxSites {
+			break
+		}
+		if sl.free() < per {
+			continue
+		}
+		var ok bool
+		if placed, ok = sl.reserve(placed, slice, per); ok {
+			sites++
 		}
 	}
-	return out
+	return placed
 }
 
-// ReserveSlivers places count slivers of slice sliceName at the given site,
-// spreading them over the least-loaded nodes. It returns the slivers or an
-// error without partial placement.
-func (a *Authority) ReserveSlivers(sliceName, siteID string, count int) ([]Sliver, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("planetlab: sliver count must be positive")
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	sl := a.index[siteID]
-	if sl == nil {
-		return nil, fmt.Errorf("planetlab: %s has no site %s", a.Name, siteID)
-	}
+// reserve appends count slivers of slice to placed, spreading them over
+// the site's least-loaded nodes, and reports whether its nodes had room
+// for all of them; if not, it places nothing.
+func (sl *siteLoad) reserve(placed []Sliver, slice string, count int) ([]Sliver, bool) {
 	// Least-loaded-first placement (short-term fair share): nodes with
 	// room, most free slots first, ties by node ID.
 	nodes := sl.site.Nodes
@@ -226,7 +214,7 @@ func (a *Authority) ReserveSlivers(sliceName, siteID string, count int) ([]Slive
 		}
 	}
 	if room < count {
-		return nil, fmt.Errorf("planetlab: site %s has insufficient capacity for %d slivers", siteID, count)
+		return placed, false
 	}
 	slices.SortFunc(slots, func(i, j int) int {
 		if c := cmp.Compare(freeAt(j), freeAt(i)); c != 0 {
@@ -234,18 +222,17 @@ func (a *Authority) ReserveSlivers(sliceName, siteID string, count int) ([]Slive
 		}
 		return strings.Compare(nodes[i].ID, nodes[j].ID)
 	})
-	placed := make([]Sliver, 0, count)
 	for _, j := range slots {
-		take := min(freeAt(j), count-len(placed))
+		take := min(freeAt(j), count)
 		for k := 0; k < take; k++ {
-			placed = append(placed, Sliver{SliceName: sliceName, SiteID: siteID, NodeID: nodes[j].ID})
+			placed = append(placed, Sliver{SliceName: slice, SiteID: sl.site.ID, NodeID: nodes[j].ID})
 		}
 		sl.load[j] += take
-		if len(placed) == count {
+		if count -= take; count == 0 {
 			break
 		}
 	}
-	return placed, nil
+	return placed, true
 }
 
 // ReleaseSlivers undoes a reservation. A sliver at an unknown node, or at

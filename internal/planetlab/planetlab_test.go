@@ -27,6 +27,27 @@ func testAuthority(t *testing.T, sites, nodesPerSite, capacity int) *Authority {
 	return a
 }
 
+// reserveSlivers places count slivers of slice at one site through
+// Reserve's per-site step, which checks the room of each node rather than
+// the site's net free slots, so it differs from the walk's filter on
+// oversubscribed nodes.
+func (a *Authority) reserveSlivers(slice, siteID string, count int) ([]Sliver, error) {
+	if count <= 0 {
+		return nil, fmt.Errorf("planetlab: sliver count must be positive")
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	sl := a.index[siteID]
+	if sl == nil {
+		return nil, fmt.Errorf("planetlab: %s has no site %s", a.Name, siteID)
+	}
+	placed, ok := sl.reserve(nil, slice, count)
+	if !ok {
+		return nil, fmt.Errorf("planetlab: site %s has insufficient capacity for %d slivers", siteID, count)
+	}
+	return placed, nil
+}
+
 func TestAddSiteValidation(t *testing.T) {
 	a := NewAuthority("x")
 	if err := a.AddSite(&Site{}); err == nil {
@@ -54,8 +75,8 @@ func TestAddSiteValidation(t *testing.T) {
 	}
 	s3.Nodes[0].ID = "n1"
 	s3.Nodes = s3.Nodes[:1]
-	if svs, err := a.ReserveSlivers("x", "s3", 2); err != nil || svs[0].NodeID != "n0" || svs[1].NodeID != "n1" {
-		t.Errorf("ReserveSlivers after the caller's edit = %v, %v", svs, err)
+	if svs, err := a.reserveSlivers("x", "s3", 2); err != nil || svs[0].NodeID != "n0" || svs[1].NodeID != "n1" {
+		t.Errorf("reserveSlivers after the caller's edit = %v, %v", svs, err)
 	}
 	if a.SiteFree("s3") != 0 || a.Utilization() != 1 {
 		t.Errorf("SiteFree(s3) = %d, Utilization = %g after filling s3", a.SiteFree("s3"), a.Utilization())
@@ -75,21 +96,23 @@ func TestNodeKeysDoNotCollide(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.ReserveSlivers("s", "a/b", 1); err != nil {
+	if _, err := a.reserveSlivers("s", "a/b", 1); err != nil {
 		t.Fatal(err)
 	}
 	if free := a.SiteFree("a"); free != 1 {
 		t.Errorf("site a has %d free slots after filling site a/b, want 1", free)
 	}
-	if _, err := a.ReserveSlivers("s", "a", 1); err != nil {
+	if _, err := a.reserveSlivers("s", "a", 1); err != nil {
 		t.Errorf("site a must still host a sliver: %v", err)
 	}
 }
 
 // TestLedgerMatchesOracle runs seeded random sequences of AddSite,
-// ReserveSlivers, ReleaseSlivers (including already-freed and unknown
-// slivers) and RestoreSlivers against the Authority and the map-keyed
-// oracle ledger it replaced, and requires every answer to be equal.
+// per-site reserves, Reserve walks, ReleaseSlivers (including
+// already-freed and unknown slivers) and RestoreSlivers against the
+// Authority and the map-keyed oracle ledger it replaced, and requires
+// every answer to be equal. Restores oversubscribe nodes, where the
+// walk's net-free filter and the per-site room check differ.
 func TestLedgerMatchesOracle(t *testing.T) {
 	siteIDs := []string{"s3", "s0", "s7", "s1", "s5", "s2", "s6", "s4"}
 	nodeIDs := []string{"c", "a", "d", "b"}
@@ -132,17 +155,25 @@ func TestLedgerMatchesOracle(t *testing.T) {
 				if errA == nil {
 					known = append(known, id)
 				}
-			case r <= 5:
+			case r <= 3:
 				op = "reserve"
 				id := "zz"
 				if rng.Intn(10) > 0 {
 					id = known[rng.Intn(len(known))]
 				}
 				count := rng.Intn(6)
-				svA, errA := a.ReserveSlivers("r", id, count)
+				svA, errA := a.reserveSlivers("r", id, count)
 				svO, errO := o.ReserveSlivers("r", id, count)
 				if (errA == nil) != (errO == nil) || !reflect.DeepEqual(svA, svO) {
-					t.Fatalf("seed %d step %d: ReserveSlivers(%s, %d) = %v, %v; oracle %v, %v", seed, step, id, count, svA, errA, svO, errO)
+					t.Fatalf("seed %d step %d: reserveSlivers(%s, %d) = %v, %v; oracle %v, %v", seed, step, id, count, svA, errA, svO, errO)
+				}
+				held = append(held, svA...)
+			case r <= 5:
+				op = "walk"
+				per, maxSites := rng.Intn(5), rng.Intn(4)
+				svA, svO := a.Reserve("r", per, maxSites), o.Reserve("r", per, maxSites)
+				if !reflect.DeepEqual(svA, svO) {
+					t.Fatalf("seed %d step %d: Reserve(%d, %d) = %v; oracle %v", seed, step, per, maxSites, svA, svO)
 				}
 				held = append(held, svA...)
 			case r <= 8:
@@ -162,11 +193,6 @@ func TestLedgerMatchesOracle(t *testing.T) {
 				a.RestoreSlivers(res)
 				o.RestoreSlivers(res)
 			}
-			for want := 0; want <= 4; want++ {
-				if got, exp := a.AvailableSites(want), o.AvailableSites(want); !reflect.DeepEqual(got, exp) {
-					t.Fatalf("seed %d step %d (%s): AvailableSites(%d) = %v, oracle %v", seed, step, op, want, got, exp)
-				}
-			}
 			for _, id := range append(siteIDs, "zz") {
 				if got, exp := a.SiteFree(id), o.SiteFree(id); got != exp {
 					t.Fatalf("seed %d step %d (%s): SiteFree(%s) = %d, oracle %d", seed, step, op, id, got, exp)
@@ -179,29 +205,12 @@ func TestLedgerMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestSliceSpecValidation(t *testing.T) {
-	bad := []SliceSpec{
-		{},
-		{Name: "s", MinSites: -1},
-		{Name: "s", MaxSites: -1},
-		{Name: "s", MinSites: 5, MaxSites: 2},
-	}
-	for i, spec := range bad {
-		if err := spec.Validate(); err == nil {
-			t.Errorf("case %d should fail: %+v", i, spec)
-		}
-	}
-	if err := (SliceSpec{Name: "ok", MinSites: 2, MaxSites: 4}).Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
-	}
-}
-
 func TestReserveSliversLeastLoaded(t *testing.T) {
 	a := testAuthority(t, 1, 3, 2)
 	// Six single-sliver reservations must spread 2-2-2 over the 3 nodes.
 	perNode := map[string]int{}
 	for i := 0; i < 6; i++ {
-		svs, err := a.ReserveSlivers(fmt.Sprintf("s%d", i), "site0", 1)
+		svs, err := a.reserveSlivers(fmt.Sprintf("s%d", i), "site0", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,56 +222,59 @@ func TestReserveSliversLeastLoaded(t *testing.T) {
 		}
 	}
 	// Seventh fails: site full.
-	if _, err := a.ReserveSlivers("s7", "site0", 1); err == nil {
+	if _, err := a.reserveSlivers("s7", "site0", 1); err == nil {
 		t.Error("overfull site must reject")
 	}
 }
 
 func TestReserveSliversErrors(t *testing.T) {
 	a := testAuthority(t, 1, 1, 1)
-	if _, err := a.ReserveSlivers("s", "nope", 1); err == nil {
+	if _, err := a.reserveSlivers("s", "nope", 1); err == nil {
 		t.Error("unknown site must fail")
 	}
-	if _, err := a.ReserveSlivers("s", "site0", 0); err == nil {
+	if _, err := a.reserveSlivers("s", "site0", 0); err == nil {
 		t.Error("zero count must fail")
 	}
 }
 
-func TestAvailableSites(t *testing.T) {
-	a := testAuthority(t, 3, 1, 2)
-	if got := a.AvailableSites(2); len(got) != 3 {
-		t.Errorf("AvailableSites(2) = %v", got)
+// TestReserveWalk: Reserve takes sites in ID order, whatever the AddSite
+// order, skips sites whose free slots do not cover per, and stops after
+// maxSites sites.
+func TestReserveWalk(t *testing.T) {
+	a := NewAuthority("x")
+	for _, id := range []string{"c", "a", "b"} {
+		if err := a.AddSite(&Site{ID: id, Nodes: []Node{{ID: "n", Capacity: 2}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := a.AvailableSites(3); len(got) != 0 {
-		t.Errorf("AvailableSites(3) = %v, want none", got)
+	for _, per := range []int{0, -1, 3} {
+		if got := a.Reserve("s", per, 0); got != nil {
+			t.Errorf("Reserve(per %d) = %v, want nothing", per, got)
+		}
 	}
-	// Consume site0 fully.
-	if _, err := a.ReserveSlivers("s", "site0", 2); err != nil {
-		t.Fatal(err)
+	sv := func(slice, site string) Sliver { return Sliver{SliceName: slice, SiteID: site, NodeID: "n"} }
+	if got, want := a.Reserve("s", 2, 1), []Sliver{sv("s", "a"), sv("s", "a")}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Reserve(2, 1) = %v, want %v", got, want)
 	}
-	got := a.AvailableSites(1)
-	if len(got) != 2 {
-		t.Errorf("AvailableSites(1) after fill = %v", got)
+	// Site a is full: the walk passes it by.
+	if got, want := a.Reserve("t", 1, 0), []Sliver{sv("t", "b"), sv("t", "c")}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Reserve(1, 0) = %v, want %v", got, want)
+	}
+	if got, want := a.Reserve("u", 1, 1), []Sliver{sv("u", "b")}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Reserve(1, 1) = %v, want %v", got, want)
 	}
 }
 
 func TestReleaseSliversFreesCapacity(t *testing.T) {
 	a := testAuthority(t, 3, 1, 1)
-	var held []Sliver
-	for _, site := range a.AvailableSites(1) {
-		svs, err := a.ReserveSlivers("tmp", site, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, svs...)
-	}
+	held := a.Reserve("tmp", 1, 0)
 	if a.Utilization() != 1 {
 		t.Errorf("utilization %g, want 1", a.Utilization())
 	}
-	if got := a.AvailableSites(1); len(got) != 0 {
+	if got := a.Reserve("tmp2", 1, 0); len(got) != 0 {
 		t.Errorf("full system still offers %v", got)
 	}
-	if _, err := a.ReserveSlivers("tmp2", "site0", 1); err == nil {
+	if _, err := a.reserveSlivers("tmp2", "site0", 1); err == nil {
 		t.Error("full site must reject")
 	}
 	a.ReleaseSlivers(held)
@@ -276,15 +288,15 @@ func TestReleaseSliversFreesCapacity(t *testing.T) {
 		t.Errorf("site0 free %d after double release, want 1", a.SiteFree("site0"))
 	}
 	for _, site := range []string{"site0", "site1", "site2"} {
-		if _, err := a.ReserveSlivers("tmp2", site, 1); err != nil {
+		if _, err := a.reserveSlivers("tmp2", site, 1); err != nil {
 			t.Errorf("freed capacity should host the slivers: %v", err)
 		}
 	}
 }
 
 // TestConcurrentSliceCreation places two-site slices from many goroutines
-// the way the sfa plane embeds a slice locally: reserve at available sites
-// until the threshold is met, release the partial hold otherwise.
+// the way the sfa plane embeds a slice locally: one Reserve walk bounded
+// at the threshold, releasing the partial hold if it falls short.
 // Concurrent placement must never oversubscribe a node.
 func TestConcurrentSliceCreation(t *testing.T) {
 	a := testAuthority(t, 4, 2, 2) // 4 sites * 2 nodes * 2 = 16 sliver slots
@@ -296,15 +308,7 @@ func TestConcurrentSliceCreation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			name := fmt.Sprintf("slice%d", i)
-			var hold []Sliver
-			for _, site := range a.AvailableSites(1) {
-				if len(hold) == perSlice {
-					break
-				}
-				if svs, err := a.ReserveSlivers(name, site, 1); err == nil {
-					hold = append(hold, svs...)
-				}
-			}
+			hold := a.Reserve(name, 1, perSlice)
 			if len(hold) < perSlice {
 				a.ReleaseSlivers(hold)
 				return
@@ -336,30 +340,31 @@ func TestConcurrentSliceCreation(t *testing.T) {
 }
 
 // BenchmarkAuthorityReserveRelease runs one coordinator-side placement on
-// fedbench's authority shape (40 sites × 2 nodes × capacity 10): the
-// available sites, one sliver at each, then their release.
+// fedbench's authority shape (sites × 2 nodes × capacity 10): a Reserve
+// walk of one sliver at each of 40 sites, then their release. At 50,000
+// sites the walk stops after its 40th site.
 func BenchmarkAuthorityReserveRelease(b *testing.B) {
-	a := NewAuthority("PLC")
-	for s := 0; s < 40; s++ {
-		site := &Site{ID: fmt.Sprintf("PLC-site%03d", s), Name: fmt.Sprintf("PLC site %d", s)}
-		for n := 0; n < 2; n++ {
-			site.Nodes = append(site.Nodes, Node{ID: fmt.Sprintf("node%d", n), Capacity: 10})
-		}
-		if err := a.AddSite(site); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var hold []Sliver
-		for _, id := range a.AvailableSites(1) {
-			svs, err := a.ReserveSlivers("s", id, 1)
-			if err != nil {
-				b.Fatal(err)
+	for _, sites := range []int{40, 50000} {
+		b.Run(fmt.Sprintf("sites=%d", sites), func(b *testing.B) {
+			a := NewAuthority("PLC")
+			for s := 0; s < sites; s++ {
+				site := &Site{ID: fmt.Sprintf("PLC-site%05d", s), Name: fmt.Sprintf("PLC site %d", s)}
+				for n := 0; n < 2; n++ {
+					site.Nodes = append(site.Nodes, Node{ID: fmt.Sprintf("node%d", n), Capacity: 10})
+				}
+				if err := a.AddSite(site); err != nil {
+					b.Fatal(err)
+				}
 			}
-			hold = append(hold, svs...)
-		}
-		a.ReleaseSlivers(hold)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hold := a.Reserve("s", 1, 40)
+				if len(hold) != 40 {
+					b.Fatalf("placed %d slivers, want 40", len(hold))
+				}
+				a.ReleaseSlivers(hold)
+			}
+		})
 	}
 }

@@ -1,11 +1,14 @@
 package sfa
 
+// This file holds the request handlers that decide under the state lock,
+// commit a Record and apply it through state.go, plus the lease reaper and
+// recovery, which commit and apply through the same path.
+
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
-
-	"fedshare/internal/planetlab"
 )
 
 // commit makes one decided mutation durable and applies it; the caller
@@ -97,6 +100,23 @@ func (s *Server) reapExpiredLeases() int {
 	return len(expired)
 }
 
+// leaseExpiry converts a request's TTL into its lease's expiry in
+// UnixNano, or 0 (no lease) for a zero TTL. A negative TTL, or one whose
+// expiry does not fit in int64 nanoseconds, is refused as a bad kind
+// request: as a time.Duration it would wrap to an expiry in the past that
+// the next reaper tick frees.
+func (s *Server) leaseExpiry(kind string, ttl float64) (int64, error) {
+	if ttl == 0 {
+		return 0, nil
+	}
+	now := s.cfg.Now().UnixNano()
+	ns := ttl * float64(time.Second)
+	if !(ns >= 0) || ns >= 1<<63 || now > math.MaxInt64-int64(ns) {
+		return 0, fmt.Errorf("bad %s request: ttl_seconds %g is out of range", kind, ttl)
+	}
+	return now + int64(ns), nil
+}
+
 func (s *Server) verify(c Credential) error {
 	return c.Verify(s.secret, time.Now())
 }
@@ -157,6 +177,10 @@ func (s *Server) handleReserve(p ReserveRequest) (*ReserveResponse, error) {
 	if p.Sites <= 0 || p.PerSite <= 0 {
 		return nil, fmt.Errorf("reserve needs positive sites and per-site counts")
 	}
+	expiry, err := s.leaseExpiry("reserve", p.TTLSeconds)
+	if err != nil {
+		return nil, err
+	}
 	key := ""
 	if p.IdempotencyKey != "" {
 		// Keys are namespaced by method so a key accidentally reused
@@ -173,19 +197,10 @@ func (s *Server) handleReserve(p ReserveRequest) (*ReserveResponse, error) {
 		s.log.Debugf("sfa[%s]: reserve dedup replay for key %q", s.auth.Name, p.IdempotencyKey)
 		return &ReserveResponse{Slivers: slivers}, nil
 	}
-	// Decide: the authority's placement policy holds slivers at the first
+	// Decide: the authority's placement walk holds slivers at the first
 	// p.Sites sites with room. The hold is dropped on return; apply places
 	// exactly the committed slivers.
-	candidates := s.auth.AvailableSites(p.PerSite)
-	if len(candidates) > p.Sites {
-		candidates = candidates[:p.Sites]
-	}
-	var hold []planetlab.Sliver
-	for _, siteID := range candidates {
-		if svs, err := s.auth.ReserveSlivers(p.SliceName, siteID, p.PerSite); err == nil {
-			hold = append(hold, svs...)
-		}
-	}
+	hold := s.auth.Reserve(p.SliceName, p.PerSite, p.Sites)
 	defer s.auth.ReleaseSlivers(hold)
 	resp := &ReserveResponse{Slivers: toRecords(s.auth.Name, hold)}
 	if len(hold) == 0 && key == "" {
@@ -195,8 +210,8 @@ func (s *Server) handleReserve(p ReserveRequest) (*ReserveResponse, error) {
 	// so Release frees exactly the slivers still held here. The holder
 	// (credential subject) keys the anti-entropy ListHoldings read.
 	rec := Record{Op: OpReserve, Slice: p.SliceName, Key: key, Holder: p.Credential.Subject, Slivers: resp.Slivers}
-	if len(hold) > 0 && p.TTLSeconds > 0 {
-		rec.Expiry = s.cfg.Now().Add(time.Duration(p.TTLSeconds * float64(time.Second))).UnixNano()
+	if len(hold) > 0 {
+		rec.Expiry = expiry
 	}
 	if err := s.commit(rec); err != nil {
 		return nil, err
@@ -249,102 +264,32 @@ func (s *Server) handleCreateSlice(p SliceRequest) (*SliceResponse, error) {
 	if per <= 0 {
 		per = 1
 	}
-	spec := planetlab.SliceSpec{
-		Name: p.Name, Owner: p.Owner,
-		MinSites: 0, MaxSites: p.MaxSites, SliversPerSite: per,
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if p.MinSites < 0 {
+	switch {
+	case p.Name == "":
+		return nil, fmt.Errorf("planetlab: slice needs a name")
+	case p.MaxSites < 0:
+		return nil, fmt.Errorf("planetlab: slice %s has negative MaxSites", p.Name)
+	case p.MinSites < 0:
 		return nil, fmt.Errorf("negative min_sites")
+	}
+	expiry, err := s.leaseExpiry("slice", p.TTLSeconds)
+	if err != nil {
+		return nil, err
 	}
 
 	// Local placement first. The local slivers are held for the whole peer
 	// fan-out: transient node load outside the durable state, released on
 	// abort and turned into the create_slice record's placement at commit.
-	maxSites := p.MaxSites
-	var hold []planetlab.Sliver
-	var remote []SliverRecord
-	sitesGot := 0
 	s.st.mu.Lock()
 	if s.st.slices[p.Name] != nil {
 		s.st.mu.Unlock()
 		return nil, fmt.Errorf("slice %s already exists", p.Name)
 	}
-	for _, siteID := range s.auth.AvailableSites(per) {
-		if maxSites > 0 && sitesGot >= maxSites {
-			break
-		}
-		svs, err := s.auth.ReserveSlivers(p.Name, siteID, per)
-		if err != nil {
-			continue
-		}
-		hold = append(hold, svs...)
-		sitesGot++
-	}
+	hold := s.auth.Reserve(p.Name, per, p.MaxSites)
 	s.st.mu.Unlock()
-
-	// Peers, in deterministic order, until the threshold (and max) is met.
-	cred := IssueCredential(s.secret, s.auth.Name, s.auth.Name, time.Minute)
-	// One idempotency generation per CreateSlice invocation: client-level
-	// retries of each Reserve below share a key, while a later lifecycle of
-	// the same slice name (delete + recreate, or recreate after TTL expiry)
-	// draws a fresh generation and executes anew instead of replaying this
-	// lifecycle's outcome.
-	gen := s.nextGen()
-	for _, ph := range s.peerList() {
-		name := ph.record.Name
-		if st := s.health.state(name); st == PeerDown || st == PeerRecovering {
-			// Degraded mode: place on the live sub-federation only. No
-			// idempotency key is drawn, so nothing can replay at the peer
-			// later.
-			s.log.Debugf("sfa[%s]: skipping %s peer %s for slice %s", s.auth.Name, st, name, p.Name)
-			continue
-		}
-		need := 1 << 20 // effectively unbounded
-		if maxSites > 0 {
-			need = maxSites - sitesGot
-			if need <= 0 {
-				break
-			}
-		}
-		req := ReserveRequest{
-			SliceName: p.Name, Sites: need, PerSite: per,
-			// One logical reservation per (coordinator, slice lifecycle,
-			// peer): retries of this call dedup server-side.
-			IdempotencyKey: fmt.Sprintf("%s/%s#%d@%s", s.auth.Name, p.Name, gen, name),
-			TTLSeconds:     p.TTLSeconds,
-		}
-		queued := req // credential-free copy; reconciliation re-signs it
-		req.Credential = cred
-		var rr ReserveResponse
-		err := s.callPeer(name, ph.client, MethodReserve, req, &rr)
-		if err != nil {
-			s.log.Errorf("sfa[%s]: reserve at %s failed: %v", s.auth.Name, name, err)
-			if isTransportFailure(err) {
-				// The request may or may not have reached the peer. Queue
-				// it under its original key: reconciliation replays it
-				// (dedup settles which case happened) and then retires the
-				// resulting orphan slivers, since this slice commits
-				// without them.
-				s.recon.enqueue(name, pendingOp{method: MethodReserve, slice: p.Name, key: queued.IdempotencyKey, reserve: &queued})
-				s.setBacklogGauge(name)
-			}
-			continue
-		}
-		siteSeen := map[string]bool{}
-		for _, sv := range rr.Slivers {
-			if !siteSeen[sv.SiteID] {
-				siteSeen[sv.SiteID] = true
-				sitesGot++
-			}
-		}
-		remote = append(remote, rr.Slivers...)
-	}
+	remote, sitesGot := s.reservePeers(p, per, len(hold)/per)
 
 	local := toRecords(s.auth.Name, hold)
-	var err error
 	s.st.mu.Lock()
 	switch {
 	case sitesGot < p.MinSites:
@@ -352,14 +297,10 @@ func (s *Server) handleCreateSlice(p SliceRequest) (*SliceResponse, error) {
 	case s.st.slices[p.Name] != nil: // a concurrent create of the name committed first
 		err = fmt.Errorf("slice %s already exists", p.Name)
 	default:
-		rec := Record{Op: OpCreateSlice, Slice: p.Name, Slivers: local, Remote: remote,
-			Spec: &SliceSpecState{Name: p.Name, Owner: p.Owner, MinSites: p.MinSites, MaxSites: p.MaxSites, SliversPerSite: per}}
-		if p.TTLSeconds > 0 {
-			// Lease the whole slice for the experiment's holding time; the
-			// reaper deletes it (and releases remote slivers) at expiry.
-			rec.Expiry = s.cfg.Now().Add(time.Duration(p.TTLSeconds * float64(time.Second))).UnixNano()
-		}
-		err = s.commit(rec)
+		// A TTL leases the whole slice for the experiment's holding time;
+		// the reaper deletes it (and releases remote slivers) at expiry.
+		err = s.commit(Record{Op: OpCreateSlice, Slice: p.Name, Slivers: local, Remote: remote, Expiry: expiry,
+			Spec: &SliceSpecState{Name: p.Name, Owner: p.Owner, MinSites: p.MinSites, MaxSites: p.MaxSites, SliversPerSite: per}})
 	}
 	s.auth.ReleaseSlivers(hold)
 	s.st.mu.Unlock()

@@ -43,6 +43,11 @@ func (s PeerState) String() string {
 	return "unknown"
 }
 
+// excluded reports whether a peer in this state is left out of placement
+// and share computation: down, or recovering until reconciliation readmits
+// it.
+func (s PeerState) excluded() bool { return s == PeerDown || s == PeerRecovering }
+
 // peerHealth is one peer's tracked condition.
 type peerHealth struct {
 	state     PeerState
@@ -215,13 +220,6 @@ func (h *healthTracker) transition(name string, from, to PeerState) bool {
 	}
 	h.setStateLocked(name, p, to, now)
 	return true
-}
-
-// forget drops a peer (it was replaced or unpeered).
-func (h *healthTracker) forget(name string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.peers, name)
 }
 
 // dueProbes returns the peers whose probe deadline has passed, in sorted

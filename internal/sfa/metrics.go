@@ -93,15 +93,3 @@ func newClientMetrics(r *obs.Registry) *clientMetrics {
 			"Responses shed by a server admission gate (retried with backoff)."),
 	}
 }
-
-// methodLabel clamps unknown method names to one label value so a client
-// probing random methods cannot grow the registry without bound.
-func methodLabel(method string) string {
-	switch method {
-	case MethodPing, MethodGetRecord, MethodListResources, MethodPeer,
-		MethodCreateSlice, MethodDeleteSlice, MethodReserve, MethodRelease,
-		MethodGetShares, MethodGetUsage, MethodListHoldings:
-		return method
-	}
-	return "unknown"
-}

@@ -107,9 +107,8 @@ func TestHealthTrackerLifecycle(t *testing.T) {
 	if got := log.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("transitions = %v\nwant %v", got, want)
 	}
-	h.forget("X")
-	if got := h.state("X"); got != PeerHealthy {
-		t.Errorf("forgotten peer state = %s, want default healthy", got)
+	if got := h.state("untracked"); got != PeerHealthy {
+		t.Errorf("untracked peer state = %s, want default healthy", got)
 	}
 }
 
@@ -215,7 +214,7 @@ func TestAdmissionGateShedsOverload(t *testing.T) {
 		WithMetrics(reg), WithConfig(ServerConfig{MaxInFlight: 1}))
 
 	// Inject a peer whose registry accepts and never answers: GetShares
-	// blocks on its ListResources, holding the only admission slot.
+	// blocks on its GetRecord, holding the only admission slot.
 	silent := newSilentListener(t)
 	slow := NewClient(ClientConfig{
 		Addr: silent.ln.Addr().String(), CallTimeout: 10 * time.Second,

@@ -1,5 +1,10 @@
 package sfa
 
+// This file holds peer coordination: installing peers, probing them, the
+// CreateSlice fan-out, remote releases, and value shares over the
+// federation's authority records. health.go tracks each peer's condition
+// and reconcile.go replays what could not be delivered.
+
 import (
 	"fmt"
 	"math"
@@ -13,11 +18,11 @@ import (
 type peerHandle struct {
 	record AuthorityRecord
 	client *Client
-	// lastResources is the peer's last successful advertisement (guarded
-	// by the server's mu): when the peer is down, degraded-mode share
-	// computation still shapes the full federation model with it before
-	// restricting valuation to the live sub-federation.
-	lastResources *ResourceList
+	// last is the peer's last record read successfully (guarded by the
+	// server's mu): when the peer is down, degraded-mode share computation
+	// still shapes the full federation model with it before restricting
+	// valuation to the live sub-federation.
+	last *AuthorityRecord
 }
 
 // newPeerClient builds the client for an outbound peer connection, through
@@ -42,10 +47,52 @@ func (s *Server) newPeerClient(addr string) *Client {
 // callPeer performs one RPC against a peer and feeds the outcome to the
 // health tracker: transport failures count against the peer, any answered
 // request proves it alive.
-func (s *Server) callPeer(name string, client *Client, method string, params, result interface{}) error {
-	err := client.Call(method, params, result)
-	s.health.observe(name, !isTransportFailure(err))
+func (s *Server) callPeer(ph *peerHandle, method string, params, result interface{}) error {
+	err := ph.client.Call(method, params, result)
+	s.health.observe(ph.record.Name, !isTransportFailure(err))
 	return err
+}
+
+// peerKey is the idempotency key of one keyed operation sent to peer: one
+// per (coordinator, slice lifecycle, peer), so client-level retries of the
+// call share it and dedup at the peer, while a later lifecycle of the same
+// slice name draws a fresh generation and executes anew.
+func (s *Server) peerKey(slice string, gen uint64, peer string) string {
+	return fmt.Sprintf("%s/%s#%d@%s", s.auth.Name, slice, gen, peer)
+}
+
+// sendKeyed sends a keyed operation to a peer under cred. On a transport
+// failure the request may or may not have reached the peer, so it is
+// queued without its credential under its original key: reconciliation
+// replays it, and dedup settles which case happened.
+func (s *Server) sendKeyed(ph *peerHandle, op pendingOp, cred Credential, result interface{}) error {
+	err := s.callPeer(ph, op.method, op.signed(cred), result)
+	if isTransportFailure(err) {
+		s.queue(ph.record.Name, op)
+	}
+	return err
+}
+
+// selfRecord is the record this authority advertises: its name, listening
+// address, sites and sliver slots.
+func (s *Server) selfRecord() AuthorityRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return AuthorityRecord{Name: s.auth.Name, Addr: s.addr, Sites: s.auth.SiteCount(), Capacity: s.auth.Capacity()}
+}
+
+// installPeer makes client the connection to the peer rec describes,
+// closing any connection it replaces, and tracks the peer as healthy.
+func (s *Server) installPeer(rec AuthorityRecord, client *Client) {
+	s.mu.Lock()
+	if old, ok := s.peers[rec.Name]; ok && old.client != nil {
+		_ = old.client.Close()
+	}
+	s.peers[rec.Name] = &peerHandle{record: rec, client: client}
+	s.metrics.peers.Set(float64(len(s.peers)))
+	s.mu.Unlock()
+	s.health.ensure(rec.Name)
+	s.log.Infof("sfa[%s]: peered with %s (%s)", s.auth.Name, rec.Name, rec.Addr)
 }
 
 // handlePeer records the caller as a peer and connects back to it.
@@ -61,18 +108,23 @@ func (s *Server) handlePeer(p PeerRequest) (*PeerResponse, error) {
 		_ = client.Close()
 		return nil, fmt.Errorf("peer back-dial: %w", err)
 	}
-	s.mu.Lock()
-	if old, ok := s.peers[p.Record.Name]; ok && old.client != nil {
-		_ = old.client.Close()
+	s.installPeer(p.Record, client)
+	return &PeerResponse{Record: s.selfRecord()}, nil
+}
+
+// PeerWith initiates peering with a remote registry at addr: it dials,
+// introduces itself, and records the remote as a peer, so federation flows
+// both ways after the remote's back-dial.
+func (s *Server) PeerWith(addr string) error {
+	client := s.newPeerClient(addr)
+	cred := IssueCredential(s.secret, s.auth.Name, s.auth.Name, time.Minute)
+	var resp PeerResponse
+	if err := client.Call(MethodPeer, PeerRequest{Record: s.selfRecord(), Credential: cred}, &resp); err != nil {
+		_ = client.Close()
+		return err
 	}
-	s.peers[p.Record.Name] = &peerHandle{record: p.Record, client: client}
-	s.metrics.peers.Set(float64(len(s.peers)))
-	rec := s.record
-	rec.Sites = s.auth.SiteCount()
-	s.mu.Unlock()
-	s.health.ensure(p.Record.Name)
-	s.log.Infof("sfa[%s]: peered with %s (%s)", s.auth.Name, p.Record.Name, p.Record.Addr)
-	return &PeerResponse{Record: rec}, nil
+	s.installPeer(resp.Record, client)
+	return nil
 }
 
 // probePeers pings every peer whose probe deadline has passed (paced by
@@ -110,25 +162,6 @@ func (s *Server) probePeers() {
 	}
 }
 
-// cacheResources remembers a peer's last successful advertisement;
-// cachedResources returns it (nil if none).
-func (s *Server) cacheResources(name string, rl *ResourceList) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ph, ok := s.peers[name]; ok {
-		ph.lastResources = rl
-	}
-}
-
-func (s *Server) cachedResources(name string) *ResourceList {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ph, ok := s.peers[name]; ok {
-		return ph.lastResources
-	}
-	return nil
-}
-
 // PeerHealth reports each peer's lifecycle condition, breaker state, and
 // reconcile backlog, sorted by name — the data behind fedd's /peersz
 // endpoint and fedctl status's peer table.
@@ -154,6 +187,60 @@ func (s *Server) PeerHealth() []PeerHealthInfo {
 		out = append(out, info)
 	}
 	return out
+}
+
+// reservePeers is CreateSlice's fan-out: it asks the peers, in name order,
+// for per slivers at each site the slice still needs once sitesGot sites
+// are placed, until p.MaxSites is met (every site they offer when it is
+// 0). It returns the peers' slivers and the sites placed in all.
+func (s *Server) reservePeers(p SliceRequest, per, sitesGot int) ([]SliverRecord, int) {
+	var remote []SliverRecord
+	cred := IssueCredential(s.secret, s.auth.Name, s.auth.Name, time.Minute)
+	// One idempotency generation per CreateSlice invocation: client-level
+	// retries of each Reserve below share a key, while a later lifecycle of
+	// the same slice name (delete + recreate, or recreate after TTL expiry)
+	// draws a fresh generation and executes anew instead of replaying this
+	// lifecycle's outcome.
+	gen := s.nextGen()
+	for _, ph := range s.peerList() {
+		name := ph.record.Name
+		if st := s.health.state(name); st.excluded() {
+			// Degraded mode: place on the live sub-federation only. No
+			// idempotency key is drawn, so nothing can replay at the peer
+			// later.
+			s.log.Debugf("sfa[%s]: skipping %s peer %s for slice %s", s.auth.Name, st, name, p.Name)
+			continue
+		}
+		need := 1 << 20 // effectively unbounded
+		if p.MaxSites > 0 {
+			need = p.MaxSites - sitesGot
+			if need <= 0 {
+				break
+			}
+		}
+		// A reserve that fails at the transport is queued: reconciliation
+		// replays it and then retires the resulting orphan slivers, since
+		// this slice commits without them.
+		op := pendingOp{method: MethodReserve, reserve: ReserveRequest{
+			SliceName: p.Name, Sites: need, PerSite: per,
+			IdempotencyKey: s.peerKey(p.Name, gen, name),
+			TTLSeconds:     p.TTLSeconds,
+		}}
+		var rr ReserveResponse
+		if err := s.sendKeyed(ph, op, cred, &rr); err != nil {
+			s.log.Errorf("sfa[%s]: reserve at %s failed: %v", s.auth.Name, name, err)
+			continue
+		}
+		siteSeen := map[string]bool{}
+		for _, sv := range rr.Slivers {
+			if !siteSeen[sv.SiteID] {
+				siteSeen[sv.SiteID] = true
+				sitesGot++
+			}
+		}
+		remote = append(remote, rr.Slivers...)
+	}
+	return remote, sitesGot
 }
 
 // releaseRemote frees slivers held at peers, grouped per authority.
@@ -182,28 +269,19 @@ func (s *Server) releaseRemote(sliceName string, slivers []SliverRecord) {
 			s.log.Errorf("sfa[%s]: cannot release %d slivers at unknown peer %s", s.auth.Name, len(svs), name)
 			continue
 		}
-		req := ReleaseRequest{
+		op := pendingOp{method: MethodRelease, release: ReleaseRequest{
 			SliceName: sliceName, Slivers: svs,
-			// Retries of this release must not double-free at the peer.
-			IdempotencyKey: fmt.Sprintf("%s/%s#%d@%s", s.auth.Name, sliceName, gen, name),
-		}
-		if st := s.health.state(name); st == PeerDown || st == PeerRecovering {
+			IdempotencyKey: s.peerKey(sliceName, gen, name),
+		}}
+		if st := s.health.state(name); st.excluded() {
 			// Known unreachable: queue instead of burning a call timeout.
-			queued := req
-			s.recon.enqueue(name, pendingOp{method: MethodRelease, slice: sliceName, key: req.IdempotencyKey, release: &queued})
-			s.setBacklogGauge(name)
+			s.queue(name, op)
 			s.log.Infof("sfa[%s]: queued release of %d slivers of %s for %s peer %s",
 				s.auth.Name, len(svs), sliceName, st, name)
 			continue
 		}
-		queued := req // credential-free copy; reconciliation re-signs it
-		req.Credential = cred
-		if err := s.callPeer(name, ph.client, MethodRelease, req, nil); err != nil {
+		if err := s.sendKeyed(ph, op, cred, nil); err != nil {
 			s.log.Errorf("sfa[%s]: release at %s: %v", s.auth.Name, name, err)
-			if isTransportFailure(err) {
-				s.recon.enqueue(name, pendingOp{method: MethodRelease, slice: sliceName, key: queued.IdempotencyKey, release: &queued})
-				s.setBacklogGauge(name)
-			}
 		}
 	}
 }
@@ -224,98 +302,73 @@ func (s *Server) peerList() []*peerHandle {
 	return out
 }
 
+// facility prices one authority record as a member of the federation
+// game: its sites are the locations, each with the record's mean per-site
+// capacity.
+func facility(rec AuthorityRecord) core.Facility {
+	per := 0.0
+	if rec.Sites > 0 {
+		per = float64(rec.Capacity) / float64(rec.Sites)
+	}
+	return core.Facility{Name: rec.Name, Locations: rec.Sites, Resources: per}
+}
+
 // handleShares builds the federation's economic model from its own and its
-// peers' advertised resources and computes value shares under the requested
+// peers' authority records and computes value shares under the requested
 // policy — the paper's method exposed as a network service.
 //
 // Unreachable peers degrade the computation instead of failing it: down
-// and recovering peers (and any peer whose live listing fails at the
+// and recovering peers (and any peer whose live record read fails at the
 // transport level) are excluded from valuation, shares are computed over
 // the live sub-federation, and the response carries the Partial marker
-// with the excluded authorities. A down peer's last advertisement, when
-// cached, still shapes the full model so the sub-federation is priced as
-// a coalition of the same game; the demand profile never shrinks just
-// because peers died.
+// with the excluded authorities. A down peer's last record read, when
+// there is one, still shapes the full model so the sub-federation is
+// priced as a coalition of the same game; the demand profile never
+// shrinks just because peers died.
 func (s *Server) handleShares(p SharesRequest) (*SharesResponse, error) {
 	sp := s.obsreg.StartSpan("sfa.shares").Attr("policy", p.Policy)
 	defer sp.End()
-	type contribution struct {
-		name     string
-		sites    int
-		capacity float64 // per-site
-		live     bool
-	}
-	var contribs []contribution
-
-	// Own contribution.
-	own := s.listResources()
-	ownSites := len(own.Sites)
-	ownCap := 0.0
-	for _, site := range own.Sites {
-		ownCap += float64(site.Capacity)
-	}
-	perSite := 0.0
-	if ownSites > 0 {
-		perSite = ownCap / float64(ownSites)
-	}
-	contribs = append(contribs, contribution{s.auth.Name, ownSites, perSite, true})
-
-	// Peers' advertised resources.
+	members := []AuthorityRecord{s.selfRecord()}
+	live := map[string]bool{s.auth.Name: true}
 	var down []string
 	for _, ph := range s.peerList() {
 		name := ph.record.Name
-		var rl *ResourceList
-		live := false
-		if st := s.health.state(name); st == PeerDown || st == PeerRecovering {
-			rl = s.cachedResources(name)
-		} else {
-			var fresh ResourceList
-			err := s.callPeer(name, ph.client, MethodListResources, Empty{}, &fresh)
-			switch {
-			case err == nil:
-				live = true
-				rl = &fresh
-				s.cacheResources(name, &fresh)
-			case isTransportFailure(err):
-				rl = s.cachedResources(name)
-			default:
-				return nil, fmt.Errorf("list resources at %s: %w", name, err)
+		if !s.health.state(name).excluded() {
+			var rec AuthorityRecord
+			err := s.callPeer(ph, MethodGetRecord, Empty{}, &rec)
+			if err == nil {
+				s.mu.Lock()
+				ph.last = &rec
+				s.mu.Unlock()
+				members = append(members, rec)
+				live[rec.Name] = true
+				continue
+			}
+			if !isTransportFailure(err) {
+				return nil, fmt.Errorf("get record at %s: %w", name, err)
 			}
 		}
-		if rl == nil {
-			// Unreachable and never successfully listed: nothing to model.
-			down = append(down, name)
-			continue
+		down = append(down, name)
+		s.mu.Lock()
+		last := ph.last
+		s.mu.Unlock()
+		if last != nil { // never read: nothing to model
+			members = append(members, *last)
 		}
-		if !live {
-			down = append(down, name)
-		}
-		sites := len(rl.Sites)
-		capTotal := 0.0
-		for _, site := range rl.Sites {
-			capTotal += float64(site.Capacity)
-		}
-		per := 0.0
-		if sites > 0 {
-			per = capTotal / float64(sites)
-		}
-		contribs = append(contribs, contribution{rl.Authority, sites, per, live})
 	}
-	sort.Slice(contribs, func(i, j int) bool { return contribs[i].name < contribs[j].name })
+	sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
 
-	facilities := make([]core.Facility, len(contribs))
-	for i, c := range contribs {
-		facilities[i] = core.Facility{Name: c.name, Locations: c.sites, Resources: c.capacity}
+	facilities := make([]core.Facility, len(members))
+	total := 0
+	for i, rec := range members {
+		facilities[i] = facility(rec)
+		total += rec.Sites
 	}
 	demand := s.demand
 	if demand == nil {
 		// Default profile: one diversity-hungry experiment spanning half
 		// the federation's sites (stale contributions included — demand
 		// does not shrink with the live set).
-		total := 0
-		for _, c := range contribs {
-			total += c.sites
-		}
 		wl, err := economics.NewWorkload(economics.DemandClass{
 			Type: economics.ExperimentType{
 				Name: "default", MinLocations: float64(total) / 2,
@@ -333,13 +386,7 @@ func (s *Server) handleShares(p SharesRequest) (*SharesResponse, error) {
 		return nil, err
 	}
 	if len(down) > 0 {
-		liveSet := map[string]bool{}
-		for _, c := range contribs {
-			if c.live {
-				liveSet[c.name] = true
-			}
-		}
-		sub, _, err := model.SubFederation(func(n string) bool { return liveSet[n] })
+		sub, _, err := model.SubFederation(func(n string) bool { return live[n] })
 		if err != nil {
 			return nil, err
 		}
@@ -367,31 +414,4 @@ func (s *Server) handleShares(p SharesRequest) (*SharesResponse, error) {
 		resp.Down = down
 	}
 	return resp, nil
-}
-
-// PeerWith initiates peering with a remote registry at addr: it dials,
-// introduces itself, and records the remote as a peer, so federation flows
-// both ways after the remote's back-dial.
-func (s *Server) PeerWith(addr string) error {
-	client := s.newPeerClient(addr)
-	s.mu.Lock()
-	rec := s.record
-	rec.Sites = s.auth.SiteCount()
-	s.mu.Unlock()
-	cred := IssueCredential(s.secret, s.auth.Name, s.auth.Name, time.Minute)
-	var resp PeerResponse
-	if err := client.Call(MethodPeer, PeerRequest{Record: rec, Credential: cred}, &resp); err != nil {
-		_ = client.Close()
-		return err
-	}
-	s.mu.Lock()
-	if old, ok := s.peers[resp.Record.Name]; ok && old.client != nil {
-		_ = old.client.Close()
-	}
-	s.peers[resp.Record.Name] = &peerHandle{record: resp.Record, client: client}
-	s.metrics.peers.Set(float64(len(s.peers)))
-	s.mu.Unlock()
-	s.health.ensure(resp.Record.Name)
-	s.log.Infof("sfa[%s]: peered with %s (%s)", s.auth.Name, resp.Record.Name, resp.Record.Addr)
-	return nil
 }

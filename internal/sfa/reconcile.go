@@ -1,7 +1,6 @@
 package sfa
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -18,17 +17,27 @@ import (
 // durable OpGen high-water mark (PR 8) guarantees retire keys drawn after
 // a coordinator restart never collide with keys already seen by the peer.
 
-// pendingOp is one undelivered operation queued for replay. The credential
-// is re-issued at replay time (the original would have expired); the
-// original idempotency key is preserved so a request that DID reach the
-// peer before the partition replays its cached outcome instead of
-// re-executing.
+// pendingOp is one keyed operation for a peer, kept without its
+// credential so it can be queued for replay. The credential is issued at
+// each send (a queued one would have expired); the idempotency key is the
+// original, so a request that DID reach the peer before the partition
+// replays its cached outcome instead of re-executing.
 type pendingOp struct {
-	method  string // MethodReserve or MethodRelease
-	slice   string
-	key     string
-	reserve *ReserveRequest
-	release *ReleaseRequest
+	method  string         // MethodReserve or MethodRelease
+	reserve ReserveRequest // for MethodReserve
+	release ReleaseRequest // for MethodRelease
+}
+
+// signed returns the operation's request under cred.
+func (op pendingOp) signed(cred Credential) interface{} {
+	if op.method == MethodReserve {
+		req := op.reserve
+		req.Credential = cred
+		return req
+	}
+	req := op.release
+	req.Credential = cred
+	return req
 }
 
 // reconciler holds the per-peer backlog of undelivered operations.
@@ -41,11 +50,10 @@ func newReconciler() *reconciler {
 	return &reconciler{backlog: map[string][]pendingOp{}}
 }
 
-func (r *reconciler) enqueue(peer string, op pendingOp) int {
+func (r *reconciler) enqueue(peer string, op pendingOp) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.backlog[peer] = append(r.backlog[peer], op)
-	return len(r.backlog[peer])
 }
 
 // take removes and returns the peer's entire backlog in FIFO order.
@@ -196,7 +204,7 @@ func (s *Server) runReconcile(name string, ph *peerHandle) bool {
 			Credential: cred, SliceName: slice, Slivers: svs,
 			// Fresh gen-keyed retire: the durable high-water mark
 			// guarantees it cannot collide with any key the peer has seen.
-			IdempotencyKey: fmt.Sprintf("%s/%s#%d@%s/retire", s.auth.Name, slice, gen, name),
+			IdempotencyKey: s.peerKey(slice, gen, name) + "/retire",
 		}, nil); err != nil {
 			s.log.Errorf("sfa[%s]: reconcile retire %d slivers of %s at %s: %v",
 				s.auth.Name, len(svs), slice, name, err)
@@ -225,29 +233,14 @@ func (s *Server) runReconcile(name string, ph *peerHandle) bool {
 
 // replayOp re-sends one queued operation with a fresh credential. A remote
 // error is a resolution (the peer answered and rejected the operation);
-// only transport failures abort the drain.
+// only transport failures abort the drain. Slivers placed by a replayed
+// reserve that the committed slice does not reference are orphans; phase 2
+// retires them.
 func (s *Server) replayOp(ph *peerHandle, cred Credential, op pendingOp) error {
-	switch op.method {
-	case MethodReserve:
-		req := *op.reserve
-		req.Credential = cred
-		var rr ReserveResponse
-		err := ph.client.Call(MethodReserve, req, &rr)
-		if isTransportFailure(err) {
-			return err
-		}
-		// Slivers placed by the replay that the committed slice does not
-		// reference are orphans; phase 2 retires them.
-		return nil
-	case MethodRelease:
-		req := *op.release
-		req.Credential = cred
-		if err := ph.client.Call(MethodRelease, req, nil); isTransportFailure(err) {
-			return err
-		}
-		return nil
+	if err := ph.client.Call(op.method, op.signed(cred), nil); isTransportFailure(err) {
+		return err
 	}
-	return fmt.Errorf("sfa: unknown pending op %q", op.method)
+	return nil
 }
 
 // fetchHoldings reads the peer's live holdings for this coordinator as a
@@ -302,6 +295,12 @@ func sortedKeys(m map[string][]SliverRecord) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// queue parks a keyed operation for reconciliation to replay to peer.
+func (s *Server) queue(peer string, op pendingOp) {
+	s.recon.enqueue(peer, op)
+	s.setBacklogGauge(peer)
 }
 
 func (s *Server) setBacklogGauge(peer string) {

@@ -1,5 +1,8 @@
 package sfa
 
+// This file holds the transport: configuration, lifecycle, the accept
+// loop, frames, admission and the route from each method to its handler.
+
 import (
 	"bufio"
 	"encoding/json"
@@ -103,7 +106,7 @@ type Server struct {
 	// mu guards the fields below. It is never held together with the
 	// state lock.
 	mu       sync.Mutex
-	record   AuthorityRecord
+	addr     string // listening address, set by Start
 	peers    map[string]*peerHandle
 	conns    map[net.Conn]struct{}
 	draining bool
@@ -201,11 +204,7 @@ func (s *Server) Start(addr string) error {
 	}
 	s.mu.Lock()
 	s.ln = ln
-	s.record = AuthorityRecord{
-		Name:  s.auth.Name,
-		Addr:  ln.Addr().String(),
-		Sites: s.auth.SiteCount(),
-	}
+	s.addr = ln.Addr().String()
 	s.reapStop = make(chan struct{})
 	s.reapDone = make(chan struct{})
 	s.mu.Unlock()
@@ -237,7 +236,7 @@ func (s *Server) reapLoop() {
 func (s *Server) Addr() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.record.Addr
+	return s.addr
 }
 
 // Close stops the listener, closes peer connections, stops the lease
@@ -447,10 +446,15 @@ func (s *Server) dispatch(req *Envelope) *Envelope {
 		}
 		defer s.inflight.Add(-1)
 	}
-	label := methodLabel(req.Method)
+	h, label := routes[req.Method], req.Method
+	if h == nil {
+		// One label for every unknown method, so a client probing random
+		// methods cannot grow the registry without bound.
+		h, label = unknownMethod, "unknown"
+	}
 	start := time.Now()
 	resp := &Envelope{ID: req.ID}
-	result, err := s.handle(req.Method, req.Params)
+	result, err := h(s, req.Method, req.Params)
 	dur := time.Since(start)
 	s.metrics.requests.With(label).Inc()
 	s.metrics.latency.With(label).Observe(dur.Seconds())
@@ -472,70 +476,47 @@ func (s *Server) dispatch(req *Envelope) *Envelope {
 	return resp
 }
 
-func (s *Server) handle(method string, params json.RawMessage) (interface{}, error) {
-	switch method {
-	case MethodPing, MethodGetRecord, MethodListResources, MethodGetUsage:
-		// These methods read no params, so nothing else would notice a
-		// body that is not JSON.
+// handler answers one request; dispatch encodes its result.
+type handler func(s *Server, method string, params json.RawMessage) (interface{}, error)
+
+// routes maps each protocol method to its handler.
+var routes = map[string]handler{
+	MethodPing:          bare(func(*Server) Empty { return Empty{} }),
+	MethodGetRecord:     bare((*Server).selfRecord),
+	MethodListResources: bare((*Server).listResources),
+	MethodGetUsage:      bare((*Server).handleUsage),
+	MethodPeer:          decode("peer", (*Server).handlePeer),
+	MethodCreateSlice:   decode("slice", (*Server).handleCreateSlice),
+	MethodDeleteSlice:   decode("delete", (*Server).handleDeleteSlice),
+	MethodReserve:       decode("reserve", (*Server).handleReserve),
+	MethodRelease:       decode("release", (*Server).handleRelease),
+	MethodGetShares:     decode("shares", (*Server).handleShares),
+	MethodListHoldings:  decode("holdings", (*Server).handleListHoldings),
+}
+
+// bare routes a method that reads no params. Nothing else would notice a
+// body that is not JSON, so it is refused here.
+func bare[R any](h func(*Server) R) handler {
+	return func(s *Server, method string, params json.RawMessage) (interface{}, error) {
 		if len(params) > 0 && !json.Valid(params) {
 			return nil, fmt.Errorf("bad %s request: params are not JSON", method)
 		}
+		return h(s), nil
 	}
-	switch method {
-	case MethodPing:
-		return Empty{}, nil
-	case MethodGetRecord:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		rec := s.record
-		rec.Sites = s.auth.SiteCount()
-		return rec, nil
-	case MethodListResources:
-		return s.listResources(), nil
-	case MethodPeer:
-		var p PeerRequest
+}
+
+// decode routes a method whose params decode into P; a body that does not
+// is a "bad kind request".
+func decode[P, R any](kind string, h func(*Server, P) (R, error)) handler {
+	return func(s *Server, _ string, params json.RawMessage) (interface{}, error) {
+		var p P
 		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("bad peer request: %w", err)
+			return nil, fmt.Errorf("bad %s request: %w", kind, err)
 		}
-		return s.handlePeer(p)
-	case MethodCreateSlice:
-		var p SliceRequest
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("bad slice request: %w", err)
-		}
-		return s.handleCreateSlice(p)
-	case MethodDeleteSlice:
-		var p DeleteRequest
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("bad delete request: %w", err)
-		}
-		return s.handleDeleteSlice(p)
-	case MethodReserve:
-		var p ReserveRequest
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("bad reserve request: %w", err)
-		}
-		return s.handleReserve(p)
-	case MethodRelease:
-		var p ReleaseRequest
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("bad release request: %w", err)
-		}
-		return s.handleRelease(p)
-	case MethodGetShares:
-		var p SharesRequest
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("bad shares request: %w", err)
-		}
-		return s.handleShares(p)
-	case MethodGetUsage:
-		return s.handleUsage(), nil
-	case MethodListHoldings:
-		var p HoldingsRequest
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("bad holdings request: %w", err)
-		}
-		return s.handleListHoldings(p)
+		return h(s, p)
 	}
+}
+
+func unknownMethod(_ *Server, method string, _ json.RawMessage) (interface{}, error) {
 	return nil, fmt.Errorf("unknown method %q", method)
 }

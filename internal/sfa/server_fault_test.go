@@ -1,7 +1,9 @@
 package sfa
 
 import (
+	"errors"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -188,6 +190,60 @@ func TestLeaseExpiryReapsSlivers(t *testing.T) {
 	waitFor(t, "lease reaper", func() bool {
 		return expired.Value() == 1 && active.Value() == 0 && srv.auth.Utilization() == 0
 	})
+}
+
+// TestLeaseTTLOutOfRangeRefused: a negative TTL, or one whose expiry does
+// not fit in int64 nanoseconds, is a bad request, refused before anything
+// is held locally or sent to a peer. As a time.Duration, 1e10 s wrapped to
+// an expiry some 292 years in the past, which the next reaper tick freed.
+func TestLeaseTTLOutOfRangeRefused(t *testing.T) {
+	reg := obs.NewRegistry()
+	clock := newFakeClock()
+	servers := federate(t, map[string][3]int{"PLC": {2, 1, 2}, "PLE": {2, 1, 2}},
+		WithMetrics(reg), WithConfig(ServerConfig{Now: clock.Now}))
+	srv := servers["PLC"]
+	c := dialServer(t, srv)
+	refused := func(method string, params interface{}, kind string) {
+		t.Helper()
+		var remote *RemoteError
+		if err := c.Call(method, params, nil); !errors.As(err, &remote) ||
+			!strings.HasPrefix(remote.Msg, "bad "+kind+" request: ttl_seconds") {
+			t.Errorf("%s %+v = %v, want a bad %s request", method, params, err, kind)
+		}
+	}
+	for _, ttl := range []float64{1e10, 1e300, -1} {
+		refused(MethodCreateSlice, SliceRequest{Credential: userCred(), Name: "s", MinSites: 1, TTLSeconds: ttl}, "slice")
+		refused(MethodReserve, ReserveRequest{Credential: userCred(), SliceName: "r", Sites: 1, PerSite: 1, TTLSeconds: ttl}, "reserve")
+	}
+	// The only Reserve requests are the three refused direct ones: the
+	// fan-out never reached PLE.
+	if n := counterValue(reg, "fedshare_sfa_requests_total", MethodReserve); n != 3 {
+		t.Errorf("Reserve requests = %d, want the 3 direct ones", n)
+	}
+	for name, s := range servers {
+		s.st.mu.Lock()
+		held := len(s.st.leases) + len(s.st.slices)
+		s.st.mu.Unlock()
+		if held != 0 || s.auth.Utilization() != 0 {
+			t.Errorf("%s holds slivers after refused requests", name)
+		}
+	}
+
+	// A TTL of 1e9 s (about 32 years) fits and leases exactly that long.
+	var rr ReserveResponse
+	if err := c.Call(MethodReserve, ReserveRequest{Credential: userCred(), SliceName: "r", Sites: 1, PerSite: 1, TTLSeconds: 1e9}, &rr); err != nil {
+		t.Fatal(err)
+	}
+	srv.st.mu.Lock()
+	l := srv.st.leases["r"]
+	srv.st.mu.Unlock()
+	if want := clock.Now().UnixNano() + 1e18; l == nil || l.Expiry != want {
+		t.Fatalf("lease = %+v, want expiry %d", l, want)
+	}
+	clock.Advance(time.Hour)
+	if n := srv.reapExpiredLeases(); n != 0 || len(rr.Slivers) != 1 || srv.auth.Utilization() == 0 {
+		t.Errorf("a 1e9 s lease was reaped after an hour: %d reaped, slivers %v, utilization %g", n, rr.Slivers, srv.auth.Utilization())
+	}
 }
 
 func TestExplicitReleaseCancelsLease(t *testing.T) {

@@ -1,14 +1,17 @@
 package sfa
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"fedshare/internal/economics"
+	"fedshare/internal/obs"
 	"fedshare/internal/planetlab"
 )
 
@@ -291,6 +294,108 @@ func TestGetSharesOverNetwork(t *testing.T) {
 		if math.Abs(resp2.Shares[name]-s) > 1e-9 {
 			t.Errorf("share disagreement for %s: %g vs %g", name, s, resp2.Shares[name])
 		}
+	}
+}
+
+// TestSharesFromRecordsPriceOversizedPeer: a peer whose resource listing
+// overflows a frame (five 1 MiB site names, as in
+// TestOversizedResponseIsFinal) is priced from its authority record, to
+// the same shares as a peer whose sites have short names.
+func TestSharesFromRecordsPriceOversizedPeer(t *testing.T) {
+	shares := func(siteName string) SharesResponse {
+		big := planetlab.NewAuthority("BIG")
+		for s := 0; s < 5; s++ {
+			site := &planetlab.Site{ID: fmt.Sprintf("s%d", s), Name: siteName, Nodes: []planetlab.Node{{ID: "n", Capacity: 3}}}
+			if err := big.AddSite(site); err != nil {
+				t.Fatal(err)
+			}
+		}
+		peer := startServer(t, big)
+		srv := startServer(t, buildAuthority(t, "PLC", 3, 1, 2))
+		if err := srv.PeerWith(peer.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		var resp SharesResponse
+		if err := dialServer(t, srv).Call(MethodGetShares, SharesRequest{Policy: "shapley"}, &resp); err != nil {
+			t.Fatalf("GetShares beside a peer with %d-byte site names: %v", len(siteName), err)
+		}
+		return resp
+	}
+	got, want := shares(strings.Repeat("x", MaxFrameSize/4)), shares("short")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("shares beside the oversized peer = %+v, want %+v", got, want)
+	}
+	if got.Partial || got.Shares["BIG"] <= 0 {
+		t.Errorf("shares = %+v, want BIG priced in a full federation", got)
+	}
+}
+
+// TestSharesFromRecordsListNoResources: a healthy share query reads one
+// authority record per peer and no resource listing. Once a peer is down
+// its last record still shapes the model: with PLJ's 2 sites the default
+// demand needs 4.5 of the 9 sites, which neither PLC (3) nor PLE (4)
+// offers alone, so the live pair splits 50/50. Had PLJ never been read,
+// the threshold would be 3.5 and PLE alone would meet it.
+func TestSharesFromRecordsListNoResources(t *testing.T) {
+	reg := obs.NewRegistry()
+	servers := federate(t, map[string][3]int{
+		"PLC": {3, 1, 2}, "PLE": {4, 1, 1}, "PLJ": {2, 2, 1},
+	}, WithMetrics(reg))
+	c := dialServer(t, servers["PLC"])
+	var healthy SharesResponse
+	if err := c.Call(MethodGetShares, SharesRequest{Policy: "shapley"}, &healthy); err != nil {
+		t.Fatal(err)
+	}
+	if healthy.Partial || len(healthy.Shares) != 3 {
+		t.Errorf("healthy shares = %+v, want all three members", healthy)
+	}
+	if n := counterValue(reg, "fedshare_sfa_requests_total", MethodListResources); n != 0 {
+		t.Errorf("a healthy share query made %d ListResources calls, want 0", n)
+	}
+	if n := counterValue(reg, "fedshare_sfa_requests_total", MethodGetRecord); n != 2 {
+		t.Errorf("a healthy share query made %d GetRecord calls, want one per peer", n)
+	}
+
+	if err := servers["PLJ"].Close(); err != nil {
+		t.Fatal(err)
+	}
+	var degraded SharesResponse
+	if err := c.Call(MethodGetShares, SharesRequest{Policy: "shapley"}, &degraded); err != nil {
+		t.Fatalf("GetShares with PLJ down: %v", err)
+	}
+	if !degraded.Partial || !reflect.DeepEqual(degraded.Down, []string{"PLJ"}) {
+		t.Errorf("degraded shares = partial=%t down=%v, want partial with [PLJ]", degraded.Partial, degraded.Down)
+	}
+	if len(degraded.Shares) != 2 || degraded.Shares["PLC"] != 0.5 || degraded.Shares["PLE"] != 0.5 {
+		t.Errorf("degraded shares = %v, want PLC and PLE at 0.5", degraded.Shares)
+	}
+}
+
+// TestCreateSliceValidation: a slice request needs a name and
+// non-negative site bounds, refused with these texts before any placement.
+func TestCreateSliceValidation(t *testing.T) {
+	auth := buildAuthority(t, "PLC", 2, 1, 1)
+	c := dialServer(t, startServer(t, auth))
+	for _, tc := range []struct {
+		req  SliceRequest
+		want string
+	}{
+		{SliceRequest{}, "planetlab: slice needs a name"},
+		{SliceRequest{Name: "s", MinSites: -1}, "negative min_sites"},
+		{SliceRequest{Name: "s", MaxSites: -1}, "planetlab: slice s has negative MaxSites"},
+		{SliceRequest{Name: "s", MinSites: -1, MaxSites: -1}, "planetlab: slice s has negative MaxSites"},
+	} {
+		tc.req.Credential = userCred()
+		var remote *RemoteError
+		if err := c.Call(MethodCreateSlice, tc.req, nil); !errors.As(err, &remote) || remote.Msg != tc.want {
+			t.Errorf("CreateSlice(%+v) = %v, want %q", tc.req, err, tc.want)
+		}
+	}
+	if auth.Utilization() != 0 {
+		t.Errorf("refused slices hold %g of the capacity", auth.Utilization())
+	}
+	if err := c.Call(MethodCreateSlice, SliceRequest{Credential: userCred(), Name: "ok", MinSites: 2, MaxSites: 4}, nil); err != nil {
+		t.Errorf("valid slice refused: %v", err)
 	}
 }
 

@@ -73,7 +73,8 @@ type Store interface {
 	Close() error
 }
 
-// SliceSpecState mirrors planetlab.SliceSpec for the durable encoding.
+// SliceSpecState is a slice's request as CreateSlice accepted it: the
+// diversity bounds and slivers per site, in the durable encoding.
 type SliceSpecState struct {
 	Name           string `json:"name"`
 	Owner          string `json:"owner,omitempty"`

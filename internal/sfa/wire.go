@@ -166,11 +166,13 @@ const (
 
 // --- Message payloads ---
 
-// AuthorityRecord describes an authority in the registry.
+// AuthorityRecord describes an authority in the registry: its sites and
+// total sliver slots are the contribution share computation prices.
 type AuthorityRecord struct {
-	Name  string `json:"name"`
-	Addr  string `json:"addr"`
-	Sites int    `json:"sites"`
+	Name     string `json:"name"`
+	Addr     string `json:"addr"`
+	Sites    int    `json:"sites"`
+	Capacity int    `json:"capacity"` // total sliver slots
 }
 
 // SiteResource is one advertised site.
