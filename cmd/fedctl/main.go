@@ -39,6 +39,7 @@ import (
 	// so "fedctl scenarios" lists the same registry fedsim runs.
 	_ "fedshare/internal/figures"
 
+	"fedshare/internal/core"
 	"fedshare/internal/obs"
 	"fedshare/internal/rspec"
 	"fedshare/internal/scenario"
@@ -100,14 +101,14 @@ func main() {
 	if args[0] == "scenarios" {
 		fmt.Println("registered scenarios (run with fedsim -fig <id>):")
 		for _, e := range scenario.Entries() {
-			kind := e.Source()
+			kind := "paper"
 			switch {
 			case e.Variant:
-				kind += ",variant"
+				kind = "variant"
 			case e.Extension:
-				kind += ",extension"
+				kind = "extension"
 			}
-			fmt.Printf("  %-12s %-14s %s\n", e.ID, kind, e.Title)
+			fmt.Printf("  %-12s %-10s %s\n", e.ID, kind, e.Title)
 		}
 		return
 	}
@@ -627,7 +628,7 @@ commands:
   resources [-xml]
   slice create <name> [-min-sites N] [-max-sites N] [-per-site N]
   slice delete <name>
-  shares [-policy shapley|proportional|consumption|equal|nucleolus|banzhaf]
+  shares [-policy `+strings.Join(core.PolicyNames(), "|")+`]
   usage
   metrics <metrics-addr>    fetch and render a daemon's /metrics.json snapshot
   status <metrics-addr>     probe /healthz, /readyz, /version and the /peersz peer

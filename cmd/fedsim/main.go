@@ -80,7 +80,7 @@ func main() {
 	resultJSON := flag.Bool("result-json", false, "suppress tables and emit each result document as JSON (byte-identical to the served API's /result endpoint)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	approx := flag.Bool("approx", false, "force the sampling Shapley engine (spec method \"approx\") for spec-backed scenarios")
+	approx := flag.Bool("approx", false, "force the sampling Shapley engine (spec method \"approx\")")
 	samples := flag.Int("samples", 0, "permutation-sample budget for the approximate Shapley engine (0 = spec/default)")
 	ciTarget := flag.Float64("ci-target", 0, "adaptive sampling target: 95% CI half-width as a fraction of V(N), e.g. 0.01 (0 = spec/default)")
 	seed := flag.Uint64("seed", 0, "seed for the approximate Shapley engine's deterministic sample stream (0 = spec/default)")
@@ -188,18 +188,18 @@ func main() {
 	}
 }
 
-// writeScenarioList renders the registry — one line per entry: id, whether
-// it is spec- or code-backed, variant/extension marks, and title.
+// writeScenarioList renders the registry — one line per entry: id, kind
+// (paper, variant or extension), and title.
 func writeScenarioList(w io.Writer) {
 	for _, e := range scenario.Entries() {
-		kind := e.Source()
+		kind := "paper"
 		switch {
 		case e.Variant:
-			kind += ",variant"
+			kind = "variant"
 		case e.Extension:
-			kind += ",extension"
+			kind = "extension"
 		}
-		fmt.Fprintf(w, "  %-12s %-14s %s\n", e.ID, kind, e.Title)
+		fmt.Fprintf(w, "  %-12s %-10s %s\n", e.ID, kind, e.Title)
 	}
 }
 
@@ -219,8 +219,7 @@ type runConfig struct {
 
 // approxOverrides carries the CLI-level approximation-tier controls
 // (-approx, -samples, -ci-target, -seed). They override the matching
-// fields of whichever spec-backed scenario runs; code-backed entries
-// (which have no spec to parameterize) are run unchanged.
+// fields of whichever scenario runs.
 type approxOverrides struct {
 	force    bool
 	samples  int
@@ -279,15 +278,12 @@ type runSummary struct {
 }
 
 // figure regenerates one registered figure, honoring approximation-tier
-// overrides for spec-backed entries.
+// overrides.
 func (rc *runConfig) figure(id string) error {
 	return rc.render("fedsim.figure", "fig", id, func() (*figures.Figure, error) {
 		e, err := scenario.ByID(id)
 		if err != nil {
 			return nil, err
-		}
-		if e.Spec == nil || !rc.approx.active() {
-			return rc.eng.RunEntry(context.Background(), e)
 		}
 		spec, err := rc.approx.apply(e.Spec)
 		if err != nil {

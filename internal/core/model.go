@@ -186,6 +186,18 @@ func (p *pooling) addFacility(m *Model, i int) {
 	}
 }
 
+// attribute splits a per-class quantity among the n facilities by each
+// class's owner weights.
+func (p *pooling) attribute(perClass []float64, n int) []float64 {
+	out := make([]float64, n)
+	for c, v := range perClass {
+		for _, ow := range p.owners[c] {
+			out[ow.facility] += v * ow.frac
+		}
+	}
+	return out
+}
+
 // poolFor builds the location pool available to coalition s.
 func (m *Model) poolFor(s combin.Set) pooling {
 	if m.Overlap == nil {
@@ -489,14 +501,7 @@ func (m *Model) GrandValue() float64 {
 // consumed resource units to facilities (the numerator of ρ̂, eq. (7)).
 func (m *Model) ConsumptionByFacility() []float64 {
 	p := m.grandPool()
-	res := m.solve(p.pool)
-	out := make([]float64, m.N())
-	for c, consumed := range res.ConsumedByClass {
-		for _, ow := range p.owners[c] {
-			out[ow.facility] += consumed * ow.frac
-		}
-	}
-	return out
+	return p.attribute(m.solve(p.pool).ConsumedByClass, m.N())
 }
 
 // grandPool builds the grand coalition's pooling. Disjoint models, which

@@ -8,6 +8,7 @@ import (
 
 	"fedshare/internal/coalition"
 	"fedshare/internal/combin"
+	"fedshare/internal/market"
 	"fedshare/internal/stats"
 	"fedshare/internal/sweep"
 )
@@ -248,34 +249,72 @@ func (BanzhafPolicy) Shares(m *Model) ([]float64, error) {
 	return beta, nil
 }
 
+// AuctionPolicy is the Bellagio-style combinatorial auction of Sec. 5 as a
+// sharing rule: every experiment bids its utility for its optimal package
+// on the grand coalition's location pool, winners pay their bids, and the
+// revenue each pool class earns by the resources consumed there is split
+// among the facilities owning it. Like ρ̂ it divides value by
+// consumption rather than by marginal contribution, so it diverges from
+// φ̂ where diversity binds.
+type AuctionPolicy struct{}
+
+// Name implements Policy.
+func (AuctionPolicy) Name() string { return "auction" }
+
+// Shares implements Policy. With L locations in the pool, a request bids
+// for its maximum when that is below L and for all L otherwise; a request
+// whose threshold exceeds L cannot be served and does not bid. When no
+// bid wins, every share is 0.
+func (AuctionPolicy) Shares(m *Model) ([]float64, error) {
+	p := m.grandPool()
+	total := p.pool.TotalLocations()
+	var bids []market.Bid
+	for _, r := range m.requests() {
+		if r.Min > total {
+			continue
+		}
+		q := total
+		if r.Max > 0 && r.Max < total {
+			q = r.Max
+		}
+		bids = append(bids, market.NewBid(r.Label, q, r.Shape, r.Resources))
+	}
+	res, err := market.RunCombinatorial(p.pool, bids)
+	if err != nil {
+		return nil, fmt.Errorf("core: policy auction: %w", err)
+	}
+	return p.attribute(market.Shares(res.RevenueByClass), m.N()), nil
+}
+
+// namedPolicies is the table of rules PolicyNames and PolicyByName read,
+// in presentation order. Sampler settings (budget, CI target, seed) are
+// set on an ApproxShapleyPolicy constructed directly instead.
+var namedPolicies = []Policy{
+	ShapleyPolicy{}, ApproxShapleyPolicy{}, ProportionalPolicy{}, ConsumptionPolicy{},
+	EqualPolicy{}, NucleolusPolicy{}, BanzhafPolicy{}, UserWeightedShapleyPolicy{}, AuctionPolicy{},
+}
+
 // PolicyNames lists the names PolicyByName resolves, in presentation
 // order.
 func PolicyNames() []string {
-	return []string{"shapley", "shapley-approx", "proportional", "consumption", "equal", "nucleolus", "banzhaf", "shapley-users"}
+	names := make([]string, len(namedPolicies))
+	for i, p := range namedPolicies {
+		names[i] = p.Name()
+	}
+	return names
 }
 
 // PolicyByName resolves a deterministic sharing policy by its registered
 // name; the empty string resolves to the Shapley rule (the paper's
-// default). Sampler settings (budget, CI target, seed) are set on an
-// ApproxShapleyPolicy constructed directly instead.
+// default).
 func PolicyByName(name string) (Policy, error) {
-	switch name {
-	case "", "shapley":
-		return ShapleyPolicy{}, nil
-	case "shapley-approx":
-		return ApproxShapleyPolicy{}, nil
-	case "proportional":
-		return ProportionalPolicy{}, nil
-	case "consumption":
-		return ConsumptionPolicy{}, nil
-	case "equal":
-		return EqualPolicy{}, nil
-	case "nucleolus":
-		return NucleolusPolicy{}, nil
-	case "banzhaf":
-		return BanzhafPolicy{}, nil
-	case "shapley-users":
-		return UserWeightedShapleyPolicy{}, nil
+	if name == "" {
+		name = ShapleyPolicy{}.Name()
+	}
+	for _, p := range namedPolicies {
+		if p.Name() == name {
+			return p, nil
+		}
 	}
 	return nil, fmt.Errorf("unknown policy %q (have %s)", name, strings.Join(PolicyNames(), ", "))
 }

@@ -20,5 +20,5 @@ func ByID(id string) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Run()
+	return scenario.Run(e.Spec)
 }

@@ -120,7 +120,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 type scenarioJSON struct {
 	ID        string `json:"id"`
 	Title     string `json:"title"`
-	Source    string `json:"source"`
 	Variant   bool   `json:"variant,omitempty"`
 	Extension bool   `json:"extension,omitempty"`
 }
@@ -130,7 +129,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, req *http.Request) {
 	out := make([]scenarioJSON, 0, len(entries))
 	for _, e := range entries {
 		out = append(out, scenarioJSON{
-			ID: e.ID, Title: e.Title, Source: e.Source(),
+			ID: e.ID, Title: e.Title,
 			Variant: e.Variant, Extension: e.Extension,
 		})
 	}

@@ -229,7 +229,7 @@ func TestSubmitRegisteredScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := entry.Run()
+	direct, err := scenario.Run(entry.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +260,9 @@ func TestEveryRegisteredSpecSubmittable(t *testing.T) {
 		final := pollDone(t, srv.URL, run.ID)
 		if final.State != "done" {
 			t.Fatalf("scenario %s ended %s", e.ID, final.State)
+		}
+		if p := final.Progress; p.Total == 0 || p.Done != p.Total {
+			t.Errorf("scenario %s ended at progress %d/%d, want every point done", e.ID, p.Done, p.Total)
 		}
 	}
 }
@@ -438,9 +441,6 @@ func TestScenariosListing(t *testing.T) {
 		if _, ok := ids[want]; !ok {
 			t.Errorf("scenarios listing missing %s", want)
 		}
-	}
-	if ids["fig-market"].Source != "code" {
-		t.Errorf("fig-market source = %q, want code", ids["fig-market"].Source)
 	}
 }
 

@@ -43,8 +43,7 @@ func (s State) Terminal() bool {
 }
 
 // Progress is a run's sweep position: Done model-evaluation points out of
-// Total. Total is 0 until the executor has sized the grid (and stays 0 for
-// code-backed generators, which cannot predict their point count).
+// Total. Total is 0 until the executor has sized the grid.
 type Progress struct {
 	Done  int `json:"done"`
 	Total int `json:"total"`
@@ -55,7 +54,7 @@ type Progress struct {
 type Run struct {
 	ID         string
 	ScenarioID string
-	Spec       *scenario.Spec // nil for code-backed submissions
+	Spec       *scenario.Spec // nil for SubmitJob submissions
 	State      State
 	Progress   Progress
 	Result     *scenario.Result
@@ -67,7 +66,7 @@ type Run struct {
 
 // JobFunc is the unit the engine executes: it honors ctx cancellation and
 // reports per-point progress. Submit wraps scenario.RunContext in one;
-// SubmitEntry wraps code-backed generators; tests inject their own.
+// SubmitJob callers supply their own.
 type JobFunc func(ctx context.Context, progress scenario.ProgressFunc) (*scenario.Result, error)
 
 // Options configures an Engine.
@@ -151,27 +150,14 @@ func (e *Engine) Submit(spec *scenario.Spec) (string, error) {
 	})
 }
 
-// SubmitEntry queues a registry entry: spec-backed entries run through the
-// cancellable executor with progress; code-backed generators run opaquely
-// (cancellable only while queued, no per-point progress).
+// SubmitEntry queues a registry entry's spec.
 func (e *Engine) SubmitEntry(entry scenario.Entry) (string, error) {
-	if entry.Spec != nil {
-		return e.Submit(entry.Spec)
-	}
-	if entry.Generate == nil {
-		return "", fmt.Errorf("engine: entry %s has neither spec nor generator", entry.ID)
-	}
-	return e.submit(entry.ID, nil, func(ctx context.Context, progress scenario.ProgressFunc) (*scenario.Result, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return entry.Generate()
-	})
+	return e.Submit(entry.Spec)
 }
 
 // SubmitJob queues an arbitrary job under the given scenario label. It is
-// the primitive Submit and SubmitEntry build on, exported for callers (and
-// tests) that need custom execution wrapped in the run table.
+// the primitive Submit builds on, exported for callers (and tests) that
+// need custom execution wrapped in the run table.
 func (e *Engine) SubmitJob(scenarioID string, fn JobFunc) (string, error) {
 	return e.submit(scenarioID, nil, fn)
 }
@@ -351,19 +337,6 @@ func (e *Engine) Run(ctx context.Context, spec *scenario.Spec) (*scenario.Result
 	if err != nil {
 		return nil, err
 	}
-	return e.await(ctx, id)
-}
-
-// RunEntry is Run for registry entries (spec- or code-backed).
-func (e *Engine) RunEntry(ctx context.Context, entry scenario.Entry) (*scenario.Result, error) {
-	id, err := e.SubmitEntry(entry)
-	if err != nil {
-		return nil, err
-	}
-	return e.await(ctx, id)
-}
-
-func (e *Engine) await(ctx context.Context, id string) (*scenario.Result, error) {
 	stop := context.AfterFunc(ctx, func() { _ = e.Cancel(id) })
 	defer stop()
 	r, err := e.Wait(context.Background(), id)

@@ -7,40 +7,21 @@ import (
 	"sync"
 )
 
-// Entry is one registered scenario: either a declarative Spec or a
-// code-backed generator (for experiments the spec language cannot express,
-// e.g. the combinatorial-auction comparison).
+// Entry is one registered scenario: a declarative Spec plus its listing
+// marks.
 type Entry struct {
 	// ID is the registry key (fedsim -fig / -list).
 	ID string
-	// Title describes the scenario in listings; for spec-backed entries it
-	// defaults to the spec title.
+	// Title describes the scenario in listings; it defaults to the spec
+	// title.
 	Title string
-	// Spec is the declarative definition; nil for code-backed entries.
+	// Spec is the declarative definition.
 	Spec *Spec
-	// Generate produces the result for code-backed entries; nil otherwise.
-	Generate func() (*Result, error)
 	// Variant marks an alternate convention of another scenario (e.g.
 	// fig4-strict): listed and runnable by ID, excluded from "run all".
 	Variant bool
 	// Extension marks a scenario beyond the paper's evaluation.
 	Extension bool
-}
-
-// Run executes the entry.
-func (e Entry) Run() (*Result, error) {
-	if e.Generate != nil {
-		return e.Generate()
-	}
-	return Run(e.Spec)
-}
-
-// Source describes where the entry's definition lives ("spec" or "code").
-func (e Entry) Source() string {
-	if e.Spec != nil {
-		return "spec"
-	}
-	return "code"
 }
 
 var (
@@ -49,25 +30,23 @@ var (
 	regByID  = map[string]Entry{}
 )
 
-// Register adds a scenario to the registry, validating spec-backed entries
-// eagerly. Registration order is preserved in IDs and Entries.
+// Register adds a scenario to the registry, validating its spec eagerly.
+// Registration order is preserved in IDs and Entries.
 func Register(e Entry) error {
 	if e.ID == "" {
 		return fmt.Errorf("scenario: registering entry with no id")
 	}
-	if (e.Spec == nil) == (e.Generate == nil) {
-		return fmt.Errorf("scenario: entry %s must set exactly one of Spec or Generate", e.ID)
+	if e.Spec == nil {
+		return fmt.Errorf("scenario: entry %s has no spec", e.ID)
 	}
-	if e.Spec != nil {
-		if e.Spec.ID != e.ID {
-			return fmt.Errorf("scenario: entry id %s does not match spec id %s", e.ID, e.Spec.ID)
-		}
-		if err := e.Spec.Validate(); err != nil {
-			return err
-		}
-		if e.Title == "" {
-			e.Title = e.Spec.Title
-		}
+	if e.Spec.ID != e.ID {
+		return fmt.Errorf("scenario: entry id %s does not match spec id %s", e.ID, e.Spec.ID)
+	}
+	if err := e.Spec.Validate(); err != nil {
+		return err
+	}
+	if e.Title == "" {
+		e.Title = e.Spec.Title
 	}
 	regMu.Lock()
 	defer regMu.Unlock()

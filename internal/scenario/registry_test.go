@@ -9,18 +9,9 @@ func TestRegisterRejectsMalformedEntries(t *testing.T) {
 	if err := Register(Entry{}); err == nil {
 		t.Error("entry with no id must be rejected")
 	}
-	if err := Register(Entry{ID: "neither"}); err == nil ||
-		!strings.Contains(err.Error(), "exactly one of Spec or Generate") {
-		t.Errorf("entry with neither Spec nor Generate: got %v", err)
-	}
-	both := testSpec()
-	both.ID = "both"
-	if err := Register(Entry{
-		ID:       "both",
-		Spec:     both,
-		Generate: func() (*Result, error) { return nil, nil },
-	}); err == nil {
-		t.Error("entry with both Spec and Generate must be rejected")
+	if err := Register(Entry{ID: "no-spec"}); err == nil ||
+		!strings.Contains(err.Error(), "has no spec") {
+		t.Errorf("entry with no spec: got %v", err)
 	}
 	mismatch := testSpec()
 	if err := Register(Entry{ID: "other-id", Spec: mismatch}); err == nil ||
@@ -84,12 +75,9 @@ func TestRegisterDuplicateAndOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if e.Title != "test scenario" {
-		t.Errorf("spec-backed entry title not defaulted from spec: %q", e.Title)
+		t.Errorf("entry title not defaulted from spec: %q", e.Title)
 	}
-	if e.Source() != "spec" {
-		t.Errorf("Source() = %q, want spec", e.Source())
-	}
-	res, err := e.Run()
+	res, err := Run(e.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,28 +99,5 @@ func TestByIDUnknownListsKnownIDs(t *testing.T) {
 	msg := err.Error()
 	if !strings.Contains(msg, `"no-such-scenario"`) || !strings.Contains(msg, "reg-test-known") {
 		t.Errorf("error should name the bad id and enumerate known ids: %q", msg)
-	}
-}
-
-func TestCodeBackedEntry(t *testing.T) {
-	if err := Register(Entry{
-		ID:    "reg-test-code",
-		Title: "code backed",
-		Generate: func() (*Result, error) {
-			return &Result{ID: "reg-test-code"}, nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := ByID("reg-test-code")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Source() != "code" {
-		t.Errorf("Source() = %q, want code", e.Source())
-	}
-	res, err := e.Run()
-	if err != nil || res.ID != "reg-test-code" {
-		t.Errorf("code-backed run: res=%+v err=%v", res, err)
 	}
 }
