@@ -315,9 +315,10 @@ func TestErrorsAreStructuredJSON(t *testing.T) {
 }
 
 // TestSubmitRejectsMalformedSpecBodies posts spec bodies ParseSpec must
-// refuse — a valid spec followed by stray closing delimiters, and a spec
-// whose facility replicas exceed the federation bound — and checks that
-// each gets a structured 400 and that nothing is queued.
+// refuse — a valid spec followed by stray closing delimiters, a spec whose
+// facility replicas exceed the federation bound, and one whose last axis
+// value is out of range — and checks that each gets a structured 400 and
+// that nothing is queued.
 func TestSubmitRejectsMalformedSpecBodies(t *testing.T) {
 	srv, eng := newTestServer(t, engine.Options{})
 	// One facility past the bound is enough: the API must refuse it before
@@ -333,6 +334,8 @@ func TestSubmitRejectsMalformedSpecBodies(t *testing.T) {
 		"trailing braces":   testSpecJSON + "}}",
 		"count past bound":  huge,
 		"trailing document": testSpecJSON + "{}",
+		"later axis value out of range": strings.Replace(testSpecJSON, `"axis": {"variable": "threshold", "from": 0, "to": 100, "step": 25}`,
+			`"axis": {"variable": "locations", "target": "A", "values": [10, 5, -5]}`, 1),
 	} {
 		resp, err := http.Post(srv.URL+"/api/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -543,10 +543,10 @@ func (s *Spec) Validate() error {
 	if !sweepVariables[s.Axis.Variable] {
 		return fmt.Errorf("scenario %s: unknown sweep variable %q", s.ID, s.Axis.Variable)
 	}
-	// Dry-run the axis (and variant overrides) on a clone to surface
-	// unresolvable targets at validation time rather than mid-sweep.
+	// Check every axis value on one scratch copy, so an unresolvable
+	// target or a value out of range fails here rather than mid-sweep.
 	xs, _ := s.Axis.grid()
-	if _, err := s.at(xs[0]); err != nil {
+	if err := s.clone().checkAxis(xs); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.ID, err)
 	}
 	switch s.kind() {
@@ -574,6 +574,39 @@ func (s *Spec) Validate() error {
 					return fmt.Errorf("scenario %s: variant %s: %w", s.ID, v.Name, err)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// checkAxis applies each axis value in turn, with apply's range checks,
+// and checks the swept field of every entry the axis targets by that
+// entry's Facility or ExperimentType rule (a threshold against each
+// targeted class's MaxLocations). apply overwrites only the swept field,
+// so the spec is the scratch copy for the whole grid.
+func (s *Spec) checkAxis(xs []float64) error {
+	variable, target := s.Axis.Variable, s.Axis.Target
+	for _, x := range xs {
+		if err := s.apply(variable, target, x); err != nil {
+			return err
+		}
+		var err error
+		switch variable {
+		case VarLocations, VarResources:
+			for _, f := range s.Facilities {
+				if err == nil && (target == "" || f.Name == target) {
+					err = f.facility().Validate()
+				}
+			}
+		case VarThreshold, VarShape:
+			for _, d := range s.Demand {
+				if err == nil && (target == "" || d.Name == target) {
+					err = d.experimentType().Validate()
+				}
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("axis value %g: %w", x, err)
 		}
 	}
 	return nil

@@ -155,6 +155,25 @@ func TestValidateRejectsInvalidSpecs(t *testing.T) {
 		{"unknown policy", func(s *Spec) { s.Policies = []string{"dictator"} }, "unknown policy"},
 		{"unknown variable", func(s *Spec) { s.Axis.Variable = "entropy" }, "unknown sweep variable"},
 		{"bad axis target", func(s *Spec) { s.Axis.Target = "nope" }, "unknown demand class"},
+		// Each sweep variable with only a later grid value out of range.
+		{"later negative locations", func(s *Spec) {
+			s.Axis = AxisSpec{Variable: VarLocations, Target: "A", Values: []float64{10, 5, -5}}
+		}, "negative location count -5"},
+		{"later negative resources", func(s *Spec) {
+			s.Axis = AxisSpec{Variable: VarResources, Target: "B", Values: []float64{4, -2}}
+		}, "facility B has negative resources"},
+		{"later negative threshold", func(s *Spec) {
+			s.Axis = AxisSpec{Variable: VarThreshold, Target: "elastic", Values: []float64{0, 50, -3}}
+		}, "elastic: negative MinLocations"},
+		{"later negative shape", func(s *Spec) {
+			s.Axis = AxisSpec{Variable: VarShape, Values: []float64{1, 2, -1}}
+		}, "Shape must be positive"},
+		{"later negative count", func(s *Spec) {
+			s.Axis = AxisSpec{Variable: VarCount, Target: "strict", Values: []float64{5, -1}}
+		}, "negative experiment count -1"},
+		{"later sigma past 1", func(s *Spec) {
+			s.Axis = AxisSpec{Variable: VarSigma, Values: []float64{0, 0.5, 2}}
+		}, "sigma 2 outside [0,1]"},
 		{"zero step", func(s *Spec) { s.Axis.Step = 0 }, "step must be positive"},
 		{"inverted range", func(s *Spec) { s.Axis.From = 10; s.Axis.To = 0 }, "below from"},
 		{"values plus range", func(s *Spec) { s.Axis.Values = []float64{1} }, "both values"},
