@@ -2,7 +2,6 @@ package sfa
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -118,7 +117,9 @@ func (c *Client) breakConn() {
 }
 
 // Call sends one request and decodes the response into result (which may be
-// nil to discard). Server-side failures come back as *RemoteError without
+// nil to discard). params must be a message type (or nil) and result a
+// pointer to one: any other type has no wire form and is refused before
+// any dial. Server-side failures come back as *RemoteError without
 // retry; transport failures are retried per the client's retry budget and
 // surface the last error once the budget is exhausted. Two more failures
 // are final: a request whose frame would exceed MaxFrameSize is refused
@@ -134,7 +135,18 @@ func (c *Client) breakConn() {
 func (c *Client) Call(method string, params, result interface{}) error {
 	req := &Envelope{Method: method}
 	if params != nil {
-		req.Params = marshal(params)
+		p, ok := params.(encodable)
+		if !ok {
+			return fmt.Errorf("sfa: %s params of type %T have no wire form", method, params)
+		}
+		req.Params = encodeBody(p)
+	}
+	var dst decodable
+	if result != nil {
+		var ok bool
+		if dst, ok = result.(decodable); !ok {
+			return fmt.Errorf("sfa: %s result of type %T has no wire form", method, result)
+		}
 	}
 	if n := frameLen(req); n > MaxFrameSize {
 		return fmt.Errorf("sfa: %s request of %d bytes exceeds the %d-byte frame limit", method, n, MaxFrameSize)
@@ -185,8 +197,8 @@ func (c *Client) Call(method string, params, result interface{}) error {
 			return remote
 		}
 		c.mu.Unlock()
-		if result != nil {
-			if err := json.Unmarshal(resp.Result, result); err != nil {
+		if dst != nil {
+			if err := decodeBody(resp.Result, dst); err != nil {
 				return fmt.Errorf("sfa: decode %s result: %w", method, err)
 			}
 		}

@@ -2,7 +2,6 @@ package sfa
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -56,7 +55,7 @@ func echoFrames(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp := &Envelope{ID: env.ID, Result: marshal(Empty{})}
+		resp := &Envelope{ID: env.ID, Result: encodeBody(Empty{})}
 		if WriteFrame(w, resp) != nil || w.Flush() != nil {
 			return
 		}
@@ -82,7 +81,7 @@ func TestTimedOutCallRedialsCleanly(t *testing.T) {
 			}
 			time.Sleep(300 * time.Millisecond)
 			w := bufio.NewWriter(conn)
-			_ = WriteFrame(w, &Envelope{ID: env.ID, Result: marshal(Empty{})})
+			_ = WriteFrame(w, &Envelope{ID: env.ID, Result: encodeBody(Empty{})})
 			_ = w.Flush()
 			return
 		}
@@ -152,7 +151,7 @@ func TestMismatchedResponseIDRetriesOnFreshConn(t *testing.T) {
 				return
 			}
 			// A desynchronized stream: wrong correlation ID.
-			_ = WriteFrame(w, &Envelope{ID: env.ID + 999, Result: marshal(Empty{})})
+			_ = WriteFrame(w, &Envelope{ID: env.ID + 999, Result: encodeBody(Empty{})})
 			_ = w.Flush()
 			return
 		}
@@ -357,9 +356,9 @@ func TestUndecodableResultIsFinal(t *testing.T) {
 				return
 			}
 			served.Add(1)
-			result := marshal(Empty{})
+			result := encodeBody(Empty{})
 			if env.Method == MethodReserve {
-				result = json.RawMessage(`{"slivers":7}`)
+				result = []byte("\x00\x00\x00\x07") // seven slivers, none sent
 			}
 			if WriteFrame(w, &Envelope{ID: env.ID, Result: result}) != nil || w.Flush() != nil {
 				return

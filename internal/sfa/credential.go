@@ -12,10 +12,10 @@ import (
 // (a shared secret among the top-level authorities, standing in for SFA's
 // certificate chains) signs (subject, authority, expiry).
 type Credential struct {
-	Subject   string `json:"subject"`   // user or peer authority name
-	Authority string `json:"authority"` // issuing authority
-	Expires   int64  `json:"expires"`   // unix seconds
-	Signature string `json:"signature"` // hex HMAC-SHA256
+	Subject   string // user or peer authority name
+	Authority string // issuing authority
+	Expires   int64  // unix seconds
+	Signature string // hex HMAC-SHA256
 }
 
 func credentialDigest(secret []byte, subject, authority string, expires int64) string {

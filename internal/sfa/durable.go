@@ -55,8 +55,10 @@ type DurableStore struct {
 
 // SnapshotVersion is the snapshot format this build writes and the only
 // one it reads. A snapshot without a version predates versioning and has
-// this version's shape. WAL records carry no version: their encoding has
-// not changed.
+// this version's shape. Snapshots stay JSON, so a data directory left by
+// a clean shutdown of a build that wrote JSON records (a snapshot and an
+// empty log) still opens; WAL records carry their own format-version byte
+// (codec.go), and a JSON record is refused.
 const SnapshotVersion = 1
 
 // snapshotFile is a snapshot's encoding: the state and its format version.
@@ -118,7 +120,7 @@ func decodeRecovered(rec *wal.Recovered) (*State, error) {
 	}
 	st.log = make([]Record, len(rec.Records))
 	for i, r := range rec.Records {
-		if err := json.Unmarshal(r.Data, &st.log[i]); err != nil {
+		if err := decodeRecord(r.Data, &st.log[i]); err != nil {
 			return nil, fmt.Errorf("sfa: decode wal record %d: %w", r.Seq, err)
 		}
 	}
@@ -129,11 +131,7 @@ func decodeRecovered(rec *wal.Recovered) (*State, error) {
 // counted here; the cut itself happens in MaybeSnapshot, which the server
 // calls once the record is applied.
 func (d *DurableStore) Append(rec Record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("sfa: encode wal record: %w", err)
-	}
-	if _, err := d.log.Append(b); err != nil {
+	if _, err := d.log.Append(encodeRecord(rec)); err != nil {
 		return err
 	}
 	d.mu.Lock()

@@ -3,6 +3,8 @@ package sfa
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -465,6 +467,84 @@ func TestDurableSnapshotVersion(t *testing.T) {
 	defer store.Close()
 	if st == nil || st.Seq != 7 {
 		t.Errorf("unversioned snapshot recovered as %+v, want seq 7", st)
+	}
+}
+
+// jsonRecordsDir copies testdata/json-records/<name>, a data directory
+// left by a build that wrote WAL records as JSON, into a fresh directory:
+// "clean" after driveLifecycle and a graceful close (a JSON snapshot and an
+// empty log), "crashed" after driveLifecycle and a kill before any
+// snapshot (a log of JSON records).
+func jsonRecordsDir(t *testing.T, name string) string {
+	t.Helper()
+	src := filepath.Join("testdata", "json-records", name)
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestDurableRefusesJSONRecords: a log of JSON records is refused with an
+// error naming both formats, and nothing is restored.
+func TestDurableRefusesJSONRecords(t *testing.T) {
+	store, st, err := OpenDurableStore(DurableOptions{Dir: jsonRecordsDir(t, "crashed"), Registry: obs.NewRegistry()})
+	if err == nil {
+		store.Close()
+		t.Fatalf("opened a log of JSON records as state %+v", st)
+	}
+	if st != nil {
+		t.Errorf("refused log still returned state %+v", st)
+	}
+	for _, want := range []string{"JSON", fmt.Sprintf("binary records of format version %d", recordVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestDurableOpensCleanJSONShutdown: the data directory a clean shutdown
+// of a JSON-record build leaves restores the state its memory-only twin
+// reaches on the same workload, and goes on logging binary records that a
+// later recovery replays.
+func TestDurableOpensCleanJSONShutdown(t *testing.T) {
+	clock := newFakeClock()
+	mem := NewServer(buildAuthority(t, "DUR", 4, 2, 4), testSecret,
+		WithLogger(quietLog), WithMetrics(obs.NewRegistry()), WithConfig(ServerConfig{Now: clock.Now}))
+	defer mem.Close()
+	driveLifecycle(t, mem, clock)
+
+	dir := jsonRecordsDir(t, "clean")
+	srv, store, st := durableServer(t, dir, -1, clock)
+	if err := srv.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := srv.snapshotState(), mem.snapshotState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored state differs from the twin's:\n got %+v\nwant %+v", got, want)
+	}
+	for _, s := range []*Server{srv, mem} {
+		if _, err := s.handleReserve(ReserveRequest{Credential: userCred(), SliceName: "after", Sites: 1, PerSite: 1, IdempotencyKey: "k5"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = store.log.Close() // crash
+	rec, store2, rst := durableServer(t, dir, -1, clock)
+	defer store2.Close()
+	if err := rec.Restore(rst); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rec.snapshotState(), mem.snapshotState(); !reflect.DeepEqual(got, want) {
+		t.Errorf("state recovered after the upgrade differs from the twin's:\n got %+v\nwant %+v", got, want)
 	}
 }
 

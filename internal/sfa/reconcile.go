@@ -288,7 +288,7 @@ func diffHoldings(held, intent map[string][]SliverRecord) (orphans, lost map[str
 	return orphans, lost
 }
 
-func sortedKeys(m map[string][]SliverRecord) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

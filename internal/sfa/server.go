@@ -5,7 +5,6 @@ package sfa
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -465,7 +464,7 @@ func (s *Server) dispatch(req *Envelope) *Envelope {
 		return resp
 	}
 	s.log.Debugf("sfa[%s]: method=%s dur=%s", s.auth.Name, req.Method, dur)
-	resp.Result = marshal(result)
+	resp.Result = encodeBody(result)
 	if n := frameLen(resp); n > MaxFrameSize {
 		// The request executed, so the client must get a final answer
 		// rather than a dropped connection it would retry.
@@ -477,7 +476,7 @@ func (s *Server) dispatch(req *Envelope) *Envelope {
 }
 
 // handler answers one request; dispatch encodes its result.
-type handler func(s *Server, method string, params json.RawMessage) (interface{}, error)
+type handler func(s *Server, method string, params []byte) (encodable, error)
 
 // routes maps each protocol method to its handler.
 var routes = map[string]handler{
@@ -494,12 +493,12 @@ var routes = map[string]handler{
 	MethodListHoldings:  decode("holdings", (*Server).handleListHoldings),
 }
 
-// bare routes a method that reads no params. Nothing else would notice a
-// body that is not JSON, so it is refused here.
-func bare[R any](h func(*Server) R) handler {
-	return func(s *Server, method string, params json.RawMessage) (interface{}, error) {
-		if len(params) > 0 && !json.Valid(params) {
-			return nil, fmt.Errorf("bad %s request: params are not JSON", method)
+// bare routes a method that reads no params: its params must be Empty's
+// body, which is no bytes at all.
+func bare[R encodable](h func(*Server) R) handler {
+	return func(s *Server, method string, params []byte) (encodable, error) {
+		if err := decodeBody(params, &Empty{}); err != nil {
+			return nil, fmt.Errorf("bad %s request: %w", method, err)
 		}
 		return h(s), nil
 	}
@@ -507,16 +506,19 @@ func bare[R any](h func(*Server) R) handler {
 
 // decode routes a method whose params decode into P; a body that does not
 // is a "bad kind request".
-func decode[P, R any](kind string, h func(*Server, P) (R, error)) handler {
-	return func(s *Server, _ string, params json.RawMessage) (interface{}, error) {
+func decode[P any, PP interface {
+	*P
+	decodable
+}, R encodable](kind string, h func(*Server, P) (R, error)) handler {
+	return func(s *Server, _ string, params []byte) (encodable, error) {
 		var p P
-		if err := json.Unmarshal(params, &p); err != nil {
+		if err := decodeBody(params, PP(&p)); err != nil {
 			return nil, fmt.Errorf("bad %s request: %w", kind, err)
 		}
 		return h(s, p)
 	}
 }
 
-func unknownMethod(_ *Server, method string, _ json.RawMessage) (interface{}, error) {
+func unknownMethod(_ *Server, method string, _ []byte) (encodable, error) {
 	return nil, fmt.Errorf("unknown method %q", method)
 }

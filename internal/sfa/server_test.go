@@ -94,6 +94,30 @@ func TestUnknownMethod(t *testing.T) {
 	}
 }
 
+// TestListResourcesFiftyThousandSites: an authority of 50,000 sites of
+// fedd's shape (sites named as fedd names them, 2 nodes of 10 slots)
+// lists within one frame. Its listing took 4,277,944 bytes as JSON, past
+// the 4,194,304-byte frame limit.
+func TestListResourcesFiftyThousandSites(t *testing.T) {
+	const sites = 50000
+	a := planetlab.NewAuthority("PLE")
+	for s := 0; s < sites; s++ {
+		site := &planetlab.Site{ID: fmt.Sprintf("PLE-site%03d", s), Name: fmt.Sprintf("PLE site %d", s),
+			Nodes: []planetlab.Node{{ID: "node0", Capacity: 10}, {ID: "node1", Capacity: 10}}}
+		if err := a.AddSite(site); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := dialServer(t, startServer(t, a))
+	var rl ResourceList
+	if err := c.Call(MethodListResources, Empty{}, &rl); err != nil {
+		t.Fatal(err)
+	}
+	if len(rl.Sites) != sites || rl.Sites[sites-1].Free != 20 {
+		t.Fatalf("listed %d sites, want %d", len(rl.Sites), sites)
+	}
+}
+
 func TestListResources(t *testing.T) {
 	srv := startServer(t, buildAuthority(t, "PLE", 2, 3, 4))
 	c := dialServer(t, srv)

@@ -36,18 +36,19 @@ const (
 )
 
 // Record is one durable mutation. Fields are a union over the ops above;
-// unused fields stay zero and are omitted from the encoding.
+// unused fields stay zero. A WAL record is a format-version byte and the
+// Record's body (codec.go).
 type Record struct {
-	Op      string          `json:"op"`
-	Slice   string          `json:"slice,omitempty"`
-	Key     string          `json:"key,omitempty"`
-	Holder  string          `json:"holder,omitempty"` // reserving coordinator (OpReserve)
-	Kind    int             `json:"kind,omitempty"`   // lease kind for OpExpire
-	Expiry  int64           `json:"expiry,omitempty"` // UnixNano; 0 = no lease
-	Gen     uint64          `json:"gen,omitempty"`
-	Spec    *SliceSpecState `json:"spec,omitempty"`
-	Slivers []SliverRecord  `json:"slivers,omitempty"` // local slivers
-	Remote  []SliverRecord  `json:"remote,omitempty"`  // peer-held slivers
+	Op      string
+	Slice   string
+	Key     string
+	Holder  string // reserving coordinator (OpReserve)
+	Kind    int    // lease kind for OpExpire
+	Expiry  int64  // UnixNano; 0 = no lease
+	Gen     uint64
+	Spec    *SliceSpecState
+	Slivers []SliverRecord // local slivers
+	Remote  []SliverRecord // peer-held slivers
 }
 
 // Store persists the server's durable mutations. The server calls Append
@@ -74,7 +75,7 @@ type Store interface {
 }
 
 // SliceSpecState is a slice's request as CreateSlice accepted it: the
-// diversity bounds and slivers per site, in the durable encoding.
+// diversity bounds and slivers per site, in WAL records and snapshots.
 type SliceSpecState struct {
 	Name           string `json:"name"`
 	Owner          string `json:"owner,omitempty"`

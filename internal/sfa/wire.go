@@ -6,13 +6,12 @@
 //
 // The wire format is deliberately simple and fully self-contained: each
 // request or response envelope travels as one length-prefixed binary frame
-// whose params and result are JSON bodies, carried verbatim. The frame
-// layout is known to this file alone.
+// whose params and result are binary bodies, carried verbatim. The frame
+// layout is known to this file alone, the body layouts to codec.go.
 package sfa
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -22,13 +21,14 @@ import (
 const MaxFrameSize = 4 << 20
 
 // Envelope is one framed message: a request (Method set) or a response
-// (Error or Result set), matched by ID. Params and Result are JSON bodies
-// the frame carries without inspecting them; their consumer decodes them.
+// (Error or Result set), matched by ID. Params and Result are bodies
+// (codec.go) the frame carries without inspecting them; their consumer
+// decodes them.
 type Envelope struct {
 	ID     uint64
 	Method string
-	Params json.RawMessage
-	Result json.RawMessage
+	Params []byte
+	Result []byte
 	Error  string
 	// Code classifies machine-actionable errors. The only defined value is
 	// CodeOverloaded, which marks the error as retriable without counting
@@ -47,10 +47,11 @@ const CodeOverloaded = "overloaded"
 //	[Result: the rest of the frame]
 //
 // Every field is fixed-width or length-prefixed, so an accepted frame has
-// exactly one encoding. Frames of the earlier JSON-envelope format begin
-// their body with '{' and are refused as an unknown version.
+// exactly one encoding. Version 1 frames carried JSON bodies, and frames of
+// the JSON-envelope format before them begin with '{': both are refused as
+// an unknown version.
 const (
-	frameVersion = 1
+	frameVersion = 2
 	// frameHeader is the length of a frame with every field empty, not
 	// counting the 4-byte length prefix.
 	frameHeader = 1 + 8 + 4*4
@@ -91,7 +92,7 @@ func WriteFrame(w io.Writer, env *Envelope) error {
 
 // ReadFrame reads one frame. It checks the frame's framing — the length
 // against MaxFrameSize before allocating, the version, and every field
-// length against the frame — but not its JSON bodies: Params and Result
+// length against the frame — but not its bodies: Params and Result
 // are sub-slices of the frame's one buffer, which is never reused, and the
 // caller decodes them. A clean end of stream before the frame is io.EOF.
 func ReadFrame(r io.Reader) (*Envelope, error) {
@@ -137,16 +138,6 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 	return env, nil
 }
 
-// marshal encodes params/results, panicking only on programmer error
-// (unencodable types).
-func marshal(v interface{}) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("sfa: marshal: %v", err))
-	}
-	return b
-}
-
 // --- Method names ---
 
 // Protocol methods.
@@ -169,55 +160,56 @@ const (
 // AuthorityRecord describes an authority in the registry: its sites and
 // total sliver slots are the contribution share computation prices.
 type AuthorityRecord struct {
-	Name     string `json:"name"`
-	Addr     string `json:"addr"`
-	Sites    int    `json:"sites"`
-	Capacity int    `json:"capacity"` // total sliver slots
+	Name     string
+	Addr     string
+	Sites    int
+	Capacity int // total sliver slots
 }
 
 // SiteResource is one advertised site.
 type SiteResource struct {
-	SiteID   string `json:"site_id"`
-	Name     string `json:"name"`
-	Nodes    int    `json:"nodes"`
-	Capacity int    `json:"capacity"` // total sliver slots
-	Free     int    `json:"free"`     // currently unreserved slots
+	SiteID   string
+	Name     string
+	Nodes    int
+	Capacity int // total sliver slots
+	Free     int // currently unreserved slots
 }
 
 // ResourceList is the RSpec-like resource advertisement.
 type ResourceList struct {
-	Authority string         `json:"authority"`
-	Sites     []SiteResource `json:"sites"`
+	Authority string
+	Sites     []SiteResource
 }
 
 // PeerRequest initiates (or refreshes) a peering between authorities: the
 // caller introduces itself and presents a credential signed with the shared
 // federation secret.
 type PeerRequest struct {
-	Record     AuthorityRecord `json:"record"`
-	Credential Credential      `json:"credential"`
+	Record     AuthorityRecord
+	Credential Credential
 }
 
 // PeerResponse returns the callee's record.
 type PeerResponse struct {
-	Record AuthorityRecord `json:"record"`
+	Record AuthorityRecord
 }
 
 // SliceRequest asks for a federated slice.
 type SliceRequest struct {
-	Credential     Credential `json:"credential"`
-	Name           string     `json:"name"`
-	Owner          string     `json:"owner"`
-	MinSites       int        `json:"min_sites"`
-	MaxSites       int        `json:"max_sites"`
-	SliversPerSite int        `json:"slivers_per_site"`
+	Credential     Credential
+	Name           string
+	Owner          string
+	MinSites       int
+	MaxSites       int
+	SliversPerSite int
 	// TTLSeconds leases the slice for the experiment's holding time: once
 	// it elapses the embedding server deletes the slice and releases its
 	// local and remote slivers. Zero means no lease.
-	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
+	TTLSeconds float64
 }
 
-// SliverRecord is one placed sliver.
+// SliverRecord is one placed sliver. Its JSON names are those of the
+// durable state's snapshots.
 type SliverRecord struct {
 	Authority string `json:"authority"`
 	SiteID    string `json:"site_id"`
@@ -226,62 +218,61 @@ type SliverRecord struct {
 
 // SliceResponse reports a deployed slice.
 type SliceResponse struct {
-	Name    string         `json:"name"`
-	Slivers []SliverRecord `json:"slivers"`
-	Sites   int            `json:"sites"`
+	Name    string
+	Slivers []SliverRecord
+	Sites   int
 }
 
 // ReserveRequest asks a peer to place slivers locally on behalf of a
 // federated slice.
 type ReserveRequest struct {
-	Credential Credential `json:"credential"`
-	SliceName  string     `json:"slice_name"`
-	Sites      int        `json:"sites"` // how many distinct sites
-	PerSite    int        `json:"per"`   // slivers per site
+	Credential Credential
+	SliceName  string
+	Sites      int // how many distinct sites
+	PerSite    int // slivers per site
 	// IdempotencyKey makes retries safe: the server remembers the response
 	// to each key in a bounded table and replays it instead of reserving
-	// again. Empty disables dedup (legacy behavior).
-	IdempotencyKey string `json:"idempotency_key,omitempty"`
+	// again. Empty disables dedup.
+	IdempotencyKey string
 	// TTLSeconds turns the reservation into a lease: the server's reaper
 	// releases the slivers once the TTL elapses without an explicit
 	// Release. It models the finite holding time t of the paper's demand
 	// classes. Zero means no lease (held until released).
-	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
+	TTLSeconds float64
 }
 
 // ReserveResponse returns the placed slivers.
 type ReserveResponse struct {
-	Slivers []SliverRecord `json:"slivers"`
+	Slivers []SliverRecord
 }
 
 // ReleaseRequest frees previously reserved slivers.
 type ReleaseRequest struct {
-	Credential Credential     `json:"credential"`
-	SliceName  string         `json:"slice_name"`
-	Slivers    []SliverRecord `json:"slivers"`
+	Credential Credential
+	SliceName  string
+	Slivers    []SliverRecord
 	// IdempotencyKey makes retried releases safe: without it, a release
 	// whose response was lost and which is then retried would decrement
 	// node load twice and corrupt the accounting other slices rely on.
-	IdempotencyKey string `json:"idempotency_key,omitempty"`
+	IdempotencyKey string
 }
 
 // SharesRequest asks the authority for the federation value shares it has
 // computed from the advertised contributions and its demand profile.
 type SharesRequest struct {
-	Policy string `json:"policy"` // "shapley", "proportional", ...
+	Policy string // "shapley", "proportional", ...
 }
 
 // SharesResponse maps authority names to normalized shares. When peers are
 // unreachable the coordinator degrades instead of erroring: Partial marks
 // the response as computed over the live sub-federation only, and Down
-// lists the excluded authorities. Both fields are omitted on the healthy
-// path, so all-peers-live responses are byte-identical to earlier versions.
+// lists the excluded authorities; both are zero on the healthy path.
 type SharesResponse struct {
-	Policy     string             `json:"policy"`
-	GrandValue float64            `json:"grand_value"`
-	Shares     map[string]float64 `json:"shares"`
-	Partial    bool               `json:"partial,omitempty"`
-	Down       []string           `json:"down,omitempty"`
+	Policy     string
+	GrandValue float64
+	Shares     map[string]float64
+	Partial    bool
+	Down       []string
 }
 
 // UsageResponse reports the cumulative slivers each authority has served
@@ -289,10 +280,10 @@ type SharesResponse struct {
 // (consumption-based) shares — the ρ̂ of eq. (7) computed from observed
 // usage instead of a demand model.
 type UsageResponse struct {
-	Authority         string             `json:"authority"`
-	CumulativeSlivers map[string]int     `json:"cumulative_slivers"`
-	MeasuredShares    map[string]float64 `json:"measured_shares"`
-	SlicesEmbedded    int                `json:"slices_embedded"`
+	Authority         string
+	CumulativeSlivers map[string]int
+	MeasuredShares    map[string]float64
+	SlicesEmbedded    int
 }
 
 // HoldingsRequest asks a peer which reserve holdings it currently tracks
@@ -300,29 +291,29 @@ type UsageResponse struct {
 // against its own intent after a partition heals. Holder defaults to the
 // credential subject.
 type HoldingsRequest struct {
-	Credential Credential `json:"credential"`
-	Holder     string     `json:"holder,omitempty"`
+	Credential Credential
+	Holder     string
 }
 
 // Holding is one slice's live reserve holding at the answering authority.
 type Holding struct {
-	Slice   string         `json:"slice"`
-	Expiry  int64          `json:"expiry,omitempty"` // UnixNano; 0 = held until released
-	Slivers []SliverRecord `json:"slivers,omitempty"`
+	Slice   string
+	Expiry  int64 // UnixNano; 0 = held until released
+	Slivers []SliverRecord
 }
 
 // HoldingsResponse lists the holder's holdings, sorted by slice name with
 // slivers sorted by (site, node) so two identical states encode
 // identically.
 type HoldingsResponse struct {
-	Authority string    `json:"authority"`
-	Holdings  []Holding `json:"holdings,omitempty"`
+	Authority string
+	Holdings  []Holding
 }
 
 // DeleteRequest removes a slice.
 type DeleteRequest struct {
-	Credential Credential `json:"credential"`
-	Name       string     `json:"name"`
+	Credential Credential
+	Name       string
 }
 
 // Empty is a no-payload result.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,7 +19,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := &Envelope{ID: 42, Method: MethodPing, Params: marshal(map[string]int{"x": 1})}
+	in := &Envelope{ID: 42, Method: MethodGetShares, Params: encodeBody(SharesRequest{Policy: "x"})}
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +27,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ID != 42 || out.Method != MethodPing {
+	if out.ID != 42 || out.Method != MethodGetShares {
 		t.Errorf("round trip lost fields: %+v", out)
 	}
-	if string(out.Params) != `{"x":1}` {
-		t.Errorf("params = %s", out.Params)
+	if string(out.Params) != "\x00\x00\x00\x01x" {
+		t.Errorf("params = %q", out.Params)
 	}
 }
 
@@ -62,17 +61,17 @@ var goldenFrames = []struct {
 	env  Envelope
 	raw  string
 }{
-	{"request", Envelope{ID: 0x0102030405060708, Method: MethodGetShares, Params: json.RawMessage(`{"policy":"shapley"}`)},
-		"\x00\x00\x00\x3a" + // length of the rest: 58
-			"\x01" + // version
+	{"request", Envelope{ID: 0x0102030405060708, Method: MethodGetShares, Params: encodeBody(SharesRequest{Policy: "shapley"})},
+		"\x00\x00\x00\x31" + // length of the rest: 49
+			"\x02" + // version
 			"\x01\x02\x03\x04\x05\x06\x07\x08" + // ID
 			"\x00\x00\x00\x0d" + "sfa.GetShares" + // method
 			"\x00\x00\x00\x00" + // code
 			"\x00\x00\x00\x00" + // error
-			"\x00\x00\x00\x14" + `{"policy":"shapley"}`}, // params; no result
+			"\x00\x00\x00\x0b" + "\x00\x00\x00\x07shapley"}, // params: SharesRequest's body; no result
 	{"shed", Envelope{ID: 9, Error: "server overloaded: in-flight admission bound reached", Code: CodeOverloaded},
 		"\x00\x00\x00\x57" + // length of the rest: 87
-			"\x01" + // version
+			"\x02" + // version
 			"\x00\x00\x00\x00\x00\x00\x00\x09" + // ID
 			"\x00\x00\x00\x00" + // method
 			"\x00\x00\x00\x0a" + "overloaded" + // code
@@ -129,15 +128,22 @@ func frame(body string) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
+// v1Request is a version-1 frame, whose bodies were JSON: the request
+// golden frame as builds before binary bodies wrote it.
+const v1Request = "\x00\x00\x00\x3a\x01\x01\x02\x03\x04\x05\x06\x07\x08" +
+	"\x00\x00\x00\x0dsfa.GetShares\x00\x00\x00\x00\x00\x00\x00\x00" +
+	"\x00\x00\x00\x14" + `{"policy":"shapley"}`
+
 func TestReadFrameGarbage(t *testing.T) {
 	const id = "\x00\x00\x00\x00\x00\x00\x00\x01"
 	for _, raw := range [][]byte{
 		frame("not json"),
-		frame(`{"id":1,"method":"sfa.Ping"}`),           // the earlier JSON-envelope frame
-		frame("\x02" + id + strings.Repeat("\x00", 16)), // unknown version
-		frame("\x01" + id),                              // shorter than the header
-		frame("\x01" + id + "\x00\x00\x00\xff" + "sfa.Ping" + strings.Repeat("\x00", 12)), // method past the end
-		frame("\x01" + id + strings.Repeat("\x00", 12) + "\xff\xff\xff\xff"),              // params past the end
+		frame(`{"id":1,"method":"sfa.Ping"}`),           // the JSON-envelope frame
+		[]byte(v1Request),                               // a version-1 frame
+		frame("\x03" + id + strings.Repeat("\x00", 16)), // unknown version
+		frame("\x02" + id),                              // shorter than the header
+		frame("\x02" + id + "\x00\x00\x00\xff" + "sfa.Ping" + strings.Repeat("\x00", 12)), // method past the end
+		frame("\x02" + id + strings.Repeat("\x00", 12) + "\xff\xff\xff\xff"),              // params past the end
 	} {
 		if _, err := ReadFrame(bytes.NewReader(raw)); err == nil || !strings.HasPrefix(err.Error(), "sfa: decode:") {
 			t.Errorf("%q: want an sfa: decode: error, got %v", raw, err)
@@ -209,14 +215,14 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		name string
 		env  *Envelope
 	}{
-		{"resources", &Envelope{ID: 7, Method: MethodListResources, Params: marshal(ResourceList{
+		{"resources", &Envelope{ID: 7, Method: MethodListResources, Params: encodeBody(ResourceList{
 			Authority: "PLE",
 			Sites: []SiteResource{
 				{SiteID: "s1", Name: "Site 1", Nodes: 2, Capacity: 20, Free: 10},
 				{SiteID: "s2", Name: "Site 2", Nodes: 4, Capacity: 40, Free: 40},
 			},
 		})}},
-		{"slice-120", &Envelope{ID: 7, Result: marshal(SliceResponse{Name: "s", Slivers: slivers, Sites: 60})}},
+		{"slice-120", &Envelope{ID: 7, Result: encodeBody(SliceResponse{Name: "s", Slivers: slivers, Sites: 60})}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -254,15 +260,16 @@ func TestReadFrameArbitraryBytes(t *testing.T) {
 }
 
 // TestServerSurvivesGarbageConnection opens raw TCP connections that write
-// junk — an impossible length, and a frame of the earlier JSON-envelope
-// format — and verifies the server counts a protocol error, drops each such
-// connection and keeps serving other clients.
+// junk — an impossible length, a frame of the JSON-envelope format and a
+// version-1 frame — and verifies the server counts a protocol error, drops
+// each such connection and keeps serving other clients.
 func TestServerSurvivesGarbageConnection(t *testing.T) {
 	srv, reg := startMetricServer(t, "PLC", 1)
 	proto := reg.Counter("fedshare_sfa_protocol_errors_total", "")
 	for i, junk := range [][]byte{
 		{0xFF, 0xFF, 0xFF, 0xFF, 0x00},
 		frame(`{"id":1,"method":"sfa.Ping"}`),
+		[]byte(v1Request),
 	} {
 		raw, err := netDial(srv.Addr())
 		if err != nil {
@@ -285,10 +292,13 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 	}
 }
 
-// TestMalformedBodyKeepsConnection writes raw frames whose bodies are not
-// JSON over one connection. ReadFrame leaves bodies to their consumer, so
-// each must still be refused with an error reply, and the connection, whose
-// stream stays in sync, must go on serving.
+// TestMalformedBodyKeepsConnection writes raw frames whose bodies do not
+// decode over one connection: text, a JSON body as version-1 frames
+// carried, a string that is not UTF-8, and params for a method that takes
+// none. ReadFrame leaves
+// bodies to their consumer, so each must still be refused with an error
+// reply, and the connection, whose stream stays in sync, must go on
+// serving.
 func TestMalformedBodyKeepsConnection(t *testing.T) {
 	srv, reg := startMetricServer(t, "PLC", 1)
 	conn, err := netDial(srv.Addr())
@@ -300,11 +310,13 @@ func TestMalformedBodyKeepsConnection(t *testing.T) {
 	for i, tc := range []struct{ method, params, wantErr string }{
 		{MethodReserve, "not json", "bad reserve request"},
 		{MethodPing, "", ""},
-		{MethodListResources, "{{", "params are not JSON"},
+		{MethodReserve, `{"slice_name":"s","sites":1,"per":1}`, "bad reserve request"},
+		{MethodDeleteSlice, string(encodeBody(DeleteRequest{Name: "\xff"})), "not valid UTF-8"},
+		{MethodListResources, "{{", "bad sfa.ListResources request"},
 		{MethodPing, "", ""},
 	} {
 		id := uint64(i + 1)
-		if err := WriteFrame(conn, &Envelope{ID: id, Method: tc.method, Params: json.RawMessage(tc.params)}); err != nil {
+		if err := WriteFrame(conn, &Envelope{ID: id, Method: tc.method, Params: []byte(tc.params)}); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := ReadFrame(r)
