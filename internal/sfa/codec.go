@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"unicode/utf8"
 )
 
@@ -37,14 +38,14 @@ type decodable interface{ decode(d *dec) }
 
 // encodeBody returns v's body.
 func encodeBody(v encodable) []byte {
-	var e enc
+	e := enc{b: make([]byte, 0, 128)}
 	v.encode(&e)
 	return e.b
 }
 
 // decodeBody decodes all of p into v; bytes left over are an error.
 func decodeBody(p []byte, v decodable) error {
-	d := dec{p: p}
+	d := dec{p: p, s: string(p)}
 	v.decode(&d)
 	if d.err == nil && len(d.p) > 0 {
 		d.err = fmt.Errorf("%d trailing bytes after the body", len(d.p))
@@ -58,7 +59,7 @@ const recordVersion = 1
 
 // encodeRecord returns rec's WAL record: the version byte, then the body.
 func encodeRecord(rec Record) []byte {
-	e := enc{b: []byte{recordVersion}}
+	e := enc{b: append(make([]byte, 0, 128), recordVersion)}
 	rec.encode(&e)
 	return e.b
 }
@@ -111,8 +112,13 @@ func (e *enc) strs(list []string) {
 
 func encodeList[T encodable](e *enc, list []T) {
 	e.count(len(list))
-	for _, v := range list {
+	for i, v := range list {
+		start := len(e.b)
 		v.encode(e)
+		if i == 0 {
+			// One growth for the rest of the list, sized by its first element.
+			e.b = slices.Grow(e.b, (len(list)-1)*(len(e.b)-start))
+		}
 	}
 }
 
@@ -128,7 +134,12 @@ func encodeMap[V any](e *enc, m map[string]V, val func(*enc, V)) {
 // dec reads a body from p. The first error sticks: it empties p, so every
 // later read fails too and returns a zero value.
 type dec struct {
-	p   []byte
+	p []byte
+	// s is the whole body as one string, of which p is a suffix: every
+	// decoded string is a substring of s, so a body costs one string
+	// allocation, not one per string, and a decoded string keeps its
+	// body alive.
+	s   string
 	err error
 }
 
@@ -180,12 +191,14 @@ func (d *dec) bool() bool {
 }
 
 func (d *dec) str() string {
-	b := d.next(uint64(d.u32()), "string")
+	n := uint64(d.u32())
+	start := len(d.s) - len(d.p)
+	b := d.next(n, "string")
 	if !utf8.Valid(b) {
 		d.fail("string of %d bytes is not valid UTF-8", len(b))
 		return ""
 	}
-	return string(b)
+	return d.s[start : start+len(b)]
 }
 
 // count reads a list or map length, refusing one whose elements, of at
