@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Rand is a deterministic, seedable pseudo-random generator
@@ -229,22 +228,20 @@ func Table(xLabel string, series []Series) string {
 			panic(fmt.Sprintf("stats: series %q has %d points, want %d", s.Name, len(s.Points), n))
 		}
 	}
-	var b strings.Builder
-	b.Grow(13 * (len(series) + 1) * (n + 1)) // every cell is at least 13 bytes
-	fmt.Fprintf(&b, "%12s", xLabel)
+	out := fmt.Sprintf("%12s", xLabel)
 	for _, s := range series {
-		fmt.Fprintf(&b, " %12s", s.Name)
+		out += fmt.Sprintf(" %12s", s.Name)
 	}
-	b.WriteByte('\n')
+	out += "\n"
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "%12.4g", series[0].Points[i].X)
+		out += fmt.Sprintf("%12.4g", series[0].Points[i].X)
 		for _, s := range series {
 			if math.Abs(s.Points[i].X-series[0].Points[i].X) > 1e-9 {
 				panic(fmt.Sprintf("stats: series %q x grid mismatch at row %d", s.Name, i))
 			}
-			fmt.Fprintf(&b, " %12.4f", s.Points[i].Y)
+			out += fmt.Sprintf(" %12.4f", s.Points[i].Y)
 		}
-		b.WriteByte('\n')
+		out += "\n"
 	}
-	return b.String()
+	return out
 }

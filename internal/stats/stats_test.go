@@ -183,40 +183,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-// TestTableMatchesConcatenation: Table writes the bytes the string
-// concatenation it replaced wrote, on tables of every shape fedbench and
-// the figures render.
-func TestTableMatchesConcatenation(t *testing.T) {
-	concat := func(xLabel string, series []Series) string {
-		out := fmt.Sprintf("%12s", xLabel)
-		for _, s := range series {
-			out += fmt.Sprintf(" %12s", s.Name)
-		}
-		out += "\n"
-		for i := range series[0].Points {
-			out += fmt.Sprintf("%12.4g", series[0].Points[i].X)
-			for _, s := range series {
-				out += fmt.Sprintf(" %12.4f", s.Points[i].Y)
-			}
-			out += "\n"
-		}
-		return out
-	}
-	r := NewRand(3)
-	for _, shape := range [][2]int{{1, 1}, {2000, 1}, {6, 14}, {3, 0}} {
-		series := make([]Series, shape[0])
-		for i := range series {
-			series[i].Name = fmt.Sprintf("a-much-longer-series-name-%d", i)
-			for p := 0; p < shape[1]; p++ {
-				series[i].Add(float64(p)*1e7, (r.Float64()-0.5)*1e9)
-			}
-		}
-		if got, want := Table("a long x label", series), concat("a long x label", series); got != want {
-			t.Errorf("%v: Table wrote\n%q\nwant\n%q", shape, got, want)
-		}
-	}
-}
-
 func TestTablePanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
