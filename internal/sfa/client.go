@@ -143,10 +143,11 @@ func (c *Client) Call(method string, params, result interface{}) error {
 	}
 	var dst decodable
 	if result != nil {
-		var ok bool
-		if dst, ok = result.(decodable); !ok {
+		d, ok := result.(decodable)
+		if !ok {
 			return fmt.Errorf("sfa: %s result of type %T has no wire form", method, result)
 		}
+		dst = d
 	}
 	if n := frameLen(req); n > MaxFrameSize {
 		return fmt.Errorf("sfa: %s request of %d bytes exceeds the %d-byte frame limit", method, n, MaxFrameSize)

@@ -341,6 +341,32 @@ func TestOversizedRequestRefusedBeforeDial(t *testing.T) {
 	}
 }
 
+// TestCallRefusesTypesWithoutWireForm: params or a result whose type has
+// no body encoding is refused before any dial; a result must be a pointer
+// to a message type.
+func TestCallRefusesTypesWithoutWireForm(t *testing.T) {
+	var dials atomic.Int64
+	c := NewClient(ClientConfig{
+		Addr: "127.0.0.1:1", Registry: obs.NewRegistry(),
+		DialFunc: func(string, time.Duration) (net.Conn, error) {
+			dials.Add(1)
+			return nil, errors.New("dialed")
+		},
+	})
+	for _, tc := range []struct{ params, result interface{} }{
+		{map[string]int{"x": 1}, nil},
+		{Empty{}, &map[string]int{}},
+		{Empty{}, ReserveResponse{}},
+	} {
+		if err := c.Call(MethodReserve, tc.params, tc.result); err == nil || !strings.Contains(err.Error(), "no wire form") {
+			t.Errorf("params %T, result %T: err = %v, want no wire form", tc.params, tc.result, err)
+		}
+	}
+	if n := dials.Load(); n != 0 {
+		t.Errorf("%d dials for calls that cannot be encoded", n)
+	}
+}
+
 // TestUndecodableResultIsFinal: a result that does not decode came from a
 // request that executed, so it is returned at once — no retry, no breaker
 // failure — and the connection, whose stream stayed in sync, is kept.

@@ -202,11 +202,11 @@ func (d *dec) str() string {
 }
 
 // count reads a list or map length, refusing one whose elements, of at
-// least min bytes each, cannot fit in the bytes left.
-func (d *dec) count(min int) int {
+// least size bytes each, cannot fit in the bytes left.
+func (d *dec) count(size int) int {
 	n := uint64(d.u32())
-	if n*uint64(min) > uint64(len(d.p)) {
-		d.fail("count %d of at least %d bytes each overruns the body's %d remaining", n, min, len(d.p))
+	if n*uint64(size) > uint64(len(d.p)) {
+		d.fail("count %d of at least %d bytes each overruns the body's %d remaining", n, size, len(d.p))
 		return 0
 	}
 	return int(n)
@@ -224,12 +224,12 @@ func (d *dec) strs() []string {
 	return out
 }
 
-// decodeList reads a list of T, whose bodies take at least min bytes.
+// decodeList reads a list of T, whose bodies take at least size bytes.
 func decodeList[T any, PT interface {
 	*T
 	decodable
-}](d *dec, min int) []T {
-	n := d.count(min)
+}](d *dec, size int) []T {
+	n := d.count(size)
 	if n == 0 {
 		return nil
 	}
@@ -249,10 +249,10 @@ const (
 
 func (d *dec) slivers() []SliverRecord { return decodeList[SliverRecord](d, sliverMin) }
 
-// decodeMap reads a map whose values take at least min bytes, refusing
+// decodeMap reads a map whose values take at least size bytes, refusing
 // keys that are not strictly ascending.
-func decodeMap[V any](d *dec, min int, val func(*dec) V) map[string]V {
-	n := d.count(4 + min)
+func decodeMap[V any](d *dec, size int, val func(*dec) V) map[string]V {
+	n := d.count(4 + size)
 	if n == 0 {
 		return nil
 	}
@@ -261,7 +261,7 @@ func decodeMap[V any](d *dec, min int, val func(*dec) V) map[string]V {
 	for i := 0; i < n && d.err == nil; i++ {
 		k := d.str()
 		if i > 0 && k <= prev {
-			d.fail("map key %q does not follow %q", k, prev)
+			d.fail("map key %d is not above the key before it", i)
 		}
 		m[k], prev = val(d), k
 	}

@@ -202,7 +202,7 @@ func TestBodyRefusesMalformed(t *testing.T) {
 		{"bool of 2", "\x00\x00\x00\x00" + strings.Repeat("\x00", 8) + "\x00\x00\x00\x00\x02\x00\x00\x00\x00", &SharesResponse{}, "neither 0 nor 1"},
 		{"unsorted map", "\x00\x00\x00\x00" + strings.Repeat("\x00", 8) + "\x00\x00\x00\x02" +
 			"\x00\x00\x00\x01b" + strings.Repeat("\x00", 8) + "\x00\x00\x00\x01a" + strings.Repeat("\x00", 8) +
-			"\x00\x00\x00\x00\x00", &SharesResponse{}, `"a" does not follow "b"`},
+			"\x00\x00\x00\x00\x00", &SharesResponse{}, "map key 1 is not above"},
 		{"JSON", `{"policy":"shapley"}`, &SharesRequest{}, "overruns"},
 	} {
 		if err := decodeBody([]byte(tc.body), tc.into); err == nil || !strings.Contains(err.Error(), tc.want) {
