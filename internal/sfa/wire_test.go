@@ -295,10 +295,9 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 // TestMalformedBodyKeepsConnection writes raw frames whose bodies do not
 // decode over one connection: text, a JSON body as version-1 frames
 // carried, a string that is not UTF-8, and params for a method that takes
-// none. ReadFrame leaves
-// bodies to their consumer, so each must still be refused with an error
-// reply, and the connection, whose stream stays in sync, must go on
-// serving.
+// none. ReadFrame leaves bodies to their consumer, so each must still be
+// refused with an error reply, and the connection, whose stream stays in
+// sync, must go on serving.
 func TestMalformedBodyKeepsConnection(t *testing.T) {
 	srv, reg := startMetricServer(t, "PLC", 1)
 	conn, err := netDial(srv.Addr())
