@@ -36,7 +36,9 @@ type encodable interface{ encode(e *enc) }
 // decodable is a pointer a body decodes into.
 type decodable interface{ decode(d *dec) }
 
-// encodeBody returns v's body.
+// encodeBody returns v's body. Its buffer starts at 128 bytes, so a body
+// without lists grows it at most once (a credential alone is ~90 bytes),
+// and each list grows it once more (encodeList).
 func encodeBody(v encodable) []byte {
 	e := enc{b: make([]byte, 0, 128)}
 	v.encode(&e)
