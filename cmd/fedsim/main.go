@@ -46,7 +46,6 @@ import (
 	"fedshare/internal/policy"
 	"fedshare/internal/scenario"
 	"fedshare/internal/scenario/engine"
-	"fedshare/internal/sweep"
 )
 
 // runAllIDs lists the registry in registration (paper) order for -all,
@@ -73,8 +72,7 @@ func main() {
 	weights := flag.Bool("weights", false, "print the offline Shapley weight table (Sec. 3.2.3 workflow)")
 	width := flag.Int("width", 72, "chart width")
 	height := flag.Int("height", 20, "chart height")
-	workers := flag.Int("workers", 0, "parallel workers for the coalition kernel (0 = all cores)")
-	sweepWorkers := flag.Int("sweep-workers", 0, "parallel workers for figure/parameter sweeps (0 = all cores, 1 = sequential)")
+	workers := flag.Int("workers", 0, "parallel workers for sweeps, the coalition kernel and the sampler (0 = all cores, 1 = sequential)")
 	verbose := flag.Bool("v", false, "print per-figure wall-clock and allocation-memo hit-rate summaries")
 	jsonOut := flag.Bool("json", false, "suppress tables and emit a JSON run summary (per-figure timings + obs metrics snapshot)")
 	resultJSON := flag.Bool("result-json", false, "suppress tables and emit each result document as JSON (byte-identical to the served API's /result endpoint)")
@@ -96,15 +94,11 @@ func main() {
 	}
 	flag.Parse()
 
-	// The coalition engine (Snapshot / BatchedValues behind Model.Table and
-	// Values) sizes its worker pools from GOMAXPROCS; -workers bounds both.
+	// Every worker pool (sweep points, Snapshot and BatchedValues behind
+	// Model.Table and Values, the sampler's strata) is sweep.Each sized
+	// from GOMAXPROCS; -workers bounds them all.
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
-	}
-	// Sweep-level parallelism (figures.shareSweep, core.IncentiveCurve,
-	// policy.BuildWeightTable) is bounded independently.
-	if *sweepWorkers > 0 {
-		sweep.SetDefaultWorkers(*sweepWorkers)
 	}
 
 	if *cpuProfile != "" {

@@ -2,10 +2,9 @@ package coalition
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"fedshare/internal/stats"
+	"fedshare/internal/sweep"
 )
 
 // The stratified-permutation Shapley sampler.
@@ -119,13 +118,6 @@ func ApproxShapley(g MemberGame, opt ApproxOptions) (*ApproxResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > approxStrata {
-		workers = approxStrata
-	}
 	// Budgets in units (antithetic pairs), rounded up to whole blocks of n
 	// units so the first-element strata stay exactly balanced.
 	blockUnits := n
@@ -166,7 +158,7 @@ func ApproxShapley(g MemberGame, opt ApproxOptions) (*ApproxResult, error) {
 				target = maxUnits
 			}
 		}
-		eng.run(done, target, workers)
+		eng.run(done, target, opt.Workers)
 		done = target
 		merged := eng.merged()
 		maxCI := updateResult(res, merged, groups, groupOf, n)
@@ -244,43 +236,35 @@ type approxEngine struct {
 	sums [][]stats.Summary
 }
 
-// run evaluates units [from, to) on the worker pool. Each stratum is one
-// job: it owns the units congruent to its index mod approxStrata and adds
-// them to its private summaries in increasing unit order.
+// run evaluates units [from, to) on sweep.Each's pool, workers wide. Each
+// stratum is one item: it owns the units congruent to its index mod
+// approxStrata and adds them to its private summaries in increasing unit
+// order, with the scratch of the pool slot that runs it.
 func (e *approxEngine) run(from, to, workers int) {
 	if to <= from {
 		return
 	}
-	jobs := make(chan int, approxStrata) // sized to every job, queued before the workers start
-	for s := 0; s < approxStrata; s++ {
-		jobs <- s
+	scratch := make([]*approxScratch, approxStrata) // Each runs at most approxStrata slots
+	sweep.Each(approxStrata, workers, func(w, s int) {
+		if scratch[w] == nil {
+			scratch[w] = e.newScratch()
+		}
+		u := from + (s-from%approxStrata+approxStrata)%approxStrata
+		for ; u < to; u += approxStrata {
+			e.unit(u, scratch[w])
+		}
+	})
+	for _, sc := range scratch {
+		if sc != nil {
+			sc.w.finish()
+		}
 	}
-	close(jobs)
-	var wg sync.WaitGroup
-	var failed workerPanic
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer failed.catch()
-			scratch := e.newScratch()
-			for s := range jobs {
-				u := from + (s-from%approxStrata+approxStrata)%approxStrata
-				for ; u < to; u += approxStrata {
-					e.unit(u, scratch)
-				}
-			}
-			scratch.w.finish()
-		}()
-	}
-	wg.Wait()
-	failed.rethrow()
 	shapleySamplesTotal.Add(int64(to-from) * permsPerUnit)
 }
 
-// approxScratch is the per-worker reusable buffer set, including the
-// worker's prefix walker (incremental valuers are stateful, one per
-// worker).
+// approxScratch is the per-slot reusable buffer set, including the
+// slot's prefix walker (incremental valuers are stateful, one per pool
+// slot).
 type approxScratch struct {
 	perm []int
 	vals []float64 // prefix values of the walk in progress

@@ -3,10 +3,10 @@ package coalition
 import (
 	"math"
 	"math/bits"
-	"sync"
 	"time"
 
 	"fedshare/internal/combin"
+	"fedshare/internal/sweep"
 )
 
 // snapshotMaxPlayers bounds the games whose characteristic function can be
@@ -35,13 +35,13 @@ type Batched struct {
 // lattice, and the V(T) operand streams through the cache.
 //
 // With workers ≤ 1 the sweep is sequential. Otherwise the coalition range
-// is sharded across up to workers goroutines (fewer for small tables:
-// below ~2^12 coalitions per worker the spawn cost dominates the sweep).
-// Each sweeps a contiguous block of the lattice into private per-player
-// accumulators, which are reduced in worker order afterwards — so the
-// result is deterministic for a fixed worker count, and the worker count
-// scales with the 2^n coalition range rather than being capped at n
-// players.
+// is split into up to workers contiguous chunks (fewer for small tables:
+// below ~2^12 coalitions per chunk the spawn cost dominates the sweep),
+// run on sweep.Each's pool. Each chunk sweeps its block of the lattice
+// into private per-player accumulators, which are reduced in chunk order
+// afterwards — so the result is deterministic for a fixed worker count,
+// and the worker count scales with the 2^n coalition range rather than
+// being capped at n players.
 func BatchedValues(t *Table, workers int) Batched {
 	n := t.Players
 	res := Batched{Shapley: make([]float64, n), Banzhaf: make([]float64, n)}
@@ -63,28 +63,13 @@ func BatchedValues(t *Table, workers int) Batched {
 	}
 	partials := make([]Batched, workers)
 	chunk := (size + uint64(workers) - 1) / uint64(workers)
-	var wg sync.WaitGroup
-	var failed workerPanic
-	for k := 0; k < workers; k++ {
+	sweep.Each(workers, workers, func(_, k int) {
 		lo := uint64(k) * chunk
-		hi := min(lo+chunk, size)
-		if lo >= hi {
-			continue
-		}
-		partials[k] = Batched{Shapley: make([]float64, n), Banzhaf: make([]float64, n)}
-		wg.Add(1)
-		go func(p Batched, lo, hi uint64) {
-			defer wg.Done()
-			defer failed.catch()
-			sweepRange(t.Values, w, lo, hi, p.Shapley, p.Banzhaf)
-		}(partials[k], lo, hi)
-	}
-	wg.Wait()
-	failed.rethrow()
+		p := Batched{Shapley: make([]float64, n), Banzhaf: make([]float64, n)}
+		sweepRange(t.Values, w, lo, min(lo+chunk, size), p.Shapley, p.Banzhaf)
+		partials[k] = p
+	})
 	for _, p := range partials {
-		if p.Shapley == nil {
-			continue
-		}
 		for i := 0; i < n; i++ {
 			res.Shapley[i] += p.Shapley[i]
 			res.Banzhaf[i] += p.Banzhaf[i]

@@ -26,8 +26,9 @@ import "slices"
 // incremental path is used).
 type PrefixValuer interface {
 	// Reset empties the coalition, starting a new walk. The sampler also
-	// calls it once when a worker finishes, so a valuer that batches
-	// counters (allocation.PrefixSolver does) publishes its last walk's.
+	// calls it once a sampling round's pool has returned, so a valuer that
+	// batches counters (allocation.PrefixSolver does) publishes its last
+	// walk's.
 	Reset()
 	// Extend adds one player and returns V of the extended coalition.
 	Extend(player int) float64

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,7 +11,6 @@ import (
 	"fedshare/internal/coalition"
 	"fedshare/internal/combin"
 	"fedshare/internal/economics"
-	"fedshare/internal/sweep"
 )
 
 func testWorkload(t *testing.T, l float64, k int) *economics.Workload {
@@ -185,9 +185,9 @@ func TestGameConcurrentInit(t *testing.T) {
 	}
 }
 
-// TestIncentiveCurveParallelMatchesSequential runs the Fig 9 sweep with
-// multiple sweep workers and checks the curve is identical to the
-// sequential one, and that the input model is untouched.
+// TestIncentiveCurveParallelMatchesSequential runs the Fig 9 sweep at
+// GOMAXPROCS 1 and 4, the width of the sweep pool, and checks the curve is
+// identical to the sequential one, and that the input model is untouched.
 func TestIncentiveCurveParallelMatchesSequential(t *testing.T) {
 	m, err := NewModel([]Facility{
 		{Name: "A", Locations: 5, Resources: 2},
@@ -199,13 +199,12 @@ func TestIncentiveCurveParallelMatchesSequential(t *testing.T) {
 	}
 	locations := []int{0, 2, 4, 6, 8, 10, 12}
 
-	orig := sweep.SetDefaultWorkers(1)
-	defer sweep.SetDefaultWorkers(orig)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	seq, err := IncentiveCurve(m, 0, locations, ShapleyPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep.SetDefaultWorkers(4)
+	runtime.GOMAXPROCS(4)
 	par, err := IncentiveCurve(m, 0, locations, ShapleyPolicy{})
 	if err != nil {
 		t.Fatal(err)

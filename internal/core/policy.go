@@ -28,17 +28,14 @@ type Policy interface {
 // from coalition.Values at every federation size: the lattice kernel over
 // the model's dense table (Model.Table) up to 24 facilities, the exact
 // collapsed class lattice or the sampler beyond.
-type ShapleyPolicy struct {
-	// Workers bounds the parallelism; 0 means GOMAXPROCS.
-	Workers int
-}
+type ShapleyPolicy struct{}
 
 // Name implements Policy.
 func (ShapleyPolicy) Name() string { return "shapley" }
 
 // Shares implements Policy.
-func (p ShapleyPolicy) Shares(m *Model) ([]float64, error) {
-	res, err := coalition.Values(m, coalition.Options{Workers: p.Workers})
+func (ShapleyPolicy) Shares(m *Model) ([]float64, error) {
+	res, err := coalition.Values(m, coalition.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -75,9 +72,6 @@ type ApproxShapleyPolicy struct {
 	CITarget float64
 	// Seed selects the deterministic sample stream.
 	Seed uint64
-	// Workers bounds parallelism; 0 means GOMAXPROCS. The estimate is
-	// identical for every setting.
-	Workers int
 	// Method overrides engine selection; empty means coalition.MethodAuto
 	// (exact when feasible). coalition.MethodApprox forces the sampling
 	// estimator — what scenario specs with "method": "approx" request.
@@ -110,7 +104,6 @@ func (p ApproxShapleyPolicy) Result(m *Model) (*coalition.ValueResult, error) {
 	}
 	opt := coalition.Options{
 		Method:  method,
-		Workers: p.Workers,
 		Samples: p.Samples,
 		Seed:    p.Seed,
 	}
@@ -409,7 +402,7 @@ func IncentiveCurve(m *Model, idx int, locations []int, p Policy) (stats.Series,
 			return stats.Series{}, fmt.Errorf("core: negative location count %d", L)
 		}
 	}
-	ys, err := sweep.RunErr(len(locations), 0, func(k int) (float64, error) {
+	ys, err := sweep.RunErr(len(locations), func(k int) (float64, error) {
 		point := m.CloneWith(func(fs []Facility) { fs[idx].Locations = locations[k] })
 		profits, err := Profits(point, p)
 		if err != nil {

@@ -449,8 +449,7 @@ func TestApproxPrefixCountersExact(t *testing.T) {
 	for name, m := range models {
 		for _, workers := range []int{1, 2, 4} {
 			steps0, fallbacks0 := allocation.PrefixCounters()
-			p := ApproxShapleyPolicy{Samples: 60, Seed: 7, Workers: workers, Method: coalition.MethodApprox}
-			res, err := p.Result(m)
+			res, err := coalition.Values(m, coalition.Options{Method: coalition.MethodApprox, Samples: 60, Seed: 7, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

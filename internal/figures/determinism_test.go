@@ -1,16 +1,17 @@
 package figures
 
 import (
+	"runtime"
 	"testing"
 
 	"fedshare/internal/allocation"
-	"fedshare/internal/sweep"
 )
 
 // TestFiguresByteIdenticalAcrossWorkers is the pipeline's end-to-end
 // determinism check: every figure's rendered table must be byte-identical
-// whether the sweeps run sequentially or on a multi-worker pool, and
-// whether the allocation memo is serving hits or disabled entirely.
+// whether the sweeps run sequentially or on a multi-worker pool (the pools
+// are GOMAXPROCS wide), and whether the allocation memo is serving hits or
+// disabled entirely.
 func TestFiguresByteIdenticalAcrossWorkers(t *testing.T) {
 	render := func() map[string]string {
 		out := map[string]string{}
@@ -20,13 +21,12 @@ func TestFiguresByteIdenticalAcrossWorkers(t *testing.T) {
 		return out
 	}
 
-	orig := sweep.SetDefaultWorkers(1)
-	defer sweep.SetDefaultWorkers(orig)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	allocation.DefaultMemo.Reset()
 	baseline := render()
 
 	for _, workers := range []int{1, 4} {
-		sweep.SetDefaultWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		// First pass repopulates the memo, second pass is served from it.
 		for pass := 0; pass < 2; pass++ {
 			if pass == 0 {

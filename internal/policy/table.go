@@ -58,7 +58,7 @@ func BuildWeightTable(facilities []core.Facility, thresholds []float64, volumes 
 	}
 	// Scenarios are independent games: evaluate them on the sweep worker
 	// pool, deterministic row order preserved by index.
-	rows, err := sweep.RunErr(len(grid), 0, func(i int) (WeightRow, error) {
+	rows, err := sweep.RunErr(len(grid), func(i int) (WeightRow, error) {
 		s := grid[i]
 		wl, err := economics.NewWorkload(economics.DemandClass{
 			Type: economics.ExperimentType{

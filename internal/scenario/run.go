@@ -207,7 +207,7 @@ func (s *Spec) runShares(r *runner, res *Result, xs []float64) error {
 		return err
 	}
 	groups := s.facilityGroups()
-	pts, err := sweep.RunErr(len(xs), 0, func(k int) ([][]float64, error) {
+	pts, err := sweep.RunErr(len(xs), func(k int) ([][]float64, error) {
 		if err := r.cancelled(); err != nil {
 			return nil, err
 		}
@@ -283,7 +283,7 @@ func (s *Spec) runProfit(r *runner, res *Result, xs []float64) error {
 			if err := r.cancelled(); err != nil {
 				return err
 			}
-			ys, err := sweep.RunErr(len(xs), 0, func(k int) (float64, error) {
+			ys, err := sweep.RunErr(len(xs), func(k int) (float64, error) {
 				if err := r.cancelled(); err != nil {
 					return 0, err
 				}

@@ -1,9 +1,11 @@
-// Package sweep runs independent parameter-sweep points on a bounded
-// worker pool. Every paper figure is a sweep — 20–30 points, each building
-// and solving a private federation game — and the points share no state, so
-// they parallelize perfectly; the runner preserves deterministic point
-// ordering in the output regardless of completion order, so figure tables
-// are byte-identical to the sequential path.
+// Package sweep holds the repository's one worker pool, Each, and the
+// parameter-sweep runner built on it. Every paper figure is a sweep — 20–30
+// points, each building and solving a private federation game — and the
+// points share no state, so they parallelize perfectly; the runner
+// preserves deterministic point ordering in the output regardless of
+// completion order, so figure tables are byte-identical to the sequential
+// path. The lattice kernel and the Shapley sampler run their chunks and
+// strata on Each too.
 package sweep
 
 import (
@@ -17,8 +19,8 @@ import (
 
 // Pool instrumentation. Per point the cost is one clock read, one
 // histogram observation, and one gauge CAS — timestamps are chained
-// within a worker (each point's end is the next point's start), so a
-// sweep of n points pays n+1 clock reads total, not 2n.
+// within a pool slot (each point's end is the next point's start), so a
+// sweep of n points pays one clock read per point plus one, not 2n.
 var (
 	pointsTotal = obs.Default.Counter("fedshare_sweep_points_total",
 		"Sweep points evaluated since process start.")
@@ -28,47 +30,68 @@ var (
 		"Per-point evaluation latency across all sweeps.", nil)
 )
 
-// defaultWorkers is the pool size used when Run is called with workers <= 0;
-// 0 means GOMAXPROCS. Set from fedsim's -sweep-workers flag.
-var defaultWorkers atomic.Int64
-
-// SetDefaultWorkers sets the pool size used when Run receives workers <= 0
-// (n <= 0 restores the GOMAXPROCS default) and returns the previous value.
-func SetDefaultWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(defaultWorkers.Swap(int64(n)))
-}
-
-// DefaultWorkers returns the current default pool size (0 = GOMAXPROCS).
-func DefaultWorkers() int { return int(defaultWorkers.Load()) }
-
-// resolve maps a workers argument to a concrete pool size.
-func resolve(workers int) int {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
+// Each calls fn(w, i) once for every i in [0, n) on at most
+// min(workers, n) goroutines; workers <= 0 means GOMAXPROCS. w is the
+// calling goroutine's slot in [0, min(workers, n)), and no two calls with
+// the same w run at once, so fn may keep scratch per slot. With one slot
+// the calls run inline on the caller, in index order.
+//
+// A panic in fn is re-raised on the caller once every goroutine has
+// returned; after it, the goroutines take no new index. A panic left on a
+// pool goroutine would end the process, out of reach of any recover the
+// caller set up, such as the scenario engine's, which turns a run's panic
+// into a failed run.
+func Each(n, workers int, fn func(w, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return workers
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var (
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		panicMu sync.Mutex
+		panicV  any
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					next.Store(int64(n))
+					panicMu.Lock()
+					if panicV == nil {
+						panicV = r
+					}
+					panicMu.Unlock()
+				}
+			}()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if panicV != nil {
+		panic(panicV)
+	}
 }
 
-// Run evaluates fn(i) for every i in [0, n) on a pool of the given size
-// (workers <= 0 uses the package default) and returns the results indexed
-// by i — output order is deterministic no matter how the points race. Each
-// index is evaluated exactly once. A panic in fn is re-raised in the
-// caller's goroutine after the pool drains, matching the sequential path.
-func Run[T any](n, workers int, fn func(i int) T) []T {
+// Run evaluates fn(i) for every i in [0, n) on Each's pool, GOMAXPROCS
+// wide, and returns the results indexed by i — output order is
+// deterministic no matter how the points race. A panic in fn is re-raised
+// in the caller's goroutine, as Each does.
+func Run[T any](n int, fn func(i int) T) []T {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]T, n)
-	w := resolve(workers)
-	if w > n {
-		w = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	queueDepth.Add(float64(n))
 	var done atomic.Int64
 	defer func() {
@@ -78,68 +101,31 @@ func Run[T any](n, workers int, fn func(i int) T) []T {
 		queueDepth.Add(float64(c) - float64(n))
 		pointsTotal.Add(c)
 	}()
-	if w <= 1 {
-		prev := time.Now()
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-			now := time.Now()
-			pointSeconds.Observe(now.Sub(prev).Seconds())
-			prev = now
-			queueDepth.Dec()
-			done.Add(1)
-		}
-		return out
+	prev := make([]time.Time, workers)
+	start := time.Now()
+	for w := range prev {
+		prev[w] = start
 	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panicV  any
-	)
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			prev := time.Now()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-				now := time.Now()
-				pointSeconds.Observe(now.Sub(prev).Seconds())
-				prev = now
-				queueDepth.Dec()
-				done.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
-	}
+	Each(n, workers, func(w, i int) {
+		out[i] = fn(i)
+		now := time.Now()
+		pointSeconds.Observe(now.Sub(prev[w]).Seconds())
+		prev[w] = now
+		queueDepth.Dec()
+		done.Add(1)
+	})
 	return out
 }
 
 // RunErr is Run for point functions that can fail: it evaluates fn(i) for
 // every i in [0, n) and returns the ordered results together with the
 // lowest-indexed error (matching what a sequential loop would surface).
-func RunErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+func RunErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	type point struct {
 		v   T
 		err error
 	}
-	pts := Run(n, workers, func(i int) point {
+	pts := Run(n, func(i int) point {
 		v, err := fn(i)
 		return point{v: v, err: err}
 	})
