@@ -211,16 +211,15 @@ func (l *Log) listFiles(prefix, suffix string) ([]uint64, error) {
 
 // --- Frame encoding ---
 
-// appendFrame encodes one record (seq, data) onto buf and returns it.
-func appendFrame(buf []byte, seq uint64, data []byte) []byte {
-	body := make([]byte, seqSize+len(data))
+// appendFrame encodes one record (seq, data) as a frame in one buffer.
+func appendFrame(seq uint64, data []byte) []byte {
+	frame := make([]byte, headerSize+seqSize+len(data))
+	body := frame[headerSize:]
 	binary.BigEndian.PutUint64(body, seq)
 	copy(body[seqSize:], data)
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	buf = append(buf, hdr[:]...)
-	return append(buf, body...)
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
+	return frame
 }
 
 // readFrame reads one frame from r. It returns io.EOF at a clean end and
@@ -424,7 +423,7 @@ func (l *Log) Append(data []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: append to closed log")
 	}
 	seq := l.seq + 1
-	frame := appendFrame(nil, seq, data)
+	frame := appendFrame(seq, data)
 	if _, err := l.f.Write(frame); err != nil {
 		// A short write leaves a torn tail; recovery heals it, but this
 		// log can no longer guarantee ordering. Do not advance seq.
@@ -503,7 +502,7 @@ func (l *Log) Snapshot(state []byte) error {
 	seq := l.seq
 	final := filepath.Join(l.opts.Dir, snapshotName(seq))
 	tmp := final + ".tmp"
-	frame := appendFrame(nil, seq, state)
+	frame := appendFrame(seq, state)
 	if err := writeFileSync(tmp, frame); err != nil {
 		return fmt.Errorf("wal: write snapshot: %w", err)
 	}

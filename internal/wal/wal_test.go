@@ -289,7 +289,7 @@ func TestSequenceGapStopsRecovery(t *testing.T) {
 	}
 	// Hand-craft a record with a gapped sequence number and append it raw.
 	seg := findSegment(t, dir)
-	frame := appendFrame(nil, 7, []byte("from-the-future"))
+	frame := appendFrame(7, []byte("from-the-future"))
 	f, err := os.OpenFile(filepath.Join(dir, seg), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +459,7 @@ func segmentSize(t *testing.T, dir string) int64 {
 }
 
 func TestFrameEncodingIsStable(t *testing.T) {
-	frame := appendFrame(nil, 1, []byte("x"))
+	frame := appendFrame(1, []byte("x"))
 	// 8-byte header + 8-byte seq + 1 data byte.
 	if len(frame) != headerSize+seqSize+1 {
 		t.Fatalf("frame length = %d", len(frame))
