@@ -121,7 +121,8 @@ func (c *Client) breakConn() {
 // pointer to one: any other type has no wire form and is refused before
 // any dial. Server-side failures come back as *RemoteError without
 // retry; transport failures are retried per the client's retry budget and
-// surface the last error once the budget is exhausted. Two more failures
+// surface the last error once the budget is exhausted (isTransportFailure
+// tells them from every other error Call returns). Two more failures
 // are final: a request whose frame would exceed MaxFrameSize is refused
 // before any dial, retry or breaker count, and a result that fails to
 // decode is returned at once, with no retry or breaker failure, since the
@@ -170,7 +171,7 @@ func (c *Client) Call(method string, params, result interface{}) error {
 		}
 		resp, err := c.callOnce(req)
 		if err != nil {
-			lastErr = err
+			lastErr = &transportError{err}
 			if c.breaker.failure(c.cfg.Now()) {
 				c.metrics.breakerOpens.Inc()
 			}

@@ -1,6 +1,7 @@
 package sfa
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -482,6 +483,112 @@ func TestReconcileDropsLostIntent(t *testing.T) {
 	}
 	if healed.Partial {
 		t.Error("shares after readmission should not be partial")
+	}
+}
+
+// rewriteReserves is a DialFunc whose connections relay frames to the real
+// peer and, while rewrite is set, replace the result of every answered
+// Reserve with a count of seven slivers and none sent: bytes that do not
+// decode as a ReserveResponse, from a peer whose transport works.
+func rewriteReserves(rewrite *atomic.Bool) func(addr string, timeout time.Duration) (net.Conn, error) {
+	return func(addr string, timeout time.Duration) (net.Conn, error) {
+		up, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		conn, relay := net.Pipe()
+		go func() {
+			defer up.Close()
+			defer relay.Close()
+			// One Write per frame: net.Pipe has no buffer, so each of
+			// WriteFrame's writes, empty ones included, waits for a read.
+			w := bufio.NewWriter(relay)
+			for {
+				req, err := ReadFrame(relay)
+				if err != nil || WriteFrame(up, req) != nil {
+					return
+				}
+				resp, err := ReadFrame(up)
+				if err != nil {
+					return
+				}
+				if req.Method == MethodReserve && resp.Error == "" && rewrite.Load() {
+					resp.Result = []byte("\x00\x00\x00\x07")
+				}
+				if WriteFrame(w, resp) != nil || w.Flush() != nil {
+					return
+				}
+			}
+		}()
+		return conn, nil
+	}
+}
+
+// TestUndecodableReserveKeepsPeerHealthy checks that a peer answering a
+// Reserve with a result that does not decode is alive, not suspect: the
+// reserve executed, so it stays queued for its unknown outcome, and the
+// next probe drains it, retires the slivers the peer placed and readmits
+// the peer with holdings equal to intent.
+func TestUndecodableReserveKeepsPeerHealthy(t *testing.T) {
+	clock := newFakeClock()
+	regC := obs.NewRegistry()
+	p2 := startServer(t, buildAuthority(t, "P2", 2, 1, 4))
+	p2Addr := p2.Addr()
+	var rewrite atomic.Bool
+	srvC := startServer(t, buildAuthority(t, "C", 2, 1, 4), WithMetrics(regC),
+		WithConfig(ServerConfig{
+			Now: clock.Now, LeaseReapInterval: 2 * time.Millisecond,
+			ProbeInterval: 50 * time.Millisecond, SuspectAfter: 1, DownAfter: 2, Seed: 3,
+			PeerClient: func(addr string) ClientConfig {
+				cc := ClientConfig{Addr: addr, MaxAttempts: 1, BreakerThreshold: -1, Registry: regC, Now: clock.Now}
+				if addr == p2Addr {
+					cc.DialFunc = rewriteReserves(&rewrite)
+				}
+				return cc
+			},
+		}))
+	if err := srvC.PeerWith(p2Addr); err != nil {
+		t.Fatal(err)
+	}
+	c := dialServer(t, srvC)
+
+	rewrite.Store(true)
+	var resp SliceResponse
+	if err := c.Call(MethodCreateSlice, SliceRequest{
+		Credential: userCred(), Name: "s1", Owner: "x", MinSites: 2,
+	}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	for _, sv := range resp.Slivers {
+		if sv.Authority == "P2" {
+			t.Fatalf("slice committed sliver %v at P2, whose reserve result was unreadable", sv)
+		}
+	}
+	if st := srvC.health.state("P2"); st != PeerHealthy {
+		t.Fatalf("P2 is %s after answering a Reserve with an undecodable result, want healthy", st)
+	}
+	if d := srvC.recon.depth("P2"); d != 1 {
+		t.Fatalf("P2 backlog %d, want 1: the reserve whose outcome is unknown", d)
+	}
+
+	rewrite.Store(false)
+	converged := regC.CounterVec("fedshare_sfa_reconcile_runs_total", "", "outcome").With("converged")
+	clock.Advance(120 * time.Millisecond)
+	waitFor(t, "the probe to drain P2 and readmit it", func() bool {
+		return converged.Value() == 1 && srvC.health.state("P2") == PeerHealthy && srvC.recon.depth("P2") == 0
+	})
+	if got := regC.Counter("fedshare_sfa_reconcile_retired_total", "").Value(); got != 2 {
+		t.Errorf("retired %d orphan slivers at P2, want the 2 its reserve placed", got)
+	}
+	srvC.mu.Lock()
+	ph := srvC.peers["P2"]
+	srvC.mu.Unlock()
+	held, err := srvC.fetchHoldings(ph, IssueCredential(testSecret, "C", "C", time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orphans, lost := diffHoldings(held, srvC.remoteIntent("P2")); len(orphans) > 0 || len(lost) > 0 {
+		t.Errorf("after readmission P2 holds %v beyond intent and lacks %v", orphans, lost)
 	}
 }
 

@@ -6,6 +6,7 @@ package sfa
 // and reconcile.go replays what could not be delivered.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -45,8 +46,8 @@ func (s *Server) newPeerClient(addr string) *Client {
 }
 
 // callPeer performs one RPC against a peer and feeds the outcome to the
-// health tracker: transport failures count against the peer, any answered
-// request proves it alive.
+// health tracker: transport failures count against the peer, and anything
+// else proves it alive.
 func (s *Server) callPeer(ph *peerHandle, method string, params, result interface{}) error {
 	err := ph.client.Call(method, params, result)
 	s.health.observe(ph.record.Name, !isTransportFailure(err))
@@ -61,13 +62,18 @@ func (s *Server) peerKey(slice string, gen uint64, peer string) string {
 	return fmt.Sprintf("%s/%s#%d@%s", s.auth.Name, slice, gen, peer)
 }
 
-// sendKeyed sends a keyed operation to a peer under cred. On a transport
-// failure the request may or may not have reached the peer, so it is
-// queued without its credential under its original key: reconciliation
-// replays it, and dedup settles which case happened.
+// sendKeyed sends a keyed operation to a peer under cred. When its outcome
+// is unknown it is queued without its credential under its original key:
+// after a transport failure the request may or may not have reached the
+// peer, and after a result that does not decode the peer executed it but
+// the coordinator cannot read what it placed. Reconciliation replays it,
+// dedup settles which case happened, and the drain's anti-entropy pass
+// retires whatever the peer holds that intent lacks. Only a remote error
+// says what the peer did.
 func (s *Server) sendKeyed(ph *peerHandle, op pendingOp, cred Credential, result interface{}) error {
 	err := s.callPeer(ph, op.method, op.signed(cred), result)
-	if isTransportFailure(err) {
+	var remote *RemoteError
+	if err != nil && !errors.As(err, &remote) {
 		s.queue(ph.record.Name, op)
 	}
 	return err
