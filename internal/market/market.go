@@ -132,18 +132,13 @@ func ClearSpot(pool allocation.Pool, bids []Bid) (*SpotResult, error) {
 
 	// Placement check: winners need distinct locations. Serve in price
 	// order on a per-location model.
-	var reqs []allocation.Request
 	var winners []int
 	for _, i := range order {
 		if res.Accepted[i] {
 			winners = append(winners, i)
-			reqs = append(reqs, allocation.Request{
-				Min: bids[i].Quantity, Max: bids[i].Quantity,
-				Shape: 1, Resources: bids[i].Resources, Label: bids[i].Label,
-			})
 		}
 	}
-	placed := allocation.Solve(pool, reqs)
+	placed := allocation.Solve(pool, requests(bids, winners))
 	for k, i := range winners {
 		if placed.X[k] < bids[i].Quantity {
 			res.Accepted[i] = false
@@ -212,44 +207,24 @@ func RunCombinatorial(pool allocation.Pool, bids []Bid) (*AuctionResult, error) 
 		db := bids[order[b]].Amount / float64(bids[order[b]].Quantity)
 		return da > db
 	})
-	// Greedy by density with exact placement per step.
+	// Greedy by density with exact placement per step. The last feasible
+	// trial solved exactly the accepted set, so its placement is the
+	// winners'.
 	var accepted []int
+	consumed := make([]float64, len(pool.Classes))
 	for _, i := range order {
-		trial := append([]int(nil), accepted...)
-		trial = append(trial, i)
-		reqs := make([]allocation.Request, len(trial))
-		for k, j := range trial {
-			reqs[k] = allocation.Request{
-				Min: bids[j].Quantity, Max: bids[j].Quantity,
-				Shape: 1, Resources: bids[j].Resources, Label: bids[j].Label,
-			}
-		}
-		placed := allocation.Solve(pool, reqs)
+		trial := append(accepted[:len(accepted):len(accepted)], i)
+		placed := allocation.Solve(pool, requests(bids, trial))
 		feasible := true
 		for k, j := range trial {
 			if placed.X[k] < bids[j].Quantity {
 				feasible = false
-				_ = j
 				break
 			}
 		}
 		if feasible {
-			accepted = trial
+			accepted, consumed = trial, placed.ConsumedByClass
 		}
-	}
-	reqs := make([]allocation.Request, len(accepted))
-	for k, j := range accepted {
-		reqs[k] = allocation.Request{
-			Min: bids[j].Quantity, Max: bids[j].Quantity,
-			Shape: 1, Resources: bids[j].Resources, Label: bids[j].Label,
-		}
-	}
-	var consumed []float64
-	if len(accepted) > 0 {
-		placed := allocation.Solve(pool, reqs)
-		consumed = placed.ConsumedByClass
-	} else {
-		consumed = make([]float64, len(pool.Classes))
 	}
 	for _, j := range accepted {
 		res.Winning[j] = true
@@ -266,6 +241,19 @@ func RunCombinatorial(pool allocation.Pool, bids []Bid) (*AuctionResult, error) 
 		}
 	}
 	return res, nil
+}
+
+// requests turns the bids at idx into all-or-nothing allocation requests,
+// in idx order: each asks for exactly its bid's Quantity locations.
+func requests(bids []Bid, idx []int) []allocation.Request {
+	reqs := make([]allocation.Request, len(idx))
+	for k, i := range idx {
+		reqs[k] = allocation.Request{
+			Min: bids[i].Quantity, Max: bids[i].Quantity,
+			Shape: 1, Resources: bids[i].Resources, Label: bids[i].Label,
+		}
+	}
+	return reqs
 }
 
 // Shares normalizes a per-class revenue vector into shares (all zeros when
