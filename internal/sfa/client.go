@@ -121,8 +121,7 @@ func (c *Client) breakConn() {
 // pointer to one: any other type has no wire form and is refused before
 // any dial. Server-side failures come back as *RemoteError without
 // retry; transport failures are retried per the client's retry budget and
-// surface the last error once the budget is exhausted (isTransportFailure
-// tells them from every other error Call returns). Two more failures
+// surface the last error once the budget is exhausted. Two more failures
 // are final: a request whose frame would exceed MaxFrameSize is refused
 // before any dial, retry or breaker count, and a result that fails to
 // decode is returned at once, with no retry or breaker failure, since the
@@ -134,11 +133,24 @@ func (c *Client) breakConn() {
 // consulted before each backoff, so a call against an open breaker fails
 // fast instead of sleeping first.
 func (c *Client) Call(method string, params, result interface{}) error {
+	_, err := c.call(method, params, result)
+	return err
+}
+
+// call is Call that also reports whether its error is a transport
+// failure, one in which the peer did not answer: a dial, write, read or
+// deadline failure, a response under another request's ID, or an open
+// breaker, which stands in for the failures that opened it. Every other
+// error comes from a peer that answered (a remote error, a shed the retry
+// budget could not get past, a result that does not decode) or that was
+// never asked (a request refused before dialing). Peer health and
+// reconcile replays count only transport failures.
+func (c *Client) call(method string, params, result interface{}) (bool, error) {
 	req := &Envelope{Method: method}
 	if params != nil {
 		p, ok := params.(encodable)
 		if !ok {
-			return fmt.Errorf("sfa: %s params of type %T have no wire form", method, params)
+			return false, fmt.Errorf("sfa: %s params of type %T have no wire form", method, params)
 		}
 		req.Params = encodeBody(p)
 	}
@@ -146,19 +158,20 @@ func (c *Client) Call(method string, params, result interface{}) error {
 	if result != nil {
 		d, ok := result.(decodable)
 		if !ok {
-			return fmt.Errorf("sfa: %s result of type %T has no wire form", method, result)
+			return false, fmt.Errorf("sfa: %s result of type %T has no wire form", method, result)
 		}
 		dst = d
 	}
 	if n := frameLen(req); n > MaxFrameSize {
-		return fmt.Errorf("sfa: %s request of %d bytes exceeds the %d-byte frame limit", method, n, MaxFrameSize)
+		return false, fmt.Errorf("sfa: %s request of %d bytes exceeds the %d-byte frame limit", method, n, MaxFrameSize)
 	}
 	var lastErr error
+	transport := false // whether lastErr is a transport failure
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		c.mu.Lock()
 		if !c.breaker.allow(c.cfg.Now()) {
 			c.mu.Unlock()
-			return circuitOpenError(c.cfg.Addr, lastErr)
+			return true, circuitOpenError(c.cfg.Addr, lastErr)
 		}
 		c.setBreakerGauge()
 		if attempt > 1 {
@@ -171,7 +184,7 @@ func (c *Client) Call(method string, params, result interface{}) error {
 		}
 		resp, err := c.callOnce(req)
 		if err != nil {
-			lastErr = &transportError{err}
+			lastErr, transport = err, true
 			if c.breaker.failure(c.cfg.Now()) {
 				c.metrics.breakerOpens.Inc()
 			}
@@ -191,22 +204,22 @@ func (c *Client) Call(method string, params, result interface{}) error {
 			if remote.Code == CodeOverloaded {
 				c.stats.Shed++
 				c.metrics.shed.Inc()
-				lastErr = remote
+				lastErr, transport = remote, false
 				c.mu.Unlock()
 				continue
 			}
 			c.mu.Unlock()
-			return remote
+			return false, remote
 		}
 		c.mu.Unlock()
 		if dst != nil {
 			if err := decodeBody(resp.Result, dst); err != nil {
-				return fmt.Errorf("sfa: decode %s result: %w", method, err)
+				return false, fmt.Errorf("sfa: decode %s result: %w", method, err)
 			}
 		}
-		return nil
+		return false, nil
 	}
-	return lastErr
+	return transport, lastErr
 }
 
 func (c *Client) setBreakerGauge() {

@@ -46,12 +46,12 @@ func (s *Server) newPeerClient(addr string) *Client {
 }
 
 // callPeer performs one RPC against a peer and feeds the outcome to the
-// health tracker: transport failures count against the peer, and anything
-// else proves it alive.
-func (s *Server) callPeer(ph *peerHandle, method string, params, result interface{}) error {
-	err := ph.client.Call(method, params, result)
-	s.health.observe(ph.record.Name, !isTransportFailure(err))
-	return err
+// health tracker: a transport failure counts against the peer, and
+// anything else proves it alive. It reports which the error was.
+func (s *Server) callPeer(ph *peerHandle, method string, params, result interface{}) (transport bool, err error) {
+	transport, err = ph.client.call(method, params, result)
+	s.health.observe(ph.record.Name, !transport)
+	return transport, err
 }
 
 // peerKey is the idempotency key of one keyed operation sent to peer: one
@@ -71,7 +71,7 @@ func (s *Server) peerKey(slice string, gen uint64, peer string) string {
 // retires whatever the peer holds that intent lacks. Only a remote error
 // says what the peer did.
 func (s *Server) sendKeyed(ph *peerHandle, op pendingOp, cred Credential, result interface{}) error {
-	err := s.callPeer(ph, op.method, op.signed(cred), result)
+	_, err := s.callPeer(ph, op.method, op.signed(cred), result)
 	var remote *RemoteError
 	if err != nil && !errors.As(err, &remote) {
 		s.queue(ph.record.Name, op)
@@ -149,8 +149,8 @@ func (s *Server) probePeers() {
 		if ph == nil || stopped {
 			continue
 		}
-		err := ph.client.Call(MethodPing, nil, nil)
-		ok := !isTransportFailure(err)
+		transport, _ := ph.client.call(MethodPing, nil, nil)
+		ok := !transport
 		switch s.health.state(name) {
 		case PeerDown:
 			if ok && s.health.beginRecovery(name) {
@@ -341,7 +341,7 @@ func (s *Server) handleShares(p SharesRequest) (*SharesResponse, error) {
 		name := ph.record.Name
 		if !s.health.state(name).excluded() {
 			var rec AuthorityRecord
-			err := s.callPeer(ph, MethodGetRecord, Empty{}, &rec)
+			transport, err := s.callPeer(ph, MethodGetRecord, Empty{}, &rec)
 			if err == nil {
 				s.mu.Lock()
 				ph.last = &rec
@@ -350,7 +350,7 @@ func (s *Server) handleShares(p SharesRequest) (*SharesResponse, error) {
 				live[rec.Name] = true
 				continue
 			}
-			if !isTransportFailure(err) {
+			if !transport {
 				return nil, fmt.Errorf("get record at %s: %w", name, err)
 			}
 		}

@@ -237,7 +237,7 @@ func (s *Server) runReconcile(name string, ph *peerHandle) bool {
 // reserve that the committed slice does not reference are orphans; phase 2
 // retires them.
 func (s *Server) replayOp(ph *peerHandle, cred Credential, op pendingOp) error {
-	if err := ph.client.Call(op.method, op.signed(cred), nil); isTransportFailure(err) {
+	if transport, err := ph.client.call(op.method, op.signed(cred), nil); transport {
 		return err
 	}
 	return nil

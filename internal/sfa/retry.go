@@ -117,24 +117,6 @@ func IsOverloaded(err error) bool {
 	return errors.As(err, &remote) && remote.Code == CodeOverloaded
 }
 
-// transportError marks a Call failure in which the peer did not answer:
-// a dial, write, read or deadline failure, a response under another
-// request's ID, or an open breaker, which stands in for the failures that
-// opened it. The client wraps exactly these.
-type transportError struct{ err error }
-
-func (e *transportError) Error() string { return e.err.Error() }
-func (e *transportError) Unwrap() error { return e.err }
-
-// isTransportFailure classifies a Call error for peer-health purposes:
-// only a transport failure counts against the peer. A peer that answered —
-// with a result, a remote error, an overload shed or a result that does
-// not decode — is alive, and so is one the client refused to call.
-func isTransportFailure(err error) bool {
-	var t *transportError
-	return errors.As(err, &t)
-}
-
 // backoffDelay computes the sleep before retry attempt (attempt >= 1),
 // exponential in the attempt number with deterministic jitter drawn from
 // rng: uniform in [d/2, d) of the capped delay d.
@@ -229,7 +211,7 @@ func (b *breaker) failure(now time.Time) bool {
 // cause.
 func circuitOpenError(addr string, last error) error {
 	if last == nil {
-		return &transportError{fmt.Errorf("%w to %s", ErrCircuitOpen, addr)}
+		return fmt.Errorf("%w to %s", ErrCircuitOpen, addr)
 	}
-	return &transportError{fmt.Errorf("%w to %s (last failure: %v)", ErrCircuitOpen, addr, last)}
+	return fmt.Errorf("%w to %s (last failure: %v)", ErrCircuitOpen, addr, last)
 }
