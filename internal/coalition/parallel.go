@@ -25,14 +25,21 @@ func Snapshot(g Game, workers int) (*Table, error) {
 	}
 	size := uint64(1) << uint(n)
 	values := make([]float64, size)
-	workers = max(1, min(workers, int(size>>6)))
+	if workers = min(workers, int(size>>6)); workers <= 1 {
+		fillValues(g, values, 0, size)
+		return NewTable(n, values)
+	}
 	chunk := (size + uint64(workers) - 1) / uint64(workers)
 	sweep.Each(workers, workers, func(_, k int) {
 		lo := uint64(k) * chunk
-		hi := min(lo+chunk, size)
-		for m := lo; m < hi; m++ {
-			values[m] = g.Value(combin.Set(m))
-		}
+		fillValues(g, values, lo, min(lo+chunk, size))
 	})
 	return NewTable(n, values)
+}
+
+// fillValues sets values[m] to V(m) for every coalition m in [lo, hi).
+func fillValues(g Game, values []float64, lo, hi uint64) {
+	for m := lo; m < hi; m++ {
+		values[m] = g.Value(combin.Set(m))
+	}
 }
