@@ -486,11 +486,12 @@ func TestReconcileDropsLostIntent(t *testing.T) {
 	}
 }
 
-// rewriteReserves is a DialFunc whose connections relay frames to the real
-// peer and, while rewrite is set, replace the result of every answered
-// Reserve with a count of seven slivers and none sent: bytes that do not
-// decode as a ReserveResponse, from a peer whose transport works.
-func rewriteReserves(rewrite *atomic.Bool) func(addr string, timeout time.Duration) (net.Conn, error) {
+// rewriteResults is a DialFunc whose connections relay frames to the real
+// peer and replace the result of every answered call of the method stored
+// in rewrite with a count of seven and nothing after it: bytes that decode
+// neither as a ReserveResponse nor as an AuthorityRecord, from a peer
+// whose transport works.
+func rewriteResults(rewrite *atomic.Value) func(addr string, timeout time.Duration) (net.Conn, error) {
 	return func(addr string, timeout time.Duration) (net.Conn, error) {
 		up, err := net.DialTimeout("tcp", addr, timeout)
 		if err != nil {
@@ -512,7 +513,7 @@ func rewriteReserves(rewrite *atomic.Bool) func(addr string, timeout time.Durati
 				if err != nil {
 					return
 				}
-				if req.Method == MethodReserve && resp.Error == "" && rewrite.Load() {
+				if req.Method == rewrite.Load() && resp.Error == "" {
 					resp.Result = []byte("\x00\x00\x00\x07")
 				}
 				if WriteFrame(w, resp) != nil || w.Flush() != nil {
@@ -528,13 +529,15 @@ func rewriteReserves(rewrite *atomic.Bool) func(addr string, timeout time.Durati
 // Reserve with a result that does not decode is alive, not suspect: the
 // reserve executed, so it stays queued for its unknown outcome, and the
 // next probe drains it, retires the slivers the peer placed and readmits
-// the peer with holdings equal to intent.
+// the peer with holdings equal to intent. An unreadable record then fails
+// a share query as a remote error would, and leaves the peer healthy.
 func TestUndecodableReserveKeepsPeerHealthy(t *testing.T) {
 	clock := newFakeClock()
 	regC := obs.NewRegistry()
 	p2 := startServer(t, buildAuthority(t, "P2", 2, 1, 4))
 	p2Addr := p2.Addr()
-	var rewrite atomic.Bool
+	var rewrite atomic.Value
+	rewrite.Store("")
 	srvC := startServer(t, buildAuthority(t, "C", 2, 1, 4), WithMetrics(regC),
 		WithConfig(ServerConfig{
 			Now: clock.Now, LeaseReapInterval: 2 * time.Millisecond,
@@ -542,7 +545,7 @@ func TestUndecodableReserveKeepsPeerHealthy(t *testing.T) {
 			PeerClient: func(addr string) ClientConfig {
 				cc := ClientConfig{Addr: addr, MaxAttempts: 1, BreakerThreshold: -1, Registry: regC, Now: clock.Now}
 				if addr == p2Addr {
-					cc.DialFunc = rewriteReserves(&rewrite)
+					cc.DialFunc = rewriteResults(&rewrite)
 				}
 				return cc
 			},
@@ -552,7 +555,7 @@ func TestUndecodableReserveKeepsPeerHealthy(t *testing.T) {
 	}
 	c := dialServer(t, srvC)
 
-	rewrite.Store(true)
+	rewrite.Store(MethodReserve)
 	var resp SliceResponse
 	if err := c.Call(MethodCreateSlice, SliceRequest{
 		Credential: userCred(), Name: "s1", Owner: "x", MinSites: 2,
@@ -571,7 +574,7 @@ func TestUndecodableReserveKeepsPeerHealthy(t *testing.T) {
 		t.Fatalf("P2 backlog %d, want 1: the reserve whose outcome is unknown", d)
 	}
 
-	rewrite.Store(false)
+	rewrite.Store("")
 	converged := regC.CounterVec("fedshare_sfa_reconcile_runs_total", "", "outcome").With("converged")
 	clock.Advance(120 * time.Millisecond)
 	waitFor(t, "the probe to drain P2 and readmit it", func() bool {
@@ -589,6 +592,16 @@ func TestUndecodableReserveKeepsPeerHealthy(t *testing.T) {
 	}
 	if orphans, lost := diffHoldings(held, srvC.remoteIntent("P2")); len(orphans) > 0 || len(lost) > 0 {
 		t.Errorf("after readmission P2 holds %v beyond intent and lacks %v", orphans, lost)
+	}
+
+	rewrite.Store(MethodGetRecord)
+	var shares SharesResponse
+	err = c.Call(MethodGetShares, SharesRequest{Policy: "shapley"}, &shares)
+	if err == nil || !strings.Contains(err.Error(), "get record at P2") || !strings.Contains(err.Error(), "decode") {
+		t.Fatalf("shares over an unreadable P2 record: %v (partial %v, down %v), want the decode error", err, shares.Partial, shares.Down)
+	}
+	if st := srvC.health.state("P2"); st != PeerHealthy {
+		t.Errorf("P2 is %s after answering GetRecord with an undecodable record, want healthy", st)
 	}
 }
 
