@@ -83,6 +83,9 @@ func checkClass(i int, c Class) error {
 	if c.Capacity < 0 {
 		return fmt.Errorf("allocation: class %d (%s) has negative capacity", i, c.Label)
 	}
+	if math.IsNaN(c.Capacity) {
+		return fmt.Errorf("allocation: class %d (%s) has NaN capacity", i, c.Label)
+	}
 	return nil
 }
 
@@ -228,10 +231,16 @@ type powTable struct {
 }
 
 // solve runs both admission orders and returns the better result, the
-// ascending one on ties. Only the returned Result is allocated.
+// ascending one on ties. When every request has the same Min, both stable
+// sorts leave the requests in index order and the descending run would
+// repeat the ascending one bit for bit, so it runs once. Only the returned
+// Result is allocated.
 func (s *greedyScratch) solve(pool Pool, reqs []Request) *Result {
 	best := emptyResult(pool, reqs)
 	s.run(best, pool, reqs, true)
+	if sameMin(reqs) {
+		return best
+	}
 	alt := &s.alt
 	alt.X = resize(alt.X, len(reqs))
 	alt.ConsumedByClass = resize(alt.ConsumedByClass, len(pool.Classes))
@@ -369,6 +378,16 @@ func (s *greedyScratch) utility(j int, r *Request, x int) float64 {
 	return *p
 }
 
+// sameMin reports whether every request of reqs has the same Min.
+func sameMin(reqs []Request) bool {
+	for j := range reqs {
+		if reqs[j].Min != reqs[0].Min {
+			return false
+		}
+	}
+	return true
+}
+
 // usedOf returns request j's location bitset.
 func (s *greedyScratch) usedOf(j int) []uint64 {
 	w := s.idx.words
@@ -377,8 +396,7 @@ func (s *greedyScratch) usedOf(j int) []uint64 {
 
 // admit admits request j when its want most preferred locations not
 // marked in its bitset all exist, and assigns them. A request whose
-// minimum exceeds its maximum is never admitted. The picks come group by
-// group, so each group's run of them moves to its new group at once.
+// minimum exceeds its maximum is never admitted.
 func (s *greedyScratch) admit(j int, r Request, want, L int) {
 	if r.Min > r.maxLocations(L) {
 		return
@@ -388,19 +406,26 @@ func (s *greedyScratch) admit(j int, r Request, want, L int) {
 	if len(s.take) < want {
 		return
 	}
+	s.assign(used, r.Resources)
+	s.admitted[j] = true
+	s.x[j] = want
+}
+
+// assign gives the locations of s.take, picked in preference order, to
+// the request holding used, need units each. The picks come group by
+// group, so each group's run of them moves to its new group at once.
+func (s *greedyScratch) assign(used []uint64, need float64) {
 	for run := s.take; len(run) > 0; {
 		g, n := s.idx.slot[run[0]], 1
 		for n < len(run) && s.idx.slot[run[n]] == g {
 			n++
 		}
-		s.idx.move(run[:n], r.Resources)
+		s.idx.move(run[:n], need)
 		run = run[n:]
 	}
 	for _, li := range s.take {
 		used[li>>6] |= 1 << (li & 63)
 	}
-	s.admitted[j] = true
-	s.x[j] = want
 }
 
 // topUp is the marginal phase: hand out one location at a time to the
@@ -414,7 +439,8 @@ func (s *greedyScratch) admit(j int, r Request, want, L int) {
 // no longer grow, so its gain stays there), or when it finds no
 // location: capacities only fall and held sets only grow, so it never
 // finds one later, and since the search is pure, skipping it selects the
-// same request the scan would.
+// same request the scan would. A top that stays on top after its pick
+// goes on picking in a run (see extend).
 func (s *greedyScratch) topUp(reqs []Request, L int) {
 	s.heap = s.heap[:0]
 	for j := range reqs {
@@ -440,8 +466,9 @@ func (s *greedyScratch) topUp(reqs []Request, L int) {
 			if s.x[best]++; s.x[best] < r.maxLocations(L) {
 				s.gain[best] = s.utility(best, r, s.x[best]+1) - s.utility(best, r, s.x[best])
 				if s.gain[best] > 1e-12 {
-					s.down(0)
-					continue
+					if s.down(0); s.heap[0] != best || s.extend(best, r, L) {
+						continue
+					}
 				}
 			}
 		}
@@ -450,6 +477,58 @@ func (s *greedyScratch) topUp(reqs []Request, L int) {
 		s.heap = s.heap[:n]
 		s.down(0)
 	}
+}
+
+// extend goes on picking for request j, the heap's top after a pick, for
+// as long as the one-pick loop would keep picking for it: while j is below
+// its maximum, its gain is above 1e-12, a location has room for it, and it
+// comes before the runner-up, the better of the top's two children, whose
+// gains the run leaves alone. A pick changes the key only of the location
+// picked, which then leaves j's candidates, so the run's picks are j's
+// candidates in preference order, taken from the index as the run found
+// it and moved once it ends. It reports whether j stays in the heap,
+// sifted to its place; if not, j is still the top.
+func (s *greedyScratch) extend(j int, r *Request, L int) bool {
+	next := -1
+	if h := s.heap; len(h) > 1 {
+		next = h[1]
+		if len(h) > 2 && s.before(h[2], next) {
+			next = h[2]
+		}
+	}
+	x := &s.idx
+	used, hi := s.usedOf(j), r.maxLocations(L)
+	u := s.utility(j, r, s.x[j]+1) // j's utility once it holds one more
+	s.take = s.take[:0]
+	stay := false
+run:
+	for _, g := range x.order {
+		if !x.fits(g, r.Resources) {
+			continue
+		}
+		for w, b := range x.members(g) {
+			for m := b &^ used[w]; m != 0; m &= m - 1 {
+				s.take = append(s.take, w<<6|bits.TrailingZeros64(m))
+				if s.x[j]++; s.x[j] >= hi {
+					break run
+				}
+				prev := u
+				u = s.utility(j, r, s.x[j]+1)
+				if s.gain[j] = u - prev; !(s.gain[j] > 1e-12) {
+					break run
+				}
+				if next >= 0 && !s.before(j, next) {
+					stay = true
+					break run
+				}
+			}
+		}
+	}
+	s.assign(used, r.Resources)
+	if stay {
+		s.down(0)
+	}
+	return stay
 }
 
 // before orders the top-up heap: higher gain first, then lower index. It
@@ -574,6 +653,12 @@ func (x *locIndex) group(uses int, rem float64) int {
 	return g
 }
 
+// fits reports whether the members of group slot g have room for need
+// units. No capacity is NaN, so no remaining capacity is.
+func (x *locIndex) fits(g int, need float64) bool {
+	return x.groups[g].rem+1e-12 >= need
+}
+
 // best appends to dst up to want locations with room for need units and
 // not marked in used, most preferred first. Under the strict preference
 // order the first want candidates are unique, so this is the sorted
@@ -583,7 +668,7 @@ func (x *locIndex) best(dst []int, used []uint64, need float64, want int) []int 
 		if len(dst) == want {
 			break
 		}
-		if !(x.groups[g].rem+1e-12 >= need) {
+		if !x.fits(g, need) {
 			continue
 		}
 		for w, b := range x.members(g) {
@@ -602,7 +687,7 @@ func (x *locIndex) best(dst []int, used []uint64, need float64, want int) []int 
 // not marked in used, or -1.
 func (x *locIndex) pickOne(used []uint64, need float64) int {
 	for _, g := range x.order {
-		if x.groups[g].rem+1e-12 < need {
+		if !x.fits(g, need) {
 			continue
 		}
 		for w, b := range x.members(g) {

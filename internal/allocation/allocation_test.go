@@ -31,9 +31,10 @@ func TestPoolBasics(t *testing.T) {
 	if p.TotalCapacity() != 1300 {
 		t.Errorf("TotalCapacity = %g", p.TotalCapacity())
 	}
-	bad := Pool{Classes: []Class{{Count: -1}}}
-	if bad.Validate() == nil {
-		t.Error("negative count must be invalid")
+	for _, c := range []Class{{Count: -1}, {Count: 1, Capacity: math.NaN()}} {
+		if (Pool{Classes: []Class{c}}).Validate() == nil {
+			t.Errorf("class %+v must be invalid", c)
+		}
 	}
 }
 
@@ -313,6 +314,28 @@ func TestSolvePanicsOnBadRequest(t *testing.T) {
 	}
 }
 
+// TestSolveRefusesNaNCapacity requires Solve to refuse a class of NaN
+// capacity and to keep accepting +Inf. Unchecked, the greedy engine
+// admitted this request on the two locations of capacity 1 and then
+// topped it up on all three NaN ones.
+func TestSolveRefusesNaNCapacity(t *testing.T) {
+	reqs := []Request{{Min: 2, Shape: 0.5, Resources: 1}}
+	pool := func(capacity float64) Pool {
+		return Pool{Classes: []Class{{Label: "odd", Count: 3, Capacity: capacity}, {Label: "one", Count: 2, Capacity: 1}}}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Solve accepted a NaN capacity")
+			}
+		}()
+		Solve(pool(math.NaN()), reqs)
+	}()
+	if res := Solve(pool(math.Inf(1)), reqs); res.X[0] != 5 {
+		t.Errorf("+Inf capacity: X = %v, want [5]", res.X)
+	}
+}
+
 func TestRequestUtility(t *testing.T) {
 	r := Request{Min: 5, Shape: 2, Resources: 1}
 	if r.Utility(4) != 0 {
@@ -395,10 +418,12 @@ func TestSolveP2PFederationGain(t *testing.T) {
 }
 
 func TestSolveP2PInvalidInput(t *testing.T) {
-	if _, err := SolveP2P([]FacilityContribution{
-		{Name: "bad", Classes: []Class{{Count: -1}}},
-	}); err == nil {
-		t.Error("invalid class must error")
+	for _, c := range []Class{{Count: -1}, {Count: 1, Capacity: math.NaN()}} {
+		if _, err := SolveP2P([]FacilityContribution{
+			{Name: "bad", Classes: []Class{c}},
+		}); err == nil {
+			t.Errorf("invalid class %+v must error", c)
+		}
 	}
 	for _, r := range []Request{
 		{Min: 0, Shape: 0, Resources: 1},

@@ -106,8 +106,9 @@ func BenchmarkSolveGreedyScarce(b *testing.B) {
 }
 
 // BenchmarkSolveGreedyFig5 measures fig5's greedy work at d = 0.5: one
-// request with l = 600 over all seven coalitions, topped up one location
-// at a time to every free location.
+// request with l = 600 over all seven coalitions, admitted in one order
+// and topped up to every free location in one run, as it has no
+// runner-up.
 func BenchmarkSolveGreedyFig5(b *testing.B) {
 	pools := fig5Pools()
 	reqs := []Request{{Min: 600, Shape: 0.5, Resources: 1}}

@@ -3,6 +3,7 @@ package allocation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -64,21 +65,35 @@ func checkGreedy(s *greedyScratch, pool Pool, reqs []Request) error {
 	return nil
 }
 
-var greedyShapes = []float64{0.5, 0.7, 0.8, 1.3, 1.5, 2}
+// greedyShapes are the utility exponents of the random and decoded
+// instances: concave, convex, and one so flat that its gain falls to
+// 1e-12 after ten locations.
+var greedyShapes = []float64{0.5, 0.7, 0.8, 1.3, 1.5, 2, 1e-11}
 
 // randGreedyInstance draws a pool of 1–12 classes with integer,
 // fractional and zero capacities, and requests with integer or fractional
-// resources, minima from 0 up, bounded or unbounded maxima, and concave or
-// convex shapes. One instance in four is large: up to 20 locations per
-// class (so the location count crosses 64 and 128 and bitsets span several
-// words) and up to 20 requests; the rest stay below 8 of each, which keeps
-// the scan-based oracle's cost down.
+// resources, minima from 0 up, bounded or unbounded maxima, and the shapes
+// of greedyShapes. Most instances stay below 8 locations per class and 8
+// requests, which keeps the scan-based oracle's cost down. One in four is
+// large: up to 20 locations per class (so the location count crosses 64
+// and 128 and bitsets span several words) and up to 20 requests. One in
+// sixteen is wide: 1–3 classes of 40–99 locations and 1–3 requests, whose
+// top-up runs cross several words and groups. A request copies the one
+// before it one time in five, so that identical requests tie on gain, and
+// one instance in four gives every request the first one's minimum, so
+// that solve runs one admission order.
 func randGreedyInstance(rng *stats.Rand) (Pool, []Request) {
-	size := 8
-	if rng.Intn(4) == 0 {
-		size = 21
+	perClass := func() int { return rng.Intn(8) }
+	nc, nr := 1+rng.Intn(12), 1+rng.Intn(7)
+	switch rng.Intn(16) {
+	case 0:
+		perClass = func() int { return 40 + rng.Intn(60) }
+		nc, nr = 1+rng.Intn(3), 1+rng.Intn(3)
+	case 1, 2, 3, 4:
+		perClass = func() int { return rng.Intn(21) }
+		nr = 1 + rng.Intn(20)
 	}
-	classes := make([]Class, 1+rng.Intn(12))
+	classes := make([]Class, nc)
 	L := 0
 	for c := range classes {
 		capacity := 0.0
@@ -90,14 +105,22 @@ func randGreedyInstance(rng *stats.Rand) (Pool, []Request) {
 		case 4:
 			capacity = rng.Float64() * 6
 		}
-		classes[c] = Class{Label: "c", Count: rng.Intn(size), Capacity: capacity}
+		classes[c] = Class{Label: "c", Count: perClass(), Capacity: capacity}
 		L += classes[c].Count
 	}
-	reqs := make([]Request, 1+rng.Intn(size-1))
+	equalMin := rng.Intn(4) == 0
+	reqs := make([]Request, nr)
 	for j := range reqs {
+		if j > 0 && rng.Intn(5) == 0 {
+			reqs[j] = reqs[j-1]
+			continue
+		}
 		r := Request{Shape: greedyShapes[rng.Intn(len(greedyShapes))]}
 		if rng.Intn(4) > 0 {
 			r.Min = rng.Intn(L/2 + 2)
+		}
+		if equalMin && j > 0 {
+			r.Min = reqs[0].Min
 		}
 		if rng.Intn(3) == 0 {
 			r.Max = 1 + rng.Intn(L+1)
@@ -266,6 +289,58 @@ func TestGreedyTopUpEdges(t *testing.T) {
 			if err := c.check(solveGreedy(c.pool, c.reqs)); err != nil {
 				t.Errorf("%s: %v", c.name, err)
 			}
+		}
+	}
+}
+
+// TestGreedyRuns pins the top-up's runs, the picks a request makes while
+// it stays on top of the heap, against the oracle: one case for each way a
+// run ends, runs across several bitset words and groups, runs with no
+// runner-up, and solve's one admission order for equal minima.
+func TestGreedyRuns(t *testing.T) {
+	unit := func(n int) Pool { return Pool{Classes: []Class{{Count: n, Capacity: 1}}} }
+	wide := Pool{Classes: []Class{{Count: 70, Capacity: 1}, {Count: 70, Capacity: 2}, {Count: 60, Capacity: 3}}}
+	cases := []struct {
+		name string
+		pool Pool
+		reqs []Request
+		x    []int // X of the solve, if pinned
+	}{
+		// Request 0 runs from 2 to 5 locations: at 4 its gain ties
+		// request 1's and its lower index keeps it on top.
+		{"runner-up higher", unit(10), []Request{{Min: 1, Shape: 0.5, Resources: 1}, {Min: 4, Shape: 0.5, Resources: 1}}, []int{5, 5}},
+		// Request 0's run stops at 4 locations for request 2, the top's
+		// right child, not at request 1, its left.
+		{"runner-up on the right", unit(16), []Request{{Min: 1, Shape: 0.5, Resources: 1}, {Min: 8, Shape: 0.5, Resources: 1},
+			{Min: 3, Shape: 0.5, Resources: 1}}, []int{4, 8, 4}},
+		// Request 1's run stops at 3 locations, where its gain ties
+		// request 0's and the lower index comes first.
+		{"tie", unit(7), []Request{{Min: 3, Shape: 0.5, Resources: 1}, {Min: 1, Shape: 0.5, Resources: 1}}, []int{4, 3}},
+		{"identical", unit(7), []Request{{Min: 2, Shape: 0.7, Resources: 1}, {Min: 2, Shape: 0.7, Resources: 1}}, []int{4, 3}},
+		{"max", unit(12), []Request{{Min: 1, Max: 5, Shape: 1.5, Resources: 1}, {Min: 1, Shape: 0.5, Resources: 1}}, []int{5, 7}},
+		// The gain of x^1e-11 falls to 1e-12 at ten locations.
+		{"cutoff", unit(20), []Request{{Min: 1, Shape: 1e-11, Resources: 1}}, []int{10}},
+		{"cutoff with runner-up", unit(30), []Request{{Min: 1, Shape: 1e-11, Resources: 1}, {Min: 9, Shape: 1e-11, Resources: 1}}, []int{10, 10}},
+		{"locations run out", Pool{Classes: []Class{{Count: 10, Capacity: 1}, {Count: 5, Capacity: 0.5}}},
+			[]Request{{Min: 1, Shape: 2, Resources: 1}}, []int{10}},
+		{"locations run out with runner-up", Pool{Classes: []Class{{Count: 6, Capacity: 2}, {Count: 20, Capacity: 1}}},
+			[]Request{{Min: 1, Shape: 2, Resources: 2}, {Min: 1, Shape: 0.5, Resources: 1}}, []int{5, 21}},
+		{"words and groups", wide, []Request{{Min: 10, Shape: 1.3, Resources: 1}, {Min: 10, Shape: 0.8, Resources: 2},
+			{Min: 40, Shape: 0.5, Resources: 1}}, nil},
+		{"alone, concave", wide, []Request{{Min: 5, Shape: 0.5, Resources: 2}}, []int{130}},
+		{"alone, convex", wide, []Request{{Min: 5, Shape: 2, Resources: 2}}, []int{130}},
+		{"equal minima", wide, []Request{{Min: 30, Shape: 0.5, Resources: 1}, {Min: 30, Shape: 2, Resources: 3},
+			{Min: 30, Max: 60, Shape: 1.3, Resources: 2}, {Min: 30, Shape: 0.7, Resources: 0.5}}, nil},
+	}
+	for _, c := range cases {
+		if err := checkGreedy(new(greedyScratch), c.pool, c.reqs); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.x == nil {
+			continue
+		}
+		if got := solveGreedy(c.pool, c.reqs).X; !slices.Equal(got, c.x) {
+			t.Errorf("%s: X = %v, want %v", c.name, got, c.x)
 		}
 	}
 }

@@ -246,7 +246,7 @@ func TestPrefixSolverValidation(t *testing.T) {
 	if v, ok := ps.Extend(0); v != 0 || !ok {
 		t.Fatalf("empty request list valued %g (certified %v), want 0", v, ok)
 	}
-	for _, c := range []Class{{Count: -1, Capacity: 1}, {Count: 1, Capacity: -1}} {
+	for _, c := range []Class{{Count: -1, Capacity: 1}, {Count: 1, Capacity: -1}, {Count: 1, Capacity: math.NaN()}} {
 		func() {
 			defer func() {
 				if recover() == nil {

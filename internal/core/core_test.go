@@ -287,6 +287,13 @@ func TestNewModelValidation(t *testing.T) {
 	if _, err := NewModel([]Facility{{Name: "x", Availability: 2}}, nil); err == nil {
 		t.Error("availability > 1 must fail")
 	}
+	// A NaN would reach the allocation engine as a NaN capacity.
+	if _, err := NewModel([]Facility{{Name: "x", Resources: math.NaN()}}, nil); err == nil {
+		t.Error("NaN resources must fail")
+	}
+	if _, err := NewModel([]Facility{{Name: "x", Resources: 1, Availability: math.NaN()}}, nil); err == nil {
+		t.Error("NaN availability must fail")
+	}
 	m, err := NewModel([]Facility{{Name: "x", Locations: 1, Resources: 1}}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,10 @@ func (f Facility) Validate() error {
 	if f.Resources < 0 {
 		return fmt.Errorf("core: facility %s has negative resources", f.Name)
 	}
-	if f.Availability < 0 || f.Availability > 1 {
+	if math.IsNaN(f.Resources) {
+		return fmt.Errorf("core: facility %s has NaN resources", f.Name)
+	}
+	if !(f.Availability >= 0 && f.Availability <= 1) {
 		return fmt.Errorf("core: facility %s availability %g outside [0,1]", f.Name, f.Availability)
 	}
 	return nil
