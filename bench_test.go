@@ -14,11 +14,13 @@ import (
 	"runtime"
 	"testing"
 
+	"fedshare/internal/allocation"
 	"fedshare/internal/coalition"
 	"fedshare/internal/core"
 	"fedshare/internal/economics"
 	"fedshare/internal/figures"
 	"fedshare/internal/loss"
+	"fedshare/internal/scenario"
 	"fedshare/internal/stats"
 )
 
@@ -188,6 +190,22 @@ func BenchmarkFig9(b *testing.B) {
 				b.Fatalf("fig9: missing threshold jump (max %g, mean %g)", maxStep, sumStep/float64(n))
 			}
 		}
+	}
+}
+
+// BenchmarkFiguresCold regenerates every registered figure from a cold
+// allocation memo, one sub-benchmark per figure: each iteration resets the
+// memo, as a fedbench pass does, so every coalition value is solved. The
+// BenchmarkFigN benchmarks above hit the process-wide memo after their
+// first iteration.
+func BenchmarkFiguresCold(b *testing.B) {
+	for _, id := range scenario.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				allocation.DefaultMemo.Reset()
+				benchFigure(b, id)
+			}
+		})
 	}
 }
 
