@@ -477,22 +477,27 @@ func TestDurableSnapshotVersion(t *testing.T) {
 // snapshot (a log of JSON records).
 func jsonRecordsDir(t *testing.T, name string) string {
 	t.Helper()
-	src := filepath.Join("testdata", "json-records", name)
+	dir := t.TempDir()
+	copyDataDir(t, filepath.Join("testdata", "json-records", name), dir)
+	return dir
+}
+
+// copyDataDir copies the files of data directory src into dst.
+func copyDataDir(tb testing.TB, src, dst string) {
+	tb.Helper()
 	entries, err := os.ReadDir(src)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	dir := t.TempDir()
 	for _, e := range entries {
 		b, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	return dir
 }
 
 // TestDurableRefusesJSONRecords: a log of JSON records is refused with an
@@ -747,5 +752,79 @@ func TestDurableCloseSnapshotsCleanly(t *testing.T) {
 	}
 	if got := rec.snapshotState(); !reflect.DeepEqual(got, want) {
 		t.Errorf("post-graceful-close recovery mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// crashImage leaves in dir the data directory of a coordinator that
+// crashed after pairs keyed reserve/release pairs under the default
+// snapshot cadence, as fedbench's plane setup prepares it: at 4,048 pairs,
+// a snapshot at seq 4,096 holding a full dedup window and a log suffix of
+// 4,000 records.
+func crashImage(tb testing.TB, dir string, pairs int) {
+	tb.Helper()
+	store, _, err := OpenDurableStore(DurableOptions{Dir: dir, Registry: obs.NewRegistry()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := NewServer(buildAuthority(tb, "PLC", 40, 2, 10), testSecret,
+		WithLogger(quietLog), WithStore(store), WithMetrics(obs.NewRegistry()))
+	defer srv.Close()
+	cred := userCred()
+	for i := 0; i < pairs; i++ {
+		name := fmt.Sprintf("prep-%d", i)
+		rr, err := srv.handleReserve(ReserveRequest{
+			Credential: cred, SliceName: name, Sites: 1, PerSite: 1, IdempotencyKey: name + "/r",
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := srv.handleRelease(ReleaseRequest{
+			Credential: cred, SliceName: name, Slivers: rr.Slivers, IdempotencyKey: name + "/rel",
+		}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	_ = store.log.Close() // crash: no final snapshot
+}
+
+// BenchmarkRecover times a durable coordinator's crash recovery as
+// fedbench's plane setup_s does: OpenDurableStore, NewServer and Restore
+// on a fresh copy, made outside the timer, of crashImage's 4,048-pair
+// data directory.
+func BenchmarkRecover(b *testing.B) {
+	image := b.TempDir()
+	crashImage(b, image, 4048)
+	dir := filepath.Join(b.TempDir(), "data")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			b.Fatal(err)
+		}
+		copyDataDir(b, image, dir)
+		auth := buildAuthority(b, "PLC", 40, 2, 10)
+		b.StartTimer()
+
+		store, st, err := OpenDurableStore(DurableOptions{Dir: dir, Registry: obs.NewRegistry()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := NewServer(auth, testSecret, WithLogger(quietLog), WithStore(store), WithMetrics(obs.NewRegistry()))
+		if err := srv.Restore(st); err != nil {
+			b.Fatal(err)
+		}
+
+		b.StopTimer()
+		if window := (ServerConfig{}).withDefaults().DedupCapacity; len(st.Dedup) != window || len(st.log) != 4000 {
+			b.Fatalf("recovered a snapshot of %d dedup keys and %d records, want %d and 4000",
+				len(st.Dedup), len(st.log), window)
+		}
+		_ = srv.Close()
+		_ = store.log.Close()
+		b.StartTimer()
 	}
 }
