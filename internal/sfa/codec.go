@@ -1,8 +1,8 @@
 package sfa
 
-// This file holds the binary codec of every protocol message body and of
-// every WAL Record, and is the only file that knows their layouts. The
-// frame around a body is wire.go's.
+// This file holds the binary codec of every protocol message body, of
+// every WAL Record and of the snapshot State, and is the only file that
+// knows their layouts. The frame around a body is wire.go's.
 //
 // A body is its type's fields in declaration order, with no names or
 // tags; all integers are big-endian:
@@ -18,9 +18,11 @@ package sfa
 //
 // Every value has exactly one encoding, so an accepted body re-encodes to
 // its own bytes. The decoder checks every count against the bytes left
-// before it allocates, refuses strings that are not valid UTF-8 (so what
-// reaches durable state survives the JSON snapshot unchanged) and decodes
-// a zero count to a nil list or map.
+// before it allocates, refuses strings that are not valid UTF-8 (names
+// read from the wire or the log reach fedd's JSON endpoints, metric labels
+// and fedctl's output, where encoding/json would silently replace invalid
+// bytes with U+FFFD, so a name would read differently there than on the
+// wire) and decodes a zero count to a nil list or map.
 
 import (
 	"encoding/binary"
@@ -47,8 +49,12 @@ func encodeBody(v encodable) []byte {
 
 // decodeBody decodes all of p into v; bytes left over are an error.
 func decodeBody(p []byte, v decodable) error {
-	d := dec{p: p, s: string(p)}
-	v.decode(&d)
+	return decodeAll(&dec{p: p, s: string(p)}, v)
+}
+
+// decodeAll decodes all of d's bytes into v.
+func decodeAll(d *dec, v decodable) error {
+	v.decode(d)
 	if d.err == nil && len(d.p) > 0 {
 		d.err = fmt.Errorf("%d trailing bytes after the body", len(d.p))
 	}
@@ -79,6 +85,44 @@ func decodeRecord(p []byte, rec *Record) error {
 		return fmt.Errorf("record has format version %d; this build reads binary records of format version %d", p[0], recordVersion)
 	}
 	return decodeBody(p[1:], rec)
+}
+
+// SnapshotVersion leads every snapshot: the format of the State body after
+// it. Snapshots that begin with '{' are JSON, as earlier builds wrote
+// them; decodeSnapshot still reads those of version jsonSnapshotVersion
+// or without a version.
+const SnapshotVersion = 2
+
+// jsonSnapshotVersion is the last JSON snapshot format. An unversioned
+// JSON snapshot predates versioning and has this version's shape.
+const jsonSnapshotVersion = 1
+
+// snapshotFormats names the snapshot formats this build reads.
+var snapshotFormats = fmt.Sprintf("this build reads binary snapshots of format version %d "+
+	"and JSON snapshots, as earlier builds wrote them, of format version %d or unversioned", SnapshotVersion, jsonSnapshotVersion)
+
+// encodeSnapshot returns st's snapshot: the version byte, then the body.
+func encodeSnapshot(st *State) []byte {
+	e := enc{b: append(make([]byte, 0, 128), SnapshotVersion)}
+	st.encode(&e)
+	return e.b
+}
+
+// decodeSnapshot decodes one snapshot into st, refusing any format but
+// this build's and the JSON ones before decoding the body.
+func decodeSnapshot(p []byte, st *State) error {
+	switch {
+	case len(p) == 0:
+		return fmt.Errorf("empty snapshot")
+	case p[0] == '{':
+		return decodeJSONSnapshot(p, st)
+	case p[0] != SnapshotVersion:
+		return fmt.Errorf("snapshot has format version %d; %s", p[0], snapshotFormats)
+	}
+	// Without a body string, each decoded string is its own copy: a
+	// snapshot's names, such as its usage keys, outlive most of the state
+	// it restores, and a substring would keep the whole snapshot alive.
+	return decodeAll(&dec{p: p[1:]}, st)
 }
 
 // --- Primitives ---
@@ -140,7 +184,7 @@ type dec struct {
 	// s is the whole body as one string, of which p is a suffix: every
 	// decoded string is a substring of s, so a body costs one string
 	// allocation, not one per string, and a decoded string keeps its
-	// body alive.
+	// body alive. With s empty, each string is copied out on its own.
 	s   string
 	err error
 }
@@ -196,9 +240,12 @@ func (d *dec) str() string {
 	n := uint64(d.u32())
 	start := len(d.s) - len(d.p)
 	b := d.next(n, "string")
-	if !utf8.Valid(b) {
+	switch {
+	case !utf8.Valid(b):
 		d.fail("string of %d bytes is not valid UTF-8", len(b))
 		return ""
+	case d.s == "":
+		return string(b)
 	}
 	return d.s[start : start+len(b)]
 }
@@ -247,6 +294,9 @@ const (
 	sliverMin  = 3 * 4
 	siteMin    = 2*4 + 3*8
 	holdingMin = 4 + 8 + 4
+	sliceMin   = 2*4 + 3*8 + 2*4
+	leaseMin   = 4 + 8 + 4 + 8 + 4
+	dedupMin   = 4 + 4
 )
 
 func (d *dec) slivers() []SliverRecord { return decodeList[SliverRecord](d, sliverMin) }
@@ -503,4 +553,52 @@ func (v *Record) decode(d *dec) {
 		v.Spec.decode(d)
 	}
 	v.Slivers, v.Remote = d.slivers(), d.slivers()
+}
+
+func (v SliceState) encode(e *enc) {
+	v.Spec.encode(e)
+	encodeList(e, v.Local)
+	encodeList(e, v.Remote)
+}
+
+func (v *SliceState) decode(d *dec) {
+	v.Spec.decode(d)
+	v.Local, v.Remote = d.slivers(), d.slivers()
+}
+
+func (v LeaseState) encode(e *enc) {
+	e.str(v.Slice)
+	e.int(v.Kind)
+	e.str(v.Holder)
+	e.i64(v.Expiry)
+	encodeList(e, v.Slivers)
+}
+
+func (v *LeaseState) decode(d *dec) {
+	v.Slice, v.Kind, v.Holder, v.Expiry, v.Slivers = d.str(), d.int(), d.str(), d.i64(), d.slivers()
+}
+
+func (v DedupState) encode(e *enc) {
+	e.str(v.Key)
+	encodeList(e, v.Slivers)
+}
+
+func (v *DedupState) decode(d *dec) { v.Key, v.Slivers = d.str(), d.slivers() }
+
+func (v State) encode(e *enc) {
+	e.u64(v.Seq)
+	encodeList(e, v.Slices)
+	encodeList(e, v.Leases)
+	encodeList(e, v.Dedup)
+	encodeMap(e, v.Usage, (*enc).int)
+	e.int(v.Embedded)
+}
+
+func (v *State) decode(d *dec) {
+	v.Seq = d.u64()
+	v.Slices = decodeList[SliceState](d, sliceMin)
+	v.Leases = decodeList[LeaseState](d, leaseMin)
+	v.Dedup = decodeList[DedupState](d, dedupMin)
+	v.Usage = decodeMap(d, 8, (*dec).int)
+	v.Embedded = d.int()
 }

@@ -2,6 +2,7 @@ package sfa
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,8 +12,8 @@ import (
 	"testing"
 )
 
-// bodyTypes names every protocol message type and the WAL Record, each
-// with a constructor of a value to decode into.
+// bodyTypes names every protocol message type, the WAL Record and the
+// snapshot State, each with a constructor of a value to decode into.
 var bodyTypes = []struct {
 	name string
 	new  func() decodable
@@ -34,6 +35,7 @@ var bodyTypes = []struct {
 	{"HoldingsResponse", func() decodable { return &HoldingsResponse{} }},
 	{"DeleteRequest", func() decodable { return &DeleteRequest{} }},
 	{"Record", func() decodable { return &Record{} }},
+	{"State", func() decodable { return &State{} }},
 }
 
 var recordOps = []string{OpReserve, OpRelease, OpCreateSlice, OpDeleteSlice, OpExpire, OpGen, OpAmendRemote}
@@ -41,7 +43,8 @@ var recordOps = []string{OpReserve, OpRelease, OpCreateSlice, OpDeleteSlice, OpE
 // fill sets v to a generated value: strings of up to 20 runes, some of
 // them multi-byte; integers over their whole range; floats that include
 // NaNs with payloads, infinities and −0; lists and maps that are nil,
-// empty, short or, at the top level, long; pointers nil or set.
+// empty, short or, at the top level, long; pointers nil or set. Unexported
+// fields, such as State.log, have no encoding and stay zero.
 func fill(r *rand.Rand, v reflect.Value, depth int) {
 	sizes := []int{-1, 0, 1, 3}
 	if depth == 0 {
@@ -100,7 +103,9 @@ func fill(r *rand.Rand, v reflect.Value, depth int) {
 		v.Set(p)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			fill(r, v.Field(i), depth)
+			if v.Type().Field(i).IsExported() {
+				fill(r, v.Field(i), depth)
+			}
 		}
 	default:
 		panic(fmt.Sprintf("fill: no generator for %s", v.Type()))
@@ -235,11 +240,90 @@ func TestRecordFormat(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBody decodes arbitrary bytes as every message type and as a
-// WAL record. Decoding never panics; it allocates no more than a small
-// multiple of the input, so no list or map outgrows what the bytes left
-// can hold; and an accepted body re-encodes to exactly its own bytes. The
-// seed corpus lives in testdata/fuzz.
+// TestSnapshotFormat: a snapshot is its version byte and its State body;
+// a JSON snapshot, as builds before this format wrote them, still decodes;
+// a binary snapshot of another version and a JSON one of a version this
+// build cannot read are refused with errors naming both formats.
+func TestSnapshotFormat(t *testing.T) {
+	st := State{
+		Seq:    7,
+		Slices: []SliceState{{Spec: SliceSpecState{Name: "web", Owner: "tester", MinSites: 2, SliversPerSite: 1}, Local: planeSlivers("PLC", 2, 1)}},
+		Leases: []LeaseState{{Slice: "db", Kind: leaseReserve, Holder: "PLE", Expiry: 42, Slivers: planeSlivers("PLC", 1, 1)}},
+		Dedup:  []DedupState{{Key: "reserve:k1", Slivers: planeSlivers("PLC", 1, 1)}, {Key: "release:k2"}},
+		Usage:  map[string]int{"PLC": 2, "PLE": 1}, Embedded: 1,
+	}
+	b := encodeSnapshot(&st)
+	if b[0] != SnapshotVersion || !bytes.Equal(b[1:], encodeBody(st)) {
+		t.Fatalf("snapshot %q is not the version byte and the State body", b)
+	}
+	var got State
+	if err := decodeSnapshot(b, &got); err != nil || !reflect.DeepEqual(got, st) {
+		t.Fatalf("decoded %+v (err %v), want %+v", got, err, st)
+	}
+	js, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []string{``, `"version":1,`} {
+		var old State
+		if err := decodeSnapshot([]byte("{"+version+string(js[1:])), &old); err != nil || !reflect.DeepEqual(old, st) {
+			t.Errorf("JSON snapshot {%s…} decoded as %+v (err %v), want %+v", version, old, err, st)
+		}
+	}
+	for _, tc := range []struct{ data, want string }{
+		{string(rune(SnapshotVersion+1)) + string(b[1:]), fmt.Sprintf("format version %d", SnapshotVersion+1)},
+		{`{"version":2,"seq":7}`, "JSON of format version 2"},
+		{"", "empty snapshot"},
+	} {
+		err := decodeSnapshot([]byte(tc.data), &got)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err = %v, want one naming %q", tc.data, err, tc.want)
+		} else if tc.data != "" && (!strings.Contains(err.Error(), fmt.Sprintf("binary snapshots of format version %d", SnapshotVersion)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("JSON snapshots, as earlier builds wrote them, of format version %d", jsonSnapshotVersion))) {
+			t.Errorf("%q: err = %v, want it to name both formats this build reads", tc.data, err)
+		}
+	}
+}
+
+// TestSnapshotStringsDoNotPinBody: a string decoded from a snapshot does
+// not keep the snapshot alive. A usage key outlives the rest of the state
+// a server restores from a 4 MiB snapshot; once the rest is dropped, the
+// heap holds no more than a fraction of the snapshot.
+func TestSnapshotStringsDoNotPinBody(t *testing.T) {
+	st := State{Usage: map[string]int{"PLC": 1}}
+	for i := 0; i < 1024; i++ {
+		st.Dedup = append(st.Dedup, DedupState{Key: fmt.Sprintf("%04d%s", i, strings.Repeat("k", 4096))})
+	}
+	b := encodeSnapshot(&st)
+	var ms runtime.MemStats
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	var got State
+	if err := decodeSnapshot(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	var key string
+	for k := range got.Usage {
+		key = k
+	}
+	got = State{}
+	if held := int64(heap()) - int64(before); held > int64(len(b))/4 {
+		t.Errorf("a usage key kept %d bytes of a %d-byte snapshot alive", held, len(b))
+	}
+	runtime.KeepAlive(key)
+	runtime.KeepAlive(b)
+}
+
+// FuzzDecodeBody decodes arbitrary bytes as every message type (the
+// snapshot State among them), as a WAL record and as a snapshot. Decoding
+// never panics; a body decode allocates no more than a small multiple of
+// the input, so no list or map outgrows what the bytes left can hold; and
+// an accepted body, record or binary snapshot re-encodes to exactly its
+// own bytes. The seed corpus lives in testdata/fuzz.
 func FuzzDecodeBody(f *testing.F) {
 	var ms runtime.MemStats
 	allocated := func() uint64 {
@@ -271,6 +355,10 @@ func FuzzDecodeBody(f *testing.F) {
 		var rec Record
 		if decodeRecord(data, &rec) == nil && !bytes.Equal(encodeRecord(rec), data) {
 			t.Fatalf("record: accepted %q, re-encoded %q", data, encodeRecord(rec))
+		}
+		var st State
+		if decodeSnapshot(data, &st) == nil && data[0] != '{' && !bytes.Equal(encodeSnapshot(&st), data) {
+			t.Fatalf("snapshot: accepted %q, re-encoded %q", data, encodeSnapshot(&st))
 		}
 	})
 }

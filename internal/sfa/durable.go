@@ -53,20 +53,6 @@ type DurableStore struct {
 	source func() State
 }
 
-// SnapshotVersion is the snapshot format this build writes and the only
-// one it reads. A snapshot without a version predates versioning and has
-// this version's shape. Snapshots stay JSON, so a data directory left by
-// a clean shutdown of a build that wrote JSON records (a snapshot and an
-// empty log) still opens; WAL records carry their own format-version byte
-// (codec.go), and a JSON record is refused.
-const SnapshotVersion = 1
-
-// snapshotFile is a snapshot's encoding: the state and its format version.
-type snapshotFile struct {
-	Version int `json:"version"`
-	*State
-}
-
 // OpenDurableStore opens (or creates) the store in opts.Dir and returns
 // what it recovered: the newest valid snapshot and the log suffix after
 // it, tolerating a torn tail. The server must Restore the returned State
@@ -95,26 +81,15 @@ func OpenDurableStore(opts DurableOptions) (*DurableStore, *State, error) {
 	return d, st, nil
 }
 
-// decodeRecovered decodes the recovered snapshot, refusing a format
-// version this build cannot read before decoding anything else, and the
-// record suffix after it.
+// decodeRecovered decodes the recovered snapshot and the record suffix
+// after it.
 func decodeRecovered(rec *wal.Recovered) (*State, error) {
 	if rec.Snapshot == nil && len(rec.Records) == 0 {
 		return nil, nil
 	}
 	st := &State{}
 	if rec.Snapshot != nil {
-		var v struct {
-			Version int `json:"version"`
-		}
-		if err := json.Unmarshal(rec.Snapshot, &v); err != nil {
-			return nil, fmt.Errorf("sfa: decode snapshot at seq %d: %w", rec.SnapshotSeq, err)
-		}
-		if v.Version != 0 && v.Version != SnapshotVersion {
-			return nil, fmt.Errorf("sfa: snapshot at seq %d has format version %d; this build reads version %d",
-				rec.SnapshotSeq, v.Version, SnapshotVersion)
-		}
-		if err := json.Unmarshal(rec.Snapshot, st); err != nil {
+		if err := decodeSnapshot(rec.Snapshot, st); err != nil {
 			return nil, fmt.Errorf("sfa: decode snapshot at seq %d: %w", rec.SnapshotSeq, err)
 		}
 	}
@@ -125,6 +100,23 @@ func decodeRecovered(rec *wal.Recovered) (*State, error) {
 		}
 	}
 	return st, nil
+}
+
+// decodeJSONSnapshot decodes a JSON snapshot, as builds before binary
+// snapshots wrote them, refusing a version this build cannot read before
+// decoding the state. It is the upgrade path: a clean shutdown of such a
+// build leaves one and an empty log.
+func decodeJSONSnapshot(p []byte, st *State) error {
+	var v struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(p, &v); err != nil {
+		return err
+	}
+	if v.Version != 0 && v.Version != jsonSnapshotVersion {
+		return fmt.Errorf("snapshot is JSON of format version %d; %s", v.Version, snapshotFormats)
+	}
+	return json.Unmarshal(p, st)
 }
 
 // Append durably logs one mutation record. Snapshot pacing is only
@@ -171,11 +163,7 @@ func (d *DurableStore) SetSnapshotSource(fn func() State) {
 
 func (d *DurableStore) snapshot(source func() State) error {
 	st := source()
-	b, err := json.Marshal(snapshotFile{Version: SnapshotVersion, State: &st})
-	if err != nil {
-		return fmt.Errorf("sfa: encode snapshot: %w", err)
-	}
-	return d.log.Snapshot(b)
+	return d.log.Snapshot(encodeSnapshot(&st))
 }
 
 // Close cuts a final snapshot when possible (making the next recovery a

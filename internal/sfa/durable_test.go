@@ -1,6 +1,7 @@
 package sfa
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -425,8 +426,9 @@ func TestDurableAppendFailureRetries(t *testing.T) {
 }
 
 // TestDurableSnapshotVersion: a snapshot in a format version this build
-// cannot read is refused, naming both versions, with no state returned; an
-// unversioned snapshot predates versioning and reads as the current format.
+// cannot read, JSON or binary, is refused, naming both versions, with no
+// state returned; an unversioned JSON snapshot predates versioning and
+// still reads.
 func TestDurableSnapshotVersion(t *testing.T) {
 	writeSnapshot := func(payload string) string {
 		t.Helper()
@@ -467,6 +469,21 @@ func TestDurableSnapshotVersion(t *testing.T) {
 	defer store.Close()
 	if st == nil || st.Seq != 7 {
 		t.Errorf("unversioned snapshot recovered as %+v, want seq 7", st)
+	}
+
+	dir = writeSnapshot(string(rune(next)) + string(encodeBody(State{Seq: 7})))
+	binStore, st, err := OpenDurableStore(DurableOptions{Dir: dir, Registry: obs.NewRegistry()})
+	if err == nil {
+		binStore.Close()
+		t.Fatalf("opened a binary version %d snapshot as state %+v", next, st)
+	}
+	if st != nil {
+		t.Errorf("refused binary snapshot still returned state %+v", st)
+	}
+	for _, want := range []string{fmt.Sprintf("version %d", next), fmt.Sprintf("version %d", SnapshotVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 
@@ -550,6 +567,51 @@ func TestDurableOpensCleanJSONShutdown(t *testing.T) {
 	}
 	if got, want := rec.snapshotState(), mem.snapshotState(); !reflect.DeepEqual(got, want) {
 		t.Errorf("state recovered after the upgrade differs from the twin's:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestDurableUpgradesJSONSnapshot: a clean shutdown of a build with binary
+// snapshots over testdata/json-records/clean, the data directory a clean
+// shutdown of a JSON-snapshot build leaves, replaces its JSON snapshot with
+// a binary one that reopens to the same State.
+func TestDurableUpgradesJSONSnapshot(t *testing.T) {
+	clock := newFakeClock()
+	dir := jsonRecordsDir(t, "clean")
+	srv, store, st := durableServer(t, dir, -1, clock)
+	if err := srv.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	want := srv.snapshotState()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, rec, err := wal.Open(wal.Options{Dir: dir, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Snapshot, encodeSnapshot(&want)) || len(rec.Records) != 0 {
+		t.Fatalf("clean shutdown left a %d-byte snapshot led by %q and %d records, want the binary snapshot of the restored state and none",
+			len(rec.Snapshot), rec.Snapshot[:min(1, len(rec.Snapshot))], len(rec.Records))
+	}
+
+	store2, got, err := OpenDurableStore(DurableOptions{Dir: dir, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if len(got.log) != 0 {
+		t.Fatalf("reopened with %d records to replay, want none", len(got.log))
+	}
+	got.log = nil
+	if !reflect.DeepEqual(*got, want) {
+		t.Errorf("binary snapshot reopened as\n%+v\nwant\n%+v", *got, want)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -107,7 +106,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Record is one recovered log entry.
+// Record is one recovered log entry. Data is a sub-slice of the buffer its
+// segment was read into.
 type Record struct {
 	Seq  uint64
 	Data []byte
@@ -222,29 +222,26 @@ func appendFrame(seq uint64, data []byte) []byte {
 	return frame
 }
 
-// readFrame reads one frame from r. It returns io.EOF at a clean end and
-// errBadFrame-wrapped errors for torn or corrupt data.
-func readFrame(r io.Reader) (seq uint64, data []byte, n int64, err error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, 0, io.EOF
-		}
-		return 0, nil, 0, fmt.Errorf("torn header: %w", err)
+// parseFrame parses the frame at the start of b. data is a sub-slice of b,
+// and n the frame's length in bytes. A torn or corrupt frame is an error.
+func parseFrame(b []byte) (seq uint64, data []byte, n int, err error) {
+	if len(b) < headerSize {
+		return 0, nil, 0, fmt.Errorf("torn header: %d of %d bytes", len(b), headerSize)
 	}
-	length := binary.BigEndian.Uint32(hdr[0:4])
-	want := binary.BigEndian.Uint32(hdr[4:8])
+	length := binary.BigEndian.Uint32(b[0:4])
+	want := binary.BigEndian.Uint32(b[4:8])
 	if length < seqSize || length > MaxRecordSize {
 		return 0, nil, 0, fmt.Errorf("implausible record length %d", length)
 	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, 0, fmt.Errorf("torn body: %w", err)
+	n = headerSize + int(length)
+	if len(b) < n {
+		return 0, nil, 0, fmt.Errorf("torn body: %d of %d bytes", len(b)-headerSize, length)
 	}
+	body := b[headerSize:n:n]
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return 0, nil, 0, fmt.Errorf("checksum mismatch: %08x != %08x", got, want)
 	}
-	return binary.BigEndian.Uint64(body), body[seqSize:], int64(headerSize) + int64(length), nil
+	return binary.BigEndian.Uint64(body), body[seqSize:], n, nil
 }
 
 // --- Recovery ---
@@ -304,25 +301,21 @@ func (l *Log) recover() (*Recovered, error) {
 	return rec, nil
 }
 
-// scanSegment reads every valid record of one segment into rec, returning
-// the byte offset of the first invalid record (== file size when the whole
-// segment is valid) and whether an invalid record was found.
+// scanSegment reads one segment into one buffer and appends its valid
+// records to rec; each record's Data is a sub-slice of that buffer. It
+// returns the byte offset of the first invalid record (== file size when
+// the whole segment is valid) and whether an invalid record was found.
 func (l *Log) scanSegment(path string, rec *Recovered) (goodLen int64, bad bool) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
-		l.opts.Logf("wal: open segment %s: %v", path, err)
+		l.opts.Logf("wal: read segment %s: %v", path, err)
 		return 0, true
 	}
-	defer f.Close()
-	r := &countingReader{r: f}
-	for {
-		seq, data, _, err := readFrame(r)
-		if err == io.EOF {
-			return goodLen, false
-		}
+	for off := 0; off < len(buf); {
+		seq, data, n, err := parseFrame(buf[off:])
 		if err != nil {
 			l.opts.Logf("wal: %s: stopping at bad record after seq %d: %v", path, rec.LastSeq, err)
-			return goodLen, true
+			return int64(off), true
 		}
 		switch {
 		case seq <= rec.SnapshotSeq:
@@ -333,35 +326,22 @@ func (l *Log) scanSegment(path string, rec *Recovered) (goodLen int64, bad bool)
 		default:
 			// A sequence gap is corruption: stop at the first bad record.
 			l.opts.Logf("wal: %s: sequence gap (%d after %d), stopping", path, seq, rec.LastSeq)
-			return goodLen, true
+			return int64(off), true
 		}
-		goodLen = r.n
+		off += n
 	}
+	return int64(len(buf)), false
 }
 
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readSnapshotFile validates and returns one snapshot file's payload.
+// readSnapshotFile validates and returns one snapshot file's payload, a
+// sub-slice of the file's bytes.
 func readSnapshotFile(path string) (seq uint64, data []byte, err error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	defer f.Close()
-	seq, data, _, err = readFrame(f)
-	if err != nil {
-		return 0, nil, err
-	}
-	return seq, data, nil
+	seq, data, _, err = parseFrame(buf)
+	return seq, data, err
 }
 
 // openSegmentForAppend positions l.f at the end of the newest segment,
