@@ -10,6 +10,7 @@
 package fedshare_test
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -18,7 +19,7 @@ import (
 	"fedshare/internal/coalition"
 	"fedshare/internal/core"
 	"fedshare/internal/economics"
-	"fedshare/internal/figures"
+	_ "fedshare/internal/figures"
 	"fedshare/internal/loss"
 	"fedshare/internal/scenario"
 	"fedshare/internal/stats"
@@ -26,16 +27,20 @@ import (
 
 // benchFigure runs a registered figure scenario, failing the benchmark on
 // error.
-func benchFigure(b *testing.B, id string) *figures.Figure {
+func benchFigure(b *testing.B, id string) *scenario.Result {
 	b.Helper()
-	f, err := figures.ByID(id)
+	e, err := scenario.ByID(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := scenario.RunContext(context.Background(), e.Spec, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return f
 }
 
-func anchor(b *testing.B, f *figures.Figure, series string, x, want, tol float64) {
+func anchor(b *testing.B, f *scenario.Result, series string, x, want, tol float64) {
 	b.Helper()
 	for _, s := range f.Series {
 		if s.Name != series {

@@ -41,7 +41,7 @@ import (
 	"fedshare/internal/allocation"
 	"fedshare/internal/asciichart"
 	"fedshare/internal/core"
-	"fedshare/internal/figures"
+	_ "fedshare/internal/figures"
 	"fedshare/internal/obs"
 	"fedshare/internal/policy"
 	"fedshare/internal/scenario"
@@ -274,7 +274,7 @@ type runSummary struct {
 // figure regenerates one registered figure, honoring approximation-tier
 // overrides.
 func (rc *runConfig) figure(id string) error {
-	return rc.render("fedsim.figure", "fig", id, func() (*figures.Figure, error) {
+	return rc.render("fedsim.figure", "fig", id, func() (*scenario.Result, error) {
 		e, err := scenario.ByID(id)
 		if err != nil {
 			return nil, err
@@ -302,14 +302,14 @@ func (rc *runConfig) scenarioFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	return rc.render("fedsim.scenario", "scenario", spec.ID, func() (*figures.Figure, error) {
+	return rc.render("fedsim.scenario", "scenario", spec.ID, func() (*scenario.Result, error) {
 		return rc.eng.Run(context.Background(), spec)
 	})
 }
 
 // render generates one result, timing the generation (not the rendering)
 // and attributing allocation-memo traffic to it.
-func (rc *runConfig) render(span, attr, id string, gen func() (*figures.Figure, error)) error {
+func (rc *runConfig) render(span, attr, id string, gen func() (*scenario.Result, error)) error {
 	before := allocation.DefaultMemo.Stats()
 	stepsBefore, fallbacksBefore := allocation.PrefixCounters()
 	sp := obs.StartSpan(span).Attr(attr, id)
@@ -376,7 +376,7 @@ func (rc *runConfig) finish() {
 	}
 }
 
-func printFigure(f *figures.Figure, chart bool, w, h int) {
+func printFigure(f *scenario.Result, chart bool, w, h int) {
 	fmt.Printf("== %s: %s ==\n", f.ID, f.Title)
 	if f.Notes != "" {
 		fmt.Printf("   %s\n", f.Notes)

@@ -4,50 +4,43 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"math"
 
 	"fedshare/internal/core"
 	"fedshare/internal/economics"
 	"fedshare/internal/policy"
+	"fedshare/internal/scenario"
+	"fedshare/internal/stats"
 )
 
 func main() {
 	// Demand: saturating identical experiments with diversity threshold 400.
-	demand, err := economics.NewWorkload(economics.DemandClass{
-		Type: economics.ExperimentType{
-			Name: "exp", MinLocations: 400, MaxLocations: math.Inf(1),
-			Resources: 1, HoldingTime: 1, Shape: 1,
+	// The profit scenario sweeps facility 1's location count and tracks its
+	// profit under Shapley vs proportional sharing.
+	spec := &scenario.Spec{
+		ID:   "incentives",
+		Kind: scenario.KindProfit,
+		Facilities: []scenario.FacilitySpec{
+			{Name: "F1", Locations: 100, Resources: 80},
+			{Name: "F2", Locations: 400, Resources: 60},
+			{Name: "F3", Locations: 800, Resources: 20},
 		},
-		Count: 100,
-	})
+		Demand:   []scenario.DemandSpec{{Name: "exp", Count: 100, MinLocations: 400}},
+		Policies: []string{"shapley", "proportional"},
+		Axis:     scenario.AxisSpec{Variable: scenario.VarLocations, Target: "F1", From: 0, To: 1000, Step: 100},
+		Track:    "F1",
+	}
+	res, err := scenario.RunContext(context.Background(), spec, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := core.NewModel([]core.Facility{
-		{Name: "F1", Locations: 100, Resources: 80},
-		{Name: "F2", Locations: 400, Resources: 60},
-		{Name: "F3", Locations: 800, Resources: 20},
-	}, demand)
-	if err != nil {
-		log.Fatal(err)
+	series := map[string]stats.Series{}
+	for _, s := range res.Series {
+		series[s.Name] = s
 	}
-
-	// Sweep facility 1's location count and watch its profit under Shapley
-	// vs proportional sharing.
-	var grid []int
-	for l := 0; l <= 1000; l += 100 {
-		grid = append(grid, l)
-	}
-	shap, err := core.IncentiveCurve(model, 0, grid, core.ShapleyPolicy{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	prop, err := core.IncentiveCurve(model, 0, grid, core.ProportionalPolicy{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	shap, prop := series["phi1"], series["pi1"]
 
 	fmt.Println("facility 1 profit vs own location count (l = 400, demand saturates):")
 	fmt.Printf("%8s %14s %14s\n", "L1", "shapley", "proportional")
@@ -66,6 +59,10 @@ func main() {
 	// Best-response dynamics: each facility picks its provision level on a
 	// grid, trading Shapley profit against a per-location cost.
 	fmt.Println("\nbest-response provision game (cost = 8 per location):")
+	model, err := spec.Model()
+	if err != nil {
+		log.Fatal(err)
+	}
 	players := make([]policy.Player, 3)
 	maxLoc := []int{1000, 1000, 1000}
 	for i := range players {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -182,65 +181,5 @@ func TestGameConcurrentInit(t *testing.T) {
 		if games[w] != games[0] {
 			t.Fatal("concurrent Table() built more than one table")
 		}
-	}
-}
-
-// TestIncentiveCurveParallelMatchesSequential runs the Fig 9 sweep at
-// GOMAXPROCS 1 and 4, the width of the sweep pool, and checks the curve is
-// identical to the sequential one, and that the input model is untouched.
-func TestIncentiveCurveParallelMatchesSequential(t *testing.T) {
-	m, err := NewModel([]Facility{
-		{Name: "A", Locations: 5, Resources: 2},
-		{Name: "B", Locations: 8, Resources: 1},
-		{Name: "C", Locations: 3, Resources: 1},
-	}, testWorkload(t, 4, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	locations := []int{0, 2, 4, 6, 8, 10, 12}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	seq, err := IncentiveCurve(m, 0, locations, ShapleyPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.GOMAXPROCS(4)
-	par, err := IncentiveCurve(m, 0, locations, ShapleyPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Points) != len(par.Points) {
-		t.Fatalf("length mismatch: %d vs %d", len(seq.Points), len(par.Points))
-	}
-	for i := range seq.Points {
-		if seq.Points[i] != par.Points[i] {
-			t.Fatalf("point %d: sequential %+v != parallel %+v", i, seq.Points[i], par.Points[i])
-		}
-	}
-	if m.Facilities[0].Locations != 5 {
-		t.Fatalf("input model mutated: L1 = %d", m.Facilities[0].Locations)
-	}
-}
-
-// TestCloneWith checks clones are independent of the source model.
-func TestCloneWith(t *testing.T) {
-	m, err := NewModel([]Facility{
-		{Name: "A", Locations: 5, Resources: 1},
-		{Name: "B", Locations: 8, Resources: 1},
-	}, testWorkload(t, 0, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vBefore := m.GrandValue()
-	c := m.CloneWith(func(fs []Facility) { fs[0].Locations = 50 })
-	if c.Facilities[0].Locations != 50 || m.Facilities[0].Locations != 5 {
-		t.Fatalf("clone mutation leaked: clone %d, source %d",
-			c.Facilities[0].Locations, m.Facilities[0].Locations)
-	}
-	if c.GrandValue() <= vBefore {
-		t.Fatalf("clone with more locations should gain value: %g <= %g", c.GrandValue(), vBefore)
-	}
-	if m.GrandValue() != vBefore {
-		t.Fatalf("source value changed: %g != %g", m.GrandValue(), vBefore)
 	}
 }

@@ -249,34 +249,6 @@ func TestGameCaching(t *testing.T) {
 	}
 }
 
-func TestIncentiveCurveRestoresModel(t *testing.T) {
-	m := fig4Model(t, 400, false)
-	orig := m.Facilities[0].Locations
-	series, err := IncentiveCurve(m, 0, []int{0, 100, 200, 400}, ShapleyPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Facilities[0].Locations != orig {
-		t.Errorf("model not restored: %d", m.Facilities[0].Locations)
-	}
-	if len(series.Points) != 4 {
-		t.Errorf("series has %d points", len(series.Points))
-	}
-	// Profit should be nondecreasing in own locations here (more locations
-	// never hurt in this setup).
-	for i := 1; i < len(series.Points); i++ {
-		if series.Points[i].Y < series.Points[i-1].Y-1e-9 {
-			t.Errorf("profit decreased: %v", series.Points)
-		}
-	}
-	if _, err := IncentiveCurve(m, 9, []int{1}, ShapleyPolicy{}); err == nil {
-		t.Error("out-of-range facility index must fail")
-	}
-	if _, err := IncentiveCurve(m, 0, []int{-1}, ShapleyPolicy{}); err == nil {
-		t.Error("negative location count must fail")
-	}
-}
-
 func TestNewModelValidation(t *testing.T) {
 	if _, err := NewModel(nil, nil); err == nil {
 		t.Error("empty facility list must fail")

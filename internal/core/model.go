@@ -38,9 +38,6 @@ type Facility struct {
 	// Users is U_i, the facility's affiliated user population (P2P
 	// scenario bookkeeping; not used by the commercial value function).
 	Users int
-	// Cost is the facility's provision-cost model (zero by default, per
-	// the paper's sunk-cost assumption).
-	Cost economics.Cost
 }
 
 func (f Facility) availability() float64 {
@@ -368,7 +365,6 @@ type classSignature struct {
 	locations    int
 	resources    float64
 	availability float64
-	cost         economics.Cost
 }
 
 // ClassStructure detects the model's interchangeable-facility structure for
@@ -405,7 +401,6 @@ func (m *Model) ClassStructure() *coalition.ClassStructure {
 			locations:    f.Locations,
 			resources:    f.Resources,
 			availability: f.availability(),
-			cost:         f.Cost,
 		}
 		j, ok := classIdx[sig]
 		if !ok {
@@ -528,16 +523,4 @@ func (m *Model) Invalidate() {
 	m.table = nil
 	m.reqs.Store(nil)
 	m.mu.Unlock()
-}
-
-// CloneWith returns a copy of the model sharing the (read-only) demand and
-// overlap structure, with mutate applied to the copy's facilities. It is
-// the provision-sweep building block: each sweep point gets a private
-// model, so points evaluate concurrently without racing on the coalition table.
-func (m *Model) CloneWith(mutate func(facilities []Facility)) *Model {
-	fs := append([]Facility(nil), m.Facilities...)
-	if mutate != nil {
-		mutate(fs)
-	}
-	return &Model{Facilities: fs, Demand: m.Demand, Mu: m.Mu, Overlap: m.Overlap}
 }

@@ -9,8 +9,6 @@ import (
 	"fedshare/internal/coalition"
 	"fedshare/internal/combin"
 	"fedshare/internal/market"
-	"fedshare/internal/stats"
-	"fedshare/internal/sweep"
 )
 
 // Policy computes normalized value shares ŝ_i for the facilities of a
@@ -28,14 +26,19 @@ type Policy interface {
 // from coalition.Values at every federation size: the lattice kernel over
 // the model's dense table (Model.Table) up to 24 facilities, the exact
 // collapsed class lattice or the sampler beyond.
-type ShapleyPolicy struct{}
+type ShapleyPolicy struct {
+	// Method selects the engine family; empty means coalition.MethodAuto.
+	// coalition.MethodExact fails where no exact engine fits instead of
+	// sampling — what scenario specs with "method": "exact" request.
+	Method coalition.Method
+}
 
 // Name implements Policy.
 func (ShapleyPolicy) Name() string { return "shapley" }
 
 // Shares implements Policy.
-func (ShapleyPolicy) Shares(m *Model) ([]float64, error) {
-	res, err := coalition.Values(m, coalition.Options{})
+func (p ShapleyPolicy) Shares(m *Model) ([]float64, error) {
+	res, err := coalition.Values(m, coalition.Options{Method: p.Method})
 	if err != nil {
 		return nil, err
 	}
@@ -386,38 +389,6 @@ func coalitionName(m *Model, s combin.Set) string {
 		out += m.Facilities[i].Name
 	}
 	return out
-}
-
-// IncentiveCurve computes facility idx's absolute payoff under policy p as
-// its location count sweeps over the given values (the Fig 9 experiment).
-// Each sweep point evaluates a private clone of the model, so the points
-// run concurrently on the sweep worker pool while the output series keeps
-// deterministic point order; the input model is never mutated.
-func IncentiveCurve(m *Model, idx int, locations []int, p Policy) (stats.Series, error) {
-	if idx < 0 || idx >= m.N() {
-		return stats.Series{}, fmt.Errorf("core: facility index %d out of range", idx)
-	}
-	for _, L := range locations {
-		if L < 0 {
-			return stats.Series{}, fmt.Errorf("core: negative location count %d", L)
-		}
-	}
-	ys, err := sweep.RunErr(len(locations), func(k int) (float64, error) {
-		point := m.CloneWith(func(fs []Facility) { fs[idx].Locations = locations[k] })
-		profits, err := Profits(point, p)
-		if err != nil {
-			return 0, err
-		}
-		return profits[idx], nil
-	})
-	if err != nil {
-		return stats.Series{}, err
-	}
-	series := stats.Series{Name: fmt.Sprintf("%s(%s)", p.Name(), m.Facilities[idx].Name)}
-	for k, L := range locations {
-		series.Add(float64(L), ys[k])
-	}
-	return series, nil
 }
 
 // UserWeightedShapleyPolicy shares value by the weighted Shapley value with

@@ -9,14 +9,8 @@ import (
 	"math"
 )
 
-// Utility maps the number of distinct locations assigned to an experiment to
-// the value the experiment's owner derives (equation (1) of the paper).
-type Utility interface {
-	// Eval returns u(x) for x assigned distinct locations.
-	Eval(x float64) float64
-}
-
-// ThresholdPower is the paper's utility family:
+// ThresholdPower is the paper's utility family (equation (1)): the value
+// an experiment's owner derives from x assigned distinct locations,
 //
 //	u(x) = x^d   if x ≥ l   (or x > l when Strict),
 //	u(x) = 0     otherwise.
@@ -34,7 +28,7 @@ type ThresholdPower struct {
 	Strict bool    // true: accept only x > L; false: accept x >= L
 }
 
-// Eval implements Utility.
+// Eval returns u(x) for x assigned distinct locations.
 func (u ThresholdPower) Eval(x float64) float64 {
 	if x <= 0 {
 		return 0
@@ -75,18 +69,6 @@ func LocationCount(x float64) int {
 		return int(x)
 	}
 	return math.MaxInt
-}
-
-// Linear is a linear utility with no threshold (a degenerate ThresholdPower
-// with l = 0, d = 1), convenient as a capacity-only baseline.
-type LinearUtility struct{ Slope float64 }
-
-// Eval implements Utility.
-func (u LinearUtility) Eval(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return u.Slope * x
 }
 
 // Cost is the per-facility provision cost model of Sec. 2.3.2:

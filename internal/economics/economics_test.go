@@ -87,16 +87,6 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
-func TestLinearUtility(t *testing.T) {
-	u := LinearUtility{Slope: 2}
-	if u.Eval(5) != 10 {
-		t.Errorf("Eval(5) = %g", u.Eval(5))
-	}
-	if u.Eval(-1) != 0 {
-		t.Error("negative x yields 0")
-	}
-}
-
 func TestCost(t *testing.T) {
 	c := Cost{Alpha: 1, Beta: 2, Gamma: 3, Fixed: 10}
 	if got := c.Eval(100, 50, 1); got != 100+100+3+10 {

@@ -1,8 +1,8 @@
 // Package faultnet is a deterministic network-fault-injection harness for
-// the federation plane's chaos tests. It wraps net.Conn (and optionally
-// net.Listener) so that connection drops, latency spikes, partial writes,
-// frame-header corruption, and lost responses are injected from a seeded
-// deterministic RNG (internal/stats) instead of real network weather.
+// the federation plane's chaos tests. It wraps net.Conn so that connection
+// drops, latency spikes, partial writes, frame-header corruption, and lost
+// responses are injected from a seeded deterministic RNG (internal/stats)
+// instead of real network weather.
 //
 // Determinism is the whole point: every connection's complete fault plan is
 // drawn up-front at wrap time, keyed to *write-operation indices* — the SFA
@@ -243,35 +243,4 @@ func (d *Dialer) Events() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([]string(nil), d.events...)
-}
-
-// Listener wraps Accept so server-side connections are fault-injected,
-// with per-connection plans keyed to the accept index. Accept order is
-// deterministic only for serial workloads; concurrent clients should
-// inject on the client side via Dialer instead.
-type Listener struct {
-	net.Listener
-	cfg Config
-
-	mu      sync.Mutex
-	connIdx int
-}
-
-// Listen wraps an inner listener.
-func Listen(inner net.Listener, cfg Config) *Listener {
-	return &Listener{Listener: inner, cfg: cfg}
-}
-
-// Accept wraps the next connection with its own deterministic plan.
-func (l *Listener) Accept() (net.Conn, error) {
-	inner, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	idx := l.connIdx
-	l.connIdx++
-	l.mu.Unlock()
-	rng := stats.NewRand(l.cfg.Seed ^ (0x9E3779B97F4A7C15 * uint64(idx+1)))
-	return WrapConn(inner, l.cfg, rng, nil), nil
 }

@@ -181,35 +181,3 @@ func TestDialerEventLogDeterministic(t *testing.T) {
 		t.Error("expected at least one injected fault at PDrop=0.3 over 24 writes")
 	}
 }
-
-func TestListenerWrapsAcceptedConns(t *testing.T) {
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := Listen(inner, Config{Seed: 3, PDrop: 1, PlannedWrites: 4})
-	defer ln.Close()
-	done := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer conn.Close()
-		_, werr := conn.Write([]byte("hi"))
-		done <- werr
-	}()
-	client, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if err := <-done; !errors.Is(err, ErrInjected) {
-		t.Errorf("server-side write err = %v, want ErrInjected (PDrop=1)", err)
-	}
-	_ = client.SetReadDeadline(time.Now().Add(time.Second))
-	if _, err := client.Read(make([]byte, 4)); err == nil {
-		t.Error("client should see the dropped connection")
-	}
-}

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -9,17 +10,26 @@ import (
 	"fedshare/internal/scenario"
 )
 
+// runFigure runs the registered figure with the given id.
+func runFigure(id string) (*scenario.Result, error) {
+	e, err := scenario.ByID(id)
+	if err != nil {
+		return nil, err
+	}
+	return scenario.RunContext(context.Background(), e.Spec, nil)
+}
+
 // mustFig runs a registered figure scenario, failing the test on error.
-func mustFig(t *testing.T, id string) *Figure {
+func mustFig(t *testing.T, id string) *scenario.Result {
 	t.Helper()
-	f, err := ByID(id)
+	f, err := runFigure(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f
 }
 
-func yAt(t *testing.T, f *Figure, name string, x float64) float64 {
+func yAt(t *testing.T, f *scenario.Result, name string, x float64) float64 {
 	t.Helper()
 	for _, s := range f.Series {
 		if s.Name == name {
@@ -245,17 +255,17 @@ func paperFigureIDs() []string {
 	return ids
 }
 
-// TestAllAndByID runs every paper figure through ByID, and the strict
-// variant by id.
+// TestAllAndByID runs every paper figure by its registry id, and the
+// strict variant by id.
 func TestAllAndByID(t *testing.T) {
 	paper := paperFigureIDs()
 	if want := []string{"fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"}; !reflect.DeepEqual(paper, want) {
 		t.Fatalf("paper figures %v, want %v", paper, want)
 	}
 	for _, id := range paper {
-		f, err := ByID(id)
+		f, err := runFigure(id)
 		if err != nil {
-			t.Fatalf("ByID(%s): %v", id, err)
+			t.Fatalf("%s: %v", id, err)
 		}
 		if f.ID != id || len(f.Series) == 0 {
 			t.Errorf("%s: ran %q with %d series", id, f.ID, len(f.Series))
@@ -265,10 +275,10 @@ func TestAllAndByID(t *testing.T) {
 			t.Errorf("%s table missing header", id)
 		}
 	}
-	if _, err := ByID("fig4-strict"); err != nil {
-		t.Errorf("ByID(fig4-strict): %v", err)
+	if _, err := runFigure("fig4-strict"); err != nil {
+		t.Errorf("fig4-strict: %v", err)
 	}
-	if _, err := ByID("fig99"); err == nil {
+	if _, err := runFigure("fig99"); err == nil {
 		t.Error("unknown id must fail")
 	}
 }
@@ -325,7 +335,7 @@ func TestFigMarketDivergence(t *testing.T) {
 	if div(500) <= div(0) {
 		t.Errorf("auction divergence should grow with l: %g at 0, %g at 500", div(0), div(500))
 	}
-	if _, err := ByID("fig-market"); err != nil {
+	if _, err := runFigure("fig-market"); err != nil {
 		t.Error(err)
 	}
 }

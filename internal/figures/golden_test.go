@@ -25,7 +25,7 @@ func TestFiguresMatchPreRefactorGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := ByID(id)
+			f, err := runFigure(id)
 			if err != nil {
 				t.Fatal(err)
 			}

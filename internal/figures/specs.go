@@ -1,3 +1,9 @@
+// Package figures regenerates every figure of the paper's evaluation
+// (Sec. 4). Each figure is a declarative scenario.Spec registered with the
+// scenario registry and executed by the generic scenario engine; importing
+// this package registers them. Parameter choices the paper leaves implicit
+// (demand volume K for Figs 6, 7 and 9) are fixed in the specs and
+// documented in EXPERIMENTS.md.
 package figures
 
 import (

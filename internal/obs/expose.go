@@ -125,14 +125,8 @@ func escapeHelp(s string) string {
 	return r.Replace(s)
 }
 
-// Handler returns an http.Handler serving the Prometheus text format at
-// /metrics and the JSON snapshot at /metrics.json, plus liveness and
-// readiness probes (always-ready; see HandlerWithHealth).
-func (r *Registry) Handler() http.Handler {
-	return r.HandlerWithHealth(nil)
-}
-
-// HandlerWithHealth is Handler plus orchestration probes and build
+// HandlerWithHealth serves the Prometheus text format at /metrics and the
+// JSON snapshot at /metrics.json, plus orchestration probes and build
 // identification: /healthz always answers 200 (the process is alive),
 // /readyz answers 200 only while ready() is true and 503 otherwise — a
 // draining daemon flips it so load balancers stop routing to it before the
@@ -175,9 +169,6 @@ func (r *Registry) HandlerWithHealth(ready func() bool) *http.ServeMux {
 	})
 	return mux
 }
-
-// Handler serves the Default registry.
-func Handler() http.Handler { return Default.Handler() }
 
 // HandlerWithHealth serves the Default registry with a readiness probe and
 // the /version endpoint; the returned mux accepts further routes.

@@ -62,7 +62,7 @@ func TestLabelEscaping(t *testing.T) {
 }
 
 func TestHandlerEndpoints(t *testing.T) {
-	srv := httptest.NewServer(buildTestRegistry().Handler())
+	srv := httptest.NewServer(buildTestRegistry().HandlerWithHealth(nil))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
@@ -144,8 +144,8 @@ func TestHealthEndpoints(t *testing.T) {
 	if got := status("/readyz"); got != 503 {
 		t.Errorf("/readyz while draining = %d, want 503", got)
 	}
-	// The plain Handler has no readiness hook: always ready.
-	plain := httptest.NewServer(NewRegistry().Handler())
+	// A nil readiness hook means always ready.
+	plain := httptest.NewServer(NewRegistry().HandlerWithHealth(nil))
 	defer plain.Close()
 	resp, err := plain.Client().Get(plain.URL + "/readyz")
 	if err != nil {

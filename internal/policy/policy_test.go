@@ -1,11 +1,13 @@
 package policy
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"fedshare/internal/core"
 	"fedshare/internal/economics"
+	"fedshare/internal/scenario"
 	"fedshare/internal/stats"
 )
 
@@ -207,19 +209,23 @@ func TestJumps(t *testing.T) {
 func TestShapleyIncentiveJumpsAtThresholds(t *testing.T) {
 	// Fig 9: with a diversity threshold, facility 1's Shapley profit has
 	// jumps as L1 sweeps; the proportional rule stays smooth.
-	m := testModel(t, 400)
-	var gridVals []int
-	for l := 0; l <= 1000; l += 50 {
-		gridVals = append(gridVals, l)
-	}
-	shap, err := core.IncentiveCurve(m, 0, gridVals, core.ShapleyPolicy{})
+	res, err := scenario.RunContext(context.Background(), &scenario.Spec{
+		ID:   "jumps",
+		Kind: scenario.KindProfit,
+		Facilities: []scenario.FacilitySpec{
+			{Name: "F1", Locations: 100, Resources: 1},
+			{Name: "F2", Locations: 400, Resources: 1},
+			{Name: "F3", Locations: 800, Resources: 1},
+		},
+		Demand:   []scenario.DemandSpec{{Name: "e", Count: 1, MinLocations: 400}},
+		Policies: []string{"shapley", "proportional"},
+		Axis:     scenario.AxisSpec{Variable: scenario.VarLocations, Target: "F1", From: 0, To: 1000, Step: 50},
+		Track:    "F1",
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop, err := core.IncentiveCurve(m, 0, gridVals, core.ProportionalPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shap, prop := res.Series[0], res.Series[1] // phi1, pi1
 	shapJumps := Jumps(shap, 0.12)
 	propJumps := Jumps(prop, 0.12)
 	if len(shapJumps) == 0 {

@@ -1,7 +1,7 @@
 // Package rspec implements a GENI/SFA-style XML resource specification
 // ("RSpec") for advertising testbed resources between federated
-// authorities. The sfa package's JSON wire format carries compact records;
-// RSpec is the interchange format operators archive and diff, and the
+// authorities. The sfa package's binary wire format carries compact
+// records; RSpec is the interchange format operators archive and the
 // format external tools expect (cf. the Slice-based Federation Architecture
 // draft [19] the paper builds on).
 package rspec
@@ -80,17 +80,6 @@ func (a *Advertisement) Validate() error {
 	return nil
 }
 
-// TotalCapacity sums node capacities across all sites.
-func (a *Advertisement) TotalCapacity() int {
-	t := 0
-	for _, s := range a.Sites {
-		for _, n := range s.Nodes {
-			t += n.Capacity
-		}
-	}
-	return t
-}
-
 // Encode writes the advertisement as indented XML with the standard header.
 func (a *Advertisement) Encode(w io.Writer) error {
 	if err := a.Validate(); err != nil {
@@ -109,66 +98,4 @@ func (a *Advertisement) Encode(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "\n")
 	return err
-}
-
-// Decode parses and validates an advertisement RSpec.
-func Decode(r io.Reader) (*Advertisement, error) {
-	var a Advertisement
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("rspec: decode: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// Diff reports the site-level differences between two advertisements of the
-// same authority: sites added, removed, and those whose capacity changed.
-// It is the operator's tool for auditing what a peer's advertisement update
-// actually changed.
-type Diff struct {
-	Added, Removed []string
-	// CapacityChanged maps site id -> (old, new) total capacity.
-	CapacityChanged map[string][2]int
-}
-
-// Compare computes old -> new differences.
-func Compare(oldAd, newAd *Advertisement) *Diff {
-	d := &Diff{CapacityChanged: map[string][2]int{}}
-	oldCap := map[string]int{}
-	for _, s := range oldAd.Sites {
-		c := 0
-		for _, n := range s.Nodes {
-			c += n.Capacity
-		}
-		oldCap[s.ID] = c
-	}
-	newSeen := map[string]bool{}
-	for _, s := range newAd.Sites {
-		c := 0
-		for _, n := range s.Nodes {
-			c += n.Capacity
-		}
-		newSeen[s.ID] = true
-		old, ok := oldCap[s.ID]
-		switch {
-		case !ok:
-			d.Added = append(d.Added, s.ID)
-		case old != c:
-			d.CapacityChanged[s.ID] = [2]int{old, c}
-		}
-	}
-	for _, s := range oldAd.Sites {
-		if !newSeen[s.ID] {
-			d.Removed = append(d.Removed, s.ID)
-		}
-	}
-	return d
-}
-
-// Empty reports whether the diff contains no changes.
-func (d *Diff) Empty() bool {
-	return len(d.Added) == 0 && len(d.Removed) == 0 && len(d.CapacityChanged) == 0
 }

@@ -126,7 +126,7 @@ func TestSubmitPollResultLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := scenario.Run(spec)
+	direct, err := scenario.RunContext(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSubmitPollResultLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotBytes, wantBytes) {
-		t.Fatalf("API result differs from scenario.Run output:\n%s\nvs\n%s", gotBytes, wantBytes)
+		t.Fatalf("API result differs from scenario.RunContext output:\n%s\nvs\n%s", gotBytes, wantBytes)
 	}
 
 	// The run list includes the finished run.
@@ -229,7 +229,7 @@ func TestSubmitRegisteredScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := scenario.Run(entry.Spec)
+	direct, err := scenario.RunContext(context.Background(), entry.Spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -22,7 +23,7 @@ func BenchmarkInProcessRun(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := scenario.Run(spec); err != nil {
+		if _, err := scenario.RunContext(context.Background(), spec, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

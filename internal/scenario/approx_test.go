@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -113,6 +116,61 @@ func TestParameterizeRoutesShapleyPolicies(t *testing.T) {
 	}
 }
 
+// TestExactMethodNeverSamples: "method": "exact" holds every Shapley
+// policy to an exact engine. Thirty facilities of distinct sizes fit
+// neither the lattice kernel nor a collapsed lattice, so the run fails
+// with coalition's error instead of returning sampled shares. Where an
+// exact engine fits (the kernel at 5 facilities, the collapsed lattice at
+// 30 from three templates), exact prints what auto prints, under the same
+// series names.
+func TestExactMethodNeverSamples(t *testing.T) {
+	distinct := func(n int) *Spec {
+		s := &Spec{
+			ID:     "distinct",
+			Demand: []DemandSpec{{Name: "batch", Count: 20, Shape: 1}},
+			Axis:   AxisSpec{Variable: VarThreshold, Values: []float64{0, 100}},
+		}
+		for i := 0; i < n; i++ {
+			s.Facilities = append(s.Facilities, FacilitySpec{Name: fmt.Sprintf("F%d", i+1), Locations: 10 + i, Resources: 1})
+		}
+		return s
+	}
+	for _, policy := range []string{"shapley", "shapley-approx"} {
+		s := distinct(30)
+		s.Policies = []string{policy}
+		s.Method = MethodExact
+		if _, err := RunContext(context.Background(), s, nil); err == nil || !strings.Contains(err.Error(), "no exact engine") {
+			t.Errorf("%s over 30 distinct facilities, method exact: err = %v, want coalition's no-exact-engine error", policy, err)
+		}
+	}
+
+	templated := templatedSpec()
+	for i := range templated.Facilities {
+		templated.Facilities[i].Count = 10
+	}
+	for _, s := range []*Spec{distinct(5), templated} {
+		s.Policies = []string{"shapley", "shapley-approx", "proportional"}
+		var out [2][]byte
+		for i, method := range []string{MethodAuto, MethodExact} {
+			s.Method = method
+			res, err := RunContext(context.Background(), s, nil)
+			if err != nil {
+				t.Fatalf("%s, method %s: %v", s.ID, method, err)
+			}
+			if out[i], err = res.JSON(); err != nil {
+				t.Fatal(err)
+			}
+			groups := len(s.facilityGroups())
+			if res.Series[0].Name != "phi1" || res.Series[groups].Name != "aphi1" {
+				t.Errorf("%s, method %s: series %s and %s, want phi1 and aphi1", s.ID, method, res.Series[0].Name, res.Series[groups].Name)
+			}
+		}
+		if !bytes.Equal(out[0], out[1]) {
+			t.Errorf("%s: method exact printed\n%s\nmethod auto\n%s", s.ID, out[1], out[0])
+		}
+	}
+}
+
 func TestValidateApproxFields(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -149,7 +207,7 @@ func TestValidateApproxFields(t *testing.T) {
 
 func TestTemplatedRunGroupsSeriesAndIsDeterministic(t *testing.T) {
 	s := templatedSpec()
-	res, err := Run(s)
+	res, err := RunContext(context.Background(), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +238,7 @@ func TestTemplatedRunGroupsSeriesAndIsDeterministic(t *testing.T) {
 		}
 	}
 	// Seeded sampling: a second run is byte-identical.
-	again, err := Run(templatedSpec())
+	again, err := RunContext(context.Background(), templatedSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

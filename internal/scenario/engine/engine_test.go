@@ -88,7 +88,7 @@ func TestSubmitRunsSpecToCompletion(t *testing.T) {
 
 	// The engine path must produce exactly what the synchronous executor
 	// does — that identity is what lets fedsim and the served API share it.
-	direct, err := scenario.Run(spec)
+	direct, err := scenario.RunContext(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

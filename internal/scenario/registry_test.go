@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -77,7 +78,7 @@ func TestRegisterDuplicateAndOrder(t *testing.T) {
 	if e.Title != "test scenario" {
 		t.Errorf("entry title not defaulted from spec: %q", e.Title)
 	}
-	res, err := Run(e.Spec)
+	res, err := RunContext(context.Background(), e.Spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

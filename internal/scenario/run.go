@@ -77,9 +77,7 @@ func symbolFor(name string) string {
 type ProgressFunc func(done, total int)
 
 // runner threads the execution context through a single scenario run: the
-// cancellation context and the per-point progress callback. A nil runner
-// context behaves like context.Background(), so the synchronous Run path
-// pays nothing for the indirection.
+// cancellation context and the per-point progress callback.
 type runner struct {
 	ctx      context.Context
 	progress ProgressFunc
@@ -91,9 +89,6 @@ type runner struct {
 // context's error is returned unwrapped so callers (the async engine) can
 // classify cancellation with errors.Is.
 func (r *runner) cancelled() error {
-	if r.ctx == nil {
-		return nil
-	}
 	return r.ctx.Err()
 }
 
@@ -103,14 +98,6 @@ func (r *runner) step() {
 	if r.progress != nil {
 		r.progress(int(n), r.total)
 	}
-}
-
-// Run validates and executes a spec synchronously. It is the thin wrapper
-// the one-shot paths (fedsim figures, golden tests) use; the full executor
-// with cancellation and progress is RunContext, which the async engine
-// layer drives.
-func Run(s *Spec) (*Result, error) {
-	return RunContext(context.Background(), s, nil)
 }
 
 // RunContext validates and executes a spec: it materializes the axis grid,

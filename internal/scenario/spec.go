@@ -227,9 +227,9 @@ type Spec struct {
 	Track    string        `json:"track,omitempty"`
 	Variants []VariantSpec `json:"variants,omitempty"`
 	// Method selects the Shapley engine family for the shapley policies:
-	// "auto" (empty; exact when feasible, sampled otherwise), "exact", or
-	// "approx" (the approximation tier, configured by samples/ci_target/
-	// seed below).
+	// "auto" (empty; exact when feasible, sampled otherwise), "exact" (the
+	// run fails where no exact engine fits), or "approx" (the
+	// approximation tier, configured by samples/ci_target/seed below).
 	Method string `json:"method,omitempty"`
 	// Samples is the sampling permutation budget for the approx engines.
 	Samples int `json:"samples,omitempty"`
@@ -424,18 +424,15 @@ func (s *Spec) resolvedPolicies() ([]core.Policy, error) {
 	return out, nil
 }
 
-// parameterize routes the Shapley policies through the approximation tier
-// when the spec requests it: the "shapley-approx" policy always takes the
-// spec's sampling parameters, and "method": "approx" additionally rewires
-// the plain "shapley" entries (so a spec flips its existing policy list to
-// sampling by adding one field).
+// parameterize passes the spec's method to every Shapley policy. The
+// "shapley-approx" policy also takes the spec's sampling parameters, and
+// "method": "approx" routes the plain "shapley" entries through it too (so
+// a spec flips its existing policy list to sampling by adding one field);
+// "exact" holds either to an exact engine, so a federation none fits fails
+// the run instead of returning a sampled estimate.
 func (s *Spec) parameterize(name string, p core.Policy) core.Policy {
-	approx := core.ApproxShapleyPolicy{Samples: s.Samples, CITarget: s.CITarget, Seed: s.Seed}
-	if s.Method == MethodApprox {
-		// An explicit method request forces the sampling estimator (still
-		// composed with symmetry collapse) instead of auto-dispatch.
-		approx.Method = coalition.MethodApprox
-	}
+	method := coalition.Method(s.Method)
+	approx := core.ApproxShapleyPolicy{Samples: s.Samples, CITarget: s.CITarget, Seed: s.Seed, Method: method}
 	switch name {
 	case "shapley-approx":
 		return approx
@@ -443,6 +440,7 @@ func (s *Spec) parameterize(name string, p core.Policy) core.Policy {
 		if s.Method == MethodApprox {
 			return approx
 		}
+		return core.ShapleyPolicy{Method: method}
 	}
 	return p
 }

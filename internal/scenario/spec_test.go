@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -34,7 +35,7 @@ func testSpec() *Spec {
 
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := testSpec()
-	want, err := Run(s)
+	want, err := RunContext(context.Background(), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(s, decoded) {
 		t.Fatalf("spec round-trip mismatch:\n got %+v\nwant %+v", decoded, s)
 	}
-	got, err := Run(decoded)
+	got, err := RunContext(context.Background(), decoded, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestUtilityKindValidation(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(s)
+	res, err := RunContext(context.Background(), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestRunErrorsCarryContext(t *testing.T) {
 	// that Run refuses an invalid spec outright.
 	s := testSpec()
 	s.Policies = []string{"dictator"}
-	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "dictator") {
+	if _, err := RunContext(context.Background(), s, nil); err == nil || !strings.Contains(err.Error(), "dictator") {
 		t.Fatalf("Run must surface the unknown policy, got %v", err)
 	}
 }
@@ -361,7 +362,7 @@ func TestThresholdPastIntRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(s)
+		res, err := RunContext(context.Background(), s, nil)
 		if err != nil {
 			t.Fatalf("%s, min_locations %s: %v", method, min, err)
 		}

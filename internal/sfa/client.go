@@ -52,7 +52,7 @@ func NewClient(cfg ClientConfig) *Client {
 		cfg:     cfg,
 		metrics: newClientMetrics(cfg.Registry),
 		rng:     stats.NewRand(cfg.Seed),
-		breaker: breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
+		breaker: breaker{threshold: cfg.BreakerThreshold},
 	}
 	c.metrics.breakerState.With(cfg.Addr).Set(float64(breakerClosed))
 	return c

@@ -199,8 +199,7 @@ func TestCircuitBreakerFailsFastAndRecovers(t *testing.T) {
 	failDials.Store(true)
 	now := time.Unix(1000, 0)
 	c := NewClient(ClientConfig{
-		Addr: fs.addr(), MaxAttempts: 1,
-		BreakerThreshold: 2, BreakerCooldown: time.Minute,
+		Addr: fs.addr(), MaxAttempts: 1, BreakerThreshold: 2,
 		Registry: obs.NewRegistry(),
 		Now:      func() time.Time { return now },
 		DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -241,8 +240,7 @@ func TestOpenBreakerFailsFastWithoutBackoffSleep(t *testing.T) {
 	var sleeps atomic.Int64
 	now := time.Unix(1000, 0)
 	c := NewClient(ClientConfig{
-		Addr: "127.0.0.1:1", MaxAttempts: 3, RetryBase: time.Millisecond,
-		BreakerThreshold: 1, BreakerCooldown: time.Minute,
+		Addr: "127.0.0.1:1", MaxAttempts: 3, RetryBase: time.Millisecond, BreakerThreshold: 1,
 		Registry: obs.NewRegistry(),
 		Now:      func() time.Time { return now },
 		Sleep:    func(time.Duration) { sleeps.Add(1) },

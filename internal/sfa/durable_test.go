@@ -334,6 +334,58 @@ func TestRecoveryDedupWindow(t *testing.T) {
 	}
 }
 
+// TestDedupWindowRing: the window is a ring of capacity keys. After it
+// wraps, snapshot lists the newest keys oldest first; a key remembered
+// again keeps its place and takes the new outcome; load keeps the newest
+// keys of a longer window.
+func TestDedupWindowRing(t *testing.T) {
+	keys := func(st *state) []string {
+		var out []string
+		for _, d := range st.snapshot().Dedup {
+			out = append(out, d.Key)
+		}
+		return out
+	}
+	st := newState(nil, 3, func(int) {})
+	for i := 0; i < 8; i++ {
+		st.remember(fmt.Sprintf("k%d", i), nil)
+	}
+	st.remember("", nil)
+	if got, want := keys(st), []string{"k5", "k6", "k7"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("window after 8 keys = %v, want %v", got, want)
+	}
+	st.remember("k6", []SliverRecord{{Authority: "PLC"}})
+	if got, want := keys(st), []string{"k5", "k6", "k7"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("window after remembering k6 again = %v, want %v", got, want)
+	}
+	if slivers, ok := st.outcome("k6"); !ok || len(slivers) != 1 {
+		t.Errorf("k6's outcome = %v, %v; want the new one", slivers, ok)
+	}
+	st.remember("k8", nil)
+	if got, want := keys(st), []string{"k6", "k7", "k8"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("window after k8 = %v, want %v", got, want)
+	}
+	if _, ok := st.outcome("k5"); ok {
+		t.Error("evicted k5 still has an outcome")
+	}
+
+	loaded := newState(nil, 3, func(int) {})
+	want := st.snapshot()
+	loaded.load(&want)
+	if !reflect.DeepEqual(loaded.snapshot(), want) {
+		t.Errorf("reloaded window = %v, want %v", keys(loaded), keys(st))
+	}
+	longer := State{}
+	for i := 0; i < 5; i++ {
+		longer.Dedup = append(longer.Dedup, DedupState{Key: fmt.Sprintf("j%d", i)})
+	}
+	loaded = newState(nil, 3, func(int) {})
+	loaded.load(&longer)
+	if got, want := keys(loaded), []string{"j2", "j3", "j4"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("window loaded from 5 keys = %v, want %v", got, want)
+	}
+}
+
 // failingStore refuses the next append of one op, as a full disk would.
 type failingStore struct {
 	Store

@@ -64,7 +64,6 @@ type peerHealth struct {
 type healthTracker struct {
 	mu            sync.Mutex
 	now           func() time.Time
-	suspectAfter  int
 	downAfter     int
 	probeInterval time.Duration
 	rng           *stats.Rand
@@ -75,10 +74,9 @@ type healthTracker struct {
 	onTransition func(peer string, from, to PeerState)
 }
 
-func newHealthTracker(now func() time.Time, suspectAfter, downAfter int, probeInterval time.Duration, seed uint64) *healthTracker {
+func newHealthTracker(now func() time.Time, downAfter int, probeInterval time.Duration, seed uint64) *healthTracker {
 	return &healthTracker{
 		now:           now,
-		suspectAfter:  suspectAfter,
 		downAfter:     downAfter,
 		probeInterval: probeInterval,
 		rng:           stats.NewRand(seed),
@@ -130,9 +128,11 @@ func (h *healthTracker) ensure(name string) {
 }
 
 // observe feeds one call outcome into the state machine. Success clears a
-// suspect streak; failures walk healthy → suspect → down. Down and
-// recovering peers are owned by the probe/reconcile path: a stray outcome
-// (e.g. an in-flight call that raced the transition) never readmits them.
+// suspect streak; the first failure makes a healthy peer suspect, and
+// downAfter failures in a row, that first one included, make it down.
+// Down and recovering peers are owned by the probe/reconcile path: a stray
+// outcome (e.g. an in-flight call that raced the transition) never
+// readmits them.
 func (h *healthTracker) observe(name string, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -151,15 +151,12 @@ func (h *healthTracker) observe(name string, ok bool) {
 	}
 	switch p.state {
 	case PeerHealthy:
-		p.failures++
-		if p.failures >= h.suspectAfter {
-			h.setStateLocked(name, p, PeerSuspect, now)
-			// A streak spanning both thresholds in one step goes straight
-			// through: re-count this failure against the down threshold.
-			p.failures = 1
-			if p.failures >= h.downAfter {
-				h.setStateLocked(name, p, PeerDown, now)
-			}
+		h.setStateLocked(name, p, PeerSuspect, now)
+		// The streak's first failure counts toward the down threshold;
+		// at downAfter 1 it goes straight through.
+		p.failures = 1
+		if p.failures >= h.downAfter {
+			h.setStateLocked(name, p, PeerDown, now)
 		}
 	case PeerSuspect:
 		p.failures++

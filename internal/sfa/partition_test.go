@@ -40,32 +40,32 @@ func (l *transitionLog) snapshot() []string {
 func TestHealthTrackerLifecycle(t *testing.T) {
 	clock := newFakeClock()
 	var log transitionLog
-	h := newHealthTracker(clock.Now, 2, 3, 50*time.Millisecond, 7)
+	h := newHealthTracker(clock.Now, 3, 50*time.Millisecond, 7)
 	h.onTransition = log.hook
 
 	h.ensure("X")
 	if got := h.state("X"); got != PeerHealthy {
 		t.Fatalf("state after ensure = %s", got)
 	}
-	// One failure is below the suspect threshold (2).
-	h.observe("X", false)
-	if got := h.state("X"); got != PeerHealthy {
-		t.Fatalf("state after 1 failure = %s, want healthy", got)
-	}
+	// The first failure makes the peer suspect.
 	h.observe("X", false)
 	if got := h.state("X"); got != PeerSuspect {
-		t.Fatalf("state after 2 failures = %s, want suspect", got)
+		t.Fatalf("state after 1 failure = %s, want suspect", got)
 	}
 	// Success clears a suspect streak.
 	h.observe("X", true)
 	if got := h.state("X"); got != PeerHealthy {
 		t.Fatalf("state after recovery = %s, want healthy", got)
 	}
-	// Walk to down: 2 failures to suspect, then enough to cross downAfter
-	// (counted from the first failure of the streak).
-	for i := 0; i < 4; i++ {
+	// Walk to down: downAfter (3) counts from the first failure of the
+	// streak, so two failures stay suspect and the third crosses it.
+	for i := 0; i < 2; i++ {
 		h.observe("X", false)
 	}
+	if got := h.state("X"); got != PeerSuspect {
+		t.Fatalf("state after 2 failures = %s, want suspect", got)
+	}
+	h.observe("X", false)
 	if got := h.state("X"); got != PeerDown {
 		t.Fatalf("state after streak = %s, want down", got)
 	}
@@ -116,9 +116,9 @@ func TestHealthTrackerLifecycle(t *testing.T) {
 func TestHealthTrackerStraightThroughDown(t *testing.T) {
 	clock := newFakeClock()
 	var log transitionLog
-	// suspectAfter == downAfter == 1: a single failure falls straight
-	// through suspect to down, with both transitions observed.
-	h := newHealthTracker(clock.Now, 1, 1, 50*time.Millisecond, 1)
+	// downAfter == 1: a single failure falls straight through suspect to
+	// down, with both transitions observed.
+	h := newHealthTracker(clock.Now, 1, 50*time.Millisecond, 1)
 	h.onTransition = log.hook
 	h.ensure("Y")
 	h.observe("Y", false)
@@ -134,7 +134,7 @@ func TestHealthTrackerStraightThroughDown(t *testing.T) {
 func TestHealthTrackerDueProbes(t *testing.T) {
 	clock := newFakeClock()
 	const interval = 40 * time.Millisecond
-	h := newHealthTracker(clock.Now, 1, 3, interval, 11)
+	h := newHealthTracker(clock.Now, 3, interval, 11)
 	h.ensure("A")
 	h.ensure("B")
 	if due := h.dueProbes(); len(due) != 0 {
@@ -308,10 +308,8 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	var dials atomic.Int64
 	var failDials atomic.Bool
 	failDials.Store(true)
-	cooldown := time.Second
 	c := NewClient(ClientConfig{
-		Addr: srv.Addr(), MaxAttempts: 1,
-		BreakerThreshold: 1, BreakerCooldown: cooldown,
+		Addr: srv.Addr(), MaxAttempts: 1, BreakerThreshold: 1,
 		Now: clock.Now, Registry: obs.NewRegistry(),
 		DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
 			dials.Add(1)
@@ -339,7 +337,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	}
 
 	// Cooldown elapses; many callers race the half-open flip.
-	clock.Advance(cooldown)
+	clock.Advance(breakerCooldown)
 	const callers = 8
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
@@ -376,7 +374,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 
 	// After the next cooldown a successful probe closes the breaker.
 	failDials.Store(false)
-	clock.Advance(cooldown)
+	clock.Advance(breakerCooldown)
 	if err := c.Call(MethodPing, nil, nil); err != nil {
 		t.Fatalf("successful half-open probe: %v", err)
 	}
@@ -400,7 +398,7 @@ func TestReconcileDropsLostIntent(t *testing.T) {
 	srvC := startServer(t, buildAuthority(t, "C", 2, 1, 4), WithMetrics(regC),
 		WithConfig(ServerConfig{
 			Now: clock.Now, LeaseReapInterval: 2 * time.Millisecond,
-			ProbeInterval: 50 * time.Millisecond, SuspectAfter: 1, DownAfter: 1, Seed: 3,
+			ProbeInterval: 50 * time.Millisecond, DownAfter: 1, Seed: 3,
 			PeerClient: func(addr string) ClientConfig {
 				cc := ClientConfig{Addr: addr, MaxAttempts: 1, BreakerThreshold: -1, Registry: regC, Now: clock.Now}
 				if addr == p2Addr {
@@ -541,7 +539,7 @@ func TestUndecodableReserveKeepsPeerHealthy(t *testing.T) {
 	srvC := startServer(t, buildAuthority(t, "C", 2, 1, 4), WithMetrics(regC),
 		WithConfig(ServerConfig{
 			Now: clock.Now, LeaseReapInterval: 2 * time.Millisecond,
-			ProbeInterval: 50 * time.Millisecond, SuspectAfter: 1, DownAfter: 2, Seed: 3,
+			ProbeInterval: 50 * time.Millisecond, DownAfter: 2, Seed: 3,
 			PeerClient: func(addr string) ClientConfig {
 				cc := ClientConfig{Addr: addr, MaxAttempts: 1, BreakerThreshold: -1, Registry: regC, Now: clock.Now}
 				if addr == p2Addr {
@@ -625,7 +623,7 @@ func runPartitionChaos(t *testing.T, seed uint64) string {
 	p2Addr := p2.Addr()
 	srvC := startServer(t, authC, WithMetrics(regC), WithConfig(ServerConfig{
 		Now: clock.Now, LeaseReapInterval: 2 * time.Millisecond,
-		ProbeInterval: 50 * time.Millisecond, SuspectAfter: 1, DownAfter: 2, Seed: seed,
+		ProbeInterval: 50 * time.Millisecond, DownAfter: 2, Seed: seed,
 		PeerClient: func(addr string) ClientConfig {
 			cc := ClientConfig{Addr: addr, MaxAttempts: 1, BreakerThreshold: -1, Registry: regC, Now: clock.Now}
 			if addr == p2Addr {

@@ -31,12 +31,9 @@ type ClientConfig struct {
 	RetryMax  time.Duration
 	// BreakerThreshold is the number of consecutive transport failures
 	// that opens the circuit breaker (default 5; negative disables the
-	// breaker). While open, calls fail fast with ErrCircuitOpen until
-	// BreakerCooldown has elapsed; then one half-open probe is allowed.
+	// breaker). While open, calls fail fast with ErrCircuitOpen for
+	// breakerCooldown; then one half-open probe is allowed.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects calls before
-	// allowing a half-open probe (default 2s).
-	BreakerCooldown time.Duration
 	// Seed feeds the deterministic jitter RNG, so a seeded client retries
 	// on a reproducible schedule (default 0, still deterministic).
 	Seed uint64
@@ -71,9 +68,6 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	}
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default
@@ -154,11 +148,14 @@ func (s breakerState) String() string {
 	return "unknown"
 }
 
+// breakerCooldown is how long an open breaker rejects calls before
+// allowing a half-open probe.
+const breakerCooldown = 2 * time.Second
+
 // breaker is a minimal closed→open→half-open circuit breaker. It is not
 // internally synchronized: the owning Client guards it with its call mutex.
 type breaker struct {
 	threshold int // consecutive failures to open; <= 0 disables
-	cooldown  time.Duration
 
 	state    breakerState
 	failures int
@@ -173,7 +170,7 @@ func (b *breaker) allow(now time.Time) bool {
 	}
 	switch b.state {
 	case breakerOpen:
-		if now.Sub(b.openedAt) >= b.cooldown {
+		if now.Sub(b.openedAt) >= breakerCooldown {
 			b.state = breakerHalfOpen
 			return true
 		}

@@ -46,11 +46,10 @@ type ServerConfig struct {
 	// piggyback on the reaper tick and due-ness is judged by Now, so tests
 	// drive them with a simulated clock.
 	ProbeInterval time.Duration
-	// SuspectAfter and DownAfter are the consecutive-transport-failure
-	// thresholds for healthy→suspect (default 1) and suspect→down
-	// (default 3, counted from the first failure of the streak).
-	SuspectAfter int
-	DownAfter    int
+	// DownAfter is the consecutive-transport-failure threshold for
+	// suspect→down (default 3), counted from the first failure of the
+	// streak, which makes a healthy peer suspect.
+	DownAfter int
 	// Seed feeds the deterministic probe-jitter RNG.
 	Seed uint64
 	// PeerClient, when set, builds the ClientConfig for outbound peer
@@ -75,9 +74,6 @@ func (cfg ServerConfig) withDefaults() ServerConfig {
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 1
 	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 3
@@ -178,7 +174,7 @@ func NewServer(auth *planetlab.Authority, secret []byte, opts ...Option) *Server
 	// Delta updates (not Set) so servers sharing a registry aggregate.
 	s.st = newState(auth, s.cfg.DedupCapacity, func(delta int) { s.metrics.leasesActive.Add(float64(delta)) })
 	s.recon = newReconciler()
-	s.health = newHealthTracker(s.cfg.Now, s.cfg.SuspectAfter, s.cfg.DownAfter, s.cfg.ProbeInterval, s.cfg.Seed)
+	s.health = newHealthTracker(s.cfg.Now, s.cfg.DownAfter, s.cfg.ProbeInterval, s.cfg.Seed)
 	s.health.onTransition = func(peer string, from, to PeerState) {
 		s.metrics.peerState.With(peer).Set(float64(to))
 		if from != to {

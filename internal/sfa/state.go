@@ -40,10 +40,12 @@ type state struct {
 	// here; slice leases carry only their expiry.
 	leases map[string]*LeaseState
 	// window maps each remembered idempotency key to its outcome (the
-	// placed slivers; nil for releases); order lists the keys oldest first,
-	// in log order, and is bounded by capacity.
+	// placed slivers; nil for releases). order is a ring of at most
+	// capacity keys in log order: it grows to capacity, then each new key
+	// overwrites the oldest, order[head].
 	window   map[string][]SliverRecord
 	order    []string
+	head     int
 	capacity int
 	usage    map[string]int // authority -> cumulative slivers served
 	embedded int            // slices embedded via this registry
@@ -144,20 +146,23 @@ func (st *state) apply(rec Record) error {
 	return nil
 }
 
-// remember appends a completed keyed outcome to the window (a no-op for
-// unkeyed records), evicting the oldest outcomes beyond capacity.
+// remember adds a completed keyed outcome to the window (a no-op for
+// unkeyed records), evicting the oldest outcome once capacity is reached.
+// A key remembered again keeps its place.
 func (st *state) remember(key string, slivers []SliverRecord) {
 	if key == "" {
 		return
 	}
 	if _, ok := st.window[key]; !ok {
-		st.order = append(st.order, key)
+		if len(st.order) < st.capacity {
+			st.order = append(st.order, key)
+		} else {
+			delete(st.window, st.order[st.head])
+			st.order[st.head] = key
+			st.head = (st.head + 1) % len(st.order)
+		}
 	}
 	st.window[key] = slivers
-	for len(st.order) > st.capacity {
-		delete(st.window, st.order[0])
-		st.order = st.order[1:]
-	}
 }
 
 // outcome returns the remembered outcome of a keyed request.
@@ -263,7 +268,8 @@ func (st *state) snapshot() State {
 	for _, l := range st.leases {
 		out.Leases = append(out.Leases, *l)
 	}
-	for _, key := range st.order {
+	for i := range st.order {
+		key := st.order[(st.head+i)%len(st.order)]
 		out.Dedup = append(out.Dedup, DedupState{Key: key, Slivers: st.window[key]})
 	}
 	for name, n := range st.usage {

@@ -81,9 +81,6 @@ type Options struct {
 	Policy FsyncPolicy
 	// Interval paces background fsyncs under FsyncInterval (default 100ms).
 	Interval time.Duration
-	// KeepSnapshots retains this many most-recent snapshot files so
-	// recovery can fall back past a corrupt one (default 2).
-	KeepSnapshots int
 	// Registry receives the WAL's instrumentation (default obs.Default).
 	Registry *obs.Registry
 	// Logf, when set, receives recovery and maintenance diagnostics.
@@ -93,9 +90,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = 100 * time.Millisecond
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
 	}
 	if o.Registry == nil {
 		o.Registry = obs.Default
@@ -507,8 +501,12 @@ func (l *Log) Snapshot(state []byte) error {
 	return nil
 }
 
+// keepSnapshots is how many of the newest snapshot files pruning keeps, so
+// recovery can fall back past a corrupt one.
+const keepSnapshots = 2
+
 // pruneLocked removes segments fully covered by the snapshot at seq and
-// all but the newest KeepSnapshots snapshots. Best effort: pruning
+// all but the newest keepSnapshots snapshots. Best effort: pruning
 // failures only cost disk, never correctness.
 func (l *Log) pruneLocked(seq uint64) {
 	if segs, err := l.listFiles("wal-", ".log"); err == nil {
@@ -519,17 +517,10 @@ func (l *Log) pruneLocked(seq uint64) {
 		}
 	}
 	if snaps, err := l.listFiles("snap-", ".snap"); err == nil {
-		for i := 0; i+l.opts.KeepSnapshots < len(snaps); i++ {
+		for i := 0; i+keepSnapshots < len(snaps); i++ {
 			_ = os.Remove(filepath.Join(l.opts.Dir, snapshotName(snaps[i])))
 		}
 	}
-}
-
-// LastSeq returns the sequence number of the most recent append.
-func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
 }
 
 // Close syncs and closes the log. The log cannot be reused; reopen with

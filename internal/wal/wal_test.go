@@ -90,7 +90,7 @@ func TestSnapshotAndSuffixRecovery(t *testing.T) {
 
 func TestSnapshotRotatesAndPrunes(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openTestLog(t, dir, Options{KeepSnapshots: 1})
+	l, _ := openTestLog(t, dir, Options{})
 	for round := 0; round < 4; round++ {
 		appendN(t, l, round*4, 4)
 		if err := l.Snapshot([]byte(fmt.Sprintf("state-%d", round))); err != nil {
@@ -108,8 +108,8 @@ func TestSnapshotRotatesAndPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 1 || snaps[0] != 16 {
-		t.Errorf("snapshots after pruning = %v, want [16]", snaps)
+	if len(snaps) != keepSnapshots || snaps[0] != 12 || snaps[1] != 16 {
+		t.Errorf("snapshots after pruning = %v, want [12 16]", snaps)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestSnapshotOfIdleLog(t *testing.T) {
 
 func TestCorruptSnapshotFallsBackToOlder(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := openTestLog(t, dir, Options{KeepSnapshots: 2})
+	l, _ := openTestLog(t, dir, Options{})
 	appendN(t, l, 0, 3)
 	if err := l.Snapshot([]byte("good")); err != nil {
 		t.Fatal(err)
