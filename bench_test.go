@@ -17,7 +17,6 @@ import (
 
 	"fedshare/internal/allocation"
 	"fedshare/internal/coalition"
-	"fedshare/internal/core"
 	"fedshare/internal/economics"
 	_ "fedshare/internal/figures"
 	"fedshare/internal/loss"
@@ -264,78 +263,6 @@ func BenchmarkSeriesOps(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDiversityPremium measures the design-choice ablation:
-// how much share mass the diversity threshold moves relative to the
-// capacity-only counterfactual (DESIGN.md's ablation entry).
-func BenchmarkAblationDiversityPremium(b *testing.B) {
-	demand, err := economics.NewWorkload(economics.DemandClass{
-		Type: economics.ExperimentType{
-			Name: "e", MinLocations: 500, MaxLocations: math.Inf(1),
-			Resources: 1, HoldingTime: 1, Shape: 1,
-		},
-		Count: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		m, err := core.NewModel([]core.Facility{
-			{Name: "F1", Locations: 100, Resources: 1},
-			{Name: "F2", Locations: 400, Resources: 1},
-			{Name: "F3", Locations: 800, Resources: 1},
-		}, demand)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ab, err := core.DiversityAblation(m, core.ShapleyPolicy{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			moved := core.TotalDistortion(ab.ActualShares, ab.NoThresholdShares)
-			if moved <= 0.02 {
-				b.Fatalf("diversity should move share mass, got %g", moved)
-			}
-		}
-	}
-}
-
-// BenchmarkHierarchicalShapley measures the two-level (Owen) division over
-// a PLC/PLE(+members)/PLJ hierarchy.
-func BenchmarkHierarchicalShapley(b *testing.B) {
-	demand, err := economics.NewWorkload(economics.DemandClass{
-		Type: economics.ExperimentType{
-			Name: "e", MinLocations: 500, MaxLocations: math.Inf(1),
-			Resources: 1, HoldingTime: 1, Shape: 1,
-		},
-		Count: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	groups := []core.AuthorityGroup{
-		{Name: "PLC", Members: []core.Facility{{Name: "PLC", Locations: 100, Resources: 1}}},
-		{Name: "PLE", Members: []core.Facility{
-			{Name: "PLE-core", Locations: 250, Resources: 1},
-			{Name: "G-Lab", Locations: 100, Resources: 1},
-			{Name: "EmanicsLab", Locations: 50, Resources: 1},
-		}},
-		{Name: "PLJ", Members: []core.Facility{{Name: "PLJ", Locations: 800, Resources: 1}}},
-	}
-	for i := 0; i < b.N; i++ {
-		hs, err := core.HierarchicalShapley(groups, demand, 0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			// Quotient consistency with the flat Fig-4 authority shares.
-			if math.Abs(hs.Authority[1]-17.0/78) > 1e-9 {
-				b.Fatalf("PLE authority share %g, want 17/78", hs.Authority[1])
-			}
-		}
-	}
-}
-
 // BenchmarkFigMarket regenerates the extension figure comparing Shapley
 // with the combinatorial-auction baseline (Sec. 5).
 func BenchmarkFigMarket(b *testing.B) {
@@ -382,47 +309,5 @@ func BenchmarkShapleyKernelParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coalition.BatchedValues(g, runtime.GOMAXPROCS(0))
-	}
-}
-
-// BenchmarkLossNetworkShapley prices facilities by simulated loss-network
-// value rates (the paper's Paschalidis–Liu future-work direction): one
-// simulation per coalition, Shapley on top.
-func BenchmarkLossNetworkShapley(b *testing.B) {
-	cfg := loss.Config{
-		Stations: []loss.Station{
-			{Label: "a", Count: 2, Capacity: 1},
-			{Label: "b", Count: 2, Capacity: 1},
-			{Label: "c", Count: 6, Capacity: 1},
-		},
-		Arrivals: []economics.ArrivalSpec{{
-			Type: economics.ExperimentType{
-				Name: "e", MinLocations: 2, MaxLocations: 2,
-				Resources: 1, HoldingTime: 0.5, Shape: 1,
-			},
-			Rate: 8,
-		}},
-		Horizon: 200,
-		Seed:    41,
-	}
-	for i := 0; i < b.N; i++ {
-		g, err := loss.NewGame(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tab, err := coalition.Snapshot(g, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		phi := coalition.BatchedValues(tab, 1).Shapley
-		if i == 0 {
-			sum := 0.0
-			for _, p := range phi {
-				sum += p
-			}
-			if vn := tab.Value(coalition.Grand(tab)); math.Abs(sum-vn) > 1e-9 {
-				b.Fatalf("shares sum to %g, V(N) = %g", sum, vn)
-			}
-		}
 	}
 }

@@ -417,7 +417,7 @@ func printWeightTable() {
 		fmt.Println()
 	}
 	fmt.Println()
-	fmt.Println("Operators look up (or Blend) these rows by expected demand instead of")
+	fmt.Println("Operators look up these rows by expected demand instead of")
 	fmt.Println("running the coalition game online (Sec. 3.2.3).")
 }
 

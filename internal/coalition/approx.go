@@ -294,8 +294,8 @@ func (e *approxEngine) unit(u int, sc *approxScratch) {
 		perm[i] = i
 	}
 	// Force the block-cycled first element, then arrange the rest
-	// uniformly (rng.Shuffle's swaps, inline): proportional allocation
-	// over the position-0 stratum.
+	// uniformly (a Fisher–Yates shuffle): proportional allocation over the
+	// position-0 stratum.
 	first := u % n
 	perm[0], perm[first] = perm[first], perm[0]
 	rest := perm[1:]

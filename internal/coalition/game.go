@@ -1,7 +1,7 @@
 // Package coalition implements transferable-utility coalitional games and
 // the solution concepts the paper builds on: the Shapley value (exact and
 // sampled, both through Values), the Banzhaf value, the least core, the
-// nucleolus, the weighted Shapley and Owen values. It also provides the
+// nucleolus and the weighted Shapley value. It also provides the
 // structural property checks (superadditivity, convexity) that Sec. 3.2.1
 // of the paper uses to reason about when the core exists.
 package coalition

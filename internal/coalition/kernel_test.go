@@ -139,7 +139,7 @@ func TestShapleyWeights(t *testing.T) {
 		w := shapleyWeights(n)
 		sum := 0.0
 		for s := 0; s < n; s++ {
-			want := combin.Factorial(s) * combin.Factorial(n-s-1) / combin.Factorial(n)
+			want := factorial(s) * factorial(n-s-1) / factorial(n)
 			if math.Abs(w[s]-want) > 1e-12*want {
 				t.Errorf("n=%d: w[%d] = %g, want %g", n, s, w[s], want)
 			}
@@ -149,6 +149,15 @@ func TestShapleyWeights(t *testing.T) {
 			t.Errorf("n=%d: weights sum to %g", n, sum)
 		}
 	}
+}
+
+// factorial returns n! as a float64, exact through n = 22.
+func factorial(n int) float64 {
+	out := 1.0
+	for i := 2; i <= n; i++ {
+		out *= float64(i)
+	}
+	return out
 }
 
 func TestShapleyFallbackForNonSnapshotGames(t *testing.T) {

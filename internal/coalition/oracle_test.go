@@ -44,7 +44,7 @@ func shapleyByPermutation(g Game) []float64 {
 	}
 	phi := make([]float64, n)
 	count := 0
-	combin.Permutations(n, func(perm []int) bool {
+	permutations(n, func(perm []int) {
 		var s combin.Set
 		prev := 0.0
 		for _, p := range perm {
@@ -54,12 +54,56 @@ func shapleyByPermutation(g Game) []float64 {
 			prev = v
 		}
 		count++
-		return true
 	})
 	for i := range phi {
 		phi[i] /= float64(count)
 	}
 	return phi
+}
+
+// permutations calls fn with each permutation of {0,…,n-1} using Heap's
+// algorithm. The slice passed to fn is reused between calls.
+func permutations(n int, fn func([]int)) {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	fn(perm)
+	c := make([]int, n)
+	for i := 0; i < n; {
+		if c[i] < i {
+			if i%2 == 0 {
+				perm[0], perm[i] = perm[i], perm[0]
+			} else {
+				perm[c[i]], perm[i] = perm[i], perm[c[i]]
+			}
+			fn(perm)
+			c[i]++
+			i = 0
+		} else {
+			c[i] = 0
+			i++
+		}
+	}
+}
+
+func TestPermutationsCountAndUniqueness(t *testing.T) {
+	for n := 0; n <= 6; n++ {
+		seen := map[string]bool{}
+		permutations(n, func(p []int) {
+			key := ""
+			for _, v := range p {
+				key += string(rune('a' + v))
+			}
+			if seen[key] {
+				t.Errorf("n=%d: duplicate permutation %v", n, p)
+			}
+			seen[key] = true
+		})
+		if want := int(factorial(n)); len(seen) != want {
+			t.Errorf("n=%d: got %d permutations, want %d", n, len(seen), want)
+		}
+	}
 }
 
 // banzhafLegacy is the per-player subset enumeration of the Banzhaf value
@@ -94,7 +138,10 @@ func monteCarloShapley(g Game, samples int, rng *stats.Rand) (phi, stdErr []floa
 		perm[i] = i
 	}
 	for it := 0; it < samples; it++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		for i := n - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
 		var s combin.Set
 		prev := 0.0
 		for _, p := range perm {

@@ -92,7 +92,7 @@ func TestWeightedShapleyTiltsTowardHeavyPlayers(t *testing.T) {
 	// Pure synergy game: only the grand coalition has value. The dividend
 	// splits by weight, so the heavier player takes proportionally more.
 	g := Func{Players: 2, V: func(s combin.Set) float64 {
-		if s == combin.Of(0, 1) {
+		if s == combin.Full(2) {
 			return 10
 		}
 		return 0

@@ -1,6 +1,6 @@
 // Package combin provides combinatorial enumeration primitives used by the
-// coalitional game engine: coalitions as bitmasks, subset and permutation
-// iteration, and binomial/factorial tables.
+// coalitional game engine: coalitions as bitmasks, subset iteration and
+// binomial coefficients.
 //
 // Coalitions over a player set {0, 1, …, n-1} are represented as Set, a
 // uint64 bitmask, which bounds the exact engines at 64 players; the
@@ -19,9 +19,6 @@ import (
 // i belongs to the coalition.
 type Set uint64
 
-// Empty is the empty coalition.
-const Empty Set = 0
-
 // MaxPlayers is the largest player count representable by Set.
 const MaxPlayers = 64
 
@@ -38,15 +35,6 @@ func Full(n int) Set {
 
 // Singleton returns the coalition containing only player i.
 func Singleton(i int) Set { return Set(1) << uint(i) }
-
-// Of builds a coalition from an explicit list of players.
-func Of(players ...int) Set {
-	var s Set
-	for _, p := range players {
-		s |= Singleton(p)
-	}
-	return s
-}
 
 // Contains reports whether player i belongs to s.
 func (s Set) Contains(i int) bool { return s&Singleton(i) != 0 }
@@ -94,7 +82,7 @@ func (s Set) String() string {
 	return b.String()
 }
 
-// Subsets calls fn for every subset of s, including Empty and s itself.
+// Subsets calls fn for every subset of s, including the empty set and s itself.
 // Iteration order is the standard sub-mask descent (decreasing mask value,
 // finishing with the empty set). It stops early if fn returns false.
 func Subsets(s Set, fn func(Set) bool) {
@@ -137,52 +125,4 @@ func Binomial(n, k int) float64 {
 		out *= float64(n-i) / float64(i+1)
 	}
 	return math.Round(out)
-}
-
-// Factorial returns n! as a float64 (exact through n = 22, approximate
-// beyond). Negative n panics.
-func Factorial(n int) float64 {
-	if n < 0 {
-		panic("combin: factorial of negative number")
-	}
-	out := 1.0
-	for i := 2; i <= n; i++ {
-		out *= float64(i)
-	}
-	return out
-}
-
-// Permutations calls fn with each permutation of {0,…,n-1} using Heap's
-// algorithm. The slice passed to fn is reused between calls; callers must
-// copy it if they retain it. Iteration stops early if fn returns false.
-func Permutations(n int, fn func([]int) bool) {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	if n == 0 {
-		fn(perm)
-		return
-	}
-	c := make([]int, n)
-	if !fn(perm) {
-		return
-	}
-	for i := 0; i < n; {
-		if c[i] < i {
-			if i%2 == 0 {
-				perm[0], perm[i] = perm[i], perm[0]
-			} else {
-				perm[c[i]], perm[i] = perm[i], perm[c[i]]
-			}
-			if !fn(perm) {
-				return
-			}
-			c[i]++
-			i = 0
-		} else {
-			c[i] = 0
-			i++
-		}
-	}
 }

@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// of builds a coalition from an explicit list of players.
+func of(players ...int) Set {
+	var s Set
+	for _, p := range players {
+		s |= Singleton(p)
+	}
+	return s
+}
+
 func TestFull(t *testing.T) {
 	cases := []struct {
 		n    int
@@ -38,26 +47,26 @@ func TestFullPanicsOutOfRange(t *testing.T) {
 }
 
 func TestSetOperations(t *testing.T) {
-	s := Of(0, 2, 5)
+	s := of(0, 2, 5)
 	if !s.Contains(0) || !s.Contains(2) || !s.Contains(5) {
-		t.Fatalf("Of(0,2,5) missing members: %v", s)
+		t.Fatalf("of(0,2,5) missing members: %v", s)
 	}
 	if s.Contains(1) || s.Contains(3) {
-		t.Fatalf("Of(0,2,5) has spurious members: %v", s)
+		t.Fatalf("of(0,2,5) has spurious members: %v", s)
 	}
 	if got := s.Card(); got != 3 {
 		t.Errorf("Card = %d, want 3", got)
 	}
-	if got := s.With(1); got != Of(0, 1, 2, 5) {
+	if got := s.With(1); got != of(0, 1, 2, 5) {
 		t.Errorf("With(1) = %v", got)
 	}
-	if got := s.Without(2); got != Of(0, 5) {
+	if got := s.Without(2); got != of(0, 5) {
 		t.Errorf("Without(2) = %v", got)
 	}
-	if got := s.Union(Of(1, 2)); got != Of(0, 1, 2, 5) {
+	if got := s.Union(of(1, 2)); got != of(0, 1, 2, 5) {
 		t.Errorf("Union = %v", got)
 	}
-	if got := s.Minus(Of(2)); got != Of(0, 5) {
+	if got := s.Minus(of(2)); got != of(0, 5) {
 		t.Errorf("Minus = %v", got)
 	}
 }
@@ -77,16 +86,16 @@ func TestMembersRoundTrip(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	if got := Of(0, 2, 3).String(); got != "{0,2,3}" {
+	if got := of(0, 2, 3).String(); got != "{0,2,3}" {
 		t.Errorf("String = %q", got)
 	}
-	if got := Empty.String(); got != "{}" {
+	if got := Set(0).String(); got != "{}" {
 		t.Errorf("empty String = %q", got)
 	}
 }
 
 func TestSubsetsCount(t *testing.T) {
-	s := Of(1, 3, 4, 7)
+	s := of(1, 3, 4, 7)
 	count := 0
 	seen := map[Set]bool{}
 	Subsets(s, func(sub Set) bool {
@@ -103,14 +112,14 @@ func TestSubsetsCount(t *testing.T) {
 	if count != 16 {
 		t.Errorf("got %d subsets of a 4-set, want 16", count)
 	}
-	if !seen[Empty] || !seen[s] {
+	if !seen[Set(0)] || !seen[s] {
 		t.Error("Subsets must include the empty set and the set itself")
 	}
 }
 
 func TestSubsetsEarlyStop(t *testing.T) {
 	count := 0
-	Subsets(Of(0, 1, 2), func(Set) bool {
+	Subsets(of(0, 1, 2), func(Set) bool {
 		count++
 		return count < 3
 	})
@@ -128,7 +137,7 @@ func TestAllCoalitions(t *testing.T) {
 	// n=0 visits only the empty coalition.
 	count = 0
 	AllCoalitions(0, func(s Set) bool {
-		if s != Empty {
+		if s != Set(0) {
 			t.Errorf("unexpected coalition %v for n=0", s)
 		}
 		count++
@@ -171,57 +180,10 @@ func TestBinomialPascal(t *testing.T) {
 	}
 }
 
-func TestFactorial(t *testing.T) {
-	want := []float64{1, 1, 2, 6, 24, 120, 720, 5040}
-	for n, w := range want {
-		if got := Factorial(n); got != w {
-			t.Errorf("Factorial(%d) = %g, want %g", n, got, w)
-		}
-	}
-}
-
-func TestPermutationsCountAndUniqueness(t *testing.T) {
-	for n := 0; n <= 6; n++ {
-		seen := map[string]bool{}
-		Permutations(n, func(p []int) bool {
-			key := ""
-			for _, v := range p {
-				key += string(rune('a' + v))
-			}
-			if seen[key] {
-				t.Errorf("n=%d: duplicate permutation %v", n, p)
-			}
-			seen[key] = true
-			return true
-		})
-		if want := int(Factorial(n)); len(seen) != want {
-			t.Errorf("n=%d: got %d permutations, want %d", n, len(seen), want)
-		}
-	}
-}
-
-func TestPermutationsEarlyStop(t *testing.T) {
-	calls := 0
-	Permutations(5, func([]int) bool {
-		calls++
-		return calls < 7
-	})
-	if calls != 7 {
-		t.Errorf("early stop after 7, got %d calls", calls)
-	}
-}
-
 func BenchmarkSubsets10(b *testing.B) {
 	s := Full(10)
 	for i := 0; i < b.N; i++ {
 		n := 0
 		Subsets(s, func(Set) bool { n++; return true })
-	}
-}
-
-func BenchmarkPermutations8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		n := 0
-		Permutations(8, func([]int) bool { n++; return true })
 	}
 }

@@ -76,16 +76,16 @@ func TestPaperValueTableNonStrict(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		s    combin.Set
+		s    combin.Set // bit i is facility i
 		want float64
 	}{
-		{combin.Of(0), 0},
-		{combin.Of(1), 0},
-		{combin.Of(2), 800},
-		{combin.Of(0, 1), 500},
-		{combin.Of(0, 2), 900},
-		{combin.Of(1, 2), 1200},
-		{combin.Of(0, 1, 2), 1300},
+		{0b001, 0},
+		{0b010, 0},
+		{0b100, 800},
+		{0b011, 500},
+		{0b101, 900},
+		{0b110, 1200},
+		{0b111, 1300},
 	}
 	for _, c := range cases {
 		if got := g.Value(c.s); math.Abs(got-c.want) > 1e-9 {
@@ -327,7 +327,7 @@ func TestOverlapModel(t *testing.T) {
 	}
 
 	// Value stays monotone with overlap.
-	if m.Value(combin.Of(0)) > m.Value(combin.Of(0, 1))+1e-9 {
+	if m.Value(combin.Singleton(0)) > m.Value(combin.Full(2))+1e-9 {
 		t.Error("overlap model broke monotonicity")
 	}
 

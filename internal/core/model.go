@@ -456,11 +456,11 @@ func (m *Model) solve(pool allocation.Pool) *allocation.Result {
 // Table returns the model's dense coalition-value table, materialized once
 // (2^n Value evaluations on first call) and read by every exact engine: the
 // lattice kernel behind coalition.Values, the nucleolus, Banzhaf, the
-// weighted Shapley value, the Owen value and Analyze. Value is safe for
-// concurrent calls, so the snapshot shards the coalitions over every CPU
-// with no locking wrapper between the table and the characteristic
-// function. Models beyond coalition.Snapshot's 24-player bound are refused
-// before anything is evaluated.
+// weighted Shapley value and Analyze. Value is safe for concurrent calls,
+// so the snapshot shards the coalitions over every CPU with no locking
+// wrapper between the table and the characteristic function. Models beyond
+// coalition.Snapshot's 24-player bound are refused before anything is
+// evaluated.
 func (m *Model) Table() (*coalition.Table, error) {
 	// Warm the request cache first: Value calls requests(), whose slow
 	// path takes m.mu, and the snapshot below runs with m.mu held.

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"fedshare/internal/coalition"
-	"fedshare/internal/combin"
 	"fedshare/internal/economics"
 )
 
@@ -304,62 +302,5 @@ func TestHoldingTimeSweepValidation(t *testing.T) {
 	}
 	if _, err := HoldingTimeSweep(base, []float64{1.5}); err == nil {
 		t.Error("t > 1 must fail")
-	}
-}
-
-func TestLossGameShapley(t *testing.T) {
-	// Three stations — two small, one large — serve a common stream of
-	// diversity-2 experiments. The Shapley value over simulated value
-	// rates must be efficient and favor the large station.
-	cfg := Config{
-		Stations: []Station{
-			{Label: "a", Count: 2, Capacity: 1},
-			{Label: "b", Count: 2, Capacity: 1},
-			{Label: "c", Count: 6, Capacity: 1},
-		},
-		Arrivals: []economics.ArrivalSpec{{
-			Type: economics.ExperimentType{
-				Name: "e", MinLocations: 2, MaxLocations: 2,
-				Resources: 1, HoldingTime: 0.5, Shape: 1,
-			},
-			Rate: 8,
-		}},
-		Horizon: 600,
-		Seed:    41,
-	}
-	g, err := NewGame(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := coalition.Snapshot(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phi := coalition.BatchedValues(tab, 1).Shapley
-	vn := tab.Value(combin.Full(3))
-	if vn <= 0 {
-		t.Fatal("grand coalition should accept traffic")
-	}
-	if sum := phi[0] + phi[1] + phi[2]; math.Abs(sum-vn) > 1e-9 {
-		t.Fatalf("shares sum to %g, V(N) = %g", sum, vn)
-	}
-	if phi[2] <= phi[0] || phi[2] <= phi[1] {
-		t.Errorf("large station should earn the most: %v", phi)
-	}
-	// Symmetric stations earn (statistically) similar shares.
-	if math.Abs(phi[0]-phi[1]) > 0.25*vn {
-		t.Errorf("symmetric stations too far apart: %v", phi)
-	}
-}
-
-func TestLossGameValidation(t *testing.T) {
-	if _, err := NewGame(Config{Horizon: 10}); err == nil {
-		t.Error("no stations must fail")
-	}
-	if _, err := NewGame(Config{
-		Stations: []Station{{Label: "a", Count: 1, Capacity: 1}},
-		Horizon:  0,
-	}); err == nil {
-		t.Error("invalid config must fail eagerly")
 	}
 }

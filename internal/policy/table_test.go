@@ -53,65 +53,3 @@ func TestBuildWeightTableValidation(t *testing.T) {
 		t.Error("zero volume must fail")
 	}
 }
-
-func TestLookupNearest(t *testing.T) {
-	tbl, err := BuildWeightTable(fig4Facilities(), []float64{0, 500, 1250}, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 450 is nearest to 500.
-	got := tbl.Lookup(450, 1)
-	if math.Abs(got[1]-17.0/78) > 1e-9 {
-		t.Errorf("lookup(450) shares %v, want the l=500 row", got)
-	}
-	// Far beyond the grid snaps to the closest edge.
-	got = tbl.Lookup(5000, 1)
-	if math.Abs(got[0]-1.0/3) > 1e-9 {
-		t.Errorf("lookup(5000) shares %v, want the l=1250 row", got)
-	}
-	empty := &WeightTable{}
-	if empty.Lookup(1, 1) != nil {
-		t.Error("empty table lookup should be nil")
-	}
-}
-
-func TestBlend(t *testing.T) {
-	tbl, err := BuildWeightTable(fig4Facilities(), []float64{0, 1250}, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 50/50 mixture of the easy (proportional) and all-must-cooperate
-	// (equal) scenarios.
-	blend, err := tbl.Blend(map[int]float64{0: 1, 1: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{
-		(1.0/13 + 1.0/3) / 2,
-		(4.0/13 + 1.0/3) / 2,
-		(8.0/13 + 1.0/3) / 2,
-	}
-	for i := range want {
-		if math.Abs(blend[i]-want[i]) > 1e-9 {
-			t.Errorf("blend %v, want %v", blend, want)
-			break
-		}
-	}
-	sum := 0.0
-	for _, b := range blend {
-		sum += b
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("blend sums to %g", sum)
-	}
-	// Validation paths.
-	if _, err := tbl.Blend(map[int]float64{}); err == nil {
-		t.Error("empty mixture must fail")
-	}
-	if _, err := tbl.Blend(map[int]float64{9: 1}); err == nil {
-		t.Error("out-of-range row must fail")
-	}
-	if _, err := tbl.Blend(map[int]float64{0: -1}); err == nil {
-		t.Error("negative weight must fail")
-	}
-}

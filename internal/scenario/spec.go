@@ -572,6 +572,9 @@ func (s *Spec) Validate() error {
 					return fmt.Errorf("scenario %s: variant %s: %w", s.ID, v.Name, err)
 				}
 			}
+			if err := c.checkAxis(xs); err != nil {
+				return fmt.Errorf("scenario %s: variant %s: %w", s.ID, v.Name, err)
+			}
 		}
 	}
 	return nil
@@ -580,10 +583,12 @@ func (s *Spec) Validate() error {
 // checkAxis applies each axis value in turn, with apply's range checks,
 // and checks the swept field of every entry the axis targets by that
 // entry's Facility or ExperimentType rule (a threshold against each
-// targeted class's MaxLocations). apply overwrites only the swept field,
-// so the spec is the scratch copy for the whole grid.
+// targeted class's MaxLocations), then that the federation's value stays
+// finite. apply overwrites only the swept field, so the spec is the
+// scratch copy for the whole grid.
 func (s *Spec) checkAxis(xs []float64) error {
 	variable, target := s.Axis.Variable, s.Axis.Target
+	pool := s.poolLocations()
 	for _, x := range xs {
 		if err := s.apply(variable, target, x); err != nil {
 			return err
@@ -596,6 +601,7 @@ func (s *Spec) checkAxis(xs []float64) error {
 					err = f.facility().Validate()
 				}
 			}
+			pool = s.poolLocations()
 		case VarThreshold, VarShape:
 			for _, d := range s.Demand {
 				if err == nil && (target == "" || d.Name == target) {
@@ -603,9 +609,42 @@ func (s *Spec) checkAxis(xs []float64) error {
 				}
 			}
 		}
+		if err == nil {
+			err = s.checkValueFinite(pool)
+		}
 		if err != nil {
 			return fmt.Errorf("axis value %g: %w", x, err)
 		}
+	}
+	return nil
+}
+
+// poolLocations is L, the number of locations the whole federation pools.
+func (s *Spec) poolLocations() float64 {
+	pool := 0.0
+	for _, f := range s.Facilities {
+		pool += float64(f.count()) * float64(f.Locations)
+	}
+	return pool
+}
+
+// checkValueFinite refuses a spec whose V(N) can overflow float64 on a
+// pool of the given L locations. No experiment is assigned more than L
+// locations and u grows with x above its threshold, so µ·Σ_k count_k·u_k(L)
+// bounds every V(S); while it is finite, so is each x^d, gain and share the
+// engines compute.
+func (s *Spec) checkValueFinite(pool float64) error {
+	v := 0.0
+	for _, d := range s.Demand {
+		if d.Count > 0 {
+			v += float64(d.Count) * d.experimentType().Utility().Eval(pool)
+		}
+	}
+	if s.Mu != 0 {
+		v *= s.Mu
+	}
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return fmt.Errorf("V(N) with every experiment on all %g pooled locations overflows float64; lower a shape, count or mu", pool)
 	}
 	return nil
 }

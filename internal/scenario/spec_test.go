@@ -134,6 +134,48 @@ func TestValidateBoundsFacilityCount(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesOverflowingValue checks the value bound's edge: on
+// the 30-location pool below, five experiments of shape d print finite
+// shares at d = 208 and NaN at d = 209, where 30^d overflows float64.
+// TestValidateRejectsInvalidSpecs checks it at each axis value and variant.
+func TestValidateRefusesOverflowingValue(t *testing.T) {
+	spec := func(shape float64) *Spec {
+		return &Spec{
+			ID: "overflow",
+			Facilities: []FacilitySpec{
+				{Name: "F1", Locations: 10, Resources: 2},
+				{Name: "F2", Locations: 20, Resources: 1},
+			},
+			Demand: []DemandSpec{{Name: "batch", Count: 5, Shape: shape}},
+			Axis:   AxisSpec{Variable: VarThreshold, Values: []float64{0, 5}},
+		}
+	}
+	s := spec(208)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("d = 208: %v", err)
+	}
+	res, err := RunContext(context.Background(), s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ser := range res.Series {
+		for _, p := range ser.Points {
+			if math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+				t.Errorf("d = 208: %s at %g is %g", ser.Name, p.X, p.Y)
+			}
+		}
+	}
+	if err := spec(209).Validate(); err == nil || !strings.Contains(err.Error(), "overflows float64") {
+		t.Errorf("d = 209: error %v, want the value bound", err)
+	}
+	// A class with no experiments adds nothing to V(N).
+	idle := spec(208)
+	idle.Demand = append(idle.Demand, DemandSpec{Name: "idle", Shape: 1e300})
+	if err := idle.Validate(); err != nil {
+		t.Errorf("zero-count class of shape 1e300: %v", err)
+	}
+}
+
 func TestValidateRejectsInvalidSpecs(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -198,6 +240,17 @@ func TestValidateRejectsInvalidSpecs(t *testing.T) {
 			s.Kind = KindProfit
 			s.Variants = []VariantSpec{{Name: "v", Set: []SetSpec{{Variable: VarThreshold, Target: "nope", Value: 1}}}}
 		}, "unknown demand class"},
+		{"overflowing shape", func(s *Spec) { s.Demand[0].Shape = 1e300 }, "overflows float64"},
+		{"overflowing shape axis", func(s *Spec) {
+			s.Axis = AxisSpec{Variable: VarShape, Target: "elastic", Values: []float64{1, 1e300}}
+		}, "overflows float64"},
+		{"overflowing mu axis", func(s *Spec) {
+			s.Axis = AxisSpec{Variable: VarMu, Values: []float64{1, 1e308}}
+		}, "overflows float64"},
+		{"overflowing variant", func(s *Spec) {
+			s.Kind = KindProfit
+			s.Variants = []VariantSpec{{Name: "steep", Set: []SetSpec{{Variable: VarShape, Target: "elastic", Value: 1e300}}}}
+		}, "overflows float64"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -60,7 +60,7 @@ func newState(auth *planetlab.Authority, capacity int, onLeased func(int)) *stat
 		auth:     auth,
 		slices:   map[string]*SliceState{},
 		leases:   map[string]*LeaseState{},
-		window:   map[string][]SliverRecord{},
+		window:   make(map[string][]SliverRecord, capacity),
 		capacity: capacity,
 		usage:    map[string]int{},
 		onLeased: onLeased,

@@ -84,14 +84,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements in place using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Summary accumulates streaming first and second moments of a sample.
 type Summary struct {
 	n        int
