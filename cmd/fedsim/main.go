@@ -40,10 +40,8 @@ import (
 
 	"fedshare/internal/allocation"
 	"fedshare/internal/asciichart"
-	"fedshare/internal/core"
 	_ "fedshare/internal/figures"
 	"fedshare/internal/obs"
-	"fedshare/internal/policy"
 	"fedshare/internal/scenario"
 	"fedshare/internal/scenario/engine"
 )
@@ -155,7 +153,10 @@ func main() {
 	case *diagram:
 		printDiagrams()
 	case *weights:
-		printWeightTable()
+		if err := run.weightTable(); err != nil {
+			fmt.Fprintln(os.Stderr, "fedsim:", err)
+			os.Exit(1)
+		}
 	case *scenarioPath != "":
 		if err := run.scenarioFile(*scenarioPath); err != nil {
 			fmt.Fprintln(os.Stderr, "fedsim:", err)
@@ -387,38 +388,52 @@ func printFigure(f *scenario.Result, chart bool, w, h int) {
 	}
 }
 
-// printWeightTable demonstrates the paper's Sec. 3.2.3 practical workflow:
-// φ̂ computed off-line over a scenario grid, ready to be used as generic
-// policy weights.
-func printWeightTable() {
-	facilities := []core.Facility{
+// weightTable demonstrates the paper's Sec. 3.2.3 practical workflow: φ̂
+// computed off-line over a grid of expected demand, ready to be used as
+// generic policy weights. Each volume K is one shares spec swept over the
+// threshold and run on the engine like any figure. The specs stay out of
+// the registry, so neither -list nor -all sees them.
+func (rc *runConfig) weightTable() error {
+	facilities := []scenario.FacilitySpec{
 		{Name: "PLC", Locations: 100, Resources: 80},
 		{Name: "PLE", Locations: 400, Resources: 60},
 		{Name: "PLJ", Locations: 800, Resources: 20},
 	}
 	thresholds := []float64{0, 250, 500, 750, 1000, 1250}
 	volumes := []int{1, 20, 100}
-	tbl, err := policy.BuildWeightTable(facilities, thresholds, volumes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	results := make([]*scenario.Result, len(volumes))
+	for i, k := range volumes {
+		res, err := rc.eng.Run(context.Background(), &scenario.Spec{
+			ID:         fmt.Sprintf("weights-k%d", k),
+			Facilities: facilities,
+			Demand:     []scenario.DemandSpec{{Name: "scenario", Count: k}},
+			Policies:   []string{"shapley"},
+			Axis:       scenario.AxisSpec{Variable: scenario.VarThreshold, Values: thresholds},
+		})
+		if err != nil {
+			return err
+		}
+		results[i] = res
 	}
 	fmt.Println("offline Shapley weight table (PLC/PLE/PLJ: L = 100/400/800, R = 80/60/20):")
 	fmt.Printf("%10s %8s", "l", "K")
-	for _, f := range tbl.Facilities {
-		fmt.Printf(" %9s", f)
+	for _, f := range facilities {
+		fmt.Printf(" %9s", f.Name)
 	}
 	fmt.Println()
-	for _, r := range tbl.Rows {
-		fmt.Printf("%10.0f %8d", r.Threshold, r.Volume)
-		for _, s := range r.Shares {
-			fmt.Printf(" %8.2f%%", s*100)
+	for li, l := range thresholds {
+		for i, k := range volumes {
+			fmt.Printf("%10.0f %8d", l, k)
+			for _, phi := range results[i].Series {
+				fmt.Printf(" %8.2f%%", phi.Points[li].Y*100)
+			}
+			fmt.Println()
 		}
-		fmt.Println()
 	}
 	fmt.Println()
 	fmt.Println("Operators look up these rows by expected demand instead of")
 	fmt.Println("running the coalition game online (Sec. 3.2.3).")
+	return nil
 }
 
 func printDiagrams() {

@@ -252,6 +252,14 @@ func TestCLIFedsim(t *testing.T) {
 	if !strings.Contains(out, "legend:") {
 		t.Errorf("chart output missing legend")
 	}
+	// The offline weight table prints the committed bytes.
+	want, err := os.ReadFile(filepath.Join("testdata", "fedsim-weights.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := run(t, fedsim, "-weights"); out != string(want) {
+		t.Errorf("-weights output differs from testdata/fedsim-weights.golden:\n%s", out)
+	}
 	// Unknown figure exits non-zero.
 	cmd := exec.Command(fedsim, "-fig", "nope")
 	if err := cmd.Run(); err == nil {

@@ -56,21 +56,21 @@ func main() {
 	}
 
 	// Three regional authorities of very different sizes (à la Fig 4, at
-	// 1:100 scale: 1, 4 and 8 sites).
+	// 1:100 scale: 1, 4 and 8 sites), started in this order.
+	names, sites := []string{"PLC", "PLE", "PLJ"}, []int{1, 4, 8}
 	servers := map[string]*sfa.Server{}
-	for name, sites := range map[string]int{"PLC": 1, "PLE": 4, "PLJ": 8} {
-		srv := sfa.NewServer(buildAuthority(name, sites, 2, 5), secret,
+	for i, name := range names {
+		srv := sfa.NewServer(buildAuthority(name, sites[i], 2, 5), secret,
 			sfa.WithLogger(quiet), sfa.WithDemand(demand))
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			log.Fatal(err)
 		}
 		defer srv.Close()
 		servers[name] = srv
-		fmt.Printf("%s registry listening on %s (%d sites)\n", name, srv.Addr(), sites)
+		fmt.Printf("%s registry listening on %s (%d sites)\n", name, srv.Addr(), sites[i])
 	}
 
 	// Full-mesh peering.
-	names := []string{"PLC", "PLE", "PLJ"}
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
 			if err := servers[names[i]].PeerWith(servers[names[j]].Addr()); err != nil {

@@ -48,101 +48,67 @@ const approxDefaultMaxSamples = 1 << 20
 // permutation and its antithetic reversal.
 const permsPerUnit = 2
 
-// ApproxOptions configures ApproxShapley.
-type ApproxOptions struct {
-	// Samples is the permutation budget. The sampler rounds it up to a
-	// whole number of first-element-balanced antithetic blocks (2n
-	// permutations per block). When CITarget is also
-	// set, Samples acts as the adaptive cap; 0 means
-	// approxDefaultMaxSamples.
-	Samples int
-	// CITarget, when positive, switches on adaptive mode: sampling
-	// proceeds in geometrically growing rounds until every player's 95%
-	// confidence half-width is at or below this absolute target, or the
-	// sample cap is hit.
-	CITarget float64
-	// Workers bounds the parallelism; 0 means GOMAXPROCS. The result is
-	// identical for every setting.
-	Workers int
-	// Seed selects the deterministic sample stream.
-	Seed uint64
-	// Groups, when non-nil, partitions the players into classes of
-	// interchangeable players that pool their observations (symmetric
-	// players provably have equal Shapley values). Every player must
-	// appear in exactly one group. Nil means no pooling.
-	Groups [][]int
-}
-
-// ApproxResult is a sampled Shapley estimate with per-player uncertainty.
-type ApproxResult struct {
-	// Phi is the estimated Shapley value of each player.
-	Phi []float64
-	// CIHalf is the 95% confidence half-width of each player's estimate
-	// (normal approximation over sample units).
-	CIHalf []float64
-	// StdErr is the standard error of each estimate.
-	StdErr []float64
-	// Samples is the number of permutations actually evaluated.
-	Samples int
-	// Rounds is the number of adaptive rounds executed (1 in fixed-budget
-	// mode).
-	Rounds int
-	// Converged reports whether the CI target was met (true whenever no
-	// target was set).
-	Converged bool
-}
-
-// ApproxShapley estimates the Shapley value of a game of any size by
-// parallel stratified-permutation sampling with antithetic pairing. See
-// the package comment above approxStrata for the estimator design. The
-// estimate is unbiased; Σφ̂_i equals V(N) exactly (up to float rounding)
-// because every sampled ordering's marginals telescope to V(N).
-func ApproxShapley(g MemberGame, opt ApproxOptions) (*ApproxResult, error) {
-	n := g.N()
-	if n < 0 {
-		return nil, fmt.Errorf("coalition: negative player count %d", n)
-	}
+// approxShapley estimates the Shapley value of a game of any size by
+// parallel stratified-permutation sampling with antithetic pairing; see the
+// comment above approxStrata for the estimator design.
+//
+// It reads the budget from opt. Samples is the permutation budget, rounded
+// up to whole first-element-balanced antithetic blocks (2n permutations per
+// block). A positive CITarget switches on adaptive mode: sampling proceeds
+// in geometrically growing rounds until every player's 95% confidence
+// half-width is at or below that absolute target, or the budget
+// (approxDefaultMaxSamples when Samples is 0) is spent. With neither, the
+// budget is DefaultApproxSamples. The result is identical for every
+// Workers setting.
+//
+// groups, when non-nil, partitions the players into classes of
+// interchangeable players that pool their observations (symmetric players
+// provably have equal Shapley values); Values passes a validated
+// ClassStructure's groups. Nil means no pooling.
+//
+// The estimate is unbiased; Σφ̂_i equals V(N) exactly (up to float
+// rounding) because every sampled ordering's marginals telescope to V(N).
+func approxShapley(g MemberGame, opt Options, groups [][]int) (*ValueResult, error) {
 	if opt.Samples < 0 {
 		return nil, fmt.Errorf("coalition: negative sample budget %d", opt.Samples)
 	}
 	if opt.CITarget < 0 {
 		return nil, fmt.Errorf("coalition: negative CI target %g", opt.CITarget)
 	}
-	if opt.Samples == 0 && opt.CITarget == 0 {
-		return nil, fmt.Errorf("coalition: ApproxShapley needs a sample budget or a CI target")
+	samples := opt.Samples
+	if samples == 0 && opt.CITarget == 0 {
+		samples = DefaultApproxSamples
 	}
-	if n == 0 {
-		return &ApproxResult{Rounds: 0, Converged: true}, nil
-	}
-	groups, groupOf, err := normalizeGroups(n, opt.Groups)
-	if err != nil {
-		return nil, err
+	n := g.N()
+	if groups == nil {
+		groups = make([][]int, n)
+		for i := range groups {
+			groups[i] = []int{i}
+		}
 	}
 	// Budgets in units (antithetic pairs), rounded up to whole blocks of n
 	// units so the first-element strata stay exactly balanced.
 	blockUnits := n
-	maxUnits := opt.Samples / permsPerUnit
-	if opt.Samples%permsPerUnit != 0 {
+	maxUnits := samples / permsPerUnit
+	if samples%permsPerUnit != 0 {
 		maxUnits++
 	}
-	if opt.CITarget > 0 && opt.Samples == 0 {
+	if opt.CITarget > 0 && samples == 0 {
 		maxUnits = approxDefaultMaxSamples / permsPerUnit
 	}
 	maxUnits = roundUpBlocks(maxUnits, blockUnits)
 
 	eng := &approxEngine{
-		g: g, n: n, seed: opt.Seed,
-		groups: groups, groupOf: groupOf,
+		g: g, n: n, seed: opt.Seed, groups: groups,
 		sums: make([][]stats.Summary, approxStrata),
 	}
 	for s := range eng.sums {
 		eng.sums[s] = make([]stats.Summary, len(groups))
 	}
 
-	res := &ApproxResult{}
+	res := &ValueResult{}
 	done := 0 // units completed
 	for {
-		res.Rounds++
 		target := maxUnits
 		if opt.CITarget > 0 {
 			// Adaptive rounds double the cumulative sample size: round 1
@@ -160,8 +126,7 @@ func ApproxShapley(g MemberGame, opt ApproxOptions) (*ApproxResult, error) {
 		}
 		eng.run(done, target, opt.Workers)
 		done = target
-		merged := eng.merged()
-		maxCI := updateResult(res, merged, groups, groupOf, n)
+		maxCI := updateResult(res, eng.merged(), groups, n)
 		res.Samples = done * permsPerUnit
 		shapleyCIHalfWidth.Set(maxCI)
 		if opt.CITarget > 0 && maxCI <= opt.CITarget {
@@ -188,48 +153,12 @@ func roundUpBlocks(units, block int) int {
 	return units
 }
 
-// normalizeGroups validates an optional player partition, defaulting to
-// singleton groups. It returns the groups and the player→group index map.
-func normalizeGroups(n int, groups [][]int) ([][]int, []int, error) {
-	if groups == nil {
-		groups = make([][]int, n)
-		for i := 0; i < n; i++ {
-			groups[i] = []int{i}
-		}
-	}
-	groupOf := make([]int, n)
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for gi, members := range groups {
-		if len(members) == 0 {
-			return nil, nil, fmt.Errorf("coalition: group %d is empty", gi)
-		}
-		for _, p := range members {
-			if p < 0 || p >= n {
-				return nil, nil, fmt.Errorf("coalition: group %d contains out-of-range player %d", gi, p)
-			}
-			if groupOf[p] != -1 {
-				return nil, nil, fmt.Errorf("coalition: player %d appears in groups %d and %d", p, groupOf[p], gi)
-			}
-			groupOf[p] = gi
-		}
-	}
-	for p, gi := range groupOf {
-		if gi == -1 {
-			return nil, nil, fmt.Errorf("coalition: player %d missing from the group partition", p)
-		}
-	}
-	return groups, groupOf, nil
-}
-
 // approxEngine carries the sampler state shared across rounds.
 type approxEngine struct {
-	g       MemberGame
-	n       int
-	seed    uint64
-	groups  [][]int
-	groupOf []int
+	g      MemberGame
+	n      int
+	seed   uint64
+	groups [][]int
 	// sums[s][g] accumulates stratum s's observations for group g. Strata
 	// are keyed by unit index (u mod approxStrata), so their contents are
 	// independent of how units are scheduled onto workers.
@@ -345,24 +274,21 @@ func (e *approxEngine) merged() []stats.Summary {
 
 // updateResult expands per-group summaries to per-player estimates and
 // returns the largest CI half-width.
-func updateResult(res *ApproxResult, merged []stats.Summary, groups [][]int, groupOf []int, n int) float64 {
+func updateResult(res *ValueResult, merged []stats.Summary, groups [][]int, n int) float64 {
 	if res.Phi == nil {
 		res.Phi = make([]float64, n)
 		res.CIHalf = make([]float64, n)
-		res.StdErr = make([]float64, n)
 	}
 	maxCI := 0.0
 	for gi := range merged {
 		m := &merged[gi]
 		ci := m.CI95()
-		se := ci / 1.96
 		if ci > maxCI {
 			maxCI = ci
 		}
 		for _, p := range groups[gi] {
 			res.Phi[p] = m.Mean()
 			res.CIHalf[p] = ci
-			res.StdErr[p] = se
 		}
 	}
 	return maxCI

@@ -51,7 +51,7 @@ func TestApproxShapleyMatchesKernelSmallN(t *testing.T) {
 	for _, n := range []int{3, 5, 8, 12} {
 		tab := randomMonotoneTable(t, n, uint64(100+n))
 		exact := BatchedValues(tab, 1).Shapley
-		res, err := ApproxShapley(asMemberGame(tab), ApproxOptions{Samples: 20000, Seed: 7})
+		res, err := approxShapley(asMemberGame(tab), Options{Samples: 20000, Seed: 7}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestApproxShapleyEfficiencyLargeN(t *testing.T) {
 			total += x
 		}
 		vn := math.Pow(total, 0.7)
-		res, err := ApproxShapley(g, ApproxOptions{Samples: 2 * n, Seed: 11})
+		res, err := approxShapley(g, Options{Samples: 2 * n, Seed: 11}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,9 +94,9 @@ func TestApproxShapleyEfficiencyLargeN(t *testing.T) {
 
 func TestApproxShapleyDeterministicAcrossWorkers(t *testing.T) {
 	g, _ := sumWeightGame(40, 3)
-	var base *ApproxResult
+	var base *ValueResult
 	for _, workers := range []int{1, 3, 8, 64} {
-		res, err := ApproxShapley(g, ApproxOptions{Samples: 400, Seed: 42, Workers: workers})
+		res, err := approxShapley(g, Options{Samples: 400, Seed: 42, Workers: workers}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,15 +119,16 @@ func TestApproxShapleyDeterministicAcrossWorkers(t *testing.T) {
 func TestApproxShapleyAdaptiveCITarget(t *testing.T) {
 	g, _ := sumWeightGame(20, 9)
 	target := 0.002
-	res, err := ApproxShapley(g, ApproxOptions{CITarget: target, Seed: 5})
+	res, err := approxShapley(g, Options{CITarget: target, Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
 		t.Fatalf("did not converge to CI target %g in %d samples", target, res.Samples)
 	}
-	if res.Rounds < 2 {
-		t.Errorf("expected multiple adaptive rounds, got %d", res.Rounds)
+	// The first adaptive round draws one block of 2n permutations.
+	if res.Samples <= 2*g.N() {
+		t.Errorf("expected multiple adaptive rounds, got %d samples", res.Samples)
 	}
 	for i, ci := range res.CIHalf {
 		if ci > target {
@@ -139,7 +140,7 @@ func TestApproxShapleyAdaptiveCITarget(t *testing.T) {
 func TestApproxShapleyAdaptiveRespectsBudgetCap(t *testing.T) {
 	g, _ := sumWeightGame(20, 9)
 	// An unreachable CI target must stop at the budget, not spin.
-	res, err := ApproxShapley(g, ApproxOptions{CITarget: 1e-12, Samples: 200, Seed: 5})
+	res, err := approxShapley(g, Options{CITarget: 1e-12, Samples: 200, Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +165,11 @@ func TestApproxShapleyGroupPoolingMatchesUngrouped(t *testing.T) {
 	for i := 0; i < n; i++ {
 		groups[0][i] = i
 	}
-	pooled, err := ApproxShapley(g, ApproxOptions{Samples: 2 * n, Seed: 21, Groups: groups})
+	pooled, err := approxShapley(g, Options{Samples: 2 * n, Seed: 21}, groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ApproxShapley(g, ApproxOptions{Samples: 2 * n, Seed: 21})
+	plain, err := approxShapley(g, Options{Samples: 2 * n, Seed: 21}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestApproxShapleyAntitheticTightensCI(t *testing.T) {
 	// must beat the plain sequential estimator of independent orderings
 	// at an equal permutation budget.
 	mg, _ := sumWeightGame(16, 13)
-	paired, err := ApproxShapley(mg, ApproxOptions{Samples: 1024, Seed: 3})
+	paired, err := approxShapley(mg, Options{Samples: 1024, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,27 +214,22 @@ func TestApproxShapleyErrors(t *testing.T) {
 	g, _ := sumWeightGame(4, 1)
 	cases := []struct {
 		name string
-		opt  ApproxOptions
+		opt  Options
 		want string
 	}{
-		{"no budget", ApproxOptions{}, "sample budget or a CI target"},
-		{"negative samples", ApproxOptions{Samples: -1}, "negative sample budget"},
-		{"negative target", ApproxOptions{CITarget: -0.5}, "negative CI target"},
-		{"empty group", ApproxOptions{Samples: 10, Groups: [][]int{{0, 1, 2, 3}, {}}}, "empty"},
-		{"duplicate player", ApproxOptions{Samples: 10, Groups: [][]int{{0, 1}, {1, 2, 3}}}, "appears in groups"},
-		{"missing player", ApproxOptions{Samples: 10, Groups: [][]int{{0, 1, 2}}}, "missing"},
-		{"out of range", ApproxOptions{Samples: 10, Groups: [][]int{{0, 1, 2, 9}}}, "out-of-range"},
+		{"negative samples", Options{Samples: -1}, "negative sample budget"},
+		{"negative target", Options{CITarget: -0.5}, "negative CI target"},
 	}
 	for _, tc := range cases {
-		if _, err := ApproxShapley(g, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := approxShapley(g, tc.opt, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 }
 
 func TestApproxShapleyEmptyGame(t *testing.T) {
-	res, err := ApproxShapley(MemberFunc{Players: 0, V: func([]int) float64 { return 0 }},
-		ApproxOptions{Samples: 10})
+	res, err := Values(MemberFunc{Players: 0, V: func([]int) float64 { return 0 }},
+		Options{Method: MethodApprox, Samples: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +249,7 @@ func TestApproxShapleyConcurrentValueCalls(t *testing.T) {
 		calls.Add(1)
 		return tab.Value(setOf(members))
 	}}
-	res, err := ApproxShapley(g, ApproxOptions{Samples: 2000, Seed: 1, Workers: 8})
+	res, err := approxShapley(g, Options{Samples: 2000, Seed: 1, Workers: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,13 +267,13 @@ func TestApproxShapleyConcurrentValueCalls(t *testing.T) {
 // error on every player.
 func TestApproxShapleyAgreesWithSequentialOracle(t *testing.T) {
 	tab := randomMonotoneTable(t, 9, 4)
-	par, err := ApproxShapley(asMemberGame(tab), ApproxOptions{Samples: 20000, Seed: 7, Workers: 4})
+	par, err := approxShapley(asMemberGame(tab), Options{Samples: 20000, Seed: 7, Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq, seqErr := monteCarloShapley(tab, 20000, stats.NewRand(8))
 	for i := range par.Phi {
-		tol := 6*(par.StdErr[i]+seqErr[i]) + 1e-9
+		tol := 6*(par.CIHalf[i]/1.96+seqErr[i]) + 1e-9
 		if diff := math.Abs(par.Phi[i] - seq[i]); diff > tol {
 			t.Errorf("player %d: parallel %.6f vs sequential %.6f (diff %.2g > tol %.2g)",
 				i, par.Phi[i], seq[i], diff, tol)

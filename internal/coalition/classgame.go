@@ -20,9 +20,9 @@ import (
 // provably receive equal Shapley values, per-class shares split equally
 // within a class with no further error.
 //
-// Two engines run on the collapsed game: ExactShapley enumerates the count
+// Two engines run on the collapsed game: exactShapley enumerates the count
 // lattice with closed-form ordering probabilities (exact, feasible when
-// Π(m_j+1) is modest), and MemberGame adapts it for ApproxShapley,
+// Π(m_j+1) is modest), and MemberGame adapts it for the sampler,
 // composing collapse with sampling when the state space is still too
 // large. Its permutation walks grow a count vector one member at a time
 // and value each step by a per-step rule: a step the structure's
@@ -110,8 +110,8 @@ func (cs *ClassStructure) States() float64 {
 	return states
 }
 
-// Groups returns the classes as player-index groups, ready for
-// ApproxOptions.Groups pooling.
+// Groups returns the classes as player-index groups, ready for the
+// sampler's pooling.
 func (cs *ClassStructure) Groups() [][]int {
 	out := make([][]int, cs.K())
 	for p, j := range cs.ClassOf {
@@ -120,12 +120,12 @@ func (cs *ClassStructure) Groups() [][]int {
 	return out
 }
 
-// exactClassMaxStates bounds the count lattices ExactShapley will
-// enumerate: 2^21 states × 8 bytes is a 16 MiB value table, and every
+// exactClassMaxStates bounds the count lattices Values hands to
+// exactShapley: 2^21 states × 8 bytes is a 16 MiB value table, and every
 // state costs one characteristic-function evaluation.
 const exactClassMaxStates = 1 << 21
 
-// ExactShapley computes the exact Shapley value of every player over the
+// exactShapley computes the exact Shapley value of every player over the
 // collapsed game by dynamic enumeration of the count lattice.
 //
 // For a player p of class j, the coalition S preceding p in a uniform
@@ -136,22 +136,12 @@ const exactClassMaxStates = 1 << 21
 //
 // with w the usual ordering weights s!(n−s−1)!/n!. The products are
 // evaluated in log space (overflow-safe for any n) as the multivariate
-// hypergeometric mass Π C(m_i−δ_ij, c_i)/C(n−1, |c|) scaled by 1/n. It
-// errors when the state space exceeds exactClassMaxStates; compose the
-// collapse with ApproxShapley then.
-func ExactShapley(cs *ClassStructure) ([]float64, error) {
-	if err := cs.Validate(); err != nil {
-		return nil, err
-	}
+// hypergeometric mass Π C(m_i−δ_ij, c_i)/C(n−1, |c|) scaled by 1/n. The
+// structure must be valid, with at most exactClassMaxStates states; Values
+// checks both.
+func exactShapley(cs *ClassStructure) []float64 {
 	n, k := cs.N(), cs.K()
-	if n == 0 {
-		return nil, nil
-	}
-	statesF := cs.States()
-	if statesF > exactClassMaxStates {
-		return nil, fmt.Errorf("coalition: collapsed state space has %.3g states, exact limit %d", statesF, exactClassMaxStates)
-	}
-	states := int(statesF)
+	states := int(cs.States())
 
 	// Mixed-radix layout: state index idx(c) = Σ c_j · stride_j.
 	stride := make([]int, k)
@@ -210,7 +200,7 @@ func ExactShapley(cs *ClassStructure) ([]float64, error) {
 	for p, j := range cs.ClassOf {
 		phi[p] = phiClass[j]
 	}
-	return phi, nil
+	return phi
 }
 
 // odometer advances a count vector to the next mixed-radix state.

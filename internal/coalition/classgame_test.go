@@ -57,10 +57,7 @@ func testClassStructure(t *testing.T) (*ClassStructure, *Table) {
 
 func TestExactClassShapleyMatchesKernel(t *testing.T) {
 	cs, tab := testClassStructure(t)
-	phi, err := ExactShapley(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	phi := exactShapley(cs)
 	exact := BatchedValues(tab, 1).Shapley
 	for i := range exact {
 		if math.Abs(phi[i]-exact[i]) > 1e-9 {
@@ -89,10 +86,7 @@ func TestExactClassShapleyManyClasses(t *testing.T) {
 		classOf[p] = p / 10
 	}
 	cs := &ClassStructure{Mult: mult, ClassOf: classOf, Value: value}
-	phi, err := ExactShapley(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	phi := exactShapley(cs)
 	sum := 0.0
 	for _, p := range phi {
 		sum += p
@@ -109,16 +103,10 @@ func TestExactClassShapleyManyClasses(t *testing.T) {
 }
 
 func TestExactClassShapleyStateLimit(t *testing.T) {
-	// Π(m_j+1) = 101^4 ≈ 10^8 > 2^21: the exact engine must refuse.
-	cs := &ClassStructure{
-		Mult:    []int{100, 100, 100, 100},
-		ClassOf: make([]int, 400),
-		Value:   func(counts []int) float64 { return 0 },
-	}
-	for p := range cs.ClassOf {
-		cs.ClassOf[p] = p / 100
-	}
-	if _, err := ExactShapley(cs); err == nil || !strings.Contains(err.Error(), "exact limit") {
+	// Π(m_j+1) = 101^4 ≈ 10^8 > 2^21: Values must refuse the exact method.
+	g := bigClassGame(400, 4)
+	if _, err := Values(g, Options{Method: MethodExact}); err == nil ||
+		!strings.Contains(err.Error(), "collapsed state space 1.04e+08") {
 		t.Errorf("expected state-limit error, got %v", err)
 	}
 }
@@ -180,13 +168,8 @@ func TestClassMemberGameMatchesStructure(t *testing.T) {
 
 func TestApproxCollapsedMatchesExact(t *testing.T) {
 	cs, _ := testClassStructure(t)
-	exact, err := ExactShapley(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ApproxShapley(cs.MemberGame(), ApproxOptions{
-		Samples: 8000, Seed: 17, Groups: cs.Groups(),
-	})
+	exact := exactShapley(cs)
+	res, err := approxShapley(cs.MemberGame(), Options{Samples: 8000, Seed: 17}, cs.Groups())
 	if err != nil {
 		t.Fatal(err)
 	}

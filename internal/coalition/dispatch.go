@@ -30,8 +30,8 @@ const (
 	EngineApprox          = "approx"
 )
 
-// DefaultApproxSamples is the permutation budget used when the sampler is
-// dispatched with neither a budget nor a CI target.
+// DefaultApproxSamples is the permutation budget the sampler uses when it
+// is given neither a budget nor a CI target.
 const DefaultApproxSamples = 2000
 
 // Options configures the Values dispatcher.
@@ -40,7 +40,8 @@ type Options struct {
 	Method Method
 	// Workers bounds parallelism in every engine; 0 means GOMAXPROCS.
 	Workers int
-	// Samples is the sampling permutation budget (see ApproxOptions).
+	// Samples is the sampling permutation budget; with CITarget set it
+	// caps the adaptive rounds (see approxShapley).
 	Samples int
 	// CITarget is the absolute adaptive 95% CI half-width target for the
 	// sampling engines.
@@ -115,13 +116,17 @@ func Values(g MemberGame, opt Options) (*ValueResult, error) {
 	if st != nil && st.K() >= n {
 		st = nil
 	}
-
-	if st != nil && method != MethodApprox && st.States() <= exactClassMaxStates {
-		phi, err := ExactShapley(st)
-		if err != nil {
+	if st != nil {
+		if st.N() != n {
+			return nil, fmt.Errorf("coalition: class structure has %d players, game has %d", st.N(), n)
+		}
+		if err := st.Validate(); err != nil {
 			return nil, err
 		}
-		return &ValueResult{Phi: phi, Method: EngineExactCollapsed, Converged: true}, nil
+	}
+
+	if st != nil && method != MethodApprox && st.States() <= exactClassMaxStates {
+		return &ValueResult{Phi: exactShapley(st), Method: EngineExactCollapsed, Converged: true}, nil
 	}
 	if method == MethodExact {
 		states := "no class structure"
@@ -131,24 +136,14 @@ func Values(g MemberGame, opt Options) (*ValueResult, error) {
 		return nil, fmt.Errorf("coalition: no exact engine for %d players (%s); use method approx", n, states)
 	}
 
-	aopt := ApproxOptions{
-		Samples: opt.Samples, CITarget: opt.CITarget,
-		Workers: opt.Workers, Seed: opt.Seed,
-	}
-	if aopt.Samples == 0 && aopt.CITarget == 0 {
-		aopt.Samples = DefaultApproxSamples
-	}
-	target, engine := g, EngineApprox
+	target, engine, groups := g, EngineApprox, [][]int(nil)
 	if st != nil {
-		target, engine = st.MemberGame(), EngineApproxCollapsed
-		aopt.Groups = st.Groups()
+		target, engine, groups = st.MemberGame(), EngineApproxCollapsed, st.Groups()
 	}
-	res, err := ApproxShapley(target, aopt)
+	res, err := approxShapley(target, opt, groups)
 	if err != nil {
 		return nil, err
 	}
-	return &ValueResult{
-		Phi: res.Phi, CIHalf: res.CIHalf, Samples: res.Samples,
-		Method: engine, Converged: res.Converged,
-	}, nil
+	res.Method = engine
+	return res, nil
 }

@@ -67,10 +67,7 @@ func TestValuesPicksExactCollapsed(t *testing.T) {
 	if res.Method != EngineExactCollapsed {
 		t.Fatalf("method %q, want %q", res.Method, EngineExactCollapsed)
 	}
-	want, err := ExactShapley(g.st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := exactShapley(g.st)
 	for i := range want {
 		if res.Phi[i] != want[i] {
 			t.Errorf("player %d: %g vs exact collapsed %g", i, res.Phi[i], want[i])
@@ -109,6 +106,42 @@ func TestValuesPicksPlainApproxWithoutStructure(t *testing.T) {
 	}
 	if res.Samples < DefaultApproxSamples {
 		t.Errorf("default budget not applied: %d samples", res.Samples)
+	}
+}
+
+// TestValuesRejectsInvalidClassStructure: Values validates a game's class
+// structure once, before either collapsed engine, so every method returns
+// the Validate error instead of running on a broken partition (the sampler
+// used to index Groups by the unknown class and panic), or on a partition
+// of fewer players than the game has (both engines returned that many
+// shares).
+func TestValuesRejectsInvalidClassStructure(t *testing.T) {
+	classOf := func(mod, bad int) []int {
+		out := make([]int, 30)
+		for p := range out {
+			out[p] = p % mod
+		}
+		out[29] = bad
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		cs   ClassStructure
+		want string
+	}{
+		{"unknown class", ClassStructure{Mult: []int{15, 15}, ClassOf: classOf(2, 5)}, "unknown class 5"},
+		{"miscounted class", ClassStructure{Mult: []int{15, 15}, ClassOf: classOf(2, 0)}, "assigned players"},
+		{"sum mismatch", ClassStructure{Mult: []int{15, 14}, ClassOf: classOf(2, 1)}, "sum to 29"},
+		{"zero mult", ClassStructure{Mult: []int{30, 0}, ClassOf: classOf(1, 0)}, "non-positive multiplicity"},
+		{"fewer players", ClassStructure{Mult: []int{10, 10}, ClassOf: classOf(2, 1)[:20]}, "20 players, game has 30"},
+	} {
+		tc.cs.Value = func(counts []int) float64 { return float64(counts[0]) }
+		g := structuredMemberGame{MemberGame: MemberFunc{Players: 30, V: func(m []int) float64 { return float64(len(m)) }}, st: &tc.cs}
+		for _, m := range []Method{MethodAuto, MethodExact, MethodApprox} {
+			if _, err := Values(g, Options{Method: m, Samples: 60, Seed: 1}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, method %s: error %v, want substring %q", tc.name, m, err, tc.want)
+			}
+		}
 	}
 }
 

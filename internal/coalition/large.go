@@ -4,7 +4,7 @@ package coalition
 // evaluated over explicit member lists instead of combin.Set bitmasks. It
 // is the interface of the large-n tier: a Set caps the exact engines at 64
 // players, while a member list represents coalitions of any size, which is
-// what the sampling estimators (ApproxShapley) walk.
+// what the sampler walks.
 //
 // Implementations must treat the member slice as read-only and must not
 // retain it — the samplers pass reused permutation-prefix buffers. The

@@ -14,9 +14,9 @@ var (
 		"Durations of batched coalition-lattice sweeps over at least 2^8 coalitions.",
 		nil)
 	shapleySamplesTotal = obs.Default.Counter("fedshare_shapley_samples_total",
-		"Permutations evaluated by the sampling Shapley estimator (ApproxShapley).")
+		"Permutations evaluated by the sampling Shapley estimator.")
 	shapleyCIHalfWidth = obs.Default.Gauge("fedshare_shapley_ci_halfwidth",
-		"Largest per-player 95% confidence half-width after the most recent ApproxShapley aggregation round.")
+		"Largest per-player 95% confidence half-width after the sampling Shapley estimator's most recent aggregation round.")
 )
 
 // batchTimingMinCoalitions is the smallest lattice worth timing: below

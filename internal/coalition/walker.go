@@ -2,7 +2,7 @@ package coalition
 
 // The prefix walker.
 //
-// The sampler (ApproxShapley) evaluates V along the growing prefixes of
+// The sampler (approxShapley) evaluates V along the growing prefixes of
 // sampled permutations and takes the per-step deltas
 // V(prefix_k) − V(prefix_{k−1}) as marginals. The walker hands it the
 // prefix-value vector of a whole walk, from the cheapest source the game

@@ -111,15 +111,15 @@ func TestWalkerIncrementalMatchesGeneric(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		opt := ApproxOptions{Samples: 96, Seed: 9, Workers: workers}
-		gen, err := ApproxShapley(generic, opt)
+		opt := Options{Samples: 96, Seed: 9, Workers: workers}
+		gen, err := approxShapley(generic, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, g := range games {
 			g.extends.Store(0)
 			g.walks.Store(0)
-			res, err := ApproxShapley(g, opt)
+			res, err := approxShapley(g, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

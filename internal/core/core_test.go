@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
+	"fedshare/internal/allocation"
 	"fedshare/internal/coalition"
 	"fedshare/internal/combin"
 	"fedshare/internal/economics"
@@ -365,6 +369,93 @@ func TestOverlapCapacityAdds(t *testing.T) {
 	// of 1 location each -> V = 2.
 	if v := m.GrandValue(); v != 2 {
 		t.Errorf("grand value %g, want 2", v)
+	}
+}
+
+// overlapFederation is n facilities of 5 locations each, placed at random
+// on a universe of the given size, serving 20 experiments of at least 10
+// locations.
+func overlapFederation(t *testing.T, n, universe int) *Model {
+	t.Helper()
+	wl, err := economics.NewWorkload(economics.DemandClass{
+		Type: economics.ExperimentType{
+			Name: "e", MinLocations: 10, MaxLocations: math.Inf(1), Resources: 1, HoldingTime: 1, Shape: 1,
+		},
+		Count: 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := make([]Facility, n)
+	for i := range fs {
+		fs[i] = Facility{Name: fmt.Sprintf("F%d", i), Locations: 5, Resources: float64(1 + i%3)}
+	}
+	m, err := NewModel(fs, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.WithOverlap(universe, stats.NewRand(uint64(n))); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestOverlapPoolClassOrder: an overlap pool lists its owner classes in
+// descending mask order, the order a walk over every subset of the
+// coalition meets them, and never walks those subsets: the grand value of
+// 64 facilities, whose coalition has 2^64 subsets, is back in seconds.
+func TestOverlapPoolClassOrder(t *testing.T) {
+	m := overlapFederation(t, 10, 25)
+	multi := 0
+	for _, c := range m.poolFor(combin.Full(m.N())).pool.Classes {
+		if strings.Contains(c.Label, ",") {
+			multi++
+		}
+	}
+	if multi < 3 {
+		t.Fatalf("the grand pool has %d shared classes; the order check needs several", multi)
+	}
+	combin.AllCoalitions(m.N(), func(s combin.Set) bool {
+		count := map[combin.Set]int{}
+		owners := map[int]combin.Set{}
+		for _, i := range s.Members() {
+			for _, loc := range m.Overlap[i] {
+				owners[loc] = owners[loc].With(i)
+			}
+		}
+		for _, o := range owners {
+			count[o]++
+		}
+		var want []allocation.Class
+		combin.Subsets(s, func(o combin.Set) bool {
+			if count[o] > 0 {
+				want = append(want, allocation.Class{Label: o.String(), Count: count[o]})
+			}
+			return true
+		})
+		got := m.poolFor(s).pool.Classes
+		if len(got) != len(want) {
+			t.Fatalf("coalition %v: %d classes, want %d", s, len(got), len(want))
+		}
+		for c := range want {
+			if got[c].Label != want[c].Label || got[c].Count != want[c].Count {
+				t.Fatalf("coalition %v class %d: %s × %d, want %s × %d",
+					s, c, got[c].Label, got[c].Count, want[c].Label, want[c].Count)
+			}
+		}
+		return true
+	})
+
+	big := overlapFederation(t, combin.MaxPlayers, 400)
+	done := make(chan float64, 1)
+	go func() { done <- big.GrandValue() }()
+	select {
+	case v := <-done:
+		if v <= 0 {
+			t.Errorf("64-facility grand value %g, want positive", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("64-facility overlap grand value still running after 5 s")
 	}
 }
 

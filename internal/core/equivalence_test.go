@@ -34,6 +34,17 @@ func (g stepOnly) PrefixValuer() coalition.PrefixValuer {
 	return struct{ coalition.PrefixValuer }{pv}
 }
 
+// memoOnly exposes a model's class structure without its incremental
+// evaluator, so every step of a collapsed walk reads the count-vector memo,
+// as a walk through ValueMembers does.
+type memoOnly struct{ *core.Model }
+
+func (g memoOnly) ClassStructure() *coalition.ClassStructure {
+	cs := *g.Model.ClassStructure()
+	cs.Prefix = nil
+	return &cs
+}
+
 // overlapModel is distinctModel's linear federation over an explicit
 // location universe, which hands out no incremental valuer.
 func overlapModel(t *testing.T) *core.Model {
@@ -98,10 +109,11 @@ func specModel(t *testing.T, id string) *core.Model {
 // (the same game wrapped in a MemberFunc, which offers no incremental
 // path), on both allocation paths, an overlap model (no valuer: every
 // path is ValueMembers) and the example federations, at any worker
-// count. Templated models are also checked
-// through their collapsed class game, whose walks take the solver's
-// certified steps on the example federations and mix the certified repair
-// with count-vector memo steps on the nonlinear templated model.
+// count. Templated models are also checked through their collapsed class
+// game, whose walks take the solver's certified steps on the example
+// federations and mix the certified repair with count-vector memo steps on
+// the nonlinear templated model, against the same game with every step
+// sent to the memo (memoOnly).
 func TestApproxIncrementalEquivalence(t *testing.T) {
 	models := map[string]*core.Model{
 		"fast-distinct":       distinctModel(t, 24, 1),
@@ -137,15 +149,16 @@ func TestApproxIncrementalEquivalence(t *testing.T) {
 			if cs == nil || cs.K() == cs.N() {
 				continue
 			}
-			mg := cs.MemberGame()
-			aopt := coalition.ApproxOptions{Samples: 96, Seed: 42, Workers: workers, Groups: cs.Groups()}
-			incC, err := coalition.ApproxShapley(mg, aopt)
+			incC, err := coalition.Values(m, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			genC, err := coalition.ApproxShapley(coalition.MemberFunc{Players: mg.N(), V: mg.ValueMembers}, aopt)
+			genC, err := coalition.Values(memoOnly{m}, opt)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if incC.Method != coalition.EngineApproxCollapsed || genC.Method != coalition.EngineApproxCollapsed {
+				t.Fatalf("%s: engines %q/%q, want %q", label, incC.Method, genC.Method, coalition.EngineApproxCollapsed)
 			}
 			sameShares(t, label+" collapsed", incC.Phi, genC.Phi)
 		}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -220,12 +221,16 @@ func (m *Model) poolFor(s combin.Set) pooling {
 	for _, owners := range cover {
 		classCount[owners]++
 	}
+	// Emit the owner classes in descending mask order, so the pool does
+	// not depend on map iteration order.
+	classes := make([]combin.Set, 0, len(classCount))
+	for owners := range classCount {
+		classes = append(classes, owners)
+	}
+	slices.Sort(classes)
+	slices.Reverse(classes)
 	var p pooling
-	combin.Subsets(s, func(owners combin.Set) bool {
-		count, ok := classCount[owners]
-		if !ok || owners.IsEmpty() {
-			return true
-		}
+	for _, owners := range classes {
 		capacity := 0.0
 		for _, i := range owners.Members() {
 			capacity += m.Facilities[i].EffectiveCapacity()
@@ -240,12 +245,11 @@ func (m *Model) poolFor(s combin.Set) pooling {
 		}
 		p.pool.Classes = append(p.pool.Classes, allocation.Class{
 			Label:    owners.String(),
-			Count:    count,
+			Count:    classCount[owners],
 			Capacity: capacity,
 		})
 		p.owners = append(p.owners, ow)
-		return true
-	})
+	}
 	return p
 }
 

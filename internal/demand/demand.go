@@ -26,34 +26,30 @@ type Observation struct {
 
 // TraceConfig drives the synthetic generator.
 type TraceConfig struct {
-	// Archetypes are the ground-truth experiment types with mixing
-	// weights; defaults to the paper's three PlanetLab archetypes with
-	// weights 0.6 / 0.1 / 0.3 (P2P experiments dominate counts, CDN
-	// services are rare, measurement studies substantial).
-	Archetypes []WeightedType
 	// Count is the number of observations to draw.
 	Count int
-	// LocationJitter is the relative spread of the location counts around
-	// each archetype's threshold (default 0.3).
-	LocationJitter float64
-	Seed           uint64
+	Seed  uint64
 }
 
-// WeightedType couples an experiment type with its mixture weight.
-type WeightedType struct {
+// weightedType couples an experiment type with its mixture weight.
+type weightedType struct {
 	Type   economics.ExperimentType
 	Weight float64
 }
 
-// DefaultArchetypes returns the paper's three experiment classes with
-// realistic mixing weights.
-func DefaultArchetypes() []WeightedType {
-	return []WeightedType{
-		{Type: economics.P2PExperiment, Weight: 0.6},
-		{Type: economics.CDNService, Weight: 0.1},
-		{Type: economics.MeasurementExperiment, Weight: 0.3},
-	}
+// archetypes are the ground-truth experiment types of the trace: the
+// paper's three PlanetLab archetypes with weights 0.6 / 0.1 / 0.3 (P2P
+// experiments dominate counts, CDN services are rare, measurement studies
+// substantial).
+var archetypes = []weightedType{
+	{Type: economics.P2PExperiment, Weight: 0.6},
+	{Type: economics.CDNService, Weight: 0.1},
+	{Type: economics.MeasurementExperiment, Weight: 0.3},
 }
+
+// locationJitter is the relative spread of the location counts around each
+// archetype's threshold.
+const locationJitter = 0.3
 
 // Generate draws a synthetic observation trace. Each observation samples an
 // archetype by weight, then jitters its location count multiplicatively
@@ -63,29 +59,9 @@ func Generate(cfg TraceConfig) ([]Observation, error) {
 	if cfg.Count < 0 {
 		return nil, fmt.Errorf("demand: negative count")
 	}
-	arch := cfg.Archetypes
-	if arch == nil {
-		arch = DefaultArchetypes()
-	}
 	total := 0.0
-	for _, a := range arch {
-		if a.Weight < 0 {
-			return nil, fmt.Errorf("demand: negative weight for %s", a.Type.Name)
-		}
-		if err := a.Type.Validate(); err != nil {
-			return nil, err
-		}
+	for _, a := range archetypes {
 		total += a.Weight
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("demand: weights sum to %g", total)
-	}
-	jitter := cfg.LocationJitter
-	if jitter == 0 {
-		jitter = 0.3
-	}
-	if jitter < 0 || jitter >= 1 {
-		return nil, fmt.Errorf("demand: jitter %g outside [0,1)", jitter)
 	}
 	rng := stats.NewRand(cfg.Seed)
 	out := make([]Observation, 0, cfg.Count)
@@ -93,7 +69,7 @@ func Generate(cfg TraceConfig) ([]Observation, error) {
 		// Sample an archetype.
 		u := rng.Float64() * total
 		var chosen economics.ExperimentType
-		for _, a := range arch {
+		for _, a := range archetypes {
 			if u < a.Weight {
 				chosen = a.Type
 				break
@@ -101,13 +77,13 @@ func Generate(cfg TraceConfig) ([]Observation, error) {
 			u -= a.Weight
 		}
 		if chosen.Name == "" {
-			chosen = arch[len(arch)-1].Type
+			chosen = archetypes[len(archetypes)-1].Type
 		}
 		base := chosen.MinLocations
 		if base == 0 {
 			base = 10
 		}
-		locs := base * (1 + jitter*rng.Float64())
+		locs := base * (1 + locationJitter*rng.Float64())
 		if !math.IsInf(chosen.MaxLocations, 1) && locs > chosen.MaxLocations {
 			locs = chosen.MaxLocations
 		}

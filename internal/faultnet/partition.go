@@ -123,25 +123,20 @@ func (c *gateConn) Close() error {
 
 // PartitionWindow is one cut/heal cycle of a seeded partition schedule:
 // the link stays up for UpOps operations, is cut for DownOps operations,
-// then heals. Wipe marks windows where the partitioned peer additionally
-// loses its volatile state (a crash-restart rather than a pure network
-// split), exercising the reconciler's lost-intent path.
+// then heals.
 type PartitionWindow struct {
 	UpOps   int
 	DownOps int
-	Wipe    bool
 }
 
 // PartitionPlanConfig bounds the seeded schedule. Zero fields default to
-// Windows 3, UpOps in [2, 5], DownOps in [1, 3], PWipe 0.
+// Windows 3, UpOps in [2, 5], DownOps in [1, 3].
 type PartitionPlanConfig struct {
 	Windows    int
 	MinUpOps   int
 	MaxUpOps   int
 	MinDownOps int
 	MaxDownOps int
-	// PWipe is the per-window probability the peer is wiped while cut.
-	PWipe float64
 }
 
 func (c PartitionPlanConfig) withDefaults() PartitionPlanConfig {
@@ -174,9 +169,6 @@ func DrawPartitionPlan(seed uint64, cfg PartitionPlanConfig) []PartitionWindow {
 	for i := range plan {
 		plan[i].UpOps = cfg.MinUpOps + rng.Intn(cfg.MaxUpOps-cfg.MinUpOps+1)
 		plan[i].DownOps = cfg.MinDownOps + rng.Intn(cfg.MaxDownOps-cfg.MinDownOps+1)
-		if cfg.PWipe > 0 && rng.Float64() < cfg.PWipe {
-			plan[i].Wipe = true
-		}
 	}
 	return plan
 }

@@ -112,7 +112,7 @@ func TestPartitionCutHealIdempotent(t *testing.T) {
 }
 
 func TestPartitionPlanDeterministicForSeed(t *testing.T) {
-	cfg := PartitionPlanConfig{Windows: 6, PWipe: 0.4}
+	cfg := PartitionPlanConfig{Windows: 6}
 	a := DrawPartitionPlan(99, cfg)
 	b := DrawPartitionPlan(99, cfg)
 	if !reflect.DeepEqual(a, b) {

@@ -27,14 +27,17 @@ type Station struct {
 	Capacity float64
 }
 
+// warmupFraction is the share of the horizon whose observations a run
+// discards before measuring.
+const warmupFraction = 0.2
+
 // Config describes one simulation run.
 type Config struct {
 	Stations []Station
 	Arrivals []economics.ArrivalSpec
-	// Horizon is the simulated time span; Warmup observations before this
-	// fraction of the horizon (default 0.2) are discarded.
+	// Horizon is the simulated time span; observations in its first
+	// warmupFraction are discarded.
 	Horizon float64
-	Warmup  float64
 	Seed    uint64
 }
 
@@ -56,13 +59,6 @@ func Simulate(cfg Config) (*Metrics, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("loss: horizon must be positive")
 	}
-	warmFrac := cfg.Warmup
-	if warmFrac == 0 {
-		warmFrac = 0.2
-	}
-	if warmFrac < 0 || warmFrac >= 1 {
-		return nil, fmt.Errorf("loss: warmup fraction %g outside [0,1)", warmFrac)
-	}
 	for _, s := range cfg.Stations {
 		if s.Count < 0 || s.Capacity < 0 {
 			return nil, fmt.Errorf("loss: invalid station %q", s.Label)
@@ -76,7 +72,7 @@ func Simulate(cfg Config) (*Metrics, error) {
 
 	rng := stats.NewRand(cfg.Seed)
 	var eng sim.Engine
-	warmT := warmFrac * cfg.Horizon
+	warmT := warmupFraction * cfg.Horizon
 
 	// Location state.
 	var rem []float64
@@ -240,7 +236,6 @@ func SuperadditivityGap(cfg Config) (float64, error) {
 		sub := Config{
 			Stations: []Station{s},
 			Horizon:  cfg.Horizon,
-			Warmup:   cfg.Warmup,
 			Seed:     cfg.Seed + uint64(i) + 1,
 		}
 		for _, a := range cfg.Arrivals {

@@ -207,9 +207,6 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(Config{Horizon: 0}); err == nil {
 		t.Error("zero horizon must fail")
 	}
-	if _, err := Simulate(Config{Horizon: 10, Warmup: 1.5}); err == nil {
-		t.Error("warmup >= 1 must fail")
-	}
 	if _, err := Simulate(Config{
 		Horizon:  10,
 		Stations: []Station{{Count: -1}},

@@ -326,16 +326,16 @@ func facility(rec AuthorityRecord) core.Facility {
 // Unreachable peers degrade the computation instead of failing it: down
 // and recovering peers (and any peer whose live record read fails at the
 // transport level) are excluded from valuation, shares are computed over
-// the live sub-federation, and the response carries the Partial marker
-// with the excluded authorities. A down peer's last record read, when
-// there is one, still shapes the full model so the sub-federation is
-// priced as a coalition of the same game; the demand profile never
-// shrinks just because peers died.
+// the live members, and the response carries the Partial marker with the
+// excluded authorities. A down peer's last record read, when there is
+// one, still counts toward the default demand, so the live members are
+// priced under the demand of the whole federation; the demand profile
+// never shrinks just because peers died.
 func (s *Server) handleShares(p SharesRequest) (*SharesResponse, error) {
 	sp := s.obsreg.StartSpan("sfa.shares").Attr("policy", p.Policy)
 	defer sp.End()
 	members := []AuthorityRecord{s.selfRecord()}
-	live := map[string]bool{s.auth.Name: true}
+	total := members[0].Sites
 	var down []string
 	for _, ph := range s.peerList() {
 		name := ph.record.Name
@@ -347,7 +347,7 @@ func (s *Server) handleShares(p SharesRequest) (*SharesResponse, error) {
 				ph.last = &rec
 				s.mu.Unlock()
 				members = append(members, rec)
-				live[rec.Name] = true
+				total += rec.Sites
 				continue
 			}
 			if !transport {
@@ -358,17 +358,15 @@ func (s *Server) handleShares(p SharesRequest) (*SharesResponse, error) {
 		s.mu.Lock()
 		last := ph.last
 		s.mu.Unlock()
-		if last != nil { // never read: nothing to model
-			members = append(members, *last)
+		if last != nil { // never read: nothing to count
+			total += last.Sites
 		}
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
 
 	facilities := make([]core.Facility, len(members))
-	total := 0
 	for i, rec := range members {
 		facilities[i] = facility(rec)
-		total += rec.Sites
 	}
 	demand := s.demand
 	if demand == nil {
@@ -390,13 +388,6 @@ func (s *Server) handleShares(p SharesRequest) (*SharesResponse, error) {
 	model, err := core.NewModel(facilities, demand)
 	if err != nil {
 		return nil, err
-	}
-	if len(down) > 0 {
-		sub, _, err := model.SubFederation(func(n string) bool { return live[n] })
-		if err != nil {
-			return nil, err
-		}
-		model = sub
 	}
 	pol, err := core.PolicyByName(p.Policy)
 	if err != nil {
