@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"testing"
 
-	"fedshare/internal/allocation"
 	"fedshare/internal/coalition"
 	"fedshare/internal/economics"
 	_ "fedshare/internal/figures"
@@ -197,16 +196,14 @@ func BenchmarkFig9(b *testing.B) {
 	}
 }
 
-// BenchmarkFiguresCold regenerates every registered figure from a cold
-// allocation memo, one sub-benchmark per figure: each iteration resets the
-// memo, as a fedbench pass does, so every coalition value is solved. The
-// BenchmarkFigN benchmarks above hit the process-wide memo after their
-// first iteration.
+// BenchmarkFiguresCold regenerates every registered figure, one
+// sub-benchmark per figure, as a fedbench pass runs it: every coalition
+// value is solved from its own pool. The BenchmarkFigN benchmarks above
+// run the same way: no allocation result carries over between iterations.
 func BenchmarkFiguresCold(b *testing.B) {
 	for _, id := range scenario.IDs() {
 		b.Run(id, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				allocation.DefaultMemo.Reset()
 				benchFigure(b, id)
 			}
 		})

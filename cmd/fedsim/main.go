@@ -11,7 +11,7 @@
 //	fedsim -list                         # registered scenarios
 //	fedsim -scenario examples/foo.json   # arbitrary scenario from a spec file
 //	fedsim -fig fig4 -chart              # with an ASCII chart
-//	fedsim -all -v                       # per-figure wall-clock + memo stats
+//	fedsim -all -v                       # per-figure wall-clock + prefix-solver counts
 //	fedsim -all -json                    # machine-readable run summary
 //	fedsim -diagram                      # the federation-model and game diagrams
 //	fedsim -weights                      # offline Shapley weight table (Sec. 3.2.3)
@@ -71,7 +71,7 @@ func main() {
 	width := flag.Int("width", 72, "chart width")
 	height := flag.Int("height", 20, "chart height")
 	workers := flag.Int("workers", 0, "parallel workers for sweeps, the coalition kernel and the sampler (0 = all cores, 1 = sequential)")
-	verbose := flag.Bool("v", false, "print per-figure wall-clock and allocation-memo hit-rate summaries")
+	verbose := flag.Bool("v", false, "print per-figure wall-clock and prefix-solver step/fallback counts")
 	jsonOut := flag.Bool("json", false, "suppress tables and emit a JSON run summary (per-figure timings + obs metrics snapshot)")
 	resultJSON := flag.Bool("result-json", false, "suppress tables and emit each result document as JSON (byte-identical to the served API's /result endpoint)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -153,6 +153,15 @@ func main() {
 	case *diagram:
 		printDiagrams()
 	case *weights:
+		// The weight table is a fixed text grid; refuse the output and
+		// sampler flags it would otherwise ignore.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "json", "result-json", "chart", "v", "approx", "samples", "ci-target", "seed":
+				fmt.Fprintf(os.Stderr, "fedsim: -weights does not take -%s\n", f.Name)
+				os.Exit(2)
+			}
+		})
 		if err := run.weightTable(); err != nil {
 			fmt.Fprintln(os.Stderr, "fedsim:", err)
 			os.Exit(1)
@@ -257,8 +266,6 @@ type figureSummary struct {
 	ID              string `json:"id"`
 	Title           string `json:"title"`
 	WallClockNS     int64  `json:"wall_clock_ns"`
-	MemoHits        int64  `json:"memo_hits"`
-	MemoMisses      int64  `json:"memo_misses"`
 	PrefixSteps     int64  `json:"prefix_steps"`
 	PrefixFallbacks int64  `json:"prefix_fallbacks"`
 	SeriesCount     int    `json:"series"`
@@ -309,9 +316,8 @@ func (rc *runConfig) scenarioFile(path string) error {
 }
 
 // render generates one result, timing the generation (not the rendering)
-// and attributing allocation-memo traffic to it.
+// and attributing prefix-solver traffic to it.
 func (rc *runConfig) render(span, attr, id string, gen func() (*scenario.Result, error)) error {
-	before := allocation.DefaultMemo.Stats()
 	stepsBefore, fallbacksBefore := allocation.PrefixCounters()
 	sp := obs.StartSpan(span).Attr(attr, id)
 	start := time.Now()
@@ -322,7 +328,6 @@ func (rc *runConfig) render(span, attr, id string, gen func() (*scenario.Result,
 	}
 	elapsed := time.Since(start)
 	sp.End()
-	after := allocation.DefaultMemo.Stats()
 	stepsAfter, fallbacksAfter := allocation.PrefixCounters()
 	steps := stepsAfter - stepsBefore
 	fallbacks := fallbacksAfter - fallbacksBefore
@@ -337,8 +342,6 @@ func (rc *runConfig) render(span, attr, id string, gen func() (*scenario.Result,
 	if rc.jsonOut {
 		rc.figureSummary = append(rc.figureSummary, figureSummary{
 			ID: f.ID, Title: f.Title, WallClockNS: elapsed.Nanoseconds(),
-			MemoHits:        after.Hits - before.Hits,
-			MemoMisses:      after.Misses - before.Misses,
 			PrefixSteps:     steps,
 			PrefixFallbacks: fallbacks,
 			SeriesCount:     len(f.Series),
@@ -347,14 +350,7 @@ func (rc *runConfig) render(span, attr, id string, gen func() (*scenario.Result,
 	}
 	printFigure(f, rc.chart, rc.width, rc.height)
 	if rc.verbose {
-		hits := after.Hits - before.Hits
-		misses := after.Misses - before.Misses
-		rate := 0.0
-		if hits+misses > 0 {
-			rate = float64(hits) / float64(hits+misses)
-		}
-		fmt.Printf("-- %s: %v wall-clock, allocation memo %d hits / %d misses (%.1f%% hit rate)",
-			f.ID, elapsed.Round(time.Microsecond), hits, misses, 100*rate)
+		fmt.Printf("-- %s: %v wall-clock", f.ID, elapsed.Round(time.Microsecond))
 		if steps > 0 {
 			fmt.Printf(", prefix solver %d steps / %d fallbacks (%.1f%% fallback rate)",
 				steps, fallbacks, 100*float64(fallbacks)/float64(steps))

@@ -260,6 +260,12 @@ func TestCLIFedsim(t *testing.T) {
 	if out := run(t, fedsim, "-weights"); out != string(want) {
 		t.Errorf("-weights output differs from testdata/fedsim-weights.golden:\n%s", out)
 	}
+	// -weights refuses an output flag it would otherwise ignore.
+	if out, err := exec.Command(fedsim, "-weights", "-json").CombinedOutput(); err == nil {
+		t.Errorf("-weights -json should exit non-zero; printed:\n%s", out)
+	} else if !strings.Contains(string(out), "-json") {
+		t.Errorf("-weights -json error does not name the flag: %q", out)
+	}
 	// Unknown figure exits non-zero.
 	cmd := exec.Command(fedsim, "-fig", "nope")
 	if err := cmd.Run(); err == nil {

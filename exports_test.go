@@ -22,7 +22,6 @@ import (
 // "pkg.Name" or "pkg.Type.Method". An entry is not a root: whatever only it
 // reaches must be listed too, so the list shows what each kept seam costs.
 var reachableAllowlist = map[string]string{
-	"allocation.Memo.SetEnabled":        "test seam: the memo-off reference of the determinism tests",
 	"allocation.PrefixSolver.Stats":     "test seam: core's collapsed-walk test splits a walk's steps into fast, repaired and uncertified",
 	"coalition.MemberFunc":              "test seam: tests in three packages pass a plain function as a MemberGame",
 	"coalition.MemberFunc.N":            "test seam: tests in three packages pass a plain function as a MemberGame",

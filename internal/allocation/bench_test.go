@@ -44,18 +44,6 @@ func BenchmarkSolveLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveMemoWarm measures a warm memo hit including key
-// construction and result remapping.
-func BenchmarkSolveMemoWarm(b *testing.B) {
-	pool, reqs := benchInstance()
-	m := NewMemo()
-	m.Solve(pool, reqs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Solve(pool, reqs)
-	}
-}
-
 // scarceInstance is the grand pool of the fedbench scarce workload: 30
 // facilities in pairs sharing a location count (1–15 locations), with 1–5
 // resources per location, against 12 elastic requests (l = 10, d = 0.7)

@@ -61,7 +61,9 @@ func TestValueMembersMatchesValue(t *testing.T) {
 			t.Fatalf("coalition %v: ValueMembers %.12f vs Value %.12f", members, got, want)
 		}
 	}
-	// Member order must not matter.
+	// Member order must not matter. This holds because heteroModel's
+	// demand has d = 1, whose engine reads only a capacity histogram; the
+	// greedy engine's Utility can change with class order.
 	if m.ValueMembers([]int{3, 0, 6}) != m.ValueMembers([]int{6, 3, 0}) {
 		t.Error("ValueMembers depends on member order")
 	}
@@ -97,13 +99,10 @@ func TestClassStructureDetection(t *testing.T) {
 // TestClassStructureValueMatchesDirect is the differential test of the
 // collapsed characteristic function: it solves one aggregated class per
 // template, the direct one a class per facility in facility order, where
-// the templates interleave. With the allocation memo off (both sides solve)
-// the two must agree bit-for-bit on random coalitions, under demand mixes
-// that reach the analytic, fast and greedy engines.
+// the templates interleave. The two must agree bit-for-bit on random
+// coalitions, under demand mixes that reach the analytic, fast and greedy
+// engines.
 func TestClassStructureValueMatchesDirect(t *testing.T) {
-	was := allocation.DefaultMemo.SetEnabled(false)
-	defer allocation.DefaultMemo.SetEnabled(was)
-
 	rng := rand.New(rand.NewSource(12))
 	shapes := []float64{0.5, 0.7, 1, 1.3, 2}
 	engines := map[string]int{}

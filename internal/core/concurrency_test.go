@@ -3,11 +3,10 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
-	"fedshare/internal/allocation"
-	"fedshare/internal/coalition"
 	"fedshare/internal/combin"
 	"fedshare/internal/economics"
 )
@@ -81,73 +80,64 @@ func TestOverlapDisjointReproducesNoOverlap(t *testing.T) {
 	}
 }
 
-// TestOverlapModelsBypassMemo is the memo-key regression test: overlap
-// models are uncacheable — their Value calls must not touch the process-
-// wide allocation memo — while an identically-shaped no-overlap model must.
-func TestOverlapModelsBypassMemo(t *testing.T) {
-	fs := []Facility{
-		{Name: "A", Locations: 3, Resources: 1},
-		{Name: "B", Locations: 4, Resources: 1},
-	}
-	wl := testWorkload(t, 2, 3)
-
-	overlapped, err := NewModel(fs, wl)
+// TestGrandResultShared checks the one allocation a model keeps: the
+// grand coalition's Result, which Value of the full set stores while Table
+// snapshots, and which GrandValue and ConsumptionByFacility read instead
+// of solving again. After a facility changes, Invalidate drops it, and
+// both report the new V(N) and consumption.
+func TestGrandResultShared(t *testing.T) {
+	m, err := NewModel([]Facility{
+		{Name: "A", Locations: 5, Resources: 1},
+		{Name: "B", Locations: 8, Resources: 1},
+		{Name: "C", Locations: 3, Resources: 2},
+	}, testWorkload(t, 4, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlapped.Overlap = disjointOverlap(fs)
-	before := allocation.DefaultMemo.Stats()
-	for s := combin.Set(1); s <= combin.Full(2); s++ {
-		overlapped.Value(s)
-	}
-	after := allocation.DefaultMemo.Stats()
-	if after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatalf("overlap model touched the memo: %+v -> %+v", before, after)
-	}
-
-	flat, err := NewModel(fs, wl)
+	table, err := m.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
-	before = after
-	for s := combin.Set(1); s <= combin.Full(2); s++ {
-		flat.Value(s)
+	g := m.grand
+	if g == nil {
+		t.Fatal("Table left no grand Result on the model")
 	}
-	after = allocation.DefaultMemo.Stats()
-	if after.Hits+after.Misses == before.Hits+before.Misses {
-		t.Fatal("no-overlap model did not use the memo")
+	if got, want := table.Value(combin.Full(3)), g.Utility; got != want {
+		t.Fatalf("table V(N) = %g, grand Result's utility %g", got, want)
 	}
-}
+	old := g.Utility
+	// Overwrite the stored Result: a reader that solved again would not
+	// see these values.
+	g.Utility = 1234.5
+	g.ConsumedByClass = []float64{1, 2, 3}
+	if got := m.GrandValue(); got != 1234.5 {
+		t.Errorf("GrandValue = %g, want the stored Result's 1234.5", got)
+	}
+	if got := m.ConsumptionByFacility(); !slices.Equal(got, []float64{1, 2, 3}) {
+		t.Errorf("ConsumptionByFacility = %v, want the stored Result's [1 2 3]", got)
+	}
+	if m.grand != g {
+		t.Fatal("a reader replaced the grand Result")
+	}
 
-// TestCollapsedGameBypassesMemo is the memo-isolation regression test: the
-// collapsed class game values its walked steps through its own prefix
-// solvers, or its own count-vector memo where a solver cannot certify a
-// step, so a sampled share computation on a templated federation past the
-// bitmask bound may touch the process-wide allocation memo only for its
-// direct V(N) evaluations, never once per count vector.
-func TestCollapsedGameBypassesMemo(t *testing.T) {
-	m := heteroModel(t, 120, 4)
-	before := allocation.DefaultMemo.Stats()
-	res, err := ApproxShapleyPolicy{Samples: 64, Seed: 5, Method: coalition.MethodApprox}.Result(m)
+	m.Facilities[2].Locations = 12
+	m.Invalidate()
+	fresh, err := NewModel(slices.Clone(m.Facilities), m.Demand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Method != coalition.EngineApproxCollapsed {
-		t.Fatalf("engine %q, want %q", res.Method, coalition.EngineApproxCollapsed)
+	got, want := m.GrandValue(), fresh.GrandValue()
+	if got != want || got == old {
+		t.Errorf("after Invalidate V(N) = %g, want %g (a fresh model's; %g before)", got, want, old)
 	}
-	normalizeByGrand(m, res.Phi)
-	after := allocation.DefaultMemo.Stats()
-	if lookups := after.Hits + after.Misses - before.Hits - before.Misses; lookups > 2 {
-		t.Errorf("collapsed game made %d allocation-memo lookups, want at most 2 (direct V(N))", lookups)
-	}
-	if grown := after.Entries - before.Entries; grown > 2 {
-		t.Errorf("allocation memo grew by %d entries, want at most 2 (direct V(N))", grown)
+	if got, want := m.ConsumptionByFacility(), fresh.ConsumptionByFacility(); !slices.Equal(got, want) {
+		t.Errorf("after Invalidate consumption = %v, want a fresh model's %v", got, want)
 	}
 }
 
 // TestGameConcurrentInit races many goroutines through the lazy Table()
-// init, table reads and GrandValue (run under -race); all must see one
-// table.
+// init, table reads, GrandValue and ConsumptionByFacility (run under
+// -race); all must see one table.
 func TestGameConcurrentInit(t *testing.T) {
 	m, err := NewModel([]Facility{
 		{Name: "A", Locations: 5, Resources: 1},
@@ -174,6 +164,7 @@ func TestGameConcurrentInit(t *testing.T) {
 				g.Value(s)
 			}
 			m.GrandValue()
+			m.ConsumptionByFacility()
 		}(w)
 	}
 	wg.Wait()

@@ -92,6 +92,12 @@ type Model struct {
 	mu    sync.Mutex
 	table *coalition.Table
 	reqs  atomic.Pointer[[]allocation.Request]
+	// grandMu guards grand, the grand coalition's allocation, solved once
+	// and read by Value of the full set, GrandValue and
+	// ConsumptionByFacility. It is not mu: Table holds mu while the
+	// snapshot workers call Value.
+	grandMu sync.Mutex
+	grand   *allocation.Result
 }
 
 // MaxFacilities bounds federation size. The dense coalition table stops at
@@ -178,18 +184,9 @@ type pooling struct {
 	owners [][]ownerWeight // per class
 }
 
-// addFacility adds disjoint facility i's class, owned by i alone, unless
-// it has no locations.
-func (p *pooling) addFacility(m *Model, i int) {
-	if m.Facilities[i].Locations > 0 {
-		p.pool.Classes = append(p.pool.Classes, m.class(i))
-		p.owners = append(p.owners, []ownerWeight{{facility: i, frac: 1}})
-	}
-}
-
 // attribute splits a per-class quantity among the n facilities by each
 // class's owner weights.
-func (p *pooling) attribute(perClass []float64, n int) []float64 {
+func (p pooling) attribute(perClass []float64, n int) []float64 {
 	out := make([]float64, n)
 	for c, v := range perClass {
 		for _, ow := range p.owners[c] {
@@ -199,18 +196,10 @@ func (p *pooling) attribute(perClass []float64, n int) []float64 {
 	return out
 }
 
-// poolFor builds the location pool available to coalition s.
+// poolFor builds the location pool coalition s covers in an overlap
+// model: locations are grouped by the exact subset of coalition members
+// covering them, and capacities add where facilities overlap.
 func (m *Model) poolFor(s combin.Set) pooling {
-	if m.Overlap == nil {
-		var p pooling
-		for _, i := range s.Members() {
-			p.addFacility(m, i)
-		}
-		return p
-	}
-	// Overlapping coverage: group locations by the exact subset of
-	// coalition members covering them; capacities add where facilities
-	// overlap.
 	cover := map[int]combin.Set{}
 	for _, i := range s.Members() {
 		for _, loc := range m.Overlap[i] {
@@ -302,11 +291,14 @@ func (m *Model) Value(s combin.Set) float64 {
 	if s.IsEmpty() {
 		return 0
 	}
+	if m.N() <= combin.MaxPlayers && s == combin.Full(m.N()) {
+		return m.muFactor() * m.grandResult().Utility
+	}
 	if m.Overlap == nil {
-		// Disjoint coverage: build only the pool, skipping poolFor's
-		// per-class ownership attribution, which Value never reads. The
-		// class slice comes from a scratch pool — the solver and the memo
-		// read it by value and never retain it.
+		// Disjoint coverage: one class per member in facility order, with
+		// no ownership attribution, which Value never reads. The class
+		// slice comes from a scratch pool — the solver reads it and never
+		// retains it.
 		scratch := classScratchPool.Get().(*[]allocation.Class)
 		classes := (*scratch)[:0]
 		for i := range m.Facilities {
@@ -314,13 +306,12 @@ func (m *Model) Value(s combin.Set) float64 {
 				classes = append(classes, m.class(i))
 			}
 		}
-		res := allocation.SolveCached(allocation.Pool{Classes: classes}, m.requests())
+		res := allocation.Solve(allocation.Pool{Classes: classes}, m.requests())
 		*scratch = classes
 		classScratchPool.Put(scratch)
 		return m.muFactor() * res.Utility
 	}
-	p := m.poolFor(s)
-	res := m.solve(p.pool)
+	res := allocation.Solve(m.poolFor(s).pool, m.requests())
 	return m.muFactor() * res.Utility
 }
 
@@ -332,10 +323,15 @@ var classScratchPool = sync.Pool{New: func() any { return new([]allocation.Class
 // exactly Value(S) for the coalition S listing the given facilities, but
 // free of the 64-facility bitmask bound; the sampling Shapley engines walk
 // permutation prefixes through it. Disjoint-coverage models build the pool
-// straight from the member list (the allocation memo's canonical class
-// ordering makes the result independent of member order); overlap models —
-// which NewModel and WithOverlap keep within the bitmask bound — route
-// through Value.
+// straight from the member list, one class per member in the order given;
+// overlap models — which NewModel and WithOverlap keep within the bitmask
+// bound — route through Value.
+//
+// Member order is part of the pool. The d = 1 engine reads only a
+// capacity histogram, so its result is the same for every order; the
+// greedy engine is a heuristic whose Utility can change with class order
+// (in about 1 of 60,000 random pools). Value and the grand coalition solve
+// in facility order, the prefix walkers in walk order.
 func (m *Model) ValueMembers(members []int) float64 {
 	if len(members) == 0 {
 		return 0
@@ -354,7 +350,7 @@ func (m *Model) ValueMembers(members []int) float64 {
 			classes = append(classes, m.class(i))
 		}
 	}
-	res := allocation.SolveCached(allocation.Pool{Classes: classes}, m.requests())
+	res := allocation.Solve(allocation.Pool{Classes: classes}, m.requests())
 	*scratch = classes
 	classScratchPool.Put(scratch)
 	return m.muFactor() * res.Utility
@@ -390,8 +386,7 @@ type classSignature struct {
 // the count vectors the solver's fast path or abundant repair values, and
 // never solves. The sampler sends every other step to the count-vector
 // memo of coalition.ClassStructure.MemberGame, the one cache on this
-// path. The process-wide allocation memo holds only direct evaluations
-// (Value, ValueMembers).
+// path.
 func (m *Model) ClassStructure() *coalition.ClassStructure {
 	if m.Overlap != nil {
 		return nil
@@ -443,20 +438,6 @@ func (m *Model) ClassStructure() *coalition.ClassStructure {
 	}
 }
 
-// solve runs the allocation engine for a coalition pool. Disjoint-coverage
-// models (every numerical figure) go through the process-wide aggregate-
-// keyed memo: their V(S) depends only on the class multiset plus the
-// demand, so symmetric coalitions and repeated pools across sweep points
-// collapse to one solve. Overlap models are deliberately not memoized —
-// the signature would conflate distinct cover structures' attribution, so
-// they are treated as uncacheable and always solve directly.
-func (m *Model) solve(pool allocation.Pool) *allocation.Result {
-	if m.Overlap == nil {
-		return allocation.SolveCached(pool, m.requests())
-	}
-	return allocation.Solve(pool, m.requests())
-}
-
 // Table returns the model's dense coalition-value table, materialized once
 // (2^n Value evaluations on first call) and read by every exact engine: the
 // lattice kernel behind coalition.Values, the nucleolus, Banzhaf, the
@@ -481,50 +462,57 @@ func (m *Model) Table() (*coalition.Table, error) {
 	return m.table, nil
 }
 
-// GrandValue is V(N). It reads the dense table when one has been
-// materialized and otherwise evaluates the grand coalition directly (the
-// allocation memo absorbs repeat calls on disjoint models), so callers
-// needing only V(N) never pay for a full snapshot.
+// GrandValue is V(N), read from the grand coalition's allocation, so
+// callers needing only V(N) never pay for a full snapshot.
 func (m *Model) GrandValue() float64 {
-	m.mu.Lock()
-	t := m.table
-	m.mu.Unlock()
-	if t != nil {
-		return t.Value(combin.Full(m.N()))
-	}
-	members := make([]int, m.N())
-	for i := range members {
-		members[i] = i
-	}
-	return m.ValueMembers(members)
+	return m.muFactor() * m.grandResult().Utility
 }
 
-// ConsumptionByFacility solves the grand-coalition allocation and attributes
-// consumed resource units to facilities (the numerator of ρ̂, eq. (7)).
+// ConsumptionByFacility attributes the grand coalition's consumed resource
+// units to facilities (the numerator of ρ̂, eq. (7)).
 func (m *Model) ConsumptionByFacility() []float64 {
-	p := m.grandPool()
-	return p.attribute(m.solve(p.pool).ConsumedByClass, m.N())
+	return m.grandPool().attribute(m.grandResult().ConsumedByClass, m.N())
+}
+
+// grandResult returns the grand coalition's allocation, solving it on
+// first use; the Result is shared and read-only. The requests are expanded
+// before grandMu is taken, so its holder never waits on mu.
+func (m *Model) grandResult() *allocation.Result {
+	reqs := m.requests()
+	m.grandMu.Lock()
+	defer m.grandMu.Unlock()
+	if m.grand == nil {
+		m.grand = allocation.Solve(m.grandPool().pool, reqs)
+	}
+	return m.grand
 }
 
 // grandPool builds the grand coalition's pooling. Disjoint models, which
-// may pass the bitmask bound, assemble it from the facility list in
-// poolFor's order; overlap models go through poolFor.
+// may pass the bitmask bound, give one class per facility with locations,
+// owned by it alone, in facility order, as Value does; overlap models go
+// through poolFor.
 func (m *Model) grandPool() pooling {
 	if m.Overlap != nil {
 		return m.poolFor(combin.Full(m.N()))
 	}
 	var p pooling
-	for i := range m.Facilities {
-		p.addFacility(m, i)
+	for i, f := range m.Facilities {
+		if f.Locations > 0 {
+			p.pool.Classes = append(p.pool.Classes, m.class(i))
+			p.owners = append(p.owners, []ownerWeight{{facility: i, frac: 1}})
+		}
 	}
 	return p
 }
 
-// Invalidate drops the memoized coalition table and request expansion
-// (call after mutating the model).
+// Invalidate drops the coalition table, the request expansion and the
+// grand coalition's allocation (call after mutating the model).
 func (m *Model) Invalidate() {
 	m.mu.Lock()
 	m.table = nil
 	m.reqs.Store(nil)
 	m.mu.Unlock()
+	m.grandMu.Lock()
+	m.grand = nil
+	m.grandMu.Unlock()
 }

@@ -3,15 +3,12 @@ package figures
 import (
 	"runtime"
 	"testing"
-
-	"fedshare/internal/allocation"
 )
 
 // TestFiguresByteIdenticalAcrossWorkers is the pipeline's end-to-end
 // determinism check: every figure's rendered table must be byte-identical
 // whether the sweeps run sequentially or on a multi-worker pool (the pools
-// are GOMAXPROCS wide), and whether the allocation memo is serving hits or
-// disabled entirely.
+// are GOMAXPROCS wide).
 func TestFiguresByteIdenticalAcrossWorkers(t *testing.T) {
 	render := func() map[string]string {
 		out := map[string]string{}
@@ -22,31 +19,13 @@ func TestFiguresByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	allocation.DefaultMemo.Reset()
 	baseline := render()
 
-	for _, workers := range []int{1, 4} {
-		runtime.GOMAXPROCS(workers)
-		// First pass repopulates the memo, second pass is served from it.
-		for pass := 0; pass < 2; pass++ {
-			if pass == 0 {
-				allocation.DefaultMemo.Reset()
-			}
-			got := render()
-			for id, want := range baseline {
-				if got[id] != want {
-					t.Fatalf("figure %s diverged with workers=%d pass=%d", id, workers, pass)
-				}
-			}
-		}
-	}
-
-	wasEnabled := allocation.DefaultMemo.SetEnabled(false)
-	defer allocation.DefaultMemo.SetEnabled(wasEnabled)
+	runtime.GOMAXPROCS(4)
 	got := render()
 	for id, want := range baseline {
 		if got[id] != want {
-			t.Fatalf("figure %s diverged with memo disabled", id)
+			t.Fatalf("figure %s diverged between workers=1 and workers=4", id)
 		}
 	}
 }

@@ -11,7 +11,7 @@
 //     memory; nobody pays for scraping machinery until a scrape happens.
 //  2. Atomic hot path: Counter.Inc, Gauge.Set, and Histogram.Observe are
 //     lock-free atomic operations so they can sit inside the coalition
-//     kernel, the allocation memo, and the sweep pool without perturbing
+//     kernel, the allocation solver, and the sweep pool without perturbing
 //     the benchmarks they measure.
 //  3. Idempotent registration: looking up a family that already exists
 //     returns the existing one, so independent subsystems (and multiple

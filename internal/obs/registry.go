@@ -210,8 +210,8 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 }
 
 // GaugeFunc registers a callback-backed gauge: fn is evaluated at scrape
-// time, so existing counters (e.g. the allocation memo's private atomics)
-// can be exported with zero hot-path cost. Re-registering the same name
+// time, so existing counters (e.g. the Go runtime's goroutine and heap
+// statistics) can be exported with zero hot-path cost. Re-registering the same name
 // replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.family(name, help, kindGaugeFunc, nil, nil)
