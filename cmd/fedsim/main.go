@@ -60,7 +60,12 @@ func runAllIDs() []string {
 	return ids
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is fedsim's body. It returns the exit code instead of exiting, so
+// every path, a failed one too, stops the CPU profile and writes the heap
+// profile on its way out.
+func run() int {
 	figID := flag.String("fig", "", "scenario to regenerate ("+strings.Join(scenario.IDs(), ", ")+")")
 	scenarioPath := flag.String("scenario", "", "run a declarative scenario spec from a JSON file")
 	list := flag.Bool("list", false, "list the registered scenarios and exit")
@@ -103,11 +108,11 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -132,19 +137,23 @@ func main() {
 
 	if *jsonOut && *resultJSON {
 		fmt.Fprintln(os.Stderr, "fedsim: -json and -result-json are mutually exclusive")
-		os.Exit(2)
+		return 2
 	}
 	// One experiment at a time, like the old in-process path; each run's
 	// sweep still fans out on the worker pool.
 	eng := engine.New(engine.Options{MaxConcurrent: 1})
 	defer eng.Close()
-	run := runConfig{
+	rc := runConfig{
 		eng:   eng,
 		chart: *chart, width: *width, height: *height,
 		verbose: *verbose, jsonOut: *jsonOut, resultJSON: *resultJSON,
 		approx: approxOverrides{
 			force: *approx, samples: *samples, ciTarget: *ciTarget, seed: *seed,
 		},
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(os.Stderr, "fedsim:", err)
+		return code
 	}
 	switch {
 	case *list:
@@ -155,41 +164,49 @@ func main() {
 	case *weights:
 		// The weight table is a fixed text grid; refuse the output and
 		// sampler flags it would otherwise ignore.
+		bad := ""
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "json", "result-json", "chart", "v", "approx", "samples", "ci-target", "seed":
-				fmt.Fprintf(os.Stderr, "fedsim: -weights does not take -%s\n", f.Name)
-				os.Exit(2)
+				if bad == "" {
+					bad = f.Name
+				}
 			}
 		})
-		if err := run.weightTable(); err != nil {
-			fmt.Fprintln(os.Stderr, "fedsim:", err)
-			os.Exit(1)
+		if bad != "" {
+			return fail(2, fmt.Errorf("-weights does not take -%s", bad))
+		}
+		if err := rc.weightTable(); err != nil {
+			return fail(1, err)
 		}
 	case *scenarioPath != "":
-		if err := run.scenarioFile(*scenarioPath); err != nil {
-			fmt.Fprintln(os.Stderr, "fedsim:", err)
-			os.Exit(1)
+		if err := rc.scenarioFile(*scenarioPath); err != nil {
+			return fail(1, err)
 		}
-		run.finish()
+		if err := rc.finish(); err != nil {
+			return fail(1, err)
+		}
 	case *all:
 		for _, id := range runAllIDs() {
-			if err := run.figure(id); err != nil {
-				fmt.Fprintln(os.Stderr, "fedsim:", err)
-				os.Exit(2)
+			if err := rc.figure(id); err != nil {
+				return fail(2, err)
 			}
 		}
-		run.finish()
-	case *figID != "":
-		if err := run.figure(*figID); err != nil {
-			fmt.Fprintln(os.Stderr, "fedsim:", err)
-			os.Exit(2)
+		if err := rc.finish(); err != nil {
+			return fail(1, err)
 		}
-		run.finish()
+	case *figID != "":
+		if err := rc.figure(*figID); err != nil {
+			return fail(2, err)
+		}
+		if err := rc.finish(); err != nil {
+			return fail(1, err)
+		}
 	default:
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 // writeScenarioList renders the registry — one line per entry: id, kind
@@ -361,16 +378,13 @@ func (rc *runConfig) render(span, attr, id string, gen func() (*scenario.Result,
 }
 
 // finish emits the JSON run summary when -json is set.
-func (rc *runConfig) finish() {
+func (rc *runConfig) finish() error {
 	if !rc.jsonOut {
-		return
+		return nil
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(runSummary{Figures: rc.figureSummary, Metrics: obs.Default.Snapshot()}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return enc.Encode(runSummary{Figures: rc.figureSummary, Metrics: obs.Default.Snapshot()})
 }
 
 func printFigure(f *scenario.Result, chart bool, w, h int) {

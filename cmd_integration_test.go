@@ -3,6 +3,7 @@
 package fedshare_test
 
 import (
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -266,10 +267,44 @@ func TestCLIFedsim(t *testing.T) {
 	} else if !strings.Contains(string(out), "-json") {
 		t.Errorf("-weights -json error does not name the flag: %q", out)
 	}
-	// Unknown figure exits non-zero.
-	cmd := exec.Command(fedsim, "-fig", "nope")
-	if err := cmd.Run(); err == nil {
-		t.Error("unknown figure should exit non-zero")
+	// The sampled paths print the committed fixed-seed result documents:
+	// the collapsed game's walks (hetero200), the member-list walker's
+	// batched walks (hetero5 forced to sample) and walks whose every step
+	// falls back to the greedy engine (mixed-workload).
+	for _, g := range []struct {
+		golden string
+		args   []string
+	}{
+		{"fedsim-hetero200.golden", []string{"-scenario", "examples/scenarios/hetero200.json"}},
+		{"fedsim-hetero5-approx.golden", []string{"-scenario", "examples/scenarios/hetero5.json", "-approx", "-samples", "200", "-seed", "7"}},
+		{"fedsim-mixed-workload-approx.golden", []string{"-scenario", "examples/scenarios/mixed-workload.json", "-approx", "-samples", "12", "-seed", "7"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", g.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(fedsim, append(g.args, "-result-json")...).Output()
+		if err != nil {
+			t.Fatalf("fedsim %v -result-json: %v", g.args, err)
+		}
+		if string(out) != string(want) {
+			t.Errorf("fedsim %v -result-json differs from testdata/%s", g.args, g.golden)
+		}
+	}
+	// An unknown figure exits 2, and still writes both profiles.
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var exit *exec.ExitError
+	if err := exec.Command(fedsim, "-cpuprofile", cpu, "-memprofile", mem, "-fig", "nope").Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("unknown figure: %v, want exit status 2", err)
+	}
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Error(err)
+		} else if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s after a failed run: %d bytes, want a gzip-framed profile", filepath.Base(path), len(b))
+		}
 	}
 }
 

@@ -231,14 +231,15 @@ type powTable struct {
 }
 
 // solve runs both admission orders and returns the better result, the
-// ascending one on ties. When every request has the same Min, both stable
-// sorts leave the requests in index order and the descending run would
-// repeat the ascending one bit for bit, so it runs once. Only the returned
-// Result is allocated.
+// ascending one on ties. A request the fresh pool cannot admit (see
+// admissibleSameMin) is admitted in neither order, and its admit changes
+// no state. When the others share one Min, both stable sorts take them in
+// index order, so the descending run would repeat the ascending one bit
+// for bit, and it runs once. Only the returned Result is allocated.
 func (s *greedyScratch) solve(pool Pool, reqs []Request) *Result {
 	best := emptyResult(pool, reqs)
 	s.run(best, pool, reqs, true)
-	if sameMin(reqs) {
+	if sameMin(reqs) || admissibleSameMin(pool, reqs) {
 		return best
 	}
 	alt := &s.alt
@@ -384,6 +385,35 @@ func sameMin(reqs []Request) bool {
 		if reqs[j].Min != reqs[0].Min {
 			return false
 		}
+	}
+	return true
+}
+
+// admissibleSameMin reports whether the requests a fresh pool can admit
+// all have the same Min. A request whose Min is above its maximum, or
+// above the number of pool locations with room for its Resources (fits'
+// test on a fresh location), is never admitted: admission takes Min free
+// locations with room, and capacities only fall.
+func admissibleSameMin(pool Pool, reqs []Request) bool {
+	L, common := pool.TotalLocations(), -1
+	for j := range reqs {
+		r := &reqs[j]
+		if r.Min > r.maxLocations(L) {
+			continue
+		}
+		room := 0
+		for _, c := range pool.Classes {
+			if c.Capacity+1e-12 >= r.Resources {
+				room += c.Count
+			}
+		}
+		if room < r.Min {
+			continue
+		}
+		if common >= 0 && r.Min != common {
+			return false
+		}
+		common = r.Min
 	}
 	return true
 }

@@ -164,6 +164,79 @@ func TestGreedyMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestGreedyOneOrderWhenAdmissibleMinsAgree checks solve's shortcut past
+// the descending admission order. Each instance's requests share one Min
+// m0 ≤ 3, and a pool class of capacity 5 has at least 4 locations, so
+// every one of them can be admitted; one to three extra requests have
+// other minima. In half the instances no extra can ever be admitted: its
+// Min is above its Max, above the pool, or above the locations with room
+// for its Resources. Then admissibleSameMin must hold, so solve runs one
+// order. In the other half every extra sits on the boundary of
+// admissible: its Min is exactly the number of locations with room for it,
+// and its Max is that Min or unbounded. Then admissibleSameMin must not
+// hold. Either way solve must equal the better of both orders run in
+// full, bit for bit (checkGreedy).
+func TestGreedyOneOrderWhenAdmissibleMinsAgree(t *testing.T) {
+	rng := stats.NewRand(16)
+	s := new(greedyScratch)
+	caps := []float64{0, 0.5, 1, 2, 3, 5}
+	for i := 0; i < 4000; i++ {
+		classes := make([]Class, 1+rng.Intn(8))
+		L := 0
+		for c := range classes {
+			classes[c] = Class{Label: "c", Count: 1 + rng.Intn(10), Capacity: caps[rng.Intn(len(caps))]}
+			if c == 0 {
+				classes[c] = Class{Label: "c", Count: 4 + rng.Intn(7), Capacity: 5}
+			}
+			L += classes[c].Count
+		}
+		pool := Pool{Classes: classes}
+		room := func(need float64) int {
+			n := 0
+			for _, c := range classes {
+				if c.Capacity+1e-12 >= need {
+					n += c.Count
+				}
+			}
+			return n
+		}
+		m0 := rng.Intn(4)
+		reqs := make([]Request, 1+rng.Intn(6))
+		for j := range reqs {
+			reqs[j] = Request{Min: m0, Shape: greedyShapes[rng.Intn(len(greedyShapes))], Resources: []float64{0.5, 1, 2}[rng.Intn(3)]}
+			if rng.Intn(3) == 0 {
+				reqs[j].Max = m0 + rng.Intn(L+1)
+			}
+		}
+		never := i%2 == 0
+		for e := 1 + rng.Intn(3); e > 0; e-- {
+			r := Request{Min: m0 + 1 + rng.Intn(L+2), Shape: greedyShapes[rng.Intn(len(greedyShapes))], Resources: 1}
+			switch {
+			case !never:
+				r.Resources = caps[1+rng.Intn(len(caps)-1)]
+				if r.Min = room(r.Resources); rng.Intn(2) == 0 {
+					r.Max = r.Min
+				}
+			case rng.Intn(3) == 0:
+				r.Min = max(r.Min, 2)
+				r.Max = 1 + rng.Intn(r.Min-1)
+			case rng.Intn(2) == 0:
+				r.Min = L + 1 + rng.Intn(3)
+			default:
+				r.Resources = 5 + rng.Float64()
+			}
+			at := rng.Intn(len(reqs) + 1)
+			reqs = slices.Insert(reqs, at, r)
+		}
+		if one := admissibleSameMin(pool, reqs); one != never {
+			t.Fatalf("instance %d: admissibleSameMin %v, want %v\npool %+v\nrequests %+v", i, one, never, classes, reqs)
+		}
+		if err := checkGreedy(s, pool, reqs); err != nil {
+			t.Fatalf("instance %d (pool %+v, requests %+v): %v", i, classes, reqs, err)
+		}
+	}
+}
+
 // TestGreedyScratchReuse solves a seeded sequence of instances on one
 // scratch with shapes drawn from more distinct values than it keeps power
 // tables for: windows of three shapes evict earlier shapes' tables, one

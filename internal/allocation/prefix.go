@@ -33,16 +33,21 @@ import "math"
 //
 // A walk draws from one class list, fixed up front and digested once
 // (SetClasses): each class's location count, capacity bin and scarcity.
-// Extend takes one step, adding classes[i], and reports whether a
-// certified path valued the pool; Resolve re-solves the walked pool for a
-// caller that needs an uncertified step's value. A caller that can value
-// uncertified steps better leaves them alone, as the collapsed class game
-// does: its classes are the templates, a replica of template j extends by
-// class j again, and its count-vector memo values the rest. Walk values a
-// whole walk in one call, as the sampler's distinct-facility walks do: it
-// keeps the admitted count in locals while the homogeneous fast path
-// holds, and re-solves each uncertified step. Both take the same steps
-// and build a fallback's pool the same way, from the walked indices.
+// WalkCertified values a walk's leading certified steps in one call and
+// returns how many there were: it keeps the admitted count in locals while
+// the homogeneous fast path holds, then takes step's fast and repair
+// branches. Certification is monotone along a walk — a step is certified
+// while the pool is within the d = 1 engine's reach (poolL ≤ maxL) or holds
+// no scarce class, and poolL and the scarce count only grow — so every
+// step after the first uncertified one is uncertified too, and each caller
+// values those its own way. Walk, the sampler's distinct-facility walk,
+// re-solves each of them; the collapsed class game, whose classes are the
+// templates (a replica of template j extends by class j again), reads them
+// from its count-vector memo. Extend takes one step, adding classes[i],
+// and reports whether a certified path valued the pool; Resolve re-solves
+// the walked pool after an uncertified one. Every path takes the same
+// steps and builds a fallback's pool the same way, from the walked
+// indices.
 //
 // Values are bit-identical to Solve on the fast path (Solve runs the same
 // admission, and all its arithmetic is exact integer slot counting) and on
@@ -55,8 +60,8 @@ import "math"
 
 // PrefixStats counts how a PrefixSolver's steps were served.
 type PrefixStats struct {
-	// Steps is the number of steps that added locations: an Extend or
-	// Walk step adding a class without any leaves the counters alone.
+	// Steps is the number of steps that added locations: a step adding a
+	// class without any leaves the counters alone.
 	Steps int64
 	// Fast is the number of steps valued by the d = 1 engine's
 	// Gale–Ryser admission.
@@ -65,8 +70,8 @@ type PrefixStats struct {
 	// repair (abundant-capacity closed form).
 	Repaired int64
 	// Fallbacks is the number of steps no incremental path could
-	// certify: Walk re-solved the pool, Extend left it to Resolve or to
-	// its caller.
+	// certify: Walk re-solved the pool, WalkCertified and Extend left it
+	// to their caller.
 	Fallbacks int64
 }
 
@@ -152,7 +157,7 @@ func (ps *PrefixSolver) Stats() PrefixStats {
 	return ps.stats
 }
 
-// SetClasses fixes the class list Extend and Walk draw from and empties
+// SetClasses fixes the class list every walk draws from and empties
 // the pool. The solver keeps classes, which the caller must not change,
 // and digests each class once. It panics on invalid classes, mirroring
 // Solve.
@@ -176,10 +181,10 @@ func (ps *PrefixSolver) SetClasses(classes []Class) {
 // grown pool, it returns V with ok set — exactly Solve(pool, reqs).Utility
 // for the pool of the classes added since Reset that have locations, in
 // the order added. Otherwise ok is false and the step is counted as a
-// fallback: Extend does not solve, and V is Resolve's or the caller's to
-// find. A class without locations leaves the pool, V, ok and the step
-// counters as they are. Certification depends only on the multiset of
-// classes added, never on the order that reached it.
+// fallback: Extend does not solve, and V is Resolve's to find. A class
+// without locations leaves the pool, V, ok and the step counters as they
+// are. Certification depends only on the multiset of classes added, never
+// on the order that reached it.
 func (ps *PrefixSolver) Extend(i int) (v float64, ok bool) {
 	ps.walked = append(ps.walked, i)
 	if sc := ps.steps[i]; sc.count > 0 {
@@ -196,14 +201,18 @@ func (ps *PrefixSolver) Resolve() float64 {
 	return ps.value
 }
 
-// Walk values one whole walk over the class list: it empties the pool,
-// takes the steps of Extend(order[0]), Extend(order[1]), … and sets
-// vals[n] to V after the (n+1)th, for every n < len(order), re-solving
-// each step no certified path values as Resolve would. The values, the
-// pool a fallback solves and the counters are those of that Extend loop,
-// bit for bit. A walk ends when Walk returns; the next starts with Walk
-// or Reset, not Extend.
-func (ps *PrefixSolver) Walk(order []int, vals []float64) {
+// WalkCertified values the leading certified steps of one walk over the
+// class list: it empties the pool, takes the steps of Extend(order[0]),
+// Extend(order[1]), … while a certified path values them, sets vals[n] to
+// V after the (n+1)th, and returns how many steps it valued. Since
+// certification is monotone along a walk, every step from the returned
+// index on is uncertified: each of those that adds locations is counted
+// as a fallback, and vals from that index on are the caller's to set. The
+// values and counters are those of the Extend loop, bit for bit, and the
+// counters are published to the process metrics before it returns. A walk
+// ends when WalkCertified returns; the next starts with a walk or Reset,
+// not Extend.
+func (ps *PrefixSolver) WalkCertified(order []int, vals []float64) int {
 	ps.Reset()
 	n := 0
 	if ps.homogMin >= 0 {
@@ -213,15 +222,42 @@ func (ps *PrefixSolver) Walk(order []int, vals []float64) {
 		if sc := ps.steps[order[n]]; sc.count > 0 {
 			v, ok := ps.step(sc)
 			if !ok {
-				v = ps.fallback(order, n)
+				break
 			}
 			ps.value = v
 		}
 		vals[n] = ps.value
 	}
+	if n < len(order) {
+		// step counted step n's fallback; count the later ones.
+		for _, i := range order[n+1:] {
+			if ps.steps[i].count > 0 {
+				ps.stats.Steps++
+				ps.stats.Fallbacks++
+			}
+		}
+	}
+	ps.flushMetrics()
+	return n
 }
 
-// walkHomog takes Walk's steps while the homogeneous-minima fast path
+// Walk values one whole walk over the class list: it sets vals[n] to V
+// after the (n+1)th step of Extend(order[0]), Extend(order[1]), … for every
+// n < len(order). WalkCertified values the leading certified steps, and
+// each later step that adds locations is re-solved as Resolve would. The
+// values, the pool a fallback solves and the counters are those of that
+// Extend loop, bit for bit. A walk ends when Walk returns; the next starts
+// with a walk or Reset, not Extend.
+func (ps *PrefixSolver) Walk(order []int, vals []float64) {
+	for n := ps.WalkCertified(order, vals); n < len(order); n++ {
+		if ps.steps[order[n]].count > 0 {
+			ps.value = ps.fallback(order, n)
+		}
+		vals[n] = ps.value
+	}
+}
+
+// walkHomog takes a walk's steps while the homogeneous-minima fast path
 // values them — every step of a uniform linear request list, unless a
 // bounded Max starts to bind — and returns how many it took. It is step's
 // fast branch with the pool size and fastSlots held in locals, which the

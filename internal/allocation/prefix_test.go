@@ -73,17 +73,21 @@ func randClasses(rng *stats.Rand, reqs []Request, abundant bool) []Class {
 }
 
 // extendWalk takes one Extend step per class of order through ps,
-// re-solving each step Extend leaves uncertified, and sets vals[n] to V
-// after the (n+1)th.
-func extendWalk(ps *PrefixSolver, order []int, vals []float64) {
+// re-solving each step Extend leaves uncertified, sets vals[n] to V after
+// the (n+1)th, and returns the index of the first uncertified step
+// (len(order) when every step is certified).
+func extendWalk(ps *PrefixSolver, order []int, vals []float64) int {
 	ps.Reset()
+	first := len(order)
 	for n, i := range order {
 		v, ok := ps.Extend(i)
 		if !ok {
 			v = ps.Resolve()
+			first = min(first, n)
 		}
 		vals[n] = v
 	}
+	return first
 }
 
 // walkAndCompare walks one random permutation of classes, the class list
@@ -305,7 +309,10 @@ func TestPrefixSolverConcurrentWalkers(t *testing.T) {
 // bit, on fast and general request lists. Whether a step is certified
 // must depend only on the multiset of templates walked: a fresh solver
 // extended by the same replicas in template order must agree.
-// Uncertified steps never solve: the collapsed game values them.
+// Uncertified steps never solve: the collapsed game values them. The
+// same template sequence through WalkCertified, the collapsed game's
+// batched walk, must return the certified values and stop at the first
+// uncertified step.
 func TestPrefixSolverReplicaWalksMatchSolve(t *testing.T) {
 	rng := stats.NewRand(7006)
 	var agg PrefixStats
@@ -315,15 +322,19 @@ func TestPrefixSolverReplicaWalksMatchSolve(t *testing.T) {
 			reqs = randGeneralRequests(rng)
 		}
 		tmpl := randClasses(rng, reqs, trial%4 == 1)
-		walker, sorted := newSolver(t, reqs, tmpl), newSolver(t, reqs, tmpl)
+		walker, sorted, batch := newSolver(t, reqs, tmpl), newSolver(t, reqs, tmpl), newSolver(t, reqs, tmpl)
 		counts := make([]int, len(tmpl))
+		seq, vals, batched := make([]int, 3*len(tmpl)), make([]float64, 3*len(tmpl)), make([]float64, 3*len(tmpl))
 		for walk := 0; walk < 3; walk++ {
 			walker.Reset()
 			clear(counts)
-			for step := 0; step < 3*len(tmpl); step++ {
+			first := len(seq)
+			for step := range seq {
 				j := rng.Intn(len(tmpl))
+				seq[step] = j
 				counts[j]++
 				got, ok := walker.Extend(j)
+				vals[step] = got
 				sorted.Reset()
 				sortedOK := true
 				for i, c := range counts {
@@ -338,6 +349,7 @@ func TestPrefixSolverReplicaWalksMatchSolve(t *testing.T) {
 					if !math.IsNaN(got) || len(walker.pool) != 0 {
 						t.Fatalf("trial %d step %d: uncertified step reported %g and built a pool of %d classes", trial, step, got, len(walker.pool))
 					}
+					first = min(first, step)
 					continue
 				}
 				var pool Pool
@@ -349,6 +361,14 @@ func TestPrefixSolverReplicaWalksMatchSolve(t *testing.T) {
 				}
 				if want := Solve(pool, reqs).Utility; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("trial %d step %d: walk %.17g, Solve of the merged classes %.17g", trial, step, got, want)
+				}
+			}
+			if n := batch.WalkCertified(seq, batched); n != first {
+				t.Fatalf("trial %d: WalkCertified valued %d steps, Extend certified the first %d", trial, n, first)
+			}
+			for step := range first {
+				if math.Float64bits(batched[step]) != math.Float64bits(vals[step]) {
+					t.Fatalf("trial %d step %d: WalkCertified %.17g, Extend %.17g", trial, step, batched[step], vals[step])
 				}
 			}
 		}
@@ -507,13 +527,14 @@ func TestPrefixSolverLongWalks(t *testing.T) {
 }
 
 // FuzzPrefixSolver walks a decoded class sequence, one class per step, by
-// Extend and by Walk, forward and reversed. Every Extend step, re-solved
-// where uncertified, is compared with Solve of the walked classes bit for
-// bit. A certified step must also equal Solve of the slot pool: each
-// slot's locations so far merged into one class, non-empty slots in slot
-// order, as the collapsed class game's Value merges a template's
-// replicas. Walk must return the Extend walk's values at every step and
-// end with its counters.
+// Extend, by Walk and by WalkCertified, forward and reversed. Every Extend
+// step, re-solved where uncertified, is compared with Solve of the walked
+// classes bit for bit. A certified step must also equal Solve of the slot
+// pool: each slot's locations so far merged into one class, non-empty
+// slots in slot order, as the collapsed class game's Value merges a
+// template's replicas. Walk must return the Extend walk's values at every
+// step, WalkCertified up to the first step Extend leaves uncertified,
+// where it must stop, and both must end with the Extend walk's counters.
 func FuzzPrefixSolver(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, caps, steps := decodePrefixWalk(data)
@@ -549,38 +570,55 @@ func FuzzPrefixSolver(f *testing.F) {
 	})
 }
 
-// checkWalk runs Walk over classes, forward and reversed, against an
-// Extend walk in the same order on a second solver: values at every step
-// and the four counters must agree.
+// checkWalk runs Walk and WalkCertified over classes, forward and
+// reversed, against an Extend walk in the same order on a third solver:
+// Walk's values at every step, WalkCertified's up to the first step
+// Extend leaves uncertified, the step count WalkCertified returns and the
+// four counters must agree.
 func checkWalk(t *testing.T, reqs []Request, classes []Class) {
 	t.Helper()
 	order := make([]int, len(classes))
 	for n := range order {
 		order[n] = n
 	}
-	walk := newSolver(t, reqs, classes)
-	walked, extended := make([]float64, len(order)), make([]float64, len(order))
+	walk, cert := newSolver(t, reqs, classes), newSolver(t, reqs, classes)
+	walked, certified, extended := make([]float64, len(order)), make([]float64, len(order)), make([]float64, len(order))
 	for _, rev := range []bool{false, true} {
 		if rev {
 			slices.Reverse(order)
 		}
 		ref := newSolver(t, reqs, classes)
-		before := walk.Stats()
+		walkBefore, certBefore := walk.Stats(), cert.Stats()
 		walk.Walk(order, walked)
-		extendWalk(ref, order, extended)
+		valued := cert.WalkCertified(order, certified)
+		first := extendWalk(ref, order, extended)
+		if valued != first {
+			t.Fatalf("rev=%v: WalkCertified valued %d steps, Extend certified the first %d\nrequests %+v\nclasses %+v", rev, valued, first, reqs, classes)
+		}
 		for n := range order {
 			if math.Float64bits(walked[n]) != math.Float64bits(extended[n]) {
 				t.Fatalf("rev=%v step %d: Walk %.17g, Extend %.17g\nrequests %+v\nclasses %+v", rev, n, walked[n], extended[n], reqs, classes)
 			}
+			if n < first && math.Float64bits(certified[n]) != math.Float64bits(extended[n]) {
+				t.Fatalf("rev=%v step %d: WalkCertified %.17g, Extend %.17g\nrequests %+v\nclasses %+v", rev, n, certified[n], extended[n], reqs, classes)
+			}
 		}
-		after := walk.Stats()
-		got := PrefixStats{
-			Steps: after.Steps - before.Steps, Fast: after.Fast - before.Fast,
-			Repaired: after.Repaired - before.Repaired, Fallbacks: after.Fallbacks - before.Fallbacks,
-		}
-		if want := ref.Stats(); got != want {
+		want := ref.Stats()
+		if got := statsSince(walk, walkBefore); got != want {
 			t.Fatalf("rev=%v: Walk counters %+v, Extend counters %+v", rev, got, want)
 		}
+		if got := statsSince(cert, certBefore); got != want {
+			t.Fatalf("rev=%v: WalkCertified counters %+v, Extend counters %+v", rev, got, want)
+		}
+	}
+}
+
+// statsSince returns the counts ps has added since it read before.
+func statsSince(ps *PrefixSolver, before PrefixStats) PrefixStats {
+	after := ps.Stats()
+	return PrefixStats{
+		Steps: after.Steps - before.Steps, Fast: after.Fast - before.Fast,
+		Repaired: after.Repaired - before.Repaired, Fallbacks: after.Fallbacks - before.Fallbacks,
 	}
 }
 

@@ -24,11 +24,11 @@ import (
 // lattice with closed-form ordering probabilities (exact, feasible when
 // Π(m_j+1) is modest), and MemberGame adapts it for the sampler,
 // composing collapse with sampling when the state space is still too
-// large. Its permutation walks grow a count vector one member at a time
-// and value each step by a per-step rule: a step the structure's
-// incremental evaluator (ClassStructure.Prefix) certifies takes that
-// value; any other step reads a concurrent count-vector memo, which
-// calls Value on a miss.
+// large. Its permutation walks grow a count vector one member at a time.
+// The structure's evaluator (ClassStructure.Prefix) values a walk's
+// leading certified steps in one batched call; certification is monotone
+// along a walk, so every later step reads a concurrent count-vector memo,
+// which calls Value on a miss.
 
 // ClassStructure describes the interchangeable-player structure of a game:
 // a partition of the players into classes plus the class-level
@@ -42,26 +42,25 @@ type ClassStructure struct {
 	// class j (any counts[j] members — the classes are interchangeable).
 	// It must be safe for concurrent calls, return 0 for the zero vector,
 	// and must not retain the slice. MemberGame's walks call it only on
-	// steps Prefix cannot certify, through a count-vector memo, so it
+	// steps Prefix does not value, through a count-vector memo, so it
 	// need not cache itself.
 	Value func(counts []int) float64
-	// Prefix, when non-nil, returns a fresh incremental evaluator of
-	// Value for one prefix walker. The game's owner fills it (core.Model
-	// backs it with an allocation.PrefixSolver); nil means every walked
-	// step reads the count-vector memo.
+	// Prefix, when non-nil, returns a fresh batched evaluator of Value
+	// for one prefix walker. The game's owner fills it (core.Model backs
+	// it with an allocation.PrefixSolver); nil means every walked step
+	// reads the count-vector memo.
 	Prefix func() ClassPrefix
 }
 
-// ClassPrefix values a count vector grown one member at a time, for one
-// walker of the collapsed game. It is stateful and single-goroutine.
+// ClassPrefix values the leading certified steps of a collapsed-game walk,
+// for one walker. It is stateful and single-goroutine.
 type ClassPrefix interface {
-	// Reset empties the count vector, starting a new walk.
-	Reset()
-	// Add adds one member of class j. When ok, v is exactly Value of the
-	// grown count vector, bit for bit. Otherwise the evaluator could not
-	// certify the step and the caller values the vector itself; whether
-	// a step is certified depends only on the count vector.
-	Add(j int) (v float64, ok bool)
+	// WalkCertified starts a walk from the zero vector that adds one
+	// member of class classes[0], then of classes[1], …, and returns how
+	// many leading steps it can certify: for each n below the returned
+	// count it sets vals[n] to exactly Value of the count vector after
+	// the (n+1)th addition, bit for bit. The caller values the rest.
+	WalkCertified(classes []int, vals []float64) int
 }
 
 // Validate checks the partition's internal consistency.
@@ -257,11 +256,12 @@ func (g *classMemberGame) ValueMembers(members []int) float64 {
 }
 
 // PrefixValuer implements PrefixGame: the walker's coalition reduces to a
-// count vector maintained incrementally, with no per-member scan. Each
-// step takes the value of the valuer's own ClassPrefix evaluator when it
-// certifies one, and otherwise one O(k) probe of the game's striped memo.
-// Both equal Value of the count vector bit for bit, so incremental and
-// ValueMembers evaluations agree whichever serves a step.
+// count vector maintained incrementally, with no per-member scan. Its Walk
+// takes the leading certified steps from the valuer's own ClassPrefix
+// evaluator in one call, and every other step, like every Extend, is one
+// O(k) probe of the game's striped memo. Both equal Value of the count
+// vector bit for bit, so incremental and ValueMembers evaluations agree
+// whichever serves a step.
 func (g *classMemberGame) PrefixValuer() PrefixValuer {
 	k := g.cs.K()
 	v := &classPrefixValuer{g: g, counts: make([]int, k), key: make([]byte, 2*k)}
@@ -273,32 +273,43 @@ func (g *classMemberGame) PrefixValuer() PrefixValuer {
 
 // classPrefixValuer is the incremental walker state over one count vector.
 type classPrefixValuer struct {
-	g      *classMemberGame
-	ev     ClassPrefix // nil: every step reads the memo
-	counts []int
-	key    []byte
+	g       *classMemberGame
+	ev      ClassPrefix // nil: every step reads the memo
+	counts  []int
+	key     []byte
+	classes []int // the class of each player of the walk ev values
 }
 
 // Reset implements PrefixValuer.
-func (v *classPrefixValuer) Reset() {
-	for j := range v.counts {
-		v.counts[j] = 0
-	}
-	if v.ev != nil {
-		v.ev.Reset()
-	}
+func (v *classPrefixValuer) Reset() { clear(v.counts) }
+
+// Extend implements PrefixValuer: V of the grown count vector, from the
+// memo.
+func (v *classPrefixValuer) Extend(p int) float64 {
+	v.counts[v.g.cs.ClassOf[p]]++
+	return v.g.valueCounts(v.counts, v.key)
 }
 
-// Extend implements PrefixValuer.
-func (v *classPrefixValuer) Extend(p int) float64 {
-	j := v.g.cs.ClassOf[p]
-	v.counts[j]++
+// Walk values a whole walk, as Reset and one Extend per player of perm
+// would: the evaluator values the leading certified steps, and Extend
+// each later one.
+func (v *classPrefixValuer) Walk(perm []int, vals []float64) {
+	v.Reset()
+	n := 0
 	if v.ev != nil {
-		if x, ok := v.ev.Add(j); ok {
-			return x
+		v.classes = v.classes[:0]
+		for _, p := range perm {
+			v.classes = append(v.classes, v.g.cs.ClassOf[p])
+		}
+		if n = v.ev.WalkCertified(v.classes, vals); n < len(perm) {
+			for _, j := range v.classes[:n] {
+				v.counts[j]++
+			}
 		}
 	}
-	return v.g.valueCounts(v.counts, v.key)
+	for ; n < len(perm); n++ {
+		vals[n] = v.Extend(perm[n])
+	}
 }
 
 // valueCounts returns the collapsed game's value for a count vector

@@ -139,13 +139,13 @@ func TestWalkerIncrementalMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestClassGamePrefixValuer walks random permutations through the
-// collapsed game's incremental valuer and requires exact agreement with
-// ValueMembers at every prefix under the per-step rule: a step the
-// structure's Prefix evaluator certifies takes its value, and every other
-// step reads the count-vector memo. Without an evaluator every step reads
-// the memo; with one that certifies every step, the walk never calls
-// Value.
+// TestClassGamePrefixValuer walks random permutations, forward and
+// reversed, through the walker of the collapsed game, which must find the
+// valuer's batch Walk, and requires exact agreement with ValueMembers at
+// every prefix: the structure's Prefix evaluator values the walk's leading
+// certified steps, and every later step reads the count-vector memo, as
+// every Extend does. Without an evaluator every step reads the memo; with
+// one that certifies every step, the walk never calls Value.
 func TestClassGamePrefixValuer(t *testing.T) {
 	value := func(counts []int) float64 {
 		// Submodular-ish nonlinear class game.
@@ -157,11 +157,11 @@ func TestClassGamePrefixValuer(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		certify func(total int) bool // nil: no evaluator
+		certify int // the leading steps the evaluator certifies; -1: no evaluator
 	}{
-		{"memo only", nil},
-		{"even steps certified", func(total int) bool { return total%2 == 0 }},
-		{"every step certified", func(int) bool { return true }},
+		{"memo only", -1},
+		{"first 4 certified", 4},
+		{"every step certified", 9},
 	} {
 		var valueCalls, certified atomic.Int64
 		cs := &ClassStructure{
@@ -172,32 +172,40 @@ func TestClassGamePrefixValuer(t *testing.T) {
 				return value(counts)
 			},
 		}
-		if tc.certify != nil {
+		if tc.certify >= 0 {
 			cs.Prefix = func() ClassPrefix {
 				return &stubClassPrefix{counts: make([]int, 3), value: value, certify: tc.certify, certified: &certified}
 			}
 		}
 		mg := cs.MemberGame()
-		pg, ok := mg.(PrefixGame)
-		if !ok {
-			t.Fatal("collapsed game does not implement PrefixGame")
-		}
-		pv := pg.PrefixValuer()
-		if pv == nil {
-			t.Fatal("collapsed game returned a nil PrefixValuer")
+		w := newPrefixWalker(mg)
+		if w.wv == nil {
+			t.Fatalf("%s: the walker found no batch Walk on the collapsed game's valuer", tc.name)
 		}
 		rng := stats.NewRand(11)
 		n := cs.N()
+		vals := make([]float64, n)
 		walkCalls := int64(0)
 		for walk := 0; walk < 50; walk++ {
 			perm := rng.Perm(n)
-			pv.Reset()
-			for k := 1; k <= n; k++ {
+			for _, rev := range []bool{false, true} {
 				before := valueCalls.Load()
-				got := pv.Extend(perm[k-1])
+				w.values(perm, rev, vals)
 				walkCalls += valueCalls.Load() - before
-				if want := mg.ValueMembers(perm[:k]); got != want {
-					t.Fatalf("%s: walk %d prefix %d: incremental %.17g, direct %.17g", tc.name, walk, k, got, want)
+				for k := range perm {
+					members := perm[:k+1]
+					if rev {
+						members = perm[n-1-k:]
+					}
+					if want := mg.ValueMembers(members); vals[k] != want {
+						t.Fatalf("%s: walk %d rev=%v prefix %d: walked %.17g, direct %.17g", tc.name, walk, rev, k+1, vals[k], want)
+					}
+				}
+			}
+			w.pv.Reset()
+			for k, p := range perm {
+				if got, want := w.pv.Extend(p), mg.ValueMembers(perm[:k+1]); got != want {
+					t.Fatalf("%s: walk %d prefix %d: Extend %.17g, direct %.17g", tc.name, walk, k+1, got, want)
 				}
 			}
 		}
@@ -206,7 +214,7 @@ func TestClassGamePrefixValuer(t *testing.T) {
 			if walkCalls == 0 {
 				t.Errorf("%s: the walk never reached Value", tc.name)
 			}
-		case "even steps certified":
+		case "first 4 certified":
 			if certified.Load() == 0 || walkCalls == 0 {
 				t.Errorf("%s: %d certified steps, %d Value calls; want both", tc.name, certified.Load(), walkCalls)
 			}
@@ -218,26 +226,22 @@ func TestClassGamePrefixValuer(t *testing.T) {
 	}
 }
 
-// stubClassPrefix is a ClassPrefix certifying the steps whose count
-// vector's total passes certify, valued by calling value itself.
+// stubClassPrefix is a ClassPrefix certifying a walk's first certify
+// steps, each valued by calling value itself.
 type stubClassPrefix struct {
 	counts    []int
 	value     func([]int) float64
-	certify   func(total int) bool
+	certify   int
 	certified *atomic.Int64
 }
 
-func (s *stubClassPrefix) Reset() { clear(s.counts) }
-
-func (s *stubClassPrefix) Add(j int) (float64, bool) {
-	s.counts[j]++
-	total := 0
-	for _, c := range s.counts {
-		total += c
+func (s *stubClassPrefix) WalkCertified(classes []int, vals []float64) int {
+	clear(s.counts)
+	n := min(s.certify, len(classes))
+	for k, j := range classes[:n] {
+		s.counts[j]++
+		vals[k] = s.value(s.counts)
 	}
-	if !s.certify(total) {
-		return 0, false
-	}
-	s.certified.Add(1)
-	return s.value(s.counts), true
+	s.certified.Add(int64(n))
+	return n
 }

@@ -45,9 +45,9 @@ func benchFederation(tb testing.TB, n, k int) *Model {
 // facility templates, then stratified antithetic permutation sampling
 // adaptive to a 1% relative CI target. These are the BENCH_6.json
 // wall-clock points (n = 50, 100, 200, 500). The demand is linear, so the
-// collapsed game's PrefixSolver fast path certifies every walked step:
-// no step reaches the count-vector memo or Value, and the allocation memo
-// is never read. Each iteration builds a fresh model, so nothing carries
+// collapsed game's PrefixSolver fast path certifies every walked step,
+// each walk in one batched call: no step reaches the count-vector memo or
+// Value. Each iteration builds a fresh model, so nothing carries
 // over between iterations — matching how a scenario sweep behaves.
 // BenchmarkApproxShapleyCollapsedGreedy measures the memo-served side.
 func BenchmarkApproxShapley(b *testing.B) {

@@ -378,15 +378,16 @@ type classSignature struct {
 // sit next to each other in a per-replica pool, so the greedy engine sees
 // the same location sequence with the same capacities, and the d = 1
 // engine sees the same capacity histogram; only Utility is read.
-// Its incremental evaluator (Prefix) is the one Model.PrefixValuer uses,
-// over one class per template — L_j locations of capacity R_j·T_j — in
+// Its batched evaluator (Prefix) is the one Model.PrefixValuer uses, over
+// one class per template — L_j locations of capacity R_j·T_j — in
 // template order. A replica of template j extends the pool by class j
 // again, which adds the locations the merged class gains; certification
 // depends only on the classes added, so the evaluator certifies exactly
 // the count vectors the solver's fast path or abundant repair values, and
-// never solves. The sampler sends every other step to the count-vector
-// memo of coalition.ClassStructure.MemberGame, the one cache on this
-// path.
+// never solves. Certification is monotone along a walk, so the evaluator
+// values a walk's leading steps and the sampler sends every later step to
+// the count-vector memo of coalition.ClassStructure.MemberGame, the one
+// cache on this path.
 func (m *Model) ClassStructure() *coalition.ClassStructure {
 	if m.Overlap != nil {
 		return nil

@@ -42,7 +42,8 @@ func (m *Model) PrefixValuer() coalition.PrefixValuer {
 // allocation.PrefixSolver, scaling V by µ. It serves both sampled games:
 // as a coalition.PrefixValuer its classes are the facilities' (see
 // PrefixValuer), and as the collapsed game's coalition.ClassPrefix they
-// are the templates' (see ClassStructure).
+// are the templates' (see ClassStructure). Both walk on the solver's one
+// batched loop, PrefixSolver.WalkCertified.
 type prefixEvaluator struct {
 	ps *allocation.PrefixSolver
 	mu float64
@@ -60,7 +61,7 @@ func (m *Model) newPrefixEvaluator(classes []allocation.Class) *prefixEvaluator 
 	return &prefixEvaluator{ps: ps, mu: m.muFactor()}
 }
 
-// Reset implements coalition.PrefixValuer and coalition.ClassPrefix.
+// Reset implements coalition.PrefixValuer.
 func (e *prefixEvaluator) Reset() { e.ps.Reset() }
 
 // Extend implements coalition.PrefixValuer.
@@ -76,19 +77,27 @@ func (e *prefixEvaluator) Extend(i int) float64 {
 // classes of perm, as Extend returns them.
 func (e *prefixEvaluator) Walk(perm []int, vals []float64) {
 	e.ps.Walk(perm, vals)
+	e.scale(vals[:len(perm)])
+}
+
+// WalkCertified implements coalition.ClassPrefix: step n adds one more
+// replica of template classes[n], which extends the pool by that
+// template's class again — the locations the merged class of
+// ClassStructure's Value gains. It values the walk's leading certified
+// steps, µ times the solver's, and never solves; the collapsed game
+// values the rest.
+func (e *prefixEvaluator) WalkCertified(classes []int, vals []float64) int {
+	n := e.ps.WalkCertified(classes, vals)
+	e.scale(vals[:n])
+	return n
+}
+
+// scale multiplies vals by µ.
+func (e *prefixEvaluator) scale(vals []float64) {
 	if e.mu == 1 {
 		return // x·1 is x, bit for bit
 	}
-	for k := range perm {
+	for k := range vals {
 		vals[k] *= e.mu
 	}
-}
-
-// Add implements coalition.ClassPrefix: one more replica of template j
-// extends the pool by template j's class again, which adds the locations
-// the merged class of ClassStructure's Value gains. It never solves; the
-// collapsed game values the steps the solver cannot certify.
-func (e *prefixEvaluator) Add(j int) (float64, bool) {
-	v, ok := e.ps.Extend(j)
-	return e.mu * v, ok
 }

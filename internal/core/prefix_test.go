@@ -321,12 +321,12 @@ func templatedNonlinearModel(t testing.TB) *Model {
 }
 
 // TestClassStructurePrefixWalk walks the collapsed game's PrefixValuer
-// over random orderings and requires every prefix value to equal
-// cs.Value of the prefix's count vector bit for bit. On a linear
-// templated model the solver's fast path certifies every step; on
-// templatedNonlinearModel steps split between the certified repair and
-// the count-vector memo. Concurrent walkers share one game, and so one
-// memo (meaningful under -race).
+// over random orderings through its batch Walk and requires every prefix
+// value to equal cs.Value of the prefix's count vector bit for bit. On a
+// linear templated model the solver's fast path certifies every step; on
+// templatedNonlinearModel a walk's leading steps take the certified repair
+// and the rest the count-vector memo. Concurrent walkers share one game,
+// and so one memo (meaningful under -race).
 func TestClassStructurePrefixWalk(t *testing.T) {
 	models := map[string]*Model{
 		"linear":    heteroModel(t, 24, 4),
@@ -351,17 +351,20 @@ func TestClassStructurePrefixWalk(t *testing.T) {
 			go func(seed uint64) {
 				defer wg.Done()
 				rng := stats.NewRand(seed)
-				pv := pg.PrefixValuer()
+				pv := pg.PrefixValuer().(interface {
+					Walk(perm []int, vals []float64)
+				})
 				counts := make([]int, cs.K())
+				vals := make([]float64, cs.N())
 				for walk := 0; walk < 25; walk++ {
 					perm := rng.Perm(cs.N())
-					pv.Reset()
+					pv.Walk(perm, vals)
 					clear(counts)
 					for k, p := range perm {
 						counts[cs.ClassOf[p]]++
-						if got, want := pv.Extend(p), cs.Value(counts); got != want {
+						if want := cs.Value(counts); vals[k] != want {
 							t.Errorf("%s worker %d walk %d prefix %d: walked %.17g, Value(%v) %.17g",
-								name, seed, walk, k+1, got, counts, want)
+								name, seed, walk, k+1, vals[k], counts, want)
 							return
 						}
 					}
@@ -382,6 +385,137 @@ func TestClassStructurePrefixWalk(t *testing.T) {
 		case name == "nonlinear" && (st.Repaired == 0 || st.Fallbacks == 0):
 			t.Errorf("nonlinear: want repaired and uncertified steps, got %+v", st)
 		}
+	}
+}
+
+// randTemplatedModel draws a federation of 2–5 templates of 1–8 replicas
+// each against demand. A template has 1–12 locations whose capacity is one
+// of caps; with zero set, the first template has none. Templates that
+// draw equal parameters are one class of the collapsed game.
+func randTemplatedModel(t *testing.T, rng *stats.Rand, zero bool, caps []float64, demand ...economics.DemandClass) *Model {
+	t.Helper()
+	wl, err := economics.NewWorkload(demand...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fs []Facility
+	for j, k := 0, 2+rng.Intn(4); j < k; j++ {
+		f := Facility{Locations: 1 + rng.Intn(12), Resources: caps[rng.Intn(len(caps))]}
+		if zero && j == 0 {
+			f.Locations = 0
+		}
+		for r, mult := 0, 1+rng.Intn(8); r < mult; r++ {
+			f.Name = fmt.Sprintf("T%d-%d", j, r)
+			fs = append(fs, f)
+		}
+	}
+	m, err := NewModel(fs, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestClassStructureWalksMatchValue is the property test of the collapsed
+// game's batched walks, over seeded random templated models: linear demand
+// with homogeneous and with heterogeneous minima, a Max that starts to bind
+// mid-walk, and nonlinear demand on capacities that all cover the total
+// resource demand (every step repaired) or straddle it (a walk's tail
+// reads the count-vector memo), every other model with a zero-location
+// template and µ = 0.85. Every walk of the collapsed valuer's batch Walk,
+// forward and reversed, must equal cs.Value of each prefix's count vector
+// bit for bit, and the walker's evaluator must count its steps as an
+// Extend per step of the same template sequence on a fresh solver does.
+func TestClassStructureWalksMatchValue(t *testing.T) {
+	inf := math.Inf(1)
+	nonlinear := []economics.DemandClass{ // Σr = 8
+		walkDemand("elastic", 4, 2, 6, 0.8),
+		{Type: economics.ExperimentType{
+			Name: "strict", MinLocations: 3, MaxLocations: inf, Resources: 2, HoldingTime: 1, Shape: 1.3,
+		}, Count: 2},
+	}
+	cases := []struct {
+		name   string
+		caps   []float64
+		demand func(rng *stats.Rand) []economics.DemandClass
+		want   func(st allocation.PrefixStats) bool
+	}{
+		{"linear homogeneous minima", []float64{1, 2, 3, 5, 8}, func(rng *stats.Rand) []economics.DemandClass {
+			return []economics.DemandClass{walkDemand("b", 20, float64(rng.Intn(16)), inf, 1)}
+		}, func(st allocation.PrefixStats) bool { return st.Fast == st.Steps }},
+		{"linear heterogeneous minima", []float64{1, 2, 3, 5, 8}, func(rng *stats.Rand) []economics.DemandClass {
+			return []economics.DemandClass{walkDemand("small", 10, float64(rng.Intn(6)), inf, 1), walkDemand("large", 8, float64(10+rng.Intn(30)), inf, 1)}
+		}, func(st allocation.PrefixStats) bool { return st.Fast == st.Steps }},
+		{"max binds mid-walk", []float64{2, 5, 9, 14}, func(rng *stats.Rand) []economics.DemandClass {
+			return []economics.DemandClass{walkDemand("b", 12, 4, float64(10+rng.Intn(10)), 1)}
+		}, func(st allocation.PrefixStats) bool { return st.Fast > 0 && st.Fast < st.Steps }},
+		{"nonlinear abundant", []float64{8, 9, 12, 20}, func(*stats.Rand) []economics.DemandClass {
+			return nonlinear
+		}, func(st allocation.PrefixStats) bool { return st.Repaired == st.Steps }},
+		{"nonlinear scarce", []float64{2, 5, 9, 12}, func(*stats.Rand) []economics.DemandClass {
+			return nonlinear
+		}, func(st allocation.PrefixStats) bool { return st.Repaired > 0 && st.Fallbacks > 0 }},
+	}
+	rng := stats.NewRand(41)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var agg allocation.PrefixStats
+			for trial := 0; trial < 8; trial++ {
+				m := randTemplatedModel(t, rng, trial%2 == 1, tc.caps, tc.demand(rng)...)
+				if trial%2 == 1 {
+					m.Mu = 0.85
+				}
+				cs := m.ClassStructure()
+				var ev *prefixEvaluator
+				inner := cs.Prefix
+				cs.Prefix = func() coalition.ClassPrefix {
+					ev = inner().(*prefixEvaluator)
+					return ev
+				}
+				pv := cs.MemberGame().(coalition.PrefixGame).PrefixValuer().(interface {
+					Walk(perm []int, vals []float64)
+				})
+				// The per-step reference: template j's class is that of its
+				// first facility, as ClassStructure builds it.
+				tmpl := make([]allocation.Class, cs.K())
+				for p := cs.N() - 1; p >= 0; p-- {
+					tmpl[cs.ClassOf[p]] = m.class(p)
+				}
+				ref := m.newPrefixEvaluator(tmpl)
+				counts, vals := make([]int, cs.K()), make([]float64, cs.N())
+				for walk := 0; walk < 5; walk++ {
+					order := rng.Perm(cs.N())
+					for _, rev := range []bool{false, true} {
+						if rev {
+							slices.Reverse(order)
+						}
+						pv.Walk(order, vals)
+						clear(counts)
+						ref.Reset()
+						for k, p := range order {
+							counts[cs.ClassOf[p]]++
+							ref.ps.Extend(cs.ClassOf[p])
+							if want := cs.Value(counts); math.Float64bits(vals[k]) != math.Float64bits(want) {
+								t.Fatalf("trial %d walk %d rev=%v prefix %d: walked %.17g, Value(%v) %.17g",
+									trial, walk, rev, k+1, vals[k], counts, want)
+							}
+						}
+						if got, want := ev.ps.Stats(), ref.ps.Stats(); got != want {
+							t.Fatalf("trial %d walk %d rev=%v: batched walks counted %+v, per-step %+v", trial, walk, rev, got, want)
+						}
+					}
+				}
+				st := ev.ps.Stats()
+				agg.Steps += st.Steps
+				agg.Fast += st.Fast
+				agg.Repaired += st.Repaired
+				agg.Fallbacks += st.Fallbacks
+			}
+			if agg.Steps == 0 || !tc.want(agg) {
+				t.Errorf("step kinds %+v", agg)
+			}
+			t.Logf("step kinds %+v", agg)
+		})
 	}
 }
 
