@@ -43,6 +43,8 @@ import (
 	"fedshare/internal/obs"
 	"fedshare/internal/rspec"
 	"fedshare/internal/scenario"
+	"fedshare/internal/scenario/api"
+	"fedshare/internal/scenario/engine"
 	"fedshare/internal/sfa"
 )
 
@@ -341,41 +343,19 @@ func apiError(resp *http.Response) error {
 	return fmt.Errorf("%s", resp.Status)
 }
 
-// runView mirrors the API's run document (api.RunJSON).
-type runView struct {
-	ID       string `json:"id"`
-	Scenario string `json:"scenario"`
-	State    string `json:"state"`
-	Progress struct {
-		Done  int `json:"done"`
-		Total int `json:"total"`
-	} `json:"progress"`
-	Error          string  `json:"error"`
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-}
-
-// terminal reports whether the run has finished (any way).
-func (r runView) terminal() bool {
-	switch r.State {
-	case "done", "failed", "cancelled":
-		return true
-	}
-	return false
-}
-
 // getRun fetches one run's state.
-func getRun(addr, id string) (runView, error) {
+func getRun(addr, id string) (api.RunJSON, error) {
 	resp, err := fetchWithRetry(addr, "/api/v1/runs/"+id)
 	if err != nil {
-		return runView{}, err
+		return api.RunJSON{}, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return runView{}, apiError(resp)
+		return api.RunJSON{}, apiError(resp)
 	}
 	defer resp.Body.Close()
-	var r runView
+	var r api.RunJSON
 	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
-		return runView{}, fmt.Errorf("decode run: %w", err)
+		return api.RunJSON{}, fmt.Errorf("decode run: %w", err)
 	}
 	return r, nil
 }
@@ -416,7 +396,7 @@ func cmdSubmit(args []string) {
 	if resp.StatusCode != http.StatusAccepted {
 		fail(apiError(resp))
 	}
-	var r runView
+	var r api.RunJSON
 	err = json.NewDecoder(resp.Body).Decode(&r)
 	resp.Body.Close()
 	if err != nil {
@@ -436,12 +416,12 @@ func cmdSubmit(args []string) {
 		if err != nil {
 			fail(err)
 		}
-		if r.terminal() {
+		if engine.State(r.State).Terminal() {
 			break
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
-	if r.State != "done" {
+	if engine.State(r.State) != engine.StateDone {
 		fail(fmt.Errorf("run %s %s: %s", r.ID, r.State, r.Error))
 	}
 	fmt.Fprintf(os.Stderr, "run %s done in %.2fs\n", r.ID, r.ElapsedSeconds)
@@ -472,7 +452,7 @@ func cmdRuns(args []string) {
 	}
 	defer resp.Body.Close()
 	var list struct {
-		Runs []runView `json:"runs"`
+		Runs []api.RunJSON `json:"runs"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		fail(fmt.Errorf("decode runs: %w", err))
@@ -535,7 +515,7 @@ func cmdCancel(args []string) {
 		fail(apiError(resp))
 	}
 	defer resp.Body.Close()
-	var r runView
+	var r api.RunJSON
 	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
 		fail(fmt.Errorf("decode run: %w", err))
 	}

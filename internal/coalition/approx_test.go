@@ -51,7 +51,7 @@ func TestApproxShapleyMatchesKernelSmallN(t *testing.T) {
 	for _, n := range []int{3, 5, 8, 12} {
 		tab := randomMonotoneTable(t, n, uint64(100+n))
 		exact := BatchedValues(tab, 1).Shapley
-		res, err := approxShapley(asMemberGame(tab), Options{Samples: 20000, Seed: 7}, nil)
+		res, err := approxShapley(tableGame{tab}, Options{Samples: 20000, Seed: 7}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestApproxShapleyAntitheticTightensCI(t *testing.T) {
 	if paired.Samples != 1024 {
 		t.Fatalf("paired estimator drew %d permutations, want 1024", paired.Samples)
 	}
-	g := Func{Players: mg.N(), V: func(s combin.Set) float64 { return mg.ValueMembers(s.Members()) }}
+	g := tableOf(mg.N(), func(s combin.Set) float64 { return mg.ValueMembers(s.Members()) })
 	_, indepErr := monteCarloShapley(g, 1024, stats.NewRand(3))
 	var pairedMax, indepMax float64
 	for i := range paired.CIHalf {
@@ -247,7 +247,7 @@ func TestApproxShapleyConcurrentValueCalls(t *testing.T) {
 	var calls atomic.Int64 // shared mutable state under the sampler
 	g := MemberFunc{Players: 10, V: func(members []int) float64 {
 		calls.Add(1)
-		return tab.Value(setOf(members))
+		return tab.Values[setOf(members)]
 	}}
 	res, err := approxShapley(g, Options{Samples: 2000, Seed: 1, Workers: 8}, nil)
 	if err != nil {
@@ -267,7 +267,7 @@ func TestApproxShapleyConcurrentValueCalls(t *testing.T) {
 // error on every player.
 func TestApproxShapleyAgreesWithSequentialOracle(t *testing.T) {
 	tab := randomMonotoneTable(t, 9, 4)
-	par, err := approxShapley(asMemberGame(tab), Options{Samples: 20000, Seed: 7, Workers: 4}, nil)
+	par, err := approxShapley(tableGame{tab}, Options{Samples: 20000, Seed: 7, Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

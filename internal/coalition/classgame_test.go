@@ -155,7 +155,7 @@ func TestClassMemberGameMatchesStructure(t *testing.T) {
 					}
 				}
 				got := mg.ValueMembers(members)
-				want := tab.Value(setOf(members))
+				want := tab.Values[setOf(members)]
 				if got != want {
 					t.Errorf("coalition %b: memo %.12f vs table %.12f", m, got, want)
 					return

@@ -10,8 +10,8 @@ import (
 
 // gloveGame: players 0,1 hold left gloves, player 2 a right glove;
 // V(S) = number of matched pairs.
-func gloveGame() Game {
-	return Func{Players: 3, V: func(s combin.Set) float64 {
+func gloveGame() *Table {
+	return tableOf(3, func(s combin.Set) float64 {
 		left := 0
 		if s.Contains(0) {
 			left++
@@ -24,23 +24,23 @@ func gloveGame() Game {
 			right++
 		}
 		return math.Min(float64(left), float64(right))
-	}}
+	})
 }
 
 // additiveGame: V(S) = Σ_{i∈S} w_i.
-func additiveGame(w []float64) Game {
-	return Func{Players: len(w), V: func(s combin.Set) float64 {
+func additiveGame(w []float64) *Table {
+	return tableOf(len(w), func(s combin.Set) float64 {
 		out := 0.0
 		for _, i := range s.Members() {
 			out += w[i]
 		}
 		return out
-	}}
+	})
 }
 
 // majorityGame: weighted voting [q; w...], V = 1 if Σw_i >= q.
-func majorityGame(q float64, w []float64) Game {
-	return Func{Players: len(w), V: func(s combin.Set) float64 {
+func majorityGame(q float64, w []float64) *Table {
+	return tableOf(len(w), func(s combin.Set) float64 {
 		sum := 0.0
 		for _, i := range s.Members() {
 			sum += w[i]
@@ -49,13 +49,13 @@ func majorityGame(q float64, w []float64) Game {
 			return 1
 		}
 		return 0
-	}}
+	})
 }
 
 // bankruptcyGame is the Aumann–Maschler Talmud game:
 // V(S) = max(0, estate − Σ_{j∉S} claims_j).
-func bankruptcyGame(estate float64, claims []float64) Game {
-	return Func{Players: len(claims), V: func(s combin.Set) float64 {
+func bankruptcyGame(estate float64, claims []float64) *Table {
+	return tableOf(len(claims), func(s combin.Set) float64 {
 		out := estate
 		for j := range claims {
 			if !s.Contains(j) {
@@ -63,7 +63,7 @@ func bankruptcyGame(estate float64, claims []float64) Game {
 			}
 		}
 		return math.Max(0, out)
-	}}
+	})
 }
 
 func almostEqualVec(t *testing.T, got, want []float64, tol float64, label string) {
@@ -129,10 +129,10 @@ func TestShapleyEfficiencyProperty(t *testing.T) {
 
 func TestShapleySymmetryProperty(t *testing.T) {
 	// Symmetric game: V depends only on |S| -> all Shapley values equal.
-	g := Func{Players: 5, V: func(s combin.Set) float64 {
+	g := tableOf(5, func(s combin.Set) float64 {
 		c := float64(s.Card())
 		return c * c
-	}}
+	})
 	phi := shapley(t, g)
 	for i := 1; i < len(phi); i++ {
 		if math.Abs(phi[i]-phi[0]) > 1e-9 {
@@ -143,7 +143,7 @@ func TestShapleySymmetryProperty(t *testing.T) {
 
 func TestShapleyDummyProperty(t *testing.T) {
 	// Player 2 contributes exactly 7 to every coalition -> φ_2 = 7.
-	g := Func{Players: 3, V: func(s combin.Set) float64 {
+	g := tableOf(3, func(s combin.Set) float64 {
 		base := 0.0
 		if s.Contains(0) && s.Contains(1) {
 			base = 10
@@ -152,7 +152,7 @@ func TestShapleyDummyProperty(t *testing.T) {
 			base += 7
 		}
 		return base
-	}}
+	})
 	phi := shapley(t, g)
 	if math.Abs(phi[2]-7) > 1e-9 {
 		t.Errorf("dummy player got %g, want 7", phi[2])
@@ -182,15 +182,15 @@ func TestProperties(t *testing.T) {
 	if !IsSuperadditive(gloveGame()) {
 		t.Error("glove game is superadditive")
 	}
-	if !IsConvex(Func{Players: 4, V: func(s combin.Set) float64 {
+	if !IsConvex(tableOf(4, func(s combin.Set) float64 {
 		c := float64(s.Card())
 		return c * c
-	}}) {
+	})) {
 		t.Error("|S|^2 is convex")
 	}
-	if IsConvex(Func{Players: 3, V: func(s combin.Set) float64 {
+	if IsConvex(tableOf(3, func(s combin.Set) float64 {
 		return math.Sqrt(float64(s.Card()))
-	}}) {
+	})) {
 		t.Error("sqrt(|S|) is strictly concave, not convex")
 	}
 	if !isMonotone(gloveGame()) {
@@ -198,9 +198,9 @@ func TestProperties(t *testing.T) {
 	}
 	// A non-superadditive game: strictly concave in |S| with positive
 	// singletons.
-	g := Func{Players: 3, V: func(s combin.Set) float64 {
+	g := tableOf(3, func(s combin.Set) float64 {
 		return math.Sqrt(float64(s.Card()))
-	}}
+	})
 	if IsSuperadditive(g) {
 		t.Error("sqrt(|S|) should not be superadditive")
 	}
@@ -211,8 +211,8 @@ func TestPaperConvexityClaim(t *testing.T) {
 	// (d<1, l=0, t=1), the game is not superadditive. With d>1 "the core
 	// always exists". Model one experiment over additive locations.
 	locs := []float64{100, 400, 800}
-	mk := func(d, l float64) Game {
-		return Func{Players: 3, V: func(s combin.Set) float64 {
+	mk := func(d, l float64) *Table {
+		return tableOf(3, func(s combin.Set) float64 {
 			x := 0.0
 			for _, i := range s.Members() {
 				x += locs[i]
@@ -221,7 +221,7 @@ func TestPaperConvexityClaim(t *testing.T) {
 				return 0
 			}
 			return math.Pow(x, d)
-		}}
+		})
 	}
 	if IsSuperadditive(mk(0.8, 0)) {
 		t.Error("d<1, l=0 game should not be superadditive")
@@ -318,9 +318,9 @@ func TestNucleolusTalmud(t *testing.T) {
 }
 
 func TestNucleolusSymmetric(t *testing.T) {
-	g := Func{Players: 4, V: func(s combin.Set) float64 {
+	g := tableOf(4, func(s combin.Set) float64 {
 		return float64(s.Card() * s.Card())
-	}}
+	})
 	nuc, err := Nucleolus(g)
 	if err != nil {
 		t.Fatal(err)
@@ -339,13 +339,13 @@ func TestNucleolusInCoreProperty(t *testing.T) {
 		for i := range w {
 			w[i] = rng.Float64() + 0.1
 		}
-		g := Func{Players: n, V: func(s combin.Set) float64 {
+		g := tableOf(n, func(s combin.Set) float64 {
 			sum := 0.0
 			for _, i := range s.Members() {
 				sum += w[i]
 			}
 			return sum * sum
-		}}
+		})
 		if !IsConvex(g) {
 			t.Fatal("construction should be convex")
 		}
@@ -357,22 +357,6 @@ func TestNucleolusInCoreProperty(t *testing.T) {
 			t.Fatalf("trial %d: nucleolus %v not in core", trial, nuc)
 		}
 	}
-}
-
-func TestNormalize(t *testing.T) {
-	g := gloveGame()
-	phi := shapley(t, g)
-	norm := Normalize(g, phi)
-	sum := 0.0
-	for _, v := range norm {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("normalized shares sum to %g", sum)
-	}
-	// Zero-value game normalizes to zeros.
-	zg := Func{Players: 2, V: func(combin.Set) float64 { return 0 }}
-	almostEqualVec(t, Normalize(zg, []float64{0, 0}), []float64{0, 0}, 0, "zero game")
 }
 
 func TestNewTableValidation(t *testing.T) {
@@ -387,13 +371,13 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkShapley10 measures Values end to end on a 10-player bitmask
-// game: snapshot, then one kernel sweep.
+// BenchmarkShapley10 measures Values end to end on a 10-player game:
+// snapshot, then one kernel sweep.
 func BenchmarkShapley10(b *testing.B) {
-	g := asMemberGame(Func{Players: 10, V: func(s combin.Set) float64 {
+	g := snapshotGame{n: 10, v: func(s combin.Set) float64 {
 		c := float64(s.Card())
 		return c * c
-	}})
+	}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Values(g, Options{}); err != nil {
@@ -403,10 +387,8 @@ func BenchmarkShapley10(b *testing.B) {
 }
 
 func BenchmarkNucleolus5(b *testing.B) {
-	g, err := Snapshot(bankruptcyGame(300, []float64{50, 100, 150, 200, 250}), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := bankruptcyGame(300, []float64{50, 100, 150, 200, 250})
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Nucleolus(g); err != nil {
 			b.Fatal(err)

@@ -24,15 +24,15 @@ type LeastCoreResult struct {
 //
 // Cost is one LP with 2^n − 2 rows; keep n modest (the paper's federations
 // have a handful of top-level authorities).
-func LeastCore(g Game) (*LeastCoreResult, error) {
-	n := g.N()
+func LeastCore(t *Table) (*LeastCoreResult, error) {
+	n := t.Players
 	if n == 0 {
 		return &LeastCoreResult{}, nil
 	}
 	if n == 1 {
-		return &LeastCoreResult{Epsilon: math.Inf(-1), X: []float64{g.Value(combin.Singleton(0))}}, nil
+		return &LeastCoreResult{Epsilon: math.Inf(-1), X: []float64{t.Values[combin.Singleton(0)]}}, nil
 	}
-	m := newCoreModel(g, nil)
+	m := newCoreModel(t, nil)
 	sol, err := m.solve()
 	if err != nil {
 		return nil, err
@@ -48,16 +48,16 @@ func LeastCore(g Game) (*LeastCoreResult, error) {
 // maximizing t subject to x(S) >= V(S) + t for non-fixed coalitions and
 // x(S) == V(S) + offset for fixed ones.
 type coreModel struct {
-	g     Game
+	v     []float64 // the game's coalition values
 	n     int
 	xs    []lp.FreeVar
 	t     lp.FreeVar
 	fixed map[combin.Set]float64 // coalition -> pinned guarantee offset
 }
 
-func newCoreModel(g Game, fixed map[combin.Set]float64) *coreModel {
-	n := g.N()
-	m := &coreModel{g: g, n: n, fixed: fixed}
+func newCoreModel(t *Table, fixed map[combin.Set]float64) *coreModel {
+	n := t.Players
+	m := &coreModel{v: t.Values, n: n, fixed: fixed}
 	m.xs = make([]lp.FreeVar, n)
 	for i := 0; i < n; i++ {
 		m.xs[i] = lp.FreeVar{Pos: 2 * i, Neg: 2*i + 1}
@@ -86,10 +86,11 @@ func (m *coreModel) buildProblem(objX []float64, objT float64, extraRows func(p 
 	for i := 0; i < m.n; i++ {
 		m.xs[i].Coeff(row, 1)
 	}
-	p.AddConstraint(row, lp.EQ, m.g.Value(Grand(m.g)))
+	grand := combin.Full(m.n)
+	p.AddConstraint(row, lp.EQ, m.v[grand])
 	// Coalition constraints.
 	combin.AllCoalitions(m.n, func(s combin.Set) bool {
-		if s.IsEmpty() || s == Grand(m.g) {
+		if s.IsEmpty() || s == grand {
 			return true
 		}
 		row := make([]float64, m.cols())
@@ -97,10 +98,10 @@ func (m *coreModel) buildProblem(objX []float64, objT float64, extraRows func(p 
 			m.xs[i].Coeff(row, 1)
 		}
 		if off, ok := m.fixed[s]; ok {
-			p.AddConstraint(row, lp.EQ, m.g.Value(s)+off)
+			p.AddConstraint(row, lp.EQ, m.v[s]+off)
 		} else {
 			m.t.Coeff(row, -1) // x(S) − t >= V(S)
-			p.AddConstraint(row, lp.GE, m.g.Value(s))
+			p.AddConstraint(row, lp.GE, m.v[s])
 		}
 		return true
 	})
@@ -139,20 +140,20 @@ func (m *coreModel) tEqualsRow(tStar float64) func(p *lp.Problem) {
 //
 // It requires the game to have at least one imputation-like feasible point;
 // for the paper's nonnegative-value games this always holds.
-func Nucleolus(g Game) ([]float64, error) {
-	n := g.N()
+func Nucleolus(t *Table) ([]float64, error) {
+	n := t.Players
 	if n == 0 {
 		return nil, nil
 	}
 	if n == 1 {
-		return []float64{g.Value(combin.Singleton(0))}, nil
+		return []float64{t.Values[combin.Singleton(0)]}, nil
 	}
 	const tol = 1e-7
 	fixed := map[combin.Set]float64{}
 	totalProper := (1 << uint(n)) - 2
 
 	for round := 0; round < totalProper+1; round++ {
-		m := newCoreModel(g, fixed)
+		m := newCoreModel(t, fixed)
 		sol, err := m.solve()
 		if err != nil {
 			return nil, err
@@ -193,7 +194,7 @@ func Nucleolus(g Game) ([]float64, error) {
 		// equals V(S) + t*.
 		pinnedAny := false
 		combin.AllCoalitions(n, func(s combin.Set) bool {
-			if s.IsEmpty() || s == Grand(g) {
+			if s.IsEmpty() || s == combin.Full(n) {
 				return true
 			}
 			if _, ok := fixed[s]; ok {
@@ -208,7 +209,7 @@ func Nucleolus(g Game) ([]float64, error) {
 			if perr != nil || ps.Status != lp.Optimal {
 				return true // leave unpinned; next round will retry
 			}
-			if ps.Objective <= g.Value(s)+tStar+tol {
+			if ps.Objective <= t.Values[s]+tStar+tol {
 				fixed[s] = tStar
 				pinnedAny = true
 			}

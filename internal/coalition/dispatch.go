@@ -10,7 +10,7 @@ type Method string
 
 const (
 	// MethodAuto picks the cheapest engine that fits the game: exact
-	// lattice kernel when the game is snapshot-eligible, exact symmetry
+	// lattice kernel when the game keeps a dense table, exact symmetry
 	// collapse when the collapsed state space is small, sampled collapse
 	// otherwise, plain sampling when there is no structure to exploit.
 	MethodAuto Method = "auto"
@@ -98,10 +98,9 @@ func Values(g MemberGame, opt Options) (*ValueResult, error) {
 	}
 
 	// Exact lattice kernel: the fastest engine whenever the 2^n table
-	// fits. The game must keep its own table or implement the bitmask
-	// interface.
+	// fits. The game must keep its own table.
 	if method != MethodApprox && n <= snapshotMaxPlayers {
-		if t, ok := denseTable(g, workers); ok {
+		if t, ok := denseTable(g); ok {
 			phi := BatchedValues(t, workers).Shapley
 			return &ValueResult{Phi: phi, Method: EngineKernel, Converged: true}, nil
 		}

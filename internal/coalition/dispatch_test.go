@@ -40,7 +40,7 @@ func bigClassGame(n, k int) structuredMemberGame {
 
 func TestValuesPicksKernelForSmallGames(t *testing.T) {
 	tab := randomMonotoneTable(t, 8, 5)
-	res, err := Values(asMemberGame(tab), Options{})
+	res, err := Values(tableGame{tab}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestValuesMethodExactErrorsWhenInfeasible(t *testing.T) {
 
 func TestValuesMethodApproxForcesSamplingOnSmallGames(t *testing.T) {
 	tab := randomMonotoneTable(t, 6, 9)
-	res, err := Values(asMemberGame(tab), Options{Method: MethodApprox, Samples: 5000, Seed: 4})
+	res, err := Values(tableGame{tab}, Options{Method: MethodApprox, Samples: 5000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,20 +189,23 @@ func TestValuesEmptyGame(t *testing.T) {
 	}
 }
 
-// panicGame is an 8-player additive game whose Value panics on the one
-// coalition {0, 2, 4, 5, 7}.
+// panicGame is an 8-player additive game whose characteristic function
+// panics on the one coalition {0, 2, 4, 5, 7}. Its table, like
+// core.Model's, is snapshotted on four workers.
 type panicGame struct{}
 
 func (panicGame) N() int { return 8 }
 
-func (panicGame) Value(s combin.Set) float64 {
+func (panicGame) value(s combin.Set) float64 {
 	if s == 0b10110101 {
 		panic("bad coalition")
 	}
 	return float64(bits.OnesCount64(uint64(s)))
 }
 
-func (g panicGame) ValueMembers(members []int) float64 { return g.Value(setOf(members)) }
+func (g panicGame) ValueMembers(members []int) float64 { return g.value(setOf(members)) }
+
+func (g panicGame) Table() (*Table, error) { return Snapshot(8, g.value, 4) }
 
 // TestValuesRelaysWorkerPanics requires a panic on a worker goroutine of
 // the exact engine's snapshot and of the sampler to reach Values' caller,

@@ -12,31 +12,43 @@ import (
 // none of them: Values is the only Shapley entry point, and core.Analyze
 // reads the least core directly.
 
-// memberAdapter lifts a bitmask Game to the MemberGame interface while
-// keeping the Game methods, so Values still hands small games to the exact
-// kernel (valid only up to combin.MaxPlayers players).
-type memberAdapter struct{ Game }
-
-// asMemberGame returns g as a MemberGame, unwrapping games that already
-// implement the interface.
-func asMemberGame(g Game) MemberGame {
-	if mg, ok := g.(MemberGame); ok {
-		return mg
+// tableOf materializes an n-player characteristic function, the form the
+// concepts that read every coalition take.
+func tableOf(n int, v func(combin.Set) float64) *Table {
+	t, err := Snapshot(n, v, 1)
+	if err != nil {
+		panic(err)
 	}
-	return memberAdapter{g}
+	return t
 }
 
-func (a memberAdapter) ValueMembers(members []int) float64 {
-	return a.Value(setOf(members))
+// tableGame serves a Table as a MemberGame that keeps its table, as
+// core.Model does, so Values hands it to the exact kernel.
+type tableGame struct{ t *Table }
+
+func (g tableGame) N() int                             { return g.t.Players }
+func (g tableGame) Table() (*Table, error)             { return g.t, nil }
+func (g tableGame) ValueMembers(members []int) float64 { return g.t.Values[setOf(members)] }
+
+// snapshotGame is a game given by a bitmask characteristic function whose
+// table, like core.Model's, is Snapshot's of that function: Values gets the
+// exact kernel only when the snapshot succeeds.
+type snapshotGame struct {
+	n int
+	v func(combin.Set) float64
 }
+
+func (g snapshotGame) N() int                             { return g.n }
+func (g snapshotGame) Table() (*Table, error)             { return Snapshot(g.n, g.v, 1) }
+func (g snapshotGame) ValueMembers(members []int) float64 { return g.v(setOf(members)) }
 
 // checkEfficiency verifies Σφ_i == V(N) within tol.
-func checkEfficiency(g Game, phi []float64, tol float64) error {
+func checkEfficiency(g *Table, phi []float64, tol float64) error {
 	sum := 0.0
 	for _, p := range phi {
 		sum += p
 	}
-	vn := g.Value(Grand(g))
+	vn := g.Values[combin.Full(g.Players)]
 	if math.Abs(sum-vn) > tol {
 		return fmt.Errorf("allocation sums to %g, V(N) = %g", sum, vn)
 	}
@@ -46,8 +58,8 @@ func checkEfficiency(g Game, phi []float64, tol float64) error {
 // inCore reports whether allocation x lies in the core of g: x must be
 // efficient (Σx = V(N)) and no coalition may prefer to defect
 // (x(S) >= V(S) for every S).
-func inCore(g Game, x []float64, tol float64) bool {
-	n := g.N()
+func inCore(g *Table, x []float64, tol float64) bool {
+	n := g.Players
 	if len(x) != n || checkEfficiency(g, x, tol) != nil {
 		return false
 	}
@@ -57,7 +69,7 @@ func inCore(g Game, x []float64, tol float64) bool {
 		for _, i := range s.Members() {
 			xs += x[i]
 		}
-		if xs < g.Value(s)-tol {
+		if xs < g.Values[s]-tol {
 			ok = false
 			return false
 		}
@@ -67,12 +79,12 @@ func inCore(g Game, x []float64, tol float64) bool {
 }
 
 // isMonotone reports whether S ⊆ T implies V(S) <= V(T).
-func isMonotone(g Game) bool {
-	n := g.N()
+func isMonotone(g *Table) bool {
+	n := g.Players
 	ok := true
 	combin.AllCoalitions(n, func(s combin.Set) bool {
 		for i := 0; i < n; i++ {
-			if !s.Contains(i) && g.Value(s.With(i)) < g.Value(s)-1e-9 {
+			if !s.Contains(i) && g.Values[s.With(i)] < g.Values[s]-1e-9 {
 				ok = false
 				return false
 			}
@@ -84,7 +96,7 @@ func isMonotone(g Game) bool {
 
 // coreNonempty reports whether the core of g is nonempty by the least-core
 // LP, with the tolerance core.Analyze uses.
-func coreNonempty(t *testing.T, g Game) bool {
+func coreNonempty(t *testing.T, g *Table) bool {
 	t.Helper()
 	res, err := LeastCore(g)
 	if err != nil {

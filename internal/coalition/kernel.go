@@ -26,8 +26,8 @@ type Batched struct {
 // player in one sweep over the coalition lattice of a Table game.
 //
 // Instead of the classic n independent subset enumerations (one per
-// player, each walking 2^(n-1) coalitions through the Game interface), the
-// kernel scans the dense value table linearly once: for every coalition T
+// player, each walking 2^(n-1) coalitions), the kernel scans the dense
+// value table linearly once: for every coalition T
 // and every member i ∈ T it accumulates the marginal contribution
 // V(T) − V(T\{i}) into per-player Shapley and Banzhaf accumulators. The
 // total work is the same Θ(n·2^n) additions, but all reads are direct
@@ -120,26 +120,19 @@ func shapleyWeights(n int) []float64 {
 }
 
 // tabled is implemented by games that keep their own dense value table
-// (core.Model.Table), so the kernel reads it instead of re-evaluating every
-// coalition.
+// (core.Model.Table), which the kernel sweeps.
 type tabled interface {
 	Table() (*Table, error)
 }
 
-// denseTable returns the value table the kernel sweeps: the game's own when
-// it keeps one, otherwise a snapshot of a bitmask game sharded over workers
-// (which requires concurrency-safe Value calls). ok is false when there is
-// no table to be had: too many players, no bitmask interface, or a
-// characteristic function violating V(∅) = 0.
-func denseTable(g MemberGame, workers int) (t *Table, ok bool) {
-	var err error
-	switch g := g.(type) {
-	case tabled:
-		t, err = g.Table()
-	case Game:
-		t, err = Snapshot(g, workers)
-	default:
+// denseTable returns the value table the kernel sweeps: the game's own.
+// ok is false when there is none to be had: the game keeps no table, or
+// its Table fails (too many players, or V(∅) ≠ 0).
+func denseTable(g MemberGame) (t *Table, ok bool) {
+	tg, ok := g.(tabled)
+	if !ok {
 		return nil, false
 	}
+	t, err := tg.Table()
 	return t, err == nil
 }

@@ -37,33 +37,30 @@ func TestBatchedValuesMatchesOracles(t *testing.T) {
 	}
 }
 
-// ownTableGame keeps its own dense table, as core.Model does. It has no
-// bitmask Value and its ValueMembers must never run: the kernel is
-// required to sweep the kept table.
+// ownTableGame keeps its own dense table, as core.Model does. Its
+// ValueMembers must never run: the kernel is required to sweep the kept
+// table.
 type ownTableGame struct{ tab *Table }
 
-func (g ownTableGame) N() int                     { return g.tab.N() }
+func (g ownTableGame) N() int                     { return g.tab.Players }
 func (g ownTableGame) Table() (*Table, error)     { return g.tab, nil }
 func (g ownTableGame) ValueMembers([]int) float64 { panic("kernel re-evaluated a kept table") }
 
 func TestBatchedValuesDispatch(t *testing.T) {
-	// Values must route bitmask games (snapshotted at any worker count)
-	// and games keeping their own table through the kernel, and still
-	// agree with the oracles.
+	// Values must route games keeping their own table through the
+	// kernel at any worker count, and still agree with the oracles.
 	rng := stats.NewRand(99)
 	g := randomTable(t, 6, rng)
 	want := shapleyByPermutation(g)
 	for _, workers := range []int{1, 4} {
-		for _, mg := range []MemberGame{asMemberGame(g), ownTableGame{g}} {
-			res, err := Values(mg, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Method != EngineKernel {
-				t.Fatalf("%T: method %q, want %q", mg, res.Method, EngineKernel)
-			}
-			almostEqualVec(t, res.Phi, want, 1e-9, "dispatched Shapley")
+		res, err := Values(ownTableGame{g}, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.Method != EngineKernel {
+			t.Fatalf("method %q, want %q", res.Method, EngineKernel)
+		}
+		almostEqualVec(t, res.Phi, want, 1e-9, "dispatched Shapley")
 	}
 	almostEqualVec(t, banzhaf(t, g), banzhafLegacy(g), 1e-9, "kernel Banzhaf")
 }
@@ -78,7 +75,7 @@ func TestBatchedValuesEdgeCases(t *testing.T) {
 	if len(res.Shapley) != 0 || len(res.Banzhaf) != 0 {
 		t.Errorf("n=0 kernel returned %v", res)
 	}
-	if got, err := Values(asMemberGame(empty), Options{}); err != nil || got.Phi != nil {
+	if got, err := Values(tableGame{empty}, Options{}); err != nil || got.Phi != nil {
 		t.Errorf("Values(n=0) = %+v, %v; want nil shares", got, err)
 	}
 
@@ -164,9 +161,9 @@ func TestShapleyFallbackForNonSnapshotGames(t *testing.T) {
 	// A game violating the V(∅) = 0 contract cannot be snapshotted. Values
 	// must fall back to the sampler, whose marginals telescope to V(N),
 	// rather than fail, and must refuse an exact request.
-	bad := asMemberGame(Func{Players: 3, V: func(s combin.Set) float64 {
+	bad := snapshotGame{n: 3, v: func(s combin.Set) float64 {
 		return float64(s.Card()) + 1 // V(∅) = 1
-	}})
+	}}
 	res, err := Values(bad, Options{Samples: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -189,12 +186,13 @@ func TestShapleyFallbackForNonSnapshotGames(t *testing.T) {
 func TestSnapshotParallel(t *testing.T) {
 	// 2^10 coalitions, enough to shard over several workers.
 	g := randomTable(t, 10, stats.NewRand(5))
-	seq, err := Snapshot(g, 1)
+	v := func(s combin.Set) float64 { return g.Values[s] }
+	seq, err := Snapshot(g.Players, v, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 5, 100} {
-		par, err := Snapshot(g, workers)
+		par, err := Snapshot(g.Players, v, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,9 +206,8 @@ func TestSnapshotParallel(t *testing.T) {
 			}
 		}
 	}
-	big := Func{Players: 30, V: func(combin.Set) float64 { return 0 }}
 	for _, workers := range []int{1, 4} {
-		if _, err := Snapshot(big, workers); err == nil {
+		if _, err := Snapshot(30, func(combin.Set) float64 { return 0 }, workers); err == nil {
 			t.Errorf("workers=%d: oversized Snapshot must fail", workers)
 		}
 	}
@@ -219,10 +216,10 @@ func TestSnapshotParallel(t *testing.T) {
 func TestParallelBatched(t *testing.T) {
 	rng := stats.NewRand(3)
 	// The sharded kernel over a parallel snapshot agrees with the oracles;
-	// beyond the 24-player table bound an unstructured bitmask game has no
-	// exact engine.
+	// beyond the 24-player table bound an unstructured game has no exact
+	// engine.
 	g := randomTable(t, 7, rng)
-	snap, err := Snapshot(g, 4)
+	snap, err := Snapshot(g.Players, func(s combin.Set) float64 { return g.Values[s] }, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +227,7 @@ func TestParallelBatched(t *testing.T) {
 	almostEqualVec(t, res.Shapley, shapleyByPermutation(g), 1e-9, "parallel batched Shapley")
 	almostEqualVec(t, res.Banzhaf, banzhafLegacy(g), 1e-9, "parallel batched Banzhaf")
 
-	big := asMemberGame(Func{Players: 30, V: func(combin.Set) float64 { return 0 }})
+	big := snapshotGame{n: 30, v: func(combin.Set) float64 { return 0 }}
 	if _, err := Values(big, Options{Method: MethodExact, Workers: 4}); err == nil {
 		t.Error("exact Values beyond 24 players must fail")
 	}

@@ -1,10 +1,11 @@
 package coalition
 
-// MemberGame is a coalitional game whose characteristic function is
-// evaluated over explicit member lists instead of combin.Set bitmasks. It
-// is the interface of the large-n tier: a Set caps the exact engines at 64
-// players, while a member list represents coalitions of any size, which is
-// what the sampler walks.
+// MemberGame is the coalitional game interface: a player count and a
+// characteristic function evaluated over explicit member lists. A member
+// list represents coalitions of any size, where a combin.Set bitmask stops
+// at 64 players, and it is what the sampler walks. A game that keeps its
+// own dense Table (core.Model does) hands it to the exact kernel through a
+// Table method.
 //
 // Implementations must treat the member slice as read-only and must not
 // retain it — the samplers pass reused permutation-prefix buffers. The

@@ -16,8 +16,8 @@ import (
 //	φ_i = Σ_{S ⊆ N\{i}}  |S|!·(n−|S|−1)!/n! · (V(S∪{i}) − V(S)),
 //
 // costing O(n·2^n) characteristic-function evaluations.
-func shapleyLegacy(g Game) []float64 {
-	n := g.N()
+func shapleyLegacy(g *Table) []float64 {
+	n := g.Players
 	if n == 0 {
 		return nil
 	}
@@ -27,7 +27,7 @@ func shapleyLegacy(g Game) []float64 {
 	for i := 0; i < n; i++ {
 		rest := full.Without(i)
 		combin.Subsets(rest, func(s combin.Set) bool {
-			phi[i] += weight[s.Card()] * (g.Value(s.With(i)) - g.Value(s))
+			phi[i] += weight[s.Card()] * (g.Values[s.With(i)] - g.Values[s])
 			return true
 		})
 	}
@@ -37,8 +37,8 @@ func shapleyLegacy(g Game) []float64 {
 // shapleyByPermutation computes the Shapley value by full enumeration of
 // all n! orderings (equation (4) of the paper); it panics beyond 10
 // players.
-func shapleyByPermutation(g Game) []float64 {
-	n := g.N()
+func shapleyByPermutation(g *Table) []float64 {
+	n := g.Players
 	if n > 10 {
 		panic("coalition: shapleyByPermutation limited to 10 players")
 	}
@@ -49,7 +49,7 @@ func shapleyByPermutation(g Game) []float64 {
 		prev := 0.0
 		for _, p := range perm {
 			s = s.With(p)
-			v := g.Value(s)
+			v := g.Values[s]
 			phi[p] += v - prev
 			prev = v
 		}
@@ -108,8 +108,8 @@ func TestPermutationsCountAndUniqueness(t *testing.T) {
 
 // banzhafLegacy is the per-player subset enumeration of the Banzhaf value
 // β_i = 2^{-(n-1)} Σ_{S ⊆ N\{i}} (V(S∪{i}) − V(S)).
-func banzhafLegacy(g Game) []float64 {
-	n := g.N()
+func banzhafLegacy(g *Table) []float64 {
+	n := g.Players
 	beta := make([]float64, n)
 	if n == 0 {
 		return beta
@@ -119,7 +119,7 @@ func banzhafLegacy(g Game) []float64 {
 	for i := 0; i < n; i++ {
 		rest := full.Without(i)
 		combin.Subsets(rest, func(s combin.Set) bool {
-			beta[i] += g.Value(s.With(i)) - g.Value(s)
+			beta[i] += g.Values[s.With(i)] - g.Values[s]
 			return true
 		})
 		beta[i] *= norm
@@ -130,8 +130,8 @@ func banzhafLegacy(g Game) []float64 {
 // monteCarloShapley is the plain sequential sampling loop: uniform random
 // orderings, one marginal per player per ordering. It returns the
 // estimates and their standard errors.
-func monteCarloShapley(g Game, samples int, rng *stats.Rand) (phi, stdErr []float64) {
-	n := g.N()
+func monteCarloShapley(g *Table, samples int, rng *stats.Rand) (phi, stdErr []float64) {
+	n := g.Players
 	sums := make([]stats.Summary, n)
 	perm := make([]int, n)
 	for i := range perm {
@@ -146,7 +146,7 @@ func monteCarloShapley(g Game, samples int, rng *stats.Rand) (phi, stdErr []floa
 		prev := 0.0
 		for _, p := range perm {
 			s = s.With(p)
-			v := g.Value(s)
+			v := g.Values[s]
 			sums[p].Add(v - prev)
 			prev = v
 		}
@@ -162,11 +162,11 @@ func monteCarloShapley(g Game, samples int, rng *stats.Rand) (phi, stdErr []floa
 	return phi, stdErr
 }
 
-// shapley is the exact Shapley value of a bitmask game through the
-// production path: Values, answered by the lattice kernel.
-func shapley(t testing.TB, g Game) []float64 {
+// shapley is the exact Shapley value of a table through the production
+// path: Values, answered by the lattice kernel.
+func shapley(t testing.TB, g *Table) []float64 {
 	t.Helper()
-	res, err := Values(asMemberGame(g), Options{Method: MethodExact})
+	res, err := Values(tableGame{g}, Options{Method: MethodExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,18 +176,14 @@ func shapley(t testing.TB, g Game) []float64 {
 	return res.Phi
 }
 
-// banzhaf is the kernel's Banzhaf value of a bitmask game.
-func banzhaf(t testing.TB, g Game) []float64 {
+// banzhaf is the kernel's Banzhaf value of a table.
+func banzhaf(t testing.TB, g *Table) []float64 {
 	t.Helper()
-	tab, err := Snapshot(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return BatchedValues(tab, 1).Banzhaf
+	return BatchedValues(g, 1).Banzhaf
 }
 
 // BenchmarkShapleyLegacy measures the pre-kernel path on an n=20 Table: n
-// independent per-player subset enumerations through the Game interface.
+// independent per-player subset enumerations over the table.
 // Compare with BenchmarkShapleyKernel in the repository root.
 func BenchmarkShapleyLegacy(b *testing.B) {
 	g := benchTable(b, 20)

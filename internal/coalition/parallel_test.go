@@ -3,6 +3,7 @@ package coalition
 import (
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"fedshare/internal/combin"
@@ -23,7 +24,7 @@ func TestParallelShapleyMatchesSequential(t *testing.T) {
 		}
 		seq := BatchedValues(g, 1).Shapley
 		for _, workers := range []int{0, 1, 2, 16} {
-			res, err := Values(asMemberGame(g), Options{Workers: workers})
+			res, err := Values(tableGame{g}, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,12 +37,7 @@ func TestParallelShapleyWeights(t *testing.T) {
 	// The kernel's weights must reproduce an additive game's values
 	// exactly at any worker count — additive games expose any weight error.
 	w := []float64{2, 3, 5, 7, 11, 13}
-	g := additiveGame(w)
-	snap, err := Snapshot(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Values(asMemberGame(snap), Options{Workers: 4})
+	res, err := Values(tableGame{additiveGame(w)}, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +60,7 @@ func TestParallelShapleyWorkersExceedPlayers(t *testing.T) {
 	}
 	want := shapleyByPermutation(g)
 	for _, workers := range []int{n + 1, 4 * n, 1 << n, 1000} {
-		res, err := Values(asMemberGame(g), Options{Workers: workers})
+		res, err := Values(tableGame{g}, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,39 +69,38 @@ func TestParallelShapleyWorkersExceedPlayers(t *testing.T) {
 }
 
 func TestSnapshot(t *testing.T) {
-	calls := 0
-	g := Func{Players: 4, V: func(s combin.Set) float64 {
-		calls++
-		return float64(s.Card() * 2)
-	}}
-	snap, err := Snapshot(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 16 {
-		t.Errorf("snapshot made %d calls, want 16", calls)
-	}
-	combin.AllCoalitions(4, func(s combin.Set) bool {
-		if snap.Value(s) != float64(s.Card()*2) {
-			t.Errorf("snapshot V(%v) = %g", s, snap.Value(s))
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		snap, err := Snapshot(8, func(s combin.Set) float64 {
+			calls.Add(1)
+			return float64(s.Card() * 2)
+		}, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	big := Func{Players: 30, V: func(combin.Set) float64 { return 0 }}
-	if _, err := Snapshot(big, 1); err == nil {
+		if n := calls.Load(); n != 256 {
+			t.Errorf("workers=%d: snapshot made %d calls, want 256", workers, n)
+		}
+		combin.AllCoalitions(8, func(s combin.Set) bool {
+			if snap.Values[s] != float64(s.Card()*2) {
+				t.Errorf("workers=%d: snapshot V(%v) = %g", workers, s, snap.Values[s])
+			}
+			return true
+		})
+	}
+	if _, err := Snapshot(30, func(combin.Set) float64 { return 0 }, 1); err == nil {
 		t.Error("oversized snapshot must fail")
+	}
+	if _, err := Snapshot(2, func(combin.Set) float64 { return 1 }, 1); err == nil {
+		t.Error("a snapshot with V(empty) != 0 must fail")
 	}
 }
 
 func BenchmarkParallelShapley16(b *testing.B) {
-	g := Func{Players: 16, V: func(s combin.Set) float64 {
+	snap := tableOf(16, func(s combin.Set) float64 {
 		c := float64(s.Card())
 		return c * math.Sqrt(c)
-	}}
-	snap, err := Snapshot(g, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BatchedValues(snap, runtime.GOMAXPROCS(0))
@@ -113,14 +108,10 @@ func BenchmarkParallelShapley16(b *testing.B) {
 }
 
 func BenchmarkSequentialShapley16(b *testing.B) {
-	g := Func{Players: 16, V: func(s combin.Set) float64 {
+	snap := tableOf(16, func(s combin.Set) float64 {
 		c := float64(s.Card())
 		return c * math.Sqrt(c)
-	}}
-	snap, err := Snapshot(g, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BatchedValues(snap, 1)

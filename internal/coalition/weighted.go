@@ -2,6 +2,7 @@ package coalition
 
 import (
 	"fmt"
+	"slices"
 
 	"fedshare/internal/combin"
 )
@@ -10,16 +11,13 @@ import (
 // function: Δ(S) = Σ_{T ⊆ S} (−1)^{|S|−|T|} V(T). Dividends decompose a
 // game into pure-interaction terms — V(S) = Σ_{T ⊆ S} Δ(T) — and power
 // every weighted sharing rule below. Cost O(2^n · n); limited to 24 players.
-func HarsanyiDividends(g Game) ([]float64, error) {
-	n := g.N()
+func HarsanyiDividends(t *Table) ([]float64, error) {
+	n := t.Players
 	if n > 24 {
 		return nil, fmt.Errorf("coalition: dividends limited to 24 players, got %d", n)
 	}
 	size := 1 << uint(n)
-	div := make([]float64, size)
-	for s := 0; s < size; s++ {
-		div[s] = g.Value(combin.Set(s))
-	}
+	div := slices.Clone(t.Values)
 	// In-place subset Möbius transform.
 	for i := 0; i < n; i++ {
 		bit := 1 << uint(i)
@@ -41,8 +39,8 @@ func HarsanyiDividends(g Game) ([]float64, error) {
 // Equal weights reduce to the ordinary Shapley value. In the paper's
 // commercial setting the natural weights are the facilities' customer
 // populations U_i (cf. the ownership dimension of Aram et al. [8]).
-func WeightedShapley(g Game, w []float64) ([]float64, error) {
-	n := g.N()
+func WeightedShapley(t *Table, w []float64) ([]float64, error) {
+	n := t.Players
 	if len(w) != n {
 		return nil, fmt.Errorf("coalition: %d weights for %d players", len(w), n)
 	}
@@ -51,7 +49,7 @@ func WeightedShapley(g Game, w []float64) ([]float64, error) {
 			return nil, fmt.Errorf("coalition: weight %d is %g, must be positive", i, wi)
 		}
 	}
-	div, err := HarsanyiDividends(g)
+	div, err := HarsanyiDividends(t)
 	if err != nil {
 		return nil, err
 	}

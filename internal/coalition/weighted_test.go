@@ -48,8 +48,8 @@ func TestHarsanyiDividendsReconstruct(t *testing.T) {
 				sum += div[sub]
 				return true
 			})
-			if math.Abs(sum-g.Value(s)) > 1e-9 {
-				t.Fatalf("trial %d: reconstruction of V(%v): %g != %g", trial, s, sum, g.Value(s))
+			if math.Abs(sum-g.Values[s]) > 1e-9 {
+				t.Fatalf("trial %d: reconstruction of V(%v): %g != %g", trial, s, sum, g.Values[s])
 			}
 			return true
 		})
@@ -91,12 +91,12 @@ func TestWeightedShapleyEfficiency(t *testing.T) {
 func TestWeightedShapleyTiltsTowardHeavyPlayers(t *testing.T) {
 	// Pure synergy game: only the grand coalition has value. The dividend
 	// splits by weight, so the heavier player takes proportionally more.
-	g := Func{Players: 2, V: func(s combin.Set) float64 {
+	g := tableOf(2, func(s combin.Set) float64 {
 		if s == combin.Full(2) {
 			return 10
 		}
 		return 0
-	}}
+	})
 	phi, err := WeightedShapley(g, []float64{1, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -118,21 +118,18 @@ func TestWeightedShapleyValidation(t *testing.T) {
 }
 
 func TestDividendsSizeLimit(t *testing.T) {
-	g := Func{Players: 25, V: func(combin.Set) float64 { return 0 }}
-	if _, err := HarsanyiDividends(g); err == nil {
+	// The check comes before the table is read, so a 25-player table
+	// need not hold its 2^25 values here.
+	if _, err := HarsanyiDividends(&Table{Players: 25}); err == nil {
 		t.Error("oversized dividends must fail")
 	}
 }
 
 func BenchmarkHarsanyiDividends16(b *testing.B) {
-	g := Func{Players: 16, V: func(s combin.Set) float64 {
+	snap := tableOf(16, func(s combin.Set) float64 {
 		c := float64(s.Card())
 		return c * c
-	}}
-	snap, err := Snapshot(g, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := HarsanyiDividends(snap); err != nil {

@@ -11,6 +11,7 @@ import (
 	"fedshare/internal/coalition"
 	"fedshare/internal/combin"
 	"fedshare/internal/economics"
+	"fedshare/internal/stats"
 )
 
 // heteroModel builds an n-facility federation drawn from k facility
@@ -49,16 +50,27 @@ func fsName(i, tpl int) string {
 	return "F" + strings.Repeat("x", tpl+1) + "-" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
 }
 
+// TestValueMembersMatchesValue: every entry of a model's table is
+// ValueMembers of its coalition's ascending member list, bit for bit — on
+// heteroModel's d = 1 demand, on greedyModel's sublinear demand with
+// bounded maxima and binding capacities, and on an overlap model, whose
+// ValueMembers values the member set.
 func TestValueMembersMatchesValue(t *testing.T) {
 	m := heteroModel(t, 8, 3)
-	members := make([]int, 0, 8)
-	for mask := combin.Set(1); mask < 1<<8; mask++ {
-		members = members[:0]
-		for _, i := range mask.Members() {
-			members = append(members, i)
+	overlap, err := heteroModel(t, 8, 3).WithOverlap(30, stats.NewRand(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mm := range map[string]*Model{"hetero": m, "greedy": greedyModel(t, 8), "overlap": overlap} {
+		tab, err := mm.Table()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, want := m.ValueMembers(members), m.Value(mask); got != want {
-			t.Fatalf("coalition %v: ValueMembers %.12f vs Value %.12f", members, got, want)
+		for mask := combin.Set(1); mask < 1<<8; mask++ {
+			members := mask.Members()
+			if got, want := mm.ValueMembers(members), tab.Values[mask]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: coalition %v: ValueMembers %.12f vs table %.12f", name, members, got, want)
+			}
 		}
 	}
 	// Member order must not matter. This holds because heteroModel's
@@ -196,7 +208,7 @@ func solverFor(m *Model, members []int) string {
 		f := m.Facilities[i]
 		pool.Classes = append(pool.Classes, allocation.Class{Count: f.Locations, Capacity: f.EffectiveCapacity()})
 	}
-	reqs := m.requests()
+	reqs := m.reqs
 	L := pool.TotalLocations()
 	sameMin := len(reqs) > 0
 	for _, r := range reqs {

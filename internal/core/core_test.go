@@ -92,7 +92,7 @@ func TestPaperValueTableNonStrict(t *testing.T) {
 		{0b111, 1300},
 	}
 	for _, c := range cases {
-		if got := g.Value(c.s); math.Abs(got-c.want) > 1e-9 {
+		if got := g.Values[c.s]; math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("V(%v) = %g, want %g", c.s, got, c.want)
 		}
 	}
@@ -234,9 +234,32 @@ func TestConsumptionLowDemandFollowsDiversity(t *testing.T) {
 	wantVec(t, pi, []float64{8000 / total, 24000 / total, 16000 / total}, 1e-9, "pi")
 }
 
+// TestNormalizeByGrand: absolute shares divided by V(N) sum to 1 when
+// they are efficient, and a federation that generates no value shares
+// zeros.
+func TestNormalizeByGrand(t *testing.T) {
+	m := fig4Model(t, 500, false)
+	res, err := coalition.Values(m, coalition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, v := range normalizeByGrand(m, res.Phi) {
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("normalized shares sum to %g", sum)
+	}
+	idle := fig4Model(t, 1400, false) // l above the federation's 1300 locations
+	if v := idle.GrandValue(); v != 0 {
+		t.Fatalf("V(N) = %g, want 0", v)
+	}
+	wantVec(t, normalizeByGrand(idle, []float64{0, 0, 0}), []float64{0, 0, 0}, 0, "zero-value federation")
+}
+
 func TestGameCaching(t *testing.T) {
 	// The coalition table is materialized once and shared by every rule
-	// on the model; Invalidate drops it.
+	// on the model.
 	m := fig4Model(t, 500, false)
 	tab, err := m.Table()
 	if err != nil {
@@ -246,10 +269,6 @@ func TestGameCaching(t *testing.T) {
 	shares(t, m, BanzhafPolicy{})
 	if again, _ := m.Table(); again != tab {
 		t.Error("policies rebuilt the cached coalition table")
-	}
-	m.Invalidate()
-	if again, _ := m.Table(); again == tab {
-		t.Error("Invalidate must drop the cached coalition table")
 	}
 }
 
@@ -331,7 +350,7 @@ func TestOverlapModel(t *testing.T) {
 	}
 
 	// Value stays monotone with overlap.
-	if m.Value(combin.Singleton(0)) > m.Value(combin.Full(2))+1e-9 {
+	if m.value(combin.Singleton(0)) > m.value(combin.Full(2))+1e-9 {
 		t.Error("overlap model broke monotonicity")
 	}
 
@@ -505,7 +524,6 @@ func TestUserWeightedShapleyPolicy(t *testing.T) {
 	m.Facilities[0].Users = 100
 	m.Facilities[1].Users = 1
 	m.Facilities[2].Users = 1
-	m.Invalidate()
 	tilted := shares(t, m, UserWeightedShapleyPolicy{})
 	sum := 0.0
 	for _, s := range tilted {

@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"fedshare/internal/allocation"
 	"fedshare/internal/coalition"
@@ -72,7 +71,10 @@ func (f Facility) Validate() error {
 }
 
 // Model is the federation game instance: who contributes what, and what the
-// demand looks like.
+// demand looks like. NewModel builds it once: the facilities, demand and
+// overlap are not changed after the model is first valued (a different
+// federation is a model of its own), and Mu and Overlap are set, if at all,
+// before then.
 type Model struct {
 	Facilities []Facility
 	Demand     *economics.Workload
@@ -85,19 +87,18 @@ type Model struct {
 	// the paper's setting for all numerical figures.
 	Overlap [][]int
 
-	// mu guards the lazily-built coalition table and request cache so
-	// concurrent sweep workers can share a model safely; reqs is
-	// additionally published through an atomic pointer so the
-	// per-coalition read in Value stays lock-free.
-	mu    sync.Mutex
-	table *coalition.Table
-	reqs  atomic.Pointer[[]allocation.Request]
-	// grandMu guards grand, the grand coalition's allocation, solved once
-	// and read by Value of the full set, GrandValue and
-	// ConsumptionByFacility. It is not mu: Table holds mu while the
-	// snapshot workers call Value.
-	grandMu sync.Mutex
-	grand   *allocation.Result
+	// reqs is the demand expanded into allocation requests, once, by
+	// NewModel: every coalition's solve reads it.
+	reqs []allocation.Request
+	// The dense coalition table and the grand coalition's allocation are
+	// each filled once, on first use, so concurrent sweep workers can
+	// share a model. The grand Result is read by the table's V(N),
+	// GrandValue and ConsumptionByFacility.
+	tableOnce sync.Once
+	table     *coalition.Table
+	tableErr  error
+	grandOnce sync.Once
+	grand     *allocation.Result
 }
 
 // MaxFacilities bounds federation size. The dense coalition table stops at
@@ -124,14 +125,15 @@ func NewModel(facilities []Facility, demand *economics.Workload) (*Model, error)
 	if demand == nil {
 		demand = &economics.Workload{}
 	}
-	return &Model{Facilities: facilities, Demand: demand}, nil
+	return &Model{Facilities: facilities, Demand: demand, reqs: expandDemand(demand)}, nil
 }
 
 // WithOverlap samples an overlap structure: each facility covers L_i
 // distinct locations drawn uniformly from a universe of the given size, so
 // the pairwise overlap probability o_ij is governed by universe size
 // (independent placement, as the paper suggests for simplicity). It returns
-// the model for chaining and is deterministic given the rng.
+// the model for chaining and is deterministic given the rng. Call it before
+// the model is first valued.
 func (m *Model) WithOverlap(universe int, rng *stats.Rand) (*Model, error) {
 	if m.N() > combin.MaxPlayers {
 		return nil, fmt.Errorf("core: overlap models are limited to %d facilities (the coalition bitmask bound); have %d",
@@ -149,7 +151,6 @@ func (m *Model) WithOverlap(universe int, rng *stats.Rand) (*Model, error) {
 		ids := append([]int(nil), perm[:f.Locations]...)
 		m.Overlap[i] = ids
 	}
-	m.Invalidate()
 	return m, nil
 }
 
@@ -242,30 +243,13 @@ func (m *Model) poolFor(s combin.Set) pooling {
 	return p
 }
 
-// requests returns the demand workload expanded into allocation requests,
-// building the expansion once — Value calls it for every coalition, and a
-// batch workload expands to K structs each time otherwise.
-func (m *Model) requests() []allocation.Request {
-	if p := m.reqs.Load(); p != nil {
-		return *p
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p := m.reqs.Load(); p != nil {
-		return *p
-	}
-	reqs := m.buildRequests()
-	m.reqs.Store(&reqs)
-	return reqs
-}
-
-// buildRequests expands the demand workload into allocation requests,
+// expandDemand expands the demand workload into allocation requests,
 // sized up front: every sweep point builds a model and expands its
 // workload once. (A workload built without NewWorkload may hold a
 // negative count, which expands to nothing.)
-func (m *Model) buildRequests() []allocation.Request {
-	reqs := make([]allocation.Request, 0, max(m.Demand.Total(), 0))
-	for _, class := range m.Demand.Classes {
+func expandDemand(demand *economics.Workload) []allocation.Request {
+	reqs := make([]allocation.Request, 0, max(demand.Total(), 0))
+	for _, class := range demand.Classes {
 		t := class.Type
 		maxLoc := 0 // unbounded
 		if !math.IsInf(t.MaxLocations, 1) {
@@ -284,54 +268,67 @@ func (m *Model) buildRequests() []allocation.Request {
 	return reqs
 }
 
-// Value is the characteristic function: the profit coalition s can generate
-// by optimally serving the demand with its pooled resources
-// (P = µ·Σ_k u_k(x_k), Sec. 3.1).
-func (m *Model) Value(s combin.Set) float64 {
+// value is the characteristic function over a coalition bitmask, the
+// filler of the model's table: the profit coalition s can generate by
+// optimally serving the demand with its pooled resources
+// (P = µ·Σ_k u_k(x_k), Sec. 3.1). The full set reads the grand
+// coalition's allocation; a disjoint-coverage model solves its members'
+// pool in ascending order, as ValueMembers of the ascending member list.
+func (m *Model) value(s combin.Set) float64 {
 	if s.IsEmpty() {
 		return 0
 	}
 	if m.N() <= combin.MaxPlayers && s == combin.Full(m.N()) {
-		return m.muFactor() * m.grandResult().Utility
+		return m.GrandValue()
 	}
-	if m.Overlap == nil {
-		// Disjoint coverage: one class per member in facility order, with
-		// no ownership attribution, which Value never reads. The class
-		// slice comes from a scratch pool — the solver reads it and never
-		// retains it.
-		scratch := classScratchPool.Get().(*[]allocation.Class)
-		classes := (*scratch)[:0]
-		for i := range m.Facilities {
-			if s.Contains(i) && m.Facilities[i].Locations > 0 {
-				classes = append(classes, m.class(i))
-			}
+	if m.Overlap != nil {
+		return m.muFactor() * allocation.Solve(m.poolFor(s).pool, m.reqs).Utility
+	}
+	var buf [combin.MaxPlayers]int
+	members := buf[:0]
+	for i := range m.Facilities {
+		if s.Contains(i) {
+			members = append(members, i)
 		}
-		res := allocation.Solve(allocation.Pool{Classes: classes}, m.requests())
-		*scratch = classes
-		classScratchPool.Put(scratch)
-		return m.muFactor() * res.Utility
 	}
-	res := allocation.Solve(m.poolFor(s).pool, m.requests())
+	return m.solveMembers(members)
+}
+
+// solveMembers values a disjoint-coverage pool: one class per member with
+// locations, in the order given, with no ownership attribution, which no
+// coalition value reads. The class slice comes from a scratch pool — the
+// solver reads it and never retains it.
+func (m *Model) solveMembers(members []int) float64 {
+	scratch := classScratchPool.Get().(*[]allocation.Class)
+	classes := (*scratch)[:0]
+	for _, i := range members {
+		if m.Facilities[i].Locations > 0 {
+			classes = append(classes, m.class(i))
+		}
+	}
+	res := allocation.Solve(allocation.Pool{Classes: classes}, m.reqs)
+	*scratch = classes
+	classScratchPool.Put(scratch)
 	return m.muFactor() * res.Utility
 }
 
-// classScratchPool recycles the per-coalition class slices Value builds.
+// classScratchPool recycles the per-coalition class slices solveMembers
+// builds.
 var classScratchPool = sync.Pool{New: func() any { return new([]allocation.Class) }}
 
 // ValueMembers is the characteristic function over an explicit member list
-// — the large-n tier of the federation game (coalition.MemberGame). It is
-// exactly Value(S) for the coalition S listing the given facilities, but
-// free of the 64-facility bitmask bound; the sampling Shapley engines walk
-// permutation prefixes through it. Disjoint-coverage models build the pool
-// straight from the member list, one class per member in the order given;
-// overlap models — which NewModel and WithOverlap keep within the bitmask
-// bound — route through Value.
+// (coalition.MemberGame). It is exactly the table's V(S) for the coalition
+// S listing the given facilities, but free of the 64-facility bitmask
+// bound; the sampling Shapley engines walk permutation prefixes through
+// it. Disjoint-coverage models build the pool straight from the member
+// list, one class per member in the order given; overlap models — which
+// WithOverlap keeps within the bitmask bound — value the member set.
 //
 // Member order is part of the pool. The d = 1 engine reads only a
 // capacity histogram, so its result is the same for every order; the
 // greedy engine is a heuristic whose Utility can change with class order
-// (in about 1 of 60,000 random pools). Value and the grand coalition solve
-// in facility order, the prefix walkers in walk order.
+// (in about 1 of 60,000 random pools). The table and the grand coalition
+// solve in facility order, the prefix walkers in walk order.
 func (m *Model) ValueMembers(members []int) float64 {
 	if len(members) == 0 {
 		return 0
@@ -341,19 +338,9 @@ func (m *Model) ValueMembers(members []int) float64 {
 		for _, i := range members {
 			s = s.With(i)
 		}
-		return m.Value(s)
+		return m.value(s)
 	}
-	scratch := classScratchPool.Get().(*[]allocation.Class)
-	classes := (*scratch)[:0]
-	for _, i := range members {
-		if m.Facilities[i].Locations > 0 {
-			classes = append(classes, m.class(i))
-		}
-	}
-	res := allocation.Solve(allocation.Pool{Classes: classes}, m.requests())
-	*scratch = classes
-	classScratchPool.Put(scratch)
-	return m.muFactor() * res.Utility
+	return m.solveMembers(members)
 }
 
 // classSignature is the interchangeability key of a facility: two
@@ -427,7 +414,7 @@ func (m *Model) ClassStructure() *coalition.ClassStructure {
 					classes = append(classes, cl)
 				}
 			}
-			res := allocation.Solve(allocation.Pool{Classes: classes}, m.requests())
+			res := allocation.Solve(allocation.Pool{Classes: classes}, m.reqs)
 			return m.muFactor() * res.Utility
 		},
 		Prefix: func() coalition.ClassPrefix {
@@ -439,28 +426,19 @@ func (m *Model) ClassStructure() *coalition.ClassStructure {
 	}
 }
 
-// Table returns the model's dense coalition-value table, materialized once
-// (2^n Value evaluations on first call) and read by every exact engine: the
+// Table returns the model's dense coalition-value table, filled once
+// (2^n evaluations on first call) and read by every exact engine: the
 // lattice kernel behind coalition.Values, the nucleolus, Banzhaf, the
-// weighted Shapley value and Analyze. Value is safe for concurrent calls,
+// weighted Shapley value and Analyze. value is safe for concurrent calls,
 // so the snapshot shards the coalitions over every CPU with no locking
 // wrapper between the table and the characteristic function. Models beyond
 // coalition.Snapshot's 24-player bound are refused before anything is
 // evaluated.
 func (m *Model) Table() (*coalition.Table, error) {
-	// Warm the request cache first: Value calls requests(), whose slow
-	// path takes m.mu, and the snapshot below runs with m.mu held.
-	m.requests()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.table == nil {
-		t, err := coalition.Snapshot(coalition.Func{Players: m.N(), V: m.Value}, runtime.GOMAXPROCS(0))
-		if err != nil {
-			return nil, err
-		}
-		m.table = t
-	}
-	return m.table, nil
+	m.tableOnce.Do(func() {
+		m.table, m.tableErr = coalition.Snapshot(m.N(), m.value, runtime.GOMAXPROCS(0))
+	})
+	return m.table, m.tableErr
 }
 
 // GrandValue is V(N), read from the grand coalition's allocation, so
@@ -476,22 +454,18 @@ func (m *Model) ConsumptionByFacility() []float64 {
 }
 
 // grandResult returns the grand coalition's allocation, solving it on
-// first use; the Result is shared and read-only. The requests are expanded
-// before grandMu is taken, so its holder never waits on mu.
+// first use; the Result is shared and read-only.
 func (m *Model) grandResult() *allocation.Result {
-	reqs := m.requests()
-	m.grandMu.Lock()
-	defer m.grandMu.Unlock()
-	if m.grand == nil {
-		m.grand = allocation.Solve(m.grandPool().pool, reqs)
-	}
+	m.grandOnce.Do(func() {
+		m.grand = allocation.Solve(m.grandPool().pool, m.reqs)
+	})
 	return m.grand
 }
 
 // grandPool builds the grand coalition's pooling. Disjoint models, which
 // may pass the bitmask bound, give one class per facility with locations,
-// owned by it alone, in facility order, as Value does; overlap models go
-// through poolFor.
+// owned by it alone, in facility order, as the table does; overlap models
+// go through poolFor.
 func (m *Model) grandPool() pooling {
 	if m.Overlap != nil {
 		return m.poolFor(combin.Full(m.N()))
@@ -504,16 +478,4 @@ func (m *Model) grandPool() pooling {
 		}
 	}
 	return p
-}
-
-// Invalidate drops the coalition table, the request expansion and the
-// grand coalition's allocation (call after mutating the model).
-func (m *Model) Invalidate() {
-	m.mu.Lock()
-	m.table = nil
-	m.reqs.Store(nil)
-	m.mu.Unlock()
-	m.grandMu.Lock()
-	m.grand = nil
-	m.grandMu.Unlock()
 }

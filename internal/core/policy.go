@@ -45,8 +45,10 @@ func (p ShapleyPolicy) Shares(m *Model) ([]float64, error) {
 	return normalizeByGrand(m, res.Phi), nil
 }
 
-// normalizeByGrand converts absolute shares to the normalized ŝ vector
-// without touching the bitmask game interface (valid at any n).
+// normalizeByGrand converts absolute shares to the normalized ŝ vector by
+// dividing by V(N), the grand coalition's value (valid at any n). If
+// V(N) == 0 it returns all zeros, the paper's convention for infeasible
+// demand (no value to share).
 func normalizeByGrand(m *Model, phi []float64) []float64 {
 	vn := m.GrandValue()
 	out := make([]float64, len(phi))
@@ -215,7 +217,7 @@ func (NucleolusPolicy) Shares(m *Model) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return coalition.Normalize(g, nuc), nil
+	return normalizeByGrand(m, nuc), nil
 }
 
 // BanzhafPolicy shares by the normalized Banzhaf index — an alternative
@@ -265,7 +267,7 @@ func (AuctionPolicy) Shares(m *Model) ([]float64, error) {
 	p := m.grandPool()
 	total := p.pool.TotalLocations()
 	var bids []market.Bid
-	for _, r := range m.requests() {
+	for _, r := range m.reqs {
 		if r.Min > total {
 			continue
 		}
@@ -359,7 +361,7 @@ func Analyze(m *Model, policies ...Policy) (*Report, error) {
 	}
 	n := m.N()
 	for mask := combin.Set(1); mask < combin.Set(1)<<uint(n); mask++ {
-		rep.CoalitionValue[coalitionName(m, mask)] = g.Value(mask)
+		rep.CoalitionValue[coalitionName(m, mask)] = g.Values[mask]
 	}
 	rep.Superadditive = coalition.IsSuperadditive(g)
 	rep.Convex = coalition.IsConvex(g)
@@ -419,5 +421,5 @@ func (UserWeightedShapleyPolicy) Shares(m *Model) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return coalition.Normalize(g, phi), nil
+	return normalizeByGrand(m, phi), nil
 }

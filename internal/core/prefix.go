@@ -53,7 +53,7 @@ type prefixEvaluator struct {
 // nil on invalid demand, leaving every step to the non-incremental path,
 // which reports it the established way.
 func (m *Model) newPrefixEvaluator(classes []allocation.Class) *prefixEvaluator {
-	ps, err := allocation.NewPrefixSolver(m.requests())
+	ps, err := allocation.NewPrefixSolver(m.reqs)
 	if err != nil {
 		return nil
 	}

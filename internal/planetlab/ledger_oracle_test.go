@@ -65,7 +65,7 @@ func (a *oracleLedger) AvailableSites(want int) []string {
 	return out
 }
 
-func (a *oracleLedger) ReserveSlivers(sliceName, siteID string, count int) ([]Sliver, error) {
+func (a *oracleLedger) ReserveSlivers(siteID string, count int) ([]Sliver, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("planetlab: sliver count must be positive")
 	}
@@ -103,7 +103,7 @@ func (a *oracleLedger) ReserveSlivers(sliceName, siteID string, count int) ([]Sl
 			take = remaining
 		}
 		for k := 0; k < take; k++ {
-			placed = append(placed, Sliver{SliceName: sliceName, SiteID: siteID, NodeID: sl.node.ID})
+			placed = append(placed, Sliver{SiteID: siteID, NodeID: sl.node.ID})
 		}
 		remaining -= take
 		if remaining == 0 {
@@ -122,14 +122,14 @@ func (a *oracleLedger) ReserveSlivers(sliceName, siteID string, count int) ([]Sl
 // Reserve is the placement walk the sfa handlers ran before
 // Authority.Reserve: the available sites in ID order, the first maxSites
 // of them (all when maxSites <= 0), and ReserveSlivers at each.
-func (a *oracleLedger) Reserve(slice string, per, maxSites int) []Sliver {
+func (a *oracleLedger) Reserve(per, maxSites int) []Sliver {
 	ids := a.AvailableSites(per)
 	if maxSites > 0 && len(ids) > maxSites {
 		ids = ids[:maxSites]
 	}
 	var placed []Sliver
 	for _, id := range ids {
-		if svs, err := a.ReserveSlivers(slice, id, per); err == nil {
+		if svs, err := a.ReserveSlivers(id, per); err == nil {
 			placed = append(placed, svs...)
 		}
 	}

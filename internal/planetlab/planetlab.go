@@ -44,9 +44,8 @@ func (s *Site) Capacity() int {
 
 // Sliver is one virtual machine of a slice on one node.
 type Sliver struct {
-	SliceName string
-	SiteID    string
-	NodeID    string
+	SiteID string
+	NodeID string
 }
 
 // Authority is one regional testbed operator: its sites and the number of
@@ -165,11 +164,11 @@ func (a *Authority) SiteFree(siteID string) int {
 	return 0
 }
 
-// Reserve places per slivers of slice at each of up to maxSites sites
+// Reserve places per slivers at each of up to maxSites sites
 // (every site when maxSites <= 0). It walks the sites in ID order and
 // takes each whose free slots cover per, so the slivers come per to a site
 // and len/per sites were used. It places nothing when per is not positive.
-func (a *Authority) Reserve(slice string, per, maxSites int) []Sliver {
+func (a *Authority) Reserve(per, maxSites int) []Sliver {
 	if per <= 0 {
 		return nil
 	}
@@ -189,17 +188,17 @@ func (a *Authority) Reserve(slice string, per, maxSites int) []Sliver {
 			continue
 		}
 		var ok bool
-		if placed, ok = sl.reserve(placed, slice, per); ok {
+		if placed, ok = sl.reserve(placed, per); ok {
 			sites++
 		}
 	}
 	return placed
 }
 
-// reserve appends count slivers of slice to placed, spreading them over
+// reserve appends count slivers to placed, spreading them over
 // the site's least-loaded nodes, and reports whether its nodes had room
 // for all of them; if not, it places nothing.
-func (sl *siteLoad) reserve(placed []Sliver, slice string, count int) ([]Sliver, bool) {
+func (sl *siteLoad) reserve(placed []Sliver, count int) ([]Sliver, bool) {
 	// Least-loaded-first placement (short-term fair share): nodes with
 	// room, most free slots first, ties by node ID.
 	nodes := sl.site.Nodes
@@ -225,7 +224,7 @@ func (sl *siteLoad) reserve(placed []Sliver, slice string, count int) ([]Sliver,
 	for _, j := range slots {
 		take := min(freeAt(j), count)
 		for k := 0; k < take; k++ {
-			placed = append(placed, Sliver{SliceName: slice, SiteID: sl.site.ID, NodeID: nodes[j].ID})
+			placed = append(placed, Sliver{SiteID: sl.site.ID, NodeID: nodes[j].ID})
 		}
 		sl.load[j] += take
 		if count -= take; count == 0 {

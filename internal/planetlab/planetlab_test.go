@@ -27,11 +27,11 @@ func testAuthority(t *testing.T, sites, nodesPerSite, capacity int) *Authority {
 	return a
 }
 
-// reserveSlivers places count slivers of slice at one site through
+// reserveSlivers places count slivers at one site through
 // Reserve's per-site step, which checks the room of each node rather than
 // the site's net free slots, so it differs from the walk's filter on
 // oversubscribed nodes.
-func (a *Authority) reserveSlivers(slice, siteID string, count int) ([]Sliver, error) {
+func (a *Authority) reserveSlivers(siteID string, count int) ([]Sliver, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("planetlab: sliver count must be positive")
 	}
@@ -41,7 +41,7 @@ func (a *Authority) reserveSlivers(slice, siteID string, count int) ([]Sliver, e
 	if sl == nil {
 		return nil, fmt.Errorf("planetlab: %s has no site %s", a.Name, siteID)
 	}
-	placed, ok := sl.reserve(nil, slice, count)
+	placed, ok := sl.reserve(nil, count)
 	if !ok {
 		return nil, fmt.Errorf("planetlab: site %s has insufficient capacity for %d slivers", siteID, count)
 	}
@@ -75,7 +75,7 @@ func TestAddSiteValidation(t *testing.T) {
 	}
 	s3.Nodes[0].ID = "n1"
 	s3.Nodes = s3.Nodes[:1]
-	if svs, err := a.reserveSlivers("x", "s3", 2); err != nil || svs[0].NodeID != "n0" || svs[1].NodeID != "n1" {
+	if svs, err := a.reserveSlivers("s3", 2); err != nil || svs[0].NodeID != "n0" || svs[1].NodeID != "n1" {
 		t.Errorf("reserveSlivers after the caller's edit = %v, %v", svs, err)
 	}
 	if a.SiteFree("s3") != 0 || a.Utilization() != 1 {
@@ -96,13 +96,13 @@ func TestNodeKeysDoNotCollide(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.reserveSlivers("s", "a/b", 1); err != nil {
+	if _, err := a.reserveSlivers("a/b", 1); err != nil {
 		t.Fatal(err)
 	}
 	if free := a.SiteFree("a"); free != 1 {
 		t.Errorf("site a has %d free slots after filling site a/b, want 1", free)
 	}
-	if _, err := a.reserveSlivers("s", "a", 1); err != nil {
+	if _, err := a.reserveSlivers("a", 1); err != nil {
 		t.Errorf("site a must still host a sliver: %v", err)
 	}
 }
@@ -126,17 +126,17 @@ func TestLedgerMatchesOracle(t *testing.T) {
 			// for them stay unobservable, as the Authority's skip does.
 			switch rng.Intn(8) {
 			case 0:
-				return Sliver{SliceName: "r", SiteID: "zz", NodeID: "a"}
+				return Sliver{SiteID: "zz", NodeID: "a"}
 			case 1:
-				return Sliver{SliceName: "r", SiteID: siteIDs[rng.Intn(len(siteIDs))], NodeID: "q"}
+				return Sliver{SiteID: siteIDs[rng.Intn(len(siteIDs))], NodeID: "q"}
 			}
 			if len(held) > 0 && rng.Intn(2) == 0 {
 				return held[rng.Intn(len(held))]
 			}
 			if len(known) == 0 {
-				return Sliver{SliceName: "r", SiteID: "zz", NodeID: "b"}
+				return Sliver{SiteID: "zz", NodeID: "b"}
 			}
-			return Sliver{SliceName: "r", SiteID: known[rng.Intn(len(known))], NodeID: nodeIDs[rng.Intn(len(nodeIDs))]}
+			return Sliver{SiteID: known[rng.Intn(len(known))], NodeID: nodeIDs[rng.Intn(len(nodeIDs))]}
 		}
 		for step := 0; step < 300; step++ {
 			op := ""
@@ -162,8 +162,8 @@ func TestLedgerMatchesOracle(t *testing.T) {
 					id = known[rng.Intn(len(known))]
 				}
 				count := rng.Intn(6)
-				svA, errA := a.reserveSlivers("r", id, count)
-				svO, errO := o.ReserveSlivers("r", id, count)
+				svA, errA := a.reserveSlivers(id, count)
+				svO, errO := o.ReserveSlivers(id, count)
 				if (errA == nil) != (errO == nil) || !reflect.DeepEqual(svA, svO) {
 					t.Fatalf("seed %d step %d: reserveSlivers(%s, %d) = %v, %v; oracle %v, %v", seed, step, id, count, svA, errA, svO, errO)
 				}
@@ -171,7 +171,7 @@ func TestLedgerMatchesOracle(t *testing.T) {
 			case r <= 5:
 				op = "walk"
 				per, maxSites := rng.Intn(5), rng.Intn(4)
-				svA, svO := a.Reserve("r", per, maxSites), o.Reserve("r", per, maxSites)
+				svA, svO := a.Reserve(per, maxSites), o.Reserve(per, maxSites)
 				if !reflect.DeepEqual(svA, svO) {
 					t.Fatalf("seed %d step %d: Reserve(%d, %d) = %v; oracle %v", seed, step, per, maxSites, svA, svO)
 				}
@@ -210,7 +210,7 @@ func TestReserveSliversLeastLoaded(t *testing.T) {
 	// Six single-sliver reservations must spread 2-2-2 over the 3 nodes.
 	perNode := map[string]int{}
 	for i := 0; i < 6; i++ {
-		svs, err := a.reserveSlivers(fmt.Sprintf("s%d", i), "site0", 1)
+		svs, err := a.reserveSlivers("site0", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,17 +222,17 @@ func TestReserveSliversLeastLoaded(t *testing.T) {
 		}
 	}
 	// Seventh fails: site full.
-	if _, err := a.reserveSlivers("s7", "site0", 1); err == nil {
+	if _, err := a.reserveSlivers("site0", 1); err == nil {
 		t.Error("overfull site must reject")
 	}
 }
 
 func TestReserveSliversErrors(t *testing.T) {
 	a := testAuthority(t, 1, 1, 1)
-	if _, err := a.reserveSlivers("s", "nope", 1); err == nil {
+	if _, err := a.reserveSlivers("nope", 1); err == nil {
 		t.Error("unknown site must fail")
 	}
-	if _, err := a.reserveSlivers("s", "site0", 0); err == nil {
+	if _, err := a.reserveSlivers("site0", 0); err == nil {
 		t.Error("zero count must fail")
 	}
 }
@@ -248,33 +248,33 @@ func TestReserveWalk(t *testing.T) {
 		}
 	}
 	for _, per := range []int{0, -1, 3} {
-		if got := a.Reserve("s", per, 0); got != nil {
+		if got := a.Reserve(per, 0); got != nil {
 			t.Errorf("Reserve(per %d) = %v, want nothing", per, got)
 		}
 	}
-	sv := func(slice, site string) Sliver { return Sliver{SliceName: slice, SiteID: site, NodeID: "n"} }
-	if got, want := a.Reserve("s", 2, 1), []Sliver{sv("s", "a"), sv("s", "a")}; !reflect.DeepEqual(got, want) {
+	sv := func(site string) Sliver { return Sliver{SiteID: site, NodeID: "n"} }
+	if got, want := a.Reserve(2, 1), []Sliver{sv("a"), sv("a")}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Reserve(2, 1) = %v, want %v", got, want)
 	}
 	// Site a is full: the walk passes it by.
-	if got, want := a.Reserve("t", 1, 0), []Sliver{sv("t", "b"), sv("t", "c")}; !reflect.DeepEqual(got, want) {
+	if got, want := a.Reserve(1, 0), []Sliver{sv("b"), sv("c")}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Reserve(1, 0) = %v, want %v", got, want)
 	}
-	if got, want := a.Reserve("u", 1, 1), []Sliver{sv("u", "b")}; !reflect.DeepEqual(got, want) {
+	if got, want := a.Reserve(1, 1), []Sliver{sv("b")}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Reserve(1, 1) = %v, want %v", got, want)
 	}
 }
 
 func TestReleaseSliversFreesCapacity(t *testing.T) {
 	a := testAuthority(t, 3, 1, 1)
-	held := a.Reserve("tmp", 1, 0)
+	held := a.Reserve(1, 0)
 	if a.Utilization() != 1 {
 		t.Errorf("utilization %g, want 1", a.Utilization())
 	}
-	if got := a.Reserve("tmp2", 1, 0); len(got) != 0 {
+	if got := a.Reserve(1, 0); len(got) != 0 {
 		t.Errorf("full system still offers %v", got)
 	}
-	if _, err := a.reserveSlivers("tmp2", "site0", 1); err == nil {
+	if _, err := a.reserveSlivers("site0", 1); err == nil {
 		t.Error("full site must reject")
 	}
 	a.ReleaseSlivers(held)
@@ -288,7 +288,7 @@ func TestReleaseSliversFreesCapacity(t *testing.T) {
 		t.Errorf("site0 free %d after double release, want 1", a.SiteFree("site0"))
 	}
 	for _, site := range []string{"site0", "site1", "site2"} {
-		if _, err := a.reserveSlivers("tmp2", site, 1); err != nil {
+		if _, err := a.reserveSlivers(site, 1); err != nil {
 			t.Errorf("freed capacity should host the slivers: %v", err)
 		}
 	}
@@ -307,8 +307,7 @@ func TestConcurrentSliceCreation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			name := fmt.Sprintf("slice%d", i)
-			hold := a.Reserve(name, 1, perSlice)
+			hold := a.Reserve(1, perSlice)
 			if len(hold) < perSlice {
 				a.ReleaseSlivers(hold)
 				return
@@ -359,7 +358,7 @@ func BenchmarkAuthorityReserveRelease(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hold := a.Reserve("s", 1, 40)
+				hold := a.Reserve(1, 40)
 				if len(hold) != 40 {
 					b.Fatalf("placed %d slivers, want 40", len(hold))
 				}

@@ -9,6 +9,7 @@ package policy
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fedshare/internal/core"
 	"fedshare/internal/economics"
@@ -33,6 +34,8 @@ type Player struct {
 
 // Dynamics runs best-response dynamics over provision choices.
 type Dynamics struct {
+	// Model is the base federation. Each choice profile is valued on a
+	// model of its own: the base's facilities with the chosen options.
 	Model   *core.Model
 	Players []Player
 	Policy  core.Policy
@@ -64,28 +67,38 @@ func NewDynamics(m *core.Model, players []Player, p core.Policy) (*Dynamics, err
 	}, nil
 }
 
-// apply writes the current choices into the model.
-func (d *Dynamics) apply() {
+// profile builds the model of the current choice profile: the base
+// model's facilities with every player's chosen option written in.
+func (d *Dynamics) profile() (*core.Model, error) {
+	fs := slices.Clone(d.Model.Facilities)
 	for i, ci := range d.Choice {
 		o := d.Players[i].Options[ci]
-		d.Model.Facilities[i].Locations = o.Locations
-		d.Model.Facilities[i].Resources = o.Resources
+		fs[i].Locations = o.Locations
+		fs[i].Resources = o.Resources
 	}
-	d.Model.Invalidate()
+	m, err := core.NewModel(fs, d.Model.Demand)
+	if err != nil {
+		return nil, err
+	}
+	m.Mu, m.Overlap = d.Model.Mu, d.Model.Overlap
+	return m, nil
 }
 
 // Payoffs returns every player's net payoff (share of V(N) minus provision
 // cost) at the current choice profile.
 func (d *Dynamics) Payoffs() ([]float64, error) {
-	d.apply()
-	profits, err := core.Profits(d.Model, d.Policy)
+	m, err := d.profile()
+	if err != nil {
+		return nil, err
+	}
+	profits, err := core.Profits(m, d.Policy)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(profits))
 	for i, p := range profits {
 		o := d.Players[i].Options[d.Choice[i]]
-		f := d.Model.Facilities[i]
+		f := m.Facilities[i]
 		avail := f.Availability
 		if avail == 0 {
 			avail = 1
@@ -116,7 +129,6 @@ func (d *Dynamics) BestResponse(i int) (bool, error) {
 		}
 	}
 	d.Choice[i] = bestIdx
-	d.apply()
 	return bestIdx != orig, nil
 }
 

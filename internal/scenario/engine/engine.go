@@ -54,7 +54,6 @@ type Progress struct {
 type Run struct {
 	ID         string
 	ScenarioID string
-	Spec       *scenario.Spec // nil for SubmitJob submissions
 	State      State
 	Progress   Progress
 	Result     *scenario.Result
@@ -145,7 +144,7 @@ func (e *Engine) Submit(spec *scenario.Spec) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", err
 	}
-	return e.submit(spec.ID, spec, func(ctx context.Context, progress scenario.ProgressFunc) (*scenario.Result, error) {
+	return e.submit(spec.ID, func(ctx context.Context, progress scenario.ProgressFunc) (*scenario.Result, error) {
 		return scenario.RunContext(ctx, spec, progress)
 	})
 }
@@ -159,10 +158,10 @@ func (e *Engine) SubmitEntry(entry scenario.Entry) (string, error) {
 // the primitive Submit builds on, exported for callers (and tests) that
 // need custom execution wrapped in the run table.
 func (e *Engine) SubmitJob(scenarioID string, fn JobFunc) (string, error) {
-	return e.submit(scenarioID, nil, fn)
+	return e.submit(scenarioID, fn)
 }
 
-func (e *Engine) submit(scenarioID string, spec *scenario.Spec, fn JobFunc) (string, error) {
+func (e *Engine) submit(scenarioID string, fn JobFunc) (string, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e.mu.Lock()
 	if e.closed {
@@ -176,7 +175,6 @@ func (e *Engine) submit(scenarioID string, spec *scenario.Spec, fn JobFunc) (str
 		Run: Run{
 			ID:         id,
 			ScenarioID: scenarioID,
-			Spec:       spec,
 			State:      StateQueued,
 			Submitted:  time.Now(),
 		},

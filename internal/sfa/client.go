@@ -197,7 +197,7 @@ func (c *Client) call(method string, params, result interface{}) (bool, error) {
 		c.breaker.success()
 		c.setBreakerGauge()
 		if resp.Error != "" {
-			remote := &RemoteError{Method: method, Msg: resp.Error, Code: resp.Code}
+			remote := &RemoteError{Msg: resp.Error, Code: resp.Code}
 			// An overload shed is the one remote error guaranteed
 			// unexecuted — retry it with backoff; everything else was
 			// executed and is returned immediately.

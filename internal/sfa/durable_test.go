@@ -280,17 +280,18 @@ func recoverPeeredCoordinator(t *testing.T) {
 }
 
 // TestRecoveryDedupWindow: the recovered idempotency window is the live
-// one — the newest DedupCapacity outcomes, in log order — whether recovery
+// one — the newest dedupWindow outcomes, in log order — whether recovery
 // replays the whole log or loads a snapshot and replays the suffix, so a
-// retry of the newest key replays after a crash.
+// retry of the newest key replays after a crash. The run pushes a few keys
+// past the window, so its oldest keys are forgotten on both sides.
 func TestRecoveryDedupWindow(t *testing.T) {
+	const keys = dedupWindow + 4
 	for _, every := range []int{-1, 3} {
 		t.Run(fmt.Sprintf("snapshotEvery=%d", every), func(t *testing.T) {
 			clock := newFakeClock()
 			dir := t.TempDir()
-			cfg := WithConfig(ServerConfig{Now: clock.Now, DedupCapacity: 4})
-			srv, store, _ := durableServer(t, dir, every, clock, cfg)
-			for i := 9; i >= 0; i-- {
+			srv, store, _ := durableServer(t, dir, every, clock)
+			for i := keys - 1; i >= 0; i-- {
 				key := fmt.Sprintf("s%d", i)
 				rr, err := srv.handleReserve(ReserveRequest{
 					Credential: userCred(), SliceName: key, Sites: 1, PerSite: 1, IdempotencyKey: key,
@@ -305,22 +306,29 @@ func TestRecoveryDedupWindow(t *testing.T) {
 				}
 			}
 			want := srv.snapshotState()
-			var keys []string
+			var got, newest []string
 			for _, d := range want.Dedup {
-				keys = append(keys, d.Key)
+				got = append(got, d.Key)
 			}
-			if newest := []string{"reserve:s3", "reserve:s2", "reserve:s1", "reserve:s0"}; !reflect.DeepEqual(keys, newest) {
-				t.Fatalf("live window = %v, want %v", keys, newest)
+			for i := dedupWindow - 1; i >= 0; i-- {
+				newest = append(newest, fmt.Sprintf("reserve:s%d", i))
+			}
+			if !reflect.DeepEqual(got, newest) {
+				t.Fatalf("live window holds %d keys from %v to %v, want the newest %d",
+					len(got), got[0], got[len(got)-1], dedupWindow)
 			}
 
 			_ = store.log.Close() // crash: no final snapshot
-			rec, store2, rst := durableServer(t, dir, every, clock, cfg)
+			rec, store2, rst := durableServer(t, dir, every, clock)
 			defer store2.Close()
+			if every > 0 && (len(rst.log) == 0 || len(rst.log) >= every) {
+				t.Fatalf("recovery replays %d records, want the suffix after a snapshot", len(rst.log))
+			}
 			if err := rec.Restore(rst); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			if got := rec.snapshotState(); !reflect.DeepEqual(got, want) {
-				t.Errorf("recovered state differs from live state:\n got %+v\nwant %+v", got, want)
+				t.Errorf("recovered state differs from live state (%d and %d window keys)", len(got.Dedup), len(want.Dedup))
 			}
 			if _, err := rec.handleReserve(ReserveRequest{
 				Credential: userCred(), SliceName: "s0", Sites: 1, PerSite: 1, IdempotencyKey: "s0",
@@ -932,7 +940,7 @@ func BenchmarkRecover(b *testing.B) {
 		}
 
 		b.StopTimer()
-		if window := (ServerConfig{}).withDefaults().DedupCapacity; len(st.Dedup) != window || len(st.log) != 4000 {
+		if window := dedupWindow; len(st.Dedup) != window || len(st.log) != 4000 {
 			b.Fatalf("recovered a snapshot of %d dedup keys and %d records, want %d and 4000",
 				len(st.Dedup), len(st.log), window)
 		}

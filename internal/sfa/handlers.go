@@ -200,7 +200,7 @@ func (s *Server) handleReserve(p ReserveRequest) (*ReserveResponse, error) {
 	// Decide: the authority's placement walk holds slivers at the first
 	// p.Sites sites with room. The hold is dropped on return; apply places
 	// exactly the committed slivers.
-	hold := s.auth.Reserve(p.SliceName, p.PerSite, p.Sites)
+	hold := s.auth.Reserve(p.PerSite, p.Sites)
 	defer s.auth.ReleaseSlivers(hold)
 	resp := &ReserveResponse{Slivers: toRecords(s.auth.Name, hold)}
 	if len(hold) == 0 && key == "" {
@@ -285,7 +285,7 @@ func (s *Server) handleCreateSlice(p SliceRequest) (*SliceResponse, error) {
 		s.st.mu.Unlock()
 		return nil, fmt.Errorf("slice %s already exists", p.Name)
 	}
-	hold := s.auth.Reserve(p.Name, per, p.MaxSites)
+	hold := s.auth.Reserve(per, p.MaxSites)
 	s.st.mu.Unlock()
 	remote, sitesGot := s.reservePeers(p, per, len(hold)/per)
 

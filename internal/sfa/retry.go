@@ -96,9 +96,8 @@ var ErrCircuitOpen = errors.New("sfa: circuit breaker open")
 // the one exception is Code == CodeOverloaded, which the server guarantees
 // was shed before execution, so the client retries it with backoff.
 type RemoteError struct {
-	Method string
-	Msg    string
-	Code   string
+	Msg  string
+	Code string
 }
 
 func (e *RemoteError) Error() string { return "sfa: remote: " + e.Msg }

@@ -27,10 +27,6 @@ type ServerConfig struct {
 	// (default 2m). Tests shrink it to ~100ms to exercise the idle-drop
 	// path quickly.
 	IdleReadDeadline time.Duration
-	// DedupCapacity bounds the window of remembered idempotency outcomes
-	// (default 1024): the oldest outcome in log order is forgotten first,
-	// live and after recovery alike.
-	DedupCapacity int
 	// LeaseReapInterval paces the background lease reaper (default 1s).
 	LeaseReapInterval time.Duration
 	// Now supplies the lease clock (default time.Now). Tests substitute a
@@ -59,12 +55,14 @@ type ServerConfig struct {
 	PeerClient func(addr string) ClientConfig
 }
 
+// dedupWindow bounds the window of remembered idempotency outcomes: the
+// oldest outcome in log order is forgotten first, live and after recovery
+// alike.
+const dedupWindow = 1024
+
 func (cfg ServerConfig) withDefaults() ServerConfig {
 	if cfg.IdleReadDeadline <= 0 {
 		cfg.IdleReadDeadline = 2 * time.Minute
-	}
-	if cfg.DedupCapacity <= 0 {
-		cfg.DedupCapacity = 1024
 	}
 	if cfg.LeaseReapInterval <= 0 {
 		cfg.LeaseReapInterval = time.Second
@@ -172,7 +170,7 @@ func NewServer(auth *planetlab.Authority, secret []byte, opts ...Option) *Server
 	}
 	s.metrics = newServerMetrics(s.obsreg)
 	// Delta updates (not Set) so servers sharing a registry aggregate.
-	s.st = newState(auth, s.cfg.DedupCapacity, func(delta int) { s.metrics.leasesActive.Add(float64(delta)) })
+	s.st = newState(auth, dedupWindow, func(delta int) { s.metrics.leasesActive.Add(float64(delta)) })
 	s.recon = newReconciler()
 	s.health = newHealthTracker(s.cfg.Now, s.cfg.DownAfter, s.cfg.ProbeInterval, s.cfg.Seed)
 	s.health.onTransition = func(peer string, from, to PeerState) {

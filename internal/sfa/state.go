@@ -76,7 +76,7 @@ func (st *state) apply(rec Record) error {
 		}
 	case OpReserve:
 		if len(rec.Slivers) > 0 {
-			st.auth.RestoreSlivers(toSlivers(rec.Slice, rec.Slivers))
+			st.auth.RestoreSlivers(toSlivers(rec.Slivers))
 			l := LeaseState{Slice: rec.Slice, Kind: leaseReserve, Holder: rec.Holder, Expiry: rec.Expiry}
 			if old := st.leases[rec.Slice]; old != nil {
 				// A repeated reserve merges into the holding, which keeps
@@ -97,7 +97,7 @@ func (st *state) apply(rec Record) error {
 		// rec.Slivers names exactly the slivers the release freed.
 		if l := st.leases[rec.Slice]; l != nil && l.Kind == leaseReserve {
 			freed, keep := split(l.Slivers, rec.Slivers)
-			st.auth.ReleaseSlivers(toSlivers(rec.Slice, freed))
+			st.auth.ReleaseSlivers(toSlivers(freed))
 			if len(keep) == 0 {
 				st.setLease(rec.Slice, nil)
 			} else {
@@ -116,7 +116,7 @@ func (st *state) apply(rec Record) error {
 			return fmt.Errorf("sfa: %s record for existing slice %q", rec.Op, name)
 		}
 		st.slices[name] = &SliceState{Spec: *rec.Spec, Local: rec.Slivers, Remote: rec.Remote}
-		st.auth.RestoreSlivers(toSlivers(name, rec.Slivers))
+		st.auth.RestoreSlivers(toSlivers(rec.Slivers))
 		st.embedded++
 		st.usage[st.auth.Name] += len(rec.Slivers)
 		for _, sv := range rec.Remote {
@@ -197,7 +197,7 @@ func (st *state) setLease(slice string, l *LeaseState) {
 // dropLease removes slice's holding and frees the slivers it held.
 func (st *state) dropLease(slice string) {
 	if l := st.leases[slice]; l != nil {
-		st.auth.ReleaseSlivers(toSlivers(slice, l.Slivers))
+		st.auth.ReleaseSlivers(toSlivers(l.Slivers))
 		st.setLease(slice, nil)
 	}
 }
@@ -206,7 +206,7 @@ func (st *state) dropLease(slice string) {
 // Usage is cumulative and survives deletion.
 func (st *state) deleteSlice(name string) {
 	if sl := st.slices[name]; sl != nil {
-		st.auth.ReleaseSlivers(toSlivers(name, sl.Local))
+		st.auth.ReleaseSlivers(toSlivers(sl.Local))
 		delete(st.slices, name)
 	}
 	st.dropLease(name)
@@ -294,11 +294,11 @@ func (st *state) load(in *State) {
 	for i := range in.Slices {
 		sl := in.Slices[i]
 		st.slices[sl.Spec.Name] = &sl
-		st.auth.RestoreSlivers(toSlivers(sl.Spec.Name, sl.Local))
+		st.auth.RestoreSlivers(toSlivers(sl.Local))
 	}
 	for i := range in.Leases {
 		l := in.Leases[i]
-		st.auth.RestoreSlivers(toSlivers(l.Slice, l.Slivers))
+		st.auth.RestoreSlivers(toSlivers(l.Slivers))
 		st.setLease(l.Slice, &l)
 	}
 	for _, d := range in.Dedup {

@@ -130,14 +130,14 @@ type State struct {
 
 // --- Conversions between wire records and substrate slivers ---
 
-// toSlivers converts wire SliverRecords to substrate slivers of slice.
-func toSlivers(slice string, recs []SliverRecord) []planetlab.Sliver {
+// toSlivers converts wire SliverRecords to substrate slivers.
+func toSlivers(recs []SliverRecord) []planetlab.Sliver {
 	if len(recs) == 0 {
 		return nil
 	}
 	out := make([]planetlab.Sliver, len(recs))
 	for i, r := range recs {
-		out[i] = planetlab.Sliver{SliceName: slice, SiteID: r.SiteID, NodeID: r.NodeID}
+		out[i] = planetlab.Sliver{SiteID: r.SiteID, NodeID: r.NodeID}
 	}
 	return out
 }
