@@ -17,8 +17,10 @@
 // shed with a retriable overload code instead of queueing without bound. On SIGTERM/SIGINT the
 // daemon shuts down gracefully: readiness flips, the optional -drain-grace
 // lame-duck period elapses, in-flight requests finish, and only then does
-// the process exit. At -log-level debug every dispatched request and span
-// is logged as a structured key=value line.
+// the process exit. -log-level (debug, info, warn or error) sets the
+// minimum level of the server's and log/slog's records; at debug every
+// dispatched request and every finished span is logged as one key=value
+// record.
 //
 // With -data-dir the registry's durable state (slices, slivers, leases,
 // idempotency outcomes) survives restarts: mutations go through a
@@ -41,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -73,7 +76,7 @@ func main() {
 	apiEnabled := flag.Bool("api", false, "serve the scenario API and dashboard on the metrics address (requires -metrics-addr)")
 	apiConcurrency := flag.Int("api-concurrency", 2, "how many submitted experiments execute simultaneously (further submissions queue)")
 	drainGrace := flag.Duration("drain-grace", 0, "lame-duck period between flipping /readyz to 503 and draining connections")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, or error")
+	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	maxInFlight := flag.Int("max-inflight", 1024, "admission bound on concurrently executing requests; excess requests are shed with a retriable overload code (0 = unlimited)")
 	dataDir := flag.String("data-dir", "", "persist durable state (WAL + snapshots) in this directory; empty = memory-only")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: interval (background, bounded power-loss window) or always (fsync before every acknowledgment)")
@@ -85,11 +88,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fedd: -secret is required")
 		os.Exit(2)
 	}
-	level, err := obs.ParseLogLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedd:", err)
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		fmt.Fprintln(os.Stderr, "fedd: -log-level:", err)
 		os.Exit(2)
 	}
+	slog.SetLogLoggerLevel(level)
 	if *sites < 0 || *nodes <= 0 || *capacity <= 0 {
 		fmt.Fprintln(os.Stderr, "fedd: sites must be >= 0, nodes and capacity positive")
 		os.Exit(2)
@@ -143,7 +147,6 @@ func main() {
 			Fsync:         policy,
 			FsyncInterval: *fsyncInterval,
 			SnapshotEvery: *snapshotEvery,
-			Logf:          log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("fedd: open data dir %s: %v", *dataDir, err)
@@ -156,11 +159,6 @@ func main() {
 		if err := srv.Restore(recovered); err != nil {
 			log.Fatalf("fedd: restore durable state: %v", err)
 		}
-	}
-	if level <= obs.LogDebug {
-		// Route span trace lines through the same log stream as server
-		// diagnostics.
-		obs.SetTraceSink(obs.NewLogger(log.Printf, obs.LogDebug).TraceSink())
 	}
 	if err := srv.Start(*listen); err != nil {
 		log.Fatalf("fedd: %v", err)

@@ -137,6 +137,34 @@ func TestCLIFederationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCLIFeddLogLevel checks -log-level: an unknown level exits 2 naming
+// it, and warn, which slog's level names add, starts a daemon that serves.
+func TestCLIFeddLogLevel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skip in -short mode")
+	}
+	fedd, fedctl, _ := buildTools(t)
+	out, err := exec.Command(fedd, "-secret", "it", "-log-level", "chatty").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("-log-level chatty: %v, want exit status 2", err)
+	}
+	if !strings.Contains(string(out), `"chatty"`) {
+		t.Errorf("-log-level chatty error does not name the value: %q", out)
+	}
+
+	addr := freePort(t)
+	d := exec.Command(fedd, "-name", "PLC", "-listen", addr, "-sites", "1", "-secret", "it", "-log-level", "warn")
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = d.Process.Kill(); _, _ = d.Process.Wait() }()
+	waitReachable(t, addr)
+	if out := run(t, fedctl, "-addr", addr, "ping"); !strings.Contains(out, "pong") {
+		t.Errorf("ping at -log-level warn: %q", out)
+	}
+}
+
 // TestCLIGracefulDrain covers the daemon's shutdown path: SIGTERM flips
 // /readyz to 503 during the lame-duck grace period, the daemon drains its
 // connections, and the process exits cleanly.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -48,7 +49,7 @@ func writeHistogramText(w io.Writer, name string, m MetricSnapshot) error {
 		}
 	}
 	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-		name, labelStringInf(m.Labels), m.Count); err != nil {
+		name, labelString(m.Labels, "le", math.Inf(1)), m.Count); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labelString(m.Labels, "", 0), formatValue(m.Sum)); err != nil {
@@ -90,24 +91,6 @@ func labelString(labels map[string]string, le string, leVal float64) string {
 		sb.WriteByte('"')
 	}
 	sb.WriteByte('}')
-	return sb.String()
-}
-
-func labelStringInf(labels map[string]string) string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(labels[k]))
-		sb.WriteString(`",`)
-	}
-	sb.WriteString(`le="+Inf"}`)
 	return sb.String()
 }
 

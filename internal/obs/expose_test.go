@@ -18,6 +18,9 @@ func buildTestRegistry() *Registry {
 	h.With("solve").Observe(0.005)
 	h.With("solve").Observe(0.05)
 	h.With("solve").Observe(5)
+	w := r.Histogram("fedshare_wait_seconds", "Wait.", []float64{1})
+	w.Observe(0.5)
+	w.Observe(2)
 	return r
 }
 
@@ -41,6 +44,10 @@ func TestPrometheusText(t *testing.T) {
 		`fedshare_lat_seconds_bucket{op="solve",le="+Inf"} 3`,
 		`fedshare_lat_seconds_sum{op="solve"} 5.055`,
 		`fedshare_lat_seconds_count{op="solve"} 3`,
+		`fedshare_wait_seconds_bucket{le="1"} 1`,
+		`fedshare_wait_seconds_bucket{le="+Inf"} 2`,
+		"fedshare_wait_seconds_sum 2.5",
+		"fedshare_wait_seconds_count 2",
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("missing line %q in output:\n%s", want, out)

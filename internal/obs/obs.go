@@ -2,8 +2,8 @@
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
 // histograms, labeled families), an HTTP exposition handler serving the
 // Prometheus text format and a JSON snapshot, and a lightweight span API
-// that records duration histograms and optionally emits structured
-// key=value trace lines through a pluggable sink.
+// that records duration histograms and, when log/slog's default logger has
+// debug enabled, logs one debug record per finished span.
 //
 // Design goals, in order:
 //

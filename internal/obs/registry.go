@@ -37,7 +37,6 @@ func (k kind) String() string {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-	sink     atomic.Value // Sink; trace-line destination for spans
 }
 
 // NewRegistry returns an empty registry.

@@ -1,29 +1,10 @@
 package obs
 
 import (
-	"fmt"
-	"strings"
-	"sync/atomic"
+	"context"
+	"log/slog"
 	"time"
 )
-
-// Sink receives one structured trace line per finished span, already
-// formatted as space-separated key=value pairs. A nil sink disables trace
-// emission; the duration histogram is always recorded.
-type Sink func(line string)
-
-// SetTraceSink installs the registry's trace sink (nil to disable).
-func (r *Registry) SetTraceSink(s Sink) { r.sink.Store(s) }
-
-// SetTraceSink installs the Default registry's trace sink.
-func SetTraceSink(s Sink) { Default.SetTraceSink(s) }
-
-func (r *Registry) traceSink() Sink {
-	if v := r.sink.Load(); v != nil {
-		return v.(Sink)
-	}
-	return nil
-}
 
 // spanSeconds returns the registry's span-duration histogram family.
 func (r *Registry) spanSeconds() *HistogramVec {
@@ -33,14 +14,14 @@ func (r *Registry) spanSeconds() *HistogramVec {
 
 // Span is one timed operation. Create with StartSpan, attach context with
 // Attr, and finish with End; End records the duration into the
-// fedshare_span_seconds{span=name} histogram and, when a trace sink is
-// installed, emits one key=value line. A Span is used by a single
-// goroutine.
+// fedshare_span_seconds{span=name} histogram and, when slog's default
+// logger has debug enabled, logs one debug record. A Span is used by a
+// single goroutine.
 type Span struct {
 	name  string
 	start time.Time
 	reg   *Registry
-	attrs []string
+	attrs []slog.Attr
 }
 
 // StartSpan starts a span against the registry.
@@ -51,18 +32,17 @@ func (r *Registry) StartSpan(name string) *Span {
 // StartSpan starts a span against the Default registry.
 func StartSpan(name string) *Span { return Default.StartSpan(name) }
 
-// Attr attaches a key=value pair to the span's trace line. Values are
-// rendered with %v; strings containing spaces are quoted. Attrs are only
-// formatted when a sink is installed, so the call is cheap otherwise.
+// debugEnabled reports whether slog's default logger takes debug records.
+func debugEnabled() bool {
+	return slog.Default().Enabled(context.TODO(), slog.LevelDebug)
+}
+
+// Attr attaches a key/value pair to the span's debug record. The pair is
+// kept only while debug logging is enabled, so the call is cheap otherwise.
 func (s *Span) Attr(key string, value any) *Span {
-	if s.reg.traceSink() == nil {
-		return s
+	if debugEnabled() {
+		s.attrs = append(s.attrs, slog.Any(key, value))
 	}
-	v := fmt.Sprintf("%v", value)
-	if strings.ContainsAny(v, " \t\n\"") {
-		v = fmt.Sprintf("%q", v)
-	}
-	s.attrs = append(s.attrs, key+"="+v)
 	return s
 }
 
@@ -70,99 +50,9 @@ func (s *Span) Attr(key string, value any) *Span {
 func (s *Span) End() time.Duration {
 	d := time.Since(s.start)
 	s.reg.spanSeconds().With(s.name).Observe(d.Seconds())
-	if sink := s.reg.traceSink(); sink != nil {
-		line := "span=" + s.name + " dur=" + d.String()
-		if len(s.attrs) > 0 {
-			line += " " + strings.Join(s.attrs, " ")
-		}
-		sink(line)
+	if debugEnabled() {
+		attrs := append([]slog.Attr{slog.String("span", s.name), slog.Duration("dur", d)}, s.attrs...)
+		slog.LogAttrs(context.TODO(), slog.LevelDebug, "span", attrs...)
 	}
 	return d
-}
-
-// --- Leveled logging ---
-
-// LogLevel orders log severities.
-type LogLevel int32
-
-// Levels, least to most severe.
-const (
-	LogDebug LogLevel = iota
-	LogInfo
-	LogError
-)
-
-// ParseLogLevel maps "debug"/"info"/"error" to a level.
-func ParseLogLevel(s string) (LogLevel, error) {
-	switch strings.ToLower(s) {
-	case "debug":
-		return LogDebug, nil
-	case "info":
-		return LogInfo, nil
-	case "error":
-		return LogError, nil
-	}
-	return LogInfo, fmt.Errorf("obs: unknown log level %q (want debug, info, or error)", s)
-}
-
-func (l LogLevel) String() string {
-	switch l {
-	case LogDebug:
-		return "debug"
-	case LogInfo:
-		return "info"
-	case LogError:
-		return "error"
-	}
-	return fmt.Sprintf("level(%d)", int32(l))
-}
-
-// Logger is a minimal leveled logger over a printf-style output function.
-// It exists so daemon diagnostics and span trace lines share one
-// formatting path: every line goes through logf with a level= prefix, and
-// TraceSink adapts the debug level to the span Sink interface. The level
-// can be changed concurrently with logging.
-type Logger struct {
-	min atomic.Int32
-	out func(format string, args ...interface{})
-}
-
-// NewLogger returns a logger writing through out (e.g. log.Printf) at the
-// given minimum level. A nil out discards everything.
-func NewLogger(out func(string, ...interface{}), min LogLevel) *Logger {
-	l := &Logger{out: out}
-	l.min.Store(int32(min))
-	return l
-}
-
-// SetLevel changes the minimum emitted level.
-func (l *Logger) SetLevel(min LogLevel) { l.min.Store(int32(min)) }
-
-// Level returns the current minimum level.
-func (l *Logger) Level() LogLevel { return LogLevel(l.min.Load()) }
-
-func (l *Logger) logf(lvl LogLevel, format string, args ...interface{}) {
-	if l.out == nil || lvl < l.Level() {
-		return
-	}
-	l.out("level="+lvl.String()+" "+format, args...)
-}
-
-// Debugf logs at debug level.
-func (l *Logger) Debugf(format string, args ...interface{}) { l.logf(LogDebug, format, args...) }
-
-// Infof logs at info level.
-func (l *Logger) Infof(format string, args ...interface{}) { l.logf(LogInfo, format, args...) }
-
-// Errorf logs at error level.
-func (l *Logger) Errorf(format string, args ...interface{}) { l.logf(LogError, format, args...) }
-
-// TraceSink adapts the logger's debug level as a span trace sink: spans
-// appear in the same stream, with the same level= framing, as ordinary
-// diagnostics. Returns nil (no sink) unless debug is enabled at call time.
-func (l *Logger) TraceSink() Sink {
-	if l.Level() > LogDebug {
-		return nil
-	}
-	return func(line string) { l.Debugf("%s", line) }
 }

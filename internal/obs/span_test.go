@@ -1,9 +1,10 @@
 package obs
 
 import (
-	"fmt"
+	"bytes"
+	"log"
+	"log/slog"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -25,95 +26,44 @@ func TestSpanRecordsHistogram(t *testing.T) {
 	}
 }
 
-func TestSpanTraceSink(t *testing.T) {
-	r := NewRegistry()
-	var mu sync.Mutex
-	var lines []string
-	r.SetTraceSink(func(line string) {
-		mu.Lock()
-		lines = append(lines, line)
-		mu.Unlock()
+// TestSpanLogsDebugRecord swaps slog's default logger, so it must not run
+// in parallel; it restores the logger, and the log package's output that
+// slog.SetDefault redirects, when it ends.
+func TestSpanLogsDebugRecord(t *testing.T) {
+	prev, out, flags := slog.Default(), log.Writer(), log.Flags()
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(out)
+		log.SetFlags(flags)
 	})
+	var buf bytes.Buffer
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	r := NewRegistry()
 	r.StartSpan("embed").Attr("slice", "exp1").Attr("sites", 5).Attr("note", "two words").End()
-	mu.Lock()
-	defer mu.Unlock()
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
 	if len(lines) != 1 {
-		t.Fatalf("lines = %v", lines)
+		t.Fatalf("lines = %q", lines)
 	}
 	l := lines[0]
-	if !strings.HasPrefix(l, "span=embed dur=") {
-		t.Errorf("line = %q", l)
-	}
-	for _, want := range []string{"slice=exp1", "sites=5", `note="two words"`} {
+	for _, want := range []string{"level=DEBUG", "msg=span", "span=embed", "dur=", "slice=exp1", "sites=5", `note="two words"`} {
 		if !strings.Contains(l, want) {
-			t.Errorf("line %q missing %q", l, want)
+			t.Errorf("record %q missing %q", l, want)
 		}
+	}
+	if r.spanSeconds().With("embed").Count() != 1 {
+		t.Error("histogram must record beside the debug record")
 	}
 }
 
 func TestSpanNoSinkIsQuiet(t *testing.T) {
 	r := NewRegistry()
-	// Attrs on a sink-less span are dropped without formatting.
+	// With slog's default logger at info, attrs are dropped unkept.
 	sp := r.StartSpan("quiet").Attr("k", "v")
 	if len(sp.attrs) != 0 {
-		t.Error("attrs should not be retained without a sink")
+		t.Error("attrs should not be retained while debug is off")
 	}
 	sp.End()
 	if r.spanSeconds().With("quiet").Count() != 1 {
-		t.Error("histogram must still record without a sink")
-	}
-}
-
-func TestLoggerLevels(t *testing.T) {
-	var mu sync.Mutex
-	var got []string
-	out := func(format string, args ...interface{}) {
-		mu.Lock()
-		got = append(got, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
-	l := NewLogger(out, LogInfo)
-	l.Debugf("hidden %d", 1)
-	l.Infof("shown %d", 2)
-	l.Errorf("loud %d", 3)
-	mu.Lock()
-	if len(got) != 2 || got[0] != "level=info shown 2" || got[1] != "level=error loud 3" {
-		t.Errorf("got = %q", got)
-	}
-	mu.Unlock()
-
-	if l.TraceSink() != nil {
-		t.Error("trace sink must be nil above debug level")
-	}
-	l.SetLevel(LogDebug)
-	sink := l.TraceSink()
-	if sink == nil {
-		t.Fatal("trace sink must exist at debug level")
-	}
-	sink("span=x dur=1ms")
-	mu.Lock()
-	defer mu.Unlock()
-	if got[len(got)-1] != "level=debug span=x dur=1ms" {
-		t.Errorf("sink line = %q", got[len(got)-1])
-	}
-}
-
-func TestParseLogLevel(t *testing.T) {
-	for s, want := range map[string]LogLevel{"debug": LogDebug, "Info": LogInfo, "ERROR": LogError} {
-		got, err := ParseLogLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLogLevel(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseLogLevel("chatty"); err == nil {
-		t.Error("bad level must error")
-	}
-}
-
-func TestNilLoggerOutput(t *testing.T) {
-	l := NewLogger(nil, LogDebug)
-	l.Infof("dropped") // must not panic
-	if s := l.TraceSink(); s != nil {
-		s("also dropped")
+		t.Error("histogram must still record while debug is off")
 	}
 }

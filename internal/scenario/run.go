@@ -121,8 +121,12 @@ func RunContext(ctx context.Context, s *Spec, progress ProgressFunc) (*Result, e
 	if err != nil {
 		return nil, err
 	}
+	policies, err := s.resolvedPolicies()
+	if err != nil {
+		return nil, err
+	}
 	r := &runner{ctx: ctx, progress: progress}
-	r.total = s.totalPoints(len(xs))
+	r.total = s.totalPoints(len(xs), len(policies))
 	if progress != nil {
 		progress(0, r.total)
 	}
@@ -131,9 +135,9 @@ func RunContext(ctx context.Context, s *Spec, progress ProgressFunc) (*Result, e
 	case KindUtility:
 		err = s.runUtility(r, res, xs)
 	case KindShares:
-		err = s.runShares(r, res, xs)
+		err = s.runShares(r, res, xs, policies)
 	case KindProfit:
-		err = s.runProfit(r, res, xs)
+		err = s.runProfit(r, res, xs, policies)
 	}
 	if err != nil {
 		return nil, err
@@ -142,8 +146,9 @@ func RunContext(ctx context.Context, s *Spec, progress ProgressFunc) (*Result, e
 }
 
 // totalPoints predicts the progress denominator for a grid of n axis
-// points: the number of model-evaluation points the kind executes.
-func (s *Spec) totalPoints(n int) int {
+// points and the given number of resolved policies: the number of
+// model-evaluation points the kind executes.
+func (s *Spec) totalPoints(n, policies int) int {
 	switch s.kind() {
 	case KindUtility:
 		return n * len(s.Demand)
@@ -151,10 +156,6 @@ func (s *Spec) totalPoints(n int) int {
 		variants := len(s.Variants)
 		if variants == 0 {
 			variants = 1
-		}
-		policies := len(s.Policies)
-		if policies == 0 {
-			policies = 2 // shapley + proportional default
 		}
 		return n * variants * policies
 	default:
@@ -188,11 +189,7 @@ func (s *Spec) runUtility(r *runner, res *Result, xs []float64) error {
 // replicas, so the series layout depends only on the spec's entry list —
 // a 200-facility federation declared from 4 templates plots 4 curves per
 // policy.
-func (s *Spec) runShares(r *runner, res *Result, xs []float64) error {
-	policies, err := s.resolvedPolicies()
-	if err != nil {
-		return err
-	}
+func (s *Spec) runShares(r *runner, res *Result, xs []float64, policies []core.Policy) error {
 	groups := s.facilityGroups()
 	pts, err := sweep.RunErr(len(xs), func(k int) ([][]float64, error) {
 		if err := r.cancelled(); err != nil {
@@ -246,11 +243,7 @@ func (s *Spec) runShares(r *runner, res *Result, xs []float64) error {
 // runProfit records the tracked facility's absolute payoff per point, one
 // sweep per variant × policy, variant-major (matching the paper's Fig 9
 // series layout).
-func (s *Spec) runProfit(r *runner, res *Result, xs []float64) error {
-	policies, err := s.resolvedPolicies()
-	if err != nil {
-		return err
-	}
+func (s *Spec) runProfit(r *runner, res *Result, xs []float64, policies []core.Policy) error {
 	idx, err := s.trackIndex()
 	if err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"fedshare/internal/core"
@@ -391,6 +392,36 @@ func TestRunErrorsCarryContext(t *testing.T) {
 	s.Policies = []string{"dictator"}
 	if _, err := RunContext(context.Background(), s, nil); err == nil || !strings.Contains(err.Error(), "dictator") {
 		t.Fatalf("Run must surface the unknown policy, got %v", err)
+	}
+}
+
+// TestProfitProgressCountsDefaultPolicies runs a profit spec that lists no
+// policies: each of its two variants sweeps the two default policies, so
+// the progress callback ends at done == total == points × 2 × 2.
+func TestProfitProgressCountsDefaultPolicies(t *testing.T) {
+	s := testSpec()
+	s.Kind = KindProfit
+	s.Track = "A"
+	s.Policies = nil
+	s.Variants = []VariantSpec{
+		{Name: "base"},
+		{Name: "half", Set: []SetSpec{{Variable: VarMu, Value: 0.5}}},
+	}
+	xs, err := s.Axis.grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var done, total int
+	if _, err := RunContext(context.Background(), s, func(d, n int) {
+		mu.Lock()
+		defer mu.Unlock()
+		done, total = max(done, d), n
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(xs) * 2 * 2; done != want || total != want {
+		t.Errorf("progress ended at %d/%d, want %d/%d", done, total, want, want)
 	}
 }
 

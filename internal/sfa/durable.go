@@ -3,6 +3,7 @@ package sfa
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -11,7 +12,8 @@ import (
 )
 
 // DurableOptions configures the WAL-backed store. Zero fields take
-// defaults, so DurableOptions{Dir: d} is a working configuration.
+// defaults, so DurableOptions{Dir: d} is a working configuration. The
+// store and its WAL log diagnostics through slog's default logger.
 type DurableOptions struct {
 	// Dir is the data directory (required).
 	Dir string
@@ -26,8 +28,6 @@ type DurableOptions struct {
 	SnapshotEvery int
 	// Registry receives the WAL instrumentation (default obs.Default).
 	Registry *obs.Registry
-	// Logf receives recovery and maintenance diagnostics (optional).
-	Logf func(string, ...interface{})
 }
 
 func (o DurableOptions) withDefaults() DurableOptions {
@@ -46,7 +46,6 @@ func (o DurableOptions) withDefaults() DurableOptions {
 type DurableStore struct {
 	log   *wal.Log
 	every int
-	logf  func(string, ...interface{})
 
 	mu     sync.Mutex
 	since  int // appends since the last snapshot
@@ -64,7 +63,6 @@ func OpenDurableStore(opts DurableOptions) (*DurableStore, *State, error) {
 		Policy:   opts.Fsync,
 		Interval: opts.FsyncInterval,
 		Registry: opts.Registry,
-		Logf:     opts.Logf,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -74,11 +72,7 @@ func OpenDurableStore(opts DurableOptions) (*DurableStore, *State, error) {
 		_ = l.Close()
 		return nil, nil, err
 	}
-	d := &DurableStore{log: l, every: opts.SnapshotEvery, logf: opts.Logf}
-	if d.logf == nil {
-		d.logf = func(string, ...interface{}) {}
-	}
-	return d, st, nil
+	return &DurableStore{log: l, every: opts.SnapshotEvery}, st, nil
 }
 
 // decodeRecovered decodes the recovered snapshot and the record suffix
@@ -147,7 +141,7 @@ func (d *DurableStore) MaybeSnapshot() error {
 		return nil
 	}
 	if err := d.snapshot(source); err != nil {
-		d.logf("sfa: periodic snapshot failed (log keeps growing): %v", err)
+		slog.Error("sfa: periodic snapshot failed; the log keeps growing", "err", err)
 		return err
 	}
 	return nil
@@ -174,7 +168,7 @@ func (d *DurableStore) Close() error {
 	d.mu.Unlock()
 	if source != nil {
 		if err := d.snapshot(source); err != nil {
-			d.logf("sfa: final snapshot failed: %v", err)
+			slog.Error("sfa: final snapshot failed", "err", err)
 		}
 	}
 	return d.log.Close()

@@ -31,7 +31,7 @@ func (s *Server) commit(rec Record) error {
 // lease reaps it after recovery.
 func (s *Server) commitAnyway(rec Record) {
 	if err := s.commit(rec); err != nil {
-		s.log.Errorf("sfa[%s]: wal append (%s %s): %v", s.auth.Name, rec.Op, rec.Slice, err)
+		s.log.Error("wal append failed", "op", rec.Op, "slice", rec.Slice, "err", err)
 		s.applyLocked(rec)
 	}
 }
@@ -42,11 +42,11 @@ func (s *Server) applyLocked(rec Record) {
 	if err := s.st.apply(rec); err != nil {
 		// Live records are decided against this very state: only a bug
 		// lands here.
-		s.log.Errorf("sfa[%s]: apply %s %s: %v", s.auth.Name, rec.Op, rec.Slice, err)
+		s.log.Error("apply failed", "op", rec.Op, "slice", rec.Slice, "err", err)
 	}
 	if s.store != nil {
 		if err := s.store.MaybeSnapshot(); err != nil {
-			s.log.Errorf("sfa[%s]: snapshot: %v", s.auth.Name, err)
+			s.log.Error("snapshot failed", "err", err)
 		}
 	}
 }
@@ -82,10 +82,9 @@ func (s *Server) reapExpiredLeases() int {
 			if sl := s.st.slices[l.Slice]; sl != nil {
 				remotes = append(remotes, pendingRemote{slice: l.Slice, slivers: sl.Remote})
 			}
-			s.log.Infof("sfa[%s]: slice lease expired: %s", s.auth.Name, l.Slice)
+			s.log.Info("slice lease expired", "slice", l.Slice)
 		} else {
-			s.log.Infof("sfa[%s]: lease expired for %s: released %d slivers",
-				s.auth.Name, l.Slice, len(l.Slivers))
+			s.log.Info("lease expired", "slice", l.Slice, "released", len(l.Slivers))
 		}
 		s.metrics.leasesExpired.Inc()
 		s.commitAnyway(Record{Op: OpExpire, Slice: l.Slice, Kind: l.Kind})
@@ -95,7 +94,7 @@ func (s *Server) reapExpiredLeases() int {
 		s.releaseRemote(pr.slice, pr.slivers)
 	}
 	if len(expired) > 0 {
-		s.log.Debugf("sfa[%s]: reaper pass released %d expired leases", s.auth.Name, len(expired))
+		s.log.Debug("reaper pass", "expired", len(expired))
 	}
 	return len(expired)
 }
@@ -194,7 +193,7 @@ func (s *Server) handleReserve(p ReserveRequest) (*ReserveResponse, error) {
 		// A duplicate — a retry after a lost response, or a concurrent twin
 		// that waited on the state lock — replays the completed outcome.
 		s.metrics.dedupReplays.With(MethodReserve).Inc()
-		s.log.Debugf("sfa[%s]: reserve dedup replay for key %q", s.auth.Name, p.IdempotencyKey)
+		s.log.Debug("dedup replay", "method", MethodReserve, "key", p.IdempotencyKey)
 		return &ReserveResponse{Slivers: slivers}, nil
 	}
 	// Decide: the authority's placement walk holds slivers at the first
@@ -240,7 +239,7 @@ func (s *Server) handleRelease(p ReleaseRequest) (*Empty, error) {
 	defer s.st.mu.Unlock()
 	if _, ok := s.st.outcome(key); ok {
 		s.metrics.dedupReplays.With(MethodRelease).Inc()
-		s.log.Debugf("sfa[%s]: release dedup replay for key %q", s.auth.Name, p.IdempotencyKey)
+		s.log.Debug("dedup replay", "method", MethodRelease, "key", p.IdempotencyKey)
 		return &Empty{}, nil
 	}
 	// Free only slivers this server still holds for the slice: if the
@@ -370,7 +369,7 @@ func (s *Server) Restore(st *State) error {
 			return fmt.Errorf("sfa: replay record %d after the snapshot: %w", i+1, err)
 		}
 	}
-	s.log.Infof("sfa[%s]: restored durable state: %d slices, %d leases, %d dedup keys, gen %d (%d records replayed)",
-		s.auth.Name, len(s.st.slices), len(s.st.leases), len(s.st.order), s.st.gen, len(st.log))
+	s.log.Info("restored durable state", "slices", len(s.st.slices), "leases", len(s.st.leases),
+		"dedup_keys", len(s.st.order), "gen", s.st.gen, "replayed", len(st.log))
 	return nil
 }

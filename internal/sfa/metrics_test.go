@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"strings"
 	"sync"
@@ -245,10 +246,10 @@ func TestAcceptLoopBackoffAndRateLimitedLog(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	// Rate limiting: one log line for 6 failures inside the interval.
+	// Rate limiting: one record for 6 failures inside the interval.
 	var acceptLines []string
 	for _, l := range lines {
-		if strings.Contains(l, "accept:") {
+		if strings.Contains(l, `msg="accept failed"`) {
 			acceptLines = append(acceptLines, l)
 		}
 	}
@@ -266,7 +267,7 @@ func TestDebugLevelLogsRequests(t *testing.T) {
 		mu.Unlock()
 	}
 	srv := startServer(t, buildAuthority(t, "PLC", 1, 1, 1),
-		WithMetrics(obs.NewRegistry()), WithLogger(logf), WithLogLevel(obs.LogDebug))
+		WithMetrics(obs.NewRegistry()), WithLogger(logf), WithLogLevel(slog.LevelDebug))
 	c := dialServer(t, srv)
 	if err := c.Call(MethodPing, nil, nil); err != nil {
 		t.Fatal(err)
@@ -275,12 +276,12 @@ func TestDebugLevelLogsRequests(t *testing.T) {
 	defer mu.Unlock()
 	found := false
 	for _, l := range lines {
-		if strings.Contains(l, "level=debug") && strings.Contains(l, "method=sfa.Ping") {
+		if strings.HasPrefix(l, "level=DEBUG msg=request authority=PLC ") && strings.Contains(l, " method=sfa.Ping ") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no debug request line in %q", lines)
+		t.Errorf("no debug request record in %q", lines)
 	}
 }
 
@@ -301,8 +302,8 @@ func TestInfoLevelSuppressesDebug(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	for _, l := range lines {
-		if strings.Contains(l, "level=debug") {
-			t.Errorf("debug line leaked at info level: %q", l)
+		if strings.Contains(l, "level=DEBUG") {
+			t.Errorf("debug record leaked at info level: %q", l)
 		}
 	}
 }

@@ -33,8 +33,6 @@ func (s *Server) newPeerClient(addr string) *Client {
 	var cc ClientConfig
 	if s.cfg.PeerClient != nil {
 		cc = s.cfg.PeerClient(addr)
-	} else {
-		cc = ClientConfig{DialTimeout: 10 * time.Second, CallTimeout: 10 * time.Second}
 	}
 	if cc.Addr == "" {
 		cc.Addr = addr
@@ -98,7 +96,7 @@ func (s *Server) installPeer(rec AuthorityRecord, client *Client) {
 	s.metrics.peers.Set(float64(len(s.peers)))
 	s.mu.Unlock()
 	s.health.ensure(rec.Name)
-	s.log.Infof("sfa[%s]: peered with %s (%s)", s.auth.Name, rec.Name, rec.Addr)
+	s.log.Info("peered", "peer", rec.Name, "addr", rec.Addr)
 }
 
 // handlePeer records the caller as a peer and connects back to it.
@@ -154,7 +152,7 @@ func (s *Server) probePeers() {
 		switch s.health.state(name) {
 		case PeerDown:
 			if ok && s.health.beginRecovery(name) {
-				s.log.Infof("sfa[%s]: probe reached down peer %s; reconciling", s.auth.Name, name)
+				s.log.Info("probe reached down peer; reconciling", "peer", name)
 				s.reconcilePeer(name, ph)
 			}
 		case PeerRecovering:
@@ -214,7 +212,7 @@ func (s *Server) reservePeers(p SliceRequest, per, sitesGot int) ([]SliverRecord
 			// Degraded mode: place on the live sub-federation only. No
 			// idempotency key is drawn, so nothing can replay at the peer
 			// later.
-			s.log.Debugf("sfa[%s]: skipping %s peer %s for slice %s", s.auth.Name, st, name, p.Name)
+			s.log.Debug("skipping peer", "peer", name, "state", st, "slice", p.Name)
 			continue
 		}
 		need := 1 << 20 // effectively unbounded
@@ -234,7 +232,7 @@ func (s *Server) reservePeers(p SliceRequest, per, sitesGot int) ([]SliverRecord
 		}}
 		var rr ReserveResponse
 		if err := s.sendKeyed(ph, op, cred, &rr); err != nil {
-			s.log.Errorf("sfa[%s]: reserve at %s failed: %v", s.auth.Name, name, err)
+			s.log.Error("peer reserve failed", "peer", name, "err", err)
 			continue
 		}
 		siteSeen := map[string]bool{}
@@ -272,7 +270,7 @@ func (s *Server) releaseRemote(sliceName string, slivers []SliverRecord) {
 		ph := s.peers[name]
 		s.mu.Unlock()
 		if ph == nil {
-			s.log.Errorf("sfa[%s]: cannot release %d slivers at unknown peer %s", s.auth.Name, len(svs), name)
+			s.log.Error("release at unknown peer", "peer", name, "slivers", len(svs))
 			continue
 		}
 		op := pendingOp{method: MethodRelease, release: ReleaseRequest{
@@ -282,12 +280,11 @@ func (s *Server) releaseRemote(sliceName string, slivers []SliverRecord) {
 		if st := s.health.state(name); st.excluded() {
 			// Known unreachable: queue instead of burning a call timeout.
 			s.queue(name, op)
-			s.log.Infof("sfa[%s]: queued release of %d slivers of %s for %s peer %s",
-				s.auth.Name, len(svs), sliceName, st, name)
+			s.log.Info("queued release", "peer", name, "state", st, "slice", sliceName, "slivers", len(svs))
 			continue
 		}
 		if err := s.sendKeyed(ph, op, cred, nil); err != nil {
-			s.log.Errorf("sfa[%s]: release at %s: %v", s.auth.Name, name, err)
+			s.log.Error("peer release failed", "peer", name, "err", err)
 		}
 	}
 }

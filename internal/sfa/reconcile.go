@@ -129,7 +129,7 @@ func (s *Server) amendIntent(peer string, lost map[string][]SliverRecord) {
 	}
 	s.st.mu.Unlock()
 	s.metrics.reconcileDropped.Add(int64(dropped))
-	s.log.Infof("sfa[%s]: reconcile with %s: dropped %d lost slivers from intent", s.auth.Name, peer, dropped)
+	s.log.Info("reconcile dropped lost slivers from intent", "peer", peer, "slivers", dropped)
 }
 
 // reconcilePeer runs one reconciliation attempt against a peer in the
@@ -140,11 +140,11 @@ func (s *Server) reconcilePeer(name string, ph *peerHandle) {
 	if s.runReconcile(name, ph) {
 		s.metrics.reconcileRuns.With("converged").Inc()
 		s.health.readmit(name)
-		s.log.Infof("sfa[%s]: peer %s reconciled and readmitted", s.auth.Name, name)
+		s.log.Info("peer reconciled and readmitted", "peer", name)
 	} else {
 		s.metrics.reconcileRuns.With("failed").Inc()
 		s.health.demote(name)
-		s.log.Infof("sfa[%s]: reconcile with %s failed; peer stays down", s.auth.Name, name)
+		s.log.Info("reconcile failed; peer stays down", "peer", name)
 	}
 	s.setBacklogGauge(name)
 }
@@ -178,7 +178,7 @@ func (s *Server) runReconcile(name string, ph *peerHandle) bool {
 			if err := s.replayOp(ph, cred, op); err != nil {
 				s.recon.requeueFront(name, ops[i:])
 				s.setBacklogGauge(name)
-				s.log.Errorf("sfa[%s]: reconcile replay %s to %s: %v", s.auth.Name, op.method, name, err)
+				s.log.Error("reconcile replay failed", "peer", name, "method", op.method, "err", err)
 				return false
 			}
 			s.metrics.reconcileReplays.Inc()
@@ -192,7 +192,7 @@ func (s *Server) runReconcile(name string, ph *peerHandle) bool {
 	// not held — the peer restarted without its state).
 	held, err := s.fetchHoldings(ph, cred)
 	if err != nil {
-		s.log.Errorf("sfa[%s]: reconcile holdings at %s: %v", s.auth.Name, name, err)
+		s.log.Error("reconcile holdings failed", "peer", name, "err", err)
 		return false
 	}
 	intent := s.remoteIntent(name)
@@ -206,13 +206,11 @@ func (s *Server) runReconcile(name string, ph *peerHandle) bool {
 			// guarantees it cannot collide with any key the peer has seen.
 			IdempotencyKey: s.peerKey(slice, gen, name) + "/retire",
 		}, nil); err != nil {
-			s.log.Errorf("sfa[%s]: reconcile retire %d slivers of %s at %s: %v",
-				s.auth.Name, len(svs), slice, name, err)
+			s.log.Error("reconcile retire failed", "peer", name, "slice", slice, "slivers", len(svs), "err", err)
 			return false
 		}
 		s.metrics.reconcileRetired.Add(int64(len(svs)))
-		s.log.Infof("sfa[%s]: reconcile with %s: retired %d orphaned slivers of %s",
-			s.auth.Name, name, len(svs), slice)
+		s.log.Info("reconcile retired orphaned slivers", "peer", name, "slice", slice, "slivers", len(svs))
 	}
 	if len(lost) > 0 {
 		s.amendIntent(name, lost)

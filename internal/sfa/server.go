@@ -5,12 +5,15 @@ package sfa
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +89,8 @@ type Server struct {
 	auth     *planetlab.Authority
 	secret   []byte
 	demand   *economics.Workload
-	log      *obs.Logger
+	log      *slog.Logger  // carries the authority as an attribute
+	level    slog.LevelVar // log's minimum level, set by WithLogLevel
 	obsreg   *obs.Registry
 	metrics  *serverMetrics
 	cfg      ServerConfig
@@ -114,17 +118,38 @@ type Server struct {
 // Option customizes a Server.
 type Option func(*Server)
 
-// WithLogger routes server diagnostics to logf (default: log.Printf). The
-// server wraps logf in a leveled obs.Logger at the current level, so
-// WithLogger composes with WithLogLevel in either order.
+// WithLogger routes server diagnostics to logf (default: log.Printf): a
+// slog text handler formats each record, without a time (logf adds its
+// own, if any), and writes it through logf as one line. WithLogger
+// composes with WithLogLevel in either order.
 func WithLogger(logf func(string, ...interface{})) Option {
-	return func(s *Server) { s.log = obs.NewLogger(logf, s.log.Level()) }
+	return func(s *Server) {
+		s.log = slog.New(slog.NewTextHandler(printfWriter(logf), &slog.HandlerOptions{
+			Level: &s.level,
+			ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+				if a.Key == slog.TimeKey && len(groups) == 0 {
+					return slog.Attr{}
+				}
+				return a
+			},
+		}))
+	}
 }
 
-// WithLogLevel sets the minimum diagnostic level (default obs.LogInfo).
-// At obs.LogDebug the server also logs one line per dispatched request.
-func WithLogLevel(min obs.LogLevel) Option {
-	return func(s *Server) { s.log.SetLevel(min) }
+// WithLogLevel sets the minimum diagnostic level (default slog.LevelInfo).
+// At slog.LevelDebug the server also logs one record per dispatched
+// request.
+func WithLogLevel(min slog.Level) Option {
+	return func(s *Server) { s.level.Set(min) }
+}
+
+// printfWriter writes each record the text handler formats, less its
+// newline, through a printf-style function.
+type printfWriter func(string, ...interface{})
+
+func (w printfWriter) Write(p []byte) (int, error) {
+	w("%s", strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 // WithMetrics routes the server's instrumentation to reg instead of
@@ -161,13 +186,16 @@ func NewServer(auth *planetlab.Authority, secret []byte, opts ...Option) *Server
 		secret: secret,
 		peers:  map[string]*peerHandle{},
 		conns:  map[net.Conn]struct{}{},
-		log:    obs.NewLogger(log.Printf, obs.LogInfo),
 		obsreg: obs.Default,
 		cfg:    ServerConfig{}.withDefaults(),
 	}
 	for _, o := range opts {
 		o(s)
 	}
+	if s.log == nil {
+		WithLogger(log.Printf)(s)
+	}
+	s.log = s.log.With("authority", auth.Name)
 	s.metrics = newServerMetrics(s.obsreg)
 	// Delta updates (not Set) so servers sharing a registry aggregate.
 	s.st = newState(auth, dedupWindow, func(delta int) { s.metrics.leasesActive.Add(float64(delta)) })
@@ -177,7 +205,7 @@ func NewServer(auth *planetlab.Authority, secret []byte, opts ...Option) *Server
 		s.metrics.peerState.With(peer).Set(float64(to))
 		if from != to {
 			s.metrics.peerTransitions.With(peer, to.String()).Inc()
-			s.log.Infof("sfa[%s]: peer %s: %s -> %s", s.auth.Name, peer, from, to)
+			s.log.Info("peer state", "peer", peer, "from", from, "to", to)
 		}
 	}
 	if s.store != nil {
@@ -298,8 +326,7 @@ func (s *Server) Drain() {
 	s.st.mu.Unlock()
 	start := time.Now()
 	if !already {
-		s.log.Infof("sfa[%s]: drain started: %d open connections, %d active holdings",
-			s.auth.Name, len(conns), holdings)
+		s.log.Info("drain started", "connections", len(conns), "holdings", holdings)
 		if ln != nil {
 			_ = ln.Close()
 		}
@@ -312,8 +339,7 @@ func (s *Server) Drain() {
 	}
 	s.wg.Wait()
 	if !already {
-		s.log.Infof("sfa[%s]: drain complete in %s", s.auth.Name,
-			time.Since(start).Round(time.Millisecond))
+		s.log.Info("drain complete", "dur", time.Since(start).Round(time.Millisecond))
 	}
 }
 
@@ -351,8 +377,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			// up to a cap.
 			s.metrics.acceptErrors.Inc()
 			if now := time.Now(); now.Sub(lastLog) >= acceptLogInterval {
-				s.log.Errorf("sfa[%s]: accept: %v (%d earlier failures suppressed)",
-					s.auth.Name, err, suppressed)
+				s.log.Error("accept failed", "err", err, "suppressed", suppressed)
 				lastLog = now
 				suppressed = 0
 			} else {
@@ -410,7 +435,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// anything else is a malformed or oversized frame.
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
 				s.metrics.protocolErrors.Inc()
-				s.log.Debugf("sfa[%s]: dropping connection: %v", s.auth.Name, err)
+				s.log.Debug("dropping connection", "err", err)
 			}
 			return
 		}
@@ -424,6 +449,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// debug reports whether the server logs debug records; per-request
+// records are built only then, since boxing their values allocates.
+func (s *Server) debug() bool {
+	return s.log.Enabled(context.TODO(), slog.LevelDebug)
+}
+
 func (s *Server) dispatch(req *Envelope) *Envelope {
 	// Admission gate: shed excess load before any work happens. Shed
 	// requests are guaranteed unexecuted, carry CodeOverloaded so clients
@@ -434,7 +465,9 @@ func (s *Server) dispatch(req *Envelope) *Envelope {
 		if n := s.inflight.Add(1); n > int64(max) {
 			s.inflight.Add(-1)
 			s.metrics.shed.Inc()
-			s.log.Debugf("sfa[%s]: shed %s: in-flight bound %d reached", s.auth.Name, req.Method, max)
+			if s.debug() {
+				s.log.Debug("shed", "method", req.Method, "max_inflight", max)
+			}
 			return &Envelope{ID: req.ID, Error: "server overloaded: in-flight admission bound reached", Code: CodeOverloaded}
 		}
 		defer s.inflight.Add(-1)
@@ -453,11 +486,15 @@ func (s *Server) dispatch(req *Envelope) *Envelope {
 	s.metrics.latency.With(label).Observe(dur.Seconds())
 	if err != nil {
 		s.metrics.errors.With(label).Inc()
-		s.log.Debugf("sfa[%s]: method=%s dur=%s err=%q", s.auth.Name, req.Method, dur, err)
+		if s.debug() {
+			s.log.Debug("request", "method", req.Method, "dur", dur, "err", err)
+		}
 		resp.Error = err.Error()
 		return resp
 	}
-	s.log.Debugf("sfa[%s]: method=%s dur=%s", s.auth.Name, req.Method, dur)
+	if s.debug() {
+		s.log.Debug("request", "method", req.Method, "dur", dur)
+	}
 	resp.Result = encodeBody(result)
 	if n := frameLen(resp); n > MaxFrameSize {
 		// The request executed, so the client must get a final answer

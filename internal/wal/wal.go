@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,7 +74,9 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 }
 
 // Options configures a Log. The zero value of every field but Dir selects
-// a sensible default.
+// a sensible default. Recovery and maintenance diagnostics go to slog's
+// default logger: Warn for data dropped or skipped, Error for a failed
+// background fsync.
 type Options struct {
 	// Dir is the data directory (created if absent). Required.
 	Dir string
@@ -83,8 +86,6 @@ type Options struct {
 	Interval time.Duration
 	// Registry receives the WAL's instrumentation (default obs.Default).
 	Registry *obs.Registry
-	// Logf, when set, receives recovery and maintenance diagnostics.
-	Logf func(string, ...interface{})
 }
 
 func (o Options) withDefaults() Options {
@@ -93,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Registry == nil {
 		o.Registry = obs.Default
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...interface{}) {}
 	}
 	return o
 }
@@ -161,8 +159,7 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	l.m.replayed.Add(int64(len(rec.Records)))
 	if rec.DroppedBytes > 0 {
 		l.m.tornBytes.Add(rec.DroppedBytes)
-		opts.Logf("wal: dropped %d torn tail bytes, resuming from sequence %d",
-			rec.DroppedBytes, rec.LastSeq)
+		slog.Warn("wal: dropped torn tail", "bytes", rec.DroppedBytes, "last_seq", rec.LastSeq)
 	}
 	if l.opts.Policy == FsyncInterval {
 		l.stopFlush = make(chan struct{})
@@ -256,7 +253,7 @@ func (l *Log) recover() (*Recovered, error) {
 		path := filepath.Join(l.opts.Dir, snapshotName(snaps[i]))
 		seq, data, rerr := readSnapshotFile(path)
 		if rerr != nil {
-			l.opts.Logf("wal: skipping snapshot %s: %v", path, rerr)
+			slog.Warn("wal: skipping snapshot", "path", path, "err", rerr)
 			continue
 		}
 		rec.Snapshot = data
@@ -273,7 +270,7 @@ func (l *Log) recover() (*Recovered, error) {
 	for i, start := range segs {
 		path := filepath.Join(l.opts.Dir, segmentName(start))
 		if stopped {
-			l.opts.Logf("wal: removing segment %s past a corrupt record", path)
+			slog.Warn("wal: removing segment past a corrupt record", "path", path)
 			_ = os.Remove(path)
 			continue
 		}
@@ -302,13 +299,13 @@ func (l *Log) recover() (*Recovered, error) {
 func (l *Log) scanSegment(path string, rec *Recovered) (goodLen int64, bad bool) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		l.opts.Logf("wal: read segment %s: %v", path, err)
+		slog.Warn("wal: unreadable segment", "path", path, "err", err)
 		return 0, true
 	}
 	for off := 0; off < len(buf); {
 		seq, data, n, err := parseFrame(buf[off:])
 		if err != nil {
-			l.opts.Logf("wal: %s: stopping at bad record after seq %d: %v", path, rec.LastSeq, err)
+			slog.Warn("wal: stopping at bad record", "path", path, "after_seq", rec.LastSeq, "err", err)
 			return int64(off), true
 		}
 		switch {
@@ -319,7 +316,7 @@ func (l *Log) scanSegment(path string, rec *Recovered) (goodLen int64, bad bool)
 			rec.LastSeq = seq
 		default:
 			// A sequence gap is corruption: stop at the first bad record.
-			l.opts.Logf("wal: %s: sequence gap (%d after %d), stopping", path, seq, rec.LastSeq)
+			slog.Warn("wal: stopping at sequence gap", "path", path, "seq", seq, "after_seq", rec.LastSeq)
 			return int64(off), true
 		}
 		off += n
@@ -451,7 +448,7 @@ func (l *Log) flushLoop() {
 			return
 		case <-t.C:
 			if err := l.Sync(); err != nil {
-				l.opts.Logf("wal: background fsync: %v", err)
+				slog.Error("wal: background fsync failed", "err", err)
 			}
 		}
 	}
