@@ -260,9 +260,9 @@ func printStatus(addr string) error {
 }
 
 // printPeerTable renders the daemon's /peersz per-peer health snapshot:
-// lifecycle state, last successful contact, breaker state, and reconcile
-// backlog. Probe failure or a 404 (a daemon predating the endpoint)
-// degrades to silence — status's exit code reflects health, not peering.
+// lifecycle state, last successful contact, and reconcile backlog. Probe
+// failure or a 404 (a daemon predating the endpoint) degrades to silence —
+// status's exit code reflects health, not peering.
 func printPeerTable(addr string) {
 	resp, err := fetchWithRetry(addr, "/peersz")
 	if err != nil {
@@ -280,17 +280,13 @@ func printPeerTable(addr string) {
 		fmt.Println("peers:   none")
 		return
 	}
-	fmt.Printf("peers:\n  %-12s %-12s %-12s %-10s %s\n", "peer", "state", "last-seen", "breaker", "backlog")
+	fmt.Printf("peers:\n  %-12s %-12s %-12s %s\n", "peer", "state", "last-seen", "backlog")
 	for _, p := range peers {
 		lastSeen := "never"
 		if p.LastSeenSeconds >= 0 {
 			lastSeen = fmt.Sprintf("%.1fs ago", p.LastSeenSeconds)
 		}
-		breaker := p.Breaker
-		if breaker == "" {
-			breaker = "-"
-		}
-		fmt.Printf("  %-12s %-12s %-12s %-10s %d\n", p.Peer, p.State, lastSeen, breaker, p.Backlog)
+		fmt.Printf("  %-12s %-12s %-12s %d\n", p.Peer, p.State, lastSeen, p.Backlog)
 	}
 }
 

@@ -17,10 +17,11 @@
 // shed with a retriable overload code instead of queueing without bound. On SIGTERM/SIGINT the
 // daemon shuts down gracefully: readiness flips, the optional -drain-grace
 // lame-duck period elapses, in-flight requests finish, and only then does
-// the process exit. -log-level (debug, info, warn or error) sets the
-// minimum level of the server's and log/slog's records; at debug every
-// dispatched request and every finished span is logged as one key=value
-// record.
+// the process exit. Every line on stderr is a log/slog record, and
+// -log-level (debug, info, warn or error) sets their minimum level: the
+// daemon's lifecycle records are info, its failures error, and at debug
+// every dispatched request and every finished span is logged as one
+// key=value record.
 //
 // With -data-dir the registry's durable state (slices, slivers, leases,
 // idempotency outcomes) survives restarts: mutations go through a
@@ -42,7 +43,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -125,15 +125,12 @@ func main() {
 			})
 		}
 		if err := auth.AddSite(site); err != nil {
-			log.Fatalf("fedd: %v", err)
+			fatal("add site", "err", err)
 		}
 	}
 
 	var shuttingDown atomic.Bool
-	srvOpts := []sfa.Option{
-		sfa.WithLogLevel(level),
-		sfa.WithConfig(sfa.ServerConfig{MaxInFlight: *maxInFlight}),
-	}
+	srvOpts := []sfa.Option{sfa.WithConfig(sfa.ServerConfig{MaxInFlight: *maxInFlight})}
 	var store *sfa.DurableStore
 	var recovered *sfa.State
 	if *dataDir != "" {
@@ -149,37 +146,37 @@ func main() {
 			SnapshotEvery: *snapshotEvery,
 		})
 		if err != nil {
-			log.Fatalf("fedd: open data dir %s: %v", *dataDir, err)
+			fatal("open data dir", "dir", *dataDir, "err", err)
 		}
 		srvOpts = append(srvOpts, sfa.WithStore(store))
-		log.Printf("fedd: durable state in %s (fsync=%s)", *dataDir, *fsync)
+		slog.Info("durable state", "dir", *dataDir, "fsync", *fsync)
 	}
 	srv := sfa.NewServer(auth, []byte(*secret), srvOpts...)
 	if recovered != nil {
 		if err := srv.Restore(recovered); err != nil {
-			log.Fatalf("fedd: restore durable state: %v", err)
+			fatal("restore durable state", "err", err)
 		}
 	}
 	if err := srv.Start(*listen); err != nil {
-		log.Fatalf("fedd: %v", err)
+		fatal("start", "err", err)
 	}
-	log.Printf("fedd: %s serving %d sites on %s", *name, *sites, srv.Addr())
+	slog.Info("serving", "authority", *name, "sites", *sites, "addr", srv.Addr())
 
 	var eng *engine.Engine
 	if *metricsAddr != "" {
 		obs.RegisterRuntimeMetrics(obs.Default)
 		mln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
-			log.Fatalf("fedd: metrics listen %s: %v", *metricsAddr, err)
+			fatal("metrics listen", "addr", *metricsAddr, "err", err)
 		}
-		log.Printf("fedd: metrics on http://%s/metrics", mln.Addr())
+		slog.Info("metrics", "url", "http://"+mln.Addr().String()+"/metrics")
 		// /readyz flips to 503 the moment shutdown begins, so an
 		// orchestrator stops routing before the listener goes away.
 		mux := obs.HandlerWithHealth(func() bool {
 			return !shuttingDown.Load() && !srv.Draining()
 		})
-		// Per-peer health, breaker, and reconcile-backlog snapshot; fedctl
-		// status renders this as the peer table.
+		// Per-peer health and reconcile-backlog snapshot; fedctl status
+		// renders this as the peer table.
 		mux.HandleFunc("/peersz", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			peers := srv.PeerHealth()
@@ -187,24 +184,24 @@ func main() {
 				peers = []sfa.PeerHealthInfo{}
 			}
 			if err := json.NewEncoder(w).Encode(peers); err != nil {
-				log.Printf("fedd: /peersz encode: %v", err)
+				slog.Error("peersz encode", "err", err)
 			}
 		})
 		if *apiEnabled {
 			eng = engine.New(engine.Options{MaxConcurrent: *apiConcurrency})
 			api.NewServer(eng).Register(mux)
-			log.Printf("fedd: scenario API and dashboard on http://%s/", mln.Addr())
+			slog.Info("scenario API and dashboard", "url", "http://"+mln.Addr().String()+"/")
 		}
 		go func() {
 			if err := http.Serve(mln, mux); err != nil {
-				log.Printf("fedd: metrics server: %v", err)
+				slog.Error("metrics server", "err", err)
 			}
 		}()
 	}
 
 	if *peer != "" {
 		if err := srv.PeerWith(*peer); err != nil {
-			log.Fatalf("fedd: peering with %s: %v", *peer, err)
+			fatal("peering", "peer", *peer, "err", err)
 		}
 	}
 
@@ -215,13 +212,13 @@ func main() {
 	// load balancers observe the 503 and stop routing, then stop accepting
 	// and let in-flight requests finish. Leased resources are left to their
 	// holders. A second signal during the drain exits immediately.
-	log.Printf("fedd: %s draining", *name)
+	slog.Info("draining", "authority", *name)
 	shuttingDown.Store(true)
 	if *drainGrace > 0 {
 		select {
 		case <-time.After(*drainGrace):
 		case <-sigc:
-			log.Printf("fedd: %s forced shutdown", *name)
+			slog.Info("forced shutdown", "authority", *name)
 			return
 		}
 	}
@@ -233,21 +230,27 @@ func main() {
 	select {
 	case <-drained:
 	case <-sigc:
-		log.Printf("fedd: %s forced shutdown", *name)
+		slog.Info("forced shutdown", "authority", *name)
 	}
-	log.Printf("fedd: %s shutting down", *name)
+	slog.Info("shutting down", "authority", *name)
 	if eng != nil {
 		// Cancel in-flight experiments and wait for their goroutines; their
 		// runs end in the cancelled state rather than being torn mid-sweep.
 		eng.Close()
 	}
 	if err := srv.Close(); err != nil {
-		log.Printf("fedd: close: %v", err)
+		slog.Error("close", "err", err)
 	}
 	if store != nil {
 		// Cut a final snapshot so the next start recovers without replay.
 		if err := store.Close(); err != nil {
-			log.Printf("fedd: close data dir: %v", err)
+			slog.Error("close data dir", "err", err)
 		}
 	}
+}
+
+// fatal logs msg and its key/value pairs as an error record and exits 1.
+func fatal(msg string, args ...any) {
+	slog.Error(msg, args...)
+	os.Exit(1)
 }

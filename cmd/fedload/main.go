@@ -186,8 +186,7 @@ func run(cfg runConfig) result {
 				Addr: cfg.addr, CallTimeout: cfg.callTimeout,
 				MaxAttempts: cfg.maxAttempts,
 				RetryBase:   5 * time.Millisecond, RetryMax: 250 * time.Millisecond,
-				BreakerThreshold: -1, // a restarting daemon is the scenario, not a reason to fail fast
-				Seed:             cfg.seed + uint64(w),
+				Seed: cfg.seed + uint64(w),
 			}
 			if cfg.fault {
 				d := faultnet.NewDialer(faultnet.Config{

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -138,7 +139,9 @@ func TestCLIFederationEndToEnd(t *testing.T) {
 }
 
 // TestCLIFeddLogLevel checks -log-level: an unknown level exits 2 naming
-// it, and warn, which slog's level names add, starts a daemon that serves.
+// it, and warn, which slog's level names add, starts a daemon that serves
+// and shuts down on SIGTERM with nothing on stderr below warn: every line
+// there is a WARN or ERROR record.
 func TestCLIFeddLogLevel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skip in -short mode")
@@ -155,6 +158,8 @@ func TestCLIFeddLogLevel(t *testing.T) {
 
 	addr := freePort(t)
 	d := exec.Command(fedd, "-name", "PLC", "-listen", addr, "-sites", "1", "-secret", "it", "-log-level", "warn")
+	var stderr strings.Builder
+	d.Stderr = &stderr
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +167,18 @@ func TestCLIFeddLogLevel(t *testing.T) {
 	waitReachable(t, addr)
 	if out := run(t, fedctl, "-addr", addr, "ping"); !strings.Contains(out, "pong") {
 		t.Errorf("ping at -log-level warn: %q", out)
+	}
+	if err := d.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Wait(); err != nil {
+		t.Errorf("fedd at -log-level warn exited uncleanly: %v", err)
+	}
+	record := regexp.MustCompile(`^\d{4}/\d\d/\d\d \d\d:\d\d:\d\d (WARN|ERROR) `)
+	for _, l := range strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n") {
+		if l != "" && !record.MatchString(l) {
+			t.Errorf("fedd -log-level warn wrote a line below warn: %q", l)
+		}
 	}
 }
 
@@ -214,7 +231,7 @@ func TestCLIGracefulDrain(t *testing.T) {
 	}
 	// The daemon exposes the fault-tolerance metric families: the server's
 	// lease/dedup instrumentation and (because -peer created an SFA client)
-	// the client retry/breaker families.
+	// the client retry families.
 	_, metrics := get("/metrics")
 	for _, family := range []string{
 		"fedshare_sfa_leases_active",
@@ -222,7 +239,6 @@ func TestCLIGracefulDrain(t *testing.T) {
 		"fedshare_sfa_dedup_replays_total",
 		"fedshare_sfa_client_retries_total",
 		"fedshare_sfa_client_redials_total",
-		"fedshare_sfa_client_breaker_state",
 	} {
 		if !strings.Contains(metrics, family) {
 			t.Errorf("/metrics missing family %s", family)

@@ -85,9 +85,8 @@ func runChaos(t *testing.T, seed uint64) chaosRun {
 				Addr: srv.Addr(), DialFunc: dialers[i].Dial,
 				CallTimeout: 2 * time.Second, MaxAttempts: 30,
 				RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
-				BreakerThreshold: -1, // faults are the point; never fail fast
-				Seed:             seed + uint64(i),
-				Registry:         reg,
+				Seed:     seed + uint64(i),
+				Registry: reg,
 			})
 			defer c.Close()
 			for k := 0; k < chaosCalls; k++ {

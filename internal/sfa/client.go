@@ -16,23 +16,23 @@ import (
 // The client is resilient by default: any transport error (dial, write,
 // read, deadline, protocol violation) marks the connection broken so the
 // next attempt redials a fresh one instead of reading a stale partial
-// frame, failed calls are retried with exponential backoff and
-// deterministic jitter up to a per-call budget, and a circuit breaker
-// fails fast once a peer has proven dead. Server-reported failures
+// frame, and failed calls are retried with exponential backoff and
+// deterministic jitter up to a per-call budget. Server-reported failures
 // (*RemoteError) are returned immediately: the transport worked, so
-// retrying would re-execute the request.
+// retrying would re-execute the request. The client judges no peer
+// between calls: a coordinator's health tracker is its one failure
+// detector.
 type Client struct {
 	cfg     ClientConfig
 	metrics *clientMetrics
 
-	mu      sync.Mutex
-	conn    net.Conn
-	r       *bufio.Reader
-	w       *bufio.Writer
-	nextID  uint64
-	rng     *stats.Rand
-	breaker breaker
-	stats   ClientStats
+	mu     sync.Mutex
+	conn   net.Conn
+	r      *bufio.Reader
+	w      *bufio.Writer
+	nextID uint64
+	rng    *stats.Rand
+	stats  ClientStats
 }
 
 // ClientStats counts a client's fault-handling activity (also exported as
@@ -48,14 +48,11 @@ type ClientStats struct {
 // dials lazily. Zero-valued config fields take defaults (see ClientConfig).
 func NewClient(cfg ClientConfig) *Client {
 	cfg = cfg.withDefaults()
-	c := &Client{
+	return &Client{
 		cfg:     cfg,
 		metrics: newClientMetrics(cfg.Registry),
 		rng:     stats.NewRand(cfg.Seed),
-		breaker: breaker{threshold: cfg.BreakerThreshold},
 	}
-	c.metrics.breakerState.With(cfg.Addr).Set(float64(breakerClosed))
-	return c
 }
 
 // Dial connects to an SFA registry eagerly, returning any dial error
@@ -75,14 +72,6 @@ func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// BreakerState reports the circuit breaker's current state ("closed",
-// "half-open", "open") for health surfacing.
-func (c *Client) BreakerState() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.breaker.state.String()
 }
 
 // ensureConn dials a fresh connection if none is live. Caller holds c.mu.
@@ -123,29 +112,26 @@ func (c *Client) breakConn() {
 // retry; transport failures are retried per the client's retry budget and
 // surface the last error once the budget is exhausted. Two more failures
 // are final: a request whose frame would exceed MaxFrameSize is refused
-// before any dial, retry or breaker count, and a result that fails to
-// decode is returned at once, with no retry or breaker failure, since the
-// request executed and a retry would execute it again.
+// before any dial or retry, and a result that fails to decode is returned
+// at once, with no retry, since the request executed and a retry would
+// execute it again.
 //
 // The mutex serializes only the wire round-trips: backoff sleeps happen
 // with the lock released, so one call's backoff never blocks concurrent
-// callers (or Close) for the duration of its retry schedule. The breaker is
-// consulted before each backoff, so a call against an open breaker fails
-// fast instead of sleeping first.
+// callers (or Close) for the duration of its retry schedule.
 func (c *Client) Call(method string, params, result interface{}) error {
-	_, err := c.call(method, params, result)
+	_, err := c.call(method, params, result, c.cfg.MaxAttempts)
 	return err
 }
 
-// call is Call that also reports whether its error is a transport
-// failure, one in which the peer did not answer: a dial, write, read or
-// deadline failure, a response under another request's ID, or an open
-// breaker, which stands in for the failures that opened it. Every other
-// error comes from a peer that answered (a remote error, a shed the retry
-// budget could not get past, a result that does not decode) or that was
-// never asked (a request refused before dialing). Peer health and
-// reconcile replays count only transport failures.
-func (c *Client) call(method string, params, result interface{}) (bool, error) {
+// call is Call under a budget of attempts, which also reports whether its
+// error is a transport failure, one in which the peer did not answer: a
+// dial, write, read or deadline failure, or a response under another
+// request's ID. Every other error comes from a peer that answered (a
+// remote error, a shed the budget could not get past, a result that does
+// not decode) or that was never asked (a request refused before dialing).
+// Peer health and reconcile replays count only transport failures.
+func (c *Client) call(method string, params, result interface{}, attempts int) (bool, error) {
 	req := &Envelope{Method: method}
 	if params != nil {
 		p, ok := params.(encodable)
@@ -167,13 +153,8 @@ func (c *Client) call(method string, params, result interface{}) (bool, error) {
 	}
 	var lastErr error
 	transport := false // whether lastErr is a transport failure
-	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= attempts; attempt++ {
 		c.mu.Lock()
-		if !c.breaker.allow(c.cfg.Now()) {
-			c.mu.Unlock()
-			return true, circuitOpenError(c.cfg.Addr, lastErr)
-		}
-		c.setBreakerGauge()
 		if attempt > 1 {
 			c.stats.Retries++
 			c.metrics.retries.Inc()
@@ -185,17 +166,9 @@ func (c *Client) call(method string, params, result interface{}) (bool, error) {
 		resp, err := c.callOnce(req)
 		if err != nil {
 			lastErr, transport = err, true
-			if c.breaker.failure(c.cfg.Now()) {
-				c.metrics.breakerOpens.Inc()
-			}
-			c.setBreakerGauge()
 			c.mu.Unlock()
 			continue
 		}
-		// The peer answered: the transport is healthy, so the breaker never
-		// counts what the response says.
-		c.breaker.success()
-		c.setBreakerGauge()
 		if resp.Error != "" {
 			remote := &RemoteError{Msg: resp.Error, Code: resp.Code}
 			// An overload shed is the one remote error guaranteed
@@ -220,10 +193,6 @@ func (c *Client) call(method string, params, result interface{}) (bool, error) {
 		return false, nil
 	}
 	return transport, lastErr
-}
-
-func (c *Client) setBreakerGauge() {
-	c.metrics.breakerState.With(c.cfg.Addr).Set(float64(c.breaker.state))
 }
 
 // callOnce performs one request/response round-trip under a fresh ID and

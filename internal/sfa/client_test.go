@@ -193,73 +193,6 @@ func TestTransientDialFailuresRetried(t *testing.T) {
 	}
 }
 
-func TestCircuitBreakerFailsFastAndRecovers(t *testing.T) {
-	fs := newFrameServer(t, func(conn net.Conn, idx int) { echoFrames(conn) })
-	var failDials atomic.Bool
-	failDials.Store(true)
-	now := time.Unix(1000, 0)
-	c := NewClient(ClientConfig{
-		Addr: fs.addr(), MaxAttempts: 1, BreakerThreshold: 2,
-		Registry: obs.NewRegistry(),
-		Now:      func() time.Time { return now },
-		DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
-			if failDials.Load() {
-				return nil, errors.New("host unreachable (simulated)")
-			}
-			return net.DialTimeout("tcp", addr, timeout)
-		},
-	})
-	defer c.Close()
-	for i := 0; i < 2; i++ {
-		if err := c.Call(MethodPing, nil, nil); err == nil {
-			t.Fatalf("call %d should fail while dials fail", i)
-		}
-	}
-	// Threshold reached: the breaker is open and rejects without dialing.
-	err := c.Call(MethodPing, nil, nil)
-	if !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("err = %v, want ErrCircuitOpen", err)
-	}
-	// The peer recovers, but the cooldown has not elapsed yet.
-	failDials.Store(false)
-	if err := c.Call(MethodPing, nil, nil); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("before cooldown: err = %v, want ErrCircuitOpen", err)
-	}
-	// After the cooldown a half-open probe goes through and closes the
-	// breaker again.
-	now = now.Add(2 * time.Minute)
-	if err := c.Call(MethodPing, nil, nil); err != nil {
-		t.Fatalf("half-open probe should succeed: %v", err)
-	}
-	if err := c.Call(MethodPing, nil, nil); err != nil {
-		t.Fatalf("breaker should be closed again: %v", err)
-	}
-}
-
-func TestOpenBreakerFailsFastWithoutBackoffSleep(t *testing.T) {
-	var sleeps atomic.Int64
-	now := time.Unix(1000, 0)
-	c := NewClient(ClientConfig{
-		Addr: "127.0.0.1:1", MaxAttempts: 3, RetryBase: time.Millisecond, BreakerThreshold: 1,
-		Registry: obs.NewRegistry(),
-		Now:      func() time.Time { return now },
-		Sleep:    func(time.Duration) { sleeps.Add(1) },
-		DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
-			return nil, errors.New("host down (simulated)")
-		},
-	})
-	defer c.Close()
-	// Attempt 1 fails and opens the breaker (threshold 1). The retry loop
-	// must consult the breaker before backing off, failing fast instead of
-	// sleeping toward a call that would be rejected anyway.
-	if err := c.Call(MethodPing, nil, nil); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("err = %v, want ErrCircuitOpen", err)
-	}
-	if n := sleeps.Load(); n != 0 {
-		t.Errorf("slept %d times against an open breaker, want 0", n)
-	}
-}
-
 func TestConcurrentCallersShareOneConnection(t *testing.T) {
 	srv := startServer(t, buildAuthority(t, "PLC", 1, 1, 1), WithMetrics(obs.NewRegistry()))
 	c := NewClient(ClientConfig{Addr: srv.Addr(), Registry: obs.NewRegistry()})
@@ -310,13 +243,13 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 }
 
 // TestOversizedRequestRefusedBeforeDial: a request whose frame would exceed
-// MaxFrameSize is final. It is refused before any dial, backoff or breaker
-// count, since no attempt could send it.
+// MaxFrameSize is final. It is refused before any dial or backoff, since no
+// attempt could send it, and is not a transport failure.
 func TestOversizedRequestRefusedBeforeDial(t *testing.T) {
 	fs := newFrameServer(t, func(conn net.Conn, idx int) { echoFrames(conn) })
 	var dials, sleeps atomic.Int64
 	c := NewClient(ClientConfig{
-		Addr: fs.addr(), MaxAttempts: 3, BreakerThreshold: 1, Registry: obs.NewRegistry(),
+		Addr: fs.addr(), MaxAttempts: 3, Registry: obs.NewRegistry(),
 		DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
 			dials.Add(1)
 			return net.DialTimeout("tcp", addr, timeout)
@@ -324,7 +257,7 @@ func TestOversizedRequestRefusedBeforeDial(t *testing.T) {
 		Sleep: func(time.Duration) { sleeps.Add(1) },
 	})
 	defer c.Close()
-	err := c.Call(MethodRelease, ReleaseRequest{SliceName: strings.Repeat("x", MaxFrameSize)}, nil)
+	transport, err := c.call(MethodRelease, ReleaseRequest{SliceName: strings.Repeat("x", MaxFrameSize)}, nil, c.cfg.MaxAttempts)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte frame limit", MaxFrameSize)) {
 		t.Fatalf("err = %v, want the frame limit named", err)
 	}
@@ -334,8 +267,8 @@ func TestOversizedRequestRefusedBeforeDial(t *testing.T) {
 	if st := c.Stats(); st.Retries != 0 {
 		t.Errorf("stats = %+v, want 0 retries", st)
 	}
-	if got := c.BreakerState(); got != "closed" {
-		t.Errorf("breaker %s after an oversized request, want closed", got)
+	if transport {
+		t.Error("an oversized request reported as a transport failure")
 	}
 }
 
@@ -366,8 +299,9 @@ func TestCallRefusesTypesWithoutWireForm(t *testing.T) {
 }
 
 // TestUndecodableResultIsFinal: a result that does not decode came from a
-// request that executed, so it is returned at once — no retry, no breaker
-// failure — and the connection, whose stream stayed in sync, is kept.
+// request that executed, so it is returned at once — no retry, not a
+// transport failure — and the connection, whose stream stayed in sync, is
+// kept.
 func TestUndecodableResultIsFinal(t *testing.T) {
 	var served atomic.Int64
 	fs := newFrameServer(t, func(conn net.Conn, idx int) {
@@ -391,19 +325,19 @@ func TestUndecodableResultIsFinal(t *testing.T) {
 	})
 	c := NewClient(ClientConfig{
 		Addr: fs.addr(), MaxAttempts: 3, RetryBase: time.Millisecond,
-		BreakerThreshold: 1, Registry: obs.NewRegistry(),
+		Registry: obs.NewRegistry(),
 	})
 	defer c.Close()
 	var rr ReserveResponse
-	err := c.Call(MethodReserve, ReserveRequest{SliceName: "s", Sites: 1, PerSite: 1}, &rr)
+	transport, err := c.call(MethodReserve, ReserveRequest{SliceName: "s", Sites: 1, PerSite: 1}, &rr, c.cfg.MaxAttempts)
 	if err == nil || !strings.Contains(err.Error(), "decode") {
 		t.Fatalf("err = %v, want a decode error", err)
 	}
 	if n := served.Load(); n != 1 {
 		t.Errorf("an unkeyed reserve executed %d times", n)
 	}
-	if got := c.BreakerState(); got != "closed" {
-		t.Errorf("breaker %s after an undecodable result, want closed", got)
+	if transport {
+		t.Error("an undecodable result reported as a transport failure")
 	}
 	if err := c.Call(MethodPing, nil, nil); err != nil {
 		t.Fatalf("ping after an undecodable result: %v", err)

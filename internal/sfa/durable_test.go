@@ -719,7 +719,7 @@ func TestRecoveryEquivalenceUnderChaos(t *testing.T) {
 				Addr: srv.Addr(), DialFunc: dialer.Dial,
 				CallTimeout: 2 * time.Second, MaxAttempts: 30,
 				RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond,
-				BreakerThreshold: -1, Seed: seed + uint64(i), Registry: reg,
+				Seed: seed + uint64(i), Registry: reg,
 			})
 			defer c.Close()
 			for k := 0; k < calls; k++ {

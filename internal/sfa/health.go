@@ -252,7 +252,6 @@ type PeerHealthInfo struct {
 	SinceSeconds    float64 `json:"since_seconds"`
 	LastSeenSeconds float64 `json:"last_seen_seconds"`
 	Failures        int     `json:"failures"`
-	Breaker         string  `json:"breaker"`
 	Backlog         int     `json:"backlog"`
 }
 

@@ -69,14 +69,11 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 }
 
 // clientMetrics bundles the Client's fault-handling instrumentation.
-// Counters aggregate across all clients sharing a registry; the breaker
-// state gauge is labeled by peer address (0 closed, 1 half-open, 2 open).
+// Counters aggregate across all clients sharing a registry.
 type clientMetrics struct {
-	retries      *obs.Counter  // fedshare_sfa_client_retries_total
-	redials      *obs.Counter  // fedshare_sfa_client_redials_total
-	breakerOpens *obs.Counter  // fedshare_sfa_client_breaker_opens_total
-	breakerState *obs.GaugeVec // fedshare_sfa_client_breaker_state{peer}
-	shed         *obs.Counter  // fedshare_sfa_client_shed_total
+	retries *obs.Counter // fedshare_sfa_client_retries_total
+	redials *obs.Counter // fedshare_sfa_client_redials_total
+	shed    *obs.Counter // fedshare_sfa_client_shed_total
 }
 
 func newClientMetrics(r *obs.Registry) *clientMetrics {
@@ -85,10 +82,6 @@ func newClientMetrics(r *obs.Registry) *clientMetrics {
 			"Call attempts beyond the first (transport-level retries)."),
 		redials: r.Counter("fedshare_sfa_client_redials_total",
 			"Reconnections after a broken client connection."),
-		breakerOpens: r.Counter("fedshare_sfa_client_breaker_opens_total",
-			"Circuit breaker closed/half-open to open transitions."),
-		breakerState: r.GaugeVec("fedshare_sfa_client_breaker_state",
-			"Circuit breaker state per peer: 0 closed, 1 half-open, 2 open.", "peer"),
 		shed: r.Counter("fedshare_sfa_client_shed_total",
 			"Responses shed by a server admission gate (retried with backoff)."),
 	}

@@ -1,9 +1,11 @@
 package sfa
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"log"
 	"log/slog"
 	"net"
 	"strings"
@@ -258,25 +260,35 @@ func TestAcceptLoopBackoffAndRateLimitedLog(t *testing.T) {
 	}
 }
 
+// TestDebugLevelLogsRequests builds its server without WithLogger, so the
+// server logs through slog's default logger. The test swaps that logger
+// for a debug-level text handler, so it must not run in parallel; it
+// restores the logger, and the log package's output that slog.SetDefault
+// redirects, when it ends.
 func TestDebugLevelLogsRequests(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	logf := func(format string, args ...interface{}) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
+	prev, out, flags := slog.Default(), log.Writer(), log.Flags()
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(out)
+		log.SetFlags(flags)
+	})
+	var buf bytes.Buffer
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	srv := NewServer(buildAuthority(t, "PLC", 1, 1, 1), testSecret, WithMetrics(obs.NewRegistry()))
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
-	srv := startServer(t, buildAuthority(t, "PLC", 1, 1, 1),
-		WithMetrics(obs.NewRegistry()), WithLogger(logf), WithLogLevel(slog.LevelDebug))
+	t.Cleanup(func() { _ = srv.Close() })
 	c := dialServer(t, srv)
 	if err := c.Call(MethodPing, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	// Close waits for the server's goroutines, so buf is read unshared.
+	_ = srv.Close()
+	lines := strings.Split(buf.String(), "\n")
 	found := false
 	for _, l := range lines {
-		if strings.HasPrefix(l, "level=DEBUG msg=request authority=PLC ") && strings.Contains(l, " method=sfa.Ping ") {
+		if strings.Contains(l, " level=DEBUG msg=request authority=PLC ") && strings.Contains(l, " method=sfa.Ping ") {
 			found = true
 		}
 	}

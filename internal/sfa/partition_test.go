@@ -2,7 +2,6 @@ package sfa
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -206,8 +205,8 @@ func (s *silentListener) close() {
 
 // TestAdmissionGateShedsOverload wedges the server's single admission slot
 // with a GetShares blocked on a silent peer, then proves that excess calls
-// are shed unexecuted with CodeOverloaded, that shed responses never trip
-// the client breaker, and that a retrying client succeeds once the wedge
+// are shed unexecuted with CodeOverloaded, that a shed is never a
+// transport failure, and that a retrying client succeeds once the wedge
 // clears.
 func TestAdmissionGateShedsOverload(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -219,7 +218,7 @@ func TestAdmissionGateShedsOverload(t *testing.T) {
 	silent := newSilentListener(t)
 	slow := NewClient(ClientConfig{
 		Addr: silent.ln.Addr().String(), CallTimeout: 10 * time.Second,
-		MaxAttempts: 1, BreakerThreshold: -1, Registry: reg,
+		MaxAttempts: 1, Registry: reg,
 	})
 	t.Cleanup(func() { _ = slow.Close() })
 	srv.mu.Lock()
@@ -240,17 +239,17 @@ func TestAdmissionGateShedsOverload(t *testing.T) {
 	pingsBefore := counterValue(reg, "fedshare_sfa_requests_total", MethodPing)
 
 	// A non-retrying client sees the shed as a retriable remote error.
-	c2, err := NewClient(ClientConfig{Addr: srv.Addr(), MaxAttempts: 1, Registry: reg}), error(nil)
+	c2 := NewClient(ClientConfig{Addr: srv.Addr(), MaxAttempts: 1, Registry: reg})
 	t.Cleanup(func() { _ = c2.Close() })
-	err = c2.Call(MethodPing, nil, nil)
+	transport, err := c2.call(MethodPing, nil, nil, c2.cfg.MaxAttempts)
 	if !IsOverloaded(err) {
 		t.Fatalf("call against a full server: err = %v, want overloaded", err)
 	}
 	if got := c2.Stats().Shed; got != 1 {
 		t.Errorf("client shed count = %d, want 1", got)
 	}
-	if got := c2.BreakerState(); got != "closed" {
-		t.Errorf("breaker after shed = %s, want closed (sheds are not transport failures)", got)
+	if transport {
+		t.Error("a shed reported as a transport failure")
 	}
 	if got := reg.Counter("fedshare_sfa_shed_total", "").Value(); got != 1 {
 		t.Errorf("server shed counter = %d, want 1", got)
@@ -269,7 +268,12 @@ func TestAdmissionGateShedsOverload(t *testing.T) {
 	})
 	t.Cleanup(func() { _ = c3.Close() })
 	c3Done := make(chan error, 1)
-	go func() { c3Done <- c3.Call(MethodPing, nil, nil) }()
+	var c3Transport bool
+	go func() {
+		var err error
+		c3Transport, err = c3.call(MethodPing, nil, nil, c3.cfg.MaxAttempts)
+		c3Done <- err
+	}()
 	waitFor(t, "the retrying client to be shed", func() bool { return c3.Stats().Shed == 1 })
 
 	// Clear the wedge: the silent peer's connections die, GetShares finishes
@@ -289,97 +293,100 @@ func TestAdmissionGateShedsOverload(t *testing.T) {
 	if st.Shed != 1 || st.Retries != 1 {
 		t.Errorf("retrying client stats = %+v, want 1 shed and 1 retry", st)
 	}
-	if got := c3.BreakerState(); got != "closed" {
-		t.Errorf("retrying client breaker = %s, want closed", got)
+	if c3Transport {
+		t.Error("retrying client reported a transport failure")
 	}
 	if got := reg.Counter("fedshare_sfa_shed_total", "").Value(); got != 2 {
 		t.Errorf("server shed counter = %d, want 2", got)
 	}
 }
 
-// --- breaker half-open race --------------------------------------------------
+// --- probes ------------------------------------------------------------------
 
-// TestBreakerHalfOpenSingleProbe races concurrent callers against the
-// open→half-open flip and proves exactly one of them performs the network
-// probe; the rest fail fast on the reopened breaker.
-func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	srv := startServer(t, buildAuthority(t, "PLC", 1, 1, 1))
+// TestProbeWithRetryingPeerClient probes P2 through a peer client that
+// keeps its default retry budget, on a server clock the test drives. Share
+// queries spend the full budget; while the link is cut, each due probe of
+// the down peer dials exactly once; after a heal, the first due probe
+// readmits it with no wall-clock wait.
+func TestProbeWithRetryingPeerClient(t *testing.T) {
 	clock := newFakeClock()
-	var dials atomic.Int64
-	var failDials atomic.Bool
-	failDials.Store(true)
-	c := NewClient(ClientConfig{
-		Addr: srv.Addr(), MaxAttempts: 1, BreakerThreshold: 1,
-		Now: clock.Now, Registry: obs.NewRegistry(),
-		DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
-			dials.Add(1)
-			if failDials.Load() {
-				return nil, errors.New("injected dial failure")
-			}
-			return net.DialTimeout("tcp", addr, timeout)
-		},
-	})
-	t.Cleanup(func() { _ = c.Close() })
-
-	// First call fails at dial and opens the breaker (threshold 1).
-	if err := c.Call(MethodPing, nil, nil); err == nil || errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("first call: err = %v, want the dial failure itself", err)
-	}
-	if got := c.BreakerState(); got != "open" {
-		t.Fatalf("breaker = %s, want open", got)
-	}
-	// While open and inside the cooldown, calls fail fast without dialing.
-	if err := c.Call(MethodPing, nil, nil); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("call during cooldown: err = %v, want ErrCircuitOpen", err)
-	}
-	if got := dials.Load(); got != 1 {
-		t.Fatalf("dials during open = %d, want 1", got)
-	}
-
-	// Cooldown elapses; many callers race the half-open flip.
-	clock.Advance(breakerCooldown)
-	const callers = 8
-	errs := make([]error, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.Call(MethodPing, nil, nil)
-		}(i)
-	}
-	wg.Wait()
-	// Exactly one caller probed the network; its failure reopened the
-	// breaker so every other caller failed fast.
-	if got := dials.Load(); got != 2 {
-		t.Errorf("half-open probe dialed %d times, want exactly 1", got-1)
-	}
-	fastFails, probeFails := 0, 0
-	for _, err := range errs {
-		switch {
-		case errors.Is(err, ErrCircuitOpen):
-			fastFails++
-		case err != nil:
-			probeFails++
-		default:
-			t.Error("a call succeeded against a failing dialer")
+	reg3 := obs.NewRegistry()
+	p2 := startServer(t, buildAuthority(t, "P2", 2, 1, 4))
+	p3 := startServer(t, buildAuthority(t, "P3", 2, 1, 4), WithMetrics(reg3))
+	p2Addr := p2.Addr()
+	gate := faultnet.NewPartition()
+	var dials atomic.Int64 // dials to P2
+	const interval = 50 * time.Millisecond
+	srvC := startServer(t, buildAuthority(t, "C", 2, 1, 4), WithMetrics(obs.NewRegistry()),
+		WithConfig(ServerConfig{
+			Now: clock.Now, LeaseReapInterval: 2 * time.Millisecond, ProbeInterval: interval,
+			PeerClient: func(addr string) ClientConfig {
+				if addr != p2Addr {
+					return ClientConfig{}
+				}
+				return ClientConfig{DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+					dials.Add(1)
+					return gate.Dial(addr, timeout)
+				}}
+			},
+		}))
+	for _, addr := range []string{p2Addr, p3.Addr()} {
+		if err := srvC.PeerWith(addr); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if probeFails != 1 || fastFails != callers-1 {
-		t.Errorf("probe failures = %d, fast failures = %d; want 1 and %d", probeFails, fastFails, callers-1)
-	}
-	if got := c.BreakerState(); got != "open" {
-		t.Errorf("breaker after failed probe = %s, want open", got)
+	c := dialServer(t, srvC)
+
+	// probeRound makes every probe due and waits for P3's ping. The reaper
+	// probes peers one at a time in name order, so P2's probe has returned
+	// by then. It reports how many times the round dialed P2.
+	probeRound := func() int64 {
+		t.Helper()
+		before := dials.Load()
+		want := counterValue(reg3, "fedshare_sfa_requests_total", MethodPing) + 1
+		clock.Advance(interval + interval/4)
+		waitFor(t, "the probe round to reach P3", func() bool {
+			return counterValue(reg3, "fedshare_sfa_requests_total", MethodPing) >= want
+		})
+		return dials.Load() - before
 	}
 
-	// After the next cooldown a successful probe closes the breaker.
-	failDials.Store(false)
-	clock.Advance(breakerCooldown)
-	if err := c.Call(MethodPing, nil, nil); err != nil {
-		t.Fatalf("successful half-open probe: %v", err)
+	// Cut the link and drive P2 down with DownAfter (3) share queries, each
+	// under the full budget of 3 attempts: the first query's first attempt
+	// finds the severed connection, and every other attempt dials.
+	gate.Cut()
+	before := dials.Load()
+	for i := 0; i < 3; i++ {
+		var shares SharesResponse
+		if err := c.Call(MethodGetShares, SharesRequest{Policy: "shapley"}, &shares); err != nil || !shares.Partial {
+			t.Fatalf("shares during the cut: partial %t, err %v; want partial", shares.Partial, err)
+		}
 	}
-	if got := c.BreakerState(); got != "closed" {
-		t.Errorf("breaker after successful probe = %s, want closed", got)
+	if got := dials.Load() - before; got != 2+3+3 {
+		t.Errorf("share queries dialed P2 %d times, want 8", got)
+	}
+	if st := srvC.health.state("P2"); st != PeerDown {
+		t.Fatalf("P2 is %s after 3 failed share queries, want down", st)
+	}
+	for i := 1; i <= 3; i++ {
+		if n := probeRound(); n != 1 {
+			t.Errorf("due probe %d of the cut peer dialed %d times, want 1", i, n)
+		}
+	}
+	if st := srvC.health.state("P2"); st != PeerDown {
+		t.Fatalf("P2 is %s while the link is cut, want down", st)
+	}
+
+	gate.Heal()
+	if n := probeRound(); n != 1 {
+		t.Errorf("first due probe after the heal dialed %d times, want 1", n)
+	}
+	if st := srvC.health.state("P2"); st != PeerHealthy {
+		t.Fatalf("P2 is %s after the first due probe past the heal, want healthy", st)
+	}
+	var shares SharesResponse
+	if err := c.Call(MethodGetShares, SharesRequest{Policy: "shapley"}, &shares); err != nil || shares.Partial {
+		t.Errorf("shares after readmission: partial %t, err %v; want whole", shares.Partial, err)
 	}
 }
 
@@ -400,7 +407,7 @@ func TestReconcileDropsLostIntent(t *testing.T) {
 			Now: clock.Now, LeaseReapInterval: 2 * time.Millisecond,
 			ProbeInterval: 50 * time.Millisecond, DownAfter: 1, Seed: 3,
 			PeerClient: func(addr string) ClientConfig {
-				cc := ClientConfig{Addr: addr, MaxAttempts: 1, BreakerThreshold: -1, Registry: regC, Now: clock.Now}
+				cc := ClientConfig{Addr: addr, MaxAttempts: 1, Registry: regC}
 				if addr == p2Addr {
 					cc.DialFunc = gate.Dial
 				}
@@ -541,7 +548,7 @@ func TestUndecodableReserveKeepsPeerHealthy(t *testing.T) {
 			Now: clock.Now, LeaseReapInterval: 2 * time.Millisecond,
 			ProbeInterval: 50 * time.Millisecond, DownAfter: 2, Seed: 3,
 			PeerClient: func(addr string) ClientConfig {
-				cc := ClientConfig{Addr: addr, MaxAttempts: 1, BreakerThreshold: -1, Registry: regC, Now: clock.Now}
+				cc := ClientConfig{Addr: addr, MaxAttempts: 1, Registry: regC}
 				if addr == p2Addr {
 					cc.DialFunc = rewriteResults(&rewrite)
 				}
@@ -625,7 +632,7 @@ func runPartitionChaos(t *testing.T, seed uint64) string {
 		Now: clock.Now, LeaseReapInterval: 2 * time.Millisecond,
 		ProbeInterval: 50 * time.Millisecond, DownAfter: 2, Seed: seed,
 		PeerClient: func(addr string) ClientConfig {
-			cc := ClientConfig{Addr: addr, MaxAttempts: 1, BreakerThreshold: -1, Registry: regC, Now: clock.Now}
+			cc := ClientConfig{Addr: addr, MaxAttempts: 1, Registry: regC}
 			if addr == p2Addr {
 				cc.DialFunc = gate.Dial
 			}

@@ -43,11 +43,12 @@ func (s *Server) newPeerClient(addr string) *Client {
 	return NewClient(cc)
 }
 
-// callPeer performs one RPC against a peer and feeds the outcome to the
-// health tracker: a transport failure counts against the peer, and
-// anything else proves it alive. It reports which the error was.
+// callPeer performs one RPC against a peer, under its client's full retry
+// budget, and feeds the outcome to the health tracker: a transport failure
+// counts against the peer, and anything else proves it alive. It reports
+// which the error was.
 func (s *Server) callPeer(ph *peerHandle, method string, params, result interface{}) (transport bool, err error) {
-	transport, err = ph.client.call(method, params, result)
+	transport, err = ph.client.call(method, params, result, ph.client.cfg.MaxAttempts)
 	s.health.observe(ph.record.Name, !transport)
 	return transport, err
 }
@@ -132,12 +133,14 @@ func (s *Server) PeerWith(addr string) error {
 }
 
 // probePeers pings every peer whose probe deadline has passed (paced by
-// the reaper tick, judged by cfg.Now). A probe reaching a down peer starts
-// recovery: the reconciler runs inline on the reaper goroutine — so Close,
-// which stops the reaper before closing peer clients, never races it — and
-// readmits the peer only after proving convergence. A healthy peer with
-// queued operations (accrued in a transition race window) is drained
-// through the same path.
+// the reaper tick, judged by cfg.Now). A probe is one attempt, whatever the
+// peer client's retry budget: the probe schedule, not the client's
+// backoff, paces the next one, so probing a down peer costs one dial. A
+// probe reaching a down peer starts recovery: the reconciler runs inline
+// on the reaper goroutine — so Close, which stops the reaper before
+// closing peer clients, never races it — and readmits the peer only after
+// proving convergence. A healthy peer with queued operations (accrued in a
+// transition race window) is drained through the same path.
 func (s *Server) probePeers() {
 	for _, name := range s.health.dueProbes() {
 		s.mu.Lock()
@@ -147,7 +150,7 @@ func (s *Server) probePeers() {
 		if ph == nil || stopped {
 			continue
 		}
-		transport, _ := ph.client.call(MethodPing, nil, nil)
+		transport, _ := ph.client.call(MethodPing, nil, nil, 1)
 		ok := !transport
 		switch s.health.state(name) {
 		case PeerDown:
@@ -166,9 +169,9 @@ func (s *Server) probePeers() {
 	}
 }
 
-// PeerHealth reports each peer's lifecycle condition, breaker state, and
-// reconcile backlog, sorted by name — the data behind fedd's /peersz
-// endpoint and fedctl status's peer table.
+// PeerHealth reports each peer's lifecycle condition and reconcile
+// backlog, sorted by name — the data behind fedd's /peersz endpoint and
+// fedctl status's peer table.
 func (s *Server) PeerHealth() []PeerHealthInfo {
 	infos := s.health.snapshot()
 	s.mu.Lock()
@@ -184,9 +187,6 @@ func (s *Server) PeerHealth() []PeerHealthInfo {
 			continue // tracked but no longer peered
 		}
 		info.Addr = ph.record.Addr
-		if ph.client != nil {
-			info.Breaker = ph.client.BreakerState()
-		}
 		info.Backlog = s.recon.depth(info.Peer)
 		out = append(out, info)
 	}

@@ -2,7 +2,6 @@ package sfa
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"time"
 
@@ -29,10 +28,8 @@ type ClientConfig struct {
 	// jitter in [1/2, 1) of the computed delay (defaults 25ms and 1s).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// BreakerThreshold is the number of consecutive transport failures
-	// that opens the circuit breaker (default 5; negative disables the
-	// breaker). While open, calls fail fast with ErrCircuitOpen for
-	// breakerCooldown; then one half-open probe is allowed.
+	// Deprecated: ignored. The client has no circuit breaker; a
+	// coordinator's peer health tracker is its one failure detector.
 	BreakerThreshold int
 	// Seed feeds the deterministic jitter RNG, so a seeded client retries
 	// on a reproducible schedule (default 0, still deterministic).
@@ -45,8 +42,6 @@ type ClientConfig struct {
 	DialFunc func(addr string, timeout time.Duration) (net.Conn, error)
 	// Sleep replaces time.Sleep between retry attempts (tests).
 	Sleep func(time.Duration)
-	// Now replaces time.Now for the breaker clock (tests).
-	Now func() time.Time
 }
 
 // withDefaults returns cfg with every zero field filled in.
@@ -66,9 +61,6 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = time.Second
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 5
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default
 	}
@@ -80,18 +72,11 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	return cfg
 }
 
-// ErrCircuitOpen is returned (wrapped) when the client's circuit breaker is
-// open and the call was rejected without touching the network.
-var ErrCircuitOpen = errors.New("sfa: circuit breaker open")
-
 // RemoteError is a failure reported by the server itself: the transport
-// round-trip succeeded, so the breaker does not count it against the peer.
+// round-trip succeeded, so peer health does not count it against the peer.
 // Most remote errors are final (retrying would re-execute the request);
 // the one exception is Code == CodeOverloaded, which the server guarantees
 // was shed before execution, so the client retries it with backoff.
@@ -123,91 +108,4 @@ func backoffDelay(base, max time.Duration, attempt int, rng *stats.Rand) time.Du
 	}
 	half := d / 2
 	return half + time.Duration(rng.Float64()*float64(half))
-}
-
-// breakerState enumerates the circuit breaker's three states. The numeric
-// values are exported verbatim through the breaker-state gauge.
-type breakerState int
-
-const (
-	breakerClosed   breakerState = 0
-	breakerHalfOpen breakerState = 1
-	breakerOpen     breakerState = 2
-)
-
-func (s breakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerHalfOpen:
-		return "half-open"
-	case breakerOpen:
-		return "open"
-	}
-	return "unknown"
-}
-
-// breakerCooldown is how long an open breaker rejects calls before
-// allowing a half-open probe.
-const breakerCooldown = 2 * time.Second
-
-// breaker is a minimal closed→open→half-open circuit breaker. It is not
-// internally synchronized: the owning Client guards it with its call mutex.
-type breaker struct {
-	threshold int // consecutive failures to open; <= 0 disables
-
-	state    breakerState
-	failures int
-	openedAt time.Time
-}
-
-// allow reports whether a call may proceed, transitioning open→half-open
-// once the cooldown has elapsed.
-func (b *breaker) allow(now time.Time) bool {
-	if b.threshold <= 0 {
-		return true
-	}
-	switch b.state {
-	case breakerOpen:
-		if now.Sub(b.openedAt) >= breakerCooldown {
-			b.state = breakerHalfOpen
-			return true
-		}
-		return false
-	default:
-		return true
-	}
-}
-
-// success resets the breaker to closed.
-func (b *breaker) success() {
-	b.failures = 0
-	b.state = breakerClosed
-}
-
-// failure records one transport failure, opening the breaker at the
-// threshold (or immediately when a half-open probe fails). It reports
-// whether this failure opened the breaker.
-func (b *breaker) failure(now time.Time) bool {
-	if b.threshold <= 0 {
-		return false
-	}
-	b.failures++
-	if b.state == breakerHalfOpen || b.failures >= b.threshold {
-		wasOpen := b.state == breakerOpen
-		b.state = breakerOpen
-		b.openedAt = now
-		return !wasOpen
-	}
-	return false
-}
-
-// circuitOpenError wraps ErrCircuitOpen with the peer address and the error
-// that tripped the breaker, so callers see both the fast-fail and the root
-// cause.
-func circuitOpenError(addr string, last error) error {
-	if last == nil {
-		return fmt.Errorf("%w to %s", ErrCircuitOpen, addr)
-	}
-	return fmt.Errorf("%w to %s (last failure: %v)", ErrCircuitOpen, addr, last)
 }

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net"
 	"os"
@@ -53,8 +52,8 @@ type ServerConfig struct {
 	Seed uint64
 	// PeerClient, when set, builds the ClientConfig for outbound peer
 	// connections (PeerWith and peering back-dials); tests use it to
-	// route peer traffic through fault gates, fake clocks, and custom
-	// breaker settings. Addr and Registry are filled in if left zero.
+	// route peer traffic through fault gates and to set retry budgets and
+	// timeouts. Addr and Registry are filled in if left zero.
 	PeerClient func(addr string) ClientConfig
 }
 
@@ -89,8 +88,7 @@ type Server struct {
 	auth     *planetlab.Authority
 	secret   []byte
 	demand   *economics.Workload
-	log      *slog.Logger  // carries the authority as an attribute
-	level    slog.LevelVar // log's minimum level, set by WithLogLevel
+	log      *slog.Logger // carries the authority as an attribute
 	obsreg   *obs.Registry
 	metrics  *serverMetrics
 	cfg      ServerConfig
@@ -118,14 +116,14 @@ type Server struct {
 // Option customizes a Server.
 type Option func(*Server)
 
-// WithLogger routes server diagnostics to logf (default: log.Printf): a
-// slog text handler formats each record, without a time (logf adds its
-// own, if any), and writes it through logf as one line. WithLogger
-// composes with WithLogLevel in either order.
+// WithLogger routes server diagnostics at info and above to logf: a slog
+// text handler formats each record, without a time (logf adds its own, if
+// any), and writes it through logf as one line. Without it the server
+// logs through slog.Default(), whose level governs it; at debug the
+// server also logs one record per dispatched request.
 func WithLogger(logf func(string, ...interface{})) Option {
 	return func(s *Server) {
 		s.log = slog.New(slog.NewTextHandler(printfWriter(logf), &slog.HandlerOptions{
-			Level: &s.level,
 			ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
 				if a.Key == slog.TimeKey && len(groups) == 0 {
 					return slog.Attr{}
@@ -134,13 +132,6 @@ func WithLogger(logf func(string, ...interface{})) Option {
 			},
 		}))
 	}
-}
-
-// WithLogLevel sets the minimum diagnostic level (default slog.LevelInfo).
-// At slog.LevelDebug the server also logs one record per dispatched
-// request.
-func WithLogLevel(min slog.Level) Option {
-	return func(s *Server) { s.level.Set(min) }
 }
 
 // printfWriter writes each record the text handler formats, less its
@@ -193,7 +184,7 @@ func NewServer(auth *planetlab.Authority, secret []byte, opts ...Option) *Server
 		o(s)
 	}
 	if s.log == nil {
-		WithLogger(log.Printf)(s)
+		s.log = slog.Default()
 	}
 	s.log = s.log.With("authority", auth.Name)
 	s.metrics = newServerMetrics(s.obsreg)
@@ -458,9 +449,10 @@ func (s *Server) debug() bool {
 func (s *Server) dispatch(req *Envelope) *Envelope {
 	// Admission gate: shed excess load before any work happens. Shed
 	// requests are guaranteed unexecuted, carry CodeOverloaded so clients
-	// retry with backoff without tripping their breakers, and do NOT count
-	// in requests_total — the dispatched−replayed exactly-once identity
-	// covers only executed traffic.
+	// retry with backoff and peer health does not count them as transport
+	// failures, and do NOT count in requests_total — the
+	// dispatched−replayed exactly-once identity covers only executed
+	// traffic.
 	if max := s.cfg.MaxInFlight; max > 0 {
 		if n := s.inflight.Add(1); n > int64(max) {
 			s.inflight.Add(-1)
