@@ -88,9 +88,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fedd: -secret is required")
 		os.Exit(2)
 	}
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
-		fmt.Fprintln(os.Stderr, "fedd: -log-level:", err)
+	level, ok := map[string]slog.Level{"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn, "error": slog.LevelError}[*logLevel]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "fedd: -log-level %q: want debug, info, warn or error\n", *logLevel)
 		os.Exit(2)
 	}
 	slog.SetLogLoggerLevel(level)

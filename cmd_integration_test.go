@@ -138,22 +138,25 @@ func TestCLIFederationEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCLIFeddLogLevel checks -log-level: an unknown level exits 2 naming
-// it, and warn, which slog's level names add, starts a daemon that serves
-// and shuts down on SIGTERM with nothing on stderr below warn: every line
-// there is a WARN or ERROR record.
+// TestCLIFeddLogLevel checks -log-level: an unknown level, or a level
+// offset past error that would silence fedd's fatal records, exits 2
+// naming it, and warn, which slog's level names add, starts a daemon that
+// serves and shuts down on SIGTERM with nothing on stderr below warn:
+// every line there is a WARN or ERROR record.
 func TestCLIFeddLogLevel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skip in -short mode")
 	}
 	fedd, fedctl, _ := buildTools(t)
-	out, err := exec.Command(fedd, "-secret", "it", "-log-level", "chatty").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Errorf("-log-level chatty: %v, want exit status 2", err)
-	}
-	if !strings.Contains(string(out), `"chatty"`) {
-		t.Errorf("-log-level chatty error does not name the value: %q", out)
+	for _, bad := range []string{"chatty", "error+1"} {
+		out, err := exec.Command(fedd, "-secret", "it", "-log-level", bad).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-log-level %s: %v, want exit status 2", bad, err)
+		}
+		if !strings.Contains(string(out), `"`+bad+`"`) {
+			t.Errorf("-log-level %s error does not name the value: %q", bad, out)
+		}
 	}
 
 	addr := freePort(t)

@@ -120,18 +120,26 @@ func (c *Client) breakConn() {
 // with the lock released, so one call's backoff never blocks concurrent
 // callers (or Close) for the duration of its retry schedule.
 func (c *Client) Call(method string, params, result interface{}) error {
-	_, err := c.call(method, params, result, c.cfg.MaxAttempts)
+	_, err := c.call(method, params, result, c.cfg.MaxAttempts, nil)
 	return err
 }
 
 // call is Call under a budget of attempts, which also reports whether its
 // error is a transport failure, one in which the peer did not answer: a
-// dial, write, read or deadline failure, or a response under another
-// request's ID. Every other error comes from a peer that answered (a
-// remote error, a shed the budget could not get past, a result that does
-// not decode) or that was never asked (a request refused before dialing).
-// Peer health and reconcile replays count only transport failures.
-func (c *Client) call(method string, params, result interface{}, attempts int) (bool, error) {
+// dial, write, read or deadline failure, a response under another
+// request's ID, or a call that peer stopped. Every other error comes from
+// a peer that answered (a remote error, a shed the budget could not get
+// past, a result that does not decode) or that was never asked (a request
+// refused before dialing). Peer health and reconcile replays count only
+// transport failures.
+//
+// A non-nil peer is asked before each attempt, with the mutex held,
+// whether the peer may still be called, and told each attempt's outcome
+// before the mutex is released: DownAfter counts attempts however many
+// calls share the client, and a down verdict stops the calls still
+// waiting. A failure on a connection an earlier call left open is not told
+// while a retry follows: the peer may only have restarted since.
+func (c *Client) call(method string, params, result interface{}, attempts int, peer *peerGate) (bool, error) {
 	req := &Envelope{Method: method}
 	if params != nil {
 		p, ok := params.(encodable)
@@ -156,18 +164,33 @@ func (c *Client) call(method string, params, result interface{}, attempts int) (
 	for attempt := 1; attempt <= attempts; attempt++ {
 		c.mu.Lock()
 		if attempt > 1 {
-			c.stats.Retries++
-			c.metrics.retries.Inc()
 			delay := backoffDelay(c.cfg.RetryBase, c.cfg.RetryMax, attempt-1, c.rng)
 			c.mu.Unlock()
 			c.cfg.Sleep(delay)
 			c.mu.Lock()
 		}
+		if peer != nil {
+			if err := peer.admit(); err != nil {
+				c.mu.Unlock()
+				return true, err
+			}
+		}
+		if attempt > 1 {
+			c.stats.Retries++
+			c.metrics.retries.Inc()
+		}
+		reused := c.conn != nil
 		resp, err := c.callOnce(req)
 		if err != nil {
 			lastErr, transport = err, true
+			if peer != nil && (!reused || attempt == attempts) {
+				peer.h.observe(peer.name, false)
+			}
 			c.mu.Unlock()
 			continue
+		}
+		if peer != nil {
+			peer.h.observe(peer.name, true)
 		}
 		if resp.Error != "" {
 			remote := &RemoteError{Msg: resp.Error, Code: resp.Code}

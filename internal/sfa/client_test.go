@@ -257,7 +257,7 @@ func TestOversizedRequestRefusedBeforeDial(t *testing.T) {
 		Sleep: func(time.Duration) { sleeps.Add(1) },
 	})
 	defer c.Close()
-	transport, err := c.call(MethodRelease, ReleaseRequest{SliceName: strings.Repeat("x", MaxFrameSize)}, nil, c.cfg.MaxAttempts)
+	transport, err := c.call(MethodRelease, ReleaseRequest{SliceName: strings.Repeat("x", MaxFrameSize)}, nil, c.cfg.MaxAttempts, nil)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte frame limit", MaxFrameSize)) {
 		t.Fatalf("err = %v, want the frame limit named", err)
 	}
@@ -329,7 +329,7 @@ func TestUndecodableResultIsFinal(t *testing.T) {
 	})
 	defer c.Close()
 	var rr ReserveResponse
-	transport, err := c.call(MethodReserve, ReserveRequest{SliceName: "s", Sites: 1, PerSite: 1}, &rr, c.cfg.MaxAttempts)
+	transport, err := c.call(MethodReserve, ReserveRequest{SliceName: "s", Sites: 1, PerSite: 1}, &rr, c.cfg.MaxAttempts, nil)
 	if err == nil || !strings.Contains(err.Error(), "decode") {
 		t.Fatalf("err = %v, want a decode error", err)
 	}

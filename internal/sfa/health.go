@@ -1,6 +1,7 @@
 package sfa
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -127,9 +128,9 @@ func (h *healthTracker) ensure(name string) {
 	h.setStateLocked(name, p, PeerHealthy, now)
 }
 
-// observe feeds one call outcome into the state machine. Success clears a
-// suspect streak; the first failure makes a healthy peer suspect, and
-// downAfter failures in a row, that first one included, make it down.
+// observe feeds one attempt's outcome into the state machine. Success
+// clears a suspect streak; the first failure makes a healthy peer suspect,
+// and downAfter failures in a row, that first one included, make it down.
 // Down and recovering peers are owned by the probe/reconcile path: a stray
 // outcome (e.g. an in-flight call that raced the transition) never
 // readmits them.
@@ -168,6 +169,22 @@ func (h *healthTracker) observe(name string, ok bool) {
 	case PeerDown:
 		// Already down; stay down until a probe succeeds.
 	}
+}
+
+// peerGate is one peer's health as each attempt of a call to it sees it
+// (see Client.call).
+type peerGate struct {
+	h    *healthTracker
+	name string
+}
+
+// admit returns nil while the peer may be called, and otherwise the
+// transport failure that stops the call.
+func (g *peerGate) admit() error {
+	if st := g.h.state(g.name); st.excluded() {
+		return fmt.Errorf("sfa: peer %s is %s", g.name, st)
+	}
+	return nil
 }
 
 // state returns the peer's current state (PeerHealthy for unknown peers,

@@ -241,7 +241,7 @@ func TestAdmissionGateShedsOverload(t *testing.T) {
 	// A non-retrying client sees the shed as a retriable remote error.
 	c2 := NewClient(ClientConfig{Addr: srv.Addr(), MaxAttempts: 1, Registry: reg})
 	t.Cleanup(func() { _ = c2.Close() })
-	transport, err := c2.call(MethodPing, nil, nil, c2.cfg.MaxAttempts)
+	transport, err := c2.call(MethodPing, nil, nil, c2.cfg.MaxAttempts, nil)
 	if !IsOverloaded(err) {
 		t.Fatalf("call against a full server: err = %v, want overloaded", err)
 	}
@@ -271,7 +271,7 @@ func TestAdmissionGateShedsOverload(t *testing.T) {
 	var c3Transport bool
 	go func() {
 		var err error
-		c3Transport, err = c3.call(MethodPing, nil, nil, c3.cfg.MaxAttempts)
+		c3Transport, err = c3.call(MethodPing, nil, nil, c3.cfg.MaxAttempts, nil)
 		c3Done <- err
 	}()
 	waitFor(t, "the retrying client to be shed", func() bool { return c3.Stats().Shed == 1 })
@@ -301,13 +301,62 @@ func TestAdmissionGateShedsOverload(t *testing.T) {
 	}
 }
 
+// --- a silent peer -----------------------------------------------------------
+
+// TestSilentPeerStallBounded sends concurrent share queries to a
+// coordinator whose peer accepts connections and never answers, so every
+// attempt holds the peer client until its call timeout. The peer's down
+// verdict must come after a few attempts, not after each query's retry
+// budget, and must stop the queries still waiting for the connection:
+// every query returns partial shares within a few timeouts.
+func TestSilentPeerStallBounded(t *testing.T) {
+	srv := startServer(t, buildAuthority(t, "PLC", 2, 1, 4), WithMetrics(obs.NewRegistry()))
+	silent := newSilentListener(t)
+	const timeout = 100 * time.Millisecond
+	srv.installPeer(AuthorityRecord{Name: "SLOW", Addr: silent.ln.Addr().String()}, NewClient(ClientConfig{
+		Addr: silent.ln.Addr().String(), CallTimeout: timeout, Registry: obs.NewRegistry(),
+	}))
+
+	const queries = 12
+	clients := make([]*Client, queries)
+	for i := range clients {
+		clients[i] = dialServer(t, srv)
+	}
+	errs := make(chan error, queries)
+	start := time.Now()
+	for _, c := range clients {
+		go func(c *Client) {
+			var shares SharesResponse
+			err := c.Call(MethodGetShares, SharesRequest{Policy: "shapley"}, &shares)
+			if err == nil && (!shares.Partial || len(shares.Down) != 1 || shares.Down[0] != "SLOW") {
+				err = fmt.Errorf("shares partial=%t down=%v, want partial with [SLOW]", shares.Partial, shares.Down)
+			}
+			errs <- err
+		}(c)
+	}
+	for range clients {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	// Each query spending its budget of 3 attempts would take 36 timeouts.
+	if took := time.Since(start); took > 20*timeout {
+		silent.mu.Lock()
+		attempts := len(silent.conns)
+		silent.mu.Unlock()
+		t.Errorf("%d share queries took %v against a silent peer (%d attempts), want at most %v",
+			queries, took, attempts, 20*timeout)
+	}
+}
+
 // --- probes ------------------------------------------------------------------
 
 // TestProbeWithRetryingPeerClient probes P2 through a peer client that
-// keeps its default retry budget, on a server clock the test drives. Share
-// queries spend the full budget; while the link is cut, each due probe of
-// the down peer dials exactly once; after a heal, the first due probe
-// readmits it with no wall-clock wait.
+// keeps its default retry budget, on a server clock the test drives.
+// DownAfter counts the share queries' failed attempts, not the queries;
+// while the link is cut, each due probe of the down peer dials exactly
+// once; after a heal, the first due probe readmits it with no wall-clock
+// wait.
 func TestProbeWithRetryingPeerClient(t *testing.T) {
 	clock := newFakeClock()
 	reg3 := obs.NewRegistry()
@@ -351,22 +400,28 @@ func TestProbeWithRetryingPeerClient(t *testing.T) {
 		return dials.Load() - before
 	}
 
-	// Cut the link and drive P2 down with DownAfter (3) share queries, each
-	// under the full budget of 3 attempts: the first query's first attempt
-	// finds the severed connection, and every other attempt dials.
+	// Cut the link and query shares. The first query's first attempt finds
+	// the severed connection, which is not counted, since a retry follows
+	// on a fresh dial, and its two retries dial and fail. The second
+	// query's first attempt dials, takes P2 down at DownAfter (3) failed
+	// attempts and stops that query's retries. The third leaves P2 out
+	// without calling it.
 	gate.Cut()
-	before := dials.Load()
-	for i := 0; i < 3; i++ {
+	for i, want := range []struct {
+		dials int64
+		state PeerState
+	}{{2, PeerSuspect}, {1, PeerDown}, {0, PeerDown}} {
+		before := dials.Load()
 		var shares SharesResponse
 		if err := c.Call(MethodGetShares, SharesRequest{Policy: "shapley"}, &shares); err != nil || !shares.Partial {
 			t.Fatalf("shares during the cut: partial %t, err %v; want partial", shares.Partial, err)
 		}
-	}
-	if got := dials.Load() - before; got != 2+3+3 {
-		t.Errorf("share queries dialed P2 %d times, want 8", got)
-	}
-	if st := srvC.health.state("P2"); st != PeerDown {
-		t.Fatalf("P2 is %s after 3 failed share queries, want down", st)
+		if got := dials.Load() - before; got != want.dials {
+			t.Errorf("share query %d dialed P2 %d times, want %d", i+1, got, want.dials)
+		}
+		if st := srvC.health.state("P2"); st != want.state {
+			t.Fatalf("P2 is %s after share query %d, want %s", st, i+1, want.state)
+		}
 	}
 	for i := 1; i <= 3; i++ {
 		if n := probeRound(); n != 1 {
@@ -387,6 +442,52 @@ func TestProbeWithRetryingPeerClient(t *testing.T) {
 	var shares SharesResponse
 	if err := c.Call(MethodGetShares, SharesRequest{Policy: "shapley"}, &shares); err != nil || shares.Partial {
 		t.Errorf("shares after readmission: partial %t, err %v; want whole", shares.Partial, err)
+	}
+}
+
+// TestPeerRestartKeepsPeerHealthy restarts P2 on its address between two
+// probes. The coordinator's pooled connection to it is then dead, so the
+// next probe's first attempt fails on it, and the retry dials the
+// restarted peer, which answers. Even at DownAfter 1 the peer never leaves
+// healthy: a failure on a connection an earlier call left open is not
+// counted while a retry follows.
+func TestPeerRestartKeepsPeerHealthy(t *testing.T) {
+	clock := newFakeClock()
+	reg, reg3 := obs.NewRegistry(), obs.NewRegistry()
+	p2 := startServer(t, buildAuthority(t, "P2", 2, 1, 4))
+	p3 := startServer(t, buildAuthority(t, "P3", 2, 1, 4), WithMetrics(reg3))
+	const interval = 50 * time.Millisecond
+	srvC := startServer(t, buildAuthority(t, "C", 2, 1, 4), WithMetrics(reg),
+		WithConfig(ServerConfig{
+			Now: clock.Now, LeaseReapInterval: 2 * time.Millisecond, ProbeInterval: interval, DownAfter: 1,
+		}))
+	for _, addr := range []string{p2.Addr(), p3.Addr()} {
+		if err := srvC.PeerWith(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	addr := p2.Addr()
+	_ = p2.Close()
+	restarted := NewServer(buildAuthority(t, "P2", 2, 1, 4), testSecret, WithLogger(quietLog))
+	if err := restarted.Start(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = restarted.Close() })
+
+	// Make every probe due and wait for P3's ping: the reaper probes peers
+	// one at a time in name order, so P2's probe has returned by then.
+	want := counterValue(reg3, "fedshare_sfa_requests_total", MethodPing) + 1
+	clock.Advance(interval + interval/4)
+	waitFor(t, "the probe round to reach P3", func() bool {
+		return counterValue(reg3, "fedshare_sfa_requests_total", MethodPing) >= want
+	})
+	if st := srvC.health.state("P2"); st != PeerHealthy {
+		t.Errorf("P2 is %s after a probe past its restart, want healthy", st)
+	}
+	transitions := reg.CounterVec("fedshare_sfa_peer_transitions_total", "", "peer", "to")
+	if n := transitions.With("P2", "suspect").Value(); n != 0 {
+		t.Errorf("P2 went suspect %d times across its restart, want 0", n)
 	}
 }
 

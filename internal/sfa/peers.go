@@ -43,14 +43,10 @@ func (s *Server) newPeerClient(addr string) *Client {
 	return NewClient(cc)
 }
 
-// callPeer performs one RPC against a peer, under its client's full retry
-// budget, and feeds the outcome to the health tracker: a transport failure
-// counts against the peer, and anything else proves it alive. It reports
-// which the error was.
+// callPeer performs one RPC against a peer under its client's full retry
+// budget, gated on the peer's health attempt by attempt (see Client.call).
 func (s *Server) callPeer(ph *peerHandle, method string, params, result interface{}) (transport bool, err error) {
-	transport, err = ph.client.call(method, params, result, ph.client.cfg.MaxAttempts)
-	s.health.observe(ph.record.Name, !transport)
-	return transport, err
+	return ph.client.call(method, params, result, ph.client.cfg.MaxAttempts, &peerGate{h: s.health, name: ph.record.Name})
 }
 
 // peerKey is the idempotency key of one keyed operation sent to peer: one
@@ -133,14 +129,14 @@ func (s *Server) PeerWith(addr string) error {
 }
 
 // probePeers pings every peer whose probe deadline has passed (paced by
-// the reaper tick, judged by cfg.Now). A probe is one attempt, whatever the
-// peer client's retry budget: the probe schedule, not the client's
-// backoff, paces the next one, so probing a down peer costs one dial. A
-// probe reaching a down peer starts recovery: the reconciler runs inline
-// on the reaper goroutine — so Close, which stops the reaper before
-// closing peer clients, never races it — and readmits the peer only after
-// proving convergence. A healthy peer with queued operations (accrued in a
-// transition race window) is drained through the same path.
+// the reaper tick, judged by cfg.Now), as a peer call like any other. A
+// down peer gets one ungated attempt instead, whatever its client's retry
+// budget, so the probe schedule paces its dials. Reaching it starts
+// recovery: the reconciler runs inline on the reaper goroutine — so Close,
+// which stops the reaper before closing peer clients, never races it —
+// and readmits the peer only after proving convergence. A healthy peer
+// with queued operations (accrued in a transition race window) is drained
+// through the same path.
 func (s *Server) probePeers() {
 	for _, name := range s.health.dueProbes() {
 		s.mu.Lock()
@@ -150,19 +146,14 @@ func (s *Server) probePeers() {
 		if ph == nil || stopped {
 			continue
 		}
-		transport, _ := ph.client.call(MethodPing, nil, nil, 1)
-		ok := !transport
 		switch s.health.state(name) {
 		case PeerDown:
-			if ok && s.health.beginRecovery(name) {
+			if transport, _ := ph.client.call(MethodPing, nil, nil, 1, nil); !transport && s.health.beginRecovery(name) {
 				s.log.Info("probe reached down peer; reconciling", "peer", name)
 				s.reconcilePeer(name, ph)
 			}
-		case PeerRecovering:
-			// Owned by a reconciler; nothing to observe.
 		default:
-			s.health.observe(name, ok)
-			if ok && s.recon.depth(name) > 0 && s.health.beginDrain(name) {
+			if transport, _ := s.callPeer(ph, MethodPing, nil, nil); !transport && s.recon.depth(name) > 0 && s.health.beginDrain(name) {
 				s.reconcilePeer(name, ph)
 			}
 		}

@@ -235,7 +235,7 @@ func (s *Server) runReconcile(name string, ph *peerHandle) bool {
 // reserve that the committed slice does not reference are orphans; phase 2
 // retires them.
 func (s *Server) replayOp(ph *peerHandle, cred Credential, op pendingOp) error {
-	if transport, err := ph.client.call(op.method, op.signed(cred), nil, ph.client.cfg.MaxAttempts); transport {
+	if transport, err := ph.client.call(op.method, op.signed(cred), nil, ph.client.cfg.MaxAttempts, nil); transport {
 		return err
 	}
 	return nil

@@ -44,9 +44,8 @@ type ServerConfig struct {
 	// piggyback on the reaper tick and due-ness is judged by Now, so tests
 	// drive them with a simulated clock.
 	ProbeInterval time.Duration
-	// DownAfter is the consecutive-transport-failure threshold for
-	// suspect→down (default 3), counted from the first failure of the
-	// streak, which makes a healthy peer suspect.
+	// DownAfter is how many failed attempts in a row, of peer calls and
+	// probes, take a peer down (default 3); the first makes it suspect.
 	DownAfter int
 	// Seed feeds the deterministic probe-jitter RNG.
 	Seed uint64
